@@ -40,34 +40,16 @@ let instance_arg =
      distribution), gnp, behrend (§5 removal-lemma instance; sized by n), diluted (1/ǫ \
      distractor leaves per triangle corner)."
   in
-  Arg.(value
-       & opt
-           (enum
-              [ ("far", Service.Far); ("free", Service.Free); ("hub", Service.Hub);
-                ("mu", Service.Mu); ("gnp", Service.Gnp); ("behrend", Service.Behrend);
-                ("diluted", Service.Diluted) ])
-           Service.Far
-       & info [ "instance" ] ~docv:"FAMILY" ~doc)
+  Arg.(value & opt (enum Service.families) Service.Far & info [ "instance" ] ~docv:"FAMILY" ~doc)
 
 let partition_arg =
   let doc = "Edge partition: disjoint, dup (30% duplication), replicate, skewed, hash." in
-  Arg.(value
-       & opt
-           (enum
-              [ ("disjoint", Service.Disjoint); ("dup", Service.Dup);
-                ("replicate", Service.Replicate); ("skewed", Service.Skewed);
-                ("hash", Service.Hash) ])
-           Service.Dup
-       & info [ "partition" ] ~docv:"PART" ~doc)
+  Arg.(value & opt (enum Service.partitions) Service.Dup & info [ "partition" ] ~docv:"PART" ~doc)
 
 let protocol_arg =
   let doc = "Protocol: unrestricted (§3.3), sim (§3.4, d known), oblivious (Alg 11), exact ([38] baseline)." in
   Arg.(value
-       & opt
-           (enum
-              [ ("unrestricted", Service.Unrestricted); ("sim", Service.Sim);
-                ("oblivious", Service.Oblivious); ("exact", Service.Exact) ])
-           Service.Oblivious
+       & opt (enum Service.protocols) Service.Oblivious
        & info [ "protocol" ] ~docv:"PROTO" ~doc)
 
 (* The client's --protocol doubles as the wire-version switch: it accepts
@@ -84,9 +66,8 @@ let client_protocol_arg =
   Arg.(value
        & opt_all
            (enum
-              [ ("unrestricted", `Tester Service.Unrestricted); ("sim", `Tester Service.Sim);
-                ("oblivious", `Tester Service.Oblivious); ("exact", `Tester Service.Exact);
-                ("v1", `Wire Proto.V1); ("v2", `Wire Proto.V2); ("auto", `Wire Proto.Auto) ])
+              (List.map (fun (name, p) -> (name, `Tester p)) Service.protocols
+              @ [ ("v1", `Wire Proto.V1); ("v2", `Wire Proto.V2); ("auto", `Wire Proto.Auto) ]))
            []
        & info [ "protocol" ] ~docv:"PROTO" ~doc)
 
@@ -122,7 +103,7 @@ let socket_arg =
 let transport_arg =
   let doc = "Byte transport behind the wire runtime: pipe (in-memory) or socketpair (Unix sockets)." in
   Arg.(value
-       & opt (enum [ ("pipe", Wire.Pipe); ("socketpair", Wire.Socketpair) ]) Wire.Pipe
+       & opt (enum Wire.kinds) Wire.Pipe
        & info [ "transport" ] ~docv:"KIND" ~doc)
 
 let fault_spec_arg =

@@ -1,45 +1,45 @@
 (* tfree-serve — a query service over Unix-domain sockets.
 
-   Protocol: one JSON value per line, both directions.  A request names an
-   instance family, an edge partition and a protocol (the same enums the
-   tfree CLI exposes) plus size parameters; the server builds the instance,
-   runs the protocol through a {!Wire_runtime} network — so every charged
-   message crosses a real transport — and replies with the verdict, the
-   accounted bits and the measured wire traffic, reconciled.
+   Every request unit goes through one pipeline: a codec decodes it into
+   a {!wire_op} (query | dataset | batch | stats | health | shutdown),
+   {!handle} maps the op to a {!wire_reply} plus the number of protocol
+   queries it served, and the same codec encodes the reply.  There are
+   two codecs: JSON v1 (one JSON value per line, both directions) and
+   binary v2 (tagged {!Proto} frames).  The codecs only move bytes; every
+   decision — metrics, the registry check, the fleet's stats/health
+   delegation, stopping on shutdown — lives in [handle], so the two wire
+   versions cannot drift.
 
-   A request of the form [{"cmd": "shutdown"}] stops the server after the
-   acknowledgement is written.  [{"op": "stats"}] returns the server's
-   telemetry ({!Metrics}): queries served, per-protocol verdict counts,
-   categorized error counts, retry and injected-fault tallies, connection
-   and cache gauges, wire traffic totals and latency quantiles.
-   [{"op": "batch", "requests": [...]}] runs many queries over one framed
-   exchange and returns per-item verdicts in order — one line out, one line
-   back, amortizing the JSON-line framing across the batch.
+   A query names an instance family, an edge partition and a protocol (the
+   same enums the tfree CLI exposes) plus size parameters; the server
+   builds the instance, runs the protocol through a {!Wire_runtime}
+   network — so every charged message crosses a real transport — and
+   replies with the verdict, the accounted bits and the measured wire
+   traffic, reconciled.  A batch runs many queries over one exchange and
+   answers per item, errors included.
 
-   The server is a single-threaded select event loop: every open
-   connection owns a read buffer and a per-line deadline, so a slow,
-   silent or chaos-faulted client costs at most its own connection while
-   the loop keeps serving everyone else.  Admission is bounded by
-   [max_clients]; a connection over the cap is shed with a typed
-   [overload]-category error, never a hang.  Instances and partitions are
-   memoized in a bounded {!Tfree_util.Lru} keyed by the request fields
-   that determine them, so repeated seeds skip the rebuild (hits and
-   misses are surfaced through the stats op).
+   The server is a single-threaded poll event loop: every open connection
+   owns a read buffer and a per-unit deadline, so a slow, silent or
+   chaos-faulted client costs at most its own connection while the loop
+   keeps serving everyone else.  Admission is bounded by [max_clients]; a
+   connection over the cap is shed with a typed [overload]-category error,
+   never a hang.  Instances and partitions are memoized in a bounded
+   {!Tfree_util.Lru} keyed by the request fields that determine them.
 
-   The server is built to degrade, never die: malformed lines get a
-   structured [{"ok": false, "error": ..., "category": ...}] reply and the
-   connection stays usable; a client killed mid-line, a half-written
-   request, a reply write into a closed socket, or a silent client holding
-   the line past the read deadline each cost one categorized error counter
-   and at worst that one connection.  SIGPIPE is ignored for the same
-   reason — a dead peer must surface as an [EPIPE] result, not a signal.
+   The server is built to degrade, never die: a unit that fails to decode
+   gets a structured, categorized error reply and the connection stays
+   usable; a client killed mid-request, a reply write into a closed
+   socket, or a silent client holding the line past the read deadline
+   each cost one categorized error counter and at worst that one
+   connection.  SIGPIPE is ignored for the same reason — a dead peer must
+   surface as an [EPIPE] result, not a signal.
 
-   The client side mirrors this with {!client_query}'s bounded retry:
-   transient failures (connection refused, timeouts, garbled or truncated
-   replies, server errors in the timeout/transport/overload categories)
-   back off exponentially with deterministic jitter and try again;
-   structured server rejections (malformed request, unknown op) are fatal
-   immediately. *)
+   The client mirrors this with one {!call} inside a bounded retry
+   envelope: transient failures (connection refused, timeouts, garbled or
+   truncated replies, server errors in the timeout/transport/overload
+   categories) back off exponentially with deterministic jitter and try
+   again; structured server rejections (malformed request, unknown op) are
+   fatal immediately. *)
 
 open Tfree_util
 open Tfree_graph
@@ -55,52 +55,58 @@ type family = Far | Free | Hub | Mu | Gnp | Behrend | Diluted
 type partition_kind = Disjoint | Dup | Replicate | Skewed | Hash
 type protocol = Unrestricted | Sim | Oblivious | Exact
 
-let family_to_string = function
-  | Far -> "far"
-  | Free -> "free"
-  | Hub -> "hub"
-  | Mu -> "mu"
-  | Gnp -> "gnp"
-  | Behrend -> "behrend"
-  | Diluted -> "diluted"
+(* One table per enum, in wire-code order: each value's CLI name sits next
+   to its constructor, and its position is its stable v2 code.  Every
+   conversion derives from the table, so the CLI, JSON v1 and binary v2
+   cannot disagree. *)
 
-let family_of_string = function
-  | "far" -> Some Far
-  | "free" -> Some Free
-  | "hub" -> Some Hub
-  | "mu" -> Some Mu
-  | "gnp" -> Some Gnp
-  | "behrend" -> Some Behrend
-  | "diluted" -> Some Diluted
-  | _ -> None
+let families =
+  [
+    ("far", Far); ("free", Free); ("hub", Hub); ("mu", Mu); ("gnp", Gnp); ("behrend", Behrend);
+    ("diluted", Diluted);
+  ]
 
-let partition_to_string = function
-  | Disjoint -> "disjoint"
-  | Dup -> "dup"
-  | Replicate -> "replicate"
-  | Skewed -> "skewed"
-  | Hash -> "hash"
+let partitions =
+  [
+    ("disjoint", Disjoint); ("dup", Dup); ("replicate", Replicate); ("skewed", Skewed);
+    ("hash", Hash);
+  ]
 
-let partition_of_string = function
-  | "disjoint" -> Some Disjoint
-  | "dup" -> Some Dup
-  | "replicate" -> Some Replicate
-  | "skewed" -> Some Skewed
-  | "hash" -> Some Hash
-  | _ -> None
+let protocols =
+  [ ("unrestricted", Unrestricted); ("sim", Sim); ("oblivious", Oblivious); ("exact", Exact) ]
 
-let protocol_to_string = function
-  | Unrestricted -> "unrestricted"
-  | Sim -> "sim"
-  | Oblivious -> "oblivious"
-  | Exact -> "exact"
+(* Lookups by constructor compare with [==] (exact on constant
+   constructors) and recurse at top level, so the v2 hot path allocates
+   no closure for them. *)
+let rec name_in table v =
+  match table with
+  | (s, x) :: rest -> if x == v then s else name_in rest v
+  | [] -> invalid_arg "Service: value missing from its enum table"
 
-let protocol_of_string = function
-  | "unrestricted" -> Some Unrestricted
-  | "sim" -> Some Sim
-  | "oblivious" -> Some Oblivious
-  | "exact" -> Some Exact
-  | _ -> None
+let rec code_from i table v =
+  match table with
+  | (_, x) :: rest -> if x == v then i else code_from (i + 1) rest v
+  | [] -> invalid_arg "Service: value missing from its enum table"
+
+(* code -> value, every [Some] built once so a decode allocates none *)
+let decoder table =
+  let values = Array.of_list (List.map (fun (_, v) -> Some v) table) in
+  fun i -> if i >= 0 && i < Array.length values then values.(i) else None
+
+let family_to_string v = name_in families v
+let family_of_string s = List.assoc_opt s families
+let partition_to_string v = name_in partitions v
+let partition_of_string s = List.assoc_opt s partitions
+let protocol_to_string v = name_in protocols v
+let protocol_of_string s = List.assoc_opt s protocols
+let family_code v = code_from 0 families v
+let family_of_code = decoder families
+let partition_code v = code_from 0 partitions v
+let partition_of_code = decoder partitions
+let protocol_code v = code_from 0 protocols v
+let protocol_of_code = decoder protocols
+let transport_code v = code_from 0 Wire_runtime.kinds v
+let transport_of_code = decoder Wire_runtime.kinds
 
 (* ------------------------------------------------------------- builders *)
 
@@ -212,6 +218,10 @@ let request_to_json r =
 
 exception Bad of string
 
+let require_object = function
+  | Jsonout.Obj _ -> ()
+  | _ -> raise (Bad "request must be a JSON object")
+
 let num_field j k default =
   match Jsonout.member k j with
   | None -> default
@@ -239,6 +249,7 @@ let enum_field j k of_string default =
 
 let request_of_json j =
   try
+    require_object j;
     let r = default_request in
     Ok
       {
@@ -275,6 +286,7 @@ let dataset_request_to_json r =
 
 let dataset_request_of_json j =
   try
+    require_object j;
     let name =
       match Jsonout.member "name" j with
       | Some (Jsonout.Str "") -> raise (Bad "dataset name must be non-empty")
@@ -409,53 +421,6 @@ let tag_dataset = 10
 let tag_health = 11
 let tag_health_reply = 12
 
-(* enum codes: stable on the wire, dense for a match-based decode *)
-
-let family_code = function
-  | Far -> 0
-  | Free -> 1
-  | Hub -> 2
-  | Mu -> 3
-  | Gnp -> 4
-  | Behrend -> 5
-  | Diluted -> 6
-
-let family_of_code = function
-  | 0 -> Some Far
-  | 1 -> Some Free
-  | 2 -> Some Hub
-  | 3 -> Some Mu
-  | 4 -> Some Gnp
-  | 5 -> Some Behrend
-  | 6 -> Some Diluted
-  | _ -> None
-
-let partition_code = function Disjoint -> 0 | Dup -> 1 | Replicate -> 2 | Skewed -> 3 | Hash -> 4
-
-let partition_of_code = function
-  | 0 -> Some Disjoint
-  | 1 -> Some Dup
-  | 2 -> Some Replicate
-  | 3 -> Some Skewed
-  | 4 -> Some Hash
-  | _ -> None
-
-let protocol_code = function Unrestricted -> 0 | Sim -> 1 | Oblivious -> 2 | Exact -> 3
-
-let protocol_of_code = function
-  | 0 -> Some Unrestricted
-  | 1 -> Some Sim
-  | 2 -> Some Oblivious
-  | 3 -> Some Exact
-  | _ -> None
-
-let transport_code = function Wire_runtime.Pipe -> 0 | Wire_runtime.Socketpair -> 1
-
-let transport_of_code = function
-  | 0 -> Some Wire_runtime.Pipe
-  | 1 -> Some Wire_runtime.Socketpair
-  | _ -> None
-
 (* error categories travel as their index in {!Metrics.all_categories} *)
 
 let category_code category =
@@ -576,11 +541,14 @@ let encode_response_frame b r =
   put_response b r;
   Proto.end_frame b
 
-let encode_error_frame b ~category msg =
-  Proto.begin_frame b;
+let put_error b ~category msg =
   Proto.put_u8 b tag_error;
   Proto.put_u8 b (category_code category);
-  Proto.put_string b msg;
+  Proto.put_string b msg
+
+let encode_error_frame b ~category msg =
+  Proto.begin_frame b;
+  put_error b ~category msg;
   Proto.end_frame b
 
 let encode_batch_frame b reqs =
@@ -590,37 +558,8 @@ let encode_batch_frame b reqs =
   List.iter (fun r -> put_request b r) reqs;
   Proto.end_frame b
 
-(* The all-ok batch reply, byte-identical to what [handle_frame] writes
-   when every item serves — the load generator re-encodes expected replies
-   with this to account the server's per-version byte gauge exactly. *)
-let encode_batch_reply_frame b resps =
-  Proto.begin_frame b;
-  Proto.put_u8 b tag_batch_reply;
-  Proto.put_varint b (List.length resps);
-  List.iter
-    (fun resp ->
-      Proto.put_u8 b tag_reply;
-      put_response b resp)
-    resps;
-  Proto.end_frame b
-
-let encode_stats_frame b =
-  Proto.begin_frame b;
-  Proto.put_u8 b tag_stats;
-  Proto.end_frame b
-
-let encode_health_frame b =
-  Proto.begin_frame b;
-  Proto.put_u8 b tag_health;
-  Proto.end_frame b
-
-let encode_shutdown_frame b =
-  Proto.begin_frame b;
-  Proto.put_u8 b tag_shutdown;
-  Proto.end_frame b
-
 (* dataset query body: the registered name, 3 enum bytes, 2 zigzag ints,
-   1 f64, the fault spec — the binary twin of the {"op": "dataset"} line *)
+   1 f64, the fault spec *)
 let put_dataset_request b r =
   Proto.put_string b r.ds_name;
   Proto.put_u8 b (partition_code r.ds_partition);
@@ -868,19 +807,14 @@ let maybe_slow_query ~latency_us fields =
 
 (* ---------------------------------------------------------- run a query *)
 
-(** Build the requested instance, run the requested protocol over a wire
-    network, reconcile.  The whole execution is deterministic in the
-    request's seed (and fault spec) — with or without [cache], whose hits
-    return the identical graph/partition a rebuild would produce.  The
-    network is closed even when an injected fault aborts the run, so a
-    chaos loop cannot leak descriptors. *)
 (* The protocol run itself, shared by the generated and dataset paths so
    the two can never drift: same network, same params, same report shape.
-   [trace] additionally routes every protocol message into a sampled
-   request timeline (composed before the wire tap, so the ledger the wire
-   reconciles against is untouched). *)
-let run_protocol ?trace ~protocol ~seed ~eps ~transport ~fault ~k g inputs =
-  let net = Wire_runtime.create ~fault ~transport ~k () in
+   The network is closed even when an injected fault aborts the run, so a
+   chaos loop cannot leak descriptors.  [trace] additionally routes every
+   protocol message into a sampled request timeline (composed before the
+   wire tap, so the ledger the wire reconciles against is untouched). *)
+let run_protocol ?trace ~fault req (g, inputs) =
+  let net = Wire_runtime.create ~fault ~transport:req.transport ~k:req.k () in
   Fun.protect
     ~finally:(fun () -> Wire_runtime.close net)
     (fun () ->
@@ -889,9 +823,10 @@ let run_protocol ?trace ~protocol ~seed ~eps ~transport ~fault ~k g inputs =
         | None -> Wire_runtime.tap net
         | Some tr -> Tfree_comm.Channel.compose_all [ Trace.tap tr; Wire_runtime.tap net ]
       in
-      let params = Tfree.Params.(with_eps practical eps) in
+      let seed = req.seed in
+      let params = Tfree.Params.(with_eps practical req.eps) in
       let report =
-        match protocol with
+        match req.protocol with
         | Unrestricted -> Tfree.Tester.unrestricted ~tap ~seed params inputs
         | Sim -> Tfree.Tester.simultaneous ~tap ~seed params ~d:(Graph.avg_degree g) inputs
         | Oblivious -> Tfree.Tester.simultaneous_oblivious ~tap ~seed params inputs
@@ -906,6 +841,19 @@ let run_protocol ?trace ~protocol ~seed ~eps ~transport ~fault ~k g inputs =
         wire;
       })
 
+(* A dataset query runs exactly like the generated request that shares its
+   protocol-side fields; only its instance comes from the registry. *)
+let run_fields dreq =
+  {
+    default_request with
+    protocol = dreq.ds_protocol;
+    k = dreq.ds_k;
+    eps = dreq.ds_eps;
+    seed = dreq.ds_seed;
+    transport = dreq.ds_transport;
+    fault = dreq.ds_fault;
+  }
+
 let parse_fault_spec ~who spec =
   match Fault.parse spec with
   | Ok s -> s
@@ -913,21 +861,461 @@ let parse_fault_spec ~who spec =
 
 let run_request ?cache ?metrics req =
   let fault = parse_fault_spec ~who:"run_request" req.fault in
-  let g, inputs = instance_pair ?cache ?metrics req in
-  run_protocol ~protocol:req.protocol ~seed:req.seed ~eps:req.eps ~transport:req.transport ~fault
-    ~k:req.k g inputs
+  run_protocol ~fault req (instance_pair ?cache ?metrics req)
 
-(* Run a protocol over a registered dataset.  Byte-identical to the
-   generated path when the dataset was generated with the same seed and
-   family parameters: the registry hands back the exact graph
-   {!graph_rng} would build, and partition/protocol derive from the same
-   streams a generated request uses.
-   @raise Dataset_error on an unknown name or a failing load. *)
+(* Byte-identical to the generated path when the dataset holds the graph
+   {!graph_rng} would build: partition and protocol derive from the same
+   streams a generated request uses. *)
 let run_dataset_request ?cache ?metrics ~registry dreq =
   let fault = parse_fault_spec ~who:"run_dataset_request" dreq.ds_fault in
-  let g, inputs = dataset_pair ?cache ?metrics ~registry dreq in
-  run_protocol ~protocol:dreq.ds_protocol ~seed:dreq.ds_seed ~eps:dreq.ds_eps
-    ~transport:dreq.ds_transport ~fault ~k:dreq.ds_k g inputs
+  run_protocol ~fault (run_fields dreq) (dataset_pair ?cache ?metrics ~registry dreq)
+
+(* One served protocol query, timed and recorded: [instance] fetches the
+   graph/partition pair (the cache_lookup phase), [req] carries the
+   protocol-side fields, [fields] are the slow-query log's request key.
+   [Ok resp] is one served query (the unit the [max_requests] budget
+   measures); [Error (category, msg)] was already recorded under its
+   category.  A wire fault keeps its own category (timeout/transport) so
+   an operator can tell chaos from bad input; a typed dataset failure (the
+   file vanished or rotted under the manifest) is a [Run_failure] with its
+   own message — the request was well-formed, the server's data was not. *)
+let run_core ~metrics ~version ~instance ~fields req =
+  let t0 = Mono.now_us () in
+  let phased () =
+    let fault = parse_fault_spec ~who:"serve" req.fault in
+    let pair = timed_phase ~metrics Phase.Cache_lookup instance in
+    (* A sampled trace only accounts clean runs: an injected fault aborts
+       mid-protocol and would leave a half timeline. *)
+    let trace = match !Obs_ctx.trace with Some tr when req.fault = "" -> Some tr | _ -> None in
+    (trace, timed_phase ~metrics Phase.Run (fun () -> run_protocol ?trace ~fault req pair))
+  in
+  match phased () with
+  | trace, resp ->
+      Metrics.record_query ~version metrics
+        ~protocol:(protocol_to_string req.protocol)
+        ~found_triangle:
+          (match resp.verdict with
+          | Tfree.Tester.Triangle _ -> true
+          | Tfree.Tester.Triangle_free -> false)
+        ~wire_bytes:resp.wire.Wire_runtime.wire_bytes
+        ~accounted_bits:resp.wire.Wire_runtime.accounted_bits
+        ~latency_us:(Mono.now_us () -. t0);
+      (match trace with
+      | Some _ -> Obs_ctx.traced_bits := !Obs_ctx.traced_bits + resp.wire.Wire_runtime.accounted_bits
+      | None -> ());
+      maybe_slow_query ~latency_us:(Mono.now_us () -. t0)
+        (("protocol", Jsonout.Str (protocol_to_string req.protocol)) :: fields);
+      Ok resp
+  | exception Wire_error.Wire_error k ->
+      let category =
+        Option.value ~default:Metrics.Run_failure
+          (Metrics.category_of_name (Wire_error.category k))
+      in
+      Metrics.record_error metrics ~category;
+      Error (category, Wire_error.message k)
+  | exception Tfree_dataset.Dataset_error.Dataset_error kind ->
+      Metrics.record_error metrics ~category:Metrics.Run_failure;
+      Error (Metrics.Run_failure, "dataset: " ^ Tfree_dataset.Dataset_error.message kind)
+  | exception e ->
+      Metrics.record_error metrics ~category:Metrics.Run_failure;
+      Error (Metrics.Run_failure, Printexc.to_string e)
+
+(* ---------------------------------------------------- the request algebra *)
+
+(* Every request unit either version carries, and every reply.  A batch
+   item that decoded structurally but not semantically (unknown enum, bad
+   fault spec, not an object) stays [Error msg]: it fails alone while the
+   rest of the batch runs.  Clients only ever send [Ok] items. *)
+type wire_op =
+  | Op_query of request
+  | Op_dataset of dataset_request
+  | Op_batch of (request, string) result list
+  | Op_stats
+  | Op_health
+  | Op_shutdown
+
+type wire_reply =
+  | R_response of response
+  | R_error of (Metrics.error_category * string)
+  | R_batch of (response, Metrics.error_category * string) result list
+  | R_stats of Jsonout.t
+  | R_health of Jsonout.t
+  | R_bye
+
+(* Why a unit did not decode.  A dataset op with a bad body is kept apart
+   because the registry check comes first: without a registry the op is
+   unknown, whatever its body. *)
+type decode_error = Undecodable of Metrics.error_category * string | Bad_dataset of string
+
+let sendable = function
+  | Ok req -> req
+  | Error _ -> invalid_arg "Service: a batch item that failed to decode cannot be sent"
+
+(* Time the encoding of one served response as the encode phase, when the
+   caller keeps phase metrics. *)
+let encoding ?metrics f =
+  match metrics with Some m -> timed_phase ~metrics:m Phase.Encode f | None -> f ()
+
+(* ------------------------------------------------------- codec: JSON v1 *)
+
+let error_obj ~category msg =
+  Jsonout.Obj
+    [
+      ("ok", Jsonout.Bool false);
+      ("error", Jsonout.Str msg);
+      ("category", Jsonout.Str (Metrics.category_name category));
+    ]
+
+let batch_request_to_json reqs =
+  Jsonout.Obj
+    [ ("op", Jsonout.Str "batch"); ("requests", Jsonout.List (List.map request_to_json reqs)) ]
+
+let op_to_json = function
+  | Op_query req -> request_to_json req
+  | Op_dataset dreq -> dataset_request_to_json dreq
+  | Op_batch items -> batch_request_to_json (List.map sendable items)
+  | Op_stats -> Jsonout.Obj [ ("op", Jsonout.Str "stats") ]
+  | Op_health -> Jsonout.Obj [ ("op", Jsonout.Str "health") ]
+  | Op_shutdown -> Jsonout.Obj [ ("cmd", Jsonout.Str "shutdown") ]
+
+let op_of_json j =
+  let malformed msg = Error (Undecodable (Metrics.Malformed, msg)) in
+  match (Jsonout.member "cmd" j, Jsonout.member "op" j) with
+  | Some (Jsonout.Str "shutdown"), _ -> Ok Op_shutdown
+  | Some (Jsonout.Str c), _ -> malformed (Printf.sprintf "unknown command %S" c)
+  | Some _, _ -> malformed "cmd must be a string"
+  | None, Some (Jsonout.Str "stats") -> Ok Op_stats
+  | None, Some (Jsonout.Str "health") -> Ok Op_health
+  | None, Some (Jsonout.Str "batch") -> (
+      match Jsonout.member "requests" j with
+      | Some (Jsonout.List items) -> Ok (Op_batch (List.map request_of_json items))
+      | Some _ -> malformed "batch field \"requests\" must be a list"
+      | None -> malformed "batch without a \"requests\" list")
+  | None, Some (Jsonout.Str "dataset") -> (
+      match dataset_request_of_json j with
+      | Ok dreq -> Ok (Op_dataset dreq)
+      | Error msg -> Error (Bad_dataset msg))
+  | None, Some (Jsonout.Str o) ->
+      Error (Undecodable (Metrics.Unknown_op, Printf.sprintf "unknown op %S" o))
+  | None, Some _ -> malformed "op must be a string"
+  | None, None -> (
+      match request_of_json j with Ok req -> Ok (Op_query req) | Error msg -> malformed msg)
+
+let op_of_line line =
+  match Jsonout.parse line with
+  | Error msg -> Error (Undecodable (Metrics.Malformed, "bad JSON: " ^ msg))
+  | Ok j -> op_of_json j
+
+let reply_to_json ?metrics reply =
+  let ok fields = Jsonout.Obj (("ok", Jsonout.Bool true) :: fields) in
+  let item = function
+    | Ok resp -> encoding ?metrics (fun () -> response_to_json resp)
+    | Error (category, msg) -> error_obj ~category msg
+  in
+  match reply with
+  | R_response resp -> item (Ok resp)
+  | R_error (category, msg) -> item (Error (category, msg))
+  | R_batch items ->
+      ok
+        [
+          ("count", Jsonout.Num (float_of_int (List.length items)));
+          ("results", Jsonout.List (List.map item items));
+        ]
+  | R_stats stats -> ok [ ("stats", stats) ]
+  | R_health health -> ok [ ("health", health) ]
+  | R_bye -> ok [ ("bye", Jsonout.Bool true) ]
+
+(* A v1 error object's category and message; an unknown category is
+   fatal to a client, like the run failures. *)
+let error_of_json j =
+  let msg = match Jsonout.member "error" j with Some (Jsonout.Str s) -> s | _ -> "server error" in
+  let category =
+    match Jsonout.member "category" j with
+    | Some (Jsonout.Str name) ->
+        Option.value ~default:Metrics.Run_failure (Metrics.category_of_name name)
+    | _ -> Metrics.Run_failure
+  in
+  (category, msg)
+
+let is_error j = Jsonout.member "ok" j = Some (Jsonout.Bool false)
+
+(* v1 replies carry no tag: the op that was sent says which shape to read.
+   [Error] describes a reply that does not fit it. *)
+let reply_of_json ~op j =
+  if is_error j then Ok (R_error (error_of_json j))
+  else
+    match op with
+    | Op_query _ | Op_dataset _ -> Result.map (fun resp -> R_response resp) (response_of_json j)
+    | Op_batch _ -> (
+        match Jsonout.member "results" j with
+        | Some (Jsonout.List items) ->
+            Ok
+              (R_batch
+                 (List.map
+                    (fun item ->
+                      if is_error item then Error (error_of_json item)
+                      else
+                        Result.map_error
+                          (fun msg -> (Metrics.Transport, "garbled batch item: " ^ msg))
+                          (response_of_json item))
+                    items))
+        | _ -> Error "batch reply without results")
+    | Op_stats -> (
+        match Jsonout.member "stats" j with
+        | Some stats -> Ok (R_stats stats)
+        | None -> Error "stats reply without stats")
+    | Op_health -> (
+        match Jsonout.member "health" j with
+        | Some health -> Ok (R_health health)
+        | None -> Error "health reply without health")
+    | Op_shutdown -> Ok R_bye
+
+(* ----------------------------------------------------- codec: binary v2 *)
+
+let encode_op_frame b op =
+  let tag_only tag =
+    Proto.begin_frame b;
+    Proto.put_u8 b tag;
+    Proto.end_frame b
+  in
+  match op with
+  | Op_query req -> encode_query_frame b req
+  | Op_dataset dreq -> encode_dataset_frame b dreq
+  | Op_batch items -> encode_batch_frame b (List.map sendable items)
+  | Op_stats -> tag_only tag_stats
+  | Op_health -> tag_only tag_health
+  | Op_shutdown -> tag_only tag_shutdown
+
+(* [cur] covers one frame body, tag onward.  A structural failure — the
+   frame passed its checksum but its layout is garbled — is a malformed
+   unit whose message starts "bad frame: "; the frame boundary is known,
+   so the connection survives.  A batch decodes whole before any item
+   runs. *)
+let decode_op cur =
+  let bad_frame k = "bad frame: " ^ Wire_error.message k in
+  let malformed msg = Error (Undecodable (Metrics.Malformed, msg)) in
+  match Proto.get_u8 cur with
+  | exception Wire_error.Wire_error k -> malformed (bad_frame k)
+  | tag -> (
+      let ended op =
+        Proto.expect_end cur;
+        Ok op
+      in
+      try
+        if tag = tag_query then (
+          match decode_request_body cur with
+          | Error msg -> malformed msg
+          | Ok req -> ended (Op_query req))
+        else if tag = tag_batch then begin
+          let count = Proto.get_varint cur in
+          let items = ref [] in
+          for _ = 1 to count do
+            items := decode_request_body cur :: !items
+          done;
+          ended (Op_batch (List.rev !items))
+        end
+        else if tag = tag_stats then ended Op_stats
+        else if tag = tag_health then ended Op_health
+        else if tag = tag_shutdown then ended Op_shutdown
+        else if tag = tag_dataset then (
+          match decode_dataset_request_body cur with
+          | Error msg -> Error (Bad_dataset msg)
+          | Ok dreq -> ended (Op_dataset dreq))
+        else Error (Undecodable (Metrics.Unknown_op, Printf.sprintf "unknown frame tag %d" tag))
+      with Wire_error.Wire_error k ->
+        if tag = tag_dataset then Error (Bad_dataset (bad_frame k)) else malformed (bad_frame k))
+
+let encode_reply_frame ?metrics b reply =
+  let framed tag put =
+    Proto.begin_frame b;
+    Proto.put_u8 b tag;
+    put ();
+    Proto.end_frame b
+  in
+  match reply with
+  | R_response resp -> encoding ?metrics (fun () -> encode_response_frame b resp)
+  | R_error (category, msg) -> encode_error_frame b ~category msg
+  | R_batch items ->
+      framed tag_batch_reply (fun () ->
+          Proto.put_varint b (List.length items);
+          List.iter
+            (function
+              | Ok resp ->
+                  encoding ?metrics (fun () ->
+                      Proto.put_u8 b tag_reply;
+                      put_response b resp)
+              | Error (category, msg) -> put_error b ~category msg)
+            items)
+  | R_stats stats -> framed tag_stats_reply (fun () -> Proto.put_string b (Jsonout.to_string stats))
+  | R_health health ->
+      framed tag_health_reply (fun () -> Proto.put_string b (Jsonout.to_string health))
+  | R_bye -> framed tag_bye ignore
+
+(* The all-ok batch reply, byte-identical to the server's when every item
+   serves — the load generator re-encodes expected replies with this to
+   account the server's per-version byte gauge exactly. *)
+let encode_batch_reply_frame b resps = encode_reply_frame b (R_batch (List.map Result.ok resps))
+
+(* [cur] covers one reply frame body; [Error] is the garbled layout. *)
+let decode_reply cur =
+  let json what s =
+    match Jsonout.parse s with
+    | Ok j -> j
+    | Error msg -> Wire_error.errorf_corrupt "bad %s JSON in frame: %s" what msg
+  in
+  let error () =
+    let category = category_of_code (Proto.get_u8 cur) in
+    (category, Proto.get_string cur)
+  in
+  let ended reply =
+    Proto.expect_end cur;
+    reply
+  in
+  try
+    let tag = Proto.get_u8 cur in
+    Ok
+      (if tag = tag_reply then ended (R_response (decode_response_body cur))
+       else if tag = tag_error then ended (R_error (error ()))
+       else if tag = tag_batch_reply then begin
+         let count = Proto.get_varint cur in
+         let items = ref [] in
+         for _ = 1 to count do
+           let sub = Proto.get_u8 cur in
+           items :=
+             (if sub = tag_reply then Ok (decode_response_body cur)
+              else if sub = tag_error then Error (error ())
+              else Wire_error.errorf_corrupt "unknown batch item tag %d" sub)
+             :: !items
+         done;
+         ended (R_batch (List.rev !items))
+       end
+       else if tag = tag_stats_reply then ended (R_stats (json "stats" (Proto.get_string cur)))
+       else if tag = tag_health_reply then ended (R_health (json "health" (Proto.get_string cur)))
+       else if tag = tag_bye then ended R_bye
+       else Wire_error.errorf_corrupt "unknown reply tag %d" tag)
+  with Wire_error.Wire_error k -> Error (Wire_error.message k)
+
+(* ------------------------------------------------------------ the handler *)
+
+(* The [{"op": "health"}] payload: the registry's O(1) scalars plus the
+   instance cache's occupancy — no verdict/dataset table walk, no
+   histogram walk, so a prober's poll never contends with serving. *)
+let health_payload ?cache metrics =
+  let entries, capacity =
+    match cache with Some c -> (Lru.length c, Lru.capacity c) | None -> (0, 0)
+  in
+  match Metrics.health_json metrics with
+  | Jsonout.Obj fields ->
+      Jsonout.Obj
+        (fields
+        @ [
+            ( "cache",
+              Jsonout.Obj
+                [
+                  ("entries", Jsonout.Num (float_of_int entries));
+                  ("capacity", Jsonout.Num (float_of_int capacity));
+                ] );
+          ])
+  | j -> j
+
+(* Fleet delegation hooks: a fleet worker's stats/health ops must
+   describe the whole fleet, not one shard, so the handler lets the fleet
+   layer substitute those two payloads.  [None] from a hook (the parent
+   was unreachable) degrades to the local registry — a stats query never
+   errors because the control channel hiccupped. *)
+type serve_hooks = {
+  hook_stats : unit -> Jsonout.t option;
+  hook_health : unit -> Jsonout.t option;
+}
+
+(* One decoded unit -> its reply and how many protocol queries it served
+   (the unit the [max_requests] budget and the served counter measure —
+   0 or 1 for a single op, up to the item count for a batch).  The only
+   place that records metrics, applies the fleet hooks, checks the
+   registry and sets [stop].  Every failure replies with a structured,
+   categorized error recorded under that category; inside a batch,
+   failures are per item, each exactly the reply the request would have
+   gotten on its own.  [version] feeds the per-version served gauge. *)
+let handle ?cache ?registry ?hooks ~metrics ~stop ~version decoded =
+  let fail category msg =
+    Metrics.record_error metrics ~category;
+    (R_error (category, msg), 0)
+  in
+  let no_registry () = fail Metrics.Unknown_op "no dataset registry configured" in
+  let delegated hook local =
+    match Option.bind hooks (fun h -> hook h ()) with Some j -> j | None -> local ()
+  in
+  let run_query req =
+    run_core ~metrics ~version req
+      ~instance:(fun () -> instance_pair ?cache ~metrics req)
+      ~fields:
+        [
+          ("family", Jsonout.Str (family_to_string req.family));
+          ("partition", Jsonout.Str (partition_to_string req.partition));
+          ("n", Jsonout.Num (float_of_int req.n));
+          ("k", Jsonout.Num (float_of_int req.k));
+          ("seed", Jsonout.Num (float_of_int req.seed));
+        ]
+  in
+  let single = function
+    | Ok resp -> (R_response resp, 1)
+    | Error (category, msg) -> (R_error (category, msg), 0)
+  in
+  match decoded with
+  | Error (Undecodable (category, msg)) -> fail category msg
+  | Error (Bad_dataset msg) ->
+      if Option.is_none registry then no_registry () else fail Metrics.Malformed msg
+  | Ok (Op_query req) -> single (run_query req)
+  | Ok (Op_dataset dreq) -> (
+      match registry with
+      | None -> no_registry ()
+      | Some reg ->
+          if Tfree_dataset.Registry.find reg dreq.ds_name = None then
+            fail Metrics.Malformed (Printf.sprintf "unknown dataset %S" dreq.ds_name)
+          else
+            let outcome =
+              run_core ~metrics ~version (run_fields dreq)
+                ~instance:(fun () -> dataset_pair ?cache ~metrics ~registry:reg dreq)
+                ~fields:
+                  [
+                    ("dataset", Jsonout.Str dreq.ds_name);
+                    ("k", Jsonout.Num (float_of_int dreq.ds_k));
+                    ("seed", Jsonout.Num (float_of_int dreq.ds_seed));
+                  ]
+            in
+            if Result.is_ok outcome then Metrics.record_dataset metrics ~name:dreq.ds_name;
+            single outcome)
+  | Ok (Op_batch items) ->
+      Metrics.record_batch metrics ~items:(List.length items);
+      let results =
+        List.map
+          (function
+            | Ok req -> run_query req
+            | Error msg ->
+                Metrics.record_error metrics ~category:Metrics.Malformed;
+                Error (Metrics.Malformed, msg))
+          items
+      in
+      (R_batch results, List.length (List.filter Result.is_ok results))
+  | Ok Op_stats ->
+      (R_stats (delegated (fun h -> h.hook_stats) (fun () -> Metrics.to_json metrics)), 0)
+  | Ok Op_health ->
+      (R_health (delegated (fun h -> h.hook_health) (fun () -> health_payload ?cache metrics)), 0)
+  | Ok Op_shutdown ->
+      stop := true;
+      (R_bye, 0)
+
+(* decode -> handle -> encode for one request unit: the decode is the
+   parse phase, each served response's encoding the encode phase. *)
+let serve_unit ?cache ?registry ?hooks ~metrics ~stop ~version ~decode ~encode input =
+  let decoded = timed_phase ~metrics Phase.Parse (fun () -> decode input) in
+  let reply, served = handle ?cache ?registry ?hooks ~metrics ~stop ~version decoded in
+  (encode reply, served)
+
+let handle_line ?cache ?registry ?hooks ~metrics ~stop ?(version = 1) line =
+  serve_unit ?cache ?registry ?hooks ~metrics ~stop ~version ~decode:op_of_line
+    ~encode:(fun reply -> Jsonout.to_line (reply_to_json ~metrics reply))
+    line
 
 (* ------------------------------------------------------- line transport *)
 
@@ -978,434 +1366,6 @@ let read_line_deadline fd ~deadline =
   in
   loop ()
 
-let error_obj ~category msg =
-  Jsonout.Obj
-    [
-      ("ok", Jsonout.Bool false);
-      ("error", Jsonout.Str msg);
-      ("category", Jsonout.Str (Metrics.category_name category));
-    ]
-
-let error_line ~category msg = Jsonout.to_line (error_obj ~category msg)
-
-let batch_request_to_json reqs =
-  Jsonout.Obj
-    [ ("op", Jsonout.Str "batch"); ("requests", Jsonout.List (List.map request_to_json reqs)) ]
-
-(* Run one protocol query, record it, and classify the outcome.  Shared by
-   the JSON and binary reply paths so a batch item, a v1 line and a v2
-   frame for the same request produce the same metrics and the same
-   semantic reply.  [version] is the wire protocol of the serving
-   connection, feeding the per-version served gauge.  [Ok resp] counts as
-   one served query (the unit the [max_requests] budget measures);
-   [Error (category, msg)] was already recorded under its category. *)
-let run_core ?cache ~metrics ?(version = 1) req =
-  let t0 = Mono.now_us () in
-  let phased () =
-    let fault = parse_fault_spec ~who:"run_request" req.fault in
-    let g, inputs =
-      timed_phase ~metrics Phase.Cache_lookup (fun () -> instance_pair ?cache ~metrics req)
-    in
-    (* A sampled trace only accounts clean runs: an injected fault aborts
-       mid-protocol and would leave a half timeline. *)
-    let trace =
-      match !Obs_ctx.trace with Some tr when req.fault = "" -> Some tr | _ -> None
-    in
-    ( trace,
-      timed_phase ~metrics Phase.Run (fun () ->
-          run_protocol ?trace ~protocol:req.protocol ~seed:req.seed ~eps:req.eps
-            ~transport:req.transport ~fault ~k:req.k g inputs) )
-  in
-  match phased () with
-  | trace, resp ->
-      Metrics.record_query ~version metrics
-        ~protocol:(protocol_to_string req.protocol)
-        ~found_triangle:
-          (match resp.verdict with
-          | Tfree.Tester.Triangle _ -> true
-          | Tfree.Tester.Triangle_free -> false)
-        ~wire_bytes:resp.wire.Wire_runtime.wire_bytes
-        ~accounted_bits:resp.wire.Wire_runtime.accounted_bits
-        ~latency_us:(Mono.now_us () -. t0);
-      (match trace with
-      | Some _ -> Obs_ctx.traced_bits := !Obs_ctx.traced_bits + resp.wire.Wire_runtime.accounted_bits
-      | None -> ());
-      maybe_slow_query
-        ~latency_us:(Mono.now_us () -. t0)
-        [
-          ("protocol", Jsonout.Str (protocol_to_string req.protocol));
-          ("family", Jsonout.Str (family_to_string req.family));
-          ("partition", Jsonout.Str (partition_to_string req.partition));
-          ("n", Jsonout.Num (float_of_int req.n));
-          ("k", Jsonout.Num (float_of_int req.k));
-          ("seed", Jsonout.Num (float_of_int req.seed));
-        ];
-      Ok resp
-  | exception Wire_error.Wire_error k ->
-      let category =
-        Option.value ~default:Metrics.Run_failure
-          (Metrics.category_of_name (Wire_error.category k))
-      in
-      Metrics.record_error metrics ~category;
-      Error (category, Wire_error.message k)
-  | exception e ->
-      Metrics.record_error metrics ~category:Metrics.Run_failure;
-      Error (Metrics.Run_failure, Printexc.to_string e)
-
-(* {!run_core} for a dataset query: same recording and classification,
-   plus the per-dataset served gauge; a typed dataset failure (the file
-   vanished or rotted under the manifest) keeps its own message under
-   [Run_failure] — the request was well-formed, the server's data was
-   not. *)
-let run_core_dataset ?cache ~metrics ?(version = 1) ~registry dreq =
-  let t0 = Mono.now_us () in
-  let phased () =
-    let fault = parse_fault_spec ~who:"run_dataset_request" dreq.ds_fault in
-    let g, inputs =
-      timed_phase ~metrics Phase.Cache_lookup (fun () ->
-          dataset_pair ?cache ~metrics ~registry dreq)
-    in
-    let trace =
-      match !Obs_ctx.trace with Some tr when dreq.ds_fault = "" -> Some tr | _ -> None
-    in
-    ( trace,
-      timed_phase ~metrics Phase.Run (fun () ->
-          run_protocol ?trace ~protocol:dreq.ds_protocol ~seed:dreq.ds_seed ~eps:dreq.ds_eps
-            ~transport:dreq.ds_transport ~fault ~k:dreq.ds_k g inputs) )
-  in
-  match phased () with
-  | trace, resp ->
-      Metrics.record_query ~version metrics
-        ~protocol:(protocol_to_string dreq.ds_protocol)
-        ~found_triangle:
-          (match resp.verdict with
-          | Tfree.Tester.Triangle _ -> true
-          | Tfree.Tester.Triangle_free -> false)
-        ~wire_bytes:resp.wire.Wire_runtime.wire_bytes
-        ~accounted_bits:resp.wire.Wire_runtime.accounted_bits
-        ~latency_us:(Mono.now_us () -. t0);
-      Metrics.record_dataset metrics ~name:dreq.ds_name;
-      (match trace with
-      | Some _ -> Obs_ctx.traced_bits := !Obs_ctx.traced_bits + resp.wire.Wire_runtime.accounted_bits
-      | None -> ());
-      maybe_slow_query
-        ~latency_us:(Mono.now_us () -. t0)
-        [
-          ("protocol", Jsonout.Str (protocol_to_string dreq.ds_protocol));
-          ("dataset", Jsonout.Str dreq.ds_name);
-          ("k", Jsonout.Num (float_of_int dreq.ds_k));
-          ("seed", Jsonout.Num (float_of_int dreq.ds_seed));
-        ];
-      Ok resp
-  | exception Wire_error.Wire_error k ->
-      let category =
-        Option.value ~default:Metrics.Run_failure
-          (Metrics.category_of_name (Wire_error.category k))
-      in
-      Metrics.record_error metrics ~category;
-      Error (category, Wire_error.message k)
-  | exception Tfree_dataset.Dataset_error.Dataset_error kind ->
-      Metrics.record_error metrics ~category:Metrics.Run_failure;
-      Error (Metrics.Run_failure, "dataset: " ^ Tfree_dataset.Dataset_error.message kind)
-  | exception e ->
-      Metrics.record_error metrics ~category:Metrics.Run_failure;
-      Error (Metrics.Run_failure, Printexc.to_string e)
-
-(* The JSON shape of one query's outcome; the [int] is 1 when the query
-   was served, 0 on a categorized failure. *)
-let run_one ?cache ~metrics ?version req =
-  match run_core ?cache ~metrics ?version req with
-  | Ok resp -> (timed_phase ~metrics Phase.Encode (fun () -> response_to_json resp), 1)
-  | Error (category, msg) -> (error_obj ~category msg, 0)
-
-(* The [{"op": "health"}] payload: the registry's O(1) scalars plus the
-   instance cache's occupancy — no verdict/dataset table walk, no
-   histogram walk, so a prober's poll never contends with serving. *)
-let health_payload ?cache metrics =
-  let entries, capacity =
-    match cache with Some c -> (Lru.length c, Lru.capacity c) | None -> (0, 0)
-  in
-  match Metrics.health_json metrics with
-  | Jsonout.Obj fields ->
-      Jsonout.Obj
-        (fields
-        @ [
-            ( "cache",
-              Jsonout.Obj
-                [
-                  ("entries", Jsonout.Num (float_of_int entries));
-                  ("capacity", Jsonout.Num (float_of_int capacity));
-                ] );
-          ])
-  | j -> j
-
-(* Fleet delegation hooks: a fleet worker's stats/health ops must
-   describe the whole fleet, not one shard, so the dispatchers let the
-   fleet layer substitute those two payloads.  [None] from a hook (the
-   parent was unreachable) degrades to the local registry — a stats query
-   never errors because the control channel hiccupped. *)
-type serve_hooks = {
-  hook_stats : unit -> Jsonout.t option;
-  hook_health : unit -> Jsonout.t option;
-}
-
-(* One request line -> one reply line.  Sets [stop] on a shutdown command;
-   returns how many protocol queries the line served (the unit the
-   [max_requests] budget and the served counter measure — 0 or 1 for a
-   plain line, up to the item count for a batch).  All failure shapes —
-   unparseable JSON, unknown command or op, bad request field, a run that
-   raises — reply with a structured, categorized error and record it under
-   that category; the connection stays usable either way.  A wire fault
-   surfacing from the run keeps its own category (timeout/transport) so an
-   operator can tell chaos from bad input.  Inside a batch, failures are
-   per-item: each element of [results] is exactly the reply the request
-   would have gotten on its own line, errors included. *)
-let handle_line ?cache ?registry ?hooks ~metrics ~stop ?version line =
-  let err category msg =
-    Metrics.record_error metrics ~category;
-    (error_line ~category msg, 0)
-  in
-  let stats_obj () =
-    match hooks with
-    | Some h -> ( match h.hook_stats () with Some j -> j | None -> Metrics.to_json metrics)
-    | None -> Metrics.to_json metrics
-  in
-  let health_obj () =
-    match hooks with
-    | Some h -> (
-        match h.hook_health () with Some j -> j | None -> health_payload ?cache metrics)
-    | None -> health_payload ?cache metrics
-  in
-  match timed_phase ~metrics Phase.Parse (fun () -> Jsonout.parse line) with
-  | Error msg -> err Metrics.Malformed ("bad JSON: " ^ msg)
-  | Ok j -> (
-      match (Jsonout.member "cmd" j, Jsonout.member "op" j) with
-      | Some (Jsonout.Str "shutdown"), _ ->
-          stop := true;
-          (Jsonout.to_line (Jsonout.Obj [ ("ok", Jsonout.Bool true); ("bye", Jsonout.Bool true) ]), 0)
-      | Some (Jsonout.Str c), _ -> err Metrics.Malformed (Printf.sprintf "unknown command %S" c)
-      | Some _, _ -> err Metrics.Malformed "cmd must be a string"
-      | None, Some (Jsonout.Str "stats") ->
-          (Jsonout.to_line (Jsonout.Obj [ ("ok", Jsonout.Bool true); ("stats", stats_obj ()) ]), 0)
-      | None, Some (Jsonout.Str "health") ->
-          ( Jsonout.to_line (Jsonout.Obj [ ("ok", Jsonout.Bool true); ("health", health_obj ()) ]),
-            0 )
-      | None, Some (Jsonout.Str "batch") -> (
-          match Jsonout.member "requests" j with
-          | Some (Jsonout.List items) ->
-              Metrics.record_batch metrics ~items:(List.length items);
-              let served = ref 0 in
-              let results =
-                List.map
-                  (fun item ->
-                    match request_of_json item with
-                    | Error msg ->
-                        Metrics.record_error metrics ~category:Metrics.Malformed;
-                        error_obj ~category:Metrics.Malformed msg
-                    | Ok req ->
-                        let obj, n = run_one ?cache ~metrics ?version req in
-                        served := !served + n;
-                        obj)
-                  items
-              in
-              ( Jsonout.to_line
-                  (Jsonout.Obj
-                     [
-                       ("ok", Jsonout.Bool true);
-                       ("count", Jsonout.Num (float_of_int (List.length results)));
-                       ("results", Jsonout.List results);
-                     ]),
-                !served )
-          | Some _ -> err Metrics.Malformed "batch field \"requests\" must be a list"
-          | None -> err Metrics.Malformed "batch without a \"requests\" list")
-      | None, Some (Jsonout.Str "dataset") -> (
-          match registry with
-          | None -> err Metrics.Unknown_op "no dataset registry configured"
-          | Some reg -> (
-              match dataset_request_of_json j with
-              | Error msg -> err Metrics.Malformed msg
-              | Ok dreq -> (
-                  if Tfree_dataset.Registry.find reg dreq.ds_name = None then
-                    err Metrics.Malformed (Printf.sprintf "unknown dataset %S" dreq.ds_name)
-                  else
-                    match run_core_dataset ?cache ~metrics ?version ~registry:reg dreq with
-                    | Ok resp ->
-                        ( Jsonout.to_line
-                            (timed_phase ~metrics Phase.Encode (fun () -> response_to_json resp)),
-                          1 )
-                    | Error (category, msg) -> (error_line ~category msg, 0))))
-      | None, Some (Jsonout.Str o) -> err Metrics.Unknown_op (Printf.sprintf "unknown op %S" o)
-      | None, Some _ -> err Metrics.Malformed "op must be a string"
-      | None, None -> (
-          match request_of_json j with
-          | Error msg -> err Metrics.Malformed msg
-          | Ok req ->
-              let obj, n = run_one ?cache ~metrics ?version req in
-              (Jsonout.to_line obj, n)))
-
-(* One protocol-v2 frame body -> one sealed reply frame in [b]; the binary
-   twin of [handle_line], with the same dispatch, the same error
-   categories and the same served-count contract.  [cur] covers the frame
-   body (tag onward); structural decode failures — the frame passed its
-   checksum but its layout is garbled — fail that frame with a typed
-   malformed reply while the connection stays usable, because the frame
-   boundary is known and the stream can resync on the next frame.  Batch
-   items fail per item, like their JSON twins, when the failure is
-   semantic (bad enum code, bad fault spec); a structurally garbled item
-   makes the remaining bytes meaningless, so it fails the whole frame. *)
-let handle_frame ?cache ?registry ?hooks ~metrics ~stop ~version b cur =
-  let err category msg =
-    Metrics.record_error metrics ~category;
-    encode_error_frame b ~category msg;
-    0
-  in
-  let stats_obj () =
-    match hooks with
-    | Some h -> ( match h.hook_stats () with Some j -> j | None -> Metrics.to_json metrics)
-    | None -> Metrics.to_json metrics
-  in
-  let health_obj () =
-    match hooks with
-    | Some h -> (
-        match h.hook_health () with Some j -> j | None -> health_payload ?cache metrics)
-    | None -> health_payload ?cache metrics
-  in
-  try
-    let tag = Proto.get_u8 cur in
-    if tag = tag_query then (
-      match timed_phase ~metrics Phase.Parse (fun () -> decode_request_body cur) with
-      | Error msg -> err Metrics.Malformed msg
-      | Ok req -> (
-          Proto.expect_end cur;
-          match run_core ?cache ~metrics ~version req with
-          | Ok resp ->
-              timed_phase ~metrics Phase.Encode (fun () -> encode_response_frame b resp);
-              1
-          | Error (category, msg) ->
-              encode_error_frame b ~category msg;
-              0))
-    else if tag = tag_batch then begin
-      let count = Proto.get_varint cur in
-      Metrics.record_batch metrics ~items:count;
-      Proto.begin_frame b;
-      Proto.put_u8 b tag_batch_reply;
-      Proto.put_varint b count;
-      let served = ref 0 in
-      for _ = 1 to count do
-        match timed_phase ~metrics Phase.Parse (fun () -> decode_request_body cur) with
-        | Error msg ->
-            Metrics.record_error metrics ~category:Metrics.Malformed;
-            Proto.put_u8 b tag_error;
-            Proto.put_u8 b (category_code Metrics.Malformed);
-            Proto.put_string b msg
-        | Ok req -> (
-            match run_core ?cache ~metrics ~version req with
-            | Ok resp ->
-                timed_phase ~metrics Phase.Encode (fun () ->
-                    Proto.put_u8 b tag_reply;
-                    put_response b resp);
-                incr served
-            | Error (category, msg) ->
-                Proto.put_u8 b tag_error;
-                Proto.put_u8 b (category_code category);
-                Proto.put_string b msg)
-      done;
-      Proto.expect_end cur;
-      Proto.end_frame b;
-      !served
-    end
-    else if tag = tag_stats then begin
-      Proto.expect_end cur;
-      Proto.begin_frame b;
-      Proto.put_u8 b tag_stats_reply;
-      Proto.put_string b (Jsonout.to_string (stats_obj ()));
-      Proto.end_frame b;
-      0
-    end
-    else if tag = tag_health then begin
-      Proto.expect_end cur;
-      Proto.begin_frame b;
-      Proto.put_u8 b tag_health_reply;
-      Proto.put_string b (Jsonout.to_string (health_obj ()));
-      Proto.end_frame b;
-      0
-    end
-    else if tag = tag_shutdown then begin
-      Proto.expect_end cur;
-      stop := true;
-      Proto.begin_frame b;
-      Proto.put_u8 b tag_bye;
-      Proto.end_frame b;
-      0
-    end
-    else if tag = tag_dataset then (
-      match timed_phase ~metrics Phase.Parse (fun () -> decode_dataset_request_body cur) with
-      | Error msg -> err Metrics.Malformed msg
-      | Ok dreq -> (
-          Proto.expect_end cur;
-          match registry with
-          | None -> err Metrics.Unknown_op "no dataset registry configured"
-          | Some reg -> (
-              if Tfree_dataset.Registry.find reg dreq.ds_name = None then
-                err Metrics.Malformed (Printf.sprintf "unknown dataset %S" dreq.ds_name)
-              else
-                match run_core_dataset ?cache ~metrics ~version ~registry:reg dreq with
-                | Ok resp ->
-                    timed_phase ~metrics Phase.Encode (fun () -> encode_response_frame b resp);
-                    1
-                | Error (category, msg) ->
-                    encode_error_frame b ~category msg;
-                    0)))
-    else err Metrics.Unknown_op (Printf.sprintf "unknown frame tag %d" tag)
-  with Wire_error.Wire_error k -> err Metrics.Malformed ("bad frame: " ^ Wire_error.message k)
-
-(* Reply-level fault injection: the [op]-th reply the server writes (0-based
-   across the whole server lifetime) suffers the scheduled fault.  [Drop]
-   and [Close] cost the client its connection; [Corrupt] garbles one bit of
-   the line body (the newline survives, so the client reads a line that
-   fails to parse); [Truncate] sends a proper prefix and closes; [Delay]
-   holds the reply [amount] milliseconds; [Partial] splits the write in two
-   (same bytes — the client must not notice).  Every firing bumps the
-   injected-fault tally, never the error counters: the fault is ours.
-
-   The second component reports whether the reply landed byte-intact
-   ([Delay] and [Partial] reorder time, not bytes) — the condition under
-   which the exchange's traffic counts toward the per-version byte gauge,
-   so the gauge reconciles exactly against what a client's successful
-   exchanges measured. *)
-let inject_reply ~metrics ~fault ~op fd reply =
-  match Fault.find fault op with
-  | None ->
-      write_line fd reply;
-      (`Keep, true)
-  | Some kind -> (
-      Metrics.record_injected metrics;
-      match kind with
-      | Fault.Drop | Fault.Close -> (`Close, false)
-      | Fault.Corrupt { bit } ->
-          let b = Bytes.of_string reply in
-          let nbits = 8 * Bytes.length b in
-          if nbits > 0 then begin
-            let i = ((bit mod nbits) + nbits) mod nbits in
-            let byte = i / 8 and off = i mod 8 in
-            Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl off)))
-          end;
-          write_line fd (Bytes.to_string b);
-          (`Keep, false)
-      | Fault.Truncate { keep } ->
-          let s = reply ^ "\n" in
-          write_all fd (String.sub s 0 (min (max keep 0) (max 0 (String.length s - 1))));
-          (`Close, false)
-      | Fault.Delay { amount } ->
-          Unix.sleepf (float_of_int (max amount 0) /. 1000.0);
-          write_line fd reply;
-          (`Keep, true)
-      | Fault.Partial { at } ->
-          let s = reply ^ "\n" in
-          let cut = max 1 (min at (String.length s - 1)) in
-          write_all fd (String.sub s 0 cut);
-          write_all fd (String.sub s cut (String.length s - cut));
-          (`Keep, true))
 
 let write_bytes_all fd data off len =
   let sent = ref 0 in
@@ -1416,15 +1376,24 @@ let write_bytes_all fd data off len =
 (* Write the sealed frame currently held by [b]. *)
 let write_frame fd b = write_bytes_all fd (Proto.storage b) (Proto.frame_off b) (Proto.frame_len b)
 
-(* [inject_reply] for a sealed binary reply frame in [b]; same fault
-   semantics, adapted to frames.  [Corrupt] flips a bit past the length
-   varint — in the body or its checksum — so the frame stays delimited and
-   the client reads a complete frame that fails its checksum, mirroring
-   how the line path garbles the body but preserves the newline.
-   [Truncate] sends a proper prefix and closes, starving the client's
-   frame read until its deadline. *)
-let inject_reply_frame ~metrics ~fault ~op fd b =
-  let data = Proto.storage b and off = Proto.frame_off b and len = Proto.frame_len b in
+(* Reply-level fault injection over one encoded reply [data[off, off+len)]:
+   the [op]-th reply the server writes (0-based across the whole server
+   lifetime) suffers the scheduled fault.  [Drop] and [Close] cost the
+   client its connection; [Corrupt] flips one bit inside [region] — a
+   line's body without its newline, a frame's bytes past its length
+   varint — so the reply stays delimited and the client reads a complete
+   unit that fails to parse or to checksum; [Truncate] sends a proper
+   prefix and closes; [Delay] holds the reply [amount] milliseconds;
+   [Partial] splits the write in two (same bytes — the client must not
+   notice).  Every firing bumps the injected-fault tally, never the error
+   counters: the fault is ours.
+
+   The second component reports whether the reply landed byte-intact
+   ([Delay] and [Partial] reorder time, not bytes) — the condition under
+   which the exchange's traffic counts toward the per-version byte gauge,
+   so the gauge reconciles exactly against what a client's successful
+   exchanges measured. *)
+let inject_reply ~metrics ~fault ~op fd data ~off ~len ~region:(region_off, region_len) =
   match Fault.find fault op with
   | None ->
       write_bytes_all fd data off len;
@@ -1434,13 +1403,11 @@ let inject_reply_frame ~metrics ~fault ~op fd b =
       match kind with
       | Fault.Drop | Fault.Close -> (`Close, false)
       | Fault.Corrupt { bit } ->
-          let varint_len = len - (Proto.frame_body_len b + 2) in
-          let region_off = off + varint_len in
-          let nbits = 8 * (len - varint_len) in
+          let nbits = 8 * region_len in
           if nbits > 0 then begin
             let i = ((bit mod nbits) + nbits) mod nbits in
-            let byte = region_off + (i / 8) and o = i mod 8 in
-            Bytes.set data byte (Char.chr (Char.code (Bytes.get data byte) lxor (1 lsl o)))
+            let byte = region_off + (i / 8) in
+            Bytes.set data byte (Char.chr (Char.code (Bytes.get data byte) lxor (1 lsl (i mod 8))))
           end;
           write_bytes_all fd data off len;
           (`Keep, false)
@@ -1508,6 +1475,7 @@ let bind_listener ~backlog path =
      (try Unix.unlink path with Unix.Unix_error _ -> ());
      raise e);
   sock
+
 
 (* The event loop proper, over already-bound [listeners]: a poll-based
    ({!Evpoll}, no FD_SETSIZE ceiling) single-threaded loop serving every
@@ -1601,8 +1569,9 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
           log Logger.Warn "shed" [ ("max_clients", jnum max_clients) ];
           (try
              write_line fd
-               (error_line ~category:Metrics.Overload
-                  (Printf.sprintf "server at capacity (%d clients); retry later" max_clients))
+               (Jsonout.to_line
+                  (error_obj ~category:Metrics.Overload
+                     (Printf.sprintf "server at capacity (%d clients); retry later" max_clients)))
            with Unix.Unix_error _ -> ());
           try Unix.close fd with Unix.Unix_error _ -> ()
         end
@@ -1624,19 +1593,32 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
           log Logger.Debug "accept" [ ("in_flight", jnum (List.length !conns)) ]
         end
   in
-  (* Write [c] a categorized error in whatever protocol it negotiated —
-     best-effort: the peer may already be gone. *)
+  (* [reply] encoded in [c]'s wire protocol: the bytes to write and the
+     region a [Corrupt] fault may flip.  A connection still negotiating
+     (version 0) is answered in JSON. *)
+  let encode_for c reply =
+    if c.version >= 2 then begin
+      let b = c.wbuf in
+      encode_reply_frame ~metrics b reply;
+      let off = Proto.frame_off b and len = Proto.frame_len b in
+      let varint_len = len - (Proto.frame_body_len b + 2) in
+      (Proto.storage b, off, len, (off + varint_len, len - varint_len))
+    end
+    else
+      let line = Jsonout.to_line (reply_to_json ~metrics reply) in
+      let n = String.length line in
+      (Bytes.of_string (line ^ "\n"), 0, n + 1, (0, n))
+  in
+  (* Write [c] a categorized error — best-effort: the peer may already be
+     gone. *)
   let write_error_conn c ~category msg =
     log Logger.Warn "request_error"
       [
         ("category", Jsonout.Str (Metrics.category_name category)); ("detail", Jsonout.Str msg);
       ];
     try
-      if c.version >= 2 then begin
-        encode_error_frame c.wbuf ~category msg;
-        write_frame c.conn_fd c.wbuf
-      end
-      else write_line c.conn_fd (error_line ~category msg)
+      let data, off, len, _ = encode_for c (R_error (category, msg)) in
+      write_bytes_all c.conn_fd data off len
     with Unix.Unix_error _ -> ()
   in
   (* One request unit fully assembled out of [c]'s socket: one read-phase
@@ -1651,107 +1633,86 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
       c.read_start <- (if remaining > 0 then now else nan)
     end
   in
-  (* Route one reply (line or frame) through the fault schedule, tally the
-     served queries, and — when the reply landed byte-intact — credit the
-     exchange's request+reply bytes to the connection's wire-protocol
-     version, so stats reconcile exactly against what the client's
-     successful exchanges measured. *)
-  let deliver_reply c ~nserved ~request_bytes ~reply_bytes inject =
-    let op = !reply_op in
-    incr reply_op;
-    match timed_phase ~metrics Phase.Write (fun () -> inject ~op c.conn_fd) with
-    | exception Unix.Unix_error _ ->
-        (* the peer closed before the reply landed *)
-        transport_error ();
-        close_conn c
-    | action, clean ->
-        served := !served + nserved;
-        if clean && nserved > 0 then
-          Metrics.record_version_bytes metrics
-            ~version:(max 1 c.version)
-            ~bytes:(request_bytes + reply_bytes);
-        if action = `Close then close_conn c
-  in
-  let handle_one c line =
-    match handle_line ?cache ?registry ?hooks ~metrics ~stop ~version:(max 1 c.version) line with
+  (* Serve one unit of [c] (a line, or the frame under [c.rcur]) and route
+     the reply through the fault schedule; tally the served queries and —
+     when the reply landed byte-intact — credit the exchange's
+     request+reply bytes to the connection's wire-protocol version, so
+     stats reconcile exactly against what the client's successful
+     exchanges measured. *)
+  let serve_conn_unit c input ~request_bytes =
+    let decode = function `Line line -> op_of_line line | `Frame -> decode_op c.rcur in
+    match
+      serve_unit ?cache ?registry ?hooks ~metrics ~stop ~version:(max 1 c.version) ~decode
+        ~encode:(encode_for c) input
+    with
     | exception e ->
         Metrics.record_error metrics ~category:Metrics.Run_failure;
         write_error_conn c ~category:Metrics.Run_failure (Printexc.to_string e);
         close_conn c
-    | reply, nserved ->
-        deliver_reply c ~nserved
-          ~request_bytes:(String.length line + 1)
-          ~reply_bytes:(String.length reply + 1)
-          (fun ~op fd -> inject_reply ~metrics ~fault ~op fd reply)
+    | (data, off, len, region), nserved -> (
+        let op = !reply_op in
+        incr reply_op;
+        match
+          timed_phase ~metrics Phase.Write (fun () ->
+              inject_reply ~metrics ~fault ~op c.conn_fd data ~off ~len ~region)
+        with
+        | exception Unix.Unix_error _ ->
+            (* the peer closed before the reply landed *)
+            transport_error ();
+            close_conn c
+        | action, clean ->
+            served := !served + nserved;
+            if clean && nserved > 0 then
+              Metrics.record_version_bytes metrics
+                ~version:(max 1 c.version)
+                ~bytes:(request_bytes + len);
+            if action = `Close then close_conn c)
   in
-  (* Split off and handle every complete line in [c]'s read buffer; keep
-     the unterminated tail for the next readable event.  Each complete
-     line rolls the deadline forward. *)
-  let drain_lines c =
-    let scanning = ref true in
-    while !scanning && c.conn_open do
-      let data = Proto.rbuf_data c.rbuf and start = Proto.rbuf_start c.rbuf in
-      match find_newline data start (start + Proto.rbuf_avail c.rbuf) with
-      | None -> scanning := false
-      | Some nl ->
-          let line = Bytes.sub_string data start (nl - start) in
-          Proto.rbuf_consume c.rbuf (nl - start + 1);
-          note_unit_read c ~remaining:(Proto.rbuf_avail c.rbuf);
-          c.deadline <- Unix.gettimeofday () +. line_timeout_s;
-          if (not !stop) && budget_left () then observe_unit (fun () -> handle_one c line);
-          if !stop then scanning := false
-    done;
-    if c.conn_open && Proto.rbuf_avail c.rbuf > max_line_bytes then begin
-      Metrics.record_error metrics ~category:Metrics.Malformed;
-      write_error_conn c ~category:Metrics.Malformed "request line too long";
-      close_conn c
-    end
+  (* The next complete unit buffered in [c] and its byte length: a line
+     (v1) or a frame whose body [c.rcur] now covers (v2); [None] until more
+     bytes arrive.  A frame stream that can never resync raises. *)
+  let next_unit c =
+    let data = Proto.rbuf_data c.rbuf and start = Proto.rbuf_start c.rbuf in
+    let limit = start + Proto.rbuf_avail c.rbuf in
+    if c.version >= 2 then
+      match Proto.try_frame data ~pos:start ~limit c.rcur with
+      | -1 -> None
+      | len -> Some (`Frame, len)
+    else
+      Option.map
+        (fun nl -> (`Line (Bytes.sub_string data start (nl - start)), nl - start + 1))
+        (find_newline data start limit)
   in
-  (* Split off and handle every complete frame.  A stream-level framing
-     error — garbage or oversized length prefix, checksum mismatch — is
-     unrecoverable (a byte stream cannot resync), so it costs a transport
-     error and the connection; a frame that passes its checksum but
-     decodes badly is handled inside [handle_frame] with the connection
-     kept. *)
-  let drain_frames c =
+  (* Serve every complete unit in [c]'s read buffer; keep the unfinished
+     tail for the next readable event.  Each unit rolls the deadline
+     forward.  A stream-level framing error — garbage or oversized length
+     prefix, checksum mismatch — is unrecoverable (a byte stream cannot
+     resync), so it costs a transport error and the connection; a frame
+     that passes its checksum but decodes badly is answered with the
+     connection kept. *)
+  let drain_units c =
     let scanning = ref true in
     while !scanning && c.conn_open && not !stop do
-      let start = Proto.rbuf_start c.rbuf in
-      match
-        Proto.try_frame (Proto.rbuf_data c.rbuf) ~pos:start
-          ~limit:(start + Proto.rbuf_avail c.rbuf)
-          c.rcur
-      with
+      match next_unit c with
       | exception Wire_error.Wire_error k ->
           transport_error ();
           write_error_conn c ~category:Metrics.Transport
             ("unrecoverable frame stream: " ^ Wire_error.message k);
           close_conn c
-      | -1 ->
+      | None ->
           if Proto.rbuf_avail c.rbuf > max_line_bytes then begin
             Metrics.record_error metrics ~category:Metrics.Malformed;
-            write_error_conn c ~category:Metrics.Malformed "request frame too long";
+            write_error_conn c ~category:Metrics.Malformed
+              (if c.version >= 2 then "request frame too long" else "request line too long");
             close_conn c
           end;
           scanning := false
-      | frame_len ->
-          note_unit_read c ~remaining:(Proto.rbuf_avail c.rbuf - frame_len);
+      | Some (input, len) ->
+          note_unit_read c ~remaining:(Proto.rbuf_avail c.rbuf - len);
           c.deadline <- Unix.gettimeofday () +. line_timeout_s;
-          if (not !stop) && budget_left () then
-            observe_unit (fun () ->
-                match
-                  handle_frame ?cache ?registry ?hooks ~metrics ~stop ~version:c.version c.wbuf
-                    c.rcur
-                with
-                | exception e ->
-                    Metrics.record_error metrics ~category:Metrics.Run_failure;
-                    write_error_conn c ~category:Metrics.Run_failure (Printexc.to_string e);
-                    close_conn c
-                | nserved ->
-                    deliver_reply c ~nserved ~request_bytes:frame_len
-                      ~reply_bytes:(Proto.frame_len c.wbuf) (fun ~op fd ->
-                        inject_reply_frame ~metrics ~fault ~op fd c.wbuf));
-          if c.conn_open then Proto.rbuf_consume c.rbuf frame_len else scanning := false
+          if budget_left () then
+            observe_unit (fun () -> serve_conn_unit c input ~request_bytes:len);
+          if c.conn_open then Proto.rbuf_consume c.rbuf len else scanning := false
     done
   in
   (* The first byte decides the connection's protocol: {!Proto.magic}
@@ -1795,8 +1756,7 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
           (* else: magic seen, version byte still in flight — wait *)
         end
       end
-      else if c.version >= 2 then drain_frames c
-      else drain_lines c
+      else drain_units c
   in
   let chunk = Bytes.create 4096 in
   let on_eof c =
@@ -1882,6 +1842,7 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
   log Logger.Info "shutdown" [ ("served", jnum !served) ];
   Obs_ctx.slow := None;
   !served
+
 
 (* ------------------------------------------------- fleet control channel *)
 
@@ -2351,42 +2312,14 @@ let with_connection ~path f =
       Unix.connect sock (Unix.ADDR_UNIX path);
       f sock)
 
-(* Is a structured [{"ok": false}] reply worth retrying?  Only when its
-   category describes the wire or the server's load, not the request:
-   timeout, transport and overload pass, everything else is the server
-   telling us the request itself is wrong. *)
-let reply_error j =
-  let msg =
-    match Jsonout.member "error" j with Some (Jsonout.Str s) -> s | _ -> "server error"
-  in
-  let transient =
-    match Jsonout.member "category" j with
-    | Some (Jsonout.Str ("timeout" | "transport" | "overload")) -> true
-    | _ -> false
-  in
-  ((if transient then `Transient else `Fatal), msg)
-
-(* Same transient-or-fatal split, from a binary error frame's category. *)
+(* Is a structured error reply worth retrying?  Only when its category
+   describes the wire or the server's load, not the request: timeout,
+   transport and overload pass, everything else is the server telling us
+   the request itself is wrong. *)
 let classify_category category =
   match category with
   | Metrics.Timeout | Metrics.Transport | Metrics.Overload -> `Transient
   | Metrics.Malformed | Metrics.Unknown_op | Metrics.Run_failure -> `Fatal
-
-(* One JSON line-protocol exchange on an already-connected socket;
-   [interpret] turns the parsed reply of a successful exchange into the
-   caller's result. *)
-let json_exchange sock ~deadline ~line ~interpret =
-  write_line sock line;
-  match read_line_deadline sock ~deadline with
-  | Eof | Partial _ -> Error (`Transient, "server closed the connection")
-  | Timed_out -> Error (`Transient, "reply timed out")
-  | Line reply -> (
-      match Jsonout.parse reply with
-      | Error msg -> Error (`Transient, "bad reply JSON: " ^ msg)
-      | Ok j -> (
-          match Jsonout.member "ok" j with
-          | Some (Jsonout.Bool false) -> Error (reply_error j)
-          | _ -> interpret j))
 
 (* The exceptions any attempt can surface, classified transient: the
    server may be restarting, shedding load, or mid-fault. *)
@@ -2396,17 +2329,6 @@ let guard_attempt f =
   | exception Unix.Unix_error (e, fn, _) ->
       Error (`Transient, Printf.sprintf "%s: %s" fn (Unix.error_message e))
   | exception Wire_error.Wire_error k -> Error (`Transient, Wire_error.message k)
-
-(* One v1 connect/write/read attempt, classified: [`Transient] failures
-   are worth retrying (the server may be restarting or shedding load, the
-   reply may have been garbled by a fault), [`Fatal] ones are the server
-   telling us the request itself is wrong. *)
-let attempt_exchange ~timeout_s ~path ~line ~interpret =
-  guard_attempt (fun () ->
-      with_connection ~path (fun sock ->
-          json_exchange sock ~deadline:(Unix.gettimeofday () +. timeout_s) ~line ~interpret))
-
-(* ----------------------------------------------------- client, binary v2 *)
 
 (* One byte off the socket under a deadline.  Poll-backed like every
    deadline read: a client library living in a process with >= FD_SETSIZE
@@ -2454,90 +2376,6 @@ let read_frame_deadline sock ~deadline cur =
   in
   loop ()
 
-(* The four exchanges a client performs, shaped once so the v1 and v2
-   paths cannot drift. *)
-type wire_op =
-  | Op_query of request
-  | Op_dataset of dataset_request
-  | Op_batch of request list
-  | Op_stats
-  | Op_health
-  | Op_shutdown
-
-let op_line = function
-  | Op_query req -> Jsonout.to_line (request_to_json req)
-  | Op_dataset dreq -> Jsonout.to_line (dataset_request_to_json dreq)
-  | Op_batch reqs -> Jsonout.to_line (batch_request_to_json reqs)
-  | Op_stats -> Jsonout.to_line (Jsonout.Obj [ ("op", Jsonout.Str "stats") ])
-  | Op_health -> Jsonout.to_line (Jsonout.Obj [ ("op", Jsonout.Str "health") ])
-  | Op_shutdown -> Jsonout.to_line (Jsonout.Obj [ ("cmd", Jsonout.Str "shutdown") ])
-
-let op_fill b = function
-  | Op_query req -> encode_query_frame b req
-  | Op_dataset dreq -> encode_dataset_frame b dreq
-  | Op_batch reqs -> encode_batch_frame b reqs
-  | Op_stats -> encode_stats_frame b
-  | Op_health -> encode_health_frame b
-  | Op_shutdown -> encode_shutdown_frame b
-
-(* A decoded binary reply, every shape the server can send. *)
-type wire_reply =
-  | R_response of response
-  | R_error of Metrics.error_category * string
-  | R_batch of (response, Metrics.error_category * string) result list
-  | R_stats of Jsonout.t
-  | R_health of Jsonout.t
-  | R_bye
-
-let decode_reply cur =
-  let tag = Proto.get_u8 cur in
-  if tag = tag_reply then begin
-    let r = decode_response_body cur in
-    Proto.expect_end cur;
-    R_response r
-  end
-  else if tag = tag_error then begin
-    let category = category_of_code (Proto.get_u8 cur) in
-    let msg = Proto.get_string cur in
-    Proto.expect_end cur;
-    R_error (category, msg)
-  end
-  else if tag = tag_batch_reply then begin
-    let count = Proto.get_varint cur in
-    let items = ref [] in
-    for _ = 1 to count do
-      let sub = Proto.get_u8 cur in
-      if sub = tag_reply then items := Ok (decode_response_body cur) :: !items
-      else if sub = tag_error then begin
-        let category = category_of_code (Proto.get_u8 cur) in
-        let msg = Proto.get_string cur in
-        items := Error (category, msg) :: !items
-      end
-      else Wire_error.errorf_corrupt "unknown batch item tag %d" sub
-    done;
-    Proto.expect_end cur;
-    R_batch (List.rev !items)
-  end
-  else if tag = tag_stats_reply then begin
-    let s = Proto.get_string cur in
-    Proto.expect_end cur;
-    match Jsonout.parse s with
-    | Ok j -> R_stats j
-    | Error msg -> Wire_error.errorf_corrupt "bad stats JSON in frame: %s" msg
-  end
-  else if tag = tag_health_reply then begin
-    let s = Proto.get_string cur in
-    Proto.expect_end cur;
-    match Jsonout.parse s with
-    | Ok j -> R_health j
-    | Error msg -> Wire_error.errorf_corrupt "bad health JSON in frame: %s" msg
-  end
-  else if tag = tag_bye then begin
-    Proto.expect_end cur;
-    R_bye
-  end
-  else Wire_error.errorf_corrupt "unknown reply tag %d" tag
-
 (* Offer the server our best version and classify its answer.  A server
    that does not speak the handshake still answers *something* — most
    usefully the overload-shed JSON error line — so a non-magic first byte
@@ -2566,38 +2404,74 @@ let client_hello sock ~deadline =
       | Eof | Partial _ -> Error (`Transient, "server closed during handshake")
       | Line rest -> (
           match Jsonout.parse (String.make 1 b ^ rest) with
-          | Ok j when Jsonout.member "ok" j = Some (Jsonout.Bool false) -> Error (reply_error j)
+          | Ok j when is_error j ->
+              let category, msg = error_of_json j in
+              Error (classify_category category, msg)
           | Ok _ | Error _ -> Error (`Transient, "garbled handshake reply")))
 
-(* One exchange attempt honouring [protocol]: [V1] is the bare JSON line
+(* One v1 exchange on a connected socket. *)
+let line_exchange sock ~deadline op =
+  write_line sock (Jsonout.to_line (op_to_json op));
+  match read_line_deadline sock ~deadline with
+  | Eof | Partial _ -> Error (`Transient, "server closed the connection")
+  | Timed_out -> Error (`Transient, "reply timed out")
+  | Line reply -> (
+      match Jsonout.parse reply with
+      | Error msg -> Error (`Transient, "bad reply JSON: " ^ msg)
+      | Ok j ->
+          Result.map_error (fun msg -> (`Transient, "garbled reply: " ^ msg)) (reply_of_json ~op j))
+
+(* One v2 exchange on a connected, negotiated socket. *)
+let frame_exchange sock ~deadline op =
+  let b = Proto.create_buf () in
+  encode_op_frame b op;
+  write_frame sock b;
+  let cur = Proto.cursor () in
+  match read_frame_deadline sock ~deadline cur with
+  | `Timeout -> Error (`Transient, "reply timed out")
+  | `Closed -> Error (`Transient, "server closed the connection")
+  | `Frame -> Result.map_error (fun msg -> (`Transient, msg)) (decode_reply cur)
+
+(* Does [reply] have the shape [op] asks for?  A mismatch is a garbled
+   reply, worth a retry. *)
+let fits op reply =
+  match (op, reply) with
+  | (Op_query _ | Op_dataset _), R_response _ | Op_stats, R_stats _ | Op_health, R_health _ ->
+      Ok reply
+  | Op_shutdown, _ -> Ok reply
+  | Op_batch items, R_batch results when List.length results = List.length items -> Ok reply
+  | Op_batch items, R_batch results ->
+      Error
+        ( `Transient,
+          Printf.sprintf "garbled reply: %d results for %d requests" (List.length results)
+            (List.length items) )
+  | _ -> Error (`Transient, "garbled reply: unexpected frame shape")
+
+(* One attempt at [op] honouring [protocol]: [V1] is the bare JSON line
    path; [V2]/[Auto] shake hands first and speak binary frames when the
    server agrees, JSON lines on the same connection when it answers v1.
-   [interpret]/[interpret_bin] turn the two reply shapes into the caller's
-   result; both run under the transient-exception guard. *)
-let attempt_op ~protocol ~timeout_s ~path ~op ~interpret ~interpret_bin =
-  match (protocol : Proto.pref) with
-  | Proto.V1 -> attempt_exchange ~timeout_s ~path ~line:(op_line op) ~interpret
-  | Proto.V2 | Proto.Auto ->
-      guard_attempt (fun () ->
-          with_connection ~path (fun sock ->
-              let deadline = Unix.gettimeofday () +. timeout_s in
-              match client_hello sock ~deadline with
-              | Error e -> Error e
-              | Ok 1 -> json_exchange sock ~deadline ~line:(op_line op) ~interpret
-              | Ok _ -> (
-                  let b = Proto.create_buf () in
-                  op_fill b op;
-                  write_frame sock b;
-                  let cur = Proto.cursor () in
-                  match read_frame_deadline sock ~deadline cur with
-                  | `Timeout -> Error (`Transient, "reply timed out")
-                  | `Closed -> Error (`Transient, "server closed the connection")
-                  | `Frame -> (
-                      match decode_reply cur with
-                      | R_error (category, msg) -> Error (classify_category category, msg)
-                      | reply -> interpret_bin reply))))
+   A structured error reply is classified transient or fatal. *)
+let attempt ~protocol ~timeout_s ~path op =
+  guard_attempt (fun () ->
+      with_connection ~path (fun sock ->
+          let deadline = Unix.gettimeofday () +. timeout_s in
+          let version =
+            match (protocol : Proto.pref) with
+            | Proto.V1 -> Ok 1
+            | Proto.V2 | Proto.Auto -> client_hello sock ~deadline
+          in
+          let reply =
+            match version with
+            | Error e -> Error e
+            | Ok 1 -> line_exchange sock ~deadline op
+            | Ok _ -> frame_exchange sock ~deadline op
+          in
+          match reply with
+          | Ok (R_error (category, msg)) -> Error (classify_category category, msg)
+          | Ok reply -> fits op reply
+          | Error e -> Error e))
 
-(* The shared retry envelope: transient failures back off exponentially
+(* The retry envelope: transient failures back off exponentially
    ([backoff_s · 2^attempt] plus up to 25% jitter, deterministic in
    [backoff_seed]) and try the whole exchange again, tallying each retry in
    [metrics] when given; fatal ones return immediately. *)
@@ -2618,116 +2492,42 @@ let with_retries ~retries ~backoff_s ~backoff_seed ~metrics attempt =
   in
   go 0
 
-(** Send one request to a server at [path]; wait up to [timeout_s] for the
-    reply.  Transient failures retry up to [retries] more times with
-    exponential backoff ([backoff_s · 2^attempt] plus up to 25% jitter,
-    deterministic in [backoff_seed]); each retry is tallied in [metrics]
-    when given.  Fatal server rejections return immediately.  [protocol]
-    picks the wire protocol (default [Auto]: binary v2 when the server
-    speaks it, JSON v1 otherwise); the retry envelope covers the
-    handshake, so a garbled negotiation retries like a garbled reply. *)
-let client_query ?(timeout_s = 30.0) ?(retries = 0) ?(backoff_s = 0.05) ?(backoff_seed = 0)
-    ?metrics ?(protocol = Proto.Auto) ~path req =
+let call ?(timeout_s = 30.0) ?(retries = 0) ?(backoff_s = 0.05) ?(backoff_seed = 0) ?metrics
+    ?(protocol = Proto.Auto) ~path op =
   with_retries ~retries ~backoff_s ~backoff_seed ~metrics (fun () ->
-      attempt_op ~protocol ~timeout_s ~path ~op:(Op_query req)
-        ~interpret:(fun j ->
-          match response_of_json j with
-          | Ok resp -> Ok resp
-          | Error msg -> Error (`Transient, "garbled reply: " ^ msg))
-        ~interpret_bin:(function
-          | R_response resp -> Ok resp
-          | _ -> Error (`Transient, "garbled reply: unexpected frame shape")))
+      attempt ~protocol ~timeout_s ~path op)
 
-(** {!client_query} for a [{"op": "dataset"}] query: same retry envelope,
-    same protocol negotiation, same reply shape — the server just takes
-    the graph from its registry instead of generating it. *)
-let client_dataset ?(timeout_s = 30.0) ?(retries = 0) ?(backoff_s = 0.05) ?(backoff_seed = 0)
-    ?metrics ?(protocol = Proto.Auto) ~path dreq =
-  with_retries ~retries ~backoff_s ~backoff_seed ~metrics (fun () ->
-      attempt_op ~protocol ~timeout_s ~path ~op:(Op_dataset dreq)
-        ~interpret:(fun j ->
-          match response_of_json j with
-          | Ok resp -> Ok resp
-          | Error msg -> Error (`Transient, "garbled reply: " ^ msg))
-        ~interpret_bin:(function
-          | R_response resp -> Ok resp
-          | _ -> Error (`Transient, "garbled reply: unexpected frame shape")))
+(* The client_* wrappers: one op each, projected out of the reply {!call}
+   already checked against the op's shape. *)
+let project f = function
+  | Ok reply -> (
+      match f reply with Some v -> Ok v | None -> Error "garbled reply: unexpected frame shape")
+  | Error msg -> Error msg
 
-(** Send [reqs] as one [{"op": "batch"}] exchange — one line out, one line
-    back — and return per-item results in request order.  The retry
-    envelope is the same as {!client_query}'s and covers the whole
-    exchange: a garbled or truncated batch reply retries everything, while
-    a structured per-item error (bad request inside an otherwise healthy
-    batch) is that item's final [Error].  An empty [reqs] is one empty
-    round trip. *)
-let client_batch ?(timeout_s = 30.0) ?(retries = 0) ?(backoff_s = 0.05) ?(backoff_seed = 0)
-    ?metrics ?(protocol = Proto.Auto) ~path reqs =
-  with_retries ~retries ~backoff_s ~backoff_seed ~metrics (fun () ->
-      attempt_op ~protocol ~timeout_s ~path ~op:(Op_batch reqs)
-        ~interpret:(fun j ->
-          match Jsonout.member "results" j with
-          | Some (Jsonout.List items) when List.length items = List.length reqs ->
-              Ok
-                (List.map
-                   (fun item ->
-                     match Jsonout.member "ok" item with
-                     | Some (Jsonout.Bool false) -> Error (snd (reply_error item))
-                     | _ -> (
-                         match response_of_json item with
-                         | Ok resp -> Ok resp
-                         | Error msg -> Error ("garbled batch item: " ^ msg)))
-                   items)
-          | Some (Jsonout.List items) ->
-              Error
-                ( `Transient,
-                  Printf.sprintf "garbled reply: %d results for %d requests" (List.length items)
-                    (List.length reqs) )
-          | _ -> Error (`Transient, "garbled reply: batch reply without results"))
-        ~interpret_bin:(function
-          | R_batch items when List.length items = List.length reqs ->
-              Ok (List.map (function Ok resp -> Ok resp | Error (_, msg) -> Error msg) items)
-          | R_batch items ->
-              Error
-                ( `Transient,
-                  Printf.sprintf "garbled reply: %d results for %d requests" (List.length items)
-                    (List.length reqs) )
-          | _ -> Error (`Transient, "garbled reply: unexpected frame shape")))
+let client_query ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path req =
+  project
+    (function R_response resp -> Some resp | _ -> None)
+    (call ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path (Op_query req))
 
-(** Fetch the server's telemetry ([{"op": "stats"}]); returns the [stats]
-    object of the reply. *)
-let client_stats ?(timeout_s = 30.0) ?(protocol = Proto.Auto) ~path () =
-  match
-    attempt_op ~protocol ~timeout_s ~path ~op:Op_stats
-      ~interpret:(fun j ->
-        match Jsonout.member "stats" j with
-        | Some stats -> Ok stats
-        | None -> Error (`Transient, "garbled reply: stats reply without stats"))
-      ~interpret_bin:(function
-        | R_stats stats -> Ok stats
-        | _ -> Error (`Transient, "garbled reply: unexpected frame shape"))
-  with
-  | Ok stats -> Ok stats
-  | Error (_, msg) -> Error msg
+let client_dataset ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path dreq =
+  project
+    (function R_response resp -> Some resp | _ -> None)
+    (call ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path (Op_dataset dreq))
 
-(** Fetch the server's cheap liveness payload ([{"op": "health"}]);
-    returns the [health] object of the reply. *)
-let client_health ?(timeout_s = 30.0) ?(protocol = Proto.Auto) ~path () =
-  match
-    attempt_op ~protocol ~timeout_s ~path ~op:Op_health
-      ~interpret:(fun j ->
-        match Jsonout.member "health" j with
-        | Some health -> Ok health
-        | None -> Error (`Transient, "garbled reply: health reply without health"))
-      ~interpret_bin:(function
-        | R_health health -> Ok health
-        | _ -> Error (`Transient, "garbled reply: unexpected frame shape"))
-  with
-  | Ok health -> Ok health
-  | Error (_, msg) -> Error msg
+let client_batch ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path reqs =
+  project
+    (function R_batch items -> Some (List.map (Result.map_error snd) items) | _ -> None)
+    (call ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path
+       (Op_batch (List.map Result.ok reqs)))
 
-(** Ask a server at [path] to shut down. *)
-let client_shutdown ?(protocol = Proto.Auto) ~path () =
-  ignore
-    (attempt_op ~protocol ~timeout_s:30.0 ~path ~op:Op_shutdown
-       ~interpret:(fun _ -> Ok ())
-       ~interpret_bin:(fun _ -> Ok ()))
+let client_stats ?timeout_s ?protocol ~path () =
+  project
+    (function R_stats stats -> Some stats | _ -> None)
+    (call ?timeout_s ?protocol ~path Op_stats)
+
+let client_health ?timeout_s ?protocol ~path () =
+  project
+    (function R_health health -> Some health | _ -> None)
+    (call ?timeout_s ?protocol ~path Op_health)
+
+let client_shutdown ?protocol ~path () = ignore (call ?protocol ~path Op_shutdown)

@@ -1,10 +1,13 @@
 (** tfree-serve: a triangle-freeness query service over Unix-domain
-    sockets.  One JSON value per line in both directions; a request names
-    an instance family, an edge partition and a protocol (the same enums
-    the tfree CLI exposes), the reply carries the verdict, the accounted
-    bits and the measured wire traffic, reconciled.
+    sockets.  Every request unit is decoded into a {!wire_op}, answered by
+    one dispatcher with a {!wire_reply}, and encoded back by the same
+    codec: JSON v1 (one JSON value per line) or binary v2
+    ({!Proto} frames).  A query names an instance family, an edge
+    partition and a protocol (the same enums the tfree CLI exposes); the
+    reply carries the verdict, the accounted bits and the measured wire
+    traffic, reconciled.
 
-    The server is a single-threaded select event loop: many concurrent
+    The server is a single-threaded poll event loop: many concurrent
     clients, each with its own read buffer and per-line deadline; bounded
     admission with typed overload shedding; an LRU instance/partition
     cache; and an [{"op": "batch"}] exchange amortizing the framing over
@@ -23,6 +26,13 @@ type family = Far | Free | Hub | Mu | Gnp | Behrend | Diluted
 type partition_kind = Disjoint | Dup | Replicate | Skewed | Hash
 type protocol = Unrestricted | Sim | Oblivious | Exact
 
+(** Each enum's values with their CLI names, in v2 wire-code order: a
+    value's position is its code (Far = 0, Disjoint = 0, Unrestricted = 0).
+    The conversions below derive from these tables. *)
+
+val families : (string * family) list
+val partitions : (string * partition_kind) list
+val protocols : (string * protocol) list
 val family_to_string : family -> string
 val family_of_string : string -> family option
 val partition_to_string : partition_kind -> string
@@ -84,6 +94,8 @@ type response = {
 }
 
 val request_to_json : request -> Jsonout.t
+
+(** Rejects anything but a JSON object. *)
 val request_of_json : Jsonout.t -> (request, string) result
 
 (** The [{"op": "dataset"}] object; a missing field takes its default,
@@ -240,6 +252,56 @@ val run_dataset_request :
   dataset_request ->
   response
 
+(** {2 The request algebra}
+
+    One op type and one reply type for both wire versions.  Each codec
+    decodes a unit into a [wire_op] (a typed {!decode_error} otherwise;
+    decoders never raise) and encodes a [wire_reply]; the server's
+    dispatcher maps one to the other. *)
+
+(** A batch item that decoded structurally but not semantically stays
+    [Error msg] and fails alone; clients only send [Ok] items (the
+    encoders reject [Error] ones with [Invalid_argument]). *)
+type wire_op =
+  | Op_query of request
+  | Op_dataset of dataset_request
+  | Op_batch of (request, string) result list
+  | Op_stats
+  | Op_health
+  | Op_shutdown
+
+type wire_reply =
+  | R_response of response
+  | R_error of (Metrics.error_category * string)
+  | R_batch of (response, Metrics.error_category * string) result list
+  | R_stats of Jsonout.t
+  | R_health of Jsonout.t
+  | R_bye
+
+(** Why a unit did not decode: answered under the category, or — for a
+    dataset op with a bad body — as an unknown op when no registry is
+    configured and malformed otherwise. *)
+type decode_error = Undecodable of Metrics.error_category * string | Bad_dataset of string
+
+(** JSON v1.  [metrics], when given, times each served response's
+    encoding as the encode phase.  v1 replies carry no tag, so
+    {!reply_of_json} reads the shape of the [op] that was sent; its
+    [Error] describes a reply that does not fit. *)
+
+val op_to_json : wire_op -> Jsonout.t
+val op_of_line : string -> (wire_op, decode_error) result
+val reply_to_json : ?metrics:Metrics.t -> wire_reply -> Jsonout.t
+val reply_of_json : op:wire_op -> Jsonout.t -> (wire_reply, string) result
+
+(** Binary v2: encoders seal a whole frame into the buffer; decoders read
+    a cursor over one frame body, tag onward.  A batch decodes whole
+    before any item runs. *)
+
+val encode_op_frame : Proto.buf -> wire_op -> unit
+val decode_op : Proto.cursor -> (wire_op, decode_error) result
+val encode_reply_frame : ?metrics:Metrics.t -> Proto.buf -> wire_reply -> unit
+val decode_reply : Proto.cursor -> (wire_reply, string) result
+
 (** {2 Server and client} *)
 
 (** One line read off a socket under a deadline. *)
@@ -254,7 +316,7 @@ type line_read =
     [Eof]/[Partial], never an exception. *)
 val read_line_deadline : Unix.file_descr -> deadline:float -> line_read
 
-(** Fleet delegation hooks for {!handle_line}: a fleet worker's
+(** Fleet delegation hooks for the dispatcher: a fleet worker's
     stats/health ops must describe the whole fleet, not one shard, so the
     dispatcher lets the fleet layer substitute those two payloads.
     [None] from a hook (the fleet parent was unreachable) falls back to
@@ -264,18 +326,20 @@ type serve_hooks = {
   hook_health : unit -> Jsonout.t option;
 }
 
-(** One request line to one reply line against [metrics]; sets [stop] on a
-    shutdown command.  Returns the reply and how many protocol queries the
-    line served — 0 or 1 for a plain line, up to the item count for an
-    [{"op": "batch"}] line (whose [results] hold one reply object per
-    request, in order, per-item errors included).  Every failure shape
-    replies with a structured [{"ok": false, "error": ..., "category":
-    ...}] and records the error under its {!Metrics.error_category};
-    nothing escapes.  [version] is the wire-protocol version of the
-    serving connection (default 1), feeding the per-version served
-    gauge.  [registry] enables [{"op": "dataset"}] lines; without it they
-    answer a structured unknown-op error.  [hooks] overrides the
-    stats/health payloads ({!serve_hooks}). *)
+(** One request line to one reply line against [metrics] — the v1 codec
+    around the server's dispatcher, exactly what a socket line gets.  Sets
+    [stop] on a shutdown command.  Returns the reply and how many protocol
+    queries the line served — 0 or 1 for a plain line, up to the item
+    count for an [{"op": "batch"}] line (whose [results] hold one reply
+    object per request, in order, per-item errors included).  Every
+    failure shape replies with a structured [{"ok": false, "error": ...,
+    "category": ...}] and records the error under its
+    {!Metrics.error_category}; nothing escapes.  [version] is the
+    wire-protocol version of the serving connection (default 1), feeding
+    the per-version served gauge.  [registry] enables [{"op": "dataset"}]
+    lines; without it they answer a structured unknown-op error, before
+    the body is validated.  [hooks] overrides the stats/health payloads
+    ({!serve_hooks}). *)
 val handle_line :
   ?cache:instance_cache ->
   ?registry:Tfree_dataset.Registry.t ->
@@ -370,20 +434,37 @@ val serve :
   unit ->
   int
 
-(** Send one request to a server at [path]; wait up to [timeout_s] (default
-    30) for the reply.  Transient failures — connection refused, timeouts,
-    truncated or garbled replies, server errors in the
-    timeout/transport/overload categories — retry up to [retries] (default
-    0) more times with exponential backoff ([backoff_s]·2^attempt, default
-    50 ms, plus up to 25% jitter deterministic in [backoff_seed]); each
-    retry is tallied in [metrics] when given.  Structured server
-    rejections (malformed request, unknown op) are fatal immediately.
+(** Send one op to a server at [path] and return its reply, checked
+    against the op's shape (a batch reply has one item per request).  Waits
+    up to [timeout_s] (default 30) for the reply.  Transient failures —
+    connection refused, timeouts, truncated or garbled replies, server
+    errors in the timeout/transport/overload categories — retry up to
+    [retries] (default 0) more times with exponential backoff
+    ([backoff_s]·2^attempt, default 50 ms, plus up to 25% jitter
+    deterministic in [backoff_seed]); each retry is tallied in [metrics]
+    when given.  Structured server rejections (malformed request, unknown
+    op) are fatal immediately: a structured error reply never comes back
+    as [Ok].
 
     [protocol] picks the wire protocol (default [Auto]: a magic+version
     handshake, then binary v2 frames when the server speaks v2, JSON v1
     lines otherwise; [V1] skips the handshake entirely, staying
     wire-compatible with pre-v2 servers).  The retry envelope covers the
     handshake. *)
+val call :
+  ?timeout_s:float ->
+  ?retries:int ->
+  ?backoff_s:float ->
+  ?backoff_seed:int ->
+  ?metrics:Metrics.t ->
+  ?protocol:Proto.pref ->
+  path:string ->
+  wire_op ->
+  (wire_reply, string) result
+
+(** The [client_*] wrappers project one op's reply out of {!call}. *)
+
+(** A query's response. *)
 val client_query :
   ?timeout_s:float ->
   ?retries:int ->
@@ -395,10 +476,9 @@ val client_query :
   request ->
   (response, string) result
 
-(** Send one [{"op": "dataset"}] query to a server at [path].  Same retry
-    envelope and protocol negotiation as {!client_query}; a server with
-    no dataset registry, or an unknown dataset name, answers a structured
-    rejection that is fatal immediately. *)
+(** A [{"op": "dataset"}] query's response; a server with no dataset
+    registry, or an unknown dataset name, answers a structured rejection
+    that is fatal immediately. *)
 val client_dataset :
   ?timeout_s:float ->
   ?retries:int ->
@@ -410,9 +490,8 @@ val client_dataset :
   dataset_request ->
   (response, string) result
 
-(** Send many requests as one [{"op": "batch"}] exchange — one line out,
-    one line back — and get per-item results in request order.  The retry
-    envelope matches {!client_query} and covers the whole exchange: a
+(** Many requests as one [{"op": "batch"}] exchange, per-item results in
+    request order.  The retry envelope covers the whole exchange: a
     garbled, truncated or overload-shed batch reply retries everything,
     while a structured per-item error is that item's final [Error]. *)
 val client_batch :

@@ -29,12 +29,9 @@ open Tfree_comm
 
 type kind = Pipe | Socketpair
 
-let kind_to_string = function Pipe -> "pipe" | Socketpair -> "socketpair"
-
-let kind_of_string = function
-  | "pipe" -> Some Pipe
-  | "socketpair" -> Some Socketpair
-  | _ -> None
+let kinds = [ ("pipe", Pipe); ("socketpair", Socketpair) ]
+let kind_to_string k = fst (List.find (fun (_, x) -> x = k) kinds)
+let kind_of_string s = List.assoc_opt s kinds
 
 type chan_stats = {
   mutable frames : int;

@@ -11,6 +11,9 @@ open Tfree_comm
 
 type kind = Pipe | Socketpair
 
+(** Every kind with its name, in v2 wire-code order (pipe = 0). *)
+val kinds : (string * kind) list
+
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
 

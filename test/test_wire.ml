@@ -1206,7 +1206,28 @@ let test_handle_line_categories () =
   checki "run_failure count" 1 (Metrics.errors_in m Metrics.Run_failure);
   checki "transport count" 1 (Metrics.errors_in m Metrics.Transport);
   checki "no query served" 0 (Metrics.queries_served m);
-  checkb "shutdown untouched" true (not !stop)
+  checkb "shutdown untouched" true (not !stop);
+  (* a line or batch item that is not a JSON object is malformed, never a
+     default query *)
+  let m = Metrics.create () in
+  List.iter
+    (fun line ->
+      let reply, served = Service.handle_line ~metrics:m ~stop line in
+      checkb (line ^ " -> malformed") true (is_error reply "malformed");
+      checki (line ^ " serves nothing") 0 served)
+    [ "5"; "[1,2]"; "\"x\"" ];
+  let reply, served = Service.handle_line ~metrics:m ~stop "{\"op\":\"batch\",\"requests\":[0,true]}" in
+  checki "non-object batch items serve nothing" 0 served;
+  (match Result.map (Jsonout.member "results") (Jsonout.parse reply) with
+  | Ok (Some (Jsonout.List items)) ->
+      checkb "each non-object item is its own malformed error" true
+        (List.length items = 2
+        && List.for_all
+             (fun item -> Jsonout.member "category" item = Some (Jsonout.Str "malformed"))
+             items)
+  | _ -> Alcotest.fail "batch reply without results");
+  checki "non-object malformed count" 5 (Metrics.errors_in m Metrics.Malformed);
+  checki "non-objects serve no query" 0 (Metrics.queries_served m)
 
 (* {"op": "health"} over the v1 line protocol: a cheap scalar liveness
    payload — no verdict table, no histograms — that does not count as a
@@ -1240,6 +1261,280 @@ let test_handle_line_health () =
   checki "health is not a served query" 0 (Metrics.queries_served m);
   checki "health is not an error" 0 (Metrics.errors m);
   checkb "shutdown untouched" true (not !stop)
+
+(* -------------------------------------------------------- request algebra *)
+
+(* The query body an encoder writes after its tag byte. *)
+let query_body req =
+  let b = Proto.create_buf () in
+  Service.encode_query_frame b req;
+  let body = Proto.frame_body_len b in
+  let varint = Proto.frame_len b - body - 2 in
+  Bytes.sub_string (Proto.storage b) (Proto.frame_off b + varint + 1) (body - 1)
+
+(* Point a fresh cursor at the body of the frame sealed in [b]. *)
+let cursor_of_frame b =
+  let cur = Proto.cursor () in
+  let off = Proto.frame_off b in
+  ignore (Proto.try_frame (Proto.storage b) ~pos:off ~limit:(off + Proto.frame_len b) cur);
+  cur
+
+(* v2 enum codes are positions in the Service tables; pin every one so
+   reordering a table cannot silently change the wire. *)
+let test_enum_wire_codes () =
+  let codes req =
+    let b = Proto.create_buf () in
+    Service.encode_query_frame b req;
+    let cur = cursor_of_frame b in
+    checki "query tag" Service.tag_query (Proto.get_u8 cur);
+    let family = Proto.get_u8 cur in
+    let partition = Proto.get_u8 cur in
+    let protocol = Proto.get_u8 cur in
+    let transport = Proto.get_u8 cur in
+    checkb "the frame decodes back" true
+      (Service.decode_op (cursor_of_frame b) = Ok (Service.Op_query req));
+    (family, partition, protocol, transport)
+  in
+  let base = Service.default_request in
+  List.iteri
+    (fun code family ->
+      let c, _, _, _ = codes { base with family } in
+      checki (Service.family_to_string family) code c)
+    Service.[ Far; Free; Hub; Mu; Gnp; Behrend; Diluted ];
+  List.iteri
+    (fun code partition ->
+      let _, c, _, _ = codes { base with partition } in
+      checki (Service.partition_to_string partition) code c)
+    Service.[ Disjoint; Dup; Replicate; Skewed; Hash ];
+  List.iteri
+    (fun code protocol ->
+      let _, _, c, _ = codes { base with protocol } in
+      checki (Service.protocol_to_string protocol) code c)
+    Service.[ Unrestricted; Sim; Oblivious; Exact ];
+  List.iteri
+    (fun code transport ->
+      let _, _, _, c = codes { base with transport } in
+      checki (Wire.kind_to_string transport) code c)
+    [ Wire.Pipe; Wire.Socketpair ]
+
+(* A v2 batch frame whose count promises three items but holds two fails
+   whole before any item runs: one malformed error, nothing served, no
+   cache lookup, no batch tallied. *)
+let test_truncated_batch_frame_runs_nothing () =
+  with_forked_server ~tag:"trunc-batch" ~expect_served:0 (fun path ->
+      let req = { Service.default_request with protocol = Service.Exact; n = 60 } in
+      let b = Proto.create_buf () in
+      Proto.begin_frame b;
+      Proto.put_u8 b Service.tag_batch;
+      Proto.put_varint b 3;
+      String.iter
+        (fun c -> Proto.put_u8 b (Char.code c))
+        (query_body req ^ query_body { req with seed = 2 });
+      Proto.end_frame b;
+      let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect sock (Unix.ADDR_UNIX path);
+      Unix.setsockopt_float sock Unix.SO_RCVTIMEO 10.0;
+      ignore (Unix.write_substring sock (Proto.hello 2) 0 2);
+      let hello = Bytes.create 2 in
+      checki "hello answered" 2 (Unix.read sock hello 0 2);
+      checkb "v2 negotiated" true (Bytes.get hello 1 = '\002');
+      ignore (Unix.write sock (Proto.storage b) (Proto.frame_off b) (Proto.frame_len b));
+      let rb = Proto.rbuf_create () and chunk = Bytes.create 4096 and cur = Proto.cursor () in
+      let rec read_frame () =
+        let start = Proto.rbuf_start rb in
+        if Proto.try_frame (Proto.rbuf_data rb) ~pos:start ~limit:(start + Proto.rbuf_avail rb) cur < 0
+        then
+          match Unix.read sock chunk 0 4096 with
+          | 0 -> Alcotest.fail "server closed instead of replying"
+          | n ->
+              Proto.rbuf_append rb chunk 0 n;
+              read_frame ()
+      in
+      read_frame ();
+      (match Service.decode_reply cur with
+      | Ok (Service.R_error (Metrics.Malformed, _)) -> ()
+      | _ -> Alcotest.fail "expected one malformed error frame");
+      Unix.close sock;
+      match Service.client_stats ~path () with
+      | Ok stats ->
+          checki "nothing served" 0 (stats_num stats "queries_served");
+          checki "exactly one error" 1 (stats_num stats "errors");
+          checki "and it is malformed" 1 (stats_category stats "malformed");
+          checki "nothing served on v2" 0 (stats_version stats 2 "served");
+          (match Jsonout.member "cache" stats with
+          | Some cache -> checki "no cache lookup" 0 (stats_num cache "lookups")
+          | None -> Alcotest.fail "stats missing cache");
+          (match Jsonout.member "batch" stats with
+          | Some batch -> checki "no batch tallied" 0 (stats_num batch "batches")
+          | None -> Alcotest.fail "stats missing batch")
+      | Error msg -> Alcotest.failf "stats query failed: %s" msg)
+
+(* Generators for the op and reply algebra.  Integers and floats stay
+   where JSON numbers are exact (|x| < 2^53, finite). *)
+module Algebra_gen = struct
+  open QCheck.Gen
+
+  let text = string_size ~gen:(char_range ' ' '~') (0 -- 12)
+  let name = string_size ~gen:(char_range ' ' '~') (1 -- 12)
+  let fault = oneofl [ ""; "0:drop"; "2:drop,5:corrupt@13"; "seed=3,rate=0.2,ops=10" ]
+  let num = float_range (-1e6) 1e6
+  let int = int_range (-1_000_000_000) 1_000_000_000
+  let enum table = map snd (oneofl table)
+
+  let request =
+    let* family = enum Service.families and* partition = enum Service.partitions
+    and* protocol = enum Service.protocols and* transport = enum Wire.kinds in
+    let* n = int and* d = num and* k = int and* eps = num and* seed = int and* fault = fault in
+    return { Service.family; partition; protocol; n; d; k; eps; seed; transport; fault }
+
+  let dataset_request =
+    let* ds_name = name and* ds_partition = enum Service.partitions
+    and* ds_protocol = enum Service.protocols and* ds_transport = enum Wire.kinds in
+    let* ds_k = int and* ds_eps = num and* ds_seed = int and* ds_fault = fault in
+    return
+      { Service.ds_name; ds_partition; ds_protocol; ds_k; ds_eps; ds_seed; ds_transport; ds_fault }
+
+  let op =
+    oneof
+      [
+        map (fun r -> Service.Op_query r) request;
+        map (fun d -> Service.Op_dataset d) dataset_request;
+        map (fun rs -> Service.Op_batch (List.map Result.ok rs)) (list_size (0 -- 4) request);
+        oneofl [ Service.Op_stats; Service.Op_health; Service.Op_shutdown ];
+      ]
+
+  let response =
+    let* verdict =
+      oneof
+        [
+          return Tfree.Tester.Triangle_free;
+          map3 (fun a b c -> Tfree.Tester.Triangle (a, b, c)) int int int;
+        ]
+    in
+    let* bits = int and* rounds = int and* max_message = int and* wire_bytes = int in
+    let* frames = int and* payload_bits = int and* framing_overhead_bits = int in
+    let* accounted_bits = int and* ratio = num in
+    return
+      {
+        Service.verdict;
+        bits;
+        rounds;
+        max_message;
+        wire =
+          { Wire.wire_bytes; frames; payload_bits; framing_overhead_bits; accounted_bits; ratio };
+      }
+
+  let error = pair (oneofl Metrics.all_categories) text
+
+  let json =
+    map
+      (fun kvs -> Jsonout.Obj kvs)
+      (list_size (0 -- 4)
+         (pair name
+            (oneof
+               [ map (fun i -> Jsonout.Num (float_of_int i)) int; map (fun s -> Jsonout.Str s) text ])))
+
+  let reply =
+    oneof
+      [
+        map (fun r -> Service.R_response r) response;
+        map (fun e -> Service.R_error e) error;
+        map
+          (fun items -> Service.R_batch items)
+          (list_size (0 -- 4) (oneof [ map Result.ok response; map Result.error error ]));
+        map (fun j -> Service.R_stats j) json;
+        map (fun j -> Service.R_health j) json;
+        return Service.R_bye;
+      ]
+
+  (* v1 replies are read against the op that was sent *)
+  let op_for = function
+    | Service.R_batch items ->
+        Service.Op_batch (List.map (fun _ -> Ok Service.default_request) items)
+    | Service.R_stats _ -> Service.Op_stats
+    | Service.R_health _ -> Service.Op_health
+    | Service.R_bye -> Service.Op_shutdown
+    | Service.R_response _ | Service.R_error _ -> Service.Op_query Service.default_request
+
+  (* a valid encoding, bit-flipped, truncated or spliced with another *)
+  let mutate valid =
+    let* s = valid and* other = valid in
+    let n = String.length s in
+    oneof
+      [
+        (let* i = int_bound (max 0 ((8 * n) - 1)) in
+         return
+           (if n = 0 then s
+            else String.mapi (fun j c -> if j = i / 8 then Char.chr (Char.code c lxor (1 lsl (i mod 8))) else c) s));
+        map (fun k -> String.sub s 0 k) (int_bound n);
+        (let* k = int_bound n and* k' = int_bound (String.length other) in
+         return (String.sub s 0 k ^ String.sub other k' (String.length other - k')));
+      ]
+end
+
+let frame_body fill =
+  let b = Proto.create_buf () in
+  fill b;
+  let body = Proto.frame_body_len b in
+  let varint = Proto.frame_len b - body - 2 in
+  Bytes.sub_string (Proto.storage b) (Proto.frame_off b + varint) body
+
+let cursor_over s =
+  let cur = Proto.cursor () in
+  Proto.set_cursor cur (Bytes.of_string s) ~pos:0 ~limit:(String.length s);
+  cur
+
+let print_op op = Jsonout.to_line (Service.op_to_json op)
+
+let algebra_props =
+  let op = QCheck.make ~print:print_op Algebra_gen.op in
+  let reply = QCheck.make ~print:(fun r -> Jsonout.to_line (Service.reply_to_json r)) Algebra_gen.reply in
+  let line_of_op op = Jsonout.to_line (Service.op_to_json op) in
+  let frame_of_op op = frame_body (fun b -> Service.encode_op_frame b op) in
+  let line_of_reply r = Jsonout.to_line (Service.reply_to_json r) in
+  let frame_of_reply r = frame_body (fun b -> Service.encode_reply_frame b r) in
+  let arbitrary_or_mutated valid =
+    QCheck.make ~print:String.escaped
+      QCheck.Gen.(oneof [ string_size (0 -- 64); Algebra_gen.mutate valid ])
+  in
+  let never_raises f s = match f s with _ -> true | exception _ -> false in
+  [
+    QCheck.Test.make ~name:"v1: decode (encode op) = op" ~count:300 op (fun op ->
+        Service.op_of_line (line_of_op op) = Ok op);
+    QCheck.Test.make ~name:"v2: decode (encode op) = op" ~count:300 op (fun op ->
+        Service.decode_op (cursor_over (frame_of_op op)) = Ok op);
+    QCheck.Test.make ~name:"v1: decode (encode reply) = reply" ~count:300 reply (fun r ->
+        Result.bind
+          (Result.map_error Fun.id (Jsonout.parse (line_of_reply r)))
+          (Service.reply_of_json ~op:(Algebra_gen.op_for r))
+        = Ok r);
+    QCheck.Test.make ~name:"v2: decode (encode reply) = reply" ~count:300 reply (fun r ->
+        Service.decode_reply (cursor_over (frame_of_reply r)) = Ok r);
+    QCheck.Test.make ~name:"v1 op decoder never raises" ~count:500
+      (arbitrary_or_mutated QCheck.Gen.(map line_of_op Algebra_gen.op))
+      (never_raises Service.op_of_line);
+    QCheck.Test.make ~name:"v2 op decoder never raises" ~count:500
+      (arbitrary_or_mutated QCheck.Gen.(map frame_of_op Algebra_gen.op))
+      (never_raises (fun s -> Service.decode_op (cursor_over s)));
+    QCheck.Test.make ~name:"v1 reply decoder never raises" ~count:500
+      (arbitrary_or_mutated QCheck.Gen.(map line_of_reply Algebra_gen.reply))
+      (never_raises (fun s ->
+           match Jsonout.parse s with
+           | Error _ -> ()
+           | Ok j ->
+               List.iter
+                 (fun op -> ignore (Service.reply_of_json ~op j))
+                 [
+                   Service.Op_query Service.default_request;
+                   Service.Op_batch [];
+                   Service.Op_stats;
+                   Service.Op_health;
+                   Service.Op_shutdown;
+                 ]));
+    QCheck.Test.make ~name:"v2 reply decoder never raises" ~count:500
+      (arbitrary_or_mutated QCheck.Gen.(map frame_of_reply Algebra_gen.reply))
+      (never_raises (fun s -> Service.decode_reply (cursor_over s)));
+  ]
 
 (* ---------------------------------------------------------------- metrics *)
 
@@ -1923,7 +2218,11 @@ let () =
           Alcotest.test_case "run_request reconciles" `Quick test_service_run_request_reconciles;
           Alcotest.test_case "handle_line categories" `Quick test_handle_line_categories;
           Alcotest.test_case "health over v1" `Quick test_handle_line_health;
+          Alcotest.test_case "enum wire codes pinned" `Quick test_enum_wire_codes;
+          Alcotest.test_case "truncated v2 batch runs nothing" `Quick
+            test_truncated_batch_frame_runs_nothing;
         ] );
+      ("request algebra", List.map QCheck_alcotest.to_alcotest algebra_props);
       ( "proto",
         [
           Alcotest.test_case "read buffer shrinks after a large burst" `Quick
