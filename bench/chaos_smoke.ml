@@ -16,13 +16,13 @@
         daemon one transport error and nothing else: the next query on a
         fresh connection is served normally. *)
 
-open Tfree_util
 module Common = Tfree_experiments.Common
 module Service = Tfree_wire.Service
 module Wire = Tfree_wire.Wire_runtime
 module Fault = Tfree_wire.Fault
 module Wire_error = Tfree_wire.Wire_error
 module Metrics = Tfree_wire.Metrics
+module Fixture = Tfree_fixture
 
 let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("chaos_smoke: " ^ msg); exit 1) fmt
 let params = Tfree.Params.practical
@@ -155,52 +155,16 @@ let dataset_matrix () =
         "chaos_smoke: dataset matrix ok (%d runs: %d clean, %d typed aborts, 0 wrong verdicts)\n"
         (!clean + !aborted) !clean !aborted)
 
-(* ---------- forked-daemon scaffolding ---------- *)
+(* ---------- forked daemons ---------- *)
 
 let with_server ?(fault = []) ~tag ~expect_served f =
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tfree-chaos-%s-%d.sock" tag (Unix.getpid ()))
-  in
-  match Unix.fork () with
-  | 0 -> exit (if Service.serve ~line_timeout_s:5.0 ~fault ~path () = expect_served then 0 else 1)
-  | server ->
-      let rec await tries =
-        if not (Sys.file_exists path) then
-          if tries = 0 then (
-            Unix.kill server Sys.sigkill;
-            fail "%s: server socket %s never appeared" tag path)
-          else (
-            Unix.sleepf 0.05;
-            await (tries - 1))
-      in
-      await 100;
-      (try f path
-       with e ->
-         Unix.kill server Sys.sigkill;
-         ignore (Unix.waitpid [] server);
-         raise e);
-      Service.client_shutdown ~path ();
-      (match Unix.waitpid [] server with
-      | _, Unix.WEXITED 0 -> ()
-      | _, _ -> fail "%s: server did not exit cleanly (or served a wrong count)" tag)
-
-let stats_num stats k =
-  match Option.bind (Jsonout.member k stats) Jsonout.to_float with
-  | Some f -> int_of_float f
-  | None -> fail "stats missing numeric field %S" k
-
-let stats_category stats name =
-  match Jsonout.member "errors_by_category" stats with
-  | None -> fail "stats missing errors_by_category"
-  | Some cats -> (
-      match Option.bind (Jsonout.member name cats) Jsonout.to_float with
-      | Some f -> int_of_float f
-      | None -> fail "errors_by_category missing %S" name)
+  Fixture.with_daemon ~tag:("chaos-" ^ tag) ~expect_served
+    (fun path -> Service.serve ~line_timeout_s:5.0 ~fault ~path ())
+    f
 
 let get_stats path =
   match Service.client_stats ~path () with
-  | Ok stats -> stats
+  | Ok stats -> Fixture.int_at stats
   | Error msg -> fail "stats query: %s" msg
 
 (* ---------- part 2: retry recovery through sabotaged replies ---------- *)
@@ -227,13 +191,13 @@ let retry_recovery () =
           then fail "retry client recovered a response that differs from the local run";
           if Metrics.retries m <> 3 then
             fail "client spent %d retries, schedule forced exactly 3" (Metrics.retries m);
-          let stats = get_stats path in
-          if stats_num stats "injected_faults" <> 3 then
-            fail "server injected %d faults, scheduled 3" (stats_num stats "injected_faults");
-          if stats_num stats "errors" <> 0 then
-            fail "injected faults were miscounted as %d errors" (stats_num stats "errors");
-          if stats_num stats "queries_served" <> 4 then
-            fail "server served %d queries, expected 4" (stats_num stats "queries_served"));
+          let stat = get_stats path in
+          if stat [ "injected_faults" ] <> 3 then
+            fail "server injected %d faults, scheduled 3" (stat [ "injected_faults" ]);
+          if stat [ "errors" ] <> 0 then
+            fail "injected faults were miscounted as %d errors" (stat [ "errors" ]);
+          if stat [ "queries_served" ] <> 4 then
+            fail "server served %d queries, expected 4" (stat [ "queries_served" ]));
   print_endline "chaos_smoke: retry recovery ok (3 retries, 3 injected faults, 0 errors)"
 
 (* ---------- part 3: client killed mid-request ---------- *)
@@ -252,13 +216,13 @@ let killed_client () =
       | Ok resp ->
           if not (Wire.reconciles resp.Service.wire) then
             fail "reply after killed client does not reconcile");
-      let stats = get_stats path in
-      if stats_num stats "errors" <> 1 || stats_category stats "transport" <> 1 then
+      let stat = get_stats path in
+      let transport = stat [ "errors_by_category"; "transport" ] in
+      if stat [ "errors" ] <> 1 || transport <> 1 then
         fail "killed client should cost exactly one transport error (errors=%d, transport=%d)"
-          (stats_num stats "errors")
-          (stats_category stats "transport");
-      if stats_num stats "queries_served" <> 1 then
-        fail "server served %d queries, expected 1" (stats_num stats "queries_served"));
+          (stat [ "errors" ]) transport;
+      if stat [ "queries_served" ] <> 1 then
+        fail "server served %d queries, expected 1" (stat [ "queries_served" ]));
   print_endline "chaos_smoke: killed client ok (one transport error, daemon kept serving)"
 
 let () =

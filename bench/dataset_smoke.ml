@@ -18,7 +18,6 @@
         the per-dataset served gauge, the cache counters and the
         per-version split. *)
 
-open Tfree_util
 open Tfree_graph
 module Service = Tfree_wire.Service
 module Proto = Tfree_wire.Proto
@@ -26,6 +25,7 @@ module Snapshot = Tfree_dataset.Snapshot
 module Dimacs = Tfree_dataset.Dimacs
 module Edgelist = Tfree_dataset.Edgelist
 module Registry = Tfree_dataset.Registry
+module Fixture = Tfree_fixture
 
 let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("dataset_smoke: " ^ msg); exit 1) fmt
 
@@ -118,91 +118,60 @@ let big_corpus reg =
 
 (* ---------- part 3: the daemon ---------- *)
 
-let stats_num stats k =
-  match Option.bind (Jsonout.member k stats) Jsonout.to_float with
-  | Some f -> int_of_float f
-  | None -> fail "stats missing numeric field %S" k
-
-let stats_sub stats k =
-  match Jsonout.member k stats with Some o -> o | None -> fail "stats missing object %S" k
-
 let serve () =
-  let path = in_dir "serve.sock" in
   let registry = Registry.load manifest in
   (* five protocol queries: gen over v2, over v1, a repeat (cache hit),
      the generated twin, and one over the big corpus *)
-  match Unix.fork () with
-  | 0 -> exit (if Service.serve ~line_timeout_s:30.0 ~registry ~path () = 5 then 0 else 1)
-  | server -> (
-      let rec await tries =
-        if not (Sys.file_exists path) then
-          if tries = 0 then (
-            Unix.kill server Sys.sigkill;
-            fail "server socket never appeared")
-          else (
-            Unix.sleepf 0.05;
-            await (tries - 1))
+  Fixture.with_daemon ~tag:"dataset-smoke" ~expect_served:5
+    (fun path -> Service.serve ~line_timeout_s:30.0 ~registry ~path ())
+    (fun path ->
+      let dreq = { (Service.default_dataset_request ~name:"gen") with ds_seed = gen_seed } in
+      let ask ?protocol req =
+        match Service.client_dataset ?protocol ~path req with
+        | Ok r -> r
+        | Error msg -> fail "dataset query failed: %s" msg
       in
-      await 100;
-      (try
-         let dreq = { (Service.default_dataset_request ~name:"gen") with ds_seed = gen_seed } in
-         let ask ?protocol req =
-           match Service.client_dataset ?protocol ~path req with
-           | Ok r -> r
-           | Error msg -> fail "dataset query failed: %s" msg
-         in
-         let via_v2 = ask ~protocol:Proto.V2 dreq in
-         let via_v1 = ask ~protocol:Proto.V1 dreq in
-         let repeat = ask ~protocol:Proto.V1 dreq in
-         if via_v2 <> via_v1 || via_v1 <> repeat then
-           fail "dataset responses differ across wire versions or repeats";
-         (* the in-process run and the generated twin, both bit-identical *)
-         let local = Service.run_dataset_request ~registry dreq in
-         if via_v1 <> local then fail "served dataset response differs from the in-process run";
-         let twin =
-           { Service.default_request with family = Service.Far; n = gen_n; d = gen_d; seed = gen_seed }
-         in
-         (match Service.client_query ~protocol:Proto.V1 ~path twin with
-         | Error msg -> fail "generated twin query failed: %s" msg
-         | Ok r -> if r <> via_v1 then fail "generated twin response differs from the dataset response");
-         (* the big corpus through the daemon *)
-         let big = { (Service.default_dataset_request ~name:"big") with ds_seed = 3 } in
-         let served_big = ask big in
-         let local_big = Service.run_dataset_request ~registry big in
-         if served_big <> local_big then fail "big-corpus response differs from the in-process run";
-         (* telemetry: per-dataset gauge, cache counters, version split *)
-         let stats =
-           match Service.client_stats ~path () with
-           | Ok s -> s
-           | Error msg -> fail "stats query: %s" msg
-         in
-         if stats_num stats "queries_served" <> 5 then
-           fail "server served %d queries, expected 5" (stats_num stats "queries_served");
-         if stats_num stats "errors" <> 0 then fail "server counted %d errors" (stats_num stats "errors");
-         let datasets = stats_sub stats "datasets" in
-         if stats_num datasets "gen" <> 3 then
-           fail "datasets gauge served gen %d times, expected 3" (stats_num datasets "gen");
-         if stats_num datasets "big" <> 1 then
-           fail "datasets gauge served big %d times, expected 1" (stats_num datasets "big");
-         let cache = stats_sub stats "cache" in
-         (* gen misses once then hits twice; the twin shares the graph rng
-            but keys separately (one miss); big misses once *)
-         if stats_num cache "hits" <> 2 || stats_num cache "misses" <> 3 then
-           fail "cache hits/misses %d/%d, expected 2/3" (stats_num cache "hits")
-             (stats_num cache "misses");
-         let versions = stats_sub stats "protocol_versions" in
-         let v_served v = stats_num (stats_sub versions v) "served" in
-         if v_served "v1" <> 3 || v_served "v2" <> 2 then
-           fail "version split v1=%d v2=%d, expected 3/2" (v_served "v1") (v_served "v2")
-       with e ->
-         Unix.kill server Sys.sigkill;
-         ignore (Unix.waitpid [] server);
-         raise e);
-      Service.client_shutdown ~path ();
-      match Unix.waitpid [] server with
-      | _, Unix.WEXITED 0 ->
-          print_endline "dataset_smoke: serve ok (v1 = v2 = in-process = generated twin; stats reconcile)"
-      | _, _ -> fail "server did not exit cleanly (or served a wrong count)")
+      let via_v2 = ask ~protocol:Proto.V2 dreq in
+      let via_v1 = ask ~protocol:Proto.V1 dreq in
+      let repeat = ask ~protocol:Proto.V1 dreq in
+      if via_v2 <> via_v1 || via_v1 <> repeat then
+        fail "dataset responses differ across wire versions or repeats";
+      (* the in-process run and the generated twin, both bit-identical *)
+      let local = Service.run_dataset_request ~registry dreq in
+      if via_v1 <> local then fail "served dataset response differs from the in-process run";
+      let twin =
+        { Service.default_request with family = Service.Far; n = gen_n; d = gen_d; seed = gen_seed }
+      in
+      (match Service.client_query ~protocol:Proto.V1 ~path twin with
+      | Error msg -> fail "generated twin query failed: %s" msg
+      | Ok r ->
+          if r <> via_v1 then fail "generated twin response differs from the dataset response");
+      (* the big corpus through the daemon *)
+      let big = { (Service.default_dataset_request ~name:"big") with ds_seed = 3 } in
+      let served_big = ask big in
+      let local_big = Service.run_dataset_request ~registry big in
+      if served_big <> local_big then fail "big-corpus response differs from the in-process run";
+      (* telemetry: per-dataset gauge, cache counters, version split *)
+      let stat =
+        match Service.client_stats ~path () with
+        | Ok s -> Fixture.int_at s
+        | Error msg -> fail "stats query: %s" msg
+      in
+      if stat [ "queries_served" ] <> 5 then
+        fail "server served %d queries, expected 5" (stat [ "queries_served" ]);
+      if stat [ "errors" ] <> 0 then fail "server counted %d errors" (stat [ "errors" ]);
+      if stat [ "datasets"; "gen" ] <> 3 then
+        fail "datasets gauge served gen %d times, expected 3" (stat [ "datasets"; "gen" ]);
+      if stat [ "datasets"; "big" ] <> 1 then
+        fail "datasets gauge served big %d times, expected 1" (stat [ "datasets"; "big" ]);
+      (* gen misses once then hits twice; the twin shares the graph rng
+         but keys separately (one miss); big misses once *)
+      let hits = stat [ "cache"; "hits" ] and misses = stat [ "cache"; "misses" ] in
+      if hits <> 2 || misses <> 3 then fail "cache hits/misses %d/%d, expected 2/3" hits misses;
+      let v_served v = stat [ "protocol_versions"; v; "served" ] in
+      if v_served "v1" <> 3 || v_served "v2" <> 2 then
+        fail "version split v1=%d v2=%d, expected 3/2" (v_served "v1") (v_served "v2"));
+  print_endline "dataset_smoke: serve ok (v1 = v2 = in-process = generated twin; stats reconcile)"
 
 let () =
   Fun.protect ~finally:cleanup (fun () ->

@@ -42,8 +42,9 @@
    histograms must account one run and one encode per served query, and
    their p99s are reported.
 
-   Every forked process leaves with [Unix._exit]: the parent's [at_exit]
-   handlers must run once, in the parent. *)
+   The daemon and the client processes are forked through the shared
+   {!Tfree_fixture}, whose children leave with [Unix._exit]: the parent's
+   [at_exit] handlers run once, in the parent. *)
 
 open Tfree_util
 module Service = Tfree_wire.Service
@@ -53,6 +54,7 @@ module Metrics = Tfree_wire.Metrics
 module Wire = Tfree_wire.Wire_runtime
 module Histogram = Tfree_obs.Histogram
 module Phase = Tfree_obs.Phase
+module Fixture = Tfree_fixture
 
 let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("load_gen: " ^ msg); exit 1) fmt
 
@@ -67,7 +69,6 @@ let fault_spec = ref "1:drop,3:corrupt@13,6:close"
 let max_clients = ref 64
 let cache_capacity = ref 32
 let inst_n = ref 200
-let socket_path = ref ""
 let protocol_mode = ref "both"
 let workers = ref 0
 let fleet_sweep = ref false
@@ -85,7 +86,6 @@ let specs =
     ("--max-clients", Arg.Set_int max_clients, "M  server connection cap (default 64)");
     ("--cache", Arg.Set_int cache_capacity, "C  server instance-cache capacity (default 32)");
     ("--n", Arg.Set_int inst_n, "N  instance size per query (default 200)");
-    ("--socket", Arg.Set_string socket_path, "PATH  socket path stem (default: fresh temp path)");
     ("--protocol", Arg.Set_string protocol_mode,
      "P  wire protocol to drive: v1, v2 or both (default both)");
     ("--workers", Arg.Set_int workers,
@@ -136,12 +136,12 @@ let exchange_bytes ~pref reqs resps =
   | V1 ->
       let request_line =
         match reqs with
-        | [ r ] when !batch = 1 -> Jsonout.to_line (Service.request_to_json r)
+        | [ r ] -> Jsonout.to_line (Service.request_to_json r)
         | _ -> Jsonout.to_line (Service.batch_request_to_json reqs)
       in
       let reply_line =
         match resps with
-        | [ r ] when !batch = 1 -> Jsonout.to_line (Service.response_to_json r)
+        | [ r ] -> Jsonout.to_line (Service.response_to_json r)
         | _ ->
             Jsonout.to_line
               (Jsonout.Obj
@@ -156,11 +156,11 @@ let exchange_bytes ~pref reqs resps =
   | V2 | Auto ->
       let b = Proto.create_buf () in
       (match reqs with
-      | [ r ] when !batch = 1 -> Service.encode_query_frame b r
+      | [ r ] -> Service.encode_query_frame b r
       | _ -> Service.encode_batch_frame b reqs);
       let qf = Proto.frame_len b and qp = Proto.frame_body_len b in
       (match resps with
-      | [ r ] when !batch = 1 -> Service.encode_response_frame b r
+      | [ r ] -> Service.encode_response_frame b r
       | _ -> Service.encode_batch_reply_frame b resps);
       (qf + Proto.frame_len b, qp + Proto.frame_body_len b)
 
@@ -170,10 +170,15 @@ type tally = {
   mutable ok : int;
   mutable wrong : int;
   mutable failed : int;
+  mutable retries : int;
+  mutable extra : int;  (** queries the server served again for a retried exchange *)
   mutable framed : int;
   mutable payload : int;
-  mutable lats_us : int list;  (** newest first; one sample per exchange *)
+  mutable lats_us : int list;  (** newest first; one sample per batch chunk *)
 }
+
+let fresh_tally () =
+  { ok = 0; wrong = 0; failed = 0; retries = 0; extra = 0; framed = 0; payload = 0; lats_us = [] }
 
 let check_item expected = function
   | Error msg -> `Failed msg
@@ -186,88 +191,162 @@ let check_item expected = function
       then `Ok
       else `Wrong
 
-let run_client ~pref ~path ~expected c =
-  let m = Metrics.create () in
-  let t = { ok = 0; wrong = 0; failed = 0; framed = 0; payload = 0; lats_us = [] } in
-  List.iter
-    (fun reqs ->
-      let expect = List.map (fun r -> expected r.Service.seed) reqs in
-      let t0 = Unix.gettimeofday () in
-      let results =
-        if !batch = 1 then
-          List.map
-            (fun r ->
-              Service.client_query ~timeout_s:5.0 ~retries:!retries ~backoff_s:0.02
-                ~backoff_seed:c ~metrics:m ~protocol:pref ~path r)
-            reqs
-        else
-          match
-            Service.client_batch ~timeout_s:5.0 ~retries:!retries ~backoff_s:0.02 ~backoff_seed:c
-              ~metrics:m ~protocol:pref ~path reqs
-          with
-          | Ok items -> items
-          | Error msg -> List.map (fun _ -> Error msg) reqs
-      in
-      t.lats_us <- int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) :: t.lats_us;
-      List.iter2
-        (fun e r ->
-          match check_item e r with
-          | `Ok -> t.ok <- t.ok + 1
-          | `Wrong -> t.wrong <- t.wrong + 1
-          | `Failed msg ->
-              Printf.eprintf "load_gen: client %d exchange failed: %s\n%!" c msg;
-              t.failed <- t.failed + 1)
-        expect results;
-      if List.for_all Result.is_ok results then begin
-        let framed, payload = exchange_bytes ~pref reqs (List.map Result.get_ok results) in
-        t.framed <- t.framed + framed;
-        t.payload <- t.payload + payload
-      end)
-    (plan_for_client c);
-  (t, Metrics.retries m)
+(* The exchanges one batch chunk takes: one for a single server; against a
+   fleet, one per shard the chunk touches, each sent to the worker that
+   owns its requests' instance keys — the same {!Service.shard_of_request}
+   hash the fleet parent shards by — so each worker's LRU sees only its
+   slice of the seed space. *)
+let exchanges_of ~workers ~path reqs =
+  if workers = 0 then [ (path, reqs) ]
+  else
+    let by_shard = Hashtbl.create 4 in
+    List.iter
+      (fun r ->
+        let sh = Service.shard_of_request ~workers r in
+        Hashtbl.replace by_shard sh (r :: (try Hashtbl.find by_shard sh with Not_found -> [])))
+      reqs;
+    Hashtbl.fold (fun sh rs acc -> (sh, List.rev rs) :: acc) by_shard []
+    |> List.sort compare
+    |> List.map (fun (sh, rs) -> (Service.worker_path ~path sh, rs))
 
-(* One result line per client down the pipe; each is far under PIPE_BUF,
-   so concurrent writes stay atomic.  The ninth token is the client's
-   latency histogram in {!Histogram.to_compact} form (space-free), built
-   from exactly the raw samples in the eighth — the parent checks the
+(* Client [c]: drive its plan, one exchange of one request as a query and
+   of several as a batch, and tally every reply against the local run.
+   Retries are accounted per exchange ([extra]), so the reconciliation
+   [served = ok + extra] stays exact at any batch size: a retried exchange
+   re-serves exactly its own items. *)
+let run_client ~workers ~pref ~path ~expected c =
+  let m = Metrics.create () in
+  let t = fresh_tally () in
+  List.iter
+    (fun chunk ->
+      let t0 = Unix.gettimeofday () in
+      List.iter
+        (fun (path, reqs) ->
+          let before = Metrics.retries m in
+          let results =
+            match reqs with
+            | [ r ] ->
+                [
+                  Service.client_query ~timeout_s:5.0 ~retries:!retries ~backoff_s:0.02
+                    ~backoff_seed:c ~metrics:m ~protocol:pref ~path r;
+                ]
+            | _ -> (
+                match
+                  Service.client_batch ~timeout_s:5.0 ~retries:!retries ~backoff_s:0.02
+                    ~backoff_seed:c ~metrics:m ~protocol:pref ~path reqs
+                with
+                | Ok items -> items
+                | Error msg -> List.map (fun _ -> Error msg) reqs)
+          in
+          t.extra <- t.extra + ((Metrics.retries m - before) * List.length reqs);
+          List.iter2
+            (fun r result ->
+              match check_item (expected r.Service.seed) result with
+              | `Ok -> t.ok <- t.ok + 1
+              | `Wrong -> t.wrong <- t.wrong + 1
+              | `Failed msg ->
+                  Printf.eprintf "load_gen: client %d exchange failed: %s\n%!" c msg;
+                  t.failed <- t.failed + 1)
+            reqs results;
+          if List.for_all Result.is_ok results then begin
+            let framed, payload = exchange_bytes ~pref reqs (List.map Result.get_ok results) in
+            t.framed <- t.framed + framed;
+            t.payload <- t.payload + payload
+          end)
+        (exchanges_of ~workers ~path chunk);
+      t.lats_us <- int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) :: t.lats_us)
+    (plan_for_client c);
+  t.retries <- Metrics.retries m;
+  t
+
+(* One tally line per client; the eighth token is its raw latency samples
+   and the ninth its latency histogram in {!Histogram.to_compact} form
+   (space-free), built from exactly those samples — the parent checks the
    merge of these against a histogram of all the raw samples. *)
-let emit_tally fd c (t, nretries) =
+let tally_line t =
   let lats = String.concat "," (List.rev_map string_of_int t.lats_us) in
   let h = Histogram.create () in
   List.iter (fun us -> Histogram.record h (float_of_int us)) t.lats_us;
-  let line =
-    Printf.sprintf "%d %d %d %d %d %d %d %s %s\n" c t.ok t.wrong t.failed nretries t.framed
-      t.payload lats (Histogram.to_compact h)
-  in
-  ignore (Unix.write_substring fd line 0 (String.length line))
+  Printf.sprintf "%d %d %d %d %d %d %d %s %s" t.ok t.wrong t.failed t.retries t.extra t.framed
+    t.payload lats (Histogram.to_compact h)
 
 (* --------------------------------------------------------- the harness *)
 
-let stats_num stats k =
-  match Option.bind (Jsonout.member k stats) Jsonout.to_float with
-  | Some f -> int_of_float f
-  | None -> fail "stats missing numeric field %S" k
+type run = {
+  t : tally;  (** every client's tally summed; [lats_us] holds all samples *)
+  stats : Jsonout.t;  (** the server's stats once every client is done *)
+  secs : float;  (** wall clock of the client phase *)
+}
 
-let stats_sub stats outer k =
-  match Option.bind (Jsonout.member outer stats) (Jsonout.member k) with
-  | Some j -> (
-      match Jsonout.to_float j with
-      | Some f -> int_of_float f
-      | None -> fail "stats field %s.%s is not numeric" outer k)
-  | None -> fail "stats missing field %s.%s" outer k
-
-(* protocol_versions.vN.{served,bytes} *)
-let stats_version stats v k =
-  let key = Printf.sprintf "v%d" v in
-  match
-    Option.bind (Jsonout.member "protocol_versions" stats) (fun pv ->
-        Option.bind (Jsonout.member key pv) (Jsonout.member k))
-  with
-  | Some j -> (
-      match Jsonout.to_float j with
-      | Some f -> int_of_float f
-      | None -> fail "stats field protocol_versions.%s.%s is not numeric" key k)
-  | None -> fail "stats missing field protocol_versions.%s.%s" key k
+(* One full load run: fork the daemon (a [workers]-worker fleet when
+   [workers] > 0) and the client fleet, drain and merge the tallies, fetch
+   the stats and shut the daemon down.  The merge is checked here: the
+   per-client histograms merged = one histogram of all raw samples,
+   exactly, with quantiles tracking the exact sample quantiles within the
+   histogram's documented precision; and the daemon's own served count
+   agrees with its stats. *)
+let drive ~label ~tag ~workers ~pref ~fault ~expected =
+  let serve path =
+    Service.serve ~max_clients:!max_clients ~line_timeout_s:10.0 ~fault
+      ~cache_capacity:!cache_capacity
+      ?workers:(if workers > 0 then Some workers else None)
+      ~path ()
+  in
+  let (lines, secs, stats), served =
+    Fixture.run_daemon ~workers ~tag serve (fun path ->
+        let t0 = Unix.gettimeofday () in
+        let lines =
+          Fixture.fork_clients !clients (fun c ->
+              tally_line (run_client ~workers ~pref ~path ~expected c))
+        in
+        let secs = Unix.gettimeofday () -. t0 in
+        match Service.client_stats ~protocol:pref ~path () with
+        | Ok stats -> (lines, secs, stats)
+        | Error msg -> fail "[%s] stats query: %s" label msg)
+  in
+  let t = fresh_tally () in
+  let merged = Histogram.create () in
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ o; w; f; r; x; fb; pb; ls; hc ] ->
+          t.ok <- t.ok + int_of_string o;
+          t.wrong <- t.wrong + int_of_string w;
+          t.failed <- t.failed + int_of_string f;
+          t.retries <- t.retries + int_of_string r;
+          t.extra <- t.extra + int_of_string x;
+          t.framed <- t.framed + int_of_string fb;
+          t.payload <- t.payload + int_of_string pb;
+          List.iter
+            (fun s -> if s <> "" then t.lats_us <- int_of_string s :: t.lats_us)
+            (String.split_on_char ',' ls);
+          (match Histogram.of_compact hc with
+          | Ok h -> Histogram.merge merged h
+          | Error msg -> fail "[%s] garbled client histogram: %s" label msg)
+      | _ -> fail "[%s] garbled client tally %S" label line)
+    lines;
+  let lats = List.map float_of_int t.lats_us in
+  let reference = Histogram.create () in
+  List.iter (Histogram.record reference) lats;
+  if not (Histogram.equal merged reference) then
+    fail "[%s] merged client histograms differ from the unsplit histogram of all samples" label;
+  if Histogram.count merged <> List.length lats then
+    fail "[%s] merged histogram holds %d samples, clients reported %d" label
+      (Histogram.count merged) (List.length lats);
+  List.iter
+    (fun p ->
+      let exact = Stats.quantile p lats in
+      let approx = Histogram.quantile merged p in
+      let tolerance = Histogram.max_error merged exact in
+      if Float.abs (approx -. exact) > tolerance then
+        fail "[%s] histogram p%.0f %.1f drifts from exact %.1f beyond precision %.1f" label
+          (100.0 *. p) approx exact tolerance)
+    [ 0.5; 0.9; 0.99 ];
+  if served <> Some (Fixture.int_at stats [ "queries_served" ]) then
+    fail "[%s] serve returned %s, its stats say %d served" label
+      (match served with Some n -> string_of_int n | None -> "no count")
+      (Fixture.int_at stats [ "queries_served" ]);
+  { t; stats; secs }
 
 type run_summary = {
   label : string;
@@ -276,157 +355,52 @@ type run_summary = {
   us_per_query : float;
 }
 
-(* One full load run over wire protocol [pref]: fork a server and the
-   client fleet, drain tallies, reconcile stats — including the
-   per-version served/byte gauges — and report.  Returns the per-query
-   figures for the cross-version comparison. *)
-let run_load ~pref ~fault ~expected ~path =
+(* One load run over wire protocol [pref] against a single server,
+   reconciled against the stats — including the per-version served/byte
+   gauges — and reported.  Returns the per-query figures for the
+   cross-version comparison. *)
+let run_load ~pref ~fault ~expected =
   let label = Proto.pref_to_string pref in
   let active = match (pref : Proto.pref) with V1 -> 1 | V2 | Auto -> 2 in
-  (* ---- server ---- *)
-  let server =
-    match Unix.fork () with
-    | 0 ->
-        (try
-           ignore
-             (Service.serve ~max_clients:!max_clients ~line_timeout_s:10.0 ~fault
-                ~cache_capacity:!cache_capacity ~path ())
-         with _ -> Unix._exit 2);
-        Unix._exit 0
-    | pid -> pid
-  in
-  let rec await tries =
-    if not (Sys.file_exists path) then
-      if tries = 0 then (
-        Unix.kill server Sys.sigkill;
-        fail "server socket %s never appeared" path)
-      else (
-        Unix.sleepf 0.05;
-        await (tries - 1))
-  in
-  await 100;
-  (* ---- clients ---- *)
-  let rd, wr = Unix.pipe () in
-  let pids =
-    List.init !clients (fun c ->
-        match Unix.fork () with
-        | 0 ->
-            Unix.close rd;
-            emit_tally wr c (run_client ~pref ~path ~expected c);
-            Unix._exit 0
-        | pid -> pid)
-  in
-  Unix.close wr;
-  let buf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
-  let rec drain () =
-    match Unix.read rd chunk 0 4096 with
-    | 0 -> ()
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        drain ()
-  in
-  drain ();
-  Unix.close rd;
-  List.iter
-    (fun pid ->
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _ -> fail "[%s] a client process crashed" label)
-    pids;
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' (Buffer.contents buf))
-  in
-  if List.length lines <> !clients then
-    fail "[%s] collected %d client tallies, expected %d" label (List.length lines) !clients;
-  let ok = ref 0 and wrong = ref 0 and failed = ref 0 in
-  let nretries = ref 0 and framed = ref 0 and payload = ref 0 and lats = ref [] in
-  let merged = Histogram.create () in
-  List.iter
-    (fun line ->
-      match String.split_on_char ' ' line with
-      | [ _c; o; w; f; r; fb; pb; ls; hc ] ->
-          ok := !ok + int_of_string o;
-          wrong := !wrong + int_of_string w;
-          failed := !failed + int_of_string f;
-          nretries := !nretries + int_of_string r;
-          framed := !framed + int_of_string fb;
-          payload := !payload + int_of_string pb;
-          List.iter
-            (fun s -> if s <> "" then lats := float_of_string s :: !lats)
-            (String.split_on_char ',' ls);
-          (match Histogram.of_compact hc with
-          | Ok h -> Histogram.merge merged h
-          | Error msg -> fail "[%s] garbled client histogram: %s" label msg)
-      | _ -> fail "[%s] garbled client tally %S" label line)
-    lines;
-  (* merge over per-client histograms = one histogram of all raw samples,
-     exactly; and the merged quantiles track the exact sample quantiles
-     within the histogram's documented precision *)
-  let reference = Histogram.create () in
-  List.iter (Histogram.record reference) !lats;
-  if not (Histogram.equal merged reference) then
-    fail "[%s] merged client histograms differ from the unsplit histogram of all samples" label;
-  if Histogram.count merged <> List.length !lats then
-    fail "[%s] merged histogram holds %d samples, clients reported %d" label
-      (Histogram.count merged) (List.length !lats);
-  List.iter
-    (fun p ->
-      let exact = Stats.quantile p !lats in
-      let approx = Histogram.quantile merged p in
-      let tolerance = Histogram.max_error merged exact in
-      if Float.abs (approx -. exact) > tolerance then
-        fail "[%s] histogram p%.0f %.1f drifts from exact %.1f beyond precision %.1f" label
-          (100.0 *. p) approx exact tolerance)
-    [ 0.5; 0.9; 0.99 ];
-  (* ---- server telemetry, then shutdown ---- *)
-  let stats =
-    match Service.client_stats ~protocol:pref ~path () with
-    | Ok s -> s
-    | Error msg -> fail "[%s] stats query: %s" label msg
-  in
-  Service.client_shutdown ~protocol:pref ~path ();
-  (match Unix.waitpid [] server with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> fail "[%s] server did not exit cleanly" label);
-  (* ---- reconciliation ---- *)
+  let { t; stats; _ } = drive ~label ~tag:("load-" ^ label) ~workers:0 ~pref ~fault ~expected in
+  let stat = Fixture.int_at stats in
   let total = !clients * !queries in
-  if !wrong > 0 then fail "[%s] %d wrong verdicts out of %d queries" label !wrong total;
-  if !failed > 0 then fail "[%s] %d exchanges exhausted their retry budget" label !failed;
-  if !ok <> total then fail "[%s] served %d ok replies, expected %d" label !ok total;
-  let served = stats_num stats "queries_served" in
-  let expect_served = total + (!nretries * !batch) in
+  if t.wrong > 0 then fail "[%s] %d wrong verdicts out of %d queries" label t.wrong total;
+  if t.failed > 0 then fail "[%s] %d exchanges exhausted their retry budget" label t.failed;
+  if t.ok <> total then fail "[%s] served %d ok replies, expected %d" label t.ok total;
+  let served = stat [ "queries_served" ] in
+  let expect_served = total + (t.retries * !batch) in
   if served <> expect_served then
     fail "[%s] server served %d queries; clients account for %d (= %d ok + %d retries x %d batch)"
-      label served expect_served total !nretries !batch;
+      label served expect_served total t.retries !batch;
   let nonbenign =
     List.length (List.filter (fun e -> not (Fault.benign e.Fault.kind)) fault)
   in
-  if stats_num stats "injected_faults" <> List.length fault then
-    fail "[%s] server injected %d faults, scheduled %d" label
-      (stats_num stats "injected_faults") (List.length fault);
-  if !nretries <> nonbenign then
+  if stat [ "injected_faults" ] <> List.length fault then
+    fail "[%s] server injected %d faults, scheduled %d" label (stat [ "injected_faults" ])
+      (List.length fault);
+  if t.retries <> nonbenign then
     fail "[%s] clients spent %d retries; the schedule's %d non-benign faults force exactly that many"
-      label !nretries nonbenign;
-  if stats_num stats "errors" <> 0 then
-    fail "[%s] server tallied %d errors on a clean run" label (stats_num stats "errors");
+      label t.retries nonbenign;
+  if stat [ "errors" ] <> 0 then
+    fail "[%s] server tallied %d errors on a clean run" label (stat [ "errors" ]);
   (* every query serves — and every byte lands — on the active version;
      the byte gauge counts clean replies only, which is exactly the
      clients' all-ok exchanges (a sabotaged attempt is retried, and only
      the clean final attempt is recorded on either side) *)
   for v = 1 to Metrics.max_wire_version do
+    let gauge k = stat [ "protocol_versions"; Printf.sprintf "v%d" v; k ] in
     let expect_served = if v = active then served else 0 in
-    let expect_bytes = if v = active then !framed else 0 in
-    if stats_version stats v "served" <> expect_served then
-      fail "[%s] v%d served gauge %d, expected %d" label v (stats_version stats v "served")
-        expect_served;
-    if stats_version stats v "bytes" <> expect_bytes then
-      fail "[%s] v%d byte gauge %d; clients' framed all-ok bytes total %d" label v
-        (stats_version stats v "bytes") expect_bytes
+    let expect_bytes = if v = active then t.framed else 0 in
+    if gauge "served" <> expect_served then
+      fail "[%s] v%d served gauge %d, expected %d" label v (gauge "served") expect_served;
+    if gauge "bytes" <> expect_bytes then
+      fail "[%s] v%d byte gauge %d; clients' framed all-ok bytes total %d" label v (gauge "bytes")
+        expect_bytes
   done;
-  let hits = stats_sub stats "cache" "hits"
-  and misses = stats_sub stats "cache" "misses"
-  and lookups = stats_sub stats "cache" "lookups" in
+  let hits = stat [ "cache"; "hits" ]
+  and misses = stat [ "cache"; "misses" ]
+  and lookups = stat [ "cache"; "lookups" ] in
   if !cache_capacity > 0 then begin
     if lookups <> served then fail "[%s] cache lookups %d != queries served %d" label lookups served;
     if hits + misses <> lookups then
@@ -435,40 +409,34 @@ let run_load ~pref ~fault ~expected ~path =
       fail "[%s] cache misses %d != %d distinct seeds" label misses !seeds;
     if served > !seeds && hits = 0 then fail "[%s] seed reuse produced no cache hits" label
   end;
-  let exchanges = total / !batch + !nretries in
+  let exchanges = total / !batch + t.retries in
   if !batch > 1 then begin
-    if stats_sub stats "batch" "batches" <> exchanges then
-      fail "[%s] server saw %d batches, clients sent %d" label
-        (stats_sub stats "batch" "batches") exchanges;
-    if stats_sub stats "batch" "items" <> exchanges * !batch then
-      fail "[%s] server saw %d batch items, clients sent %d" label
-        (stats_sub stats "batch" "items") (exchanges * !batch)
+    if stat [ "batch"; "batches" ] <> exchanges then
+      fail "[%s] server saw %d batches, clients sent %d" label (stat [ "batch"; "batches" ])
+        exchanges;
+    if stat [ "batch"; "items" ] <> exchanges * !batch then
+      fail "[%s] server saw %d batch items, clients sent %d" label (stat [ "batch"; "items" ])
+        (exchanges * !batch)
   end;
   (* the server's own bounded histograms: the end-to-end latency histogram
      counted every served query, and the per-phase histograms account
      exactly one run and one encode per served query *)
-  if stats_sub stats "latency_us" "count" <> served then
+  if stat [ "latency_us"; "count" ] <> served then
     fail "[%s] server latency histogram holds %d samples, served %d queries" label
-      (stats_sub stats "latency_us" "count") served;
-  let phase_num phase k =
-    match
-      Option.bind (Jsonout.member "phases" stats) (fun ps ->
-          Option.bind (Jsonout.member (Phase.name phase) ps) (Jsonout.member k))
-    with
-    | Some j -> Option.value ~default:0.0 (Jsonout.to_float j)
-    | None -> fail "[%s] stats missing field phases.%s.%s" label (Phase.name phase) k
-  in
-  if int_of_float (phase_num Phase.Run "count") <> served then
-    fail "[%s] run phase counted %.0f samples, served %d queries" label
-      (phase_num Phase.Run "count") served;
-  if int_of_float (phase_num Phase.Encode "count") <> served then
-    fail "[%s] encode phase counted %.0f samples, served %d queries" label
-      (phase_num Phase.Encode "count") served;
+      (stat [ "latency_us"; "count" ]) served;
+  let phase p k = stat [ "phases"; Phase.name p; k ] in
+  if phase Phase.Run "count" <> served then
+    fail "[%s] run phase counted %d samples, served %d queries" label (phase Phase.Run "count")
+      served;
+  if phase Phase.Encode "count" <> served then
+    fail "[%s] encode phase counted %d samples, served %d queries" label
+      (phase Phase.Encode "count") served;
   (* ---- report ---- *)
-  let q p = Stats.quantile p !lats /. 1000.0 in
+  let lats = List.map float_of_int t.lats_us in
+  let q p = Stats.quantile p lats /. 1000.0 in
   Printf.printf
     "load_gen: [%s] %d clients x %d queries (batch %d, %d seeds): 0 wrong, %d retries, %d injected\n"
-    label !clients !queries !batch !seeds !nretries (stats_num stats "injected_faults");
+    label !clients !queries !batch !seeds t.retries (stat [ "injected_faults" ]);
   Printf.printf "load_gen: [%s] cache %d/%d/%d hit/miss/lookups; %d batches\n" label hits misses
     lookups
     (if !batch > 1 then exchanges else 0);
@@ -476,82 +444,24 @@ let run_load ~pref ~fault ~expected ~path =
     (q 0.90) (q 0.99);
   Printf.printf "load_gen: [%s] server phase p99 us:%s\n" label
     (String.concat ""
-       (List.map
-          (fun p -> Printf.sprintf "  %s %.0f" (Phase.name p) (phase_num p "p99"))
-          Phase.all));
+       (List.map (fun p -> Printf.sprintf "  %s %d" (Phase.name p) (phase p "p99")) Phase.all));
   let per_query b = float_of_int b /. float_of_int total in
   Printf.printf "load_gen: [%s] wire bytes/query %.1f framed, %.1f payload\n" label
-    (per_query !framed) (per_query !payload);
+    (per_query t.framed) (per_query t.payload);
   {
     label;
-    framed_per_query = per_query !framed;
-    payload_per_query = per_query !payload;
-    us_per_query = List.fold_left ( +. ) 0.0 !lats /. float_of_int total;
+    framed_per_query = per_query t.framed;
+    payload_per_query = per_query t.payload;
+    us_per_query = List.fold_left ( +. ) 0.0 lats /. float_of_int total;
   }
 
 (* ------------------------------------------------------- fleet harness *)
 
-(* The fleet workload routes every request to the worker that owns its
-   instance key — the same {!Service.shard_of_request} hash the fleet
-   parent shards by — so each worker's LRU sees only its slice of the
-   seed space.  That sharding is the single-core throughput lever the
-   sweep measures: with [--seeds] past a worker's [--cache] capacity,
-   one worker thrashes (every lookup rebuilds its instance) while at
-   two or four workers every shard slice fits its cache and repeats
-   hit.  Clients group each [--batch] chunk per shard (one exchange
-   per shard the chunk touches) and account retries per exchange, so
-   the reconciliation [served = ok + extra] stays exact at any batch
-   size: a retried exchange re-serves exactly its own items. *)
-
-(* One fleet client: returns (ok, wrong, failed, retries, extra) where
-   [extra] counts queries the server served again because an exchange
-   was retried. *)
-let run_fleet_client ~workers ~path ~expected c =
-  let m = Metrics.create () in
-  let ok = ref 0 and wrong = ref 0 and failed = ref 0 and extra = ref 0 in
-  List.iter
-    (fun reqs ->
-      let by_shard = Hashtbl.create 4 in
-      List.iter
-        (fun r ->
-          let sh = Service.shard_of_request ~workers r in
-          Hashtbl.replace by_shard sh (r :: (try Hashtbl.find by_shard sh with Not_found -> [])))
-        reqs;
-      let groups =
-        Hashtbl.fold (fun sh rs acc -> (sh, List.rev rs) :: acc) by_shard [] |> List.sort compare
-      in
-      List.iter
-        (fun (sh, reqs) ->
-          let spath = Service.worker_path ~path sh in
-          let before = Metrics.retries m in
-          let results =
-            match reqs with
-            | [ r ] ->
-                [
-                  Service.client_query ~timeout_s:5.0 ~retries:!retries ~backoff_s:0.02
-                    ~backoff_seed:c ~metrics:m ~protocol:Proto.V2 ~path:spath r;
-                ]
-            | _ -> (
-                match
-                  Service.client_batch ~timeout_s:5.0 ~retries:!retries ~backoff_s:0.02
-                    ~backoff_seed:c ~metrics:m ~protocol:Proto.V2 ~path:spath reqs
-                with
-                | Ok items -> items
-                | Error msg -> List.map (fun _ -> Error msg) reqs)
-          in
-          extra := !extra + ((Metrics.retries m - before) * List.length reqs);
-          List.iter2
-            (fun r result ->
-              match check_item (expected r.Service.seed) result with
-              | `Ok -> incr ok
-              | `Wrong -> incr wrong
-              | `Failed msg ->
-                  Printf.eprintf "load_gen: fleet client %d exchange failed: %s\n%!" c msg;
-                  incr failed)
-            reqs results)
-        groups)
-    (plan_for_client c);
-  (!ok, !wrong, !failed, Metrics.retries m, !extra)
+(* The fleet workload's shard-aware clients (see {!exchanges_of}) are the
+   single-core throughput lever the sweep measures: with [--seeds] past a
+   worker's [--cache] capacity, one worker thrashes (every lookup rebuilds
+   its instance) while at two or four workers every shard slice fits its
+   cache and repeats hit. *)
 
 type fleet_row = {
   fr_workers : int;
@@ -565,137 +475,56 @@ type fleet_row = {
   fr_restarts : int;
 }
 
-(* One full fleet run at [workers]: fork [serve --workers], await the
-   public and every shard socket, drive the shard-aware client fleet,
-   measure wall-clock qps over the client phase, then reconcile the
-   merged {"op":"stats"} exactly — served = ok + extra, zero wrong,
-   zero errors, cache lookups = served, per-worker gauges summing to
-   the total, no restarts. *)
-let run_fleet_load ~workers ~expected ~path =
+(* One full fleet run at [workers] over v2: measure wall-clock qps over
+   the client phase, then reconcile the merged {"op":"stats"} exactly —
+   served = ok + extra, zero wrong, zero errors, cache lookups = served,
+   per-worker gauges summing to the total, no restarts. *)
+let run_fleet_load ~workers ~expected =
   let label = Printf.sprintf "fleet w%d" workers in
-  let all_paths = path :: List.init workers (Service.worker_path ~path) in
-  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) all_paths;
-  let server =
-    match Unix.fork () with
-    | 0 ->
-        (try
-           ignore
-             (Service.serve ~max_clients:!max_clients ~line_timeout_s:10.0
-                ~cache_capacity:!cache_capacity ~workers ~path ())
-         with _ -> Unix._exit 2);
-        Unix._exit 0
-    | pid -> pid
+  let { t; stats; secs } =
+    drive ~label ~tag:(Printf.sprintf "load-w%d" workers) ~workers ~pref:Proto.V2 ~fault:[]
+      ~expected
   in
-  let rec await tries =
-    if not (List.for_all Sys.file_exists all_paths) then
-      if tries = 0 then (
-        Unix.kill server Sys.sigkill;
-        fail "[%s] fleet sockets at %s never appeared" label path)
-      else (
-        Unix.sleepf 0.05;
-        await (tries - 1))
-  in
-  await 100;
-  let rd, wr = Unix.pipe () in
-  let t0 = Unix.gettimeofday () in
-  let pids =
-    List.init !clients (fun c ->
-        match Unix.fork () with
-        | 0 ->
-            Unix.close rd;
-            let ok, wrong, failed, nretries, extra = run_fleet_client ~workers ~path ~expected c in
-            let line = Printf.sprintf "%d %d %d %d %d %d\n" c ok wrong failed nretries extra in
-            ignore (Unix.write_substring wr line 0 (String.length line));
-            Unix._exit 0
-        | pid -> pid)
-  in
-  Unix.close wr;
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
-  let rec drain () =
-    match Unix.read rd chunk 0 4096 with
-    | 0 -> ()
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        drain ()
-  in
-  drain ();
-  Unix.close rd;
-  List.iter
-    (fun pid ->
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _ -> fail "[%s] a client process crashed" label)
-    pids;
-  let t1 = Unix.gettimeofday () in
-  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' (Buffer.contents buf)) in
-  if List.length lines <> !clients then
-    fail "[%s] collected %d client tallies, expected %d" label (List.length lines) !clients;
-  let ok = ref 0 and wrong = ref 0 and failed = ref 0 and nretries = ref 0 and extra = ref 0 in
-  List.iter
-    (fun line ->
-      match String.split_on_char ' ' line with
-      | [ _c; o; w; f; r; x ] ->
-          ok := !ok + int_of_string o;
-          wrong := !wrong + int_of_string w;
-          failed := !failed + int_of_string f;
-          nretries := !nretries + int_of_string r;
-          extra := !extra + int_of_string x
-      | _ -> fail "[%s] garbled client tally %S" label line)
-    lines;
-  let stats =
-    match Service.client_stats ~protocol:Proto.V2 ~path () with
-    | Ok s -> s
-    | Error msg -> fail "[%s] stats query: %s" label msg
-  in
-  Service.client_shutdown ~path ();
-  (match Unix.waitpid [] server with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> fail "[%s] fleet supervisor did not exit cleanly" label);
+  let stat = Fixture.int_at stats in
   let total = !clients * !queries in
-  if !wrong > 0 then fail "[%s] %d wrong verdicts out of %d queries" label !wrong total;
-  if !failed > 0 then fail "[%s] %d exchanges exhausted their retry budget" label !failed;
-  if !ok <> total then fail "[%s] %d ok replies, expected %d" label !ok total;
-  let served = stats_num stats "queries_served" in
-  if served <> !ok + !extra then
+  if t.wrong > 0 then fail "[%s] %d wrong verdicts out of %d queries" label t.wrong total;
+  if t.failed > 0 then fail "[%s] %d exchanges exhausted their retry budget" label t.failed;
+  if t.ok <> total then fail "[%s] %d ok replies, expected %d" label t.ok total;
+  let served = stat [ "queries_served" ] in
+  if served <> t.ok + t.extra then
     fail "[%s] fleet served %d queries; clients account for %d (= %d ok + %d re-served)" label
-      served (!ok + !extra) !ok !extra;
-  if stats_num stats "errors" <> 0 then
-    fail "[%s] fleet tallied %d errors on a clean run" label (stats_num stats "errors");
-  if stats_num stats "injected_faults" <> 0 then
-    fail "[%s] fleet injected %d faults with no schedule" label (stats_num stats "injected_faults");
-  let hits = stats_sub stats "cache" "hits" and misses = stats_sub stats "cache" "misses" in
+      served (t.ok + t.extra) t.ok t.extra;
+  if stat [ "errors" ] <> 0 then
+    fail "[%s] fleet tallied %d errors on a clean run" label (stat [ "errors" ]);
+  if stat [ "injected_faults" ] <> 0 then
+    fail "[%s] fleet injected %d faults with no schedule" label (stat [ "injected_faults" ]);
+  let hits = stat [ "cache"; "hits" ] and misses = stat [ "cache"; "misses" ] in
   if hits + misses <> served then
     fail "[%s] cache lookups %d != queries served %d" label (hits + misses) served;
-  let wobj =
-    match Jsonout.member "workers" stats with
-    | Some w -> w
-    | None -> fail "[%s] merged stats missing the workers object" label
-  in
-  if stats_num wobj "count" <> workers then
-    fail "[%s] workers gauge says %d, fleet has %d" label (stats_num wobj "count") workers;
-  let restarts = stats_num wobj "restarts" in
+  if stat [ "workers"; "count" ] <> workers then
+    fail "[%s] workers gauge says %d, fleet has %d" label (stat [ "workers"; "count" ]) workers;
+  let restarts = stat [ "workers"; "restarts" ] in
   if restarts <> 0 then fail "[%s] %d unexpected worker restarts" label restarts;
-  (match Option.bind (Jsonout.member "fleet" wobj) Jsonout.to_list with
-  | Some entries ->
+  (match Option.bind (Jsonout.member "workers" stats) (Jsonout.member "fleet") with
+  | Some (Jsonout.List entries) ->
       if List.length entries <> workers then
         fail "[%s] %d per-worker gauge rows, expected %d" label (List.length entries) workers;
-      let sum = List.fold_left (fun acc e -> acc + stats_num e "served") 0 entries in
+      let sum = List.fold_left (fun acc e -> acc + Fixture.int_at e [ "served" ]) 0 entries in
       if sum <> served then
         fail "[%s] per-worker served gauges sum to %d, fleet served %d" label sum served
-  | None -> fail "[%s] workers object missing the fleet array" label);
-  let qps = float_of_int total /. Float.max 1e-9 (t1 -. t0) in
+  | _ -> fail "[%s] workers object missing the fleet array" label);
+  let qps = float_of_int total /. Float.max 1e-9 secs in
   Printf.printf
     "load_gen: [%s] %d clients x %d queries: %.0f qps, served %d (%d ok + %d re-served), cache \
      %d/%d hit/miss\n"
-    label !clients !queries qps served !ok !extra hits misses;
+    label !clients !queries qps served t.ok t.extra hits misses;
   {
     fr_workers = workers;
     fr_qps = qps;
     fr_served = served;
-    fr_ok = !ok;
-    fr_retries = !nretries;
-    fr_extra = !extra;
+    fr_ok = t.ok;
+    fr_retries = t.retries;
+    fr_extra = t.extra;
     fr_hits = hits;
     fr_misses = misses;
     fr_restarts = restarts;
@@ -757,7 +586,7 @@ let write_fleet_out file rows =
       Out_channel.output_char oc '\n');
   Printf.printf "load_gen: fleet rows written to %s\n" file
 
-let run_fleet_sweep ~expected ~stem =
+let run_fleet_sweep ~expected =
   (* Two measured runs per worker count, keeping the faster: every run
      reconciles exactly on its own, so the extra run only filters
      one-off scheduler noise out of the wall-clock qps the gate below
@@ -765,8 +594,8 @@ let run_fleet_sweep ~expected ~stem =
   let rows =
     List.map
       (fun w ->
-        let run i = run_fleet_load ~workers:w ~expected ~path:(Printf.sprintf "%s.f%d.r%d" stem w i) in
-        let a = run 0 and b = run 1 in
+        let a = run_fleet_load ~workers:w ~expected in
+        let b = run_fleet_load ~workers:w ~expected in
         if b.fr_qps > a.fr_qps then b else a)
       [ 1; 2; 4 ]
   in
@@ -802,12 +631,6 @@ let () =
     | Ok s -> s
     | Error msg -> fail "bad --fault spec: %s" msg
   in
-  let stem =
-    if !socket_path <> "" then !socket_path
-    else
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "tfree-load-%d.sock" (Unix.getpid ()))
-  in
   (* expected replies, computed locally before any forking *)
   let expected_arr =
     Array.init !seeds (fun i -> Service.run_request (request_for (1 + i)))
@@ -819,24 +642,15 @@ let () =
        the per-worker op indices racy across a fleet. *)
     if !fault_spec <> "" then
       fail "--fleet/--workers measure the clean path; drop --fault (%S)" !fault_spec;
-    if !fleet_sweep then run_fleet_sweep ~expected ~stem
+    if !fleet_sweep then run_fleet_sweep ~expected
     else begin
-      let row = run_fleet_load ~workers:!workers ~expected ~path:stem in
+      let row = run_fleet_load ~workers:!workers ~expected in
       if !fleet_out <> "" then write_fleet_out !fleet_out [ row ]
     end;
     print_endline "load_gen: ok";
     exit 0
   end;
-  let summaries =
-    List.map
-      (fun pref ->
-        let path =
-          if List.length prefs = 1 then stem
-          else stem ^ "." ^ Proto.pref_to_string pref
-        in
-        run_load ~pref ~fault ~expected ~path)
-      prefs
-  in
+  let summaries = List.map (fun pref -> run_load ~pref ~fault ~expected) prefs in
   (match summaries with
   | [ s1; s2 ] ->
       Printf.printf

@@ -10,11 +10,13 @@
      - the server's {"op":"stats"} telemetry reconciles against the client's
        own tally of the whole scripted session;
 
-   then shut the daemon down and insist it exits cleanly. *)
+   then shut the daemon down and insist it exits cleanly, having served
+   exactly the scripted queries and removed its socket. *)
 
 open Tfree_util
 module Service = Tfree_wire.Service
 module Wire = Tfree_wire.Wire_runtime
+module Fixture = Tfree_fixture
 
 let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("wire_smoke: " ^ msg); exit 1) fmt
 
@@ -54,27 +56,11 @@ let requests =
     ]
 
 let () =
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tfree-wire-smoke-%d.sock" (Unix.getpid ()))
-  in
-  match Unix.fork () with
-  | 0 ->
-      (* child: serve until the shutdown command; the session is the request
-         list plus one scripted query after the malformed line (errors and
-         stats lines don't count as served queries) *)
-      exit (if Service.serve ~path () = List.length requests + 1 then 0 else 1)
-  | server ->
-      let rec await tries =
-        if not (Sys.file_exists path) then
-          if tries = 0 then (
-            Unix.kill server Sys.sigkill;
-            fail "server socket %s never appeared" path)
-          else (
-            Unix.sleepf 0.05;
-            await (tries - 1))
-      in
-      await 100;
+  (* the session is the request list plus one scripted query after the
+     malformed line (errors and stats lines don't count as served queries) *)
+  Fixture.with_daemon ~tag:"wire-smoke" ~expect_served:(List.length requests + 1)
+    (fun path -> Service.serve ~path ())
+    (fun path ->
       (* The client's own tally of the session, reconciled against the
          server's stats reply at the end. *)
       let tally_queries = ref 0 and tally_errors = ref 0 in
@@ -135,60 +121,31 @@ let () =
       | None -> fail "connection unusable after a malformed line");
       Unix.close conn;
       (* Stats reconciliation against the tally. *)
-      (match Service.client_stats ~path () with
+      match Service.client_stats ~path () with
       | Error msg -> fail "stats query: %s" msg
       | Ok stats ->
-          let num k =
-            match Option.bind (Jsonout.member k stats) Jsonout.to_float with
-            | Some f -> int_of_float f
-            | None -> fail "stats missing numeric field %S" k
-          in
-          let check what got want =
+          let check what path want =
+            let got = Fixture.int_at stats path in
             if got <> want then fail "stats %s = %d, client tallied %d" what got want
           in
-          check "queries_served" (num "queries_served") !tally_queries;
-          check "errors" (num "errors") !tally_errors;
-          (let cats =
-             match Jsonout.member "errors_by_category" stats with
-             | Some c -> c
-             | None -> fail "stats missing errors_by_category"
-           in
-           let cat k =
-             match Option.bind (Jsonout.member k cats) Jsonout.to_float with
-             | Some f -> int_of_float f
-             | None -> fail "errors_by_category missing %S" k
-           in
-           (* the one error in this script is the malformed line *)
-           check "errors_by_category.malformed" (cat "malformed") !tally_errors;
-           List.iter
-             (fun k -> check ("errors_by_category." ^ k) (cat k) 0)
-             [ "unknown_op"; "run_failure"; "timeout"; "transport" ]);
-          check "retries" (num "retries") 0;
-          check "injected_faults" (num "injected_faults") 0;
-          check "wire_bytes" (num "wire_bytes") !tally_wire_bytes;
-          check "accounted_bits" (num "accounted_bits") !tally_accounted;
-          let verdicts =
-            match Jsonout.member "verdicts" stats with
-            | Some v -> v
-            | None -> fail "stats missing verdicts"
-          in
+          check "queries_served" [ "queries_served" ] !tally_queries;
+          check "errors" [ "errors" ] !tally_errors;
+          (* the one error in this script is the malformed line *)
+          List.iter
+            (fun (k, want) ->
+              check ("errors_by_category." ^ k) [ "errors_by_category"; k ] want)
+            [
+              ("malformed", !tally_errors); ("unknown_op", 0); ("run_failure", 0); ("timeout", 0);
+              ("transport", 0);
+            ];
+          check "retries" [ "retries" ] 0;
+          check "injected_faults" [ "injected_faults" ] 0;
+          check "wire_bytes" [ "wire_bytes" ] !tally_wire_bytes;
+          check "accounted_bits" [ "accounted_bits" ] !tally_accounted;
           Hashtbl.iter
             (fun name (tri, free) ->
-              match Jsonout.member name verdicts with
-              | Some v ->
-                  let f k =
-                    match Option.bind (Jsonout.member k v) Jsonout.to_float with
-                    | Some x -> int_of_float x
-                    | None -> fail "stats verdicts.%s missing %S" name k
-                  in
-                  check (name ^ " triangles") (f "triangle") tri;
-                  check (name ^ " triangle-frees") (f "triangle_free") free
-              | None -> fail "stats verdicts missing protocol %S" name)
+              check (name ^ " triangles") [ "verdicts"; name; "triangle" ] tri;
+              check (name ^ " triangle-frees") [ "verdicts"; name; "triangle_free" ] free)
             tally_verdicts;
           print_endline "wire_smoke: stats reconcile with the client tally");
-      Service.client_shutdown ~path ();
-      (match Unix.waitpid [] server with
-      | _, Unix.WEXITED 0 -> ()
-      | _, _ -> fail "server did not exit cleanly");
-      if Sys.file_exists path then fail "server left its socket behind";
-      print_endline "wire_smoke: ok"
+  print_endline "wire_smoke: ok"

@@ -15,16 +15,10 @@
     (k frames for a k-fold private-channel broadcast, one for a blackboard
     posting).
 
-    Two usage modes:
-    + {!create}/{!tap} build a network whose tap plugs into any tester
-      entry point ([Tfree.Tester.unrestricted ~tap ...]) — the whole
-      protocol then runs over the wire unchanged;
-    + {!make} plus the mirrored operations ({!query}, {!ask_all},
-      {!ask_all_visible}, {!tell_all}, {!any_player}) expose the same
-      surface as [Comm.Runtime] executing over transports, for code written
-      directly against the runtime. *)
+    {!create}/{!tap} build a network whose tap plugs into any tester entry
+    point ([Tfree.Tester.unrestricted ~tap ...]) or [Runtime.make ~tap] —
+    the whole protocol then runs over the wire unchanged. *)
 
-open Tfree_graph
 open Tfree_comm
 
 type kind = Pipe | Socketpair
@@ -153,37 +147,3 @@ let per_channel net =
       List.init net.k (fun j -> (Channel.describe (Channel.From_player j), net.up.(j)));
       [ (Channel.describe Channel.Board, net.board) ];
     ]
-
-(* --------------------------------------- the Runtime-shaped wire surface *)
-
-type t = { net : net; rt : Runtime.t }
-
-(** A coordinator-model runtime whose every message crosses a transport.
-    Same signature and semantics as [Runtime.make], plus the transport
-    choice and an optional fault schedule injected below the framing. *)
-let make ?(mode = Runtime.Coordinator) ?(fault = []) ?(transport = Pipe) ~seed inputs =
-  let net = create ~fault ~transport ~k:(Partition.k inputs) () in
-  { net; rt = Runtime.make ~mode ~tap:(tap net) ~seed inputs }
-
-let runtime t = t.rt
-let net t = t.net
-let k t = Runtime.k t.rt
-let n t = Runtime.n t.rt
-let mode t = Runtime.mode t.rt
-let cost t = Runtime.cost t.rt
-let input t j = Runtime.input t.rt j
-let shared_rng t ~key = Runtime.shared_rng t.rt ~key
-let private_rng t j = Runtime.private_rng t.rt j
-
-(** The five [Comm.Runtime] operations, executing over transports. *)
-
-let query t j ~req respond = Runtime.query t.rt j ~req respond
-let ask_all t ~req respond = Runtime.ask_all t.rt ~req respond
-let ask_all_visible t ~req respond = Runtime.ask_all_visible t.rt ~req respond
-let tell_all t msg = Runtime.tell_all t.rt msg
-let any_player t predicate = Runtime.any_player t.rt predicate
-
-(** Reconcile this runtime's wire traffic against its own cost ledger. *)
-let reconcile t = report t.net ~accounted_bits:(Cost.total (Runtime.cost t.rt))
-
-let close_runtime t = close t.net

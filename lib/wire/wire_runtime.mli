@@ -3,10 +3,8 @@
     [wire_bytes * 8 - framing_overhead_bits = accounted_bits], exactly.
 
     Use {!create}/{!tap} to plug a wire network into any tester entry point
-    ([Tfree.Tester.unrestricted ~tap ...]), or {!make} with the mirrored
-    operations for code written directly against the runtime surface. *)
+    ([Tfree.Tester.unrestricted ~tap ...]) or into [Runtime.make ~tap]. *)
 
-open Tfree_graph
 open Tfree_comm
 
 type kind = Pipe | Socketpair
@@ -64,33 +62,3 @@ val report_summary : report -> string
 (** Per-channel (name, stats) rows: both directions of each player channel,
     then the board. *)
 val per_channel : net -> (string * chan_stats) list
-
-(** {2 The Runtime-shaped surface} *)
-
-type t
-
-(** Same signature and semantics as [Runtime.make], every message crossing
-    a transport of the chosen kind, optionally under a fault schedule. *)
-val make :
-  ?mode:Runtime.mode -> ?fault:Fault.schedule -> ?transport:kind -> seed:int -> Partition.t -> t
-
-val runtime : t -> Runtime.t
-val net : t -> net
-val k : t -> int
-val n : t -> int
-val mode : t -> Runtime.mode
-val cost : t -> Cost.t
-val input : t -> int -> Graph.t
-val shared_rng : t -> key:int -> Tfree_util.Rng.t
-val private_rng : t -> int -> Tfree_util.Rng.t
-
-val query : t -> int -> req:Msg.t -> (Graph.t -> Msg.t) -> Msg.t
-val ask_all : t -> req:Msg.t -> (int -> Graph.t -> Msg.t) -> Msg.t array
-val ask_all_visible : t -> req:Msg.t -> (int -> Graph.t -> Msg.t list -> Msg.t) -> Msg.t array
-val tell_all : t -> Msg.t -> unit
-val any_player : t -> (Graph.t -> bool) -> bool
-
-(** Reconcile this runtime's wire traffic against its own cost ledger. *)
-val reconcile : t -> report
-
-val close_runtime : t -> unit

@@ -213,52 +213,31 @@ let exchange path payload =
 
 (* ---------------------------------------------------------------- servers *)
 
-let socket_path tag =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "tfree-golden-%s-%d.sock" tag (Unix.getpid ()))
-
-(* Fork a daemon, run [f path probe] against it, and return the served
+(* Fork a daemon, run [f path probe] against it, and print the served
    count [serve] returned in the child.  [probe ()] fetches the stats
    object over a persistent v1 connection.  [f] must end with a shutdown
    unit. *)
 let with_server ?registry ?(fault = "") tag f =
-  let path = socket_path tag in
-  if Sys.file_exists path then Sys.remove path;
-  let rd, wr = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close rd;
-      let fault = match Fault.parse fault with Ok s -> s | Error m -> failwith m in
-      let served = Service.serve ?registry ~fault ~line_timeout_s:20.0 ~path () in
-      write_string wr (string_of_int served);
-      Unix._exit 0
-  | pid ->
-      Unix.close wr;
-      let rec await tries =
-        if not (Sys.file_exists path) then
-          if tries = 0 then failwith "server socket never appeared"
-          else begin
-            Unix.sleepf 0.02;
-            await (tries - 1)
-          end
-      in
-      await 500;
-      let probe_fd = lazy (connect path) in
-      let probe () =
-        let fd = Lazy.force probe_fd in
-        write_string fd "{\"op\": \"stats\"}\n";
-        match Jsonout.parse (read_reply fd ~version:1) with
-        | Ok j -> (
-            match Jsonout.member "stats" j with Some s -> s | None -> failwith "probe: no stats")
-        | Error m -> failwith ("probe: " ^ m)
-      in
-      f path probe;
-      if Lazy.is_val probe_fd then Unix.close (Lazy.force probe_fd);
-      let ic = Unix.in_channel_of_descr rd in
-      let served = In_channel.input_all ic in
-      close_in ic;
-      ignore (Unix.waitpid [] pid);
-      Printf.printf "## %s: serve returned %s\n\n" tag served
+  let serve path =
+    let fault = match Fault.parse fault with Ok s -> s | Error m -> failwith m in
+    Service.serve ?registry ~fault ~line_timeout_s:20.0 ~path ()
+  in
+  let (), served =
+    Tfree_fixture.run_daemon ~tag:("golden-" ^ tag) serve (fun path ->
+        let probe_fd = lazy (connect path) in
+        let probe () =
+          let fd = Lazy.force probe_fd in
+          write_string fd "{\"op\": \"stats\"}\n";
+          match Jsonout.parse (read_reply fd ~version:1) with
+          | Ok j -> (
+              match Jsonout.member "stats" j with Some s -> s | None -> failwith "probe: no stats")
+          | Error m -> failwith ("probe: " ^ m)
+        in
+        Fun.protect
+          ~finally:(fun () -> if Lazy.is_val probe_fd then Unix.close (Lazy.force probe_fd))
+          (fun () -> f path probe))
+  in
+  Printf.printf "## %s: serve returned %d\n\n" tag (Option.get served)
 
 let unit_ path probe name payload =
   let version = match payload with Line _ -> 1 | Frame _ -> 2 in
@@ -432,7 +411,6 @@ let fault_server () =
       shutdown_unit path "shutdown" (Line "{\"cmd\": \"shutdown\"}"))
 
 let () =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   main_server ();
   dataset_server ();
   fault_server ()

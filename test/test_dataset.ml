@@ -335,34 +335,6 @@ let test_handle_line_dataset_errors () =
 
 (* ------------------------------------------------- forked server parity *)
 
-let with_forked_server ~registry ~tag ~expect_served f =
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tfree-ds-%s-%d.sock" tag (Unix.getpid ()))
-  in
-  if Sys.file_exists path then Sys.remove path;
-  match Unix.fork () with
-  | 0 -> exit (if Service.serve ~registry ~line_timeout_s:5.0 ~path () = expect_served then 0 else 1)
-  | server -> (
-      let rec await tries =
-        if not (Sys.file_exists path) then
-          if tries = 0 then Alcotest.fail "server socket never appeared"
-          else (
-            Unix.sleepf 0.05;
-            await (tries - 1))
-      in
-      await 100;
-      (match f path with
-      | () -> ()
-      | exception e ->
-          (try Service.client_shutdown ~path () with _ -> ());
-          ignore (Unix.waitpid [] server);
-          raise e);
-      Service.client_shutdown ~path ();
-      match Unix.waitpid [] server with
-      | _, Unix.WEXITED 0 -> ()
-      | _ -> Alcotest.fail "server did not exit cleanly (or served a wrong query count)")
-
 (* One raw JSON-line exchange on its own connection: the literal reply
    bytes, before any client-side decoding. *)
 let raw_exchange path line =
@@ -389,7 +361,9 @@ let raw_exchange path line =
 let test_forked_server_byte_parity () =
   with_gen_registry (fun registry ->
       (* dataset query, its generated twin, and a repeat: 3 served *)
-      with_forked_server ~registry ~tag:"parity" ~expect_served:3 (fun path ->
+      Tfree_fixture.with_daemon ~tag:"ds-parity" ~expect_served:3
+        (fun path -> Service.serve ~registry ~line_timeout_s:5.0 ~path ())
+        (fun path ->
           let dataset_line =
             Jsonout.to_line
               (Service.dataset_request_to_json
@@ -408,17 +382,12 @@ let test_forked_server_byte_parity () =
           match Service.client_stats ~path () with
           | Error msg -> Alcotest.failf "stats: %s" msg
           | Ok stats ->
-              let num obj k =
-                match Option.bind (Jsonout.member k obj) Jsonout.to_float with
-                | Some f -> int_of_float f
-                | None -> Alcotest.failf "stats missing %S" k
-              in
-              let sub k = match Jsonout.member k stats with Some o -> o | None -> Alcotest.failf "stats missing %S" k in
-              checki "queries served" 3 (num stats "queries_served");
-              checki "dataset gauge" 2 (num (sub "datasets") "gen");
+              let int_at = Tfree_fixture.int_at stats in
+              checki "queries served" 3 (int_at [ "queries_served" ]);
+              checki "dataset gauge" 2 (int_at [ "datasets"; "gen" ]);
               (* dataset misses, twin misses (separate key), repeat hits *)
-              checki "cache hits" 1 (num (sub "cache") "hits");
-              checki "cache misses" 2 (num (sub "cache") "misses")))
+              checki "cache hits" 1 (int_at [ "cache"; "hits" ]);
+              checki "cache misses" 2 (int_at [ "cache"; "misses" ])))
 
 (* --------------------------------------------------------------- QCheck *)
 

@@ -17,9 +17,11 @@ module Fault = Tfree_wire.Fault
 module Wire_error = Tfree_wire.Wire_error
 module Metrics = Tfree_wire.Metrics
 module Proto = Tfree_wire.Proto
+module Fixture = Tfree_fixture
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
+let int_at = Fixture.int_at
 
 let params = Tfree.Params.practical
 
@@ -283,23 +285,24 @@ let test_parity_blackboard () =
   checkb "blackboard reconciles" true (Wire.reconciles r)
 
 let test_wire_runtime_surface () =
-  (* drive the Runtime-shaped surface directly and reconcile its own ledger *)
+  (* drive a Runtime over the wire tap directly and reconcile its own ledger *)
   let rng = Rng.create 99 in
   let g = Gen.far_with_degree rng ~n:100 ~d:4.0 ~eps:0.1 in
   let parts = Partition.disjoint_random rng ~k:3 g in
-  let wt = Wire.make ~seed:7 parts in
-  let n = Wire.n wt in
+  let net = Wire.create ~k:(Partition.k parts) () in
+  let rt = Runtime.make ~tap:(Wire.tap net) ~seed:7 parts in
+  let n = Runtime.n rt in
   let replies =
-    Wire.ask_all wt ~req:(Msg.nat 3) (fun _ gj -> Msg.edges ~n (Graph.edges gj))
+    Runtime.ask_all rt ~req:(Msg.nat 3) (fun _ gj -> Msg.edges ~n (Graph.edges gj))
   in
-  checki "one reply per player" (Wire.k wt) (Array.length replies);
-  Wire.tell_all wt (Msg.bool true);
-  let echoed = Wire.query wt 1 ~req:(Msg.vertex ~n 0) (fun _ -> Msg.nat 42) in
+  checki "one reply per player" (Runtime.k rt) (Array.length replies);
+  Runtime.tell_all rt (Msg.bool true);
+  let echoed = Runtime.query rt 1 ~req:(Msg.vertex ~n 0) (fun _ -> Msg.nat 42) in
   checki "query reply decoded" 42 (Msg.get_int echoed);
-  checkb "someone owns an edge" true (Wire.any_player wt (fun gj -> Graph.m gj > 0));
-  let r = Wire.reconcile wt in
-  Wire.close_runtime wt;
-  checki "surface accounted = cost ledger" (Cost.total (Wire.cost wt)) r.Wire.accounted_bits;
+  checkb "someone owns an edge" true (Runtime.any_player rt (fun gj -> Graph.m gj > 0));
+  let r = Wire.report net ~accounted_bits:(Cost.total (Runtime.cost rt)) in
+  Wire.close net;
+  checki "surface accounted = cost ledger" (Cost.total (Runtime.cost rt)) r.Wire.accounted_bits;
   checkb "surface reconciles" true (Wire.reconciles r)
 
 (* -------------------------------------------------------- fault schedules *)
@@ -487,75 +490,61 @@ let test_service_run_request_reconciles () =
 
 (* -------------------------------------------- serve-resilience (forked) *)
 
-(* Fork a real server on a temp socket, run [f path] against it, shut it
-   down and assert the child saw exactly [expect_served] queries and exited
-   cleanly — a daemon that died under a misbehaving client fails here. *)
-let with_forked_server ?(fault = []) ?max_clients ?cache_capacity ?max_version ~tag ~expect_served
-    f =
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tfree-test-%s-%d.sock" tag (Unix.getpid ()))
-  in
-  if Sys.file_exists path then Sys.remove path;
-  match Unix.fork () with
-  | 0 ->
-      exit
-        (if
-           Service.serve ?max_clients ?cache_capacity ?max_version ~line_timeout_s:5.0 ~fault
-             ~path ()
-           = expect_served
-         then 0
-         else 1)
-  | server -> (
-      let rec await tries =
-        if not (Sys.file_exists path) then
-          if tries = 0 then Alcotest.fail "server socket never appeared"
-          else (
-            Unix.sleepf 0.05;
-            await (tries - 1))
-      in
-      await 100;
-      (match f path with
-      | () -> ()
-      | exception e ->
-          (try Service.client_shutdown ~path () with _ -> ());
-          ignore (Unix.waitpid [] server);
-          raise e);
-      (* the shutdown connection can itself be shed under a tiny
-         --max-clients; keep asking until the server exits *)
-      let rec finish tries =
-        (try Service.client_shutdown ~path () with Unix.Unix_error _ -> ());
-        match Unix.waitpid [ Unix.WNOHANG ] server with
-        | 0, _ ->
-            if tries = 0 then begin
-              Unix.kill server Sys.sigkill;
-              ignore (Unix.waitpid [] server);
-              Alcotest.fail "server did not exit after shutdown"
-            end
-            else begin
-              Unix.sleepf 0.05;
-              finish (tries - 1)
-            end
-        | _, Unix.WEXITED 0 -> ()
-        | _ -> Alcotest.fail "server did not exit cleanly (or served a wrong query count)"
-      in
-      finish 100)
+(* The daemon body of every forked serve test, for [Fixture.with_daemon]. *)
+let serve ?max_clients ?cache_capacity ?max_version ?(fault = []) path =
+  Service.serve ?max_clients ?cache_capacity ?max_version ~line_timeout_s:5.0 ~fault ~path ()
 
-let stats_num stats k =
-  match Option.bind (Jsonout.member k stats) Jsonout.to_float with
-  | Some f -> int_of_float f
-  | None -> Alcotest.failf "stats missing %S" k
+(* A failing callback must not hang the fixture or orphan its daemon, even
+   when the daemon cannot take a shutdown: here a hog holds the only
+   --max-clients 1 slot, so every shutdown is shed.  The fixture kills and
+   reaps the daemon past its deadline and re-raises the original exception. *)
+let test_fixture_reaps_daemon_on_error () =
+  let pid_r, pid_w = Unix.pipe ~cloexec:true () in
+  let hog = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let sock_path = ref "" in
+  let t0 = Unix.gettimeofday () in
+  (match
+     Fixture.with_daemon ~tag:"hog" ~expect_served:0
+       (fun path ->
+         let pid = string_of_int (Unix.getpid ()) in
+         ignore (Unix.write_substring pid_w pid 0 (String.length pid));
+         serve ~max_clients:1 path)
+       (fun path ->
+         sock_path := path;
+         Unix.connect hog (Unix.ADDR_UNIX path);
+         (* let the event loop admit the hog before failing *)
+         Unix.sleepf 0.1;
+         raise Exit)
+   with
+  | () -> Alcotest.fail "a raising callback returned normally"
+  | exception Exit -> ());
+  checkb "returned within the abort deadline" true (Unix.gettimeofday () -. t0 < 5.0);
+  Unix.close hog;
+  Unix.close pid_w;
+  let buf = Bytes.create 16 in
+  let pid = int_of_string (Bytes.sub_string buf 0 (Unix.read pid_r buf 0 16)) in
+  Unix.close pid_r;
+  checkb "daemon is gone" true
+    (match Unix.kill pid 0 with () -> false | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true);
+  checkb "socket removed" false (Sys.file_exists !sock_path)
 
-let stats_category stats name =
-  match Jsonout.member "errors_by_category" stats with
-  | Some cats -> stats_num cats name
-  | None -> Alcotest.fail "stats missing errors_by_category"
+let test_fixture_names_served_mismatch () =
+  match Fixture.with_daemon ~tag:"mismatch" ~expect_served:1 serve ignore with
+  | () -> Alcotest.fail "a wrong served count passed"
+  | exception Failure msg -> Alcotest.(check string) "message" "mismatch: served 0, expected 1" msg
+
+let test_fixture_client_fleet () =
+  let lines = Fixture.fork_clients 3 (fun i -> string_of_int (i * i)) in
+  Alcotest.(check (list string)) "one line per client" [ "0"; "1"; "4" ] (List.sort compare lines);
+  match Fixture.fork_clients 2 (fun i -> if i = 1 then failwith "boom" else "ok") with
+  | _ -> Alcotest.fail "a crashed client went unnoticed"
+  | exception Failure msg -> Alcotest.(check string) "message" "1 of 2 client processes crashed" msg
 
 (* A malformed line must get a structured categorized error reply on the
    same connection, which must then serve a normal query; the stats
    telemetry must count the error under "malformed" and nothing else. *)
 let test_service_malformed_line_keeps_connection () =
-  with_forked_server ~tag:"malformed" ~expect_served:1 (fun path ->
+  Fixture.with_daemon ~tag:"malformed" ~expect_served:1 serve (fun path ->
       let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect sock (Unix.ADDR_UNIX path);
       let out = Unix.out_channel_of_descr sock and inp = Unix.in_channel_of_descr sock in
@@ -584,16 +573,16 @@ let test_service_malformed_line_keeps_connection () =
       Unix.close sock;
       match Service.client_stats ~path () with
       | Ok stats ->
-          checki "stats counted the error" 1 (stats_num stats "errors");
-          checki "the error is malformed" 1 (stats_category stats "malformed");
-          checki "no transport errors" 0 (stats_category stats "transport");
-          checki "stats counted the query" 1 (stats_num stats "queries_served")
+          checki "stats counted the error" 1 (int_at stats [ "errors" ]);
+          checki "the error is malformed" 1 (int_at stats [ "errors_by_category"; "malformed" ]);
+          checki "no transport errors" 0 (int_at stats [ "errors_by_category"; "transport" ]);
+          checki "stats counted the query" 1 (int_at stats [ "queries_served" ])
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
 
 (* A client that writes half a request and vanishes must cost exactly one
    transport-category error; the daemon keeps serving. *)
 let test_service_client_killed_mid_request () =
-  with_forked_server ~tag:"killed" ~expect_served:1 (fun path ->
+  Fixture.with_daemon ~tag:"killed" ~expect_served:1 serve (fun path ->
       let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect sock (Unix.ADDR_UNIX path);
       let half = "{\"protocol\": \"ex" in
@@ -606,9 +595,10 @@ let test_service_client_killed_mid_request () =
       | Error msg -> Alcotest.failf "daemon unusable after killed client: %s" msg);
       match Service.client_stats ~path () with
       | Ok stats ->
-          checki "killed client = one transport error" 1 (stats_category stats "transport");
-          checki "one error total" 1 (stats_num stats "errors");
-          checki "the real query still served" 1 (stats_num stats "queries_served")
+          checki "killed client = one transport error" 1
+            (int_at stats [ "errors_by_category"; "transport" ]);
+          checki "one error total" 1 (int_at stats [ "errors" ]);
+          checki "the real query still served" 1 (int_at stats [ "queries_served" ])
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
 
 (* The retry acceptance case: the server sabotages its first three replies
@@ -625,7 +615,7 @@ let test_service_client_retry_recovers () =
   in
   (* the server runs the query on all four attempts; only the fourth reply
      survives the schedule *)
-  with_forked_server ~fault ~tag:"retry" ~expect_served:4 (fun path ->
+  Fixture.with_daemon ~tag:"retry" ~expect_served:4 (serve ~fault) (fun path ->
       let req = { Service.default_request with protocol = Service.Exact; n = 60 } in
       let m = Metrics.create () in
       match Service.client_query ~retries:5 ~backoff_s:0.01 ~metrics:m ~path req with
@@ -639,42 +629,21 @@ let test_service_client_retry_recovers () =
           match Service.client_stats ~path () with
           | Ok stats ->
               checki "server tallied the injected schedule exactly" (List.length fault)
-                (stats_num stats "injected_faults");
-              checki "injected faults are not service errors" 0 (stats_num stats "errors")
+                (int_at stats [ "injected_faults" ]);
+              checki "injected faults are not service errors" 0 (int_at stats [ "errors" ])
           | Error msg -> Alcotest.failf "stats query failed: %s" msg))
 
 (* ------------------------------------------------ concurrent event loop *)
 
 (* Fork [n] concurrent client processes (processes, not domains: a domain
    would forbid every later [Unix.fork] in this binary); each child runs
-   [child i] and reports its (wrong, retries) tally over a shared pipe —
-   one short line per child, atomic under PIPE_BUF.  Returns the tallies
+   [child i] and reports its (wrong, retries) tally.  Returns the tallies
    once every child has exited. *)
-let fork_clients ?(coordinate = fun () -> ()) n child =
-  let r, w = Unix.pipe () in
-  let pids =
-    List.init n (fun i ->
-        match Unix.fork () with
-        | 0 ->
-            Unix.close r;
-            let wrong, retries = (try child i with _ -> (1000, 0)) in
-            let line = Printf.sprintf "%d %d\n" wrong retries in
-            ignore (Unix.write_substring w line 0 (String.length line));
-            Unix._exit 0
-        | pid -> pid)
-  in
-  Unix.close w;
-  coordinate ();
-  let ic = Unix.in_channel_of_descr r in
-  let tallies =
-    List.init n (fun _ ->
-        match In_channel.input_line ic with
-        | Some line -> Scanf.sscanf line "%d %d" (fun a b -> (a, b))
-        | None -> (1000, 0))
-  in
-  List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
-  In_channel.close ic;
-  tallies
+let fork_clients ?coordinate n child =
+  Fixture.fork_clients ?coordinate n (fun i ->
+      let wrong, retries = child i in
+      Printf.sprintf "%d %d" wrong retries)
+  |> List.map (fun line -> Scanf.sscanf line "%d %d" (fun w r -> (w, r)))
 
 (* The head-of-line regression test: K clients each hold ONE connection
    open and none will close it before every client has gotten a first
@@ -693,7 +662,7 @@ let test_concurrent_clients_interleaved () =
     Array.init clients (fun c ->
         Array.init per_client (fun q -> Service.run_request (req_for c q)))
   in
-  with_forked_server ~tag:"interleaved" ~expect_served:(clients * per_client) (fun path ->
+  Fixture.with_daemon ~tag:"interleaved" ~expect_served:(clients * per_client) serve (fun path ->
       (* cross-process barrier: each client reports its first reply on
          [ready], then blocks on [go] until the parent has seen all K *)
       let ready_r, ready_w = Unix.pipe () in
@@ -743,16 +712,11 @@ let test_concurrent_clients_interleaved () =
       checki "zero wrong replies across all interleaved clients" 0 wrong;
       match Service.client_stats ~path () with
       | Ok stats ->
-          checki "served every query" (clients * per_client) (stats_num stats "queries_served");
-          checki "no errors" 0 (stats_num stats "errors");
-          let conns =
-            match Jsonout.member "connections" stats with
-            | Some c -> c
-            | None -> Alcotest.fail "stats missing connections"
-          in
+          checki "served every query" (clients * per_client) (int_at stats [ "queries_served" ]);
+          checki "no errors" 0 (int_at stats [ "errors" ]);
           checkb "accepted all clients concurrently" true
-            (stats_num conns "accepted" >= clients);
-          checki "nothing shed" 0 (stats_num conns "shed")
+            (int_at stats [ "connections"; "accepted" ] >= clients);
+          checki "nothing shed" 0 (int_at stats [ "connections"; "shed" ])
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
 
 (* A batch must return one result per request, in order, each identical to
@@ -762,7 +726,7 @@ let test_batch_matches_single_queries () =
   let good = List.init 4 (fun i -> { Service.default_request with protocol = Service.Exact; n = 60; seed = 20 + i }) in
   (* 4 good batch items + 4 single queries + the mixed batch's good item;
      the bad item serves nothing *)
-  with_forked_server ~tag:"batch" ~expect_served:9 (fun path ->
+  Fixture.with_daemon ~tag:"batch" ~expect_served:9 serve (fun path ->
       (match Service.client_batch ~path good with
       | Error msg -> Alcotest.failf "batch failed: %s" msg
       | Ok results ->
@@ -796,13 +760,11 @@ let test_batch_matches_single_queries () =
             (ok = Ok (Service.run_request { Service.default_request with protocol = Service.Exact; n = 60; seed = 20 }))
       | Ok _ -> Alcotest.fail "mixed batch did not return two results");
       match Service.client_stats ~path () with
-      | Ok stats -> (
-          match Jsonout.member "batch" stats with
-          | Some b ->
-              checki "two batch exchanges" 2 (stats_num b "batches");
-              checki "six batch items" 6 (stats_num b "items");
-              checki "bad item recorded as run_failure" 1 (stats_category stats "run_failure")
-          | None -> Alcotest.fail "stats missing batch")
+      | Ok stats ->
+          checki "two batch exchanges" 2 (int_at stats [ "batch"; "batches" ]);
+          checki "six batch items" 6 (int_at stats [ "batch"; "items" ]);
+          checki "bad item recorded as run_failure" 1
+            (int_at stats [ "errors_by_category"; "run_failure" ])
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
 
 (* Seed reuse must hit the instance cache (no rebuild) without changing a
@@ -814,7 +776,7 @@ let test_cache_hits_reconcile_in_stats () =
     List.concat_map (fun seed -> List.init 3 (fun _ -> { base with Service.seed = seed })) [ 1; 2 ]
   in
   (* 6 queries over 2 distinct (family, ..., seed) keys *)
-  with_forked_server ~tag:"cache" ~expect_served:(List.length reqs) (fun path ->
+  Fixture.with_daemon ~tag:"cache" ~expect_served:(List.length reqs) serve (fun path ->
       let replies =
         List.map
           (fun req ->
@@ -828,16 +790,12 @@ let test_cache_hits_reconcile_in_stats () =
           checkb "cached reply = fault-free local run" true (resp = Service.run_request req))
         reqs replies;
       match Service.client_stats ~path () with
-      | Ok stats -> (
-          match Jsonout.member "cache" stats with
-          | Some cache ->
-              checki "one lookup per query" (List.length reqs) (stats_num cache "lookups");
-              checki "misses = distinct instance keys" 2 (stats_num cache "misses");
-              checki "hits = the rest" (List.length reqs - 2) (stats_num cache "hits");
-              checki "hits + misses = lookups"
-                (stats_num cache "lookups")
-                (stats_num cache "hits" + stats_num cache "misses")
-          | None -> Alcotest.fail "stats missing cache")
+      | Ok stats ->
+          let cache k = int_at stats [ "cache"; k ] in
+          checki "one lookup per query" (List.length reqs) (cache "lookups");
+          checki "misses = distinct instance keys" 2 (cache "misses");
+          checki "hits = the rest" (List.length reqs - 2) (cache "hits");
+          checki "hits + misses = lookups" (cache "lookups") (cache "hits" + cache "misses")
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
 
 (* Chaos under concurrency: a reply-fault schedule that drops, kills and
@@ -863,8 +821,9 @@ let test_chaos_schedule_spares_other_clients () =
   in
   (* every sabotaged reply is a query the server processed and one client
      retry, so served = clients·per_client + |schedule| exactly *)
-  with_forked_server ~fault ~tag:"chaos-conc"
+  Fixture.with_daemon ~tag:"chaos-conc"
     ~expect_served:((clients * per_client) + List.length fault)
+    (serve ~fault)
     (fun path ->
       let run_client c =
         let m = Metrics.create () in
@@ -888,10 +847,10 @@ let test_chaos_schedule_spares_other_clients () =
       | Ok stats ->
           checki "served = successes + retries"
             ((clients * per_client) + retries)
-            (stats_num stats "queries_served");
+            (int_at stats [ "queries_served" ]);
           checki "every scheduled fault fired" (List.length fault)
-            (stats_num stats "injected_faults");
-          checki "injected faults are not service errors" 0 (stats_num stats "errors")
+            (int_at stats [ "injected_faults" ]);
+          checki "injected faults are not service errors" 0 (int_at stats [ "errors" ])
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
 
 (* At --max-clients the server sheds with a typed overload error — a
@@ -903,7 +862,7 @@ let contains_substring haystack needle =
   go 0
 
 let test_overload_sheds_with_typed_error () =
-  with_forked_server ~max_clients:1 ~tag:"overload" ~expect_served:1 (fun path ->
+  Fixture.with_daemon ~tag:"overload" ~expect_served:1 (serve ~max_clients:1) (fun path ->
       let hog = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect hog (Unix.ADDR_UNIX path);
       (* let the event loop admit the hog before piling on *)
@@ -932,13 +891,11 @@ let test_overload_sheds_with_typed_error () =
       in
       match stats_with_retry 20 with
       | Ok stats ->
-          checkb "at least one connection shed" true (stats_category stats "overload" >= 1);
-          (match Jsonout.member "connections" stats with
-          | Some conns ->
-              checkb "shed tally matches overload errors" true
-                (stats_num conns "shed" = stats_category stats "overload")
-          | None -> Alcotest.fail "stats missing connections");
-          checki "the one real query served" 1 (stats_num stats "queries_served")
+          let overload = int_at stats [ "errors_by_category"; "overload" ] in
+          checkb "at least one connection shed" true (overload >= 1);
+          checkb "shed tally matches overload errors" true
+            (int_at stats [ "connections"; "shed" ] = overload);
+          checki "the one real query served" 1 (int_at stats [ "queries_served" ])
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
 
 (* -------------------------------------------------- proto read buffer *)
@@ -986,18 +943,10 @@ let test_proto_rbuf_shrinks () =
 
 (* -------------------------------------------------- version negotiation *)
 
-let stats_version stats v k =
-  match
-    Option.bind (Jsonout.member "protocol_versions" stats) (fun pv ->
-        Option.bind (Jsonout.member (Printf.sprintf "v%d" v) pv) (Jsonout.member k))
-  with
-  | Some (Jsonout.Num f) -> int_of_float f
-  | _ -> Alcotest.failf "stats missing protocol_versions.v%d.%s" v k
-
 (* A v2 client against a v1-capped server: the handshake answers with 1,
    the exchange falls back to JSON lines, and every gauge lands on v1. *)
 let test_negotiation_v2_client_v1_server () =
-  with_forked_server ~max_version:1 ~tag:"neg-v2v1" ~expect_served:1 (fun path ->
+  Fixture.with_daemon ~tag:"neg-v2v1" ~expect_served:1 (serve ~max_version:1) (fun path ->
       let req = { Service.default_request with protocol = Service.Exact; n = 60 } in
       (match Service.client_query ~protocol:Proto.V2 ~path req with
       | Ok resp ->
@@ -1005,18 +954,18 @@ let test_negotiation_v2_client_v1_server () =
       | Error msg -> Alcotest.failf "v2 client against v1-capped server failed: %s" msg);
       match Service.client_stats ~path () with
       | Ok stats ->
-          checki "served on v1" 1 (stats_version stats 1 "served");
-          checki "nothing served on v2" 0 (stats_version stats 2 "served");
-          checkb "v1 bytes recorded" true (stats_version stats 1 "bytes" > 0);
-          checki "no v2 bytes" 0 (stats_version stats 2 "bytes");
-          checki "no errors" 0 (stats_num stats "errors")
+          checki "served on v1" 1 (int_at stats [ "protocol_versions"; "v1"; "served" ]);
+          checki "nothing served on v2" 0 (int_at stats [ "protocol_versions"; "v2"; "served" ]);
+          checkb "v1 bytes recorded" true (int_at stats [ "protocol_versions"; "v1"; "bytes" ] > 0);
+          checki "no v2 bytes" 0 (int_at stats [ "protocol_versions"; "v2"; "bytes" ]);
+          checki "no errors" 0 (int_at stats [ "errors" ])
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
 
 (* A v1 client against a v2 server: no handshake, plain JSON lines, wire
    compatibility unchanged — and the v1 byte gauge equals the two lines
    (newlines included) exactly. *)
 let test_negotiation_v1_client_v2_server () =
-  with_forked_server ~tag:"neg-v1v2" ~expect_served:1 (fun path ->
+  Fixture.with_daemon ~tag:"neg-v1v2" ~expect_served:1 serve (fun path ->
       let req = { Service.default_request with protocol = Service.Exact; n = 60 } in
       let expected = Service.run_request req in
       (match Service.client_query ~protocol:Proto.V1 ~path req with
@@ -1030,17 +979,18 @@ let test_negotiation_v1_client_v2_server () =
       in
       match Service.client_stats ~path () with
       | Ok stats ->
-          checki "served on v1" 1 (stats_version stats 1 "served");
-          checki "v1 byte gauge = the two lines exactly" framed (stats_version stats 1 "bytes");
-          checki "nothing served on v2" 0 (stats_version stats 2 "served");
-          checki "no v2 bytes" 0 (stats_version stats 2 "bytes")
+          checki "served on v1" 1 (int_at stats [ "protocol_versions"; "v1"; "served" ]);
+          checki "v1 byte gauge = the two lines exactly" framed
+            (int_at stats [ "protocol_versions"; "v1"; "bytes" ]);
+          checki "nothing served on v2" 0 (int_at stats [ "protocol_versions"; "v2"; "served" ]);
+          checki "no v2 bytes" 0 (int_at stats [ "protocol_versions"; "v2"; "bytes" ])
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
 
 (* v2 both sides: binary frames end to end, and the v2 byte gauge equals
    the query frame plus the reply frame exactly — handshake bytes and the
    stats exchange are excluded by design. *)
 let test_negotiation_v2_v2_exact_bytes () =
-  with_forked_server ~tag:"neg-v2v2" ~expect_served:1 (fun path ->
+  Fixture.with_daemon ~tag:"neg-v2v2" ~expect_served:1 serve (fun path ->
       let req = { Service.default_request with protocol = Service.Exact; n = 60 } in
       let expected = Service.run_request req in
       (match Service.client_query ~protocol:Proto.V2 ~path req with
@@ -1053,17 +1003,18 @@ let test_negotiation_v2_v2_exact_bytes () =
       let framed = framed + Proto.frame_len b in
       match Service.client_stats ~protocol:Proto.V2 ~path () with
       | Ok stats ->
-          checki "served on v2" 1 (stats_version stats 2 "served");
-          checki "v2 byte gauge = the two frames exactly" framed (stats_version stats 2 "bytes");
-          checki "nothing served on v1" 0 (stats_version stats 1 "served");
-          checki "no v1 bytes" 0 (stats_version stats 1 "bytes")
+          checki "served on v2" 1 (int_at stats [ "protocol_versions"; "v2"; "served" ]);
+          checki "v2 byte gauge = the two frames exactly" framed
+            (int_at stats [ "protocol_versions"; "v2"; "bytes" ]);
+          checki "nothing served on v1" 0 (int_at stats [ "protocol_versions"; "v1"; "served" ]);
+          checki "no v1 bytes" 0 (int_at stats [ "protocol_versions"; "v1"; "bytes" ])
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
 
 (* A garbage version byte (magic + version 0): the server must answer the
    refusal hello (magic, 0), tally one malformed error, and keep the
    connection usable as v1 — typed error, never a closed or hung socket. *)
 let test_negotiation_garbage_version_byte () =
-  with_forked_server ~tag:"neg-garbage" ~expect_served:1 (fun path ->
+  Fixture.with_daemon ~tag:"neg-garbage" ~expect_served:1 serve (fun path ->
       let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect sock (Unix.ADDR_UNIX path);
       let hello = Printf.sprintf "%c%c" Proto.magic '\000' in
@@ -1094,9 +1045,10 @@ let test_negotiation_garbage_version_byte () =
       Unix.close sock;
       match Service.client_stats ~path () with
       | Ok stats ->
-          checki "refused handshake = one malformed error" 1 (stats_category stats "malformed");
-          checki "one error total" 1 (stats_num stats "errors");
-          checki "the query served as v1" 1 (stats_version stats 1 "served")
+          checki "refused handshake = one malformed error" 1
+            (int_at stats [ "errors_by_category"; "malformed" ]);
+          checki "one error total" 1 (int_at stats [ "errors" ]);
+          checki "the query served as v1" 1 (int_at stats [ "protocol_versions"; "v1"; "served" ])
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
 
 (* The binary batch reply decodes to the same per-item results as its JSON
@@ -1109,7 +1061,7 @@ let test_binary_batch_matches_json () =
     @ [ { Service.default_request with protocol = Service.Exact; n = -5 } ]
   in
   (* the bad item serves nothing; 3 good items x both protocol passes *)
-  with_forked_server ~tag:"batch-binary" ~expect_served:6 (fun path ->
+  Fixture.with_daemon ~tag:"batch-binary" ~expect_served:6 serve (fun path ->
       let run pref =
         match Service.client_batch ~protocol:pref ~path reqs with
         | Ok items -> items
@@ -1162,7 +1114,7 @@ let test_chaos_versions_matrix () =
       cases
   in
   let served_per_pass = List.length (List.filter Option.is_some outcomes) in
-  with_forked_server ~tag:"chaos-versions" ~expect_served:(2 * served_per_pass) (fun path ->
+  Fixture.with_daemon ~tag:"chaos-versions" ~expect_served:(2 * served_per_pass) serve (fun path ->
       List.iter
         (fun pref ->
           List.iter2
@@ -1321,7 +1273,7 @@ let test_enum_wire_codes () =
    whole before any item runs: one malformed error, nothing served, no
    cache lookup, no batch tallied. *)
 let test_truncated_batch_frame_runs_nothing () =
-  with_forked_server ~tag:"trunc-batch" ~expect_served:0 (fun path ->
+  Fixture.with_daemon ~tag:"trunc-batch" ~expect_served:0 serve (fun path ->
       let req = { Service.default_request with protocol = Service.Exact; n = 60 } in
       let b = Proto.create_buf () in
       Proto.begin_frame b;
@@ -1357,16 +1309,12 @@ let test_truncated_batch_frame_runs_nothing () =
       Unix.close sock;
       match Service.client_stats ~path () with
       | Ok stats ->
-          checki "nothing served" 0 (stats_num stats "queries_served");
-          checki "exactly one error" 1 (stats_num stats "errors");
-          checki "and it is malformed" 1 (stats_category stats "malformed");
-          checki "nothing served on v2" 0 (stats_version stats 2 "served");
-          (match Jsonout.member "cache" stats with
-          | Some cache -> checki "no cache lookup" 0 (stats_num cache "lookups")
-          | None -> Alcotest.fail "stats missing cache");
-          (match Jsonout.member "batch" stats with
-          | Some batch -> checki "no batch tallied" 0 (stats_num batch "batches")
-          | None -> Alcotest.fail "stats missing batch")
+          checki "nothing served" 0 (int_at stats [ "queries_served" ]);
+          checki "exactly one error" 1 (int_at stats [ "errors" ]);
+          checki "and it is malformed" 1 (int_at stats [ "errors_by_category"; "malformed" ]);
+          checki "nothing served on v2" 0 (int_at stats [ "protocol_versions"; "v2"; "served" ]);
+          checki "no cache lookup" 0 (int_at stats [ "cache"; "lookups" ]);
+          checki "no batch tallied" 0 (int_at stats [ "batch"; "batches" ])
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
 
 (* Generators for the op and reply algebra.  Integers and floats stay
@@ -1552,7 +1500,7 @@ let test_metrics_quantiles_empty () =
     (fun k -> checkb (k ^ " is null on an empty registry") true (latency_field j k = Jsonout.Null))
     [ "mean"; "p50"; "p90"; "p99" ];
   checkb "count 0" true (latency_field j "count" = Jsonout.Num 0.0);
-  checki "no errors" 0 (stats_num j "errors")
+  checki "no errors" 0 (int_at j [ "errors" ])
 
 let test_metrics_quantiles_single () =
   let m = Metrics.create () in
@@ -1796,8 +1744,8 @@ let test_fleet_merge_matches_single () =
   checki "accounted bits" (Metrics.accounted_bits single) (Metrics.accounted_bits acc);
   checki "v1 served gauge" (Metrics.version_served single 1) (Metrics.version_served acc 1);
   checki "latency samples"
-    (stats_num (Metrics.to_json single) "queries_served")
-    (stats_num (Metrics.to_json acc) "queries_served")
+    (int_at (Metrics.to_json single) [ "queries_served" ])
+    (int_at (Metrics.to_json acc) [ "queries_served" ])
 
 let fleet_merge_order_prop =
   QCheck.Test.make ~name:"fleet merge is order-independent" ~count:50 QCheck.(int_bound 1_000_000)
@@ -1850,58 +1798,6 @@ let with_fleet_registry f =
         };
       f reg)
 
-(* Fork a real fleet on a temp socket, await the public and every shard
-   socket, run [f path] against it, shut the fleet down through the
-   public socket and assert the supervisor saw exactly [expect_served]
-   queries fleet-wide and exited cleanly. *)
-let with_forked_fleet ?(fault = []) ?cache_capacity ?registry ~workers ~tag ~expect_served f =
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tfree-fleet-%s-%d.sock" tag (Unix.getpid ()))
-  in
-  let all_paths = path :: List.init workers (Service.worker_path ~path) in
-  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) all_paths;
-  match Unix.fork () with
-  | 0 ->
-      exit
-        (if
-           Service.serve ?cache_capacity ?registry ~line_timeout_s:5.0 ~fault ~workers ~path ()
-           = expect_served
-         then 0
-         else 1)
-  | server -> (
-      let rec await tries =
-        if not (List.for_all Sys.file_exists all_paths) then
-          if tries = 0 then Alcotest.fail "fleet sockets never appeared"
-          else (
-            Unix.sleepf 0.05;
-            await (tries - 1))
-      in
-      await 100;
-      (match f path with
-      | () -> ()
-      | exception e ->
-          (try Service.client_shutdown ~path () with _ -> ());
-          ignore (Unix.waitpid [] server);
-          raise e);
-      let rec finish tries =
-        (try Service.client_shutdown ~path () with Unix.Unix_error _ -> ());
-        match Unix.waitpid [ Unix.WNOHANG ] server with
-        | 0, _ ->
-            if tries = 0 then begin
-              Unix.kill server Sys.sigkill;
-              ignore (Unix.waitpid [] server);
-              Alcotest.fail "fleet did not exit after shutdown"
-            end
-            else begin
-              Unix.sleepf 0.05;
-              finish (tries - 1)
-            end
-        | _, Unix.WEXITED 0 -> ()
-        | _ -> Alcotest.fail "fleet did not exit cleanly (or served a wrong fleet-wide count)"
-      in
-      finish 100)
-
 let workers_member stats =
   match Jsonout.member "workers" stats with
   | Some w -> w
@@ -1935,7 +1831,9 @@ let test_fleet_chaos_reconciles () =
       let pub_seed = 999 in
       (* 3 worker-0 attempts + 3 v1 + 3 v2 + 3 batch + 1 dataset + 1 public *)
       let expect_served = 3 + 9 + 1 + 1 in
-      with_forked_fleet ~fault ~registry ~workers ~tag:"chaos" ~expect_served (fun path ->
+      Fixture.with_daemon ~workers ~tag:"fleet-chaos" ~expect_served
+        (fun path -> Service.serve ~registry ~line_timeout_s:5.0 ~fault ~workers ~path ())
+        (fun path ->
           let w0 = Service.worker_path ~path 0 and w1 = Service.worker_path ~path 1 in
           (* sequential first: worker 0's reply stream is deterministic, so
              ops 0 and 1 of the schedule hit exactly this client *)
@@ -1999,21 +1897,17 @@ let test_fleet_chaos_reconciles () =
               | Error msg -> Alcotest.failf "fleet stats failed: %s" msg
               | Ok stats ->
                   checki "fleet served = every attempt" expect_served
-                    (stats_num stats "queries_served");
-                  checki "two injected faults tallied" 2 (stats_num stats "injected_faults");
-                  checki "zero errors" 0 (stats_num stats "errors");
-                  (match Jsonout.member "batch" stats with
-                  | Some b ->
-                      checki "batch exchanges" 1 (stats_num b "batches");
-                      checki "batch items" 3 (stats_num b "items")
-                  | None -> Alcotest.fail "stats missing batch object");
-                  let w = workers_member stats in
-                  checki "worker count gauge" workers (stats_num w "count");
-                  checki "no restarts" 0 (stats_num w "restarts");
+                    (int_at stats [ "queries_served" ]);
+                  checki "two injected faults tallied" 2 (int_at stats [ "injected_faults" ]);
+                  checki "zero errors" 0 (int_at stats [ "errors" ]);
+                  checki "batch exchanges" 1 (int_at stats [ "batch"; "batches" ]);
+                  checki "batch items" 3 (int_at stats [ "batch"; "items" ]);
+                  checki "worker count gauge" workers (int_at stats [ "workers"; "count" ]);
+                  checki "no restarts" 0 (int_at stats [ "workers"; "restarts" ]);
                   let entries = fleet_entries stats in
                   checki "one gauge row per worker" workers (List.length entries);
                   let sum =
-                    List.fold_left (fun acc e -> acc + stats_num e "served") 0 entries
+                    List.fold_left (fun acc e -> acc + int_at e [ "served" ]) 0 entries
                   in
                   checki "per-worker served gauges sum to the total" expect_served sum;
                   List.iter
@@ -2026,7 +1920,7 @@ let test_fleet_chaos_reconciles () =
           match Service.client_health ~path:w1 () with
           | Ok h ->
               checki "fleet-wide health served count" expect_served
-                (stats_num h "queries_served");
+                (int_at h [ "queries_served" ]);
               ignore (workers_member h)
           | Error msg -> Alcotest.failf "fleet health failed: %s" msg))
 
@@ -2041,7 +1935,9 @@ let test_fleet_kill_respawn () =
   let s1 = seed_on_shard ~workers ~shard:1 1000 in
   let s0' = seed_on_shard ~workers ~shard:0 (s0 + 1) in
   let s1' = seed_on_shard ~workers ~shard:1 (s1 + 1) in
-  with_forked_fleet ~workers ~tag:"respawn" ~expect_served:4 (fun path ->
+  Fixture.with_daemon ~workers ~tag:"fleet-respawn" ~expect_served:4
+    (fun path -> Service.serve ~line_timeout_s:5.0 ~workers ~path ())
+    (fun path ->
       let w0 = Service.worker_path ~path 0 and w1 = Service.worker_path ~path 1 in
       let query sock seed =
         match Service.client_query ~path:sock (shard_req seed) with
@@ -2058,13 +1954,13 @@ let test_fleet_kill_respawn () =
         | Error msg -> Alcotest.failf "fleet stats failed: %s" msg
       in
       let s = stats () in
-      checki "two served before the kill" 2 (stats_num s "queries_served");
+      checki "two served before the kill" 2 (int_at s [ "queries_served" ]);
       let victim =
         match fleet_entries s with
         | [ _; e1 ] ->
             checkb "worker 1 alive before the kill" true
               (Jsonout.member "alive" e1 = Some (Jsonout.Bool true));
-            stats_num e1 "pid"
+            int_at e1 [ "pid" ]
         | _ -> Alcotest.fail "expected two fleet gauge rows"
       in
       Unix.kill victim Sys.sigkill;
@@ -2074,16 +1970,16 @@ let test_fleet_kill_respawn () =
         if tries = 0 then Alcotest.fail "worker 1 was not respawned"
         else
           let s = stats () in
-          let served = stats_num s "queries_served" in
+          let served = int_at s [ "queries_served" ] in
           checkb "served counter is monotone across the crash" true (served >= prev);
           let e1 = List.nth (fleet_entries s) 1 in
           if
             Jsonout.member "alive" e1 = Some (Jsonout.Bool true)
-            && stats_num e1 "pid" <> victim
+            && int_at e1 [ "pid" ] <> victim
           then begin
             checki "restart gauge counted the respawn" 1
-              (stats_num (workers_member s) "restarts");
-            checki "restart gauge on the seat" 1 (stats_num e1 "restarts");
+              (int_at s [ "workers"; "restarts" ]);
+            checki "restart gauge on the seat" 1 (int_at e1 [ "restarts" ]);
             served
           end
           else begin
@@ -2097,8 +1993,8 @@ let test_fleet_kill_respawn () =
       query w0 s0';
       query w1 s1';
       let s = stats () in
-      checki "exact final reconciliation" 4 (stats_num s "queries_served");
-      checki "a crash is not a service error" 0 (stats_num s "errors"))
+      checki "exact final reconciliation" 4 (int_at s [ "queries_served" ]);
+      checki "a crash is not a service error" 0 (int_at s [ "errors" ]))
 
 (* --------------------------------------------------------------- QCheck *)
 
@@ -2223,6 +2119,13 @@ let () =
             test_truncated_batch_frame_runs_nothing;
         ] );
       ("request algebra", List.map QCheck_alcotest.to_alcotest algebra_props);
+      ( "fixture",
+        [
+          Alcotest.test_case "failing callback reaps the daemon" `Quick
+            test_fixture_reaps_daemon_on_error;
+          Alcotest.test_case "served mismatch is named" `Quick test_fixture_names_served_mismatch;
+          Alcotest.test_case "client fleet collects one line each" `Quick test_fixture_client_fleet;
+        ] );
       ( "proto",
         [
           Alcotest.test_case "read buffer shrinks after a large burst" `Quick
