@@ -72,6 +72,13 @@ let bipartite_noise rng vertices ~p =
       (a.(i), a.(half + j)))
     selected
 
+(* The graph on [n] vertices of [edges] with every endpoint renamed
+   through [perm]: one build, no relabelling pass. *)
+let of_permuted_edges ~n perm edges =
+  let b = Graph.Builder.create ~n in
+  List.iter (fun (u, v) -> Graph.Builder.add b perm.(u) perm.(v)) edges;
+  Graph.Builder.build b
+
 (** [planted_far rng ~n ~triangles ~noise] plants [triangles] vertex-disjoint
     triangles on the first 3·triangles vertices and adds ~[noise] bipartite
     (hence triangle-free) edges among the remaining vertices.  The triangle
@@ -98,7 +105,7 @@ let planted_far rng ~n ~triangles ~noise =
   (* Shuffle labels so structure is not positional. *)
   let perm = Array.init n (fun i -> i) in
   Sampling.shuffle_in_place rng perm;
-  Graph.relabel (Graph.of_edges ~n (tri_edges @ noise_edges)) perm
+  of_permuted_edges ~n perm (tri_edges @ noise_edges)
 
 (** The adversarial low-degree instance of §3.4.2: [hubs] high-degree vertices
     are the sources of all triangle-vees.  Leaves are grouped in pairs; each
@@ -115,7 +122,7 @@ let hub_far rng ~n ~hubs ~pairs =
   done;
   let perm = Array.init n (fun i -> i) in
   Sampling.shuffle_in_place rng perm;
-  Graph.relabel (Graph.of_edges ~n !edges) perm
+  of_permuted_edges ~n perm !edges
 
 (** Lemma 4.17 embedding: pad a graph with isolated vertices up to [n] and
     shuffle labels; triangles and farness-in-edges are preserved while the
@@ -125,7 +132,7 @@ let embed rng g ~n =
   if n < n' then invalid_arg "Gen.embed: target smaller than source";
   let perm = Array.init n (fun i -> i) in
   Sampling.shuffle_in_place rng perm;
-  Graph.relabel (Graph.of_edges ~n (Graph.edges g)) perm
+  Graph.embed g perm
 
 let shuffle_labels rng g =
   let perm = Array.init (Graph.n g) (fun i -> i) in
@@ -229,7 +236,7 @@ let far_with_degree rng ~n ~d ~eps =
     in
     let perm = Array.init n (fun i -> i) in
     Sampling.shuffle_in_place rng perm;
-    Graph.relabel (Graph.of_edges ~n (tri_edges @ noise_edges)) perm
+    of_permuted_edges ~n perm (tri_edges @ noise_edges)
   end
 
 (** [planted_pattern_far rng ~n ~pattern ~copies ~noise] plants [copies]
@@ -255,7 +262,7 @@ let planted_pattern_far rng ~n ~(pattern : Subgraph.pattern) ~copies ~noise =
   in
   let perm = Array.init n (fun i -> i) in
   Sampling.shuffle_in_place rng perm;
-  Graph.relabel (Graph.of_edges ~n (planted @ noise_edges)) perm
+  of_permuted_edges ~n perm (planted @ noise_edges)
 
 (** [diluted_far rng ~triangles ~extra_degree] plants [triangles]
     vertex-disjoint triangles and attaches [extra_degree] fresh leaves to
@@ -280,7 +287,7 @@ let diluted_far rng ~triangles ~extra_degree =
   done;
   let perm = Array.init n (fun i -> i) in
   Sampling.shuffle_in_place rng perm;
-  Graph.relabel (Graph.of_edges ~n !edges) perm
+  of_permuted_edges ~n perm !edges
 
 (** Triangle-free graph with average degree ≈ d (bipartite random). *)
 let free_with_degree rng ~n ~d =

@@ -7,68 +7,134 @@ let normalize_edge (u, v) = if u <= v then (u, v) else (v, u)
 let check_vertex n v =
   if v < 0 || v >= n then invalid_arg (Printf.sprintf "Graph: vertex %d out of range [0,%d)" v n)
 
-(* Sort + dedup each adjacency array in place, returning the half-sum of the
-   final degrees (= m).  Shared finishing step of every constructor. *)
-let sort_dedup_adj adj =
-  let deg_sum = ref 0 in
-  for v = 0 to Array.length adj - 1 do
-    let a = adj.(v) in
-    let len = Array.length a in
-    if len > 0 then begin
-      Array.sort (fun (x : int) y -> compare x y) a;
-      let k = ref 1 in
-      for i = 1 to len - 1 do
-        if a.(i) <> a.(!k - 1) then begin
-          a.(!k) <- a.(i);
-          incr k
-        end
-      done;
-      if !k < len then adj.(v) <- Array.sub a 0 !k;
-      deg_sum := !deg_sum + !k
+(* Construction.  Endpoints stream into a growable flat int buffer (two
+   slots per edge, no list cells), then become exact-size sorted adjacency
+   rows in O(n + m) with no comparison sort:
+
+   - input seen strictly ascending in (u, v) with u < v (what
+     [iter_edges] emits, so every partitioner, filter and snapshot takes
+     this path) is filled row by row in arc order, which is already sorted
+     and duplicate-free: a row receives its smaller neighbours (from
+     earlier edges) before its larger ones, each group ascending;
+   - anything else is counting-sorted by source into a flat CSR array and
+     transposed: visiting sources in ascending order appends each source to
+     its neighbours' rows in order, so the rows come out sorted with
+     duplicates adjacent, and one linear pass drops them. *)
+module Builder = struct
+  type graph = t
+
+  type t = {
+    n : int;
+    mutable buf : int array;
+    mutable len : int;  (** used slots, two per edge *)
+    mutable ascending : bool;
+    mutable last_u : int;
+    mutable last_v : int;
+  }
+
+  let create ~n = { n; buf = Array.make 4096 0; len = 0; ascending = true; last_u = -1; last_v = -1 }
+
+  let add b u v =
+    check_vertex b.n u;
+    check_vertex b.n v;
+    if u <> v then begin
+      if b.ascending && not (u < v && (u > b.last_u || (u = b.last_u && v > b.last_v))) then
+        b.ascending <- false;
+      b.last_u <- u;
+      b.last_v <- v;
+      if b.len + 2 > Array.length b.buf then begin
+        let grown = Array.make (2 * Array.length b.buf) 0 in
+        Array.blit b.buf 0 grown 0 b.len;
+        b.buf <- grown
+      end;
+      b.buf.(b.len) <- u;
+      b.buf.(b.len + 1) <- v;
+      b.len <- b.len + 2
     end
-  done;
-  !deg_sum / 2
 
-(* Streaming build: force the sequence exactly once, buffering endpoints in a
-   growable flat int array (two slots per edge, no list cells), then the usual
-   exact-size count-then-fill into per-vertex adjacency arrays. *)
+  (* Rows of exact size [deg], filled in arc order. *)
+  let fill_rows ~n deg flat len =
+    let adj = Array.init n (fun v -> Array.make deg.(v) 0) in
+    let fill = Array.make n 0 in
+    let i = ref 0 in
+    while !i < len do
+      let u = flat.(!i) and v = flat.(!i + 1) in
+      adj.(u).(fill.(u)) <- v;
+      fill.(u) <- fill.(u) + 1;
+      adj.(v).(fill.(v)) <- u;
+      fill.(v) <- fill.(v) + 1;
+      i := !i + 2
+    done;
+    adj
+
+  (* Counting sort by source, transpose, then one dedup pass per row. *)
+  let sort_rows ~n deg flat len =
+    let off = Array.make (n + 1) 0 in
+    for v = 0 to n - 1 do
+      off.(v + 1) <- off.(v) + deg.(v)
+    done;
+    let pos = Array.sub off 0 n in
+    let by_source = Array.make len 0 in
+    let i = ref 0 in
+    while !i < len do
+      let u = flat.(!i) and v = flat.(!i + 1) in
+      by_source.(pos.(u)) <- v;
+      pos.(u) <- pos.(u) + 1;
+      by_source.(pos.(v)) <- u;
+      pos.(v) <- pos.(v) + 1;
+      i := !i + 2
+    done;
+    Array.blit off 0 pos 0 n;
+    let sorted = Array.make len 0 in
+    for s = 0 to n - 1 do
+      for j = off.(s) to off.(s + 1) - 1 do
+        let t = by_source.(j) in
+        sorted.(pos.(t)) <- s;
+        pos.(t) <- pos.(t) + 1
+      done
+    done;
+    Array.init n (fun v ->
+        let lo = off.(v) and hi = off.(v + 1) in
+        if lo = hi then [||]
+        else begin
+          let distinct = ref 1 in
+          for j = lo + 1 to hi - 1 do
+            if sorted.(j) <> sorted.(j - 1) then incr distinct
+          done;
+          let row = Array.make !distinct sorted.(lo) in
+          let k = ref 1 in
+          for j = lo + 1 to hi - 1 do
+            if sorted.(j) <> sorted.(j - 1) then begin
+              row.(!k) <- sorted.(j);
+              incr k
+            end
+          done;
+          row
+        end)
+
+  let build b : graph =
+    let n = b.n and flat = b.buf and len = b.len in
+    let deg = Array.make n 0 in
+    for i = 0 to len - 1 do
+      let x = flat.(i) in
+      deg.(x) <- deg.(x) + 1
+    done;
+    if b.ascending then { n; adj = fill_rows ~n deg flat len; m = len / 2 }
+    else begin
+      let adj = sort_rows ~n deg flat len in
+      { n; adj; m = Array.fold_left (fun s a -> s + Array.length a) 0 adj / 2 }
+    end
+end
+
 let of_edge_seq ~n seq =
-  let deg = Array.make n 0 in
-  let buf = ref (Array.make 4096 0) in
-  let len = ref 0 in
-  Seq.iter
-    (fun (u, v) ->
-      check_vertex n u;
-      check_vertex n v;
-      if u <> v then begin
-        if !len + 2 > Array.length !buf then begin
-          let grown = Array.make (2 * Array.length !buf) 0 in
-          Array.blit !buf 0 grown 0 !len;
-          buf := grown
-        end;
-        !buf.(!len) <- u;
-        !buf.(!len + 1) <- v;
-        len := !len + 2;
-        deg.(u) <- deg.(u) + 1;
-        deg.(v) <- deg.(v) + 1
-      end)
-    seq;
-  let flat = !buf in
-  let adj = Array.init n (fun v -> Array.make deg.(v) 0) in
-  let fill = Array.make n 0 in
-  let i = ref 0 in
-  while !i < !len do
-    let u = flat.(!i) and v = flat.(!i + 1) in
-    adj.(u).(fill.(u)) <- v;
-    fill.(u) <- fill.(u) + 1;
-    adj.(v).(fill.(v)) <- u;
-    fill.(v) <- fill.(v) + 1;
-    i := !i + 2
-  done;
-  let m = sort_dedup_adj adj in
-  { n; adj; m }
+  let b = Builder.create ~n in
+  Seq.iter (fun (u, v) -> Builder.add b u v) seq;
+  Builder.build b
 
-let of_edges ~n edges = of_edge_seq ~n (List.to_seq edges)
+let of_edges ~n edges =
+  let b = Builder.create ~n in
+  List.iter (fun (u, v) -> Builder.add b u v) edges;
+  Builder.build b
 
 let empty ~n = { n; adj = Array.make n [||]; m = 0 }
 
@@ -170,18 +236,51 @@ let union g1 g2 =
   in
   { n = g1.n; adj; m = !deg_sum / 2 }
 
-let union_list ~n gs = of_edges ~n (List.concat_map edges gs)
+let filter_edges g f =
+  let b = Builder.create ~n:g.n in
+  iter_edges g (fun u v -> if f u v then Builder.add b u v);
+  Builder.build b
 
 let induced g vs =
   let keep = Array.make g.n false in
   List.iter (fun v -> check_vertex g.n v; keep.(v) <- true) vs;
-  of_edges ~n:g.n (List.filter (fun (u, v) -> keep.(u) && keep.(v)) (edges g))
+  filter_edges g (fun u v -> keep.(u) && keep.(v))
 
-let filter_edges g f = of_edges ~n:g.n (List.filter (fun (u, v) -> f u v) (edges g))
+(* Rows are mapped directly: visiting the new labels w in ascending order
+   appends w to each neighbour's new row, so every row comes out sorted. *)
+let permute ~who g perm =
+  let n = Array.length perm in
+  let inv = Array.make n (-1) in
+  Array.iteri
+    (fun v w ->
+      if w < 0 || w >= n || inv.(w) >= 0 then
+        invalid_arg (Printf.sprintf "Graph.%s: not a permutation of [0,%d)" who n);
+      inv.(w) <- v)
+    perm;
+  let adj = Array.make n [||] in
+  for v = 0 to g.n - 1 do
+    adj.(perm.(v)) <- Array.make (Array.length g.adj.(v)) 0
+  done;
+  let fill = Array.make n 0 in
+  for w = 0 to n - 1 do
+    let v = inv.(w) in
+    if v < g.n then
+      Array.iter
+        (fun x ->
+          let x' = perm.(x) in
+          adj.(x').(fill.(x')) <- w;
+          fill.(x') <- fill.(x') + 1)
+        g.adj.(v)
+  done;
+  { n; adj; m = g.m }
 
 let relabel g perm =
   if Array.length perm <> g.n then invalid_arg "Graph.relabel: permutation size mismatch";
-  of_edges ~n:g.n (List.map (fun (u, v) -> (perm.(u), perm.(v))) (edges g))
+  permute ~who:"relabel" g perm
+
+let embed g perm =
+  if Array.length perm < g.n then invalid_arg "Graph.embed: permutation smaller than the graph";
+  permute ~who:"embed" g perm
 
 let equal g1 g2 = g1.n = g2.n && g1.m = g2.m && g1.adj = g2.adj
 

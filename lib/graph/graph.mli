@@ -16,14 +16,38 @@ type edge = int * int
 val normalize_edge : int * int -> edge
 
 (** [of_edges ~n edges] builds a graph; duplicate edges and self-loops are
-    dropped.  Raises [Invalid_argument] on out-of-range endpoints. *)
+    dropped.  Raises [Invalid_argument] on out-of-range endpoints.
+
+    Cost O(n + m) with no comparison sort.  Input that is strictly
+    ascending in [(u, v)] with [u < v] (the order {!edges} and
+    {!iter_edges} produce) is recognized in O(1) per edge and filled
+    straight into the rows; any other order is counting-sorted by source,
+    transposed and deduplicated in linear passes. *)
 val of_edges : n:int -> (int * int) list -> t
 
 (** [of_edge_seq ~n seq] is {!of_edges} over a sequence, forced exactly once:
     endpoints stream into a growable flat int buffer (no intermediate list
     cells), so million-edge parsers feed the CSR build incrementally.
-    Semantics are identical to [of_edges ~n (List.of_seq seq)]. *)
+    Semantics and cost are those of [of_edges ~n (List.of_seq seq)]. *)
 val of_edge_seq : n:int -> (int * int) Seq.t -> t
+
+(** Incremental construction: {!of_edges} one edge at a time, with the
+    same checks, semantics and cost.  The partitioners feed each player's
+    edges in {!iter_edges} order, so every player takes the ascending fast
+    path. *)
+module Builder : sig
+  type graph := t
+  type t
+
+  val create : n:int -> t
+
+  (** [add b u v] buffers edge [(u, v)]; a self-loop is dropped, an
+      out-of-range endpoint raises [Invalid_argument]. *)
+  val add : t -> int -> int -> unit
+
+  (** The graph of every edge added so far; [b] is left unchanged. *)
+  val build : t -> graph
+end
 
 val empty : n:int -> t
 
@@ -56,17 +80,23 @@ val fold_edges : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
     adjacency arrays. *)
 val union : t -> t -> t
 
-val union_list : n:int -> t list -> t
-
 (** Subgraph keeping only edges with both endpoints in the given set. *)
 val induced : t -> int list -> t
 
 (** Subgraph keeping edges on which [f u v] holds. *)
 val filter_edges : t -> (int -> int -> bool) -> t
 
-(** [relabel g perm] renames vertex [v] to [perm.(v)]; [perm] must be a
-    permutation of [0 .. n-1]. *)
+(** [relabel g perm] renames vertex [v] to [perm.(v)] in O(n + m), mapping
+    the sorted rows directly.  Raises [Invalid_argument] unless [perm] is a
+    permutation of [0 .. n-1] (a repeated target would merge vertices). *)
 val relabel : t -> int array -> t
+
+(** [embed g perm] is {!relabel} into a larger vertex set: [perm] is a
+    permutation of [0 .. N-1] with [N >= n g], vertex [v] of [g] becomes
+    [perm.(v)], and the [N - n g] labels no vertex of [g] maps to are
+    isolated.  Raises [Invalid_argument] if [perm] is shorter than [n g] or
+    not a permutation. *)
+val embed : t -> int array -> t
 
 (** Structural equality of edge sets. *)
 val equal : t -> t -> bool

@@ -16,38 +16,32 @@ let k (p : t) = Array.length p
 
 let n (p : t) = if Array.length p = 0 then 0 else Graph.n p.(0)
 
-(** Reassemble the underlying input graph. *)
-let union (p : t) = Graph.union_list ~n:(n p) (Array.to_list p)
+(** Reassemble the underlying input graph: a fold of the linear merge. *)
+let union (p : t) = Array.fold_left Graph.union (Graph.empty ~n:(n p)) p
 
 let player (p : t) j = p.(j)
 
-let of_assignment ~n ~k assign =
-  let buckets = Array.make k [] in
-  List.iter (fun (j, e) -> buckets.(j) <- e :: buckets.(j)) assign;
-  Array.map (fun es -> Graph.of_edges ~n es) buckets
+(* Walk [g]'s edges in [Graph.iter_edges] order, letting [route players u v]
+   add each to the builders of the players that receive it.  Every player
+   sees its edges ascending, so each build takes the fast path. *)
+let split ~k g route =
+  let players = Array.init k (fun _ -> Graph.Builder.create ~n:(Graph.n g)) in
+  Graph.iter_edges g (route players);
+  Array.map Graph.Builder.build players
 
 (** Each edge goes to exactly one uniformly random player. *)
 let disjoint_random rng ~k g =
-  let n = Graph.n g in
-  of_assignment ~n ~k (List.map (fun e -> (Rng.int rng k, e)) (Graph.edges g))
+  split ~k g (fun players u v -> Graph.Builder.add players.(Rng.int rng k) u v)
 
 (** Each edge goes to one uniform owner, and additionally to every other
     player independently with probability [dup_p] — the duplication regime. *)
 let with_duplication rng ~k ~dup_p g =
-  let n = Graph.n g in
-  let assign =
-    List.concat_map
-      (fun e ->
-        let owner = Rng.int rng k in
-        let copies =
-          List.filter_map
-            (fun j -> if j <> owner && Rng.bool rng ~p:dup_p then Some (j, e) else None)
-            (List.init k (fun j -> j))
-        in
-        (owner, e) :: copies)
-      (Graph.edges g)
-  in
-  of_assignment ~n ~k assign
+  split ~k g (fun players u v ->
+      let owner = Rng.int rng k in
+      Graph.Builder.add players.(owner) u v;
+      for j = 0 to k - 1 do
+        if j <> owner && Rng.bool rng ~p:dup_p then Graph.Builder.add players.(j) u v
+      done)
 
 (** Every player receives the whole graph: worst-case duplication. *)
 let replicate ~k g = Array.init k (fun _ -> g)
@@ -55,23 +49,15 @@ let replicate ~k g = Array.init k (fun _ -> g)
 (** Edge (u, v) assigned to the player owning its lower endpoint (hashed):
     a locality-flavoured partition (closest to CONGEST-style inputs). *)
 let by_endpoint_hash rng ~k g =
-  let n = Graph.n g in
   let salt = Rng.int rng 1_000_000_007 in
-  let owner v = (v + salt) mod k in
-  of_assignment ~n ~k (List.map (fun (u, v) -> (owner u, (u, v))) (Graph.edges g))
+  split ~k g (fun players u v -> Graph.Builder.add players.((u + salt) mod k) u v)
 
 (** Player 0 receives each edge with probability [bias]; the rest is spread
     uniformly — exercises the "irrelevant player" analysis of §3.4.3. *)
 let skewed rng ~k ~bias g =
-  let n = Graph.n g in
-  let assign =
-    List.map
-      (fun e ->
-        if Rng.bool rng ~p:bias then (0, e)
-        else ((1 + Rng.int rng (max 1 (k - 1))), e))
-      (Graph.edges g)
-  in
-  of_assignment ~n ~k assign
+  split ~k g (fun players u v ->
+      let j = if Rng.bool rng ~p:bias then 0 else 1 + Rng.int rng (max 1 (k - 1)) in
+      Graph.Builder.add players.(j) u v)
 
 let all_to_one ~k g =
   Array.init k (fun j -> if j = 0 then g else Graph.empty ~n:(Graph.n g))

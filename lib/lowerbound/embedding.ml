@@ -33,7 +33,7 @@ let embed_at_degree rng ~n ~d' ~c ~k ~make ~split =
   let parts' : Partition.t = split rng ~k g' in
   let perm = Array.init n (fun i -> i) in
   Sampling.shuffle_in_place rng perm;
-  let lift g = Graph.relabel (Graph.of_edges ~n (Graph.edges g)) perm in
+  let lift g = Graph.embed g perm in
   let inputs = Array.map lift parts' in
   let graph = lift g' in
   { inputs; graph; n'; achieved_degree = Graph.avg_degree graph }
