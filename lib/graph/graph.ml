@@ -7,8 +7,8 @@ let normalize_edge (u, v) = if u <= v then (u, v) else (v, u)
 let check_vertex n v =
   if v < 0 || v >= n then invalid_arg (Printf.sprintf "Graph: vertex %d out of range [0,%d)" v n)
 
-(* Construction.  Endpoints stream into a growable flat int buffer (two
-   slots per edge, no list cells), then become exact-size sorted adjacency
+(* Construction.  Endpoints stream into flat int chunks (two slots per
+   edge, no list cells), then become exact-size sorted adjacency
    rows in O(n + m) with no comparison sort:
 
    - input seen strictly ascending in (u, v) with u < v (what
@@ -23,16 +23,23 @@ let check_vertex n v =
 module Builder = struct
   type graph = t
 
+  (* Endpoints live in fixed-size chunks, so growing never copies and a
+     build allocates little beyond the rows it keeps. *)
+  let chunk = 4096
+
   type t = {
     n : int;
-    mutable buf : int array;
-    mutable len : int;  (** used slots, two per edge *)
+    mutable full : int array list;  (** filled chunks, newest first *)
+    mutable cur : int array;
+    mutable pos : int;  (** used slots of [cur], two per edge *)
+    mutable edges : int;
     mutable ascending : bool;
     mutable last_u : int;
     mutable last_v : int;
   }
 
-  let create ~n = { n; buf = Array.make 4096 0; len = 0; ascending = true; last_u = -1; last_v = -1 }
+  let create ~n =
+    { n; full = []; cur = Array.make chunk 0; pos = 0; edges = 0; ascending = true; last_u = -1; last_v = -1 }
 
   let add b u v =
     check_vertex b.n u;
@@ -42,50 +49,54 @@ module Builder = struct
         b.ascending <- false;
       b.last_u <- u;
       b.last_v <- v;
-      if b.len + 2 > Array.length b.buf then begin
-        let grown = Array.make (2 * Array.length b.buf) 0 in
-        Array.blit b.buf 0 grown 0 b.len;
-        b.buf <- grown
+      if b.pos = chunk then begin
+        b.full <- b.cur :: b.full;
+        b.cur <- Array.make chunk 0;
+        b.pos <- 0
       end;
-      b.buf.(b.len) <- u;
-      b.buf.(b.len + 1) <- v;
-      b.len <- b.len + 2
+      b.cur.(b.pos) <- u;
+      b.cur.(b.pos + 1) <- v;
+      b.pos <- b.pos + 2;
+      b.edges <- b.edges + 1
     end
 
+  (* [f a used] over the chunks in insertion order. *)
+  let iter_chunks b f =
+    List.iter (fun a -> f a chunk) (List.rev b.full);
+    f b.cur b.pos
+
+  (* For every buffered edge (u, v), in insertion order: [set u place.(u) v]
+     then [set v place.(v) u], advancing each [place] past the slot it
+     filled. *)
+  let scatter b place set =
+    iter_chunks b (fun a used ->
+        let i = ref 0 in
+        while !i < used do
+          let u = a.(!i) and v = a.(!i + 1) in
+          set u place.(u) v;
+          place.(u) <- place.(u) + 1;
+          set v place.(v) u;
+          place.(v) <- place.(v) + 1;
+          i := !i + 2
+        done)
+
   (* Rows of exact size [deg], filled in arc order. *)
-  let fill_rows ~n deg flat len =
-    let adj = Array.init n (fun v -> Array.make deg.(v) 0) in
-    let fill = Array.make n 0 in
-    let i = ref 0 in
-    while !i < len do
-      let u = flat.(!i) and v = flat.(!i + 1) in
-      adj.(u).(fill.(u)) <- v;
-      fill.(u) <- fill.(u) + 1;
-      adj.(v).(fill.(v)) <- u;
-      fill.(v) <- fill.(v) + 1;
-      i := !i + 2
-    done;
+  let fill_rows b deg =
+    let adj = Array.init b.n (fun v -> Array.make deg.(v) 0) in
+    scatter b (Array.make b.n 0) (fun u i v -> adj.(u).(i) <- v);
     adj
 
   (* Counting sort by source, transpose, then one dedup pass per row. *)
-  let sort_rows ~n deg flat len =
+  let sort_rows b deg =
+    let n = b.n in
     let off = Array.make (n + 1) 0 in
     for v = 0 to n - 1 do
       off.(v + 1) <- off.(v) + deg.(v)
     done;
+    let by_source = Array.make off.(n) 0 in
+    scatter b (Array.sub off 0 n) (fun _ i v -> by_source.(i) <- v);
     let pos = Array.sub off 0 n in
-    let by_source = Array.make len 0 in
-    let i = ref 0 in
-    while !i < len do
-      let u = flat.(!i) and v = flat.(!i + 1) in
-      by_source.(pos.(u)) <- v;
-      pos.(u) <- pos.(u) + 1;
-      by_source.(pos.(v)) <- u;
-      pos.(v) <- pos.(v) + 1;
-      i := !i + 2
-    done;
-    Array.blit off 0 pos 0 n;
-    let sorted = Array.make len 0 in
+    let sorted = Array.make off.(n) 0 in
     for s = 0 to n - 1 do
       for j = off.(s) to off.(s + 1) - 1 do
         let t = by_source.(j) in
@@ -113,15 +124,16 @@ module Builder = struct
         end)
 
   let build b : graph =
-    let n = b.n and flat = b.buf and len = b.len in
+    let n = b.n in
     let deg = Array.make n 0 in
-    for i = 0 to len - 1 do
-      let x = flat.(i) in
-      deg.(x) <- deg.(x) + 1
-    done;
-    if b.ascending then { n; adj = fill_rows ~n deg flat len; m = len / 2 }
+    iter_chunks b (fun a used ->
+        for i = 0 to used - 1 do
+          let x = a.(i) in
+          deg.(x) <- deg.(x) + 1
+        done);
+    if b.ascending then { n; adj = fill_rows b deg; m = b.edges }
     else begin
-      let adj = sort_rows ~n deg flat len in
+      let adj = sort_rows b deg in
       { n; adj; m = Array.fold_left (fun s a -> s + Array.length a) 0 adj / 2 }
     end
 end

@@ -155,6 +155,16 @@ let props =
   [
     Test.make ~name:"of_edges = sort_uniq reference" ~count:500 arb_input (fun (n, _, edges) ->
         matches_ref ~n edges (Graph.of_edges ~n edges));
+    (* thousands of edges: the endpoint buffer spans several chunks *)
+    Test.make ~name:"large inputs = reference" ~count:20
+      (triple (int_range 1 400) (int_range 0 12_000) (int_range 0 100_000))
+      (fun (n, m, seed) ->
+        let rng = Rng.create seed in
+        let raw = List.init m (fun _ -> (Rng.int rng n, Rng.int rng n)) in
+        let sorted = ascending raw in
+        matches_ref ~n raw (Graph.of_edges ~n raw)
+        && matches_ref ~n sorted (Graph.of_edges ~n sorted)
+        && matches_ref ~n sorted (Graph.of_edges ~n (break_once sorted seed)));
     Test.make ~name:"of_edge_seq = of_edges = reference" ~count:300 arb_input (fun (n, _, edges) ->
         let g = Graph.of_edge_seq ~n (List.to_seq edges) in
         matches_ref ~n edges g && Graph.equal g (Graph.of_edges ~n edges));
