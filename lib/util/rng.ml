@@ -15,40 +15,51 @@
     implement shared random priorities and shared Bernoulli marks over huge
     index spaces without materializing them. *)
 
-type t = { mutable state : int64; salt : int64 }
+(* The 64-bit state is kept as two 32-bit halves in immediate int fields
+   rather than in one mutable [int64] field, which boxed a fresh value on
+   every step.  With [mix64] and the drawing functions inlined, a draw runs
+   on unboxed values and allocates nothing. *)
+type t = { mutable hi : int; mutable lo : int; salt : int64 }
+
+let[@inline] state t = Int64.logor (Int64.shift_left (Int64.of_int t.hi) 32) (Int64.of_int t.lo)
+let[@inline] high s = Int64.to_int (Int64.shift_right_logical s 32)
+let[@inline] low s = Int64.to_int (Int64.logand s 0xFFFF_FFFFL)
+let make s salt = { hi = high s; lo = low s; salt }
 
 let golden = 0x9E3779B97F4A7C15L
 
 (* SplitMix64 finalizer: a strong 64-bit mixing permutation. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed); salt = mix64 (Int64.add (Int64.of_int seed) golden) }
+let create seed = make (mix64 (Int64.of_int seed)) (mix64 (Int64.add (Int64.of_int seed) golden))
 
-let copy t = { state = t.state; salt = t.salt }
+let copy t = make (state t) t.salt
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  mix64 (Int64.logxor t.state t.salt)
+let[@inline] next_int64 t =
+  let s = Int64.add (state t) golden in
+  t.hi <- high s;
+  t.lo <- low s;
+  mix64 (Int64.logxor s t.salt)
 
 (** [split t key] derives an independent child stream.  The child depends
     only on the {e current} state of [t] and [key]; it does not advance [t],
     so parties that agree on [t]'s state and the key derive the same child. *)
 let split t key =
   let k = mix64 (Int64.logxor t.salt (Int64.of_int key)) in
-  { state = mix64 (Int64.logxor t.state k); salt = mix64 (Int64.add k golden) }
+  make (mix64 (Int64.logxor (state t) k)) (mix64 (Int64.add k golden))
 
 (** Stateless keyed hash in [0, 1). *)
-let hash_float t key =
-  let h = mix64 (Int64.logxor (Int64.add t.state (Int64.of_int key)) t.salt) in
+let[@inline] hash_float t key =
+  let h = mix64 (Int64.logxor (Int64.add (state t) (Int64.of_int key)) t.salt) in
   let mantissa = Int64.to_float (Int64.shift_right_logical h 11) in
   mantissa /. 9007199254740992.0 (* 2^53 *)
 
 (** Stateless keyed hash over a pair of keys, in [0, 1). *)
 let hash_float2 t key1 key2 =
-  let h1 = mix64 (Int64.logxor (Int64.add t.state (Int64.of_int key1)) t.salt) in
+  let h1 = mix64 (Int64.logxor (Int64.add (state t) (Int64.of_int key1)) t.salt) in
   let h = mix64 (Int64.add h1 (Int64.of_int key2)) in
   let mantissa = Int64.to_float (Int64.shift_right_logical h 11) in
   mantissa /. 9007199254740992.0
@@ -61,7 +72,7 @@ let int t bound =
   let r = Int64.shift_right_logical (next_int64 t) 1 in
   Int64.to_int (Int64.rem r (Int64.of_int bound))
 
-let float t =
+let[@inline] float t =
   let mantissa = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   mantissa /. 9007199254740992.0
 
