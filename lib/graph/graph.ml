@@ -18,8 +18,8 @@ let check_vertex n v =
      earlier edges) before its larger ones, each group ascending;
    - anything else is counting-sorted by source into a flat CSR array and
      transposed: visiting sources in ascending order appends each source to
-     its neighbours' rows in order, so the rows come out sorted with
-     duplicates adjacent, and one linear pass drops them. *)
+     its neighbours' rows in order, so the rows come out sorted, and a
+     duplicate shows up next to its first copy, where it is dropped. *)
 module Builder = struct
   type graph = t
 
@@ -86,7 +86,10 @@ module Builder = struct
     scatter b (Array.make b.n 0) (fun u i v -> adj.(u).(i) <- v);
     adj
 
-  (* Counting sort by source, transpose, then one dedup pass per row. *)
+  (* Counting sort by source, then transpose into the rows.  Sources are
+     visited in ascending order, so each row fills in order and a duplicate
+     is always the row's last entry so far: it is skipped there, and only
+     a row that had one is trimmed. *)
   let sort_rows b deg =
     let n = b.n in
     let off = Array.make (n + 1) 0 in
@@ -95,33 +98,22 @@ module Builder = struct
     done;
     let by_source = Array.make off.(n) 0 in
     scatter b (Array.sub off 0 n) (fun _ i v -> by_source.(i) <- v);
-    let pos = Array.sub off 0 n in
-    let sorted = Array.make off.(n) 0 in
+    let adj = Array.init n (fun v -> Array.make deg.(v) 0) in
+    let fill = Array.make n 0 in
     for s = 0 to n - 1 do
       for j = off.(s) to off.(s + 1) - 1 do
         let t = by_source.(j) in
-        sorted.(pos.(t)) <- s;
-        pos.(t) <- pos.(t) + 1
+        let row = adj.(t) and k = fill.(t) in
+        if k = 0 || row.(k - 1) <> s then begin
+          row.(k) <- s;
+          fill.(t) <- k + 1
+        end
       done
     done;
-    Array.init n (fun v ->
-        let lo = off.(v) and hi = off.(v + 1) in
-        if lo = hi then [||]
-        else begin
-          let distinct = ref 1 in
-          for j = lo + 1 to hi - 1 do
-            if sorted.(j) <> sorted.(j - 1) then incr distinct
-          done;
-          let row = Array.make !distinct sorted.(lo) in
-          let k = ref 1 in
-          for j = lo + 1 to hi - 1 do
-            if sorted.(j) <> sorted.(j - 1) then begin
-              row.(!k) <- sorted.(j);
-              incr k
-            end
-          done;
-          row
-        end)
+    for v = 0 to n - 1 do
+      if fill.(v) < deg.(v) then adj.(v) <- Array.sub adj.(v) 0 fill.(v)
+    done;
+    adj
 
   let build b : graph =
     let n = b.n in
