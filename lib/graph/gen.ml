@@ -73,7 +73,7 @@ let bipartite_noise rng vertices ~p =
     selected
 
 (* The graph on [n] vertices of [edges] with every endpoint renamed
-   through [perm]: one build, no relabelling pass. *)
+   through [perm], built once. *)
 let of_permuted_edges ~n perm edges =
   let b = Graph.Builder.create ~n in
   List.iter (fun (u, v) -> Graph.Builder.add b perm.(u) perm.(v)) edges;

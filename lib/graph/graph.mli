@@ -26,8 +26,8 @@ val normalize_edge : int * int -> edge
 val of_edges : n:int -> (int * int) list -> t
 
 (** [of_edge_seq ~n seq] is {!of_edges} over a sequence, forced exactly once:
-    endpoints stream into a growable flat int buffer (no intermediate list
-    cells), so million-edge parsers feed the CSR build incrementally.
+    endpoints stream into flat int chunks (no intermediate list cells), so
+    million-edge parsers feed the CSR build incrementally.
     Semantics and cost are those of [of_edges ~n (List.of_seq seq)]. *)
 val of_edge_seq : n:int -> (int * int) Seq.t -> t
 
