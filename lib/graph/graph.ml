@@ -7,9 +7,9 @@ let normalize_edge (u, v) = if u <= v then (u, v) else (v, u)
 let check_vertex n v =
   if v < 0 || v >= n then invalid_arg (Printf.sprintf "Graph: vertex %d out of range [0,%d)" v n)
 
-(* Construction.  Endpoints stream into flat int chunks (two slots per
-   edge, no list cells), then become exact-size sorted adjacency
-   rows in O(n + m) with no comparison sort:
+(* Construction.  [Builder] buffers endpoints (two int slots per edge, no
+   list cells) and turns them into exact-size sorted adjacency rows in
+   O(n + m) with no comparison sort:
 
    - input seen strictly ascending in (u, v) with u < v (what
      [iter_edges] emits, so every partitioner, filter and snapshot takes
@@ -32,14 +32,13 @@ module Builder = struct
     mutable full : int array list;  (** filled chunks, newest first *)
     mutable cur : int array;
     mutable pos : int;  (** used slots of [cur], two per edge *)
-    mutable edges : int;
     mutable ascending : bool;
     mutable last_u : int;
     mutable last_v : int;
   }
 
   let create ~n =
-    { n; full = []; cur = Array.make chunk 0; pos = 0; edges = 0; ascending = true; last_u = -1; last_v = -1 }
+    { n; full = []; cur = Array.make chunk 0; pos = 0; ascending = true; last_u = -1; last_v = -1 }
 
   let add b u v =
     check_vertex b.n u;
@@ -56,8 +55,7 @@ module Builder = struct
       end;
       b.cur.(b.pos) <- u;
       b.cur.(b.pos + 1) <- v;
-      b.pos <- b.pos + 2;
-      b.edges <- b.edges + 1
+      b.pos <- b.pos + 2
     end
 
   (* [f a used] over the chunks in insertion order. *)
@@ -123,7 +121,7 @@ module Builder = struct
           let x = a.(i) in
           deg.(x) <- deg.(x) + 1
         done);
-    if b.ascending then { n; adj = fill_rows b deg; m = b.edges }
+    if b.ascending then { n; adj = fill_rows b deg; m = ((chunk * List.length b.full) + b.pos) / 2 }
     else begin
       let adj = sort_rows b deg in
       { n; adj; m = Array.fold_left (fun s a -> s + Array.length a) 0 adj / 2 }
