@@ -4,16 +4,40 @@
     fixes the exact accounting used everywhere: a value ranging over [c]
     possibilities costs [ceil (log2 c)] bits (minimum 1). *)
 
-(** Smallest [b] with [2^b >= c]; at least 1. *)
-let for_card c =
-  if c <= 1 then 1
-  else begin
-    let rec loop b pow = if pow >= c then b else loop (b + 1) (2 * pow) in
-    loop 1 2
-  end
+(* floor (log2 x) for x >= 1, by halving the candidate shift: six steps
+   for any int, where a bit-at-a-time loop takes up to 62.  Every message
+   width goes through here, a few times per message sent. *)
+let floor_log2 x =
+  if x < 1 then invalid_arg "Bits.floor_log2: nonpositive";
+  let r = ref 0 and x = ref x in
+  if !x lsr 32 <> 0 then begin
+    r := 32;
+    x := !x lsr 32
+  end;
+  if !x lsr 16 <> 0 then begin
+    r := !r + 16;
+    x := !x lsr 16
+  end;
+  if !x lsr 8 <> 0 then begin
+    r := !r + 8;
+    x := !x lsr 8
+  end;
+  if !x lsr 4 <> 0 then begin
+    r := !r + 4;
+    x := !x lsr 4
+  end;
+  if !x lsr 2 <> 0 then begin
+    r := !r + 2;
+    x := !x lsr 2
+  end;
+  if !x lsr 1 <> 0 then !r + 1 else !r
+
+(** Smallest [b] with [2^b >= c]; at least 1 (and at most 62: every int
+    is below 2^62). *)
+let for_card c = if c <= 2 then 1 else 1 + floor_log2 (c - 1)
 
 (** Bits to name a vertex of an n-vertex graph. *)
-let vertex ~n = for_card (max n 2)
+let vertex ~n = for_card (Int.max n 2)
 
 (** Bits to name an (unordered) edge: two vertex identifiers. *)
 let edge ~n = 2 * vertex ~n
@@ -27,8 +51,8 @@ let int_in_range ~lo ~hi =
     style) code: 2*floor(log2 (v+1)) + 1. *)
 let elias_gamma v =
   if v < 0 then invalid_arg "Bits.elias_gamma: negative";
-  let rec log2floor acc x = if x <= 1 then acc else log2floor (acc + 1) (x lsr 1) in
-  2 * log2floor 0 (v + 1) + 1
+  let x = v + 1 in
+  if x <= 1 then 1 else (2 * floor_log2 x) + 1
 
 (** ceil (log2 x) for floats, used in cost formulas. *)
 let log2 x = Float.log x /. Float.log 2.0

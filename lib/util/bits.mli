@@ -1,6 +1,9 @@
 (** Bit-size arithmetic for the communication cost model: a value ranging
     over [c] possibilities costs ceil(log2 c) bits (minimum 1). *)
 
+(** [floor (log2 x)].  @raise Invalid_argument if [x < 1]. *)
+val floor_log2 : int -> int
+
 (** Smallest [b] with [2^b >= c]; at least 1. *)
 val for_card : int -> int
 

@@ -17,6 +17,21 @@ open Tfree_comm
 
 (* ------------------------------------------------------------- payload *)
 
+(* The list walks are top-level recursions rather than [List.iter]
+   closures, so encoding a message allocates nothing. *)
+let rec put_vertex_list w width = function
+  | [] -> ()
+  | v :: rest ->
+      Bitio.put_bits w ~width v;
+      put_vertex_list w width rest
+
+let rec put_edge_list w width = function
+  | [] -> ()
+  | (u, v) :: rest ->
+      Bitio.put_bits w ~width u;
+      Bitio.put_bits w ~width v;
+      put_edge_list w width rest
+
 let rec encode_value w layout (value : Msg.value) =
   match (layout, value) with
   | Msg.L_unit, Msg.Unit -> ()
@@ -34,21 +49,27 @@ let rec encode_value w layout (value : Msg.value) =
       Bitio.put_bits w ~width u;
       Bitio.put_bits w ~width v
   | Msg.L_vertices { n }, Msg.Vertices vs ->
-      let width = Tfree_util.Bits.vertex ~n in
       Bitio.put_gamma w (List.length vs);
-      List.iter (fun v -> Bitio.put_bits w ~width v) vs
+      put_vertex_list w (Tfree_util.Bits.vertex ~n) vs
   | Msg.L_edges { n }, Msg.Edges es ->
-      let width = Tfree_util.Bits.vertex ~n in
       Bitio.put_gamma w (List.length es);
-      List.iter
-        (fun (u, v) ->
-          Bitio.put_bits w ~width u;
-          Bitio.put_bits w ~width v)
-        es
-  | Msg.L_tuple ls, Msg.Tuple vs ->
-      if List.length ls <> List.length vs then invalid_arg "Codec.encode_value: tuple arity";
-      List.iter2 (encode_value w) ls vs
+      put_edge_list w (Tfree_util.Bits.vertex ~n) es
+  | Msg.L_tuple ls, Msg.Tuple vs -> encode_tuple w ls vs
   | _ -> invalid_arg "Codec.encode_value: value does not fit layout"
+
+and encode_tuple w ls vs =
+  match (ls, vs) with
+  | [], [] -> ()
+  | l :: ls, v :: vs ->
+      encode_value w l v;
+      encode_tuple w ls vs
+  | _ -> invalid_arg "Codec.encode_value: tuple arity"
+
+(* A list of [len] elements of [width] bits each must fit in what is left
+   of the payload; checked before anything is allocated for it. *)
+let check_list_fits r ~len ~width =
+  if len > Bitio.bits_left r / width then
+    invalid_arg (Printf.sprintf "a %d-element list cannot fit in %d bits" len (Bitio.bits_left r))
 
 let rec decode_value r layout : Msg.value =
   match layout with
@@ -68,72 +89,87 @@ let rec decode_value r layout : Msg.value =
   | Msg.L_vertices { n } ->
       let width = Tfree_util.Bits.vertex ~n in
       let len = Bitio.get_gamma r in
+      check_list_fits r ~len ~width;
       Msg.Vertices (List.init len (fun _ -> Bitio.get_bits r ~width))
   | Msg.L_edges { n } ->
       let width = Tfree_util.Bits.vertex ~n in
       let len = Bitio.get_gamma r in
+      check_list_fits r ~len ~width:(2 * width);
       Msg.Edges
         (List.init len (fun _ ->
              let u = Bitio.get_bits r ~width in
              (u, Bitio.get_bits r ~width)))
   | Msg.L_tuple ls -> Msg.Tuple (List.map (decode_value r) ls)
 
-(** Encode a message's payload: returns the (right-padded) payload bytes and
-    the exact bit count, which is asserted equal to [Msg.bits] — the codec's
-    central contract. *)
-let encode_payload msg =
-  let w = Bitio.writer () in
+(** Append a message's payload to [w]: exactly [Msg.bits msg] bits, which
+    is asserted — the codec's central contract. *)
+let encode_into w msg =
+  let before = Bitio.bits_written w in
   encode_value w (Msg.layout msg) (Msg.value msg);
-  let emitted = Bitio.bits_written w in
+  let emitted = Bitio.bits_written w - before in
   if emitted <> Msg.bits msg then
     invalid_arg
-      (Printf.sprintf "Codec.encode_payload: emitted %d bits but the cost model charges %d" emitted
-         (Msg.bits msg));
-  (Bitio.to_bytes w, emitted)
+      (Printf.sprintf "Codec.encode_into: emitted %d bits but the cost model charges %d" emitted
+         (Msg.bits msg))
 
-(** Decode a payload of [bits] bits under [layout]; the decoder must consume
-    exactly [bits].  All decode failures — a read past the end of the
-    buffer, a value that does not fit its layout, a bit-count mismatch —
-    raise the typed {!Wire_error} ([Corrupt]): bytes that arrived but do not
-    decode are a wire fault, never a crash. *)
-let decode_payload layout ?(off = 0) ~bits data =
-  let r = Bitio.reader ~off data in
-  let value =
-    try decode_value r layout with
-    | Invalid_argument msg -> Wire_error.errorf_corrupt "Codec.decode_payload: %s" msg
-    | Failure msg -> Wire_error.errorf_corrupt "Codec.decode_payload: %s" msg
-  in
-  if Bitio.bits_read r <> bits then
-    Wire_error.errorf_corrupt "Codec.decode_payload: consumed %d bits of a %d-bit payload"
-      (Bitio.bits_read r) bits;
-  Msg.of_layout layout value
+(** The payload alone, in fresh bytes (right-padded), with its bit count. *)
+let encode_payload msg =
+  let w = Bitio.writer () in
+  encode_into w msg;
+  (Bitio.to_bytes w, Msg.bits msg)
+
+(** Decode a payload of [bits] bits at byte [off] of [data] under [layout];
+    the decoder must consume exactly [bits] and never reads past
+    [ceil (bits / 8)] bytes.  All decode failures — a read past the end, a
+    value that does not fit its layout, a bit-count mismatch — raise the
+    typed {!Wire_error} ([Corrupt]): bytes that arrived but do not decode
+    are a wire fault, never a crash. *)
+let decode_payload layout data ~off ~bits =
+  try
+    let r = Bitio.reader ~off ~len:((bits + 7) / 8) data in
+    let value = decode_value r layout in
+    if Bitio.bits_read r <> bits then
+      Wire_error.errorf_corrupt "Codec.decode_payload: consumed %d bits of a %d-bit payload"
+        (Bitio.bits_read r) bits;
+    Msg.of_layout layout value
+  with
+  | Invalid_argument msg -> Wire_error.errorf_corrupt "Codec.decode_payload: %s" msg
+  | Failure msg -> Wire_error.errorf_corrupt "Codec.decode_payload: %s" msg
 
 (* ---------------------------------------------------- layout descriptor *)
 
-(* Unsigned LEB128. *)
-let put_varint b v =
+(* Unsigned LEB128, a byte per 7 bits. *)
+let put_varint w v =
   if v < 0 then invalid_arg "Codec.put_varint: negative";
-  let rec go v =
-    if v < 0x80 then Buffer.add_char b (Char.chr v)
-    else begin
-      Buffer.add_char b (Char.chr (0x80 lor (v land 0x7f)));
-      go (v lsr 7)
-    end
-  in
-  go v
+  let v = ref v in
+  while !v >= 0x80 do
+    Bitio.put_byte w (0x80 lor (!v land 0x7f));
+    v := !v lsr 7
+  done;
+  Bitio.put_byte w !v
 
-(* Decode-side failures are wire faults, not caller bugs: a truncated or
-   over-long varint raises the typed {!Wire_error}.  Ten 7-bit groups cover
-   every OCaml int; an eleventh continuation byte is garbage (and would
-   otherwise shift into the sign bit). *)
-let get_varint data pos =
+let varint_size v =
+  let n = ref 1 and v = ref v in
+  while !v >= 0x80 do
+    incr n;
+    v := !v lsr 7
+  done;
+  !n
+
+(* Decode-side failures are wire faults, not caller bugs: a truncated,
+   over-long or overflowing varint raises the typed {!Wire_error}.  Nine
+   7-bit groups cover every OCaml int, so a tenth byte may only carry zero
+   payload bits (any other bit would be shifted out and silently dropped),
+   and an eleventh byte is garbage. *)
+let get_varint_long data ~limit pos =
   let v = ref 0 and shift = ref 0 and continue = ref true in
   while !continue do
-    if !pos >= Bytes.length data then
-      Wire_error.errorf_truncated "Codec.get_varint: truncated at byte %d" !pos;
     if !shift > 63 then Wire_error.errorf_corrupt "Codec.get_varint: varint longer than 10 bytes";
+    if !pos >= limit then Wire_error.errorf_truncated "Codec.get_varint: truncated at byte %d" !pos;
     let byte = Char.code (Bytes.get data !pos) in
     incr pos;
+    if !shift = 63 && byte land 0x7f <> 0 then
+      Wire_error.errorf_corrupt "Codec.get_varint: varint overflows 63 bits";
     v := !v lor ((byte land 0x7f) lsl !shift);
     shift := !shift + 7;
     continue := byte land 0x80 <> 0
@@ -141,59 +177,105 @@ let get_varint data pos =
   if !v < 0 then Wire_error.errorf_corrupt "Codec.get_varint: negative value";
   !v
 
+let get_varint data ~limit pos =
+  let limit = if limit < Bytes.length data then limit else Bytes.length data in
+  let p = !pos in
+  if p >= 0 && p < limit && Char.code (Bytes.unsafe_get data p) < 0x80 then begin
+    (* the common one-byte varint *)
+    pos := p + 1;
+    Char.code (Bytes.unsafe_get data p)
+  end
+  else get_varint_long data ~limit pos
+
 (* Zigzag for possibly-negative range bounds. *)
 let zigzag v = if v >= 0 then 2 * v else (-2 * v) - 1
 let unzigzag z = if z land 1 = 0 then z / 2 else -((z + 1) / 2)
 
-let rec put_layout b (l : Msg.layout) =
-  match l with
-  | Msg.L_unit -> put_varint b 0
-  | Msg.L_bool -> put_varint b 1
-  | Msg.L_int_in { lo; hi } ->
-      put_varint b 2;
-      put_varint b (zigzag lo);
-      put_varint b (zigzag hi)
-  | Msg.L_nat -> put_varint b 3
-  | Msg.L_vertex { n } ->
-      put_varint b 4;
-      put_varint b n
-  | Msg.L_vertex_opt { n } ->
-      put_varint b 5;
-      put_varint b n
-  | Msg.L_edge { n } ->
-      put_varint b 6;
-      put_varint b n
-  | Msg.L_vertices { n } ->
-      put_varint b 7;
-      put_varint b n
-  | Msg.L_edges { n } ->
-      put_varint b 8;
-      put_varint b n
-  | Msg.L_tuple ls ->
-      put_varint b 9;
-      put_varint b (List.length ls);
-      List.iter (put_layout b) ls
+(* Every layout is a tag varint, then its parameters: [L_int_in] its two
+   zigzagged bounds, the vertex layouts their [n], [L_tuple] its arity and
+   parts.  [put_layout] and [layout_size] walk the same shape. *)
+let tag : Msg.layout -> int = function
+  | Msg.L_unit -> 0
+  | Msg.L_bool -> 1
+  | Msg.L_int_in _ -> 2
+  | Msg.L_nat -> 3
+  | Msg.L_vertex _ -> 4
+  | Msg.L_vertex_opt _ -> 5
+  | Msg.L_edge _ -> 6
+  | Msg.L_vertices _ -> 7
+  | Msg.L_edges _ -> 8
+  | Msg.L_tuple _ -> 9
 
-let rec get_layout data pos : Msg.layout =
-  match get_varint data pos with
+let rec put_layout w (l : Msg.layout) =
+  put_varint w (tag l);
+  match l with
+  | Msg.L_unit | Msg.L_bool | Msg.L_nat -> ()
+  | Msg.L_int_in { lo; hi } ->
+      put_varint w (zigzag lo);
+      put_varint w (zigzag hi)
+  | Msg.L_vertex { n }
+  | Msg.L_vertex_opt { n }
+  | Msg.L_edge { n }
+  | Msg.L_vertices { n }
+  | Msg.L_edges { n } ->
+      put_varint w n
+  | Msg.L_tuple ls ->
+      put_varint w (List.length ls);
+      put_layouts w ls
+
+and put_layouts w = function
+  | [] -> ()
+  | l :: ls ->
+      put_layout w l;
+      put_layouts w ls
+
+let rec layout_size (l : Msg.layout) =
+  1
+  +
+  match l with
+  | Msg.L_unit | Msg.L_bool | Msg.L_nat -> 0
+  | Msg.L_int_in { lo; hi } -> varint_size (zigzag lo) + varint_size (zigzag hi)
+  | Msg.L_vertex { n }
+  | Msg.L_vertex_opt { n }
+  | Msg.L_edge { n }
+  | Msg.L_vertices { n }
+  | Msg.L_edges { n } ->
+      varint_size n
+  | Msg.L_tuple ls -> varint_size (List.length ls) + layouts_size ls
+
+and layouts_size = function [] -> 0 | l :: ls -> layout_size l + layouts_size ls
+
+(* Descriptors nest no deeper than this; a deeper one is garbage, and
+   refusing it keeps a forged descriptor from exhausting the stack. *)
+let max_layout_depth = 64
+
+let rec get_layout_at data ~limit pos depth : Msg.layout =
+  if depth > max_layout_depth then
+    Wire_error.errorf_corrupt "Codec.get_layout: layout nested deeper than %d" max_layout_depth;
+  match get_varint data ~limit pos with
   | 0 -> Msg.L_unit
   | 1 -> Msg.L_bool
   | 2 ->
-      let lo = unzigzag (get_varint data pos) in
-      let hi = unzigzag (get_varint data pos) in
+      let lo = unzigzag (get_varint data ~limit pos) in
+      let hi = unzigzag (get_varint data ~limit pos) in
+      (* the range must be non-empty and its size hi - lo + 1 an int *)
+      if hi < lo || hi - lo < 0 || hi - lo = max_int then
+        Wire_error.errorf_corrupt "Codec.get_layout: empty or unrepresentable range [%d, %d]" lo hi;
       Msg.L_int_in { lo; hi }
   | 3 -> Msg.L_nat
-  | 4 -> Msg.L_vertex { n = get_varint data pos }
-  | 5 -> Msg.L_vertex_opt { n = get_varint data pos }
-  | 6 -> Msg.L_edge { n = get_varint data pos }
-  | 7 -> Msg.L_vertices { n = get_varint data pos }
-  | 8 -> Msg.L_edges { n = get_varint data pos }
+  | 4 -> Msg.L_vertex { n = get_varint data ~limit pos }
+  | 5 -> Msg.L_vertex_opt { n = get_varint data ~limit pos }
+  | 6 -> Msg.L_edge { n = get_varint data ~limit pos }
+  | 7 -> Msg.L_vertices { n = get_varint data ~limit pos }
+  | 8 -> Msg.L_edges { n = get_varint data ~limit pos }
   | 9 ->
-      let len = get_varint data pos in
-      Msg.L_tuple (List.init len (fun _ -> get_layout data pos))
+      let len = get_varint data ~limit pos in
+      Msg.L_tuple (List.init len (fun _ -> get_layout_at data ~limit pos (depth + 1)))
   | tag -> Wire_error.errorf_corrupt "Codec.get_layout: unknown tag %d" tag
 
+let get_layout data ~limit pos = get_layout_at data ~limit pos 0
+
 let layout_to_bytes l =
-  let b = Buffer.create 8 in
-  put_layout b l;
-  Buffer.to_bytes b
+  let w = Bitio.writer () in
+  put_layout w l;
+  Bitio.to_bytes w

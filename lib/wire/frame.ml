@@ -5,17 +5,23 @@
     {v
     varint  L              length in bytes of everything after this varint
     varint  payload_bits   exact payload length in bits
-    layout  descriptor     self-delimiting (Codec.layout_to_bytes)
+    layout  descriptor     self-delimiting (Codec.put_layout)
     payload bytes          ceil(payload_bits / 8), right-padded
     2 bytes checksum       sum mod 2^16 of every body byte before it
     v}
 
-    The payload occupies exactly [Msg.bits] bits ({!Codec.encode_payload}
+    The payload occupies exactly [Msg.bits] bits ({!Codec.encode_into}
     asserts it); everything else — length prefix, bit count, descriptor,
     final padding, checksum — is framing overhead.  Per frame,
     [8 * total_bytes - payload_bits] is that overhead, so over a run
     [wire_bytes * 8 - framing_overhead_bits = accounted_bits] holds exactly
     when the ledger and the transport agree.
+
+    Every frame is built by {!encode_into}: the body length is known before
+    the first byte is written (the bit count is [Msg.bits], the descriptor
+    size is {!Codec.layout_size}), so the whole image — prefix, header,
+    descriptor, payload, checksum — is written once, front to back, into a
+    reusable {!scratch}, and the checksum is summed over it in place.
 
     Parsing fails closed: a length field beyond {!max_frame_bytes} raises
     [Oversized], a body the stream cannot supply raises [Truncated], and a
@@ -39,29 +45,56 @@ let min_body_bytes = 4
 let sum16 data off len =
   let s = ref 0 in
   for i = off to off + len - 1 do
-    s := !s + Char.code (Bytes.get data i)
+    s := !s + Char.code (Bytes.unsafe_get data i)
   done;
   !s land 0xffff
 
-(** The whole frame for [msg]. *)
+(* ------------------------------------------------------------- encoding *)
+
+type scratch = {
+  image : Bitio.writer;  (** the outgoing frame, bytes [0, frame_len) *)
+  mutable back : Bytes.t;  (** where {!exchange} reads the frame back *)
+}
+
+let scratch () = { image = Bitio.writer (); back = Bytes.create 64 }
+
+(** Write the whole frame for [msg] into [s], replacing the previous one. *)
+let encode_into s msg =
+  let w = s.image in
+  let payload_bits = Msg.bits msg and layout = Msg.layout msg in
+  let body_len =
+    Codec.varint_size payload_bits + Codec.layout_size layout + ((payload_bits + 7) / 8) + 2
+  in
+  Bitio.reset w;
+  Codec.put_varint w body_len;
+  let start = Bitio.byte_length w in
+  Codec.put_varint w payload_bits;
+  Codec.put_layout w layout;
+  Codec.encode_into w msg;
+  Bitio.align w;
+  let ck = sum16 (Bitio.storage w) start (Bitio.byte_length w - start) in
+  Bitio.put_byte w ck;
+  Bitio.put_byte w (ck lsr 8);
+  if Bitio.byte_length w - start <> body_len then
+    invalid_arg
+      (Printf.sprintf "Frame.encode_into: wrote a %d-byte body, sized it at %d"
+         (Bitio.byte_length w - start) body_len)
+
+let image s = Bitio.storage s.image
+let frame_len s = Bitio.byte_length s.image
+
+(** The whole frame for [msg], in fresh bytes. *)
 let encode msg =
-  let payload, payload_bits = Codec.encode_payload msg in
-  let layout = Codec.layout_to_bytes (Msg.layout msg) in
-  let body = Buffer.create (Bytes.length payload + Bytes.length layout + 6) in
-  Codec.put_varint body payload_bits;
-  Buffer.add_bytes body layout;
-  Buffer.add_bytes body payload;
-  let ck = sum16 (Buffer.to_bytes body) 0 (Buffer.length body) in
-  Buffer.add_char body (Char.chr (ck land 0xff));
-  Buffer.add_char body (Char.chr (ck lsr 8));
-  let frame = Buffer.create (Buffer.length body + 2) in
-  Codec.put_varint frame (Buffer.length body);
-  Buffer.add_buffer frame body;
-  Buffer.to_bytes frame
+  let s = scratch () in
+  encode_into s msg;
+  Bytes.sub (image s) 0 (frame_len s)
+
+(* ------------------------------------------------------------- decoding *)
 
 (* Validate and decode one frame body at [start], [body_len] bytes: verify
    the checksum, then the length arithmetic, then decode the payload.  The
-   caller has already bounds-checked [start + body_len] against the data. *)
+   caller has already bounds-checked [start + body_len] against the data;
+   nothing outside the body is read. *)
 let parse_body data ~start ~body_len =
   if body_len < min_body_bytes then
     Wire_error.errorf_corrupt "Frame: body of %d bytes is shorter than any frame" body_len;
@@ -71,73 +104,79 @@ let parse_body data ~start ~body_len =
   if expect <> got then
     Wire_error.errorf_corrupt "Frame: checksum mismatch (computed %04x, carried %04x)" expect got;
   let pos = ref start in
-  let payload_bits = Codec.get_varint data pos in
-  let layout = Codec.get_layout data pos in
+  let payload_bits = Codec.get_varint data ~limit:ck_off pos in
+  let layout = Codec.get_layout data ~limit:ck_off pos in
   let payload_bytes = (payload_bits + 7) / 8 in
   if !pos + payload_bytes <> ck_off then
     Wire_error.errorf_corrupt "Frame: inconsistent frame lengths (%d-bit payload in a %d-byte body)"
       payload_bits body_len;
-  Codec.decode_payload layout ~off:!pos ~bits:payload_bits data
+  Codec.decode_payload layout data ~off:!pos ~bits:payload_bits
 
 let check_body_len body_len =
   if body_len > max_frame_bytes then
     Wire_error.error (Wire_error.Oversized { limit = max_frame_bytes; got = body_len })
 
-(** Parse one frame from [data] at [!pos]; advances [pos] past it. *)
-let decode data pos =
-  let body_len = Codec.get_varint data pos in
+(* One frame from [data] at [!pos], reading no byte at or beyond [limit]. *)
+let decode_within data ~limit pos =
+  let body_len = Codec.get_varint data ~limit pos in
   check_body_len body_len;
   let body_end = !pos + body_len in
-  if body_end > Bytes.length data then
+  if body_end > limit then
     Wire_error.errorf_truncated "Frame.decode: length field %d larger than the %d-byte buffer"
-      body_len
-      (Bytes.length data - !pos);
+      body_len (limit - !pos);
   let msg = parse_body data ~start:!pos ~body_len in
   pos := body_end;
   msg
 
+(** Parse one frame from [data] at [!pos]; advances [pos] past it. *)
+let decode data pos = decode_within data ~limit:(Bytes.length data) pos
+
 (** Overhead of the frame [bytes] carrying a [payload_bits]-bit payload. *)
 let overhead_bits ~frame_bytes ~payload_bits = (8 * frame_bytes) - payload_bits
 
+(* ------------------------------------------------------------ transport *)
+
 (** Send one frame; returns the frame size in bytes. *)
 let write tr msg =
-  let frame = encode msg in
-  Transport.send tr frame;
-  Bytes.length frame
+  let s = scratch () in
+  encode_into s msg;
+  Transport.send tr (image s) 0 (frame_len s);
+  frame_len s
 
-(* Read the length varint one byte at a time (a stream has no lookahead),
-   then the body in one recv.  A varint that does not terminate within ten
-   bytes is garbage, not a length. *)
-let read_varint tr =
-  let v = ref 0 and shift = ref 0 and continue = ref true and consumed = ref 0 in
+(* Read the length prefix one byte at a time (a stream has no lookahead):
+   up to the first byte without a continuation bit, or ten bytes, whichever
+   comes first; {!Codec.get_varint} then judges them. *)
+let read_prefix tr =
+  let prefix = Bytes.create 10 in
+  let n = ref 0 and continue = ref true in
   while !continue do
-    if !consumed >= 10 then
-      Wire_error.errorf_corrupt "Frame.read: length varint longer than 10 bytes";
-    let byte = Char.code (Bytes.get (Transport.recv tr 1) 0) in
-    incr consumed;
-    v := !v lor ((byte land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    continue := byte land 0x80 <> 0
+    Transport.recv tr prefix !n 1;
+    continue := Char.code (Bytes.get prefix !n) land 0x80 <> 0 && !n < 9;
+    incr n
   done;
-  if !v < 0 then Wire_error.errorf_corrupt "Frame.read: negative length varint";
-  (!v, !consumed)
+  let pos = ref 0 in
+  let body_len = Codec.get_varint prefix ~limit:!n pos in
+  (body_len, !n)
 
 (** Receive one frame; returns the message and the frame size in bytes. *)
 let read tr =
-  let body_len, prefix_len = read_varint tr in
+  let body_len, prefix_len = read_prefix tr in
   check_body_len body_len;
-  let body = Transport.recv tr body_len in
+  let body = Bytes.create body_len in
+  Transport.recv tr body 0 body_len;
   let msg = parse_body body ~start:0 ~body_len in
   (msg, prefix_len + body_len)
 
-(** Loopback round trip: the frame crosses the transport and comes back
-    decoded.  Returns the delivered message and the frame size. *)
-let exchange tr msg =
-  let frame = encode msg in
-  let back = Transport.exchange tr frame in
+(** Loopback round trip through [s]: the frame is built in [s]'s image,
+    crosses the transport into [s]'s read-back buffer, and is decoded from
+    there into a fresh message. *)
+let exchange s tr msg =
+  encode_into s msg;
+  let len = frame_len s in
+  if Bytes.length s.back < len then s.back <- Bytes.create (max len (2 * Bytes.length s.back));
+  Transport.exchange tr (image s) 0 len s.back;
   let pos = ref 0 in
-  let msg' = decode back pos in
-  if !pos <> Bytes.length back then
-    Wire_error.errorf_corrupt "Frame.exchange: %d trailing bytes after the frame"
-      (Bytes.length back - !pos);
-  (msg', Bytes.length frame)
+  let delivered = decode_within s.back ~limit:len pos in
+  if !pos <> len then
+    Wire_error.errorf_corrupt "Frame.exchange: %d trailing bytes after the frame" (len - !pos);
+  delivered

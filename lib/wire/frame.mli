@@ -14,8 +14,37 @@ open Tfree_comm
     length prefix beyond it raises [Oversized]. *)
 val max_frame_bytes : int
 
-(** The whole frame for a message. *)
+(** {2 The frame image} *)
+
+(** The reusable buffers of one sender: the image of the frame being sent
+    and the buffer {!exchange} reads it back into.  Its owner (one
+    {!Wire_runtime} network) encodes every frame into the same scratch, so
+    a delivery allocates no buffer once the scratch has grown to the
+    largest frame.  A scratch serves one frame at a time and is not safe
+    to share between domains. *)
+type scratch
+
+val scratch : unit -> scratch
+
+(** Write the whole frame for the message into the scratch, replacing the
+    previous frame: written once, front to back, checksum summed in place.
+    This is the only frame encoder; {!encode}, {!write} and {!exchange}
+    all go through it.  @raise Invalid_argument as {!Codec.encode_into}. *)
+val encode_into : scratch -> Msg.t -> unit
+
+(** The scratch's image: the current frame is bytes [0, frame_len s).  The
+    buffer belongs to the scratch — the next {!encode_into} or {!exchange}
+    on it overwrites it or replaces it with a larger one — so copy out any
+    bytes that must outlive that. *)
+val image : scratch -> Bytes.t
+
+(** Size in bytes of the frame currently in the scratch. *)
+val frame_len : scratch -> int
+
+(** The whole frame for a message, in fresh bytes the caller owns. *)
 val encode : Msg.t -> Bytes.t
+
+(** {2 Parsing} *)
 
 (** Parse one frame from a buffer at [!pos]; advances [pos] past it.
     @raise Wire_error.Wire_error on truncation, an oversized or inconsistent
@@ -23,6 +52,8 @@ val encode : Msg.t -> Bytes.t
 val decode : Bytes.t -> int ref -> Msg.t
 
 val overhead_bits : frame_bytes:int -> payload_bits:int -> int
+
+(** {2 Over a transport} *)
 
 (** Send one frame; returns its size in bytes. *)
 val write : Transport.t -> Msg.t -> int
@@ -32,6 +63,10 @@ val write : Transport.t -> Msg.t -> int
     transport raises ([Truncated] / [Peer_closed]). *)
 val read : Transport.t -> Msg.t * int
 
-(** Loopback round trip: write the frame, read it back from the same
-    stream, decode.  Returns the delivered message and the frame size. *)
-val exchange : Transport.t -> Msg.t -> Msg.t * int
+(** Loopback round trip through the scratch: encode the frame into its
+    image, cross the transport into its read-back buffer, decode.  Returns
+    the delivered message, a fresh value that shares no memory with the
+    scratch; the frame's size is {!frame_len} afterwards.
+    @raise Wire_error.Wire_error as for {!read}, or if bytes trail the
+    frame. *)
+val exchange : scratch -> Transport.t -> Msg.t -> Msg.t

@@ -1,13 +1,15 @@
 (** Byte transports.
 
-    A transport is a duplex byte stream.  Two in-process loopback
-    implementations back the wire runtime — an in-memory {!pipe} for
-    deterministic tests and a real Unix-domain {!socketpair} — plus
-    {!of_fd} wrapping one end of an established connection for the
-    [tfree-serve] daemon and its client.
+    A transport is a duplex byte stream that loops back in-process: what is
+    written on it is read back from it.  Two implementations back the wire
+    runtime — an in-memory {!pipe} for deterministic tests and a real
+    Unix-domain {!socketpair}.
 
-    Loopback transports support {!exchange}: write a buffer and read the
-    same number of bytes back from the stream.  On the socketpair this is a
+    Every operation works on a caller-owned byte range — [send] reads
+    [src.[off .. off+len-1]], [recv] fills [dst.[off .. off+len-1]] — so a
+    frame crosses without a buffer of the transport's own being handed
+    out.  {!exchange} writes a range and reads the same number of bytes
+    back into a second buffer; on the socketpair this is a
     [select]-interleaved loop, so a frame larger than the kernel socket
     buffer cannot deadlock the single-process sender/receiver pair.
 
@@ -24,89 +26,124 @@
 
 type t = {
   kind : string;
-  send : Bytes.t -> unit;  (** write the whole buffer *)
-  recv : int -> Bytes.t;  (** read exactly this many bytes *)
-  exchange : Bytes.t -> Bytes.t;  (** loopback: write all, read back the same length *)
+  send : Bytes.t -> int -> int -> unit;  (** write the whole range *)
+  recv : Bytes.t -> int -> int -> unit;  (** fill exactly the range *)
+  exchange : Bytes.t -> int -> int -> Bytes.t -> unit;
+      (** write the range, read as many bytes back into the second buffer *)
   close : unit -> unit;
 }
 
 let kind t = t.kind
-let send t b = t.send b
-let recv t n = t.recv n
-let exchange t b = t.exchange b
+
+let check_range who b off len =
+  if off < 0 || len < 0 || off + len > Bytes.length b then
+    invalid_arg (Printf.sprintf "Transport.%s: range outside the buffer" who)
+
+let send t src off len =
+  check_range "send" src off len;
+  t.send src off len
+
+let recv t dst off len =
+  check_range "recv" dst off len;
+  t.recv dst off len
+
+let exchange t src off len into =
+  check_range "exchange" src off len;
+  check_range "exchange" into 0 len;
+  t.exchange src off len into
+
 let close t = t.close ()
 
 (* ----------------------------------------------------------------- pipe *)
 
+(* The pipe's bytes in flight: a circular buffer that grows (unwrapping)
+   when a write does not fit, and is reused otherwise. *)
+type ring = { mutable data : Bytes.t; mutable head : int; mutable size : int }
+
+(* Copy the first [len] bytes in flight to [dst] at [off], leaving them in
+   the ring. *)
+let ring_peek r dst off len =
+  let first = Int.min len (Bytes.length r.data - r.head) in
+  Bytes.blit r.data r.head dst off first;
+  if first < len then Bytes.blit r.data 0 dst (off + first) (len - first)
+
+let ring_push r src off len =
+  if r.size + len > Bytes.length r.data then begin
+    let cap = ref (2 * Bytes.length r.data) in
+    while !cap < r.size + len do
+      cap := 2 * !cap
+    done;
+    let fresh = Bytes.create !cap in
+    ring_peek r fresh 0 r.size;
+    r.data <- fresh;
+    r.head <- 0
+  end;
+  let cap = Bytes.length r.data in
+  let tail = (r.head + r.size) mod cap in
+  let first = Int.min len (cap - tail) in
+  Bytes.blit src off r.data tail first;
+  if first < len then Bytes.blit src (off + first) r.data 0 (len - first);
+  r.size <- r.size + len
+
+let ring_pop r dst off len =
+  if r.size < len then
+    Wire_error.errorf_truncated "Transport.pipe: read of %d bytes but only %d buffered" len r.size;
+  ring_peek r dst off len;
+  r.size <- r.size - len;
+  r.head <- (if r.size = 0 then 0 else (r.head + len) mod Bytes.length r.data)
+
 (** In-memory FIFO of bytes: writes append, reads consume in order.
-    Deterministic, allocation-only — the default for tests and experiments. *)
+    Deterministic, and allocation-free once the ring has grown to the
+    largest burst in flight — the default for tests and experiments. *)
 let pipe () =
-  let buf = Buffer.create 256 in
-  let pos = ref 0 in
-  let send b = Buffer.add_bytes buf b in
-  let recv n =
-    if Buffer.length buf - !pos < n then
-      Wire_error.errorf_truncated "Transport.pipe: read of %d bytes but only %d buffered" n
-        (Buffer.length buf - !pos);
-    let out = Bytes.create n in
-    Buffer.blit buf !pos out 0 n;
-    pos := !pos + n;
-    (* Reclaim consumed space once everything in flight has been read. *)
-    if !pos = Buffer.length buf then begin
-      Buffer.clear buf;
-      pos := 0
-    end;
-    out
-  in
+  let r = { data = Bytes.create 256; head = 0; size = 0 } in
   {
     kind = "pipe";
-    send;
-    recv;
-    exchange = (fun b -> send b; recv (Bytes.length b));
+    send = ring_push r;
+    recv = ring_pop r;
+    exchange =
+      (fun src off len into ->
+        ring_push r src off len;
+        ring_pop r into 0 len);
     close = (fun () -> ());
   }
 
 (* ------------------------------------------------------------- unix fds *)
 
-let write_all fd b =
-  let len = Bytes.length b in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd b !off (len - !off)
+let write_all fd src off len =
+  let w = ref 0 in
+  while !w < len do
+    w := !w + Unix.write fd src (off + !w) (len - !w)
   done
 
-let read_exact fd n =
-  let out = Bytes.create n in
-  let off = ref 0 in
-  while !off < n do
-    let r = Unix.read fd out !off (n - !off) in
-    if r = 0 then
+let read_exact fd dst off len =
+  let r = ref 0 in
+  while !r < len do
+    let got = Unix.read fd dst (off + !r) (len - !r) in
+    if got = 0 then
       Wire_error.error
         (Wire_error.Peer_closed
-           (Printf.sprintf "Transport: peer closed with %d of %d bytes read" !off n));
-    off := !off + r
-  done;
-  out
+           (Printf.sprintf "Transport: peer closed with %d of %d bytes read" !r len));
+    r := !r + got
+  done
 
-(* Write [b] while draining the read side, so a buffer larger than the
-   kernel's socket buffer cannot wedge a single-process loopback. *)
-let exchange_fds ~wr ~rd b =
-  let len = Bytes.length b in
-  let out = Bytes.create len in
+(* Write the range while draining the read side straight into [into], so a
+   buffer larger than the kernel's socket buffer cannot wedge a
+   single-process loopback. *)
+let exchange_fds ~wr ~rd src off len into =
   let w = ref 0 and r = ref 0 in
   while !w < len || !r < len do
     let ws = if !w < len then [ wr ] else [] in
     let rs = if !r < len then [ rd ] else [] in
     let readable, writable, _ = Unix.select rs ws [] (-1.0) in
-    if writable <> [] then w := !w + Unix.write wr b !w (min 65536 (len - !w));
+    if writable <> [] then w := !w + Unix.write wr src (off + !w) (min 65536 (len - !w));
     if readable <> [] then begin
-      let got = Unix.read rd out !r (len - !r) in
+      let got = Unix.read rd into !r (len - !r) in
       if got = 0 then
         Wire_error.error (Wire_error.Peer_closed "Transport: peer closed mid-exchange");
       r := !r + got
     end
-  done;
-  out
+  done
 
 (** A connected [AF_UNIX]/[SOCK_STREAM] pair in one process: writes enter
     one end, reads drain the other — real kernel-crossing bytes. *)
@@ -115,9 +152,9 @@ let socketpair () =
   let closed = ref false in
   {
     kind = "socketpair";
-    send = (fun buf -> write_all a buf);
-    recv = (fun n -> read_exact b n);
-    exchange = (fun buf -> exchange_fds ~wr:a ~rd:b buf);
+    send = write_all a;
+    recv = read_exact b;
+    exchange = exchange_fds ~wr:a ~rd:b;
     close =
       (fun () ->
         if not !closed then begin
@@ -127,52 +164,32 @@ let socketpair () =
         end);
   }
 
-(** Wrap one end of an established duplex connection (the serve/client
-    side).  [exchange] here is a plain request/response round trip — the
-    peer is another process, so no loopback interleaving is needed. *)
-let of_fd ?(kind = "fd") fd =
-  let closed = ref false in
-  {
-    kind;
-    send = (fun b -> write_all fd b);
-    recv = (fun n -> read_exact fd n);
-    exchange =
-      (fun b ->
-        write_all fd b;
-        read_exact fd (Bytes.length b));
-    close =
-      (fun () ->
-        if not !closed then begin
-          closed := true;
-          try Unix.close fd with Unix.Unix_error _ -> ()
-        end);
-  }
-
 (* --------------------------------------------------------------- faulty *)
 
 (* The fault-injecting wrapper.  Every wrapper [send] (and every fast-path
-   [exchange]) consumes one op of the shared [counter]; the schedule names
-   ops to sabotage.  The wrapper tracks delivered-minus-consumed bytes for
-   loopback transports, so a read that an injected drop/truncate starved
-   raises [Truncated] instead of blocking forever — the no-hang half of the
-   chaos contract lives here, the no-wrong-verdict half in the frame
-   checksum and the wire tap's echo check. *)
+   [exchange]) consumes one op of the shared [counter], so one frame is one
+   op whichever way it crosses; the schedule names ops to sabotage.  The
+   wrapper tracks delivered-minus-consumed bytes, so a read that an
+   injected drop/truncate starved raises [Truncated] instead of blocking
+   forever — the no-hang half of the chaos contract lives here, the
+   no-wrong-verdict half in the frame checksum and the wire tap's echo
+   check. *)
 let faulty ?(counter = ref 0) ~schedule inner =
   let closed = ref false in
   let pending = Queue.create () in
   (* delayed sends: (release_op, bytes) — release once the op counter passes *)
   let delivered = ref 0 and consumed = ref 0 in
-  let loopback = inner.kind = "pipe" || inner.kind = "socketpair" in
-  let deliver b =
-    inner.send b;
-    delivered := !delivered + Bytes.length b
+  let deliver b off len =
+    inner.send b off len;
+    delivered := !delivered + len
   in
+  let deliver_all b = deliver b 0 (Bytes.length b) in
   let flush_due () =
     let rec go () =
       match Queue.peek_opt pending with
       | Some (due, b) when due <= !counter ->
           ignore (Queue.pop pending);
-          deliver b;
+          deliver_all b;
           go ()
       | _ -> ()
     in
@@ -180,76 +197,63 @@ let faulty ?(counter = ref 0) ~schedule inner =
   in
   let flush_all () =
     while not (Queue.is_empty pending) do
-      deliver (snd (Queue.pop pending))
+      deliver_all (snd (Queue.pop pending))
     done
   in
   let guard () =
     if !closed then Wire_error.error (Wire_error.Peer_closed "injected peer-close")
   in
-  let send b =
+  let send src off len =
     guard ();
     let op = !counter in
     incr counter;
     flush_due ();
     match Fault.find schedule op with
-    | None -> deliver b
+    | None -> deliver src off len
     | Some Fault.Drop -> ()
     | Some (Fault.Corrupt { bit }) ->
-        let c = Bytes.copy b in
-        let len = Bytes.length c in
+        let c = Bytes.sub src off len in
         if len > 0 then begin
           let bi = bit mod (8 * len) in
           Bytes.set c (bi / 8)
             (Char.chr (Char.code (Bytes.get c (bi / 8)) lxor (1 lsl (bi mod 8))))
         end;
-        deliver c
-    | Some (Fault.Truncate { keep }) ->
-        let len = Bytes.length b in
-        deliver (Bytes.sub b 0 (min keep (max 0 (len - 1))))
-    | Some (Fault.Delay { amount }) -> Queue.push (op + max 1 amount, Bytes.copy b) pending
+        deliver_all c
+    | Some (Fault.Truncate { keep }) -> deliver src off (min keep (max 0 (len - 1)))
+    | Some (Fault.Delay { amount }) -> Queue.push (op + max 1 amount, Bytes.sub src off len) pending
     | Some (Fault.Partial { at }) ->
-        let len = Bytes.length b in
         let cut = min (max 1 at) (max 0 (len - 1)) in
-        deliver (Bytes.sub b 0 cut);
-        deliver (Bytes.sub b cut (len - cut))
+        deliver src off cut;
+        deliver src (off + cut) (len - cut)
     | Some Fault.Close ->
         closed := true;
         inner.close ()
   in
-  let recv n =
+  let recv dst off len =
     guard ();
     flush_all ();
-    if loopback && !delivered - !consumed < n then
+    if !delivered - !consumed < len then
       Wire_error.errorf_truncated
-        "Transport.faulty: read of %d bytes but an injected fault left only %d in flight" n
+        "Transport.faulty: read of %d bytes but an injected fault left only %d in flight" len
         (!delivered - !consumed)
     else begin
-      let out = inner.recv n in
-      consumed := !consumed + n;
-      out
+      inner.recv dst off len;
+      consumed := !consumed + len
     end
   in
-  let exchange b =
+  let exchange src off len into =
     guard ();
-    let len = Bytes.length b in
     if Fault.find schedule !counter = None && Queue.is_empty pending then begin
       (* fault-free op on a clean stream: delegate to the deadlock-free
          underlying exchange (matters for frames beyond the kernel buffer) *)
       incr counter;
       delivered := !delivered + len;
-      let out = inner.exchange b in
-      consumed := !consumed + len;
-      out
+      inner.exchange src off len into;
+      consumed := !consumed + len
     end
     else begin
-      send b;
-      recv len
+      send src off len;
+      recv into 0 len
     end
   in
-  {
-    kind = inner.kind ^ "+faulty";
-    send;
-    recv;
-    exchange;
-    close = (fun () -> inner.close ());
-  }
+  { kind = inner.kind ^ "+faulty"; send; recv; exchange; close = (fun () -> inner.close ()) }

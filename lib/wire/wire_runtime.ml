@@ -42,6 +42,7 @@ type net = {
   down : chan_stats array;  (** coordinator -> player j *)
   up : chan_stats array;  (** player j -> coordinator *)
   board : chan_stats;
+  scratch : Frame.scratch;  (** every frame of the network is built and read back here *)
 }
 
 let create ?(fault = []) ?(transport = Pipe) ~k () =
@@ -58,6 +59,7 @@ let create ?(fault = []) ?(transport = Pipe) ~k () =
     down = Array.init k (fun _ -> fresh_stats ());
     up = Array.init k (fun _ -> fresh_stats ());
     board = fresh_stats ();
+    scratch = Frame.scratch ();
   }
 
 let close net = Array.iter Transport.close net.links
@@ -65,22 +67,27 @@ let close net = Array.iter Transport.close net.links
 let transport_kind net = net.transport
 
 (* Route a channel to its link and direction counter. *)
-let route net = function
-  | Channel.To_player j -> (net.links.(j), net.down.(j))
-  | Channel.From_player j -> (net.links.(j), net.up.(j))
-  | Channel.Board -> (net.links.(net.k), net.board)
+let link net = function
+  | Channel.To_player j | Channel.From_player j -> net.links.(j)
+  | Channel.Board -> net.links.(net.k)
 
-(** The byte-moving tap: encode, frame, cross the transport, decode; count;
-    hand the protocol the decoded copy.  A decode that does not reproduce
-    the sent message — a codec bug, or a fault the frame checksum somehow
-    passed — fails closed with a typed [Corrupt], so a wire fault can abort
-    a run but never hand the protocol a different message. *)
+let stats net = function
+  | Channel.To_player j -> net.down.(j)
+  | Channel.From_player j -> net.up.(j)
+  | Channel.Board -> net.board
+
+(** The byte-moving tap: frame into the network's scratch, cross the
+    transport, decode a fresh copy; count; hand the protocol the decoded
+    copy.  A decode that does not reproduce the sent message — a codec bug,
+    or a fault the frame checksum somehow passed — fails closed with a
+    typed [Corrupt], so a wire fault can abort a run but never hand the
+    protocol a different message. *)
 let tap net =
   let deliver ~round:_ ch msg =
-    let link, stats = route net ch in
-    let delivered, frame_bytes = Frame.exchange link msg in
+    let delivered = Frame.exchange net.scratch (link net ch) msg in
+    let stats = stats net ch in
     stats.frames <- stats.frames + 1;
-    stats.wire_bytes <- stats.wire_bytes + frame_bytes;
+    stats.wire_bytes <- stats.wire_bytes + Frame.frame_len net.scratch;
     stats.payload_bits <- stats.payload_bits + Msg.bits msg;
     if not (Msg.value delivered = Msg.value msg && Msg.bits delivered = Msg.bits msg) then
       Wire_error.errorf_corrupt "Wire_runtime: decoded message differs from sent one on %s"

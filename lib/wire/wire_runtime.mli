@@ -22,7 +22,10 @@ type chan_stats = {
 }
 
 (** A wire network: one duplex transport per player channel plus one for
-    the blackboard, with per-channel, per-direction counters. *)
+    the blackboard, with per-channel, per-direction counters.  The network
+    owns one {!Frame.scratch}: every frame it delivers is built in and read
+    back through those reused buffers, so a delivery allocates only the
+    decoded message.  A network serves one protocol run at a time. *)
 type net
 
 (** [create ?fault ?transport ~k ()] builds the network.  A non-empty
@@ -34,8 +37,9 @@ val create : ?fault:Fault.schedule -> ?transport:kind -> k:int -> unit -> net
 val close : net -> unit
 val transport_kind : net -> kind
 
-(** The byte-moving {!Channel.tap}: encode, frame, cross the transport,
-    decode, count; the protocol consumes the decoded copy.  Fails closed
+(** The byte-moving {!Channel.tap}: frame into the network's scratch,
+    cross the transport, decode, count; the protocol consumes the decoded
+    copy, a fresh value that shares no memory with the scratch.  Fails closed
     with a typed {!Wire_error.Wire_error} ([Corrupt]) if a decode does not
     reproduce the sent message — a fault can abort a run, never alter it. *)
 val tap : net -> Channel.tap

@@ -83,7 +83,7 @@ let roundtrip msg =
   let payload, bits = Codec.encode_payload msg in
   checki "payload length = Msg.bits" (Msg.bits msg) bits;
   checki "payload bytes = ceil(bits/8)" ((bits + 7) / 8) (Bytes.length payload);
-  let back = Codec.decode_payload (Msg.layout msg) ~bits payload in
+  let back = Codec.decode_payload (Msg.layout msg) payload ~off:0 ~bits in
   checkb "value round-trips" true (Msg.value back = Msg.value msg);
   checki "bits round-trip" (Msg.bits msg) (Msg.bits back);
   checkb "layout round-trips" true (Msg.layout back = Msg.layout msg)
@@ -95,7 +95,7 @@ let test_layout_descriptor_roundtrip () =
     (fun msg ->
       let d = Codec.layout_to_bytes (Msg.layout msg) in
       let pos = ref 0 in
-      let back = Codec.get_layout d pos in
+      let back = Codec.get_layout d ~limit:(Bytes.length d) pos in
       checkb "layout descriptor round-trips" true (back = Msg.layout msg);
       checki "descriptor fully consumed" (Bytes.length d) !pos)
     sample_msgs
@@ -136,9 +136,10 @@ let test_exchange_large_frame_socketpair () =
   let tr = Transport.socketpair () in
   let es = List.init 200_000 (fun i -> (i mod 4096, (i * 7) mod 4096)) in
   let msg = Msg.edges ~n:4096 es in
-  let back, bytes = Frame.exchange tr msg in
+  let scratch = Frame.scratch () in
+  let back = Frame.exchange scratch tr msg in
   checkb "big frame round-trips" true (Msg.value back = Msg.value msg);
-  checkb "frame really big" true (bytes > 256 * 1024);
+  checkb "frame really big" true (Frame.frame_len scratch > 256 * 1024);
   Transport.close tr
 
 (* ------------------------------------------------------ frame hardening *)
@@ -156,9 +157,14 @@ let raises_wire_error name f =
 (* A frame body built by hand: bit-count varint, layout descriptor bytes,
    payload bytes, correct checksum, length prefix — so individual fields
    can be forged while the rest stays honest. *)
+let varint_bytes v =
+  let w = Bitio.writer () in
+  Codec.put_varint w v;
+  Bitio.to_bytes w
+
 let forge_frame ~bits ~layout_bytes ~payload =
   let body = Buffer.create 32 in
-  Codec.put_varint body bits;
+  Buffer.add_bytes body (varint_bytes bits);
   Buffer.add_bytes body layout_bytes;
   Buffer.add_bytes body payload;
   let data = Buffer.to_bytes body in
@@ -167,21 +173,21 @@ let forge_frame ~bits ~layout_bytes ~payload =
   Buffer.add_char body (Char.chr (!sum land 0xff));
   Buffer.add_char body (Char.chr ((!sum lsr 8) land 0xff));
   let frame = Buffer.create (Buffer.length body + 2) in
-  Codec.put_varint frame (Buffer.length body);
+  Buffer.add_bytes frame (varint_bytes (Buffer.length body));
   Buffer.add_buffer frame body;
   Buffer.to_bytes frame
 
 let test_frame_truncated_varint () =
   (* a length prefix whose continuation never ends, cut off by the stream *)
   let tr = Transport.pipe () in
-  Transport.send tr (Bytes.of_string "\x80");
+  Transport.send tr (Bytes.of_string "\x80") 0 1;
   raises_wire_error "truncated varint over pipe" (fun () -> Frame.read tr);
   (* and the same shape inside a buffer *)
   raises_wire_error "truncated varint in buffer" (fun () ->
       Frame.decode (Bytes.of_string "\x80") (ref 0));
   (* a varint that never terminates within its 10-byte budget *)
   let tr2 = Transport.pipe () in
-  Transport.send tr2 (Bytes.make 11 '\x80');
+  Transport.send tr2 (Bytes.make 11 '\x80') 0 11;
   raises_wire_error "unterminated varint" (fun () -> Frame.read tr2)
 
 let test_frame_length_larger_than_buffer () =
@@ -189,9 +195,8 @@ let test_frame_length_larger_than_buffer () =
   raises_wire_error "length > buffer" (fun () ->
       Frame.decode (Bytes.of_string "\x64abc") (ref 0));
   (* a length beyond the hard cap must refuse before allocating *)
-  let b = Buffer.create 8 in
-  Codec.put_varint b (Frame.max_frame_bytes + 1);
-  raises_wire_error "length > max_frame_bytes" (fun () -> Frame.decode (Buffer.to_bytes b) (ref 0))
+  raises_wire_error "length > max_frame_bytes" (fun () ->
+      Frame.decode (varint_bytes (Frame.max_frame_bytes + 1)) (ref 0))
 
 let test_frame_zero_length () =
   (* body length 0: shorter than any legal frame *)
@@ -215,7 +220,7 @@ let test_frame_checksum_catches_every_body_flip () =
   let frame = Frame.encode msg in
   let body_start =
     let pos = ref 0 in
-    ignore (Codec.get_varint frame pos);
+    ignore (Codec.get_varint frame ~limit:(Bytes.length frame) pos);
     !pos
   in
   for bit = 8 * body_start to (8 * Bytes.length frame) - 1 do
@@ -2004,7 +2009,7 @@ let qcheck_props =
   [
     Test.make ~name:"codec round-trip on random messages" ~count:500 arb (fun msg ->
         let payload, bits = Codec.encode_payload msg in
-        let back = Codec.decode_payload (Msg.layout msg) ~bits payload in
+        let back = Codec.decode_payload (Msg.layout msg) payload ~off:0 ~bits in
         Msg.value back = Msg.value msg && Msg.bits back = Msg.bits msg);
     Test.make ~name:"encoded payload length = Msg.bits" ~count:500 arb (fun msg ->
         let payload, bits = Codec.encode_payload msg in
