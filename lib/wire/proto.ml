@@ -204,6 +204,8 @@ let get_u8 cur =
   cur.cpos <- cur.cpos + 1;
   v
 
+(* As {!Codec.get_varint}: nine 7-bit groups cover every int, so a tenth
+   byte may carry no payload bits (they would be shifted out). *)
 let get_varint cur =
   let v = ref 0 and shift = ref 0 and continue = ref true in
   while !continue do
@@ -212,6 +214,8 @@ let get_varint cur =
     if !shift > 63 then Wire_error.errorf_corrupt "Proto.get_varint: varint longer than 10 bytes";
     let byte = Char.code (Bytes.unsafe_get cur.cdata cur.cpos) in
     cur.cpos <- cur.cpos + 1;
+    if !shift = 63 && byte land 0x7f <> 0 then
+      Wire_error.errorf_corrupt "Proto.get_varint: varint overflows 63 bits";
     v := !v lor ((byte land 0x7f) lsl !shift);
     shift := !shift + 7;
     continue := byte land 0x80 <> 0

@@ -97,7 +97,8 @@ val remaining : cursor -> int
 
 (** The [get_*] readers mirror the writers; each raises a typed
     {!Wire_error.Wire_error} ([Truncated] past the limit, [Corrupt] on an
-    overlong or negative varint) rather than reading out of bounds. *)
+    overlong, overflowing or negative varint) rather than reading out of
+    bounds. *)
 
 val get_u8 : cursor -> int
 val get_varint : cursor -> int
