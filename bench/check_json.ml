@@ -222,6 +222,23 @@ let () =
     if limit <= 0.0 then fail "micro/serve-minor-words-per-query: non-positive limit";
     if v2 > limit then
       fail "micro/serve-minor-words-per-query: %g minor words/query over the %g budget" v2 limit;
+    (* The wire-tap row: every message shape timed, and the fixed-width
+       frames inside their per-delivery allocation budget. *)
+    let tap = wire_row "micro/tap-frame" in
+    let limit = float_field tap "limit" in
+    if limit <= 0.0 then fail "micro/tap-frame: non-positive limit";
+    List.iter
+      (fun case ->
+        if not (float_field tap (case ^ "_ns") > 0.0) then fail "micro/tap-frame: %s_ns not positive" case;
+        ignore (float_field tap (case ^ "_words")))
+      [ "empty"; "vertex_opt"; "vertices40"; "edges200" ];
+    List.iter
+      (fun case ->
+        let words = float_field tap (case ^ "_words") in
+        if words > limit then
+          fail "micro/tap-frame: %s allocates %g minor words/frame, over the %g budget" case words
+            limit)
+      [ "empty"; "vertex_opt" ];
     (* The dataset rows (bench/dataset_bench.ml) witness the reasons
        lib/dataset exists: the snapshot loads faster than regenerating or
        re-parsing the corpus, and is the smaller on-disk encoding. *)

@@ -1,8 +1,9 @@
 (* Standalone wire-codec micro-benchmark gate, behind the @micro-smoke
    alias: run {!Micro_wire} at the requested iteration count, print the
    v1-vs-v2 table, and exit nonzero unless binary v2 beats JSON v1 on
-   framed and payload bytes/query and on encode and decode ns/query, and
-   the v2 round trip stays inside its minor-words allocation budget.
+   framed and payload bytes/query and on encode and decode ns/query, the
+   v2 round trip stays inside its minor-words allocation budget, and a
+   wire-tap delivery of a fixed-width frame inside its per-frame budget.
 
      (default)   full iteration count, for quoting numbers
      --smoke     reduced iterations; what CI runs on every push
@@ -33,7 +34,8 @@ let () =
   let r = Micro_wire.measure ~iters:!iters in
   Micro_wire.print_table r;
   match Micro_wire.check r with
-  | Ok () -> print_endline "micro: ok (v2 beats v1 on bytes and time; zero-alloc budget held)"
+  | Ok () ->
+      print_endline "micro: ok (v2 beats v1 on bytes and time; zero-alloc and tap budgets held)"
   | Error violations ->
       List.iter (fun v -> prerr_endline ("micro: GATE FAILED: " ^ v)) violations;
       exit 1

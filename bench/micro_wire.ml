@@ -19,16 +19,27 @@
    byte counts and both codec timings.  The measured round trip also
    records into a {!Tfree_obs.Histogram} (as the serve loop does for
    every query and phase) under the same unchanged budget, pinning the
-   histogram's recording fast path at zero allocations.  [bench/main.ml] embeds the rows in
-   BENCH_results.json ([micro/serve-*]); [bench/micro.ml] runs the gate
-   standalone behind the @micro-smoke alias; [bench/check_json.ml]
-   re-validates the emitted rows. *)
+   histogram's recording fast path at zero allocations.
+
+   A second table times the protocol-side wire path: one delivery through
+   [Wire_runtime.tap] on a pipe (frame, cross, decode, compare), in ns and
+   minor words, for an empty message, an optional vertex, 40 vertices and
+   200 edges.  The two fixed-width frames must stay inside
+   {!tap_words_limit} minor words per delivery — the decoded message and
+   its bookkeeping, no buffers — which {!check} enforces.
+
+   [bench/main.ml] embeds the rows in BENCH_results.json ([micro/serve-*],
+   [micro/tap-frame]); [bench/micro.ml] runs the gate standalone behind the
+   @micro-smoke alias; [bench/check_json.ml] re-validates the emitted
+   rows. *)
 
 open Tfree_util
 module Service = Tfree_wire.Service
 module Proto = Tfree_wire.Proto
 module Wire = Tfree_wire.Wire_runtime
 module Histogram = Tfree_obs.Histogram
+module Msg = Tfree_comm.Msg
+module Channel = Tfree_comm.Channel
 
 (* ------------------------------------------------------------ fixtures *)
 
@@ -72,6 +83,14 @@ type result = {
   v2_framed_bytes : int;  (** both frames: length prefix + body + checksum *)
   v2_payload_bytes : int;  (** both frame bodies *)
   minor_words : float;  (** minor-heap words per v2 encode+decode round trip *)
+  tap : tap_case list;  (** one delivery through the wire tap, per message shape *)
+}
+
+and tap_case = {
+  case : string;
+  fixed : bool;  (** a fixed-width frame, held to {!tap_words_limit} *)
+  tap_ns : float;  (** ns per delivery *)
+  tap_words : float;  (** minor words per delivery *)
 }
 
 (** The zero-alloc budget: one v2 round trip may allocate the decoded
@@ -79,6 +98,10 @@ type result = {
     nothing proportional to the message — no strings, no closures, no
     intermediate buffers. *)
 let minor_words_limit = 256.0
+
+(** The tap budget for a fixed-width frame: one delivery may allocate the
+    decoded message, its layout and the parse state, and no buffer. *)
+let tap_words_limit = 40.0
 
 (* --------------------------------------------------------- measurement *)
 
@@ -90,6 +113,39 @@ let time_ns ~iters f =
     ignore (Sys.opaque_identity (f ()))
   done;
   (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
+
+(* The message shapes the tap is timed on: the unrestricted protocol's
+   tiny messages, then a medium and a large list. *)
+let tap_messages =
+  [
+    ("empty", true, Msg.empty);
+    ("vertex_opt", true, Msg.vertex_opt ~n:300 (Some 217));
+    ("vertices40", false, Msg.vertices ~n:300 (List.init 40 (fun i -> (i * 7) mod 300)));
+    ( "edges200",
+      false,
+      Msg.edges ~n:300 (List.init 200 (fun i -> ((i * 7) mod 300, (i * 13 + 1) mod 300))) );
+  ]
+
+(* One delivery through a one-player pipe network's tap, warmed up so the
+   network's scratch and the pipe's ring have grown to the frame. *)
+let measure_tap ~iters =
+  let net = Wire.create ~transport:Wire.Pipe ~k:1 () in
+  Fun.protect
+    ~finally:(fun () -> Wire.close net)
+    (fun () ->
+      let tap = Wire.tap net in
+      List.map
+        (fun (case, fixed, msg) ->
+          let deliver () = tap.Channel.deliver ~round:0 (Channel.To_player 0) msg in
+          if Msg.value (deliver ()) <> Msg.value msg then failwith "micro: tap altered a message";
+          Gc.full_major ();
+          let w0 = Gc.minor_words () in
+          for _ = 1 to iters do
+            ignore (Sys.opaque_identity (deliver ()))
+          done;
+          let tap_words = (Gc.minor_words () -. w0) /. float_of_int iters in
+          { case; fixed; tap_ns = time_ns ~iters deliver; tap_words })
+        tap_messages)
 
 let measure ~iters =
   if iters < 1 then invalid_arg "Micro_wire.measure: iters must be positive";
@@ -186,6 +242,7 @@ let measure ~iters =
     v2_framed_bytes;
     v2_payload_bytes;
     minor_words;
+    tap = measure_tap ~iters;
   }
 
 (* ----------------------------------------------------------- the gate *)
@@ -208,11 +265,31 @@ let violations r =
   if r.minor_words > minor_words_limit then
     push "v2 round trip allocates %.1f minor words/query, budget %.0f" r.minor_words
       minor_words_limit;
+  List.iter
+    (fun c ->
+      if c.fixed && c.tap_words > tap_words_limit then
+        push "tap delivery of %s allocates %.1f minor words/frame, budget %.0f" c.case c.tap_words
+          tap_words_limit)
+    r.tap;
   List.rev !v
 
 let check r = match violations r with [] -> Ok () | v -> Error v
 
 (* ------------------------------------------------------------- output *)
+
+let print_tap_table r =
+  Table.print
+    (Table.make ~title:(Printf.sprintf "wire tap micro, pipe (%d deliveries/row)" r.iters)
+       ~header:[ "message"; "ns/frame"; "minor words/frame"; "budget" ]
+       (List.map
+          (fun c ->
+            [
+              c.case;
+              Printf.sprintf "%.1f" c.tap_ns;
+              Printf.sprintf "%.1f" c.tap_words;
+              (if c.fixed then Printf.sprintf "<= %.0f" tap_words_limit else "-");
+            ])
+          r.tap))
 
 let print_table r =
   let f1 x = Printf.sprintf "%.1f" x in
@@ -252,7 +329,8 @@ let print_table r =
            f1 r.minor_words;
            Printf.sprintf "<= %.0f" minor_words_limit;
          ];
-       ])
+       ]);
+  print_tap_table r
 
 (* The BENCH_results.json rows.  Same array as the bechamel rows (every
    row carries a "name"); the wire rows carry their own fields instead of
@@ -287,4 +365,10 @@ let to_rows r =
         ("v2", num r.minor_words);
         ("limit", num minor_words_limit);
       ];
+    Jsonout.Obj
+      (("name", Jsonout.Str "micro/tap-frame")
+      :: ("limit", num tap_words_limit)
+      :: List.concat_map
+           (fun c -> [ (c.case ^ "_ns", num c.tap_ns); (c.case ^ "_words", num c.tap_words) ])
+           r.tap);
   ]
