@@ -229,7 +229,8 @@ let () =
     if limit <= 0.0 then fail "micro/tap-frame: non-positive limit";
     List.iter
       (fun case ->
-        if not (float_field tap (case ^ "_ns") > 0.0) then fail "micro/tap-frame: %s_ns not positive" case;
+        if not (float_field tap (case ^ "_ns") > 0.0) then
+          fail "micro/tap-frame: %s_ns not positive" case;
         ignore (float_field tap (case ^ "_words")))
       [ "empty"; "vertex_opt"; "vertices40"; "edges200" ];
     List.iter

@@ -116,7 +116,8 @@ let bits_left r = r.limit - r.pos
 (* The unread bits of the current byte, right-aligned: [8 - pos mod 8] of
    them. *)
 let unread r =
-  Char.code (Bytes.unsafe_get r.data (r.off + (r.pos lsr 3))) land ((1 lsl (8 - (r.pos land 7))) - 1)
+  let byte = Char.code (Bytes.unsafe_get r.data (r.off + (r.pos lsr 3))) in
+  byte land ((1 lsl (8 - (r.pos land 7))) - 1)
 
 let get_bit r =
   if r.pos >= r.limit then invalid_arg "Bitio.get_bit: past end of stream";

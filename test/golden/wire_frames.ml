@@ -30,8 +30,16 @@ let verdict_to_string = function
 
 let run_row protocol transport ~n ~d ~seed =
   let req =
-    { Service.default_request with protocol; transport; n; d; seed; family = Service.Far;
-      partition = Service.Dup }
+    {
+      Service.default_request with
+      family = Service.Far;
+      partition = Service.Dup;
+      protocol;
+      transport;
+      n;
+      d;
+      seed;
+    }
   in
   Printf.printf "%s/%s n=%d d=%g seed=%d\n" (Service.protocol_to_string protocol)
     (Wire.kind_to_string transport) n d seed;
@@ -46,7 +54,8 @@ let run_row protocol transport ~n ~d ~seed =
       let report =
         match protocol with
         | Service.Unrestricted -> Tester.unrestricted ~tap ~seed params inputs
-        | Service.Sim -> Tester.simultaneous ~tap ~seed params ~d:(Tfree_graph.Graph.avg_degree g) inputs
+        | Service.Sim ->
+            Tester.simultaneous ~tap ~seed params ~d:(Tfree_graph.Graph.avg_degree g) inputs
         | Service.Oblivious -> Tester.simultaneous_oblivious ~tap ~seed params inputs
         | Service.Exact -> Tester.exact ~tap ~seed inputs
       in

@@ -197,8 +197,6 @@ let arb_ops =
     ~print:(fun ops -> String.concat "; " (List.map print_op ops))
     QCheck.Gen.(list_size (int_range 0 60) gen_op)
 
-let gen_range_n = QCheck.Gen.int_range 2 5000
-
 (* Messages beyond Msg_gen's: range codes up to the full 62-bit width,
    naturals up to 2^61, empty and long lists, deeper tuples. *)
 let gen_msg : Msg.t QCheck.Gen.t =
@@ -218,14 +216,16 @@ let gen_msg : Msg.t QCheck.Gen.t =
     return (Msg.int_in ~lo ~hi (lo + ((y land max_int) mod (hi - lo + 1))))
   in
   let big_nat =
-    int_range 0 61 >>= fun s -> int >>= fun x -> return (Msg.nat (Int.min (1 lsl 61) ((x land max_int) lsr s)))
+    int_range 0 61 >>= fun s ->
+    int >>= fun x -> return (Msg.nat (Int.min (1 lsl 61) ((x land max_int) lsr s)))
   in
   let long_list =
-    gen_range_n >>= fun n ->
+    int_range 2 5000 >>= fun n ->
     int_range 0 3000 >>= fun len ->
     bool >>= fun edges ->
     if edges then
-      list_repeat len (pair (int_bound (n - 1)) (int_bound (n - 1))) >>= fun es -> return (Msg.edges ~n es)
+      list_repeat len (pair (int_bound (n - 1)) (int_bound (n - 1))) >>= fun es ->
+      return (Msg.edges ~n es)
     else list_repeat len (int_bound (n - 1)) >>= fun vs -> return (Msg.vertices ~n vs)
   in
   let leaf =
@@ -242,7 +242,10 @@ let gen_msg : Msg.t QCheck.Gen.t =
     if depth = 0 then leaf
     else
       frequency
-        [ (3, leaf); (1, list_size (int_range 0 5) (go (depth - 1)) >>= fun ps -> return (Msg.tuple ps)) ]
+        [
+          (3, leaf);
+          (1, list_size (int_range 0 5) (go (depth - 1)) >>= fun ps -> return (Msg.tuple ps));
+        ]
   in
   go 3
 
@@ -278,7 +281,7 @@ let read_op_ref r = function
 
 let prop_bitio_matches_reference ops =
   let w, rw = write_ops ops in
-  let bits = Ref.(rw.written) in
+  let bits = rw.Ref.written in
   Bitio.bits_written w = bits
   && Bitio.byte_length w = (bits + 7) / 8
   &&
@@ -330,7 +333,9 @@ let prop_scratch_reuse msgs =
 
 let arb_msg_sequence =
   let open QCheck.Gen in
-  let small = oneofl [ Msg.empty; Msg.bool true; Msg.vertex_opt ~n:300 (Some 5); Msg.vertex_opt ~n:9 None ] in
+  let small =
+    oneofl [ Msg.empty; Msg.bool true; Msg.vertex_opt ~n:300 (Some 5); Msg.vertex_opt ~n:9 None ]
+  in
   QCheck.make
     ~print:(fun ms -> String.concat " | " (List.map Tfree_proptest.Msg_gen.print ms))
     (list_size (int_range 20 80) (frequency [ (3, small); (2, gen_msg) ]))
@@ -363,13 +368,15 @@ let test_widest_fields () =
   Alcotest.(check int) "vertex of a huge graph costs 62 bits" 62 (Bits.vertex ~n:max_int);
   let msg = Msg.int_in ~lo:(-(1 lsl 60)) ~hi:((1 lsl 61) - 1) ((1 lsl 61) - 2) in
   Alcotest.(check int) "the widest framable range" 62 (Msg.bits msg);
-  Alcotest.(check bool) "62-bit message frames as the reference" true (prop_frame_matches_reference msg)
+  Alcotest.(check bool) "62-bit message frames as the reference" true
+    (prop_frame_matches_reference msg)
 
 let test_gamma_too_long () =
   (* 62 zeros then a 1: the value would be 2^62 - 1 + rest, past max_int *)
   let b = Bytes.of_string "\x00\x00\x00\x00\x00\x00\x00\x02\xff\xff\xff\xff\xff\xff\xff\xff" in
   let r = Bitio.reader b in
-  Alcotest.check_raises "gamma beyond an int" (Invalid_argument "Bitio.get_gamma: code longer than any int")
+  Alcotest.check_raises "gamma beyond an int"
+    (Invalid_argument "Bitio.get_gamma: code longer than any int")
     (fun () -> ignore (Bitio.get_gamma r))
 
 let test_pipe_ring_wraps () =
@@ -394,7 +401,8 @@ let test_pipe_ring_wraps () =
       send s;
       recv r)
     [ (200, 150); (150, 100); (180, 170); (90, 0); (700, 500); (40, 440); (3, 3) ];
-  Alcotest.(check string) "FIFO order across wrap and growth" (Buffer.contents sent) (Buffer.contents got)
+  Alcotest.(check string) "FIFO order across wrap and growth" (Buffer.contents sent)
+    (Buffer.contents got)
 
 (* ------------------------------------------------------- varint overflow *)
 
@@ -479,7 +487,8 @@ let mutate data other m =
         List.iter
           (fun bit ->
             let bit = bit mod (8 * len) in
-            Bytes.set c (bit / 8) (Char.chr (Char.code (Bytes.get c (bit / 8)) lxor (1 lsl (bit mod 8)))))
+            let byte = Char.code (Bytes.get c (bit / 8)) in
+            Bytes.set c (bit / 8) (Char.chr (byte lxor (1 lsl (bit mod 8)))))
           bits;
       c
   | Overflow_varint i ->
@@ -583,7 +592,8 @@ let () =
           Alcotest.test_case "gamma code past an int" `Quick test_gamma_too_long;
           Alcotest.test_case "pipe ring wraps and grows" `Quick test_pipe_ring_wraps;
         ] );
-      ("varint-overflow", [ Alcotest.test_case "tenth byte payload is corrupt" `Quick test_varint_overflow ]);
+      ( "varint-overflow",
+        [ Alcotest.test_case "tenth byte payload is corrupt" `Quick test_varint_overflow ] );
       ( "fail-closed",
         [
           qc
