@@ -10,74 +10,88 @@
 
 open Tfree_util
 
+(* The generators once enumerated their vertex ranges with [List.init], so a
+   negative range length failed with [Invalid_argument "List.init"].  Served
+   replies report that text; the streamed generators keep it. *)
+let check_length len = if len < 0 then invalid_arg "List.init"
+
+(* A randomly relabelled family adds its edges to one builder, then draws
+   a uniform relabelling of [0, n), its last draws, and builds through it. *)
+let permuted_graph rng b ~n =
+  let perm = Array.init n (fun i -> i) in
+  Sampling.shuffle_in_place rng perm;
+  Graph.Builder.build ~perm b
+
+(* ------------------------------------------------------- random families *)
+
+(* [f u v] for the pair u < v of [0, n) at each row-major index that
+   [indices] yields, in ascending order.  The row advances with the index,
+   so one pass costs O(n + pairs). *)
+let iter_pairs ~n indices f =
+  let u = ref 0 and first = ref 0 (* the index of the pair (u, u + 1) *) in
+  indices (fun idx ->
+      while idx - !first >= n - 1 - !u do
+        first := !first + (n - 1 - !u);
+        incr u
+      done;
+      f !u (!u + 1 + (idx - !first)))
+
 let gnp rng ~n ~p =
   if p < 0.0 || p > 1.0 then invalid_arg "Gen.gnp: p out of range";
-  (* Iterate over the n(n-1)/2 pairs with geometric skips. *)
-  let total = n * (n - 1) / 2 in
-  let pair_of_index idx =
-    (* Row-major enumeration of pairs (u,v), u < v. *)
-    let rec find_row u rem =
-      let row = n - 1 - u in
-      if rem < row then (u, u + 1 + rem) else find_row (u + 1) (rem - row)
-    in
-    find_row 0 idx
-  in
-  let selected = Sampling.bernoulli_subset rng total ~p in
-  Graph.of_edges ~n (List.map pair_of_index selected)
+  if n < 0 then invalid_arg "Gen.gnp: negative n";
+  let b = Graph.Builder.create ~n in
+  iter_pairs ~n (Sampling.iter_bernoulli rng (n * (n - 1) / 2) ~p) (Graph.Builder.add b);
+  Graph.Builder.build b
 
 let gnm rng ~n ~m =
+  if n < 0 then invalid_arg "Gen.gnm: negative n";
   let total = n * (n - 1) / 2 in
   if m > total then invalid_arg "Gen.gnm: too many edges";
-  let pair_of_index idx =
-    let rec find_row u rem =
-      let row = n - 1 - u in
-      if rem < row then (u, u + 1 + rem) else find_row (u + 1) (rem - row)
-    in
-    find_row 0 idx
-  in
   let chosen = Sampling.without_replacement rng total m in
-  Graph.of_edges ~n (List.map pair_of_index chosen)
+  let b = Graph.Builder.create ~n in
+  iter_pairs ~n (fun f -> List.iter f chosen) (Graph.Builder.add b);
+  Graph.Builder.build b
 
 (** Tripartite random graph on parts U, V1, V2 of [part] vertices each (3·part
     total), each cross-part pair an edge iid with probability [p] — the hard
     distribution µ of §4.2.1 when p = γ/√n. *)
 let tripartite_gnp rng ~part ~p =
-  let n = 3 * part in
-  let edges = ref [] in
+  if part < 0 then invalid_arg "Gen.tripartite_gnp: negative part";
+  let b = Graph.Builder.create ~n:(3 * part) in
   let cross offset1 offset2 =
-    let total = part * part in
-    let selected = Sampling.bernoulli_subset rng total ~p in
-    List.iter
-      (fun idx ->
-        let a = offset1 + (idx / part) and b = offset2 + (idx mod part) in
-        edges := (a, b) :: !edges)
-      selected
+    Sampling.iter_bernoulli rng (part * part) ~p (fun idx ->
+        Graph.Builder.add b (offset1 + (idx / part)) (offset2 + (idx mod part)))
   in
   cross 0 part;
   cross 0 (2 * part);
   cross part (2 * part);
-  Graph.of_edges ~n !edges
-
-(** Triangle-free bipartite noise among the given vertices (split in halves,
-    each cross pair iid with probability [p]). *)
-let bipartite_noise rng vertices ~p =
-  let a = Array.of_list vertices in
-  let len = Array.length a in
-  let half = len / 2 in
-  let total = half * (len - half) in
-  let selected = Sampling.bernoulli_subset rng total ~p in
-  List.map
-    (fun idx ->
-      let i = idx / (len - half) and j = idx mod (len - half) in
-      (a.(i), a.(half + j)))
-    selected
-
-(* The graph on [n] vertices of [edges] with every endpoint renamed
-   through [perm], built once. *)
-let of_permuted_edges ~n perm edges =
-  let b = Graph.Builder.create ~n in
-  List.iter (fun (u, v) -> Graph.Builder.add b perm.(u) perm.(v)) edges;
   Graph.Builder.build b
+
+(** Triangle-free bipartite noise on the vertex range [lo, lo + len): the
+    range is split in halves, each cross pair an edge iid with probability
+    [p].  Pair index [idx] is the pair (idx / right, idx mod right) of the
+    halves; the indices ascend, so the row advances with them and no
+    division is made. *)
+let bipartite_noise rng b ~lo ~len ~p =
+  let half = len / 2 in
+  let right = len - half in
+  let row = ref 0 and first = ref 0 (* the index of the pair (row, 0) *) in
+  Sampling.iter_bernoulli rng (half * right) ~p (fun idx ->
+      while idx - !first >= right do
+        first := !first + right;
+        incr row
+      done;
+      Graph.Builder.add b (lo + !row) (lo + half + (idx - !first)))
+
+(* About [noise] bipartite edges on [lo, lo + len), as both far branches
+   draw them: none without a target or without two vertices. *)
+let add_noise rng b ~lo ~len ~noise =
+  if noise > 0 && len >= 2 then begin
+    let half = len / 2 in
+    let total = max 1 (half * (len - half)) in
+    bipartite_noise rng b ~lo ~len
+      ~p:(Float.min 1.0 (float_of_int noise /. float_of_int total))
+  end
 
 (** [planted_far rng ~n ~triangles ~noise] plants [triangles] vertex-disjoint
     triangles on the first 3·triangles vertices and adds ~[noise] bipartite
@@ -86,26 +100,16 @@ let of_permuted_edges ~n perm edges =
     ǫ-far with ǫ = triangles / m. *)
 let planted_far rng ~n ~triangles ~noise =
   if 3 * triangles > n then invalid_arg "Gen.planted_far: too many triangles";
-  let tri_edges =
-    List.concat_map
-      (fun t ->
-        let a = (3 * t) and b = (3 * t) + 1 and c = (3 * t) + 2 in
-        [ (a, b); (b, c); (a, c) ])
-      (List.init triangles (fun t -> t))
-  in
-  let rest = List.init (n - (3 * triangles)) (fun i -> (3 * triangles) + i) in
-  let noise_edges =
-    if noise <= 0 || List.length rest < 2 then []
-    else begin
-      let half = List.length rest / 2 in
-      let total = max 1 (half * (List.length rest - half)) in
-      bipartite_noise rng rest ~p:(Float.min 1.0 (float_of_int noise /. float_of_int total))
-    end
-  in
+  check_length triangles;
+  let b = Graph.Builder.create ~n in
+  for t = 0 to triangles - 1 do
+    Graph.Builder.add b (3 * t) ((3 * t) + 1);
+    Graph.Builder.add b ((3 * t) + 1) ((3 * t) + 2);
+    Graph.Builder.add b (3 * t) ((3 * t) + 2)
+  done;
+  add_noise rng b ~lo:(3 * triangles) ~len:(n - (3 * triangles)) ~noise;
   (* Shuffle labels so structure is not positional. *)
-  let perm = Array.init n (fun i -> i) in
-  Sampling.shuffle_in_place rng perm;
-  of_permuted_edges ~n perm (tri_edges @ noise_edges)
+  permuted_graph rng b ~n
 
 (** The adversarial low-degree instance of §3.4.2: [hubs] high-degree vertices
     are the sources of all triangle-vees.  Leaves are grouped in pairs; each
@@ -114,15 +118,15 @@ let planted_far rng ~n ~triangles ~noise =
     hub set.  Average degree is ~6·pairs/n while hub degree is ~2·pairs/hubs. *)
 let hub_far rng ~n ~hubs ~pairs =
   if hubs + (2 * pairs) > n then invalid_arg "Gen.hub_far: n too small";
-  let edges = ref [] in
+  let b = Graph.Builder.create ~n in
   for i = 0 to pairs - 1 do
-    let a = hubs + (2 * i) and b = hubs + (2 * i) + 1 in
+    let x = hubs + (2 * i) and y = hubs + (2 * i) + 1 in
     let u = i mod hubs in
-    edges := (u, a) :: (u, b) :: (a, b) :: !edges
+    Graph.Builder.add b u x;
+    Graph.Builder.add b u y;
+    Graph.Builder.add b x y
   done;
-  let perm = Array.init n (fun i -> i) in
-  Sampling.shuffle_in_place rng perm;
-  of_permuted_edges ~n perm !edges
+  permuted_graph rng b ~n
 
 (** Lemma 4.17 embedding: pad a graph with isolated vertices up to [n] and
     shuffle labels; triangles and farness-in-edges are preserved while the
@@ -141,70 +145,102 @@ let shuffle_labels rng g =
 
 (* Small deterministic graphs for tests. *)
 
+let deterministic ~n fill =
+  let b = Graph.Builder.create ~n in
+  fill (Graph.Builder.add b);
+  Graph.Builder.build b
+
 let complete ~n =
-  let edges = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      edges := (u, v) :: !edges
-    done
-  done;
-  Graph.of_edges ~n !edges
+  deterministic ~n (fun add ->
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          add u v
+        done
+      done)
 
 let cycle ~n =
   if n < 3 then invalid_arg "Gen.cycle: n < 3";
-  Graph.of_edges ~n (List.init n (fun i -> (i, (i + 1) mod n)))
+  deterministic ~n (fun add ->
+      for i = 0 to n - 1 do
+        add i ((i + 1) mod n)
+      done)
 
-let path ~n = Graph.of_edges ~n (List.init (max 0 (n - 1)) (fun i -> (i, i + 1)))
+let path ~n =
+  deterministic ~n (fun add ->
+      for i = 0 to n - 2 do
+        add i (i + 1)
+      done)
 
-let star ~n = Graph.of_edges ~n (List.init (max 0 (n - 1)) (fun i -> (0, i + 1)))
+let star ~n =
+  deterministic ~n (fun add ->
+      for i = 0 to n - 2 do
+        add 0 (i + 1)
+      done)
 
 let complete_bipartite ~left ~right =
   let n = left + right in
-  let edges = ref [] in
-  for u = 0 to left - 1 do
-    for v = left to n - 1 do
-      edges := (u, v) :: !edges
-    done
-  done;
-  Graph.of_edges ~n !edges
+  deterministic ~n (fun add ->
+      for u = 0 to left - 1 do
+        for v = left to n - 1 do
+          add u v
+        done
+      done)
 
-(** [tripartite_planted rng ~n_part ~rounds offset] plants [rounds]
-    "triangle factors" on three parts of [n_part] vertices each (vertex ids
-    starting at [offset]): round r matches part A to parts B and C by random
-    permutations, creating n_part vertex-disjoint triangles per round.
-    Rounds reuse vertices, so the number of planted triangles is not bounded
-    by n/3 — this is how we reach high average degree while staying ǫ-far.
-    Returns (edges, lower bound on the edge-disjoint triangle count); the
-    bound discounts every cross-round edge collision conservatively. *)
-let tripartite_planted rng ~n_part ~rounds offset =
-  let seen : (int * int, unit) Hashtbl.t = Hashtbl.create (6 * n_part * rounds) in
-  let edges = ref [] in
-  let collisions = ref 0 in
-  let add u v =
-    let e = if u < v then (u, v) else (v, u) in
-    if Hashtbl.mem seen e then incr collisions
-    else begin
-      Hashtbl.replace seen e ();
-      edges := e :: !edges
-    end
-  in
-  for _ = 1 to rounds do
-    let pi = Array.init n_part (fun i -> i) in
-    let sigma = Array.init n_part (fun i -> i) in
+(** [tripartite_planted rng builder ~n_part ~rounds offset] plants [rounds]
+    "triangle factors" on three parts A, B, C of [n_part] vertices each
+    (vertex ids starting at [offset]): round r matches part A to parts B and
+    C by random permutations, creating n_part vertex-disjoint triangles per
+    round.  Rounds reuse vertices, so the number of planted triangles is not
+    bounded by n/3 — this is how we reach high average degree while staying
+    ǫ-far.  Adds each distinct edge to [builder] once and returns (distinct
+    edge count, lower bound on the edge-disjoint triangle count); the bound
+    discounts every cross-round edge collision conservatively.
+
+    Every permutation is drawn first, in the order rounds always drew them;
+    each part pair is then deduplicated vertex by vertex with one stamp per
+    vertex, in time and space linear in the rounds' edge slots. *)
+let tripartite_planted rng builder ~n_part ~rounds offset =
+  let rounds = max 0 rounds in
+  let identity () = Array.init n_part (fun i -> i) in
+  let pis = Array.make rounds [||] and sigmas = Array.make rounds [||] in
+  for r = 0 to rounds - 1 do
+    let pi = identity () and sigma = identity () in
     Sampling.shuffle_in_place rng pi;
     Sampling.shuffle_in_place rng sigma;
-    for i = 0 to n_part - 1 do
-      let a = offset + i
-      and b = offset + n_part + pi.(i)
-      and c = offset + (2 * n_part) + sigma.(i) in
-      add a b;
-      add b c;
-      add a c
-    done
+    pis.(r) <- pi;
+    sigmas.(r) <- sigma
   done;
+  (* the B-C matching of round r, indexed by the B side *)
+  let taus =
+    Array.init rounds (fun r ->
+        let tau = Array.make n_part 0 in
+        Array.iteri (fun i b -> tau.(b) <- sigmas.(r).(i)) pis.(r);
+        tau)
+  in
+  let stamp = Array.make (max 0 n_part) (-1) in
+  let distinct = ref 0 in
+  (* Rows [x] of [matchings] over all rounds: the edges (x, y) not yet seen
+     at [x], as ids [base_x + x] and [base_y + y]. *)
+  let part_pair matchings base_x base_y =
+    Array.fill stamp 0 (Array.length stamp) (-1);
+    for x = 0 to n_part - 1 do
+      for r = 0 to rounds - 1 do
+        let y = matchings.(r).(x) in
+        if stamp.(y) <> x then begin
+          stamp.(y) <- x;
+          Graph.Builder.add builder (base_x + x) (base_y + y);
+          incr distinct
+        end
+      done
+    done
+  in
+  let a = offset and b = offset + n_part and c = offset + (2 * n_part) in
+  part_pair pis a b;
+  part_pair taus b c;
+  part_pair sigmas a c;
+  let collisions = (3 * rounds * n_part) - !distinct in
   (* A colliding edge invalidates at most the two triangles using it. *)
-  let disjoint = max 0 ((rounds * n_part) - (2 * !collisions)) in
-  (!edges, disjoint)
+  (!distinct, max 0 ((rounds * n_part) - (2 * collisions)))
 
 (** A graph that is ǫ-far by construction at target average degree [d]:
     an ǫ fraction of the m = nd/2 edges comes from planted edge-disjoint
@@ -223,20 +259,12 @@ let far_with_degree rng ~n ~d ~eps =
     (* Dense regime: triangle factors on half the vertices, noise on the rest. *)
     let n_part = max 1 (n / 6) in
     let rounds = max 1 (int_of_float (Float.ceil (float_of_int triangles /. float_of_int n_part))) in
-    let tri_edges, _ = tripartite_planted rng ~n_part ~rounds 0 in
-    let rest = List.init (n - (3 * n_part)) (fun i -> (3 * n_part) + i) in
-    let noise = max 0 (m_target - List.length tri_edges) in
-    let noise_edges =
-      if noise = 0 || List.length rest < 2 then []
-      else begin
-        let half = List.length rest / 2 in
-        let total = max 1 (half * (List.length rest - half)) in
-        bipartite_noise rng rest ~p:(Float.min 1.0 (float_of_int noise /. float_of_int total))
-      end
-    in
-    let perm = Array.init n (fun i -> i) in
-    Sampling.shuffle_in_place rng perm;
-    of_permuted_edges ~n perm (tri_edges @ noise_edges)
+    let len = n - (3 * n_part) in
+    check_length len;
+    let b = Graph.Builder.create ~n in
+    let planted, _ = tripartite_planted rng b ~n_part ~rounds 0 in
+    add_noise rng b ~lo:(3 * n_part) ~len ~noise:(max 0 (m_target - planted));
+    permuted_graph rng b ~n
   end
 
 (** [planted_pattern_far rng ~n ~pattern ~copies ~noise] plants [copies]
@@ -248,21 +276,21 @@ let far_with_degree rng ~n ~d ~eps =
 let planted_pattern_far rng ~n ~(pattern : Subgraph.pattern) ~copies ~noise =
   let h = pattern.Subgraph.vertices in
   if copies * h > n then invalid_arg "Gen.planted_pattern_far: too many copies";
-  let planted =
-    List.concat_map
-      (fun c ->
-        List.map (fun (a, b) -> ((c * h) + a, (c * h) + b)) pattern.Subgraph.edges)
-      (List.init copies (fun c -> c))
-  in
+  check_length copies;
+  let b = Graph.Builder.create ~n in
+  for c = 0 to copies - 1 do
+    List.iter
+      (fun (x, y) -> Graph.Builder.add b ((c * h) + x) ((c * h) + y))
+      pattern.Subgraph.edges
+  done;
   let rest = Array.init (n - (copies * h)) (fun i -> (copies * h) + i) in
   Sampling.shuffle_in_place rng rest;
-  let max_noise = Array.length rest / 2 in
-  let noise_edges =
-    List.init (min noise max_noise) (fun i -> (rest.(2 * i), rest.((2 * i) + 1)))
-  in
-  let perm = Array.init n (fun i -> i) in
-  Sampling.shuffle_in_place rng perm;
-  of_permuted_edges ~n perm (planted @ noise_edges)
+  let matched = min noise (Array.length rest / 2) in
+  check_length matched;
+  for i = 0 to matched - 1 do
+    Graph.Builder.add b rest.(2 * i) rest.((2 * i) + 1)
+  done;
+  permuted_graph rng b ~n
 
 (** [diluted_far rng ~triangles ~extra_degree] plants [triangles]
     vertex-disjoint triangles and attaches [extra_degree] fresh leaves to
@@ -271,23 +299,23 @@ let planted_pattern_far rng ~n ~(pattern : Subgraph.pattern) ~copies ~noise =
     for probe-based testers (farness ≈ 1/(3·(extra_degree+1))).  Returns the
     graph on 3·triangles·(1 + extra_degree) vertices. *)
 let diluted_far rng ~triangles ~extra_degree =
+  if extra_degree < 0 then invalid_arg "Gen.diluted_far: negative extra_degree";
   let corners = 3 * triangles in
   let n = corners * (1 + extra_degree) in
-  let edges = ref [] in
+  let b = Graph.Builder.create ~n in
   for t = 0 to triangles - 1 do
-    let a = 3 * t and b = (3 * t) + 1 and c = (3 * t) + 2 in
-    edges := (a, b) :: (b, c) :: (a, c) :: !edges
+    Graph.Builder.add b (3 * t) ((3 * t) + 1);
+    Graph.Builder.add b ((3 * t) + 1) ((3 * t) + 2);
+    Graph.Builder.add b (3 * t) ((3 * t) + 2)
   done;
   let next_leaf = ref corners in
   for corner = 0 to corners - 1 do
     for _ = 1 to extra_degree do
-      edges := (corner, !next_leaf) :: !edges;
+      Graph.Builder.add b corner !next_leaf;
       incr next_leaf
     done
   done;
-  let perm = Array.init n (fun i -> i) in
-  Sampling.shuffle_in_place rng perm;
-  of_permuted_edges ~n perm !edges
+  permuted_graph rng b ~n
 
 (** Triangle-free graph with average degree ≈ d (bipartite random). *)
 let free_with_degree rng ~n ~d =
@@ -295,5 +323,7 @@ let free_with_degree rng ~n ~d =
   let half = n / 2 in
   let total = half * (n - half) in
   let p = Float.min 1.0 (float_of_int m_target /. float_of_int total) in
-  let edges = bipartite_noise rng (List.init n (fun i -> i)) ~p in
-  Graph.of_edges ~n edges
+  check_length n;
+  let b = Graph.Builder.create ~n in
+  bipartite_noise rng b ~lo:0 ~len:n ~p;
+  Graph.Builder.build b

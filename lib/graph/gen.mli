@@ -6,20 +6,32 @@
 
 open Tfree_util
 
-(** Erdős–Rényi G(n, p). *)
+(** Every generator draws from its [Rng.t] in a fixed order, so a seed
+    pins the graph.  The draws keep the order and count the list-based
+    generators made them in, and every graph is the same.  A randomly
+    relabelled family adds its edges to one [Graph.Builder], draws its label
+    permutation last, and builds through it ([Graph.Builder.build ~perm]);
+    no family goes through an edge list. *)
+
+(** Erdős–Rényi G(n, p), in one O(n + m) pass over the selected pairs.
+    @raise Invalid_argument when [p] is outside [0, 1] or [n < 0]. *)
 val gnp : Rng.t -> n:int -> p:float -> Graph.t
 
-(** Uniform graph with exactly [m] edges. *)
+(** Uniform graph with exactly [m] edges.
+    @raise Invalid_argument when [m] exceeds n(n-1)/2 or [n < 0]. *)
 val gnm : Rng.t -> n:int -> m:int -> Graph.t
 
 (** Tripartite random graph on three parts of [part] vertices (3·part total),
     each cross-part pair an edge iid with probability [p] — the hard
-    distribution µ of §4.2.1 when p = γ/√n. *)
+    distribution µ of §4.2.1 when p = γ/√n.
+    @raise Invalid_argument when [part < 0]. *)
 val tripartite_gnp : Rng.t -> part:int -> p:float -> Graph.t
 
-(** Triangle-free bipartite noise among the given vertices (split in halves,
-    cross pairs iid with probability [p]); returns the edges. *)
-val bipartite_noise : Rng.t -> int list -> p:float -> (int * int) list
+(** [bipartite_noise rng b ~lo ~len ~p] adds triangle-free noise on the
+    vertex range [lo, lo + len) to [b]: the range is split in halves and
+    each cross pair is an edge iid with probability [p], drawn by
+    {!Sampling.iter_bernoulli}. *)
+val bipartite_noise : Rng.t -> Graph.Builder.t -> lo:int -> len:int -> p:float -> unit
 
 (** [triangles] vertex-disjoint planted triangles plus ~[noise] bipartite
     edges on the remaining vertices; the triangle set is exactly the planted
@@ -32,8 +44,11 @@ val hub_far : Rng.t -> n:int -> hubs:int -> pairs:int -> Graph.t
 
 (** Triangle factors on three parts of [n_part] vertices starting at vertex
     [offset]: [rounds] random tripartite perfect matchings of triangles.
-    Returns (edges, lower bound on the edge-disjoint triangle count). *)
-val tripartite_planted : Rng.t -> n_part:int -> rounds:int -> int -> (int * int) list * int
+    Adds each distinct edge to the builder once and returns (distinct edge
+    count, lower bound on the edge-disjoint triangle count).  Time and space
+    are linear in the 3·n_part·rounds planted edge slots. *)
+val tripartite_planted :
+  Rng.t -> Graph.Builder.t -> n_part:int -> rounds:int -> int -> int * int
 
 (** ǫ-far instance at target average degree [d] (vertex-disjoint planting for
     small d, triangle factors for large d, plus triangle-free noise). *)
@@ -48,7 +63,8 @@ val planted_pattern_far :
 (** [triangles] vertex-disjoint triangles with [extra_degree] distractor
     leaves on every corner: probe-based testers hit a corner's vee with
     probability only ~2/extra_degree²; farness ≈ 1/(3·(extra_degree+1)).
-    3·triangles·(1+extra_degree) vertices. *)
+    3·triangles·(1+extra_degree) vertices.
+    @raise Invalid_argument when [extra_degree < 0]. *)
 val diluted_far : Rng.t -> triangles:int -> extra_degree:int -> Graph.t
 
 (** Triangle-free (bipartite) graph with average degree ≈ d. *)

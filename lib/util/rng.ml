@@ -76,16 +76,19 @@ let[@inline] float t =
   let mantissa = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   mantissa /. 9007199254740992.0
 
-let bool t ~p = float t < p
+let[@inline] bool t ~p = float t < p
+
+(** [geometric] for p in (0, 1), given [log_q] = log1p (-p): a caller
+    drawing many skips at one [p] computes the logarithm once. *)
+let[@inline] geometric_log t ~log_q =
+  let u = float t in
+  let u = if u <= 0.0 then 1e-300 else u in
+  let g = Float.to_int (Float.floor (Float.log u /. log_q)) in
+  if g < 0 then 0 else g
 
 (** Geometric number of failures before first success with parameter [p];
     used for fast Bernoulli-subset sampling by skipping. *)
 let geometric t ~p =
   if p >= 1.0 then 0
   else if p <= 0.0 then max_int
-  else begin
-    let u = float t in
-    let u = if u <= 0.0 then 1e-300 else u in
-    let g = Float.to_int (Float.floor (Float.log u /. Float.log1p (-.p))) in
-    if g < 0 then 0 else g
-  end
+  else geometric_log t ~log_q:(Float.log1p (-.p))

@@ -46,3 +46,8 @@ val bool : t -> p:float -> bool
     O(1) regardless of the outcome (inverse-CDF).  Used for subset sampling
     by skipping. *)
 val geometric : t -> p:float -> int
+
+(** [geometric_log t ~log_q] is [geometric t ~p] for p in (0, 1), given
+    [log_q = Float.log1p (-.p)]: the same draw and the same result, with the
+    logarithm left to the caller. *)
+val geometric_log : t -> log_q:float -> int

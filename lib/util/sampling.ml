@@ -1,18 +1,30 @@
 (** Sampling primitives shared by the protocols and the generators. *)
 
-(** [bernoulli_subset rng n ~p] returns the sorted list of indices in
-    [0, n) each selected independently with probability [p], using geometric
-    skips so the cost is proportional to the output, not to [n]. *)
-let bernoulli_subset rng n ~p =
-  if p <= 0.0 then []
-  else if p >= 1.0 then List.init n (fun i -> i)
+(** [iter_bernoulli rng n ~p f] calls [f] on the indices in [0, n), in
+    ascending order, each selected independently with probability [p].
+    Geometric skips keep the cost proportional to the output, not to [n]. *)
+let iter_bernoulli rng n ~p f =
+  if p <= 0.0 then ()
+  else if p >= 1.0 then
+    for i = 0 to n - 1 do
+      f i
+    done
   else begin
-    let rec loop i acc =
-      let i = i + Rng.geometric rng ~p in
-      if i >= n then List.rev acc else loop (i + 1) (i :: acc)
-    in
-    loop 0 []
+    (* [Rng.geometric]'s logarithm, computed once: the same float, so the
+       same skips.  Boxed once here, not at every call where
+       [geometric_log] is not inlined. *)
+    let log_q = Sys.opaque_identity (Float.log1p (-.p)) in
+    let i = ref (Rng.geometric_log rng ~log_q) in
+    while !i < n do
+      f !i;
+      i := !i + 1 + Rng.geometric_log rng ~log_q
+    done
   end
+
+let bernoulli_subset rng n ~p =
+  let acc = ref [] in
+  iter_bernoulli rng n ~p (fun i -> acc := i :: !acc);
+  List.rev !acc
 
 (** [without_replacement rng n m] samples [m] distinct indices from [0, n),
     returned sorted.  Uses Floyd's algorithm: O(m) expected time and space. *)

@@ -1,7 +1,14 @@
 (** Sampling primitives shared by the protocols and the generators. *)
 
-(** Sorted indices in [0, n), each selected independently with probability
-    [p]; runs in time proportional to the output via geometric skips. *)
+(** [iter_bernoulli rng n ~p f] calls [f] on each index in [0, n) selected
+    independently with probability [p], in ascending order.  Geometric
+    skips make the cost proportional to the output.  The draws are exactly
+    [bernoulli_subset]'s, in the same order, so either one leaves [rng] in
+    the same state: none for [p <= 0] or [p >= 1], otherwise one per
+    selected index plus one for the skip past [n]. *)
+val iter_bernoulli : Rng.t -> int -> p:float -> (int -> unit) -> unit
+
+(** The indices {!iter_bernoulli} visits, as a sorted list. *)
 val bernoulli_subset : Rng.t -> int -> p:float -> int list
 
 (** [m] distinct uniform indices from [0, n), sorted (Floyd's algorithm).

@@ -156,7 +156,18 @@ let same_run seed reference streamed =
   | (Error e, _), (Error f, _) -> e = f
   | _ -> false
 
-let edge_set edges = List.sort_uniq compare (List.map Graph.normalize_edge edges)
+(* The streamed planting next to the reference, on twin streams: the
+   graphs of the edges each kept, both distinct counts, both bounds, and
+   whether the streams still agree. *)
+let plant_both ~n_part ~rounds offset seed =
+  let n = offset + (3 * n_part) in
+  let rng = Rng.create seed and rng' = Rng.create seed in
+  let edges, bound = Ref.tripartite_planted rng ~n_part ~rounds offset in
+  let b = Graph.Builder.create ~n in
+  let distinct, bound' = Gen.tripartite_planted rng' b ~n_part ~rounds offset in
+  ( (Graph.of_edges ~n edges, List.length edges, bound),
+    (Graph.Builder.build b, distinct, bound'),
+    Rng.int rng 1_000_000_007 = Rng.int rng' 1_000_000_007 )
 
 (* ----------------------------------------------------------- generators *)
 
@@ -214,22 +225,34 @@ let props =
           (fun rng -> Gen.planted_far rng ~n ~triangles ~noise));
     Test.make ~name:"tripartite_planted = list reference" ~count:300 tripartite_input
       (fun (n_part, rounds, offset, seed) ->
-        let rng = Rng.create seed and rng' = Rng.create seed in
-        let edges, bound = Ref.tripartite_planted rng ~n_part ~rounds offset in
-        let edges', bound' = Gen.tripartite_planted rng' ~n_part ~rounds offset in
-        edge_set edges = edge_set edges'
-        && List.length edges = List.length edges'
-        && bound = bound'
-        && Rng.int rng 1_000_000_007 = Rng.int rng' 1_000_000_007);
+        let (g, count, bound), (g', distinct, bound'), same_stream =
+          plant_both ~n_part ~rounds offset seed
+        in
+        Graph.equal g g' && count = distinct && Graph.m g = distinct && bound = bound'
+        && same_stream);
     Test.make ~name:"bipartite_noise = list reference" ~count:300
       (quad (int_range 0 60) (int_range 0 60) (float_range (-0.1) 1.1) (int_range 0 100_000))
       (fun (lo, len, p, seed) ->
+        let n = lo + len in
         let rng = Rng.create seed and rng' = Rng.create seed in
-        let vertices = List.init len (fun i -> lo + i) in
-        let edges = Ref.bipartite_noise rng vertices ~p in
-        let edges' = Gen.bipartite_noise rng' vertices ~p in
-        edge_set edges = edge_set edges'
+        let edges = Ref.bipartite_noise rng (List.init len (fun i -> lo + i)) ~p in
+        let b = Graph.Builder.create ~n in
+        Gen.bipartite_noise rng' b ~lo ~len ~p;
+        Graph.equal (Graph.of_edges ~n edges) (Graph.Builder.build b)
         && Rng.int rng 1_000_000_007 = Rng.int rng' 1_000_000_007);
+    (* p outside (0, 1) included: no draws at all there *)
+    Test.make ~name:"iter_bernoulli = bernoulli_subset reference" ~count:500
+      (triple (int_range 0 3_000) (float_range (-0.2) 1.2) (int_range 0 100_000))
+      (fun (n, p, seed) ->
+        let rng = Rng.create seed and rng' = Rng.create seed and rng'' = Rng.create seed in
+        let expected = Ref.bernoulli_subset rng n ~p in
+        let seen = ref [] in
+        Sampling.iter_bernoulli rng' n ~p (fun i -> seen := i :: !seen);
+        let listed = Sampling.bernoulli_subset rng'' n ~p in
+        let next r = Rng.int r 1_000_000_007 in
+        let after = next rng in
+        List.rev !seen = expected && listed = expected
+        && after = next rng' && after = next rng'');
     Test.make ~name:"gnp = list reference" ~count:200
       (triple (int_range 0 80) (float_range 0.0 1.0) (int_range 0 100_000))
       (fun (n, p, seed) ->
@@ -285,12 +308,14 @@ let test_planted_corners () =
     ]
 
 let test_tripartite_collides () =
-  let rng = Rng.create 4 and rng' = Rng.create 4 in
-  let edges, bound = Ref.tripartite_planted rng ~n_part:2 ~rounds:12 0 in
-  let edges', bound' = Gen.tripartite_planted rng' ~n_part:2 ~rounds:12 0 in
-  checkb "collisions happened" true (List.length edges < 3 * 2 * 12);
-  checkb "same edges" true (edge_set edges = edge_set edges');
-  checkb "same bound" true (bound = bound')
+  let (g, count, bound), (g', distinct, bound'), same_stream =
+    plant_both ~n_part:2 ~rounds:12 0 4
+  in
+  checkb "collisions happened" true (count < 3 * 2 * 12);
+  checkb "same edges" true (Graph.equal g g');
+  checkb "distinct count" true (distinct = count);
+  checkb "same bound" true (bound = bound');
+  checkb "same stream" true same_stream
 
 let () =
   Alcotest.run "tfree_gen"

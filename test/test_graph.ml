@@ -286,8 +286,9 @@ let test_gen_embed_preserves () =
 
 let test_gen_tripartite_planted_disjoint_bound () =
   let rng = Rng.create 22 in
-  let edges, disjoint = Gen.tripartite_planted rng ~n_part:40 ~rounds:3 0 in
-  let g = Graph.of_edges ~n:120 edges in
+  let b = Graph.Builder.create ~n:120 in
+  let _, disjoint = Gen.tripartite_planted rng b ~n_part:40 ~rounds:3 0 in
+  let g = Graph.Builder.build b in
   checkb "claimed bound holds" true (List.length (Triangle.greedy_packing g) >= disjoint - 1);
   checkb "bound positive" true (disjoint > 0)
 
