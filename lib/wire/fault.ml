@@ -119,6 +119,10 @@ let parse_event s =
 
 let lookup_assoc fields k = List.assoc_opt k fields
 
+(* A seeded schedule is drawn op by op, so an unbounded count would let
+   one spec stall whoever parses it. *)
+let max_seeded_ops = 1_000_000
+
 (* The seeded form: seed=..,rate=..,ops=..[,kinds=a+b]. *)
 let parse_seeded s =
   let fields =
@@ -132,7 +136,8 @@ let parse_seeded s =
   let int_f k = Option.bind (lookup_assoc fields k) int_of_string_opt in
   let float_f k = Option.bind (lookup_assoc fields k) float_of_string_opt in
   match (int_f "seed", float_f "rate", int_f "ops") with
-  | Some seed, Some rate, Some ops when rate >= 0.0 && rate <= 1.0 && ops >= 0 ->
+  | Some seed, Some rate, Some ops
+    when rate >= 0.0 && rate <= 1.0 && ops >= 0 && ops <= max_seeded_ops ->
       let kinds =
         match lookup_assoc fields "kinds" with
         | None -> Ok None
@@ -142,7 +147,11 @@ let parse_seeded s =
             else Error (Printf.sprintf "bad kinds list %S" ks)
       in
       Result.map (fun kinds -> `Seeded (seed, rate, ops, kinds)) kinds
-  | _ -> Error "seeded fault spec needs seed=INT, rate=FLOAT in [0,1] and ops=INT"
+  | _ ->
+      Error
+        (Printf.sprintf
+           "seeded fault spec needs seed=INT, rate=FLOAT in [0,1] and ops=INT in [0,%d]"
+           max_seeded_ops)
 
 (* ---------------------------------------------------------------- random *)
 

@@ -42,6 +42,7 @@ val normalize : schedule -> schedule
     restricts the palette (grammar names; default all six). *)
 val random : seed:int -> rate:float -> ops:int -> ?kinds:string list -> unit -> schedule
 
-(** Parse either grammar form ([OP:KIND,...] or [seed=..,rate=..,ops=..]);
-    [""] is the empty schedule. *)
+(** Parse either grammar form ([OP:KIND,...] or [seed=..,rate=..,ops=..],
+    with ops at most 1,000,000); [""] is the empty schedule.  Fails closed:
+    any other string is an [Error], never an exception. *)
 val parse : string -> (schedule, string) result

@@ -18,6 +18,7 @@ module Transport = Tfree_wire.Transport
 module Proto = Tfree_wire.Proto
 module Wire_error = Tfree_wire.Wire_error
 module Bits = Tfree_util.Bits
+module Fault = Tfree_wire.Fault
 
 (* ------------------------------------------------------------ reference *)
 
@@ -569,6 +570,95 @@ let test_out_of_range_value_is_corrupt () =
   Buffer.add_char body '\xe0';
   corrupt "value outside its range" (fun () -> Frame.decode (Ref.seal body) (ref 0))
 
+(* ------------------------------------------------------ fault grammar *)
+
+(* Valid specs of both forms, and edits that keep them close to the
+   grammar: characters from its alphabet, deletions, and splices. *)
+let fault_specs =
+  [
+    "";
+    "2:drop,5:corrupt@13";
+    " 0:truncate@3, 7:delay@2,9:partial@4 ,11:close";
+    "4:corrupt,4:truncate,1:delay";
+    "seed=42,rate=0.05,ops=200";
+    "seed=7,rate=0.5,ops=40,kinds=drop+corrupt";
+  ]
+
+type spec_edit = Insert of int * string | Delete of int * int | Splice_spec of int * int * int
+
+let print_spec_edit = function
+  | Insert (i, t) -> Printf.sprintf "insert %d %S" i t
+  | Delete (i, k) -> Printf.sprintf "delete %d+%d" i k
+  | Splice_spec (i, j, k) -> Printf.sprintf "splice %d with spec %d from %d" i j k
+
+let grammar_char =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, oneofl (List.init 10 (fun d -> Char.chr (48 + d))));
+        (4, oneofl [ ':'; ','; '@'; '='; '+'; '-'; '.'; ' '; 'e' ]);
+        (2, char_range 'a' 'z');
+        (1, char);
+      ])
+
+let gen_spec_edit =
+  QCheck.Gen.(
+    let pos = int_bound 64 in
+    frequency
+      [
+        (3, map2 (fun i t -> Insert (i, t)) pos (string_size ~gen:grammar_char (int_range 1 6)));
+        (2, map2 (fun i k -> Delete (i, k)) pos (int_range 1 6));
+        (1, map3 (fun i j k -> Splice_spec (i, j, k)) pos (int_bound 5) pos);
+      ])
+
+let apply_spec_edit s e =
+  let len = String.length s in
+  let at i = if len = 0 then 0 else i mod (len + 1) in
+  match e with
+  | Insert (i, t) -> String.sub s 0 (at i) ^ t ^ String.sub s (at i) (len - at i)
+  | Delete (i, k) ->
+      let i = at i in
+      let k = min k (len - i) in
+      String.sub s 0 i ^ String.sub s (i + k) (len - i - k)
+  | Splice_spec (i, j, k) ->
+      let other = List.nth fault_specs (j mod List.length fault_specs) in
+      let olen = String.length other in
+      let k = if olen = 0 then 0 else k mod olen in
+      String.sub s 0 (at i) ^ String.sub other k (olen - k)
+
+let arb_fault_string =
+  QCheck.make
+    ~print:(fun (base, edits, raw) ->
+      match raw with
+      | Some r -> Printf.sprintf "raw %S" r
+      | None ->
+          Printf.sprintf "%S edited by [%s]" (List.nth fault_specs base)
+            (String.concat "; " (List.map print_spec_edit edits)))
+    QCheck.Gen.(
+      triple
+        (int_bound (List.length fault_specs - 1))
+        (list_size (int_range 1 4) gen_spec_edit)
+        (opt ~ratio:0.3 (string_size ~gen:grammar_char (int_range 0 40))))
+
+(* Fails closed: an [Ok] schedule prints back to a spec that parses to
+   itself, anything else is an [Error], and nothing raises. *)
+let prop_fault_parse_fails_closed (base, edits, raw) =
+  let spec =
+    match raw with
+    | Some r -> r
+    | None -> List.fold_left apply_spec_edit (List.nth fault_specs base) edits
+  in
+  match Fault.parse spec with
+  | Ok sched -> Fault.parse (Fault.to_string sched) = Ok sched
+  | Error _ -> true
+  | exception e -> QCheck.Test.fail_reportf "Fault.parse %S raised %s" spec (Printexc.to_string e)
+
+let test_fault_parse_bounds_ops () =
+  let is_error s = match Fault.parse s with Error _ -> true | Ok _ -> false in
+  Alcotest.(check bool) "a million ops" false (is_error "seed=1,rate=0,ops=1000000");
+  Alcotest.(check bool) "past a million ops" true (is_error "seed=1,rate=0,ops=1000001");
+  Alcotest.(check bool) "ops past max_int" true (is_error "seed=1,rate=0,ops=99999999999999999999")
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "tfree_wire_codec"
@@ -604,5 +694,9 @@ let () =
                arb_frame_mutation prop_descriptor_fails_closed);
           Alcotest.test_case "deep or empty descriptors" `Quick test_deep_descriptor_refused;
           Alcotest.test_case "out-of-range value" `Quick test_out_of_range_value_is_corrupt;
+          qc
+            (QCheck.Test.make ~name:"fault specs parse or fail closed" ~count:3000
+               arb_fault_string prop_fault_parse_fails_closed);
+          Alcotest.test_case "fault spec ops are bounded" `Quick test_fault_parse_bounds_ops;
         ] );
     ]
