@@ -240,6 +240,15 @@ let () =
           fail "micro/tap-frame: %s allocates %g minor words/frame, over the %g budget" case words
             limit)
       [ "empty"; "vertex_opt" ];
+    (* The far-build row (bench/micro_gen.ml): timed, and inside its
+       allocation budget. *)
+    let gen = wire_row "micro/gen-far" in
+    let limit = float_field gen "limit" and words = float_field gen "words" in
+    if limit <= 0.0 then fail "micro/gen-far: non-positive limit";
+    if not (float_field gen "ms" > 0.0) then fail "micro/gen-far: ms not positive";
+    if not (words > 0.0) then fail "micro/gen-far: words not positive";
+    if words > limit then
+      fail "micro/gen-far: %g words/build over the %g budget" words limit;
     (* The dataset rows (bench/dataset_bench.ml) witness the reasons
        lib/dataset exists: the snapshot loads faster than regenerating or
        re-parsing the corpus, and is the smaller on-disk encoding. *)

@@ -263,6 +263,10 @@ let print_micro rows =
    v2 on the serve hot path.  Same iteration split as @micro-smoke. *)
 let measure_wire () = Micro_wire.measure ~iters:(if opts.smoke then 20_000 else 200_000)
 
+(* The cold far-build micro-benchmark (bench/micro_gen.ml): time and
+   allocation of one Gen.far_with_degree build at the cold-build shape. *)
+let measure_gen () = Micro_gen.measure ~builds:(if opts.smoke then 20 else 200)
+
 (* The dataset-pipeline micro-benchmark (bench/dataset_bench.ml): snapshot
    load vs regeneration vs text parse on a quarter-million-edge corpus.
    Few iterations — each one loads the whole graph. *)
@@ -293,6 +297,8 @@ let run_json () =
   if opts.only = [] then print_micro micro;
   let wire = if opts.only = [] then Some (measure_wire ()) else None in
   Option.iter Micro_wire.print_table wire;
+  let gen = if opts.only = [] then Some (measure_gen ()) else None in
+  Option.iter Micro_gen.print_table gen;
   let dataset = if opts.only = [] then Some (measure_dataset ()) else None in
   Option.iter Dataset_bench.print_table dataset;
   (* The congest threshold/accounting rows (lib/experiments/congest_threshold.ml):
@@ -335,6 +341,7 @@ let run_json () =
                  Jsonout.Obj [ ("name", Str name); ("ns_per_run", Num est); ("r2", Num r2) ])
                micro
             @ (match wire with Some w -> Micro_wire.to_rows w | None -> [])
+            @ (match gen with Some g -> Micro_gen.to_rows g | None -> [])
             @ (match dataset with Some d -> Dataset_bench.to_rows d | None -> [])
             @ congest) );
       ])
@@ -356,6 +363,7 @@ let () =
     if opts.only = [] then begin
       print_micro (measure_micro ());
       Micro_wire.print_table (measure_wire ());
+      Micro_gen.print_table (measure_gen ());
       Dataset_bench.print_table (measure_dataset ())
     end;
     print_endline "done."

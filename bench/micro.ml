@@ -2,8 +2,10 @@
    alias: run {!Micro_wire} at the requested iteration count, print the
    v1-vs-v2 table, and exit nonzero unless binary v2 beats JSON v1 on
    framed and payload bytes/query and on encode and decode ns/query, the
-   v2 round trip stays inside its minor-words allocation budget, and a
-   wire-tap delivery of a fixed-width frame inside its per-frame budget.
+   v2 round trip stays inside its minor-words allocation budget, a
+   wire-tap delivery of a fixed-width frame inside its per-frame budget,
+   and a cold far-instance build ({!Micro_gen}) inside its allocation
+   budget.
 
      (default)   full iteration count, for quoting numbers
      --smoke     reduced iterations; what CI runs on every push
@@ -12,11 +14,16 @@
 let iters = ref 200_000
 let smoke_iters = 20_000
 
+(* far builds timed per run: each is a few ms *)
+let builds = ref 200
+let smoke_builds = 20
+
 let () =
   let rec parse = function
     | [] -> ()
     | "--smoke" :: rest ->
         iters := smoke_iters;
+        builds := smoke_builds;
         parse rest
     | "--iters" :: v :: rest -> (
         match int_of_string_opt v with
@@ -33,9 +40,13 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let r = Micro_wire.measure ~iters:!iters in
   Micro_wire.print_table r;
-  match Micro_wire.check r with
-  | Ok () ->
-      print_endline "micro: ok (v2 beats v1 on bytes and time; zero-alloc and tap budgets held)"
-  | Error violations ->
+  let g = Micro_gen.measure ~builds:!builds in
+  Micro_gen.print_table g;
+  let gate = function Ok () -> [] | Error v -> v in
+  match gate (Micro_wire.check r) @ gate (Micro_gen.check g) with
+  | [] ->
+      print_endline
+        "micro: ok (v2 beats v1 on bytes and time; zero-alloc, tap and far-build budgets held)"
+  | violations ->
       List.iter (fun v -> prerr_endline ("micro: GATE FAILED: " ^ v)) violations;
       exit 1
