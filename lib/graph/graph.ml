@@ -7,6 +7,19 @@ let normalize_edge (u, v) = if u <= v then (u, v) else (v, u)
 let check_vertex n v =
   if v < 0 || v >= n then invalid_arg (Printf.sprintf "Graph: vertex %d out of range [0,%d)" v n)
 
+(* The inverse of [perm]; [who] names the caller when [perm] is not a
+   permutation of [0, length perm). *)
+let inverse ~who perm =
+  let n = Array.length perm in
+  let inv = Array.make n (-1) in
+  Array.iteri
+    (fun v w ->
+      if w < 0 || w >= n || inv.(w) >= 0 then
+        invalid_arg (Printf.sprintf "Graph.%s: not a permutation of [0,%d)" who n);
+      inv.(w) <- v)
+    perm;
+  inv
+
 (* Construction.  [Builder] buffers endpoints (two int slots per edge, no
    list cells) and turns them into exact-size sorted adjacency rows in
    O(n + m) with no comparison sort:
@@ -118,19 +131,14 @@ module Builder = struct
     done;
     adj
 
-  let check_permutation n perm =
-    if Array.length perm <> n then invalid_arg "Graph.Builder.build: permutation size mismatch";
-    let seen = Array.make n false in
-    Array.iter
-      (fun w ->
-        if w < 0 || w >= n || seen.(w) then
-          invalid_arg (Printf.sprintf "Graph.Builder.build: not a permutation of [0,%d)" n);
-        seen.(w) <- true)
-      perm
-
   let build ?perm b : graph =
     let n = b.n in
-    Option.iter (check_permutation n) perm;
+    Option.iter
+      (fun perm ->
+        if Array.length perm <> n then
+          invalid_arg "Graph.Builder.build: permutation size mismatch";
+        ignore (inverse ~who:"Builder.build" perm))
+      perm;
     let deg = Array.make n 0 in
     iter_chunks b (fun a used ->
         for i = 0 to used - 1 do
@@ -269,13 +277,7 @@ let induced g vs =
    appends w to each neighbour's new row, so every row comes out sorted. *)
 let permute ~who g perm =
   let n = Array.length perm in
-  let inv = Array.make n (-1) in
-  Array.iteri
-    (fun v w ->
-      if w < 0 || w >= n || inv.(w) >= 0 then
-        invalid_arg (Printf.sprintf "Graph.%s: not a permutation of [0,%d)" who n);
-      inv.(w) <- v)
-    perm;
+  let inv = inverse ~who perm in
   let adj = Array.make n [||] in
   for v = 0 to g.n - 1 do
     adj.(perm.(v)) <- Array.make (Array.length g.adj.(v)) 0

@@ -11,8 +11,8 @@ let iter_bernoulli rng n ~p f =
     done
   else begin
     (* [Rng.geometric]'s logarithm, computed once: the same float, so the
-       same skips.  Boxed once here, not at every call where
-       [geometric_log] is not inlined. *)
+       same skips.  Boxed once here, so that a build that does not inline
+       [geometric_log] across modules does not box it on every call. *)
     let log_q = Sys.opaque_identity (Float.log1p (-.p)) in
     let i = ref (Rng.geometric_log rng ~log_q) in
     while !i < n do

@@ -178,6 +178,15 @@ let props =
         List.iter (fun (u, v) -> Graph.Builder.add b u v) more;
         let second = Graph.Builder.build b in
         matches_ref ~n edges first && matches_ref ~n (edges @ more) second);
+    Test.make ~name:"builder: build ~perm = renamed reference" ~count:300
+      (pair arb_input (int_range 0 100_000))
+      (fun ((n, _, edges), seed) ->
+        let perm = random_perm (Rng.create seed) n in
+        let b = Graph.Builder.create ~n in
+        List.iter (fun (u, v) -> Graph.Builder.add b u v) edges;
+        matches_ref ~n (List.map (fun (u, v) -> (perm.(u), perm.(v))) edges)
+          (Graph.Builder.build ~perm b)
+        && matches_ref ~n edges (Graph.Builder.build b));
     Test.make ~name:"relabel = naive rebuild" ~count:200 arb_graph_seed (fun gs ->
         let g, rng = random_graph gs in
         let perm = random_perm rng (Graph.n g) in
@@ -237,6 +246,17 @@ let test_relabel_rejects_out_of_range () =
   Alcotest.check_raises "size" (Invalid_argument "Graph.relabel: permutation size mismatch") (fun () ->
       ignore (Graph.relabel g [| 0; 1 |]))
 
+let test_build_perm_checks () =
+  let b = Graph.Builder.create ~n:3 in
+  Graph.Builder.add b 0 1;
+  Alcotest.check_raises "size" (Invalid_argument "Graph.Builder.build: permutation size mismatch")
+    (fun () -> ignore (Graph.Builder.build ~perm:[| 0; 1 |] b));
+  Alcotest.check_raises "repeated"
+    (Invalid_argument "Graph.Builder.build: not a permutation of [0,3)") (fun () ->
+      ignore (Graph.Builder.build ~perm:[| 2; 2; 0 |] b));
+  checkb "renamed" true
+    (Graph.equal (Graph.Builder.build ~perm:[| 2; 0; 1 |] b) (Graph.of_edges ~n:3 [ (2, 0) ]))
+
 let test_embed_checks () =
   let g = Gen.path ~n:3 in
   Alcotest.check_raises "too short" (Invalid_argument "Graph.embed: permutation smaller than the graph")
@@ -257,6 +277,7 @@ let () =
           Alcotest.test_case "rejects repeated target" `Quick test_relabel_rejects_repeated_target;
           Alcotest.test_case "rejects out-of-range target" `Quick test_relabel_rejects_out_of_range;
           Alcotest.test_case "embed checks" `Quick test_embed_checks;
+          Alcotest.test_case "build ~perm checks" `Quick test_build_perm_checks;
         ] );
       ("partition", [ Alcotest.test_case "union of no players" `Quick test_union_of_no_players ]);
       ("oracle", List.map QCheck_alcotest.to_alcotest props);
