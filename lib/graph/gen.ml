@@ -16,11 +16,13 @@ open Tfree_util
 let check_length len = if len < 0 then invalid_arg "List.init"
 
 (* A randomly relabelled family adds its edges to one builder, then draws
-   a uniform relabelling of [0, n), its last draws, and builds through it. *)
+   a uniform relabelling of [0, n), its last draws, and renames the
+   buffered edges through it before the build. *)
 let permuted_graph rng b ~n =
   let perm = Array.init n (fun i -> i) in
   Sampling.shuffle_in_place rng perm;
-  Graph.Builder.build ~perm b
+  Graph.Builder.relabel b perm;
+  Graph.Builder.build b
 
 (* ------------------------------------------------------- random families *)
 

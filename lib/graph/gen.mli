@@ -10,8 +10,9 @@ open Tfree_util
     pins the graph.  The draws keep the order and count the list-based
     generators made them in, and every graph is the same.  A randomly
     relabelled family adds its edges to one [Graph.Builder], draws its label
-    permutation last, and builds through it ([Graph.Builder.build ~perm]);
-    no family goes through an edge list. *)
+    permutation last, and renames the buffered edges through it
+    ([Graph.Builder.relabel]) before the build; no family goes through an
+    edge list. *)
 
 (** Erdős–Rényi G(n, p), in one O(n + m) pass over the selected pairs.
     @raise Invalid_argument when [p] is outside [0, 1] or [n < 0]. *)

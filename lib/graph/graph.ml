@@ -32,9 +32,9 @@ let inverse ~who perm =
    - anything else is counting-sorted by source into a flat CSR array and
      transposed: visiting sources in ascending order appends each source to
      its neighbours' rows in order, so the rows come out sorted, and a
-     duplicate shows up next to its first copy, where it is dropped.  A
-     build through a relabelling renames endpoints as it reads them and
-     always takes this path. *)
+     duplicate shows up next to its first copy, where it is dropped.
+     [relabel] renames the buffered endpoints in place, after which the
+     build takes this path. *)
 module Builder = struct
   type graph = t
 
@@ -78,17 +78,14 @@ module Builder = struct
     List.iter (fun a -> f a chunk) (List.rev b.full);
     f b.cur b.pos
 
-  (* An endpoint under the relabelling, if any. *)
-  let[@inline] rename perm x = match perm with None -> x | Some p -> p.(x)
-
-  (* For every buffered edge (u, v), in insertion order and renamed: [set u
-     place.(u) v] then [set v place.(v) u], advancing each [place] past the
-     slot it filled. *)
-  let scatter b perm place set =
+  (* For every buffered edge (u, v), in insertion order: [set u place.(u) v]
+     then [set v place.(v) u], advancing each [place] past the slot it
+     filled. *)
+  let scatter b place set =
     iter_chunks b (fun a used ->
         let i = ref 0 in
         while !i < used do
-          let u = rename perm a.(!i) and v = rename perm a.(!i + 1) in
+          let u = a.(!i) and v = a.(!i + 1) in
           set u place.(u) v;
           place.(u) <- place.(u) + 1;
           set v place.(v) u;
@@ -99,21 +96,21 @@ module Builder = struct
   (* Rows of exact size [deg], filled in arc order. *)
   let fill_rows b deg =
     let adj = Array.init b.n (fun v -> Array.make deg.(v) 0) in
-    scatter b None (Array.make b.n 0) (fun u i v -> adj.(u).(i) <- v);
+    scatter b (Array.make b.n 0) (fun u i v -> adj.(u).(i) <- v);
     adj
 
   (* Counting sort by source, then transpose into the rows.  Sources are
      visited in ascending order, so each row fills in order and a duplicate
      is always the row's last entry so far: it is skipped there, and only
      a row that had one is trimmed. *)
-  let sort_rows b perm deg =
+  let sort_rows b deg =
     let n = b.n in
     let off = Array.make (n + 1) 0 in
     for v = 0 to n - 1 do
       off.(v + 1) <- off.(v) + deg.(v)
     done;
     let by_source = Array.make off.(n) 0 in
-    scatter b perm (Array.sub off 0 n) (fun _ i v -> by_source.(i) <- v);
+    scatter b (Array.sub off 0 n) (fun _ i v -> by_source.(i) <- v);
     let adj = Array.init n (fun v -> Array.make deg.(v) 0) in
     let fill = Array.make n 0 in
     for s = 0 to n - 1 do
@@ -131,24 +128,26 @@ module Builder = struct
     done;
     adj
 
-  let build ?perm b : graph =
+  let relabel b perm =
+    if Array.length perm <> b.n then invalid_arg "Graph.Builder.relabel: permutation size mismatch";
+    ignore (inverse ~who:"Builder.relabel" perm);
+    iter_chunks b (fun a used ->
+        for i = 0 to used - 1 do
+          a.(i) <- perm.(a.(i))
+        done);
+    b.ascending <- false
+
+  let build b : graph =
     let n = b.n in
-    Option.iter
-      (fun perm ->
-        if Array.length perm <> n then
-          invalid_arg "Graph.Builder.build: permutation size mismatch";
-        ignore (inverse ~who:"Builder.build" perm))
-      perm;
     let deg = Array.make n 0 in
     iter_chunks b (fun a used ->
         for i = 0 to used - 1 do
-          let x = rename perm a.(i) in
+          let x = a.(i) in
           deg.(x) <- deg.(x) + 1
         done);
-    if b.ascending && Option.is_none perm then
-      { n; adj = fill_rows b deg; m = ((chunk * List.length b.full) + b.pos) / 2 }
+    if b.ascending then { n; adj = fill_rows b deg; m = ((chunk * List.length b.full) + b.pos) / 2 }
     else begin
-      let adj = sort_rows b perm deg in
+      let adj = sort_rows b deg in
       { n; adj; m = Array.fold_left (fun s a -> s + Array.length a) 0 adj / 2 }
     end
 end

@@ -45,11 +45,14 @@ module Builder : sig
       out-of-range endpoint raises [Invalid_argument]. *)
   val add : t -> int -> int -> unit
 
-  (** The graph of every edge added so far; [b] is left unchanged.  With
-      [perm], every endpoint [x] is renamed [perm.(x)] on the way, at no
-      extra pass: a generator can add its edges before it draws its labels.
+  (** [relabel b perm] renames every endpoint added so far: [x] becomes
+      [perm.(x)].  One pass over the buffer, so a generator can add its
+      edges before it draws its labels.
       @raise Invalid_argument unless [perm] is a permutation of [0, n). *)
-  val build : ?perm:int array -> t -> graph
+  val relabel : t -> int array -> unit
+
+  (** The graph of every edge added so far; [b] is left unchanged. *)
+  val build : t -> graph
 end
 
 val empty : n:int -> t

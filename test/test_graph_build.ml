@@ -178,15 +178,18 @@ let props =
         List.iter (fun (u, v) -> Graph.Builder.add b u v) more;
         let second = Graph.Builder.build b in
         matches_ref ~n edges first && matches_ref ~n (edges @ more) second);
-    Test.make ~name:"builder: build ~perm = renamed reference" ~count:300
-      (pair arb_input (int_range 0 100_000))
-      (fun ((n, _, edges), seed) ->
+    Test.make ~name:"builder: relabel = renamed reference" ~count:300
+      (triple arb_input (int_range 0 100_000) (small_list (pair small_nat small_nat)))
+      (fun ((n, _, edges), seed, more) ->
+        let more = if n = 0 then [] else List.map (fun (u, v) -> (u mod n, v mod n)) more in
         let perm = random_perm (Rng.create seed) n in
+        let renamed = List.map (fun (u, v) -> (perm.(u), perm.(v))) edges in
         let b = Graph.Builder.create ~n in
         List.iter (fun (u, v) -> Graph.Builder.add b u v) edges;
-        matches_ref ~n (List.map (fun (u, v) -> (perm.(u), perm.(v))) edges)
-          (Graph.Builder.build ~perm b)
-        && matches_ref ~n edges (Graph.Builder.build b));
+        Graph.Builder.relabel b perm;
+        let first = Graph.Builder.build b in
+        List.iter (fun (u, v) -> Graph.Builder.add b u v) more;
+        matches_ref ~n renamed first && matches_ref ~n (renamed @ more) (Graph.Builder.build b));
     Test.make ~name:"relabel = naive rebuild" ~count:200 arb_graph_seed (fun gs ->
         let g, rng = random_graph gs in
         let perm = random_perm rng (Graph.n g) in
@@ -246,16 +249,17 @@ let test_relabel_rejects_out_of_range () =
   Alcotest.check_raises "size" (Invalid_argument "Graph.relabel: permutation size mismatch") (fun () ->
       ignore (Graph.relabel g [| 0; 1 |]))
 
-let test_build_perm_checks () =
+let test_builder_relabel_checks () =
   let b = Graph.Builder.create ~n:3 in
   Graph.Builder.add b 0 1;
-  Alcotest.check_raises "size" (Invalid_argument "Graph.Builder.build: permutation size mismatch")
-    (fun () -> ignore (Graph.Builder.build ~perm:[| 0; 1 |] b));
+  Alcotest.check_raises "size"
+    (Invalid_argument "Graph.Builder.relabel: permutation size mismatch") (fun () ->
+      Graph.Builder.relabel b [| 0; 1 |]);
   Alcotest.check_raises "repeated"
-    (Invalid_argument "Graph.Builder.build: not a permutation of [0,3)") (fun () ->
-      ignore (Graph.Builder.build ~perm:[| 2; 2; 0 |] b));
-  checkb "renamed" true
-    (Graph.equal (Graph.Builder.build ~perm:[| 2; 0; 1 |] b) (Graph.of_edges ~n:3 [ (2, 0) ]))
+    (Invalid_argument "Graph.Builder.relabel: not a permutation of [0,3)") (fun () ->
+      Graph.Builder.relabel b [| 2; 2; 0 |]);
+  Graph.Builder.relabel b [| 2; 0; 1 |];
+  checkb "renamed" true (Graph.equal (Graph.Builder.build b) (Graph.of_edges ~n:3 [ (2, 0) ]))
 
 let test_embed_checks () =
   let g = Gen.path ~n:3 in
@@ -277,7 +281,7 @@ let () =
           Alcotest.test_case "rejects repeated target" `Quick test_relabel_rejects_repeated_target;
           Alcotest.test_case "rejects out-of-range target" `Quick test_relabel_rejects_out_of_range;
           Alcotest.test_case "embed checks" `Quick test_embed_checks;
-          Alcotest.test_case "build ~perm checks" `Quick test_build_perm_checks;
+          Alcotest.test_case "builder relabel checks" `Quick test_builder_relabel_checks;
         ] );
       ("partition", [ Alcotest.test_case "union of no players" `Quick test_union_of_no_players ]);
       ("oracle", List.map QCheck_alcotest.to_alcotest props);
