@@ -1,5 +1,7 @@
 (* Differential tests for the instance generators: the list-based
-   generators as they were first written are kept below as a reference, and
+   generators as they were first written are kept below as a reference
+   (far, free, planted, tripartite planting, bipartite noise, Gnp, Gnm,
+   tripartite Gnp, hub, diluted and pattern instances), and
    every streamed generator must build the same graph from the same seed,
    report the same bounds, fail with the same exception and leave its
    random stream in the same state. *)
@@ -138,6 +140,67 @@ module Ref = struct
     let total = half * (n - half) in
     let p = Float.min 1.0 (float_of_int m_target /. float_of_int total) in
     Graph.of_edges ~n (bipartite_noise rng (List.init n (fun i -> i)) ~p)
+
+  let tripartite_gnp rng ~part ~p =
+    let n = 3 * part in
+    let edges = ref [] in
+    let cross offset1 offset2 =
+      List.iter
+        (fun idx -> edges := (offset1 + (idx / part), offset2 + (idx mod part)) :: !edges)
+        (bernoulli_subset rng (part * part) ~p)
+    in
+    cross 0 part;
+    cross 0 (2 * part);
+    cross part (2 * part);
+    Graph.of_edges ~n !edges
+
+  let hub_far rng ~n ~hubs ~pairs =
+    if hubs + (2 * pairs) > n then invalid_arg "Gen.hub_far: n too small";
+    let edges = ref [] in
+    for i = 0 to pairs - 1 do
+      let a = hubs + (2 * i) and b = hubs + (2 * i) + 1 in
+      let u = i mod hubs in
+      edges := (u, a) :: (u, b) :: (a, b) :: !edges
+    done;
+    let perm = Array.init n (fun i -> i) in
+    Sampling.shuffle_in_place rng perm;
+    of_permuted_edges ~n perm !edges
+
+  let planted_pattern_far rng ~n ~(pattern : Subgraph.pattern) ~copies ~noise =
+    let h = pattern.Subgraph.vertices in
+    if copies * h > n then invalid_arg "Gen.planted_pattern_far: too many copies";
+    let planted =
+      List.concat_map
+        (fun c -> List.map (fun (a, b) -> ((c * h) + a, (c * h) + b)) pattern.Subgraph.edges)
+        (List.init copies (fun c -> c))
+    in
+    let rest = Array.init (n - (copies * h)) (fun i -> (copies * h) + i) in
+    Sampling.shuffle_in_place rng rest;
+    let noise_edges =
+      List.init (min noise (Array.length rest / 2)) (fun i -> (rest.(2 * i), rest.((2 * i) + 1)))
+    in
+    let perm = Array.init n (fun i -> i) in
+    Sampling.shuffle_in_place rng perm;
+    of_permuted_edges ~n perm (planted @ noise_edges)
+
+  let diluted_far rng ~triangles ~extra_degree =
+    let corners = 3 * triangles in
+    let n = corners * (1 + extra_degree) in
+    let edges = ref [] in
+    for t = 0 to triangles - 1 do
+      let a = 3 * t and b = (3 * t) + 1 and c = (3 * t) + 2 in
+      edges := (a, b) :: (b, c) :: (a, c) :: !edges
+    done;
+    let next_leaf = ref corners in
+    for corner = 0 to corners - 1 do
+      for _ = 1 to extra_degree do
+        edges := (corner, !next_leaf) :: !edges;
+        incr next_leaf
+      done
+    done;
+    let perm = Array.init n (fun i -> i) in
+    Sampling.shuffle_in_place rng perm;
+    of_permuted_edges ~n perm !edges
 end
 
 (* -------------------------------------------------------------- helpers *)
@@ -257,6 +320,33 @@ let props =
       (triple (int_range 0 80) (float_range 0.0 1.0) (int_range 0 100_000))
       (fun (n, p, seed) ->
         same_run seed (fun rng -> Ref.gnp rng ~n ~p) (fun rng -> Gen.gnp rng ~n ~p));
+    Test.make ~name:"tripartite_gnp = list reference" ~count:200
+      (triple (int_range 0 30) (float_range (-0.1) 1.1) (int_range 0 100_000))
+      (fun (part, p, seed) ->
+        same_run seed
+          (fun rng -> Ref.tripartite_gnp rng ~part ~p)
+          (fun rng -> Gen.tripartite_gnp rng ~part ~p));
+    Test.make ~name:"hub_far = list reference" ~count:200
+      (quad (int_range 0 120) (int_range 1 6) (int_range 0 50) (int_range 0 100_000))
+      (fun (n, hubs, pairs, seed) ->
+        same_run seed
+          (fun rng -> Ref.hub_far rng ~n ~hubs ~pairs)
+          (fun rng -> Gen.hub_far rng ~n ~hubs ~pairs));
+    Test.make ~name:"diluted_far = list reference" ~count:200
+      (triple (int_range 0 12) (int_range 0 6) (int_range 0 100_000))
+      (fun (triangles, extra_degree, seed) ->
+        same_run seed
+          (fun rng -> Ref.diluted_far rng ~triangles ~extra_degree)
+          (fun rng -> Gen.diluted_far rng ~triangles ~extra_degree));
+    Test.make ~name:"planted_pattern_far = list reference" ~count:200
+      (quad (int_range 0 80) (int_range 0 12) (int_range (-2) 40) (int_range 0 100_000))
+      (fun (n, copies, noise, seed) ->
+        List.for_all
+          (fun pattern ->
+            same_run seed
+              (fun rng -> Ref.planted_pattern_far rng ~n ~pattern ~copies ~noise)
+              (fun rng -> Gen.planted_pattern_far rng ~n ~pattern ~copies ~noise))
+          [ Subgraph.triangle; Subgraph.diamond; Subgraph.five_cycle ]);
     Test.make ~name:"gnm = list reference" ~count:200
       (triple (int_range 0 80) (int_range 0 3_200) (int_range 0 100_000))
       (fun (n, m, seed) ->
