@@ -71,19 +71,12 @@ let tripartite_gnp rng ~part ~p =
 
 (** Triangle-free bipartite noise on the vertex range [lo, lo + len): the
     range is split in halves, each cross pair an edge iid with probability
-    [p].  Pair index [idx] is the pair (idx / right, idx mod right) of the
-    halves; the indices ascend, so the row advances with them and no
-    division is made. *)
+    [p]. *)
 let bipartite_noise rng b ~lo ~len ~p =
   let half = len / 2 in
   let right = len - half in
-  let row = ref 0 and first = ref 0 (* the index of the pair (row, 0) *) in
   Sampling.iter_bernoulli rng (half * right) ~p (fun idx ->
-      while idx - !first >= right do
-        first := !first + right;
-        incr row
-      done;
-      Graph.Builder.add b (lo + !row) (lo + half + (idx - !first)))
+      Graph.Builder.add b (lo + (idx / right)) (lo + half + (idx mod right)))
 
 (* About [noise] bipartite edges on [lo, lo + len), as both far branches
    draw them: none without a target or without two vertices. *)
@@ -147,46 +140,32 @@ let shuffle_labels rng g =
 
 (* Small deterministic graphs for tests. *)
 
-let deterministic ~n fill =
-  let b = Graph.Builder.create ~n in
-  fill (Graph.Builder.add b);
-  Graph.Builder.build b
-
 let complete ~n =
-  deterministic ~n (fun add ->
-      for u = 0 to n - 1 do
-        for v = u + 1 to n - 1 do
-          add u v
-        done
-      done)
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      edges := (u, v) :: !edges
+    done
+  done;
+  Graph.of_edges ~n !edges
 
 let cycle ~n =
   if n < 3 then invalid_arg "Gen.cycle: n < 3";
-  deterministic ~n (fun add ->
-      for i = 0 to n - 1 do
-        add i ((i + 1) mod n)
-      done)
+  Graph.of_edges ~n (List.init n (fun i -> (i, (i + 1) mod n)))
 
-let path ~n =
-  deterministic ~n (fun add ->
-      for i = 0 to n - 2 do
-        add i (i + 1)
-      done)
+let path ~n = Graph.of_edges ~n (List.init (max 0 (n - 1)) (fun i -> (i, i + 1)))
 
-let star ~n =
-  deterministic ~n (fun add ->
-      for i = 0 to n - 2 do
-        add 0 (i + 1)
-      done)
+let star ~n = Graph.of_edges ~n (List.init (max 0 (n - 1)) (fun i -> (0, i + 1)))
 
 let complete_bipartite ~left ~right =
   let n = left + right in
-  deterministic ~n (fun add ->
-      for u = 0 to left - 1 do
-        for v = left to n - 1 do
-          add u v
-        done
-      done)
+  let edges = ref [] in
+  for u = 0 to left - 1 do
+    for v = left to n - 1 do
+      edges := (u, v) :: !edges
+    done
+  done;
+  Graph.of_edges ~n !edges
 
 (** [tripartite_planted rng builder ~n_part ~rounds offset] plants [rounds]
     "triangle factors" on three parts A, B, C of [n_part] vertices each

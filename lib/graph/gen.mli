@@ -11,8 +11,8 @@ open Tfree_util
     generators made them in, and every graph is the same.  A randomly
     relabelled family adds its edges to one [Graph.Builder], draws its label
     permutation last, and renames the buffered edges through it
-    ([Graph.Builder.relabel]) before the build; no family goes through an
-    edge list. *)
+    ([Graph.Builder.relabel]) before the build; no random family goes
+    through an edge list. *)
 
 (** Erdős–Rényi G(n, p), in one O(n + m) pass over the selected pairs.
     @raise Invalid_argument when [p] is outside [0, 1] or [n < 0]. *)
