@@ -24,8 +24,6 @@ let permuted_graph rng b ~n =
   Graph.Builder.relabel b perm;
   Graph.Builder.build b
 
-(* ------------------------------------------------------- random families *)
-
 (* [f u v] for the pair u < v of [0, n) at each row-major index that
    [indices] yields, in ascending order.  The row advances with the index,
    so one pass costs O(n + pairs). *)
