@@ -341,6 +341,150 @@ let arb_msg_sequence =
     ~print:(fun ms -> String.concat " | " (List.map Tfree_proptest.Msg_gen.print ms))
     (list_size (int_range 20 80) (frequency [ (3, small); (2, gen_msg) ]))
 
+(* Sequences aimed at a scratch that remembers the header of its last
+   frame.  Each layout below is one physical value, so the messages built
+   on it share their layout by [==]: runs of them (a round's replies), the
+   same layout at different payload bit counts ([L_nat], an optional
+   vertex present or absent, lists of different lengths, a nested tuple),
+   structurally equal layouts built afresh by the smart constructors, and
+   arbitrary messages in between, so a miss follows a hit. *)
+let shared_vertex_opt = Msg.L_vertex_opt { n = 300 }
+let shared_vertices = Msg.L_vertices { n = 40 }
+
+let shared_tuple =
+  Msg.L_tuple [ Msg.L_bool; Msg.L_tuple [ Msg.L_vertex { n = 9 }; Msg.L_nat ]; shared_vertices ]
+
+let gen_memo_msg : Msg.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let vertex = int_bound 39 in
+  let vertex_list = list_size (int_range 0 12) vertex in
+  frequency
+    [
+      (3, map Msg.bool bool);
+      (1, return Msg.empty);
+      (2, map Msg.nat (int_range 0 100_000));
+      ( 3,
+        opt (int_bound 299) >|= fun vo ->
+        Msg.of_layout shared_vertex_opt
+          (match vo with Some v -> Msg.Vertex v | None -> Msg.No_vertex) );
+      (2, opt (int_bound 299) >|= Msg.vertex_opt ~n:300);
+      (2, vertex_list >|= fun vs -> Msg.of_layout shared_vertices (Msg.Vertices vs));
+      (1, vertex_list >|= Msg.vertices ~n:40);
+      ( 2,
+        quad bool (int_bound 8) (int_range 0 5000) vertex_list >|= fun (b, v, k, vs) ->
+        Msg.of_layout shared_tuple
+          (Msg.Tuple [ Msg.Bool b; Msg.Tuple [ Msg.Vertex v; Msg.Int k ]; Msg.Vertices vs ]) );
+      ( 1,
+        pair bool vertex_list >|= fun (b, vs) ->
+        Msg.tuple [ Msg.bool b; Msg.tuple [ Msg.vertices ~n:40 vs ] ] );
+      (2, gen_msg);
+    ]
+
+let arb_memo_sequence =
+  let open QCheck.Gen in
+  let run = pair gen_memo_msg (int_range 1 4) >|= fun (m, reps) -> List.init reps (fun _ -> m) in
+  QCheck.make
+    ~print:(fun ms -> String.concat " | " (List.map Tfree_proptest.Msg_gen.print ms))
+    (list_size (int_range 10 60) run >|= List.concat)
+
+(* Every image one reused scratch builds is byte-for-byte the frame a fresh
+   encoder builds, and crosses a pipe back to the message sent. *)
+let prop_scratch_matches_fresh msgs =
+  let s = Frame.scratch () and tr = Transport.pipe () in
+  List.for_all
+    (fun msg ->
+      Frame.encode_into s msg;
+      let fresh = Frame.encode msg in
+      Bytes.equal (Bytes.sub (Frame.image s) 0 (Frame.frame_len s)) fresh
+      &&
+      let back = Frame.exchange s tr msg in
+      Bytes.equal (Bytes.sub (Frame.image s) 0 (Frame.frame_len s)) fresh
+      && Msg.value back = Msg.value msg
+      && Msg.bits back = Msg.bits msg
+      && Msg.layout back = Msg.layout msg)
+    msgs
+
+(* A pipe's [exchange] against [send] then [recv] on a second pipe in the
+   same state: the same bytes come back, and the same bytes stay in flight,
+   whether the ring was empty or still held an unmatched send. *)
+type pipe_op = Send of string | Exchange of int * string | Recv of int
+
+let arb_pipe_ops =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (int_range 0 600) in
+  let op =
+    frequency
+      [
+        (2, bytes >|= fun s -> Send s);
+        (4, pair (int_bound 5) bytes >|= fun (off, s) -> Exchange (off, s));
+        (2, int_bound 400 >|= fun n -> Recv n);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map
+           (function
+             | Send s -> Printf.sprintf "send %d" (String.length s)
+             | Exchange (off, s) -> Printf.sprintf "exchange %d@%d" (String.length s) off
+             | Recv n -> Printf.sprintf "recv %d" n)
+           ops))
+    (list_size (int_range 1 30) op)
+
+let prop_pipe_exchange_is_push_pop ops =
+  let direct = Transport.pipe () and pushed = Transport.pipe () in
+  let in_flight = ref 0 in
+  let recv_both n =
+    let a = Bytes.create n and b = Bytes.create n in
+    Transport.recv direct a 0 n;
+    Transport.recv pushed b 0 n;
+    Bytes.equal a b
+  in
+  let step = function
+    | Send s ->
+        let b = Bytes.of_string s in
+        Transport.send direct b 0 (Bytes.length b);
+        Transport.send pushed b 0 (Bytes.length b);
+        in_flight := !in_flight + Bytes.length b;
+        true
+    | Exchange (off, s) ->
+        let len = String.length s in
+        let src = Bytes.make (off + len + 2) '\xa5' in
+        Bytes.blit_string s 0 src off len;
+        let a = Bytes.make (len + 1) '\x00' and b = Bytes.make (len + 1) '\x00' in
+        Transport.exchange direct src off len a;
+        Transport.send pushed src off len;
+        Transport.recv pushed b 0 len;
+        Bytes.equal a b
+    | Recv n ->
+        let n = Int.min n !in_flight in
+        in_flight := !in_flight - n;
+        recv_both n
+  in
+  let starved tr =
+    match Transport.recv tr (Bytes.create 1) 0 1 with
+    | () -> false
+    | exception Wire_error.Wire_error (Wire_error.Truncated _) -> true
+  in
+  List.for_all step ops
+  && recv_both !in_flight
+  && starved direct && starved pushed
+
+let test_pipe_exchange_empty_and_pending () =
+  (* the two ring states by name: an exchange on an empty ring hands back
+     the frame; after an unmatched send it hands back the pending bytes
+     first, and the frame's tail stays in flight *)
+  let tr = Transport.pipe () in
+  let frame = Bytes.of_string "frame" and into = Bytes.create 5 in
+  Transport.exchange tr frame 0 5 into;
+  Alcotest.(check string) "empty ring" "frame" (Bytes.to_string into);
+  Transport.send tr (Bytes.of_string "ab") 0 2;
+  Transport.exchange tr frame 0 5 into;
+  Alcotest.(check string) "pending bytes first" "abfra" (Bytes.to_string into);
+  let rest = Bytes.create 2 in
+  Transport.recv tr rest 0 2;
+  Alcotest.(check string) "the tail stays in flight" "me" (Bytes.to_string rest)
+
 let test_scratch_reuse_socketpair () =
   (* the same reuse through real kernel-crossing bytes, a frame larger than
      the socket buffer in the middle *)
@@ -677,6 +821,14 @@ let () =
           qc
             (QCheck.Test.make ~name:"one scratch, many frames = fresh frames" ~count:30
                arb_msg_sequence prop_scratch_reuse);
+          qc
+            (QCheck.Test.make ~name:"reused scratch image = fresh Frame.encode" ~count:300
+               arb_memo_sequence prop_scratch_matches_fresh);
+          qc
+            (QCheck.Test.make ~name:"pipe exchange = send then recv" ~count:500 arb_pipe_ops
+               prop_pipe_exchange_is_push_pop);
+          Alcotest.test_case "pipe exchange, empty and pending ring" `Quick
+            test_pipe_exchange_empty_and_pending;
           Alcotest.test_case "scratch reuse over socketpair" `Quick test_scratch_reuse_socketpair;
           Alcotest.test_case "62-bit fields" `Quick test_widest_fields;
           Alcotest.test_case "gamma code past an int" `Quick test_gamma_too_long;
