@@ -23,10 +23,11 @@
 
    A second table times the protocol-side wire path: one delivery through
    [Wire_runtime.tap] on a pipe (frame, cross, decode, compare), in ns and
-   minor words, for an empty message, an optional vertex, 40 vertices and
-   200 edges.  The two fixed-width frames must stay inside
-   {!tap_words_limit} minor words per delivery — the decoded message and
-   its bookkeeping, no buffers — which {!check} enforces.
+   minor words, for an empty message, a one-bit reply (the unrestricted
+   protocol's degree-approximation frame), an optional vertex, 40 vertices
+   and 200 edges.  The three fixed-width frames must stay inside
+   {!tap_words_limit} minor words per delivery — the payload reader and the
+   decoded message, no buffers — which {!check} enforces.
 
    [bench/main.ml] embeds the rows in BENCH_results.json ([micro/serve-*],
    [micro/tap-frame]); [bench/micro.ml] runs the gate standalone behind the
@@ -100,8 +101,11 @@ and tap_case = {
 let minor_words_limit = 256.0
 
 (** The tap budget for a fixed-width frame: one delivery may allocate the
-    decoded message, its layout and the parse state, and no buffer. *)
-let tap_words_limit = 40.0
+    payload reader, the decoded message and its layout, and no buffer, no
+    header and no parse cursor: 5 words for an empty message or a bit (the
+    reader; both messages are shared constants), 13 for an optional
+    vertex. *)
+let tap_words_limit = 16.0
 
 (* --------------------------------------------------------- measurement *)
 
@@ -119,6 +123,7 @@ let time_ns ~iters f =
 let tap_messages =
   [
     ("empty", true, Msg.empty);
+    ("bool", true, Msg.bool true);
     ("vertex_opt", true, Msg.vertex_opt ~n:300 (Some 217));
     ("vertices40", false, Msg.vertices ~n:300 (List.init 40 (fun i -> (i * 7) mod 300)));
     ( "edges200",
@@ -137,7 +142,7 @@ let measure_tap ~iters =
       List.map
         (fun (case, fixed, msg) ->
           let deliver () = tap.Channel.deliver ~round:0 (Channel.To_player 0) msg in
-          if Msg.value (deliver ()) <> Msg.value msg then failwith "micro: tap altered a message";
+          if not (Msg.equal (deliver ()) msg) then failwith "micro: tap altered a message";
           Gc.full_major ();
           let w0 = Gc.minor_words () in
           for _ = 1 to iters do

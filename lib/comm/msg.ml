@@ -69,15 +69,22 @@ let rec measure layout value =
       List.fold_left2 (fun acc l v -> acc + measure l v) 0 ls vs
   | _ -> invalid_arg "Msg.measure: value does not fit layout"
 
+(* The constant messages, built once and shared: a message is immutable,
+   so every empty message and every one-bit reply can be the same value. *)
+let empty = { value = Unit; bits = 0; layout = L_unit }
+let bool_true = { value = Bool true; bits = 1; layout = L_bool }
+let bool_false = { value = Bool false; bits = 1; layout = L_bool }
+let bool b = if b then bool_true else bool_false
+
 (** Rebuild a message from its layout and payload — the decoder's
     constructor.  The bit count is recomputed from the layout, so a decoded
     message is indistinguishable from the original (same value, bits,
     layout); a value/layout mismatch is a codec bug and fails loudly. *)
-let of_layout layout value = { value; bits = measure layout value; layout }
-
-let empty = of_layout L_unit Unit
-
-let bool b = of_layout L_bool (Bool b)
+let of_layout layout value =
+  match (layout, value) with
+  | L_unit, Unit -> empty
+  | L_bool, Bool b -> bool b
+  | _ -> { value; bits = measure layout value; layout }
 
 (** Integer known by both sides to lie in [lo, hi]. *)
 let int_in ~lo ~hi v = of_layout (L_int_in { lo; hi }) (Int v)
@@ -105,6 +112,43 @@ let tuple parts =
   { value = Tuple (List.map (fun p -> p.value) parts);
     bits = List.fold_left (fun acc p -> acc + p.bits) 0 parts;
     layout = L_tuple (List.map (fun p -> p.layout) parts) }
+
+(* Equality without the polymorphic compare: each constructor compares
+   its own fields at their own types. *)
+
+let equal_edge (u, v) (u', v') = Int.equal u u' && Int.equal v v'
+
+let rec equal_value a b =
+  match (a, b) with
+  | Unit, Unit | No_vertex, No_vertex -> true
+  | Bool x, Bool y -> Bool.equal x y
+  | Int x, Int y | Vertex x, Vertex y -> Int.equal x y
+  | Edge (u, v), Edge (u', v') -> Int.equal u u' && Int.equal v v'
+  | Vertices xs, Vertices ys -> List.equal Int.equal xs ys
+  | Edges xs, Edges ys -> List.equal equal_edge xs ys
+  | Tuple xs, Tuple ys -> List.equal equal_value xs ys
+  | (Unit | Bool _ | Int _ | Vertex _ | No_vertex | Edge _ | Vertices _ | Edges _ | Tuple _), _ ->
+      false
+
+let rec equal_layout a b =
+  match (a, b) with
+  | L_unit, L_unit | L_bool, L_bool | L_nat, L_nat -> true
+  | L_int_in { lo; hi }, L_int_in { lo = lo'; hi = hi' } -> Int.equal lo lo' && Int.equal hi hi'
+  | L_vertex { n }, L_vertex { n = n' }
+  | L_vertex_opt { n }, L_vertex_opt { n = n' }
+  | L_edge { n }, L_edge { n = n' }
+  | L_vertices { n }, L_vertices { n = n' }
+  | L_edges { n }, L_edges { n = n' } ->
+      Int.equal n n'
+  | L_tuple xs, L_tuple ys -> List.equal equal_layout xs ys
+  | ( ( L_unit | L_bool | L_int_in _ | L_nat | L_vertex _ | L_vertex_opt _ | L_edge _
+      | L_vertices _ | L_edges _ | L_tuple _ ),
+      _ ) ->
+      false
+
+let equal a b =
+  a == b
+  || (Int.equal a.bits b.bits && equal_layout a.layout b.layout && equal_value a.value b.value)
 
 (* Extraction: a mismatch is a protocol bug, so we fail loudly. *)
 

@@ -35,6 +35,11 @@ type layout =
   | L_edges of { n : int }
   | L_tuple of layout list
 
+(** A message is immutable.  The constant ones — {!empty}, both {!bool}
+    replies, and what {!of_layout} rebuilds under [L_unit] and [L_bool] —
+    are single shared values, so a reply costs no allocation; which
+    messages are shared is not part of the interface, so never compare
+    messages with [==]: use {!equal}. *)
 type t
 
 (** Cost in bits. *)
@@ -81,6 +86,12 @@ val edges : n:int -> (int * int) list -> t
 
 (** Concatenation; cost is the sum of the parts. *)
 val tuple : t list -> t
+
+(** Same value, same bit count and same layout, compared field by field at
+    their own types (no polymorphic compare).  Layouts count: a vertex
+    under [L_vertex {n = 300}] and the same vertex under [{n = 512}] are
+    different messages, though both cost 9 bits. *)
+val equal : t -> t -> bool
 
 (** Extractors; a mismatch is a protocol bug and raises [Invalid_argument]. *)
 

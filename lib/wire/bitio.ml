@@ -93,6 +93,14 @@ let put_gamma w v =
   put_bits w ~width:nb 0;
   put_bits w ~width:(nb + 1) x
 
+(** Append [len] bytes of [src] from [off]; the writer must be at a byte
+    boundary. *)
+let put_bytes w src off len =
+  if w.pending <> 0 then invalid_arg "Bitio.put_bytes: not at a byte boundary";
+  if w.pos + len > Bytes.length w.buf then grow w len;
+  Bytes.blit src off w.buf w.pos len;
+  w.pos <- w.pos + len
+
 (** Zero-pad to the next byte boundary; the pad counts as written. *)
 let align w = if w.pending > 0 then put_small w (8 - w.pending) 0
 
@@ -104,8 +112,7 @@ let to_bytes w =
 type reader = { data : Bytes.t; off : int; mutable pos : int; limit : int }
 
 (** Read bits from [len] bytes of [data] starting at byte [off]. *)
-let reader ?(off = 0) ?len data =
-  let len = match len with Some l -> l | None -> Bytes.length data - off in
+let reader data ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length data then
     invalid_arg "Bitio.reader: range outside the buffer";
   { data; off; pos = 0; limit = len * 8 }

@@ -45,6 +45,12 @@ val put_bits : writer -> width:int -> int -> unit
     @raise Invalid_argument on a negative [v] or [v = max_int]. *)
 val put_gamma : writer -> int -> unit
 
+(** [put_bytes w src off len] appends [src.[off .. off+len-1]] whole; the
+    writer must be at a byte boundary.
+    @raise Invalid_argument if it is not, or if the range is not inside
+    [src]. *)
+val put_bytes : writer -> Bytes.t -> int -> int -> unit
+
 (** Zero-pad the final partial byte on the right; the pad bits count as
     written. *)
 val align : writer -> unit
@@ -54,10 +60,12 @@ val to_bytes : writer -> Bytes.t
 
 type reader
 
-(** Read bits from [len] bytes of [data] starting at byte [off] (default:
-    the rest of [data]).  The reader never looks outside that range.
+(** [reader data ~off ~len] reads bits from the [len] bytes of [data]
+    starting at byte [off], and never looks outside that range.  The
+    arguments are plain labels, not optional ones, so a reader built per
+    frame boxes nothing but itself.
     @raise Invalid_argument if the range is not inside [data]. *)
-val reader : ?off:int -> ?len:int -> Bytes.t -> reader
+val reader : Bytes.t -> off:int -> len:int -> reader
 
 val bits_read : reader -> int
 

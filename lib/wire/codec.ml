@@ -74,7 +74,7 @@ let check_list_fits r ~len ~width =
 let rec decode_value r layout : Msg.value =
   match layout with
   | Msg.L_unit -> Msg.Unit
-  | Msg.L_bool -> Msg.Bool (Bitio.get_bit r)
+  | Msg.L_bool -> if Bitio.get_bit r then Msg.Bool true else Msg.Bool false
   | Msg.L_int_in { lo; hi } ->
       Msg.Int (lo + Bitio.get_bits r ~width:(Tfree_util.Bits.int_in_range ~lo ~hi))
   | Msg.L_nat -> Msg.Int (Bitio.get_gamma r)
@@ -126,7 +126,7 @@ let encode_payload msg =
     are a wire fault, never a crash. *)
 let decode_payload layout data ~off ~bits =
   try
-    let r = Bitio.reader ~off ~len:((bits + 7) / 8) data in
+    let r = Bitio.reader data ~off ~len:((bits + 7) / 8) in
     let value = decode_value r layout in
     if Bitio.bits_read r <> bits then
       Wire_error.errorf_corrupt "Codec.decode_payload: consumed %d bits of a %d-bit payload"

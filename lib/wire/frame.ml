@@ -21,7 +21,10 @@
     the first byte is written (the bit count is [Msg.bits], the descriptor
     size is {!Codec.layout_size}), so the whole image — prefix, header,
     descriptor, payload, checksum — is written once, front to back, into a
-    reusable {!scratch}, and the checksum is summed over it in place.
+    reusable {!scratch}.  The header part depends only on the layout and
+    the bit count, so the scratch keeps the last one it built and copies
+    it while they repeat; the checksum adds the payload's byte sum to the
+    header's.
 
     Parsing fails closed: a length field beyond {!max_frame_bytes} raises
     [Oversized], a body the stream cannot supply raises [Truncated], and a
@@ -51,34 +54,77 @@ let sum16 data off len =
 
 (* ------------------------------------------------------------- encoding *)
 
+(* The header of a frame — length prefix, payload bit count, descriptor —
+   depends only on the layout and the payload bit count, so the scratch
+   keeps the header of the last frame it built, keyed by the layout (by
+   physical equality: a layout is immutable, so the same value is the same
+   descriptor) and the bit count.  A round's replies share one layout, and
+   the constant layouts ([L_bool], [L_unit], [L_nat]) are the same value
+   everywhere, so most frames only write their payload and checksum. *)
 type scratch = {
   image : Bitio.writer;  (** the outgoing frame, bytes [0, frame_len) *)
   mutable back : Bytes.t;  (** where {!exchange} reads the frame back *)
+  cursor : int ref;  (** {!exchange}'s parse position in [back] *)
+  header : Bitio.writer;  (** the remembered header, bytes [0, byte_length) *)
+  mutable header_layout : Msg.layout;  (** the key: layout, by [==] ... *)
+  mutable header_bits : int;  (** ... and payload bits; -1 when nothing is remembered *)
+  mutable prefix_len : int;  (** bytes of the header's length prefix *)
+  mutable body_len : int;  (** the body length its prefix carries *)
+  mutable header_sum : int;  (** byte sum of the header after its prefix *)
 }
 
-let scratch () = { image = Bitio.writer (); back = Bytes.create 64 }
+let scratch () =
+  {
+    image = Bitio.writer ();
+    back = Bytes.create 64;
+    cursor = ref 0;
+    header = Bitio.writer ();
+    header_layout = Msg.L_unit;
+    header_bits = -1;
+    prefix_len = 0;
+    body_len = 0;
+    header_sum = 0;
+  }
 
-(** Write the whole frame for [msg] into [s], replacing the previous one. *)
-let encode_into s msg =
-  let w = s.image in
-  let payload_bits = Msg.bits msg and layout = Msg.layout msg in
+(* Build the header for [layout] at [payload_bits] and remember it.  The
+   key is cleared first, so a layout the descriptor writer refuses leaves
+   nothing half-remembered. *)
+let remember_header s layout payload_bits =
+  s.header_bits <- -1;
+  let h = s.header in
   let body_len =
     Codec.varint_size payload_bits + Codec.layout_size layout + ((payload_bits + 7) / 8) + 2
   in
+  Bitio.reset h;
+  Codec.put_varint h body_len;
+  let prefix_len = Bitio.byte_length h in
+  Codec.put_varint h payload_bits;
+  Codec.put_layout h layout;
+  s.prefix_len <- prefix_len;
+  s.body_len <- body_len;
+  s.header_sum <- sum16 (Bitio.storage h) prefix_len (Bitio.byte_length h - prefix_len);
+  s.header_layout <- layout;
+  s.header_bits <- payload_bits
+
+(** Write the whole frame for [msg] into [s], replacing the previous one. *)
+let encode_into s msg =
+  let payload_bits = Msg.bits msg and layout = Msg.layout msg in
+  if not (layout == s.header_layout && payload_bits = s.header_bits) then
+    remember_header s layout payload_bits;
+  let w = s.image and header_len = Bitio.byte_length s.header in
   Bitio.reset w;
-  Codec.put_varint w body_len;
-  let start = Bitio.byte_length w in
-  Codec.put_varint w payload_bits;
-  Codec.put_layout w layout;
+  Bitio.put_bytes w (Bitio.storage s.header) 0 header_len;
   Codec.encode_into w msg;
   Bitio.align w;
-  let ck = sum16 (Bitio.storage w) start (Bitio.byte_length w - start) in
+  let ck =
+    s.header_sum + sum16 (Bitio.storage w) header_len (Bitio.byte_length w - header_len)
+  in
   Bitio.put_byte w ck;
   Bitio.put_byte w (ck lsr 8);
-  if Bitio.byte_length w - start <> body_len then
+  if Bitio.byte_length w - s.prefix_len <> s.body_len then
     invalid_arg
       (Printf.sprintf "Frame.encode_into: wrote a %d-byte body, sized it at %d"
-         (Bitio.byte_length w - start) body_len)
+         (Bitio.byte_length w - s.prefix_len) s.body_len)
 
 let image s = Bitio.storage s.image
 let frame_len s = Bitio.byte_length s.image
@@ -91,26 +137,28 @@ let encode msg =
 
 (* ------------------------------------------------------------- decoding *)
 
-(* Validate and decode one frame body at [start], [body_len] bytes: verify
-   the checksum, then the length arithmetic, then decode the payload.  The
-   caller has already bounds-checked [start + body_len] against the data;
-   nothing outside the body is read. *)
-let parse_body data ~start ~body_len =
+(* Validate and decode one frame body of [body_len] bytes at [!pos]: verify
+   the checksum, then the length arithmetic, then decode the payload, and
+   leave [pos] just past the body.  The caller has already bounds-checked
+   the body against the data; nothing outside it is read. *)
+let parse_body data pos ~body_len =
   if body_len < min_body_bytes then
     Wire_error.errorf_corrupt "Frame: body of %d bytes is shorter than any frame" body_len;
+  let start = !pos in
   let ck_off = start + body_len - 2 in
   let expect = sum16 data start (body_len - 2) in
   let got = Char.code (Bytes.get data ck_off) lor (Char.code (Bytes.get data (ck_off + 1)) lsl 8) in
   if expect <> got then
     Wire_error.errorf_corrupt "Frame: checksum mismatch (computed %04x, carried %04x)" expect got;
-  let pos = ref start in
   let payload_bits = Codec.get_varint data ~limit:ck_off pos in
   let layout = Codec.get_layout data ~limit:ck_off pos in
   let payload_bytes = (payload_bits + 7) / 8 in
   if !pos + payload_bytes <> ck_off then
     Wire_error.errorf_corrupt "Frame: inconsistent frame lengths (%d-bit payload in a %d-byte body)"
       payload_bits body_len;
-  Codec.decode_payload layout data ~off:!pos ~bits:payload_bits
+  let msg = Codec.decode_payload layout data ~off:!pos ~bits:payload_bits in
+  pos := start + body_len;
+  msg
 
 let check_body_len body_len =
   if body_len > max_frame_bytes then
@@ -120,13 +168,10 @@ let check_body_len body_len =
 let decode_within data ~limit pos =
   let body_len = Codec.get_varint data ~limit pos in
   check_body_len body_len;
-  let body_end = !pos + body_len in
-  if body_end > limit then
+  if !pos + body_len > limit then
     Wire_error.errorf_truncated "Frame.decode: length field %d larger than the %d-byte buffer"
       body_len (limit - !pos);
-  let msg = parse_body data ~start:!pos ~body_len in
-  pos := body_end;
-  msg
+  parse_body data pos ~body_len
 
 (** Parse one frame from [data] at [!pos]; advances [pos] past it. *)
 let decode data pos = decode_within data ~limit:(Bytes.length data) pos
@@ -164,7 +209,7 @@ let read tr =
   check_body_len body_len;
   let body = Bytes.create body_len in
   Transport.recv tr body 0 body_len;
-  let msg = parse_body body ~start:0 ~body_len in
+  let msg = parse_body body (ref 0) ~body_len in
   (msg, prefix_len + body_len)
 
 (** Loopback round trip through [s]: the frame is built in [s]'s image,
@@ -175,7 +220,8 @@ let exchange s tr msg =
   let len = frame_len s in
   if Bytes.length s.back < len then s.back <- Bytes.create (max len (2 * Bytes.length s.back));
   Transport.exchange tr (image s) 0 len s.back;
-  let pos = ref 0 in
+  let pos = s.cursor in
+  pos := 0;
   let delivered = decode_within s.back ~limit:len pos in
   if !pos <> len then
     Wire_error.errorf_corrupt "Frame.exchange: %d trailing bytes after the frame" (len - !pos);

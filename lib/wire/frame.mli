@@ -21,15 +21,32 @@ val max_frame_bytes : int
     {!Wire_runtime} network) encodes every frame into the same scratch, so
     a delivery allocates no buffer once the scratch has grown to the
     largest frame.  A scratch serves one frame at a time and is not safe
-    to share between domains. *)
+    to share between domains.
+
+    The scratch also remembers the header of the last frame it built — the
+    length prefix, the payload bit count and the layout descriptor, with
+    the byte sum the checksum needs — keyed by the message's layout, {e by
+    physical equality}, and its payload bit count.  Those two fix every
+    header byte, and a layout is immutable, so the same layout value is
+    the same descriptor.  A frame whose key matches copies the header and
+    writes only its payload and checksum; any other rebuilds the header
+    and remembers it instead.  Messages built on one layout value (a
+    round's replies, or the constant layouts such as [L_bool]) hit; a
+    structurally equal layout built afresh misses and only costs the
+    rebuild.  Either way the image is byte-for-byte the frame {!encode}
+    builds.  Nothing is remembered on the decoding side: {!exchange}
+    parses every field of the bytes it reads back. *)
 type scratch
 
 val scratch : unit -> scratch
 
 (** Write the whole frame for the message into the scratch, replacing the
-    previous frame: written once, front to back, checksum summed in place.
-    This is the only frame encoder; {!encode}, {!write} and {!exchange}
-    all go through it.  @raise Invalid_argument as {!Codec.encode_into}. *)
+    previous frame: the remembered header (rebuilt first if the message's
+    layout or bit count differs from the last frame's), then the payload,
+    then the checksum, written once, front to back.  This is the only frame
+    encoder; {!encode}, {!write} and {!exchange} all go through it.
+    @raise Invalid_argument as {!Codec.encode_into}, or if the body comes
+    out at another length than its header announces. *)
 val encode_into : scratch -> Msg.t -> unit
 
 (** The scratch's image: the current frame is bytes [0, frame_len s).  The

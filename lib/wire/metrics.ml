@@ -314,18 +314,32 @@ let to_wire t =
 
 exception Bad_wire of string
 
+(* Every counter a snapshot carries is a count: a whole number, at least
+   zero, and small enough to survive the trip through a JSON float. *)
+let count_of_float f =
+  if Float.is_integer f && f >= 0.0 && f <= 0x1p53 then Some (int_of_float f) else None
+
+(* [of_wire] parses what arrives over the fleet control channel, so it
+   fails closed: whatever the bytes, it returns [Error] rather than raise,
+   and an [Ok] registry renders back through [to_wire] to a snapshot that
+   parses to the same registry. *)
 let of_wire s =
   let fail fmt = Printf.ksprintf (fun m -> raise (Bad_wire m)) fmt in
   let parse_result j =
+    let count what v =
+      match Option.bind (Jsonout.to_float v) count_of_float with
+      | Some n -> n
+      | None -> fail "%s is not a count" what
+    in
     let int_of k =
-      match Option.bind (Jsonout.member k j) Jsonout.to_float with
-      | Some f -> int_of_float f
-      | None -> fail "missing or non-numeric field %S" k
+      match Jsonout.member k j with
+      | Some v -> count (Printf.sprintf "field %S" k) v
+      | None -> fail "missing field %S" k
     in
     let float_of k =
       match Option.bind (Jsonout.member k j) Jsonout.to_float with
-      | Some f -> f
-      | None -> fail "missing or non-numeric field %S" k
+      | Some f when Float.is_finite f -> f
+      | _ -> fail "missing or non-finite field %S" k
     in
     let fill_ints k dst =
       match Jsonout.member k j with
@@ -334,16 +348,18 @@ let of_wire s =
              slots: copy what fits, exactly like version_slot clamps *)
           List.iteri
             (fun i v ->
-              if i < Array.length dst then
-                match Jsonout.to_float v with
-                | Some f -> dst.(i) <- int_of_float f
-                | None -> fail "non-numeric entry in %S" k)
+              if i < Array.length dst then dst.(i) <- count (Printf.sprintf "an entry of %S" k) v)
             l
       | _ -> fail "missing list field %S" k
     in
-    let histogram_of k s =
+    (* Fold a shipped histogram into [dst]: only one of the same bucket
+       layout merges, and a snapshot with any other is garbage. *)
+    let merge_histogram k dst s =
       match Histogram.of_compact s with
-      | Ok h -> h
+      | Ok h when Histogram.sub_bits h = Histogram.sub_bits dst -> Histogram.merge dst h
+      | Ok h ->
+          fail "%S histogram has sub_bits %d, not %d" k (Histogram.sub_bits h)
+            (Histogram.sub_bits dst)
       | Error msg -> fail "bad %S histogram: %s" k msg
     in
     let t = create ~started_at:(float_of "started_at") () in
@@ -367,12 +383,10 @@ let of_wire s =
         List.iter
           (fun (protocol, v) ->
             match v with
-            | Jsonout.List [ tri; free ] -> (
-                match (Jsonout.to_float tri, Jsonout.to_float free) with
-                | Some a, Some b ->
-                    Hashtbl.replace t.verdicts protocol
-                      { triangle = int_of_float a; triangle_free = int_of_float b }
-                | _ -> fail "non-numeric verdict counts for %S" protocol)
+            | Jsonout.List [ tri; free ] ->
+                let what = Printf.sprintf "a verdict count for %S" protocol in
+                Hashtbl.replace t.verdicts protocol
+                  { triangle = count what tri; triangle_free = count what free }
             | _ -> fail "bad verdict entry for %S" protocol)
           fields
     | _ -> fail "missing object field \"verdicts\"");
@@ -380,13 +394,12 @@ let of_wire s =
     | Some (Jsonout.Obj fields) ->
         List.iter
           (fun (name, v) ->
-            match Jsonout.to_float v with
-            | Some f -> Hashtbl.replace t.datasets name (int_of_float f)
-            | None -> fail "non-numeric dataset count for %S" name)
+            Hashtbl.replace t.datasets name
+              (count (Printf.sprintf "the count for dataset %S" name) v))
           fields
     | _ -> fail "missing object field \"datasets\"");
     (match Jsonout.member "latency" j with
-    | Some (Jsonout.Str s) -> Histogram.merge t.latency (histogram_of "latency" s)
+    | Some (Jsonout.Str s) -> merge_histogram "latency" t.latency s
     | _ -> fail "missing string field \"latency\"");
     (match Jsonout.member "phases" j with
     | Some (Jsonout.List l) ->
@@ -394,7 +407,7 @@ let of_wire s =
           (fun i v ->
             match v with
             | Jsonout.Str s when i < Array.length t.phases ->
-                Histogram.merge t.phases.(i) (histogram_of "phases" s)
+                merge_histogram "phases" t.phases.(i) s
             | Jsonout.Str _ -> ()
             | _ -> fail "non-string entry in \"phases\"")
           l

@@ -37,6 +37,11 @@ val exchange : t -> Bytes.t -> int -> int -> Bytes.t -> unit
 
 val close : t -> unit
 
+(** In-memory FIFO of bytes over a reused ring.  Its {!exchange} on an
+    empty ring is a single copy from the source range into [into]: exactly
+    what pushing the range and popping it back would deliver, with the
+    ring left empty as before.  With bytes still in flight (an unmatched
+    {!send}) it pushes and pops, so those bytes come out first. *)
 val pipe : unit -> t
 val socketpair : unit -> t
 

@@ -78,10 +78,11 @@ let stats net = function
 
 (** The byte-moving tap: frame into the network's scratch, cross the
     transport, decode a fresh copy; count; hand the protocol the decoded
-    copy.  A decode that does not reproduce the sent message — a codec bug,
-    or a fault the frame checksum somehow passed — fails closed with a
-    typed [Corrupt], so a wire fault can abort a run but never hand the
-    protocol a different message. *)
+    copy.  A decode that does not reproduce the sent message — its value,
+    bit count and layout, by {!Msg.equal} — whether from a codec bug or a
+    fault the frame checksum somehow passed, fails closed with a typed
+    [Corrupt], so a wire fault can abort a run but never hand the protocol
+    a different message. *)
 let tap net =
   let deliver ~round:_ ch msg =
     let delivered = Frame.exchange net.scratch (link net ch) msg in
@@ -89,7 +90,7 @@ let tap net =
     stats.frames <- stats.frames + 1;
     stats.wire_bytes <- stats.wire_bytes + Frame.frame_len net.scratch;
     stats.payload_bits <- stats.payload_bits + Msg.bits msg;
-    if not (Msg.value delivered = Msg.value msg && Msg.bits delivered = Msg.bits msg) then
+    if not (Msg.equal delivered msg) then
       Wire_error.errorf_corrupt "Wire_runtime: decoded message differs from sent one on %s"
         (Channel.describe ch);
     delivered

@@ -222,7 +222,84 @@ let test_oneway_extended_alternation () =
   in
   checki "five turns" 5 o.Oneway.result
 
+let test_msg_equal_layouts () =
+  let at n = Msg.vertex ~n 217 in
+  checki "both cost 9 bits" (Msg.bits (at 300)) (Msg.bits (at 512));
+  checkb "same vertex, different n" false (Msg.equal (at 300) (at 512));
+  checkb "rebuilt from its layout" true
+    (let m = at 300 in
+     Msg.equal m (Msg.of_layout (Msg.layout m) (Msg.value m)));
+  checkb "bits differ" false (Msg.equal (Msg.vertex_opt ~n:300 None) (Msg.bool false));
+  checkb "the shared replies" true
+    (Msg.equal (Msg.bool true) (Msg.of_layout Msg.L_bool (Msg.Bool true)))
+
 (* --------------------------------------------------------------- QCheck *)
+
+(* The reference for [Msg.equal]: the three fields, structurally. *)
+let structurally_equal a b =
+  Msg.value a = Msg.value b && Msg.bits a = Msg.bits b && Msg.layout a = Msg.layout b
+
+(* A message one small step from [m]: the same message rebuilt, or one
+   field of its value or layout nudged somewhere inside it (a vertex
+   bound swapped for one of the same width, a flipped bit, a list one
+   element longer or with its last element changed).  A nudge the layout
+   refuses (a range code pushed out of its range) gives [m] rebuilt. *)
+let near_miss m =
+  let open QCheck.Gen in
+  let nudge_n n = if n lxor 1 >= 2 then n lxor 1 else n + 1 in
+  let rec layout (l : Msg.layout) =
+    match l with
+    | Msg.L_unit | Msg.L_bool | Msg.L_nat -> oneofl [ Msg.L_unit; Msg.L_bool; Msg.L_nat ]
+    | Msg.L_int_in { lo; hi } -> oneofl [ Msg.L_int_in { lo; hi = hi + 1 }; Msg.L_nat ]
+    | Msg.L_vertex { n } -> oneofl [ Msg.L_vertex { n = nudge_n n }; Msg.L_vertex_opt { n } ]
+    | Msg.L_vertex_opt { n } -> oneofl [ Msg.L_vertex_opt { n = nudge_n n }; Msg.L_vertex { n } ]
+    | Msg.L_edge { n } -> return (Msg.L_edge { n = nudge_n n })
+    | Msg.L_vertices { n } -> return (Msg.L_vertices { n = nudge_n n })
+    | Msg.L_edges { n } -> return (Msg.L_edges { n = nudge_n n })
+    | Msg.L_tuple [] -> return (Msg.L_tuple [ Msg.L_unit ])
+    | Msg.L_tuple ls -> nudge_one layout ls >|= fun ls -> Msg.L_tuple ls
+  and value (v : Msg.value) =
+    match v with
+    | Msg.Unit -> return (Msg.Bool false)
+    | Msg.Bool b -> return (Msg.Bool (not b))
+    | Msg.Int x -> oneofl [ Msg.Int (x + 1); Msg.Int (x - 1) ]
+    | Msg.Vertex x -> oneofl [ Msg.Vertex (x lxor 1); Msg.No_vertex ]
+    | Msg.No_vertex -> return (Msg.Vertex 0)
+    | Msg.Edge (u, v) -> oneofl [ Msg.Edge (v, u); Msg.Edge (u, v lxor 1) ]
+    | Msg.Vertices vs -> (
+        match List.rev vs with
+        | [] -> return (Msg.Vertices [ 0 ])
+        | x :: rest ->
+            oneofl [ Msg.Vertices (List.rev ((x lxor 1) :: rest)); Msg.Vertices (vs @ [ x ]) ])
+    | Msg.Edges es -> (
+        match List.rev es with
+        | [] -> return (Msg.Edges [ (0, 1) ])
+        | (u, v) :: rest ->
+            oneofl [ Msg.Edges (List.rev ((v, u) :: rest)); Msg.Edges (es @ [ (u, v) ]) ])
+    | Msg.Tuple [] -> return (Msg.Tuple [ Msg.Unit ])
+    | Msg.Tuple vs -> nudge_one value vs >|= fun vs -> Msg.Tuple vs
+  and nudge_one : 'a. ('a -> 'a QCheck.Gen.t) -> 'a list -> 'a list QCheck.Gen.t =
+   fun f xs ->
+    int_bound (List.length xs - 1) >>= fun i ->
+    flatten_l (List.mapi (fun j x -> if j = i then f x else return x) xs)
+  in
+  let rebuild l v =
+    try Msg.of_layout l v with Invalid_argument _ -> Msg.of_layout (Msg.layout m) (Msg.value m)
+  in
+  frequency
+    [
+      (1, return (rebuild (Msg.layout m) (Msg.value m)));
+      (2, value (Msg.value m) >|= rebuild (Msg.layout m));
+      (2, layout (Msg.layout m) >|= fun l -> rebuild l (Msg.value m));
+    ]
+
+let arb_msg_pair =
+  let open QCheck.Gen in
+  let gen = Tfree_proptest.Msg_gen.gen in
+  QCheck.make
+    ~print:(fun (a, b) ->
+      Tfree_proptest.Msg_gen.print a ^ " vs " ^ Tfree_proptest.Msg_gen.print b)
+    (frequency [ (1, pair gen gen); (3, gen >>= fun m -> near_miss m >|= fun m' -> (m, m')) ])
 
 let qcheck_props =
   let open QCheck in
@@ -235,6 +312,8 @@ let qcheck_props =
         Msg.bits (Msg.tuple parts) = List.fold_left (fun a p -> a + Msg.bits p) 0 parts);
     Test.make ~name:"vertex_opt some costs 1+vertex" ~count:50 (int_range 2 10_000) (fun n ->
         Msg.bits (Msg.vertex_opt ~n (Some 0)) = 1 + Bits.vertex ~n);
+    Test.make ~name:"Msg.equal = structural equality of the fields" ~count:2000 arb_msg_pair
+      (fun (a, b) -> Msg.equal a b = structurally_equal a b && Msg.equal b a = Msg.equal a b);
   ]
 
 let () =
@@ -254,6 +333,7 @@ let () =
           Alcotest.test_case "tuple" `Quick test_msg_tuple;
           Alcotest.test_case "getter mismatch" `Quick test_msg_getter_mismatch;
           Alcotest.test_case "nat" `Quick test_msg_nat;
+          Alcotest.test_case "equal compares layouts" `Quick test_msg_equal_layouts;
         ] );
       ("cost", [ Alcotest.test_case "ledger" `Quick test_cost_ledger ]);
       ( "runtime",

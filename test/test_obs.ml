@@ -350,6 +350,110 @@ let test_metrics_health_json_is_scalar () =
   checkb "no verdict table in the health payload" true (Jsonout.member "verdicts" h = None);
   checkb "no histograms in the health payload" true (Jsonout.member "latency_us" h = None)
 
+(* A fleet worker's snapshot arrives over the control channel, so
+   [Metrics.of_wire] must fail closed on any bytes: [Ok] or [Error], never
+   an exception, and an [Ok] registry must render back to a snapshot that
+   parses to the same registry. *)
+
+let test_metrics_of_wire_foreign_histogram () =
+  let wire = Metrics.to_wire (Metrics.create ~started_at:1.0 ()) in
+  let from = "\"latency\": \"5:" in
+  let at =
+    let rec find i =
+      if i + String.length from > String.length wire then Alcotest.fail "no latency field"
+      else if String.sub wire i (String.length from) = from then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let edited = Bytes.of_string wire in
+  Bytes.set edited (at + String.length from - 2) '6';
+  checkb "a histogram of another bucket layout is an Error" true
+    (match Metrics.of_wire (Bytes.to_string edited) with Error _ -> true | Ok _ -> false)
+
+(* A registry with some of everything a snapshot carries. *)
+let gen_registry =
+  let open QCheck.Gen in
+  let event =
+    oneof
+      [
+        ( quad (oneofl [ "exact"; "sim"; "oblivious" ]) bool (int_bound 100_000)
+            (float_bound_inclusive 1e6)
+        >|= fun (protocol, found_triangle, bytes, latency_us) m ->
+          Metrics.record_query ~version:(1 + (bytes land 1)) m ~protocol ~found_triangle
+            ~wire_bytes:bytes ~accounted_bits:(8 * bytes) ~latency_us );
+        (oneofl Metrics.all_categories >|= fun category m -> Metrics.record_error m ~category);
+        (oneofl Phase.all >>= fun phase ->
+         float_bound_inclusive 1e5 >|= fun us m -> Metrics.record_phase m ~phase ~us);
+        (oneofl [ "karate"; "grid" ] >|= fun name m -> Metrics.record_dataset m ~name);
+        (bool >|= fun hit m -> Metrics.record_cache m ~hit);
+        (int_bound 8 >|= fun items m -> Metrics.record_batch m ~items);
+        (int_bound 4 >|= fun n m -> Metrics.set_in_flight m n);
+        oneofl [ Metrics.record_retry; Metrics.record_injected; Metrics.record_accept; Metrics.record_shed ];
+      ]
+  in
+  pair (float_bound_inclusive 2e9) (list_size (int_range 0 25) event) >|= fun (started_at, events) ->
+  let m = Metrics.create ~started_at () in
+  List.iter (fun record -> record m) events;
+  m
+
+(* Arbitrary strings, and valid snapshots with a few bytes replaced,
+   inserted or deleted (biased towards the characters of numbers and of
+   the histogram encoding) or cut short. *)
+let arb_snapshot_bytes =
+  let open QCheck.Gen in
+  let byte = frequency [ (3, oneofl (List.init 16 (String.get "0123456789-e.:,\"" ))); (1, char) ] in
+  let edit s =
+    let n = String.length s in
+    int_bound (max 0 (n - 1)) >>= fun i ->
+    byte >>= fun c ->
+    oneofl
+      [
+        String.mapi (fun j x -> if j = i then c else x) s;
+        String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i);
+        String.sub s 0 i ^ String.sub s (min n (i + 1)) (max 0 (n - i - 1));
+        String.sub s 0 i;
+      ]
+  in
+  (* the first field of a shipped histogram: its bucket layout *)
+  let edit_sub_bits s =
+    let starts =
+      List.filter
+        (fun i -> s.[i] = '"' && i + 2 < String.length s && s.[i + 2] = ':')
+        (List.init (String.length s) Fun.id)
+    in
+    if starts = [] then return s
+    else
+      oneofl starts >>= fun i ->
+      oneofl [ '0'; '1'; '4'; '5'; '6'; '9' ] >|= fun d ->
+      String.mapi (fun j x -> if j = i + 1 then d else x) s
+  in
+  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    (frequency
+       [
+         (1, string_size ~gen:char (int_range 0 300));
+         (1, gen_registry >|= Metrics.to_wire);
+         (6, pair gen_registry (int_range 1 3) >>= fun (m, k) -> edits k (Metrics.to_wire m));
+         (1, gen_registry >>= fun m -> edit_sub_bits (Metrics.to_wire m));
+       ])
+
+let prop_of_wire_fails_closed s =
+  match Metrics.of_wire s with
+  | Error _ -> true
+  | Ok m -> (
+      let again = Metrics.to_wire m in
+      match Metrics.of_wire again with
+      | Ok m' -> Metrics.to_wire m' = again
+      | Error msg -> QCheck.Test.fail_reportf "re-rendered snapshot refused: %s" msg)
+  | exception e -> QCheck.Test.fail_reportf "Metrics.of_wire raised %s" (Printexc.to_string e)
+
+let prop_to_wire_round_trips =
+  QCheck.Test.make ~name:"metrics: of_wire (to_wire m) renders back to the same snapshot" ~count:200
+    (QCheck.make gen_registry) (fun m ->
+      let wire = Metrics.to_wire m in
+      match Metrics.of_wire wire with Ok m' -> Metrics.to_wire m' = wire | Error _ -> false)
+
 (* ------------------------------------------------------------------ run *)
 
 let () =
@@ -399,5 +503,11 @@ let () =
             test_metrics_merge_folds_histograms;
           Alcotest.test_case "health payload is scalar" `Quick
             test_metrics_health_json_is_scalar;
+          Alcotest.test_case "of_wire refuses a foreign histogram" `Quick
+            test_metrics_of_wire_foreign_histogram;
+          QCheck_alcotest.to_alcotest prop_to_wire_round_trips;
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~name:"metrics: of_wire never raises" ~count:3000
+               arb_snapshot_bytes prop_of_wire_fails_closed);
         ] );
     ]

@@ -37,7 +37,8 @@ let test_bitio_roundtrip () =
   Bitio.put_bits w ~width:13 4095;
   let total = Bitio.bits_written w in
   checki "bits written" (1 + 7 + 0 + Bits.elias_gamma 0 + Bits.elias_gamma 41 + 13) total;
-  let r = Bitio.reader (Bitio.to_bytes w) in
+  let b = Bitio.to_bytes w in
+  let r = Bitio.reader b ~off:0 ~len:(Bytes.length b) in
   checkb "bit" true (Bitio.get_bit r);
   checki "bits" 0x5a (Bitio.get_bits r ~width:7);
   checki "zero width" 0 (Bitio.get_bits r ~width:0);
@@ -50,7 +51,7 @@ let test_bitio_range_checks () =
   let w = Bitio.writer () in
   Alcotest.check_raises "overflow" (Invalid_argument "Bitio.put_bits: value does not fit width")
     (fun () -> Bitio.put_bits w ~width:3 8);
-  let r = Bitio.reader (Bytes.create 1) ~len:0 in
+  let r = Bitio.reader (Bytes.create 1) ~off:0 ~len:0 in
   Alcotest.check_raises "past end" (Invalid_argument "Bitio.get_bit: past end of stream") (fun () ->
       ignore (Bitio.get_bit r))
 

@@ -288,7 +288,7 @@ let prop_bitio_matches_reference ops =
   &&
   let bytes = Bitio.to_bytes w in
   Bytes.equal bytes (Ref.to_bytes rw)
-  && (let r = Bitio.reader bytes in
+  && (let r = Bitio.reader bytes ~off:0 ~len:(Bytes.length bytes) in
       List.map (read_op_new r) ops = ops && Bitio.bits_read r = bits && Bitio.bits_left r < 8)
   && List.map (read_op_ref (Ref.reader bytes)) ops = ops
 
@@ -504,7 +504,8 @@ let test_widest_fields () =
   Bitio.put_bits w ~width:62 max_int;
   Bitio.put_gamma w (max_int - 1);
   Bitio.put_bits w ~width:3 5;
-  let r = Bitio.reader (Bitio.to_bytes w) in
+  let b = Bitio.to_bytes w in
+  let r = Bitio.reader b ~off:0 ~len:(Bytes.length b) in
   Alcotest.(check int) "62-bit field" max_int (Bitio.get_bits r ~width:62);
   Alcotest.(check int) "largest gamma" (max_int - 1) (Bitio.get_gamma r);
   Alcotest.(check int) "trailing field" 5 (Bitio.get_bits r ~width:3);
@@ -519,7 +520,7 @@ let test_widest_fields () =
 let test_gamma_too_long () =
   (* 62 zeros then a 1: the value would be 2^62 - 1 + rest, past max_int *)
   let b = Bytes.of_string "\x00\x00\x00\x00\x00\x00\x00\x02\xff\xff\xff\xff\xff\xff\xff\xff" in
-  let r = Bitio.reader b in
+  let r = Bitio.reader b ~off:0 ~len:(Bytes.length b) in
   Alcotest.check_raises "gamma beyond an int"
     (Invalid_argument "Bitio.get_gamma: code longer than any int")
     (fun () -> ignore (Bitio.get_gamma r))
