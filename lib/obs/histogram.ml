@@ -209,7 +209,9 @@ let of_compact s =
                   let i = int_of_string i in
                   if i < 0 || i >= Array.length t.counts then
                     failwith "bucket index out of range";
-                  t.counts.(i) <- int_of_string n
+                  let n = int_of_string n in
+                  if n < 0 then failwith "negative bucket count";
+                  t.counts.(i) <- n
               | _ -> failwith "bad bucket token")
             (String.split_on_char ',' bk);
         let by_buckets = Array.fold_left ( + ) 0 t.counts in

@@ -87,4 +87,7 @@ val to_json : t -> Tfree_util.Jsonout.t
     shipping histograms through the load generator's tally pipe. *)
 val to_compact : t -> string
 
+(** Parse {!to_compact}'s form.  [Error] on anything else, including a
+    negative bucket count or bucket counts that do not sum to the total
+    (a histogram {!merge} would then fold inexactly). *)
 val of_compact : string -> (t, string) result

@@ -125,7 +125,7 @@ let test_histogram_compact_rejects_garbage () =
     (fun s ->
       checkb (Printf.sprintf "of_compact rejects %S" s) true
         (match Histogram.of_compact s with Error _ -> true | Ok _ -> false))
-    [ ""; "xyzzy"; "5:9"; "5:2:0x1p1:0x1p0:0x1p1:0.two" ]
+    [ ""; "xyzzy"; "5:9"; "5:2:0x1p1:0x1p0:0x1p1:0.two"; "5:0:0x0p+0:0x0p+0:0x0p+0:1.-1,2.1" ]
 
 let test_histogram_json_shape () =
   let h = hist_of [ 10.0; 20.0 ] in
@@ -355,21 +355,32 @@ let test_metrics_health_json_is_scalar () =
    an exception, and an [Ok] registry must render back to a snapshot that
    parses to the same registry. *)
 
-let test_metrics_of_wire_foreign_histogram () =
+let test_metrics_of_wire_bad_histograms () =
   let wire = Metrics.to_wire (Metrics.create ~started_at:1.0 ()) in
-  let from = "\"latency\": \"5:" in
-  let at =
+  (* the snapshot with its latency histogram's compact form replaced *)
+  let with_latency compact =
+    let key = "\"latency\": \"" in
     let rec find i =
-      if i + String.length from > String.length wire then Alcotest.fail "no latency field"
-      else if String.sub wire i (String.length from) = from then i
+      if i + String.length key > String.length wire then Alcotest.fail "no latency field"
+      else if String.sub wire i (String.length key) = key then i + String.length key
       else find (i + 1)
     in
-    find 0
+    let start = find 0 in
+    let stop = String.index_from wire start '"' in
+    String.sub wire 0 start ^ compact ^ String.sub wire stop (String.length wire - stop)
   in
-  let edited = Bytes.of_string wire in
-  Bytes.set edited (at + String.length from - 2) '6';
-  checkb "a histogram of another bucket layout is an Error" true
-    (match Metrics.of_wire (Bytes.to_string edited) with Error _ -> true | Ok _ -> false)
+  checkb "the snapshot itself parses" true
+    (match Metrics.of_wire (with_latency "5:0:0x0p+0:infinity:-infinity:") with
+    | Ok _ -> true
+    | Error _ -> false);
+  List.iter
+    (fun (what, compact) ->
+      checkb (what ^ " is an Error") true
+        (match Metrics.of_wire (with_latency compact) with Error _ -> true | Ok _ -> false))
+    [
+      ("a histogram of another bucket layout", "6:0:0x0p+0:infinity:-infinity:");
+      ("a negative bucket count", "5:0:0x0p+0:infinity:-infinity:1.-1,2.1");
+    ]
 
 (* A registry with some of everything a snapshot carries. *)
 let gen_registry =
@@ -503,8 +514,8 @@ let () =
             test_metrics_merge_folds_histograms;
           Alcotest.test_case "health payload is scalar" `Quick
             test_metrics_health_json_is_scalar;
-          Alcotest.test_case "of_wire refuses a foreign histogram" `Quick
-            test_metrics_of_wire_foreign_histogram;
+          Alcotest.test_case "of_wire refuses bad histograms" `Quick
+            test_metrics_of_wire_bad_histograms;
           QCheck_alcotest.to_alcotest prop_to_wire_round_trips;
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make ~name:"metrics: of_wire never raises" ~count:3000
