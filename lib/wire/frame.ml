@@ -54,13 +54,10 @@ let sum16 data off len =
 
 (* ------------------------------------------------------------- encoding *)
 
-(* The header of a frame — length prefix, payload bit count, descriptor —
-   depends only on the layout and the payload bit count, so the scratch
-   keeps the header of the last frame it built, keyed by the layout (by
-   physical equality: a layout is immutable, so the same value is the same
-   descriptor) and the bit count.  A round's replies share one layout, and
-   the constant layouts ([L_bool], [L_unit], [L_nat]) are the same value
-   everywhere, so most frames only write their payload and checksum. *)
+(* The header memo is keyed by the layout by physical equality, not
+   structure: a layout is immutable, so the same value is the same
+   descriptor, and [==] costs nothing where a structural compare would
+   walk the layout the memo exists to avoid walking. *)
 type scratch = {
   image : Bitio.writer;  (** the outgoing frame, bytes [0, frame_len) *)
   mutable back : Bytes.t;  (** where {!exchange} reads the frame back *)

@@ -319,10 +319,6 @@ exception Bad_wire of string
 let count_of_float f =
   if Float.is_integer f && f >= 0.0 && f <= 0x1p53 then Some (int_of_float f) else None
 
-(* [of_wire] parses what arrives over the fleet control channel, so it
-   fails closed: whatever the bytes, it returns [Error] rather than raise,
-   and an [Ok] registry renders back through [to_wire] to a snapshot that
-   parses to the same registry. *)
 let of_wire s =
   let fail fmt = Printf.ksprintf (fun m -> raise (Bad_wire m)) fmt in
   let parse_result j =

@@ -148,6 +148,12 @@ val merge : t -> t -> unit
     sums it by hand). *)
 val to_wire : t -> string
 
+(** Parse a {!to_wire} snapshot.  It reads what arrives over the fleet
+    control channel, so it fails closed: any other input — a counter that
+    is not a whole number in [0, 2^53], a non-finite start time, a
+    histogram that does not parse or has another bucket layout — is an
+    [Error], never an exception, and an [Ok] registry renders back to a
+    snapshot that parses to the same registry. *)
 val of_wire : string -> (t, string) result
 
 (** The stats-query payload: counters, per-category error counts, retry and
