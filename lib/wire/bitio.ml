@@ -23,6 +23,12 @@ let reset w =
   w.acc <- 0;
   w.pending <- 0
 
+let truncate w n =
+  if n < 0 || n > w.pos then invalid_arg "Bitio.truncate: past the whole bytes written";
+  w.pos <- n;
+  w.acc <- 0;
+  w.pending <- 0
+
 let bits_written w = (8 * w.pos) + w.pending
 let byte_length w = w.pos + if w.pending > 0 then 1 else 0
 let storage w = w.buf
@@ -92,14 +98,6 @@ let put_gamma w v =
   let nb = Tfree_util.Bits.floor_log2 x in
   put_bits w ~width:nb 0;
   put_bits w ~width:(nb + 1) x
-
-(** Append [len] bytes of [src] from [off]; the writer must be at a byte
-    boundary. *)
-let put_bytes w src off len =
-  if w.pending <> 0 then invalid_arg "Bitio.put_bytes: not at a byte boundary";
-  if w.pos + len > Bytes.length w.buf then grow w len;
-  Bytes.blit src off w.buf w.pos len;
-  w.pos <- w.pos + len
 
 (** Zero-pad to the next byte boundary; the pad counts as written. *)
 let align w = if w.pending > 0 then put_small w (8 - w.pending) 0

@@ -16,6 +16,13 @@ val writer : unit -> writer
 (** Forget everything written; the storage is kept for reuse. *)
 val reset : writer -> unit
 
+(** [truncate w n] keeps the first [n] bytes written and forgets the rest,
+    so the next write lands at byte [n]; the kept bytes stay in the
+    storage as they are.  [truncate w 0] is {!reset}.
+    @raise Invalid_argument unless [0 <= n] and the first [n] bytes are
+    whole bytes already written. *)
+val truncate : writer -> int -> unit
+
 (** Bits written since creation or the last {!reset}, including any pad
     bits {!align} added. *)
 val bits_written : writer -> int
@@ -44,12 +51,6 @@ val put_bits : writer -> width:int -> int -> unit
 (** Elias-gamma code: exactly {!Tfree_util.Bits.elias_gamma}[ v] bits.
     @raise Invalid_argument on a negative [v] or [v = max_int]. *)
 val put_gamma : writer -> int -> unit
-
-(** [put_bytes w src off len] appends [src.[off .. off+len-1]] whole; the
-    writer must be at a byte boundary.
-    @raise Invalid_argument if it is not, or if the range is not inside
-    [src]. *)
-val put_bytes : writer -> Bytes.t -> int -> int -> unit
 
 (** Zero-pad the final partial byte on the right; the pad bits count as
     written. *)

@@ -21,10 +21,10 @@
     the first byte is written (the bit count is [Msg.bits], the descriptor
     size is {!Codec.layout_size}), so the whole image — prefix, header,
     descriptor, payload, checksum — is written once, front to back, into a
-    reusable {!scratch}.  The header part depends only on the layout and
-    the bit count, so the scratch keeps the last one it built and copies
-    it while they repeat; the checksum adds the payload's byte sum to the
-    header's.
+    reusable {!scratch}.  The header (prefix, bit count, descriptor)
+    depends only on the layout and the bit count; while both repeat, the
+    previous frame's header is left where it is in the image and only the
+    payload and checksum are written again.
 
     Parsing fails closed: a length field beyond {!max_frame_bytes} raises
     [Oversized], a body the stream cannot supply raises [Truncated], and a
@@ -57,17 +57,21 @@ let sum16 data off len =
 (* The header memo is keyed by the layout by physical equality, not
    structure: a layout is immutable, so the same value is the same
    descriptor, and [==] costs nothing where a structural compare would
-   walk the layout the memo exists to avoid walking. *)
+   walk the layout the memo exists to avoid walking.  Every smart
+   constructor of [Msg] but the constant ones allocates a fresh layout, so
+   the memo hits on [L_unit] and [L_bool] frames (the one-bit replies that
+   make up ~99% of an unrestricted query's frames) and on a message resent
+   unchanged; any other frame misses and writes its header as it would
+   with no memo. *)
 type scratch = {
   image : Bitio.writer;  (** the outgoing frame, bytes [0, frame_len) *)
   mutable back : Bytes.t;  (** where {!exchange} reads the frame back *)
   cursor : int ref;  (** {!exchange}'s parse position in [back] *)
-  header : Bitio.writer;  (** the remembered header, bytes [0, byte_length) *)
-  mutable header_layout : Msg.layout;  (** the key: layout, by [==] ... *)
-  mutable header_bits : int;  (** ... and payload bits; -1 when nothing is remembered *)
-  mutable prefix_len : int;  (** bytes of the header's length prefix *)
-  mutable body_len : int;  (** the body length its prefix carries *)
-  mutable header_sum : int;  (** byte sum of the header after its prefix *)
+  mutable key_layout : Msg.layout;  (** the header in [image] is for this layout ... *)
+  mutable key_bits : int;  (** ... at this payload bit count; -1 when there is none *)
+  mutable start : int;  (** where the body begins: the length prefix's size *)
+  mutable header_len : int;  (** where the payload begins *)
+  mutable body_len : int;  (** the body length the prefix carries *)
 }
 
 let scratch () =
@@ -75,53 +79,44 @@ let scratch () =
     image = Bitio.writer ();
     back = Bytes.create 64;
     cursor = ref 0;
-    header = Bitio.writer ();
-    header_layout = Msg.L_unit;
-    header_bits = -1;
-    prefix_len = 0;
+    key_layout = Msg.L_unit;
+    key_bits = -1;
+    start = 0;
+    header_len = 0;
     body_len = 0;
-    header_sum = 0;
   }
-
-(* Build the header for [layout] at [payload_bits] and remember it.  The
-   key is cleared first, so a layout the descriptor writer refuses leaves
-   nothing half-remembered. *)
-let remember_header s layout payload_bits =
-  s.header_bits <- -1;
-  let h = s.header in
-  let body_len =
-    Codec.varint_size payload_bits + Codec.layout_size layout + ((payload_bits + 7) / 8) + 2
-  in
-  Bitio.reset h;
-  Codec.put_varint h body_len;
-  let prefix_len = Bitio.byte_length h in
-  Codec.put_varint h payload_bits;
-  Codec.put_layout h layout;
-  s.prefix_len <- prefix_len;
-  s.body_len <- body_len;
-  s.header_sum <- sum16 (Bitio.storage h) prefix_len (Bitio.byte_length h - prefix_len);
-  s.header_layout <- layout;
-  s.header_bits <- payload_bits
 
 (** Write the whole frame for [msg] into [s], replacing the previous one. *)
 let encode_into s msg =
+  let w = s.image in
   let payload_bits = Msg.bits msg and layout = Msg.layout msg in
-  if not (layout == s.header_layout && payload_bits = s.header_bits) then
-    remember_header s layout payload_bits;
-  let w = s.image and header_len = Bitio.byte_length s.header in
-  Bitio.reset w;
-  Bitio.put_bytes w (Bitio.storage s.header) 0 header_len;
+  if layout == s.key_layout && payload_bits = s.key_bits then Bitio.truncate w s.header_len
+  else begin
+    (* cleared first, so a layout the descriptor writer refuses leaves no
+       key behind for a header that was not written *)
+    s.key_bits <- -1;
+    let body_len =
+      Codec.varint_size payload_bits + Codec.layout_size layout + ((payload_bits + 7) / 8) + 2
+    in
+    Bitio.reset w;
+    Codec.put_varint w body_len;
+    s.start <- Bitio.byte_length w;
+    Codec.put_varint w payload_bits;
+    Codec.put_layout w layout;
+    s.header_len <- Bitio.byte_length w;
+    s.body_len <- body_len;
+    s.key_layout <- layout;
+    s.key_bits <- payload_bits
+  end;
   Codec.encode_into w msg;
   Bitio.align w;
-  let ck =
-    s.header_sum + sum16 (Bitio.storage w) header_len (Bitio.byte_length w - header_len)
-  in
+  let ck = sum16 (Bitio.storage w) s.start (Bitio.byte_length w - s.start) in
   Bitio.put_byte w ck;
   Bitio.put_byte w (ck lsr 8);
-  if Bitio.byte_length w - s.prefix_len <> s.body_len then
+  if Bitio.byte_length w - s.start <> s.body_len then
     invalid_arg
       (Printf.sprintf "Frame.encode_into: wrote a %d-byte body, sized it at %d"
-         (Bitio.byte_length w - s.prefix_len) s.body_len)
+         (Bitio.byte_length w - s.start) s.body_len)
 
 let image s = Bitio.storage s.image
 let frame_len s = Bitio.byte_length s.image

@@ -23,27 +23,29 @@ val max_frame_bytes : int
     largest frame.  A scratch serves one frame at a time and is not safe
     to share between domains.
 
-    The scratch also remembers the header of the last frame it built — the
-    length prefix, the payload bit count and the layout descriptor, with
-    the byte sum the checksum needs — keyed by the message's layout, {e by
-    physical equality}, and its payload bit count.  Those two fix every
-    header byte, and a layout is immutable, so the same layout value is
-    the same descriptor.  A frame whose key matches copies the header and
-    writes only its payload and checksum; any other rebuilds the header
-    and remembers it instead.  Messages built on one layout value (a
-    round's replies, or the constant layouts such as [L_bool]) hit; a
-    structurally equal layout built afresh misses and only costs the
-    rebuild.  Either way the image is byte-for-byte the frame {!encode}
-    builds.  Nothing is remembered on the decoding side: {!exchange}
-    parses every field of the bytes it reads back. *)
+    The scratch also remembers which header its image holds — the length
+    prefix, the payload bit count and the layout descriptor — keyed by the
+    message's layout, {e by physical equality}, and its payload bit count.
+    Those two fix every header byte, and a layout is immutable, so the
+    same layout value is the same descriptor.  A frame whose key matches
+    leaves the previous frame's header in place and writes only its
+    payload and checksum; any other writes its header afresh.  Only the
+    constant layouts of {!Msg.empty} and {!Msg.bool} (and a message resent
+    unchanged) share a layout value between messages: every other smart
+    constructor of {!Msg} builds a fresh layout, so those frames miss and
+    cost one comparison more than with no memo.  On an unrestricted query,
+    whose frames are nearly all one-bit replies, about 99% of frames hit.
+    Either way the image is byte-for-byte the frame {!encode} builds.
+    Nothing is remembered on the decoding side: {!exchange} parses every
+    field of the bytes it reads back. *)
 type scratch
 
 val scratch : unit -> scratch
 
 (** Write the whole frame for the message into the scratch, replacing the
-    previous frame: the remembered header (rebuilt first if the message's
-    layout or bit count differs from the last frame's), then the payload,
-    then the checksum, written once, front to back.  This is the only frame
+    previous frame: the header (kept from the last frame if the message's
+    layout and bit count are the last frame's), then the payload, then the
+    checksum, written once, front to back.  This is the only frame
     encoder; {!encode}, {!write} and {!exchange} all go through it.
     @raise Invalid_argument as {!Codec.encode_into}, or if the body comes
     out at another length than its header announces. *)
@@ -52,7 +54,8 @@ val encode_into : scratch -> Msg.t -> unit
 (** The scratch's image: the current frame is bytes [0, frame_len s).  The
     buffer belongs to the scratch — the next {!encode_into} or {!exchange}
     on it overwrites it or replaces it with a larger one — so copy out any
-    bytes that must outlive that. *)
+    bytes that must outlive that.  Read it only: the next frame may keep
+    this one's header bytes where they are. *)
 val image : scratch -> Bytes.t
 
 (** Size in bytes of the frame currently in the scratch. *)
