@@ -6,6 +6,10 @@
    field and the per-channel counters.  Any change to a frame byte, to the
    order or number of frames, or to what the tap counts shows up here.
 
+   The first two sizes have d <= sqrt n, so [sim] runs Algorithm 8
+   ([Sim_low]) and [oblivious] only AlgLow guesses; (100, 16) has d > sqrt n,
+   which pins Algorithm 7 ([Sim_high]) and the AlgHigh guesses too.
+
    Run by the runtest alias and diffed against wire_frames.expected; a
    deliberate change is accepted with [dune promote]. *)
 
@@ -83,6 +87,6 @@ let () =
       List.iter
         (fun (n, d) ->
           List.iter (fun seed -> run_row protocol Wire.Pipe ~n ~d ~seed) [ 1; 2 ])
-        [ (60, 4.0); (200, 8.0) ];
+        [ (60, 4.0); (200, 8.0); (100, 16.0) ];
       run_row protocol Wire.Socketpair ~n:60 ~d:4.0 ~seed:1)
     Service.protocols
