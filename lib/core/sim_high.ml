@@ -8,7 +8,6 @@
     If the graph is ǫ-far, the induced subgraph contains a triangle with
     constant probability ([3]'s dense tester, Theorem 3.24). *)
 
-open Tfree_util
 open Tfree_graph
 open Tfree_comm
 
@@ -23,22 +22,22 @@ let edge_cap (p : Params.t) ~n ~d ~s =
   let l = 4.0 *. float_of_int (s * s) *. Float.max 1.0 d /. (p.delta *. float_of_int n) in
   max 8 (int_of_float (Float.ceil l))
 
-(* Shared membership test for S: a keyed Bernoulli mark per vertex with
-   probability s/n reproduces a uniform sample of expected size s while
-   letting players test membership without materializing S. *)
-let in_sample rng ~n ~s v = Rng.hash_float rng v < float_of_int s /. float_of_int n
+(* S is a keyed Bernoulli mark per vertex with probability s/n: it
+   reproduces a uniform sample of expected size s while letting players
+   test membership without materializing S.  [select] marks every vertex
+   once (Marks), walks only the rows of marked vertices, and keeps the
+   first [cap] edges of the newest-first list. *)
+let select rng ~p ~cap input =
+  let marks = Marks.sample rng ~n:(Graph.n input) ~p in
+  let selected = Marks.fold_edges marks input ~init:[] ~f:(fun acc u v -> (u, v) :: acc) in
+  List.filteri (fun idx _ -> idx < cap) selected
 
 let player_message (p : Params.t) ~d ~capped ctx _j input =
   let n = ctx.Simultaneous.n in
   let s = sample_size p ~n ~d in
   let rng = Simultaneous.shared_rng ctx ~key:11 in
   let cap = if capped then edge_cap p ~n ~d ~s else max_int in
-  let selected =
-    Graph.fold_edges input ~init:[] ~f:(fun acc u v ->
-        if in_sample rng ~n ~s u && in_sample rng ~n ~s v then (u, v) :: acc else acc)
-  in
-  let truncated = List.filteri (fun idx _ -> idx < cap) selected in
-  Msg.edges ~n truncated
+  Msg.edges ~n (select rng ~p:(float_of_int s /. float_of_int n) ~cap input)
 
 let referee ctx messages =
   let n = ctx.Simultaneous.n in

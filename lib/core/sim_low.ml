@@ -8,7 +8,6 @@
     in R ∪ S; the referee looks for a triangle in the union.  Cost
     O(k·√n·log n) with constant error (Theorem 3.26). *)
 
-open Tfree_util
 open Tfree_graph
 open Tfree_comm
 
@@ -24,16 +23,30 @@ let edge_cap (p : Params.t) ~n ~d =
   let q = 2.0 *. c *. c *. (sqrt (float_of_int n) +. Float.max 1.0 d) *. 2.0 /. p.delta in
   max 8 (int_of_float (Float.ceil q))
 
+(* Mark bits of the shared R/S table. *)
+let s_bit = 1
+
+let r_bit = 2
+
+(* An edge is wanted when both endpoints are in R ∪ S and one is in R.
+   Each vertex is hashed once per sample (Marks); only rows of vertices in
+   R ∪ S are walked. *)
+let select ~s:(rng_s, p_s) ~r:(rng_r, p_r) ~cap input =
+  let marks = Marks.create ~n:(Graph.n input) in
+  Marks.mark marks rng_s ~p:p_s ~bit:s_bit;
+  Marks.mark marks rng_r ~p:p_r ~bit:r_bit;
+  let selected =
+    Marks.fold_edges marks input ~init:[] ~f:(fun acc u v ->
+        if (Marks.get marks u lor Marks.get marks v) land r_bit <> 0 then (u, v) :: acc else acc)
+  in
+  List.filteri (fun idx _ -> idx < cap) selected
+
 let player_message (p : Params.t) ~d ~capped ctx _j input =
   let n = ctx.Simultaneous.n in
-  let rng_s = Simultaneous.shared_rng ctx ~key:21 in
-  let rng_r = Simultaneous.shared_rng ctx ~key:22 in
-  let in_s v = Rng.hash_float rng_s v < p1 p ~d in
-  let in_r v = Rng.hash_float rng_r v < p2 p ~n in
-  let wanted u v = (in_r u && (in_r v || in_s v)) || (in_r v && (in_r u || in_s u)) in
+  let s = (Simultaneous.shared_rng ctx ~key:21, p1 p ~d) in
+  let r = (Simultaneous.shared_rng ctx ~key:22, p2 p ~n) in
   let cap = if capped then edge_cap p ~n ~d else max_int in
-  let selected = Graph.fold_edges input ~init:[] ~f:(fun acc u v -> if wanted u v then (u, v) :: acc else acc) in
-  Msg.edges ~n (List.filteri (fun idx _ -> idx < cap) selected)
+  Msg.edges ~n (select ~s ~r ~cap input)
 
 let referee ctx messages =
   let n = ctx.Simultaneous.n in

@@ -40,37 +40,25 @@ let cap_low (p : Params.t) ~k ~n =
     (int_of_float
        (Float.ceil (4.0 *. p.boost /. p.delta *. sqrt (float_of_int n) *. logn *. (1.0 +. logk))))
 
-(* Edges this player contributes to the instance with guess 2^t. *)
+(* Edges this player contributes to the instance with guess 2^t: the
+   Sim_high or Sim_low selection, under the guess's own keys. *)
 let instance_edges (p : Params.t) ctx ~t ~d_bar input =
   let n = ctx.Simultaneous.n in
   let k = ctx.Simultaneous.k in
   let d_guess = Float.pow 2.0 (float_of_int t) in
-  if d_guess >= sqrt (float_of_int n) then begin
+  if d_guess >= sqrt (float_of_int n) then
     (* AlgHigh sampling at guessed density, shared stream keyed by t. *)
     let s = Sim_high.sample_size p ~n ~d:d_guess in
-    let rng = Simultaneous.shared_rng ctx ~key:(1000 + t) in
-    let in_s v = Rng.hash_float rng v < float_of_int s /. float_of_int n in
-    let selected =
-      Graph.fold_edges input ~init:[] ~f:(fun acc u v -> if in_s u && in_s v then (u, v) :: acc else acc)
-    in
-    List.filteri (fun idx _ -> idx < cap_high p ~k ~n d_bar) selected
-  end
-  else begin
+    Sim_high.select
+      (Simultaneous.shared_rng ctx ~key:(1000 + t))
+      ~p:(float_of_int s /. float_of_int n) ~cap:(cap_high p ~k ~n d_bar) input
+  else
     (* AlgLow sampling: S keyed by the guess, R shared across instances (the
        paper notes players can reuse the same R). *)
-    let rng_s = Simultaneous.shared_rng ctx ~key:(2000 + t) in
-    let rng_r = Simultaneous.shared_rng ctx ~key:22 in
-    let c = Sim_low.c_const p in
-    let ps = Float.min 1.0 (c /. Float.max 1.0 d_guess) in
-    let pr = Float.min 1.0 (c /. sqrt (float_of_int n)) in
-    let in_s v = Rng.hash_float rng_s v < ps in
-    let in_r v = Rng.hash_float rng_r v < pr in
-    let wanted u v = (in_r u && (in_r v || in_s v)) || (in_r v && (in_r u || in_s u)) in
-    let selected =
-      Graph.fold_edges input ~init:[] ~f:(fun acc u v -> if wanted u v then (u, v) :: acc else acc)
-    in
-    List.filteri (fun idx _ -> idx < cap_low p ~k ~n) selected
-  end
+    Sim_low.select
+      ~s:(Simultaneous.shared_rng ctx ~key:(2000 + t), Sim_low.p1 p ~d:d_guess)
+      ~r:(Simultaneous.shared_rng ctx ~key:22, Sim_low.p2 p ~n)
+      ~cap:(cap_low p ~k ~n) input
 
 let player_message (p : Params.t) ctx _j input =
   let n = ctx.Simultaneous.n in

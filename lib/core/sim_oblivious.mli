@@ -2,7 +2,11 @@
     Each player derives a window of O(log k) shared degree guesses from its
     observed average degree and participates in the matching AlgHigh/AlgLow
     instances with d̄ⱼ-tied budgets (Lemmas 3.30–3.31); the referee checks
-    each per-guess union. *)
+    each per-guess union.  Each instance selects its edges through
+    {!Sim_high.select} or {!Sim_low.select} under the guess's own keys, so
+    a player hashes every vertex once per sample of each guess it takes
+    part in, not once per incident edge; [Rng.hash_float] is stateless,
+    so this draws nothing and sends exactly the per-edge selection. *)
 
 open Tfree_comm
 open Tfree_graph

@@ -17,7 +17,6 @@
     O~(k·n^{1-2/h}·(d/ǫ)^{... }) — for C4/K4 at d = Θ(√n) the message is
     O~(k·n^{5/8})-ish, still sublinear in m. *)
 
-open Tfree_util
 open Tfree_graph
 open Tfree_comm
 
@@ -42,13 +41,8 @@ let protocol (prm : Params.t) ~d (p : Subgraph.pattern) : int array option Simul
         let n = ctx.Simultaneous.n in
         let s = sample_size prm ~n ~d p in
         let rng = Simultaneous.shared_rng ctx ~key:61 in
-        let in_s v = Rng.hash_float rng v < float_of_int s /. float_of_int n in
         let cap = edge_cap prm ~n ~d ~s in
-        let selected =
-          Graph.fold_edges input ~init:[] ~f:(fun acc u v ->
-              if in_s u && in_s v then (u, v) :: acc else acc)
-        in
-        Msg.edges ~n (List.filteri (fun idx _ -> idx < cap) selected));
+        Msg.edges ~n (Sim_high.select rng ~p:(float_of_int s /. float_of_int n) ~cap input));
     referee =
       (fun ctx messages ->
         let n = ctx.Simultaneous.n in

@@ -27,12 +27,8 @@ let sim_high_budgeted ~budget_bits ~d : Triangle.triangle option Simultaneous.pr
           max 2 (min n (int_of_float raw))
         in
         let rng = Simultaneous.shared_rng ctx ~key:31 in
-        let in_s v = Rng.hash_float rng v < float_of_int s /. float_of_int n in
-        let selected =
-          Graph.fold_edges input ~init:[] ~f:(fun acc u v ->
-              if in_s u && in_s v then (u, v) :: acc else acc)
-        in
-        Msg.edges ~n (List.filteri (fun idx _ -> idx < cap_edges) selected));
+        Msg.edges ~n
+          (Tfree.Sim_high.select rng ~p:(float_of_int s /. float_of_int n) ~cap:cap_edges input));
     referee =
       (fun ctx messages ->
         let n = ctx.Simultaneous.n in
