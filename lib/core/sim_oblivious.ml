@@ -18,13 +18,15 @@ open Tfree_comm
 
 let observed_avg_degree ~n input = 2.0 *. float_of_int (Graph.m input) /. float_of_int (max 1 n)
 
-(* Shared guess grid: exponent t encodes the degree guess 2^t. *)
+(* Shared guess grid: exponent t encodes the degree guess 2^t.  A window
+   whose top falls below its bottom (an eps past 1 with a small k) is
+   empty, not an error. *)
 let guess_range (p : Params.t) ~k ~n d_bar =
   let lo = Float.max 1.0 d_bar in
   let hi = Float.min (float_of_int n) (4.0 *. float_of_int k /. p.eps *. Float.max 1.0 d_bar) in
   let t_lo = int_of_float (Float.floor (Bits.log2 lo)) in
   let t_hi = int_of_float (Float.ceil (Bits.log2 (Float.max 2.0 hi))) in
-  List.init (t_hi - t_lo + 1) (fun i -> t_lo + i)
+  List.init (max 0 (t_hi - t_lo + 1)) (fun i -> t_lo + i)
 
 (* Per-instance caps of Lemmas 3.30 and 3.31, scaled by boost. *)
 let cap_high (p : Params.t) ~k ~n d_bar =

@@ -14,7 +14,8 @@ open Tfree_graph
 (** d̄ⱼ = 2|Eⱼ|/n: the player's observed average degree. *)
 val observed_avg_degree : n:int -> Graph.t -> float
 
-(** The shared power-of-two guess exponents covering [d̄ⱼ, (4k/ǫ)·d̄ⱼ]. *)
+(** The shared power-of-two guess exponents covering [d̄ⱼ, (4k/ǫ)·d̄ⱼ];
+    [[]] when the window is empty. *)
 val guess_range : Params.t -> k:int -> n:int -> float -> int list
 
 (** Per-instance edge budgets (Lemmas 3.30 and 3.31). *)

@@ -88,6 +88,20 @@ let test_oblivious_guess_range_covers_truth () =
       checkb (Printf.sprintf "window covers d=%g from d_bar=%g" d_true d_bar) true covered)
     [ (8.0, 8.0); (16.0, 4.0); (64.0, 2.0) ]
 
+let test_oblivious_guess_range_total () =
+  (* eps past 1 puts the window's top below its bottom: no guesses, no raise *)
+  checkb "empty window" true
+    (Tfree.Sim_oblivious.guess_range (Tfree.Params.with_eps practical 100.0) ~k:4 ~n:300 24.0 = []);
+  List.iter
+    (fun eps ->
+      List.iter
+        (fun d_bar ->
+          match Tfree.Sim_oblivious.guess_range (Tfree.Params.with_eps practical eps) ~k:4 ~n:300 d_bar with
+          | _ -> ()
+          | exception e -> Alcotest.failf "eps=%g d_bar=%g raised %s" eps d_bar (Printexc.to_string e))
+        [ 0.0; 0.5; 24.0; 299.0 ])
+    [ 100.0; 1.5; 0.0; -0.1; Float.nan; Float.infinity; Float.neg_infinity ]
+
 let () =
   Alcotest.run "tfree_params"
     [
@@ -103,5 +117,6 @@ let () =
           Alcotest.test_case "log helpers" `Quick test_log_helpers;
           Alcotest.test_case "caps monotone" `Quick test_sim_caps_monotone_in_n;
           Alcotest.test_case "oblivious window" `Quick test_oblivious_guess_range_covers_truth;
+          Alcotest.test_case "oblivious window is total" `Quick test_oblivious_guess_range_total;
         ] );
     ]

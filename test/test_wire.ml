@@ -1332,19 +1332,22 @@ module Algebra_gen = struct
   let name = string_size ~gen:(char_range ' ' '~') (1 -- 12)
   let fault = oneofl [ ""; "0:drop"; "2:drop,5:corrupt@13"; "seed=3,rate=0.2,ops=10" ]
   let num = float_range (-1e6) 1e6
+
+  (* every decoder refuses an eps outside (0, 1] (Service.check_eps) *)
+  let eps = oneof [ float_range 1e-6 1.0; return 1.0 ]
   let int = int_range (-1_000_000_000) 1_000_000_000
   let enum table = map snd (oneofl table)
 
   let request =
     let* family = enum Service.families and* partition = enum Service.partitions
     and* protocol = enum Service.protocols and* transport = enum Wire.kinds in
-    let* n = int and* d = num and* k = int and* eps = num and* seed = int and* fault = fault in
+    let* n = int and* d = num and* k = int and* eps = eps and* seed = int and* fault = fault in
     return { Service.family; partition; protocol; n; d; k; eps; seed; transport; fault }
 
   let dataset_request =
     let* ds_name = name and* ds_partition = enum Service.partitions
     and* ds_protocol = enum Service.protocols and* ds_transport = enum Wire.kinds in
-    let* ds_k = int and* ds_eps = num and* ds_seed = int and* ds_fault = fault in
+    let* ds_k = int and* ds_eps = eps and* ds_seed = int and* ds_fault = fault in
     return
       { Service.ds_name; ds_partition; ds_protocol; ds_k; ds_eps; ds_seed; ds_transport; ds_fault }
 
@@ -1439,6 +1442,62 @@ let cursor_over s =
   cur
 
 let print_op op = Jsonout.to_line (Service.op_to_json op)
+
+(* An eps outside (0, 1] is one named malformed-request error on every
+   request path: v1 objects and lines, v2 query, batch and dataset frames,
+   and the in-process entry point.  It used to reach the protocol, where
+   an oblivious query raised from List.init and sim ran on meaningless
+   constants. *)
+let test_service_refuses_bad_eps () =
+  List.iter
+    (fun eps -> checkb (Printf.sprintf "eps=%g accepted" eps) true (Service.check_eps eps = Ok ()))
+    [ 1e-9; 0.1; 0.5; 1.0 ];
+  let m = Metrics.create () and stop = ref false in
+  List.iter
+    (fun eps ->
+      let what fmt = Printf.sprintf ("eps=%g: " ^^ fmt) eps in
+      let msg =
+        match Service.check_eps eps with
+        | Error msg -> msg
+        | Ok () -> Alcotest.failf "eps=%g accepted" eps
+      in
+      let req =
+        {
+          Service.default_request with
+          family = Service.Free;
+          protocol = Service.Oblivious;
+          n = 300;
+          d = 24.0;
+          eps;
+        }
+      in
+      let good = { req with eps = 0.1 } in
+      let dreq = { (Service.default_dataset_request ~name:"x") with Service.ds_eps = eps } in
+      let v2 op = Service.decode_op (cursor_over (frame_body (fun b -> Service.encode_op_frame b op))) in
+      checkb (what "v1 query") true (Service.request_of_json (Service.request_to_json req) = Error msg);
+      checkb (what "v1 dataset") true
+        (Service.dataset_request_of_json (Service.dataset_request_to_json dreq) = Error msg);
+      checkb (what "v2 query") true
+        (v2 (Service.Op_query req) = Error (Service.Undecodable (Metrics.Malformed, msg)));
+      checkb (what "v2 batch item") true
+        (v2 (Service.Op_batch [ Ok req; Ok good ]) = Ok (Service.Op_batch [ Error msg; Ok good ]));
+      checkb (what "v2 dataset") true (v2 (Service.Op_dataset dreq) = Error (Service.Bad_dataset msg));
+      (match Service.run_request req with
+      | _ -> Alcotest.fail (what "run_request ran")
+      | exception Invalid_argument e -> Alcotest.(check string) (what "run_request") ("run_request: " ^ msg) e);
+      (* JSON has no NaN or infinity, so only finite values reach a v1 line *)
+      if Float.is_finite eps then begin
+        let reply, served = Service.handle_line ~metrics:m ~stop (Jsonout.to_line (Service.request_to_json req)) in
+        checki (what "v1 line serves nothing") 0 served;
+        match Jsonout.parse reply with
+        | Ok j ->
+            checkb (what "v1 line is malformed") true
+              (Jsonout.member "category" j = Some (Jsonout.Str "malformed")
+              && Jsonout.member "error" j = Some (Jsonout.Str msg))
+        | Error e -> Alcotest.fail e
+      end)
+    [ 0.0; -0.0; -0.1; 100.0; 1.0000001; Float.nan; Float.infinity; Float.neg_infinity ];
+  checki "no run failure" 0 (Metrics.errors_in m Metrics.Run_failure)
 
 let algebra_props =
   let op = QCheck.make ~print:print_op Algebra_gen.op in
@@ -2117,6 +2176,7 @@ let () =
           Alcotest.test_case "request JSON round-trip" `Quick test_service_request_json_roundtrip;
           Alcotest.test_case "request defaults" `Quick test_service_request_defaults;
           Alcotest.test_case "rejects unknown enum" `Quick test_service_request_rejects_unknown;
+          Alcotest.test_case "refuses eps outside (0, 1]" `Quick test_service_refuses_bad_eps;
           Alcotest.test_case "run_request reconciles" `Quick test_service_run_request_reconciles;
           Alcotest.test_case "handle_line categories" `Quick test_handle_line_categories;
           Alcotest.test_case "health over v1" `Quick test_handle_line_health;
