@@ -235,6 +235,8 @@ let () =
       (fun case ->
         if not (float_field tap (case ^ "_ns") > 0.0) then
           fail "micro/tap-frame: %s_ns not positive" case;
+        if not (float_field tap (case ^ "_ns_spread") >= 0.0) then
+          fail "micro/tap-frame: %s_ns_spread negative" case;
         ignore (float_field tap (case ^ "_words")))
       [ "empty"; "bool"; "vertex_opt"; "vertices40"; "edges200" ];
     List.iter
@@ -253,6 +255,17 @@ let () =
     if not (words > 0.0) then fail "micro/gen-far: words not positive";
     if words > limit then
       fail "micro/gen-far: %g words/build over the %g budget" words limit;
+    (* The sim player row (bench/micro_core.ml): timed, and inside an
+       allocation budget no looser than the micro gate's. *)
+    let player = wire_row "micro/sim-player" in
+    let limit = float_field player "limit" and words = float_field player "words" in
+    if limit <= 0.0 then fail "micro/sim-player: non-positive limit";
+    if limit > Micro_core.words_limit then
+      fail "micro/sim-player: limit %g is looser than the %g-word gate" limit Micro_core.words_limit;
+    if not (float_field player "ns" > 0.0) then fail "micro/sim-player: ns not positive";
+    if not (float_field player "ns_spread" >= 0.0) then fail "micro/sim-player: ns_spread negative";
+    if not (words > 0.0) then fail "micro/sim-player: words not positive";
+    if words > limit then fail "micro/sim-player: %g words/run over the %g budget" words limit;
     (* The dataset rows (bench/dataset_bench.ml) witness the reasons
        lib/dataset exists: the snapshot loads faster than regenerating or
        re-parsing the corpus, and is the smaller on-disk encoding. *)

@@ -267,6 +267,11 @@ let measure_wire () = Micro_wire.measure ~iters:(if opts.smoke then 20_000 else 
    allocation of one Gen.far_with_degree build at the cold-build shape. *)
 let measure_gen () = Micro_gen.measure ~builds:(if opts.smoke then 20 else 200)
 
+(* The sim player micro-benchmark (bench/micro_core.ml): time and
+   allocation of the four Algorithm 8 player messages of a cold-build
+   query. *)
+let measure_core () = Micro_core.measure ~runs:(if opts.smoke then 50 else 500)
+
 (* The dataset-pipeline micro-benchmark (bench/dataset_bench.ml): snapshot
    load vs regeneration vs text parse on a quarter-million-edge corpus.
    Few iterations — each one loads the whole graph. *)
@@ -299,6 +304,8 @@ let run_json () =
   Option.iter Micro_wire.print_table wire;
   let gen = if opts.only = [] then Some (measure_gen ()) else None in
   Option.iter Micro_gen.print_table gen;
+  let core = if opts.only = [] then Some (measure_core ()) else None in
+  Option.iter Micro_core.print_table core;
   let dataset = if opts.only = [] then Some (measure_dataset ()) else None in
   Option.iter Dataset_bench.print_table dataset;
   (* The congest threshold/accounting rows (lib/experiments/congest_threshold.ml):
@@ -342,6 +349,7 @@ let run_json () =
                micro
             @ (match wire with Some w -> Micro_wire.to_rows w | None -> [])
             @ (match gen with Some g -> Micro_gen.to_rows g | None -> [])
+            @ (match core with Some c -> Micro_core.to_rows c | None -> [])
             @ (match dataset with Some d -> Dataset_bench.to_rows d | None -> [])
             @ congest) );
       ])
@@ -364,6 +372,7 @@ let () =
       print_micro (measure_micro ());
       Micro_wire.print_table (measure_wire ());
       Micro_gen.print_table (measure_gen ());
+      Micro_core.print_table (measure_core ());
       Dataset_bench.print_table (measure_dataset ())
     end;
     print_endline "done."

@@ -4,8 +4,9 @@
    framed and payload bytes/query and on encode and decode ns/query, the
    v2 round trip stays inside its minor-words allocation budget, a
    wire-tap delivery of a fixed-width frame inside its per-frame budget,
-   and a cold far-instance build ({!Micro_gen}) inside its allocation
-   budget.
+   a cold far-instance build ({!Micro_gen}) and the four Algorithm 8
+   player messages of a cold-build query ({!Micro_core}) inside their
+   allocation budgets.
 
      (default)   full iteration count, for quoting numbers
      --smoke     reduced iterations; what CI runs on every push
@@ -18,12 +19,17 @@ let smoke_iters = 20_000
 let builds = ref 200
 let smoke_builds = 20
 
+(* sim player runs: each is well under a ms *)
+let player_runs = ref 500
+let smoke_player_runs = 50
+
 let () =
   let rec parse = function
     | [] -> ()
     | "--smoke" :: rest ->
         iters := smoke_iters;
         builds := smoke_builds;
+        player_runs := smoke_player_runs;
         parse rest
     | "--iters" :: v :: rest -> (
         match int_of_string_opt v with
@@ -42,11 +48,14 @@ let () =
   Micro_wire.print_table r;
   let g = Micro_gen.measure ~builds:!builds in
   Micro_gen.print_table g;
+  let c = Micro_core.measure ~runs:!player_runs in
+  Micro_core.print_table c;
   let gate = function Ok () -> [] | Error v -> v in
-  match gate (Micro_wire.check r) @ gate (Micro_gen.check g) with
+  match gate (Micro_wire.check r) @ gate (Micro_gen.check g) @ gate (Micro_core.check c) with
   | [] ->
       print_endline
-        "micro: ok (v2 beats v1 on bytes and time; zero-alloc, tap and far-build budgets held)"
+        "micro: ok (v2 beats v1 on bytes and time; zero-alloc, tap, far-build and sim-player \
+         budgets held)"
   | violations ->
       List.iter (fun v -> prerr_endline ("micro: GATE FAILED: " ^ v)) violations;
       exit 1

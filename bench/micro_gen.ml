@@ -4,7 +4,7 @@
 
      ms/build      median wall time of one build
      words/build   words allocated per build (minor and major heap, from
-                   Gc.allocated_bytes), averaged over the builds
+                   {!Timing.allocated_words}), averaged over the builds
 
    A build streams its edges into one flat buffer and one Graph.Builder;
    {!check} holds it to {!words_limit} allocated words, about half of what
@@ -37,11 +37,11 @@ let measure ~builds =
   if builds < 1 then invalid_arg "Micro_gen.measure: builds must be positive";
   let edges = Graph.m (build 11) in
   Gc.full_major ();
-  let b0 = Gc.allocated_bytes () in
+  let w0 = Timing.allocated_words () in
   for i = 1 to builds do
     ignore (Sys.opaque_identity (build (11 + i)))
   done;
-  let words = (Gc.allocated_bytes () -. b0) /. 8.0 /. float_of_int builds in
+  let words = (Timing.allocated_words () -. w0) /. float_of_int builds in
   let times =
     Array.init builds (fun i ->
         let t0 = Unix.gettimeofday () in
