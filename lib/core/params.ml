@@ -31,6 +31,11 @@ let paper = { eps = 0.1; delta = 1.0 /. 3.0; profile = Paper; boost = 1.0 }
 let practical = { eps = 0.1; delta = 1.0 /. 3.0; profile = Practical; boost = 1.0 }
 
 let with_eps t eps = { t with eps }
+
+(* Outside (0, 1] the constants above mean nothing, and NaN fails every
+   comparison. *)
+let check_eps eps =
+  if eps > 0.0 && eps <= 1.0 then Ok () else Error (Printf.sprintf "eps must be in (0, 1], got %g" eps)
 let with_delta t delta = { t with delta }
 let with_boost t boost = { t with boost }
 

@@ -20,6 +20,13 @@ val paper : t
 val practical : t
 
 val with_eps : t -> float -> t
+
+(** [Ok ()] when ǫ lies in (0, 1], the range the testers are defined on;
+    otherwise the one error every request decoder answers with:
+    ["eps must be in (0, 1], got E"].  NaN and the infinities are out of
+    range. *)
+val check_eps : float -> (unit, string) result
+
 val with_delta : t -> float -> t
 val with_boost : t -> float -> t
 

@@ -218,17 +218,6 @@ let request_to_json r =
 
 exception Bad of string
 
-(* The testers' proximity parameter lives in (0, 1]: outside it the
-   paper's constants mean nothing (at 0 a sim query charged 4 bits, past 1
-   an oblivious query raised from an empty guess window), and NaN fails
-   every comparison.  Every decoder and in-process entry point refuses
-   such an eps with this one error. *)
-let check_eps eps =
-  if eps > 0.0 && eps <= 1.0 then Ok ()
-  else Error (Printf.sprintf "eps must be in (0, 1], got %g" eps)
-
-let valid_eps eps = match check_eps eps with Ok () -> eps | Error msg -> raise (Bad msg)
-
 let require_object = function
   | Jsonout.Obj _ -> ()
   | _ -> raise (Bad "request must be a JSON object")
@@ -270,7 +259,7 @@ let request_of_json j =
         n = int_field j "n" r.n;
         d = num_field j "d" r.d;
         k = int_field j "k" r.k;
-        eps = valid_eps (num_field j "eps" r.eps);
+        eps = num_field j "eps" r.eps;
         seed = int_field j "seed" r.seed;
         transport = enum_field j "transport" Wire_runtime.kind_of_string r.transport;
         fault =
@@ -312,7 +301,7 @@ let dataset_request_of_json j =
         ds_partition = enum_field j "partition" partition_of_string r.ds_partition;
         ds_protocol = enum_field j "protocol" protocol_of_string r.ds_protocol;
         ds_k = int_field j "k" r.ds_k;
-        ds_eps = valid_eps (num_field j "eps" r.ds_eps);
+        ds_eps = num_field j "eps" r.ds_eps;
         ds_seed = int_field j "seed" r.ds_seed;
         ds_transport = enum_field j "transport" Wire_runtime.kind_of_string r.ds_transport;
         ds_fault =
@@ -473,15 +462,12 @@ let decode_request_body cur =
   match (family_of_code family_c, partition_of_code partition_c, protocol_of_code protocol_c,
          transport_of_code transport_c)
   with
-  | Some family, Some partition, Some protocol, Some transport -> (
-      match check_eps eps with
-      | Error msg -> Error msg
-      | Ok () when fault = "" ->
-          Ok { family; partition; protocol; n; d; k; eps; seed; transport; fault }
-      | Ok () -> (
-          match Fault.parse fault with
-          | Ok _ -> Ok { family; partition; protocol; n; d; k; eps; seed; transport; fault }
-          | Error msg -> Error (Printf.sprintf "bad fault spec: %s" msg)))
+  | Some family, Some partition, Some protocol, Some transport ->
+      if fault = "" then Ok { family; partition; protocol; n; d; k; eps; seed; transport; fault }
+      else (
+        match Fault.parse fault with
+        | Ok _ -> Ok { family; partition; protocol; n; d; k; eps; seed; transport; fault }
+        | Error msg -> Error (Printf.sprintf "bad fault spec: %s" msg))
   | None, _, _, _ -> Error (Printf.sprintf "unknown family code %d" family_c)
   | _, None, _, _ -> Error (Printf.sprintf "unknown partition code %d" partition_c)
   | _, _, None, _ -> Error (Printf.sprintf "unknown protocol code %d" protocol_c)
@@ -610,13 +596,11 @@ let decode_dataset_request_body cur =
             ds_fault = fault;
           }
         in
-        (match check_eps eps with
-        | Error msg -> Error msg
-        | Ok () when fault = "" -> Ok r
-        | Ok () -> (
-            match Fault.parse fault with
-            | Ok _ -> Ok r
-            | Error msg -> Error (Printf.sprintf "bad fault spec: %s" msg)))
+        if fault = "" then Ok r
+        else (
+          match Fault.parse fault with
+          | Ok _ -> Ok r
+          | Error msg -> Error (Printf.sprintf "bad fault spec: %s" msg))
     | None, _, _ -> Error (Printf.sprintf "unknown partition code %d" partition_c)
     | _, None, _ -> Error (Printf.sprintf "unknown protocol code %d" protocol_c)
     | _, _, None -> Error (Printf.sprintf "unknown transport code %d" transport_c)
@@ -876,7 +860,7 @@ let parse_fault_spec ~who spec =
   | Error msg -> invalid_arg (Printf.sprintf "%s: bad fault spec: %s" who msg)
 
 let refuse_bad_eps ~who eps =
-  match check_eps eps with Ok () -> () | Error msg -> invalid_arg (who ^ ": " ^ msg)
+  match Tfree.Params.check_eps eps with Ok () -> () | Error msg -> invalid_arg (who ^ ": " ^ msg)
 
 let run_request ?cache ?metrics req =
   refuse_bad_eps ~who:"run_request" req.eps;
@@ -899,10 +883,13 @@ let run_dataset_request ?cache ?metrics ~registry dreq =
    category.  A wire fault keeps its own category (timeout/transport) so
    an operator can tell chaos from bad input; a typed dataset failure (the
    file vanished or rotted under the manifest) is a [Run_failure] with its
-   own message — the request was well-formed, the server's data was not. *)
+   own message — the request was well-formed, the server's data was not.
+   An eps outside (0, 1] is [Malformed], refused before any instance is
+   built, whichever codec or request kind carried it. *)
 let run_core ~metrics ~version ~instance ~fields req =
   let t0 = Mono.now_us () in
   let phased () =
+    (match Tfree.Params.check_eps req.eps with Ok () -> () | Error msg -> raise (Bad msg));
     let fault = parse_fault_spec ~who:"serve" req.fault in
     let pair = timed_phase ~metrics Phase.Cache_lookup instance in
     (* A sampled trace only accounts clean runs: an injected fault aborts
@@ -927,6 +914,9 @@ let run_core ~metrics ~version ~instance ~fields req =
       maybe_slow_query ~latency_us:(Mono.now_us () -. t0)
         (("protocol", Jsonout.Str (protocol_to_string req.protocol)) :: fields);
       Ok resp
+  | exception Bad msg ->
+      Metrics.record_error metrics ~category:Metrics.Malformed;
+      Error (Metrics.Malformed, msg)
   | exception Wire_error.Wire_error k ->
       let category =
         Option.value ~default:Metrics.Run_failure

@@ -95,14 +95,7 @@ type response = {
 
 val request_to_json : request -> Jsonout.t
 
-(** [Ok ()] when [eps] lies in (0, 1]; otherwise the one error every
-    request decoder (JSON v1, binary v2, generated and dataset) answers
-    with, as a malformed request: ["eps must be in (0, 1], got E"].  NaN
-    and the infinities are out of range. *)
-val check_eps : float -> (unit, string) result
-
-(** Rejects anything but a JSON object, and an eps outside (0, 1]
-    ({!check_eps}). *)
+(** Rejects anything but a JSON object. *)
 val request_of_json : Jsonout.t -> (request, string) result
 
 (** The [{"op": "dataset"}] object; a missing field takes its default,
@@ -243,7 +236,9 @@ val dataset_pair :
     [cache], whose hits return the identical graph/partition a rebuild
     would produce; the network is closed even when a fault aborts the run.
     @raise Wire_error.Wire_error when an injected fault aborts the run.
-    @raise Invalid_argument on an eps outside (0, 1] ({!check_eps}). *)
+    @raise Invalid_argument on an eps outside (0, 1]
+    ({!Tfree.Params.check_eps}); the server answers such a request, on
+    either codec, with that error as a malformed request. *)
 val run_request : ?cache:instance_cache -> ?metrics:Metrics.t -> request -> response
 
 (** {!run_request} over a registered dataset: same protocol run, same
@@ -253,7 +248,7 @@ val run_request : ?cache:instance_cache -> ?metrics:Metrics.t -> request -> resp
     @raise Wire_error.Wire_error when an injected fault aborts the run.
     @raise Tfree_dataset.Dataset_error.Dataset_error on a registry or
     load failure.
-    @raise Invalid_argument on an eps outside (0, 1] ({!check_eps}). *)
+    @raise Invalid_argument on an eps outside (0, 1]. *)
 val run_dataset_request :
   ?cache:instance_cache ->
   ?metrics:Metrics.t ->

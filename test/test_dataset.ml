@@ -389,6 +389,43 @@ let test_forked_server_byte_parity () =
               checki "cache hits" 1 (int_at [ "cache"; "hits" ]);
               checki "cache misses" 2 (int_at [ "cache"; "misses" ])))
 
+(* A dataset request with an eps outside (0, 1] gets the one named
+   malformed error over v1 and v2, and run_dataset_request refuses it;
+   nothing is loaded or run. *)
+let test_dataset_refuses_bad_eps () =
+  let bad = [ 0.0; -0.1; 100.0; Float.nan; Float.infinity ] in
+  let named eps =
+    match Tfree.Params.check_eps eps with Error msg -> msg | Ok () -> Alcotest.failf "eps=%g accepted" eps
+  in
+  let dreq eps = { (Service.default_dataset_request ~name:"gen") with Service.ds_eps = eps } in
+  with_gen_registry (fun registry ->
+      List.iter
+        (fun eps ->
+          match Service.run_dataset_request ~registry (dreq eps) with
+          | _ -> Alcotest.failf "run_dataset_request ran at eps=%g" eps
+          | exception Invalid_argument e -> checks "run_dataset_request refuses" ("run_dataset_request: " ^ named eps) e)
+        bad;
+      Tfree_fixture.with_daemon ~tag:"ds-bad-eps" ~expect_served:0
+        (fun path -> Service.serve ~registry ~line_timeout_s:5.0 ~path ())
+        (fun path ->
+          List.iter
+            (fun (protocol, name) ->
+              List.iter
+                (fun eps ->
+                  (* JSON has no NaN or infinity: only finite values go over v1 *)
+                  if protocol = Proto.V2 || Float.is_finite eps then
+                    match Service.client_dataset ~protocol ~path (dreq eps) with
+                    | Ok _ -> Alcotest.failf "%s eps=%g: dataset query served" name eps
+                    | Error msg -> checks (Printf.sprintf "%s eps=%g refused by name" name eps) (named eps) msg)
+                bad)
+            [ (Proto.V1, "v1"); (Proto.V2, "v2") ];
+          match Service.client_stats ~path () with
+          | Error msg -> Alcotest.failf "stats: %s" msg
+          | Ok stats ->
+              let int_at = Tfree_fixture.int_at stats in
+              checki "all malformed" 8 (int_at [ "errors_by_category"; "malformed" ]);
+              checki "nothing loaded" 0 (int_at [ "cache"; "misses" ])))
+
 (* --------------------------------------------------------------- QCheck *)
 
 let arb_graph =
@@ -465,6 +502,9 @@ let () =
           Alcotest.test_case "typed error categories" `Quick test_handle_line_dataset_errors;
         ] );
       ( "serve",
-        [ Alcotest.test_case "forked server byte parity" `Quick test_forked_server_byte_parity ] );
+        [
+          Alcotest.test_case "forked server byte parity" `Quick test_forked_server_byte_parity;
+          Alcotest.test_case "refuses eps outside (0, 1]" `Quick test_dataset_refuses_bad_eps;
+        ] );
       ("qcheck", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]

@@ -947,6 +947,61 @@ let test_proto_rbuf_shrinks () =
   checki "full drain leaves the default allocation" Proto.rbuf_default_capacity
     (Proto.rbuf_capacity rb)
 
+(* An eps outside (0, 1] is one named malformed-request error on every
+   path: a query or batch item over v1 and over v2, and the in-process
+   entry point.  None of them reaches a protocol.  (Dataset requests are
+   checked in test_dataset.) *)
+let test_service_refuses_bad_eps () =
+  List.iter
+    (fun eps ->
+      checkb (Printf.sprintf "eps=%g accepted" eps) true (Tfree.Params.check_eps eps = Ok ()))
+    [ 1e-9; 0.1; 0.5; 1.0 ];
+  let bad = [ 0.0; -0.1; 100.0; 1.0000001; Float.nan; Float.infinity; Float.neg_infinity ] in
+  let named eps =
+    match Tfree.Params.check_eps eps with
+    | Error msg -> msg
+    | Ok () -> Alcotest.failf "eps=%g accepted" eps
+  in
+  let query eps =
+    { Service.default_request with family = Service.Free; protocol = Service.Oblivious; n = 300; d = 24.0; eps }
+  in
+  let good = { Service.default_request with protocol = Service.Exact; n = 60 } in
+  List.iter
+    (fun eps ->
+      match Service.run_request (query eps) with
+      | _ -> Alcotest.failf "run_request ran at eps=%g" eps
+      | exception Invalid_argument e ->
+          Alcotest.(check string) "run_request refuses" ("run_request: " ^ named eps) e)
+    bad;
+  (* JSON has no NaN or infinity, so a v1 line carries only the finite ones *)
+  let over_v1 = List.filter Float.is_finite bad in
+  let expected_errors = (2 * List.length over_v1) + (2 * List.length bad) in
+  Fixture.with_daemon ~tag:"bad-eps" ~expect_served:2 serve (fun path ->
+      List.iter
+        (fun (protocol, name, epss) ->
+          List.iter
+            (fun eps ->
+              let what = Printf.sprintf "%s eps=%g" name eps in
+              (match Service.client_query ~protocol ~path (query eps) with
+              | Ok _ -> Alcotest.failf "%s: query served" what
+              | Error msg -> Alcotest.(check string) (what ^ ": query refused by name") (named eps) msg);
+              match Service.client_batch ~protocol ~path [ query eps ] with
+              | Ok [ Error msg ] -> Alcotest.(check string) (what ^ ": batch item refused by name") (named eps) msg
+              | Ok _ -> Alcotest.failf "%s: batch item served" what
+              | Error msg -> Alcotest.failf "%s: batch failed outright: %s" what msg)
+            epss;
+          (* the good item of a mixed batch still runs *)
+          match Service.client_batch ~protocol ~path [ query 2.0; good ] with
+          | Ok [ Error _; Ok resp ] -> checkb (name ^ ": good item served") true (resp = Service.run_request good)
+          | _ -> Alcotest.failf "%s: mixed batch" name)
+        [ (Proto.V1, "v1", over_v1); (Proto.V2, "v2", bad) ];
+      match Service.client_stats ~path () with
+      | Ok stats ->
+          checki "every refusal is malformed" (expected_errors + 2)
+            (int_at stats [ "errors_by_category"; "malformed" ]);
+          checki "no run failure" 0 (int_at stats [ "errors_by_category"; "run_failure" ])
+      | Error msg -> Alcotest.failf "stats query failed: %s" msg)
+
 (* -------------------------------------------------- version negotiation *)
 
 (* A v2 client against a v1-capped server: the handshake answers with 1,
@@ -1332,22 +1387,19 @@ module Algebra_gen = struct
   let name = string_size ~gen:(char_range ' ' '~') (1 -- 12)
   let fault = oneofl [ ""; "0:drop"; "2:drop,5:corrupt@13"; "seed=3,rate=0.2,ops=10" ]
   let num = float_range (-1e6) 1e6
-
-  (* every decoder refuses an eps outside (0, 1] (Service.check_eps) *)
-  let eps = oneof [ float_range 1e-6 1.0; return 1.0 ]
   let int = int_range (-1_000_000_000) 1_000_000_000
   let enum table = map snd (oneofl table)
 
   let request =
     let* family = enum Service.families and* partition = enum Service.partitions
     and* protocol = enum Service.protocols and* transport = enum Wire.kinds in
-    let* n = int and* d = num and* k = int and* eps = eps and* seed = int and* fault = fault in
+    let* n = int and* d = num and* k = int and* eps = num and* seed = int and* fault = fault in
     return { Service.family; partition; protocol; n; d; k; eps; seed; transport; fault }
 
   let dataset_request =
     let* ds_name = name and* ds_partition = enum Service.partitions
     and* ds_protocol = enum Service.protocols and* ds_transport = enum Wire.kinds in
-    let* ds_k = int and* ds_eps = eps and* ds_seed = int and* ds_fault = fault in
+    let* ds_k = int and* ds_eps = num and* ds_seed = int and* ds_fault = fault in
     return
       { Service.ds_name; ds_partition; ds_protocol; ds_k; ds_eps; ds_seed; ds_transport; ds_fault }
 
@@ -1442,62 +1494,6 @@ let cursor_over s =
   cur
 
 let print_op op = Jsonout.to_line (Service.op_to_json op)
-
-(* An eps outside (0, 1] is one named malformed-request error on every
-   request path: v1 objects and lines, v2 query, batch and dataset frames,
-   and the in-process entry point.  It used to reach the protocol, where
-   an oblivious query raised from List.init and sim ran on meaningless
-   constants. *)
-let test_service_refuses_bad_eps () =
-  List.iter
-    (fun eps -> checkb (Printf.sprintf "eps=%g accepted" eps) true (Service.check_eps eps = Ok ()))
-    [ 1e-9; 0.1; 0.5; 1.0 ];
-  let m = Metrics.create () and stop = ref false in
-  List.iter
-    (fun eps ->
-      let what fmt = Printf.sprintf ("eps=%g: " ^^ fmt) eps in
-      let msg =
-        match Service.check_eps eps with
-        | Error msg -> msg
-        | Ok () -> Alcotest.failf "eps=%g accepted" eps
-      in
-      let req =
-        {
-          Service.default_request with
-          family = Service.Free;
-          protocol = Service.Oblivious;
-          n = 300;
-          d = 24.0;
-          eps;
-        }
-      in
-      let good = { req with eps = 0.1 } in
-      let dreq = { (Service.default_dataset_request ~name:"x") with Service.ds_eps = eps } in
-      let v2 op = Service.decode_op (cursor_over (frame_body (fun b -> Service.encode_op_frame b op))) in
-      checkb (what "v1 query") true (Service.request_of_json (Service.request_to_json req) = Error msg);
-      checkb (what "v1 dataset") true
-        (Service.dataset_request_of_json (Service.dataset_request_to_json dreq) = Error msg);
-      checkb (what "v2 query") true
-        (v2 (Service.Op_query req) = Error (Service.Undecodable (Metrics.Malformed, msg)));
-      checkb (what "v2 batch item") true
-        (v2 (Service.Op_batch [ Ok req; Ok good ]) = Ok (Service.Op_batch [ Error msg; Ok good ]));
-      checkb (what "v2 dataset") true (v2 (Service.Op_dataset dreq) = Error (Service.Bad_dataset msg));
-      (match Service.run_request req with
-      | _ -> Alcotest.fail (what "run_request ran")
-      | exception Invalid_argument e -> Alcotest.(check string) (what "run_request") ("run_request: " ^ msg) e);
-      (* JSON has no NaN or infinity, so only finite values reach a v1 line *)
-      if Float.is_finite eps then begin
-        let reply, served = Service.handle_line ~metrics:m ~stop (Jsonout.to_line (Service.request_to_json req)) in
-        checki (what "v1 line serves nothing") 0 served;
-        match Jsonout.parse reply with
-        | Ok j ->
-            checkb (what "v1 line is malformed") true
-              (Jsonout.member "category" j = Some (Jsonout.Str "malformed")
-              && Jsonout.member "error" j = Some (Jsonout.Str msg))
-        | Error e -> Alcotest.fail e
-      end)
-    [ 0.0; -0.0; -0.1; 100.0; 1.0000001; Float.nan; Float.infinity; Float.neg_infinity ];
-  checki "no run failure" 0 (Metrics.errors_in m Metrics.Run_failure)
 
 let algebra_props =
   let op = QCheck.make ~print:print_op Algebra_gen.op in
