@@ -7,8 +7,8 @@
      ns/run      the four messages, fastest of {!loops} timed loops
                  ({!Timing.best_of}), with the loops' spread
      words/run   words allocated by one run (minor and major heap, from
-                 {!Timing.allocated_words}); every run does the same work, so the
-                 figure is exact
+                 {!Timing.allocated_words}); every run does the same work,
+                 so the figure is exact
 
    Each player builds one R/S membership table (one hash per vertex and
    sample), walks only the rows of vertices in R ∪ S, and encodes its
@@ -45,10 +45,21 @@ type result = {
 
 let fixture () =
   let req =
-    { Service.default_request with family = Service.Far; partition = Service.Dup; protocol = Service.Sim; n; d; k; eps; seed }
+    {
+      Service.default_request with
+      family = Service.Far;
+      partition = Service.Dup;
+      protocol = Service.Sim;
+      n;
+      d;
+      k;
+      eps;
+      seed;
+    }
   in
   let g, parts = Service.instance_pair req in
-  let player = (Tfree.Sim_low.protocol Tfree.Params.(with_eps practical eps) ~d:(Graph.avg_degree g)).Simultaneous.player in
+  let params = Tfree.Params.(with_eps practical eps) in
+  let player = (Tfree.Sim_low.protocol params ~d:(Graph.avg_degree g)).Simultaneous.player in
   let ctx = { Simultaneous.k; n; shared = Rng.split (Rng.create seed) 0 } in
   fun () -> Array.init k (fun j -> player ctx j (Partition.player parts j))
 

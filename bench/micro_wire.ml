@@ -26,9 +26,10 @@
    minor words, for an empty message, a one-bit reply (the unrestricted
    protocol's degree-approximation frame), an optional vertex, 40 vertices
    and 200 edges.  Its ns are the fastest of {!tap_loops} timed loops
-   ({!Timing.best_of}), reported with their spread.  The three fixed-width frames must stay inside
-   {!tap_words_limit} minor words per delivery — the payload reader and the
-   decoded message, no buffers — which {!check} enforces.
+   ({!Timing.best_of}), reported with their spread.  The three fixed-width
+   frames must stay inside {!tap_words_limit} minor words per delivery —
+   the payload reader and the decoded message, no buffers — which {!check}
+   enforces.
 
    [bench/main.ml] embeds the rows in BENCH_results.json ([micro/serve-*],
    [micro/tap-frame]); [bench/micro.ml] runs the gate standalone behind the

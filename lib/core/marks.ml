@@ -10,9 +10,9 @@ let create ~n = Bytes.make n '\000'
 (* [Rng.hash_bool] is [hash_float rng v < p] with the float kept unboxed
    inside [Rng]: comparing here would box one float per vertex. *)
 let mark t rng ~p ~bit =
-  if bit <= 0 || bit > 128 || bit land (bit - 1) <> 0 then invalid_arg "Marks.mark: bit";
   for v = 0 to Bytes.length t - 1 do
-    if Rng.hash_bool rng v ~p then Bytes.unsafe_set t v (Char.unsafe_chr (Char.code (Bytes.unsafe_get t v) lor bit))
+    if Rng.hash_bool rng v ~p then
+      Bytes.unsafe_set t v (Char.unsafe_chr (Char.code (Bytes.unsafe_get t v) lor bit))
   done
 
 let sample rng ~n ~p =

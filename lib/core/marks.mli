@@ -20,7 +20,7 @@ val create : n:int -> t
 
 (** [mark t rng ~p ~bit] adds [bit] to the mark of every vertex [v] with
     [Rng.hash_float rng v < p], evaluating the hash once per vertex.
-    [bit] must be a power of two below 256. *)
+    [bit] is one of 1, 2, 4, ..., 128. *)
 val mark : t -> Rng.t -> p:float -> bit:int -> unit
 
 (** [sample rng ~n ~p] is [create ~n] marked with bit 1 at probability [p]. *)

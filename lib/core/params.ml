@@ -35,7 +35,9 @@ let with_eps t eps = { t with eps }
 (* Outside (0, 1] the constants above mean nothing, and NaN fails every
    comparison. *)
 let check_eps eps =
-  if eps > 0.0 && eps <= 1.0 then Ok () else Error (Printf.sprintf "eps must be in (0, 1], got %g" eps)
+  if eps > 0.0 && eps <= 1.0 then Ok ()
+  else Error (Printf.sprintf "eps must be in (0, 1], got %g" eps)
+
 let with_delta t delta = { t with delta }
 let with_boost t boost = { t with boost }
 

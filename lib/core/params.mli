@@ -22,9 +22,9 @@ val practical : t
 val with_eps : t -> float -> t
 
 (** [Ok ()] when ǫ lies in (0, 1], the range the testers are defined on;
-    otherwise the one error every request decoder answers with:
-    ["eps must be in (0, 1], got E"].  NaN and the infinities are out of
-    range. *)
+    otherwise the one error a served request carrying such an ǫ is
+    refused with: ["eps must be in (0, 1], got E"].  NaN and the
+    infinities are out of range. *)
 val check_eps : float -> (unit, string) result
 
 val with_delta : t -> float -> t
