@@ -7,8 +7,9 @@ type t = Bytes.t
 
 let create ~n = Bytes.make n '\000'
 
-(* [Rng.hash_bool] is [hash_float rng v < p] with the float kept unboxed
-   inside [Rng]: comparing here would box one float per vertex. *)
+(* [Rng.hash_bool] is [hash_float rng v < p] compared inside [Rng], so the
+   float is never boxed, even in a build that does not inline [hash_float]
+   into this module (the dev profile boxed one per vertex). *)
 let mark t rng ~p ~bit =
   for v = 0 to Bytes.length t - 1 do
     if Rng.hash_bool rng v ~p then
