@@ -379,6 +379,11 @@ let dataset_server () =
           ds "dataset" d;
           ds "dataset cache hit" { d with ds_protocol = Service.Sim };
           ds "dataset unknown name" { d with ds_name = "nope" };
+          (* a dataset query ignores the generator fields, however bad *)
+          unit_ path probe "dataset with stray generator fields"
+            (Line
+               "{\"op\": \"dataset\", \"name\": \"gen\", \"protocol\": \"exact\", \"seed\": 5, \
+                \"family\": \"bogus\", \"n\": -5, \"d\": \"x\"}");
           unit_ path probe "dataset without name" (Line "{\"op\": \"dataset\"}");
           unit_ path probe "dataset bad partition code" (raw_frame 10 (poke (dataset_body d) 4 9));
           unit_ path probe "dataset truncated" (raw_frame 10 (String.sub (dataset_body d) 0 3));
