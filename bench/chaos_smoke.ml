@@ -29,16 +29,6 @@ let params = Tfree.Params.practical
 
 (* ---------- part 1: in-process chaos matrix ---------- *)
 
-let run_tester ?tap proto ~seed ~davg parts =
-  match proto with
-  | `Unrestricted -> Tfree.Tester.unrestricted ?tap ~seed params parts
-  | `Sim -> Tfree.Tester.simultaneous ?tap ~seed params ~d:davg parts
-  | `Oblivious -> Tfree.Tester.simultaneous_oblivious ?tap ~seed params parts
-  | `Exact -> Tfree.Tester.exact ?tap ~seed parts
-
-let protocols =
-  [ ("unrestricted", `Unrestricted); ("sim", `Sim); ("oblivious", `Oblivious); ("exact", `Exact) ]
-
 let kinds =
   [
     Fault.Drop;
@@ -58,7 +48,7 @@ let chaos_matrix () =
     (fun transport ->
       List.iter
         (fun (pname, proto) ->
-          let base = run_tester proto ~seed ~davg parts in
+          let base = Tfree.Tester.run ~seed params ~d:davg proto parts in
           List.iter
             (fun kind ->
               List.iter
@@ -67,7 +57,7 @@ let chaos_matrix () =
                   match
                     Fun.protect
                       ~finally:(fun () -> Wire.close net)
-                      (fun () -> run_tester ~tap:(Wire.tap net) proto ~seed ~davg parts)
+                      (fun () -> Tfree.Tester.run ~tap:(Wire.tap net) ~seed params ~d:davg proto parts)
                   with
                   | r ->
                       if
@@ -85,7 +75,7 @@ let chaos_matrix () =
                       else incr aborted)
                 [ 0; 5 ])
             kinds)
-        protocols)
+        Tfree.Tester.protocols)
     [ Wire.Pipe; Wire.Socketpair ];
   Printf.printf "chaos_smoke: matrix ok (%d runs: %d clean, %d typed aborts, 0 wrong verdicts)\n"
     (!clean + !aborted) !clean !aborted
@@ -125,26 +115,23 @@ let dataset_matrix () =
         (fun transport ->
           List.iter
             (fun (pname, protocol) ->
-              let base_req =
-                { (Service.default_dataset_request ~name:"chaos") with
-                  ds_protocol = protocol; ds_seed = seed; ds_transport = transport }
-              in
-              let base = Service.run_dataset_request ~registry base_req in
+              let base_req = { Service.default_request with protocol; seed; transport } in
+              let base = Service.run_dataset_request ~registry ~name:"chaos" base_req in
               List.iter
                 (fun kind ->
                   List.iter
                     (fun op ->
-                      let req = { base_req with Service.ds_fault = spec_of op kind } in
-                      match Service.run_dataset_request ~registry req with
+                      let req = { base_req with Service.fault = spec_of op kind } in
+                      match Service.run_dataset_request ~registry ~name:"chaos" req with
                       | r ->
                           if r <> base then
                             fail "dataset %s/%s under %s: run completed but differs from base"
-                              (Wire.kind_to_string transport) pname req.Service.ds_fault
+                              (Wire.kind_to_string transport) pname req.Service.fault
                           else incr clean
                       | exception Wire_error.Wire_error k ->
                           if Fault.benign kind then
                             fail "dataset %s/%s: benign fault %s aborted the run (%s)"
-                              (Wire.kind_to_string transport) pname req.Service.ds_fault
+                              (Wire.kind_to_string transport) pname req.Service.fault
                               (Wire_error.message k)
                           else incr aborted)
                     [ 0; 5 ])

@@ -125,31 +125,32 @@ let serve () =
   Fixture.with_daemon ~tag:"dataset-smoke" ~expect_served:5
     (fun path -> Service.serve ~line_timeout_s:30.0 ~registry ~path ())
     (fun path ->
-      let dreq = { (Service.default_dataset_request ~name:"gen") with ds_seed = gen_seed } in
-      let ask ?protocol req =
-        match Service.client_dataset ?protocol ~path req with
-        | Ok r -> r
-        | Error msg -> fail "dataset query failed: %s" msg
-      in
-      let via_v2 = ask ~protocol:Proto.V2 dreq in
-      let via_v1 = ask ~protocol:Proto.V1 dreq in
-      let repeat = ask ~protocol:Proto.V1 dreq in
-      if via_v2 <> via_v1 || via_v1 <> repeat then
-        fail "dataset responses differ across wire versions or repeats";
-      (* the in-process run and the generated twin, both bit-identical *)
-      let local = Service.run_dataset_request ~registry dreq in
-      if via_v1 <> local then fail "served dataset response differs from the in-process run";
+      (* the generated twin of the "gen" corpus: the same request runs
+         over the dataset and as a generated query *)
       let twin =
         { Service.default_request with family = Service.Far; n = gen_n; d = gen_d; seed = gen_seed }
       in
+      let ask ?protocol ~name req =
+        match Service.client_dataset ?protocol ~path ~name req with
+        | Ok r -> r
+        | Error msg -> fail "dataset query failed: %s" msg
+      in
+      let via_v2 = ask ~protocol:Proto.V2 ~name:"gen" twin in
+      let via_v1 = ask ~protocol:Proto.V1 ~name:"gen" twin in
+      let repeat = ask ~protocol:Proto.V1 ~name:"gen" twin in
+      if via_v2 <> via_v1 || via_v1 <> repeat then
+        fail "dataset responses differ across wire versions or repeats";
+      (* the in-process run and the generated twin, both bit-identical *)
+      let local = Service.run_dataset_request ~registry ~name:"gen" twin in
+      if via_v1 <> local then fail "served dataset response differs from the in-process run";
       (match Service.client_query ~protocol:Proto.V1 ~path twin with
       | Error msg -> fail "generated twin query failed: %s" msg
       | Ok r ->
           if r <> via_v1 then fail "generated twin response differs from the dataset response");
       (* the big corpus through the daemon *)
-      let big = { (Service.default_dataset_request ~name:"big") with ds_seed = 3 } in
-      let served_big = ask big in
-      let local_big = Service.run_dataset_request ~registry big in
+      let big = { Service.default_request with seed = 3 } in
+      let served_big = ask ~name:"big" big in
+      let local_big = Service.run_dataset_request ~registry ~name:"big" big in
       if served_big <> local_big then fail "big-corpus response differs from the in-process run";
       (* telemetry: per-dataset gauge, cache counters, version split *)
       let stat =

@@ -72,7 +72,7 @@ let () =
       in
       List.iter
         (fun req ->
-          let name = Service.protocol_to_string req.Service.protocol in
+          let name = Tfree.Tester.protocol_to_string req.Service.protocol in
           match Service.client_query ~path req with
           | Error msg -> fail "%s: %s" name msg
           | Ok resp ->
@@ -113,7 +113,7 @@ let () =
               tally_wire_bytes := !tally_wire_bytes + resp.Service.wire.Wire.wire_bytes;
               tally_accounted := !tally_accounted + resp.Service.wire.Wire.accounted_bits;
               count_verdict
-                (Service.protocol_to_string (List.hd requests).Service.protocol)
+                (Tfree.Tester.protocol_to_string (List.hd requests).Service.protocol)
                 (match resp.Service.verdict with
                 | Tfree.Tester.Triangle _ -> true
                 | Tfree.Tester.Triangle_free -> false)

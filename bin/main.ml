@@ -49,7 +49,7 @@ let partition_arg =
 let protocol_arg =
   let doc = "Protocol: unrestricted (§3.3), sim (§3.4, d known), oblivious (Alg 11), exact ([38] baseline)." in
   Arg.(value
-       & opt (enum Service.protocols) Service.Oblivious
+       & opt (enum Tfree.Tester.protocols) Service.Oblivious
        & info [ "protocol" ] ~docv:"PROTO" ~doc)
 
 (* The client's --protocol doubles as the wire-version switch: it accepts
@@ -66,7 +66,7 @@ let client_protocol_arg =
   Arg.(value
        & opt_all
            (enum
-              (List.map (fun (name, p) -> (name, `Tester p)) Service.protocols
+              (List.map (fun (name, p) -> (name, `Tester p)) Tfree.Tester.protocols
               @ [ ("v1", `Wire Proto.V1); ("v2", `Wire Proto.V2); ("auto", `Wire Proto.Auto) ]))
            []
        & info [ "protocol" ] ~docv:"PROTO" ~doc)
@@ -254,6 +254,10 @@ let run_cmd =
       run_congest g ~eps ~seed ~rounds ~b_bits ~trace_out
     end
     else begin
+    if k < 1 then begin
+      Printf.eprintf "error: -k must be at least 1, got %d\n" k;
+      exit 2
+    end;
     let inputs = Service.build_partition part (Service.partition_rng seed) ~k g in
     Printf.printf "instance: n=%d m=%d avg degree %.2f; k=%d players (duplication %b)\n" (Graph.n g)
       (Graph.m g) (Graph.avg_degree g) k (Partition.has_duplication inputs);
@@ -269,14 +273,9 @@ let run_cmd =
       | [] -> None
       | taps -> Some (Tfree_comm.Channel.compose_all taps)
     in
+    let mode = if blackboard then Tfree_comm.Runtime.Blackboard else Tfree_comm.Runtime.Coordinator in
     let run_protocol () =
-      match proto with
-      | Service.Unrestricted ->
-          let mode = if blackboard then Tfree_comm.Runtime.Blackboard else Tfree_comm.Runtime.Coordinator in
-          Tfree.Tester.unrestricted ~mode ?tap ~seed params inputs
-      | Service.Sim -> Tfree.Tester.simultaneous ?tap ~seed params ~d:(Graph.avg_degree g) inputs
-      | Service.Oblivious -> Tfree.Tester.simultaneous_oblivious ?tap ~seed params inputs
-      | Service.Exact -> Tfree.Tester.exact ?tap ~seed inputs
+      Tfree.Tester.run ~mode ?tap ~seed params ~d:(Graph.avg_degree g) proto inputs
     in
     let report =
       match
@@ -312,7 +311,7 @@ let run_cmd =
             ~other:
               [
                 ("accounted_bits", Jsonout.Num (float_of_int accounted));
-                ("protocol", Jsonout.Str (Service.protocol_to_string proto));
+                ("protocol", Jsonout.Str (Tfree.Tester.protocol_to_string proto));
                 ("verdict", Jsonout.Str (verdict_string report.Tfree.Tester.verdict));
                 ("n", Jsonout.Num (float_of_int (Graph.n g)));
                 ("k", Jsonout.Num (float_of_int k));
@@ -837,12 +836,8 @@ let client_cmd =
           let result =
             match dataset with
             | Some name ->
-                let dreq =
-                  { Service.ds_name = name; ds_partition = part; ds_protocol = proto; ds_k = k;
-                    ds_eps = eps; ds_seed = seed; ds_transport = transport; ds_fault = fault_spec }
-                in
                 Service.client_dataset ~timeout_s:timeout ~retries ~backoff_s:backoff
-                  ~backoff_seed:seed ~protocol:wire_pref ~path dreq
+                  ~backoff_seed:seed ~protocol:wire_pref ~path ~name req
             | None ->
                 Service.client_query ~timeout_s:timeout ~retries ~backoff_s:backoff
                   ~backoff_seed:seed ~protocol:wire_pref ~path req

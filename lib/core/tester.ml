@@ -59,6 +59,30 @@ let simultaneous_oblivious ?tap ~seed (p : Params.t) inputs =
 (** Exact baseline [38]: always correct, Θ(k·n·d) bits. *)
 let exact ?tap ~seed inputs = of_sim_outcome (Exact_baseline.run ?tap ~seed inputs)
 
+(** The four testers of Table 1, in their v2 wire-code order: a protocol's
+    position in {!protocols} is its code, so the order never changes. *)
+type protocol = Unrestricted | Sim | Oblivious | Exact
+
+let protocols =
+  [ ("unrestricted", Unrestricted); ("sim", Sim); ("oblivious", Oblivious); ("exact", Exact) ]
+
+(* Compares with [==] (exact on constant constructors) and recurses at top
+   level, so a served query's name lookup allocates no closure. *)
+let rec name_in table p =
+  match table with
+  | (s, q) :: rest -> if q == p then s else name_in rest p
+  | [] -> invalid_arg "Tester: protocol missing from its table"
+
+let protocol_to_string p = name_in protocols p
+let protocol_of_string s = List.assoc_opt s protocols
+
+let run ?mode ?tap ~seed p ~d protocol inputs =
+  match protocol with
+  | Unrestricted -> unrestricted ?mode ?tap ~seed p inputs
+  | Sim -> simultaneous ?tap ~seed p ~d inputs
+  | Oblivious -> simultaneous_oblivious ?tap ~seed p inputs
+  | Exact -> exact ?tap ~seed inputs
+
 (** Error amplification: repeat a randomized tester [reps] times with
     independent seeds; any found triangle wins (one-sidedness makes this
     sound).  Returns the combined verdict and the summed bits. *)

@@ -33,6 +33,30 @@ val simultaneous_oblivious : ?tap:Channel.tap -> seed:int -> Params.t -> Partiti
 (** Exact baseline [38]: always correct, Θ(k·n·d) bits. *)
 val exact : ?tap:Channel.tap -> seed:int -> Partition.t -> report
 
+(** The four testers above, by name. *)
+type protocol = Unrestricted | Sim | Oblivious | Exact
+
+(** Each protocol with its CLI name, in v2 wire-code order: a protocol's
+    position is its code (Unrestricted = 0). *)
+val protocols : (string * protocol) list
+
+val protocol_to_string : protocol -> string
+val protocol_of_string : string -> protocol option
+
+(** Run [protocol]: {!unrestricted} (in [mode], default coordinator),
+    {!simultaneous} at average degree [d], {!simultaneous_oblivious} or
+    {!exact}.  [mode] is read by the unrestricted tester only, [d] and
+    [p] only by the testers that take them. *)
+val run :
+  ?mode:Runtime.mode ->
+  ?tap:Channel.tap ->
+  seed:int ->
+  Params.t ->
+  d:float ->
+  protocol ->
+  Partition.t ->
+  report
+
 (** All tester entry points accept an optional {!Channel.tap}: with a
     byte-moving tap installed (see [Tfree_wire]) every charged message also
     crosses a real transport and the protocol consumes the decoded copies,

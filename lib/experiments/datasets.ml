@@ -94,16 +94,9 @@ let e24_datasets scale =
           let metrics = Tfree_wire.Metrics.create () in
           let stop = ref false in
           let exchange line = fst (Service.handle_line ~cache ~registry ~metrics ~stop line) in
-          let dataset_line =
-            Jsonout.to_line
-              (Service.dataset_request_to_json
-                 { (Service.default_dataset_request ~name:"e24") with ds_protocol = protocol; ds_seed = seed })
-          in
-          let query_line =
-            Jsonout.to_line
-              (Service.request_to_json
-                 { Service.default_request with family = Service.Far; protocol; n; d; seed })
-          in
+          let req = { Service.default_request with family = Service.Far; protocol; n; d; seed } in
+          let dataset_line = Jsonout.to_line (Service.dataset_request_to_json ~name:"e24" req) in
+          let query_line = Jsonout.to_line (Service.request_to_json req) in
           let from_dataset = exchange dataset_line in
           let from_generated = exchange query_line in
           let repeat = exchange dataset_line in
@@ -119,7 +112,7 @@ let e24_datasets scale =
             | Error _ -> "?"
           in
           [
-            Service.protocol_to_string protocol;
+            Tfree.Tester.protocol_to_string protocol;
             bits;
             string_of_int (String.length from_dataset);
             (if parity then "yes" else "NO");

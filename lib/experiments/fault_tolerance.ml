@@ -35,13 +35,6 @@ let params = Tfree.Params.practical
 let ops = 64
 let max_attempts = 8
 
-let run_tester ?tap proto ~seed ~davg parts =
-  match proto with
-  | `Unrestricted -> Tfree.Tester.unrestricted ?tap ~seed params parts
-  | `Sim -> Tfree.Tester.simultaneous ?tap ~seed params ~d:davg parts
-  | `Oblivious -> Tfree.Tester.simultaneous_oblivious ?tap ~seed params parts
-  | `Exact -> Tfree.Tester.exact ?tap ~seed parts
-
 (* One wired run under [fault]: [Ok report] on completion, [Error kind] when
    a typed fault aborted it.  Any other exception escapes — only Wire_error
    is a legitimate way for a run to die. *)
@@ -50,7 +43,7 @@ let wired_run proto ~seed ~davg ~fault parts =
   match
     Fun.protect
       ~finally:(fun () -> Wire.close net)
-      (fun () -> run_tester ~tap:(Wire.tap net) proto ~seed ~davg parts)
+      (fun () -> Tfree.Tester.run ~tap:(Wire.tap net) ~seed params ~d:davg proto parts)
   with
   | r -> Ok r
   | exception Wire_error.Wire_error k -> Error k
@@ -62,12 +55,12 @@ let e22_fault scale =
   let instance seed = Common.far_instance ~n ~d ~k ~dup:true seed in
   (* Survival: one seeded schedule per (seed, rate), verdict checked against
      the fault-free base of the same seed. *)
-  let survival_row (name, proto) rate =
+  let survival_row proto rate =
     let cells =
       Common.seed_samples ~reps:trials (fun seed ->
           let _, parts = instance seed in
           let davg = d in
-          let base = run_tester proto ~seed ~davg parts in
+          let base = Tfree.Tester.run ~seed params ~d:davg proto parts in
           let fault = Fault.random ~seed:(7919 * seed) ~rate ~ops () in
           match wired_run proto ~seed ~davg ~fault parts with
           | Error _ -> `Aborted
@@ -81,7 +74,7 @@ let e22_fault scale =
     let count want = Array.fold_left (fun acc c -> if c = want then acc + 1 else acc) 0 cells in
     let clean = count `Clean and aborted = count `Aborted and wrong = count `Wrong in
     [
-      name;
+      Tfree.Tester.protocol_to_string proto;
       Table.fcell ~prec:2 rate;
       string_of_int clean;
       string_of_int aborted;
@@ -92,10 +85,7 @@ let e22_fault scale =
   let survival =
     List.concat_map
       (fun proto -> List.map (survival_row proto) [ 0.05; 0.2 ])
-      [
-        ("exact", `Exact); ("oblivious", `Oblivious); ("sim", `Sim);
-        ("unrestricted", `Unrestricted);
-      ]
+      Tfree.Tester.[ Exact; Oblivious; Sim; Unrestricted ]
   in
   (* Retry overhead: fresh schedule per attempt (seed varies, rate fixed),
      the oblivious protocol as the cheap representative query. *)
@@ -104,12 +94,12 @@ let e22_fault scale =
       Common.seed_samples ~reps:trials (fun seed ->
           let _, parts = instance seed in
           let davg = d in
-          let base = run_tester `Oblivious ~seed ~davg parts in
+          let base = Tfree.Tester.run ~seed params ~d:davg Tfree.Tester.Oblivious parts in
           let rec go attempt =
             if attempt >= max_attempts then (max_attempts, false, false)
             else
               let fault = Fault.random ~seed:(977 * seed + attempt) ~rate ~ops () in
-              match wired_run `Oblivious ~seed ~davg ~fault parts with
+              match wired_run Tfree.Tester.Oblivious ~seed ~davg ~fault parts with
               | Error _ -> go (attempt + 1)
               | Ok r ->
                   let exact_match =

@@ -26,21 +26,14 @@ let e21_wire scale =
   let k = 4 and d = 4.0 in
   let n = match scale with Common.Small -> 600 | Common.Big -> 2000 in
   let reps = Common.reps scale in
-  let run_tester ?tap proto ~seed ~davg parts =
-    match proto with
-    | `Unrestricted -> Tfree.Tester.unrestricted ?tap ~seed params parts
-    | `Sim -> Tfree.Tester.simultaneous ?tap ~seed params ~d:davg parts
-    | `Oblivious -> Tfree.Tester.simultaneous_oblivious ?tap ~seed params parts
-    | `Exact -> Tfree.Tester.exact ?tap ~seed parts
-  in
   let row (name, proto) =
     let cells =
       Common.seed_samples ~reps (fun s ->
           let g, parts = Common.far_instance ~n ~d ~k ~dup:true s in
           let davg = Tfree_graph.Graph.avg_degree g in
-          let model = run_tester proto ~seed:s ~davg parts in
+          let model = Tfree.Tester.run ~seed:s params ~d:davg proto parts in
           let net = Wire.create ~transport:Wire.Pipe ~k () in
-          let wired = run_tester ~tap:(Wire.tap net) proto ~seed:s ~davg parts in
+          let wired = Tfree.Tester.run ~tap:(Wire.tap net) ~seed:s params ~d:davg proto parts in
           let rep = Wire.report net ~accounted_bits:wired.Tfree.Tester.bits in
           Wire.close net;
           let parity =
@@ -71,13 +64,7 @@ let e21_wire scale =
       (if reconciled then "yes" else "NO");
     ]
   in
-  let rows =
-    List.map row
-      [
-        ("unrestricted", `Unrestricted); ("sim", `Sim); ("oblivious", `Oblivious);
-        ("exact", `Exact);
-      ]
-  in
+  let rows = List.map row Tfree.Tester.protocols in
   [
     Table.make
       ~title:

@@ -53,10 +53,12 @@ let by_endpoint_hash rng ~k g =
   split ~k g (fun players u v -> Graph.Builder.add players.((u + salt) mod k) u v)
 
 (** Player 0 receives each edge with probability [bias]; the rest is spread
-    uniformly — exercises the "irrelevant player" analysis of §3.4.3. *)
+    uniformly over the other players — exercises the "irrelevant player"
+    analysis of §3.4.3.  A lone player receives every edge, drawing
+    nothing. *)
 let skewed rng ~k ~bias g =
   split ~k g (fun players u v ->
-      let j = if Rng.bool rng ~p:bias then 0 else 1 + Rng.int rng (max 1 (k - 1)) in
+      let j = if k = 1 || Rng.bool rng ~p:bias then 0 else 1 + Rng.int rng (k - 1) in
       Graph.Builder.add players.(j) u v)
 
 let all_to_one ~k g =

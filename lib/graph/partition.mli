@@ -29,7 +29,9 @@ val replicate : k:int -> Graph.t -> t
 val by_endpoint_hash : Tfree_util.Rng.t -> k:int -> Graph.t -> t
 
 (** Player 0 takes each edge with probability [bias]; the rest spread
-    uniformly — exercises the relevant/irrelevant-player analysis (§3.4.3). *)
+    uniformly over the other players — exercises the
+    relevant/irrelevant-player analysis (§3.4.3).  With [k = 1] player 0
+    takes every edge. *)
 val skewed : Tfree_util.Rng.t -> k:int -> bias:float -> Graph.t -> t
 
 (** Player 0 holds everything, the others nothing. *)

@@ -53,12 +53,12 @@ module Trace = Tfree_trace.Trace
 
 type family = Far | Free | Hub | Mu | Gnp | Behrend | Diluted
 type partition_kind = Disjoint | Dup | Replicate | Skewed | Hash
-type protocol = Unrestricted | Sim | Oblivious | Exact
+type protocol = Tfree.Tester.protocol = Unrestricted | Sim | Oblivious | Exact
 
 (* One table per enum, in wire-code order: each value's CLI name sits next
    to its constructor, and its position is its stable v2 code.  Every
    conversion derives from the table, so the CLI, JSON v1 and binary v2
-   cannot disagree. *)
+   cannot disagree.  The protocols' table is {!Tfree.Tester.protocols}. *)
 
 let families =
   [
@@ -71,9 +71,6 @@ let partitions =
     ("disjoint", Disjoint); ("dup", Dup); ("replicate", Replicate); ("skewed", Skewed);
     ("hash", Hash);
   ]
-
-let protocols =
-  [ ("unrestricted", Unrestricted); ("sim", Sim); ("oblivious", Oblivious); ("exact", Exact) ]
 
 (* Lookups by constructor compare with [==] (exact on constant
    constructors) and recurse at top level, so the v2 hot path allocates
@@ -97,14 +94,12 @@ let family_to_string v = name_in families v
 let family_of_string s = List.assoc_opt s families
 let partition_to_string v = name_in partitions v
 let partition_of_string s = List.assoc_opt s partitions
-let protocol_to_string v = name_in protocols v
-let protocol_of_string s = List.assoc_opt s protocols
 let family_code v = code_from 0 families v
 let family_of_code = decoder families
 let partition_code v = code_from 0 partitions v
 let partition_of_code = decoder partitions
-let protocol_code v = code_from 0 protocols v
-let protocol_of_code = decoder protocols
+let protocol_code v = code_from 0 Tfree.Tester.protocols v
+let protocol_of_code = decoder Tfree.Tester.protocols
 let transport_code v = code_from 0 Wire_runtime.kinds v
 let transport_of_code = decoder Wire_runtime.kinds
 
@@ -173,48 +168,33 @@ type response = {
   wire : Wire_runtime.report;
 }
 
-(* A [{"op": "dataset"}] query: the same protocol/partition/k/eps/seed
-   vocabulary as a generated request, but the graph comes from the server's
-   dataset registry by name — family/n/d have no say. *)
-type dataset_request = {
-  ds_name : string;
-  ds_partition : partition_kind;
-  ds_protocol : protocol;
-  ds_k : int;
-  ds_eps : float;
-  ds_seed : int;
-  ds_transport : Wire_runtime.kind;
-  ds_fault : string;
-}
-
-let default_dataset_request ~name =
-  {
-    ds_name = name;
-    ds_partition = Dup;
-    ds_protocol = Oblivious;
-    ds_k = 4;
-    ds_eps = 0.1;
-    ds_seed = 1;
-    ds_transport = Wire_runtime.Pipe;
-    ds_fault = "";
-  }
-
 (* ----------------------------------------------------------------- JSON *)
 
-let request_to_json r =
+let request_fields r =
+  [
+    ("family", Jsonout.Str (family_to_string r.family));
+    ("partition", Jsonout.Str (partition_to_string r.partition));
+    ("protocol", Jsonout.Str (Tfree.Tester.protocol_to_string r.protocol));
+    ("n", Jsonout.Num (float_of_int r.n));
+    ("d", Jsonout.Num r.d);
+    ("k", Jsonout.Num (float_of_int r.k));
+    ("eps", Jsonout.Num r.eps);
+    ("seed", Jsonout.Num (float_of_int r.seed));
+    ("transport", Jsonout.Str (Wire_runtime.kind_to_string r.transport));
+    ("fault", Jsonout.Str r.fault);
+  ]
+
+let request_to_json r = Jsonout.Obj (request_fields r)
+
+(* A [{"op": "dataset"}] query names a registered graph and carries the
+   rest of its request's object: the generator fields (family/n/d) are
+   neither sent nor read. *)
+let generator_fields = [ "family"; "n"; "d" ]
+
+let dataset_request_to_json ~name r =
   Jsonout.Obj
-    [
-      ("family", Jsonout.Str (family_to_string r.family));
-      ("partition", Jsonout.Str (partition_to_string r.partition));
-      ("protocol", Jsonout.Str (protocol_to_string r.protocol));
-      ("n", Jsonout.Num (float_of_int r.n));
-      ("d", Jsonout.Num r.d);
-      ("k", Jsonout.Num (float_of_int r.k));
-      ("eps", Jsonout.Num r.eps);
-      ("seed", Jsonout.Num (float_of_int r.seed));
-      ("transport", Jsonout.Str (Wire_runtime.kind_to_string r.transport));
-      ("fault", Jsonout.Str r.fault);
-    ]
+    (("op", Jsonout.Str "dataset") :: ("name", Jsonout.Str name)
+    :: List.filter (fun (key, _) -> not (List.mem key generator_fields)) (request_fields r))
 
 exception Bad of string
 
@@ -247,42 +227,42 @@ let enum_field j k of_string default =
       | None -> raise (Bad (Printf.sprintf "unknown %s %S" k s)))
   | Some _ -> raise (Bad (Printf.sprintf "field %S must be a string" k))
 
+(* Why a query's fault spec does not parse, for every decoder of either
+   codec.  The [""] fast path keeps the no-fault hot query from paying a
+   [Fault.parse]. *)
+let fault_error spec =
+  if spec = "" then None
+  else match Fault.parse spec with Ok _ -> None | Error msg -> Some ("bad fault spec: " ^ msg)
+
+(* The protocol-side fields of a query object, each defaulting to [r]'s:
+   all a dataset query reads, and a generated query's fields but
+   family/n/d. *)
+let query_fields_of_json j r =
+  {
+    r with
+    partition = enum_field j "partition" partition_of_string r.partition;
+    protocol = enum_field j "protocol" Tfree.Tester.protocol_of_string r.protocol;
+    k = int_field j "k" r.k;
+    eps = num_field j "eps" r.eps;
+    seed = int_field j "seed" r.seed;
+    transport = enum_field j "transport" Wire_runtime.kind_of_string r.transport;
+    fault =
+      (let s = str_field j "fault" r.fault in
+       match fault_error s with None -> s | Some msg -> raise (Bad msg));
+  }
+
 let request_of_json j =
   try
     require_object j;
-    let r = default_request in
+    let r = query_fields_of_json j default_request in
     Ok
       {
+        r with
         family = enum_field j "family" family_of_string r.family;
-        partition = enum_field j "partition" partition_of_string r.partition;
-        protocol = enum_field j "protocol" protocol_of_string r.protocol;
         n = int_field j "n" r.n;
         d = num_field j "d" r.d;
-        k = int_field j "k" r.k;
-        eps = num_field j "eps" r.eps;
-        seed = int_field j "seed" r.seed;
-        transport = enum_field j "transport" Wire_runtime.kind_of_string r.transport;
-        fault =
-          (let s = str_field j "fault" r.fault in
-           match Fault.parse s with
-           | Ok _ -> s
-           | Error msg -> raise (Bad (Printf.sprintf "bad fault spec: %s" msg)));
       }
   with Bad msg -> Error msg
-
-let dataset_request_to_json r =
-  Jsonout.Obj
-    [
-      ("op", Jsonout.Str "dataset");
-      ("name", Jsonout.Str r.ds_name);
-      ("partition", Jsonout.Str (partition_to_string r.ds_partition));
-      ("protocol", Jsonout.Str (protocol_to_string r.ds_protocol));
-      ("k", Jsonout.Num (float_of_int r.ds_k));
-      ("eps", Jsonout.Num r.ds_eps);
-      ("seed", Jsonout.Num (float_of_int r.ds_seed));
-      ("transport", Jsonout.Str (Wire_runtime.kind_to_string r.ds_transport));
-      ("fault", Jsonout.Str r.ds_fault);
-    ]
 
 let dataset_request_of_json j =
   try
@@ -294,22 +274,7 @@ let dataset_request_of_json j =
       | Some _ -> raise (Bad "field \"name\" must be a string")
       | None -> raise (Bad "dataset request without a \"name\"")
     in
-    let r = default_dataset_request ~name in
-    Ok
-      {
-        r with
-        ds_partition = enum_field j "partition" partition_of_string r.ds_partition;
-        ds_protocol = enum_field j "protocol" protocol_of_string r.ds_protocol;
-        ds_k = int_field j "k" r.ds_k;
-        ds_eps = num_field j "eps" r.ds_eps;
-        ds_seed = int_field j "seed" r.ds_seed;
-        ds_transport = enum_field j "transport" Wire_runtime.kind_of_string r.ds_transport;
-        ds_fault =
-          (let s = str_field j "fault" r.ds_fault in
-           match Fault.parse s with
-           | Ok _ -> s
-           | Error msg -> raise (Bad (Printf.sprintf "bad fault spec: %s" msg)));
-      }
+    Ok (name, query_fields_of_json j default_request)
   with Bad msg -> Error msg
 
 let response_to_json r =
@@ -443,11 +408,24 @@ let put_request b r =
   Proto.put_f64 b r.eps;
   Proto.put_string b r.fault
 
+(* The semantic half of both v2 query layouts: enum codes to values and
+   the fault spec checked.  [Error] makes a bad code or fault spec a
+   per-request malformed reply, exactly like its JSON twin. *)
+let request_of_codes family_c partition_c protocol_c transport_c ~n ~d ~k ~eps ~seed ~fault =
+  match (family_of_code family_c, partition_of_code partition_c, protocol_of_code protocol_c,
+         transport_of_code transport_c)
+  with
+  | Some family, Some partition, Some protocol, Some transport -> (
+      match fault_error fault with
+      | None -> Ok { family; partition; protocol; n; d; k; eps; seed; transport; fault }
+      | Some msg -> Error msg)
+  | None, _, _, _ -> Error (Printf.sprintf "unknown family code %d" family_c)
+  | _, None, _, _ -> Error (Printf.sprintf "unknown partition code %d" partition_c)
+  | _, _, None, _ -> Error (Printf.sprintf "unknown protocol code %d" protocol_c)
+  | _, _, _, None -> Error (Printf.sprintf "unknown transport code %d" transport_c)
+
 (* Structural reads happen unconditionally (a failure raises and fails the
-   whole frame); the semantic checks return [Error] so a bad enum code or
-   fault spec is a per-request malformed reply, exactly like its JSON
-   twin.  The [""] fast path keeps the no-fault hot query from paying a
-   [Fault.parse]. *)
+   whole frame) before the semantic checks. *)
 let decode_request_body cur =
   let family_c = Proto.get_u8 cur in
   let partition_c = Proto.get_u8 cur in
@@ -459,19 +437,7 @@ let decode_request_body cur =
   let d = Proto.get_f64 cur in
   let eps = Proto.get_f64 cur in
   let fault = Proto.get_string cur in
-  match (family_of_code family_c, partition_of_code partition_c, protocol_of_code protocol_c,
-         transport_of_code transport_c)
-  with
-  | Some family, Some partition, Some protocol, Some transport ->
-      if fault = "" then Ok { family; partition; protocol; n; d; k; eps; seed; transport; fault }
-      else (
-        match Fault.parse fault with
-        | Ok _ -> Ok { family; partition; protocol; n; d; k; eps; seed; transport; fault }
-        | Error msg -> Error (Printf.sprintf "bad fault spec: %s" msg))
-  | None, _, _, _ -> Error (Printf.sprintf "unknown family code %d" family_c)
-  | _, None, _, _ -> Error (Printf.sprintf "unknown partition code %d" partition_c)
-  | _, _, None, _ -> Error (Printf.sprintf "unknown protocol code %d" protocol_c)
-  | _, _, _, None -> Error (Printf.sprintf "unknown transport code %d" transport_c)
+  request_of_codes family_c partition_c protocol_c transport_c ~n ~d ~k ~eps ~seed ~fault
 
 (* reply body: verdict (+ witness), the counters, the reconciled wire report *)
 let put_response b r =
@@ -559,16 +525,16 @@ let encode_batch_frame b reqs =
   Proto.end_frame b
 
 (* dataset query body: the registered name, 3 enum bytes, 2 zigzag ints,
-   1 f64, the fault spec *)
-let put_dataset_request b r =
-  Proto.put_string b r.ds_name;
-  Proto.put_u8 b (partition_code r.ds_partition);
-  Proto.put_u8 b (protocol_code r.ds_protocol);
-  Proto.put_u8 b (transport_code r.ds_transport);
-  Proto.put_zigzag b r.ds_k;
-  Proto.put_zigzag b r.ds_seed;
-  Proto.put_f64 b r.ds_eps;
-  Proto.put_string b r.ds_fault
+   1 f64, the fault spec; the request's family/n/d are not sent *)
+let put_dataset_request b ~name r =
+  Proto.put_string b name;
+  Proto.put_u8 b (partition_code r.partition);
+  Proto.put_u8 b (protocol_code r.protocol);
+  Proto.put_u8 b (transport_code r.transport);
+  Proto.put_zigzag b r.k;
+  Proto.put_zigzag b r.seed;
+  Proto.put_f64 b r.eps;
+  Proto.put_string b r.fault
 
 let decode_dataset_request_body cur =
   let name = Proto.get_string cur in
@@ -581,34 +547,16 @@ let decode_dataset_request_body cur =
   let fault = Proto.get_string cur in
   if name = "" then Error "dataset name must be non-empty"
   else
-    match (partition_of_code partition_c, protocol_of_code protocol_c, transport_of_code transport_c)
-    with
-    | Some partition, Some protocol, Some transport ->
-        let r =
-          {
-            ds_name = name;
-            ds_partition = partition;
-            ds_protocol = protocol;
-            ds_k = k;
-            ds_eps = eps;
-            ds_seed = seed;
-            ds_transport = transport;
-            ds_fault = fault;
-          }
-        in
-        if fault = "" then Ok r
-        else (
-          match Fault.parse fault with
-          | Ok _ -> Ok r
-          | Error msg -> Error (Printf.sprintf "bad fault spec: %s" msg))
-    | None, _, _ -> Error (Printf.sprintf "unknown partition code %d" partition_c)
-    | _, None, _ -> Error (Printf.sprintf "unknown protocol code %d" protocol_c)
-    | _, _, None -> Error (Printf.sprintf "unknown transport code %d" transport_c)
+    let r = default_request in
+    Result.map
+      (fun req -> (name, req))
+      (request_of_codes (family_code r.family) partition_c protocol_c transport_c ~n:r.n ~d:r.d ~k
+         ~eps ~seed ~fault)
 
-let encode_dataset_frame b r =
+let encode_dataset_frame b ~name r =
   Proto.begin_frame b;
   Proto.put_u8 b tag_dataset;
-  put_dataset_request b r;
+  put_dataset_request b ~name r;
   Proto.end_frame b
 
 (* ------------------------------------------------- the instance cache *)
@@ -632,12 +580,7 @@ type instance_key =
       key_eps : float;
       key_seed : int;
     }
-  | Key_dataset of {
-      key_name : string;
-      key_ds_partition : partition_kind;
-      key_ds_k : int;
-      key_ds_seed : int;
-    }
+  | Key_dataset of { key_name : string; key_partition : partition_kind; key_k : int; key_seed : int }
 
 type instance_cache = (instance_key, Graph.t * Partition.t) Lru.t
 
@@ -655,14 +598,8 @@ let key_of_request req =
       key_seed = req.seed;
     }
 
-let key_of_dataset_request dreq =
-  Key_dataset
-    {
-      key_name = dreq.ds_name;
-      key_ds_partition = dreq.ds_partition;
-      key_ds_k = dreq.ds_k;
-      key_ds_seed = dreq.ds_seed;
-    }
+let key_of_dataset_request ~name req =
+  Key_dataset { key_name = name; key_partition = req.partition; key_k = req.k; key_seed = req.seed }
 
 (* ------------------------------------------------------- fleet sharding *)
 
@@ -683,8 +620,8 @@ let shard_key key =
           k.key_n k.key_d k.key_k k.key_eps k.key_seed
     | Key_dataset k ->
         Printf.sprintf "d|%s|%s|%d|%d" k.key_name
-          (partition_to_string k.key_ds_partition)
-          k.key_ds_k k.key_ds_seed
+          (partition_to_string k.key_partition)
+          k.key_k k.key_seed
   in
   let h = ref 0x811c9dc5 in
   String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) canonical;
@@ -695,8 +632,8 @@ let shard_key key =
 let shard_of_key ~workers key = if workers <= 1 then 0 else shard_key key mod workers
 let shard_of_request ~workers req = shard_of_key ~workers (key_of_request req)
 
-let shard_of_dataset_request ~workers dreq =
-  shard_of_key ~workers (key_of_dataset_request dreq)
+let shard_of_dataset_request ~workers ~name req =
+  shard_of_key ~workers (key_of_dataset_request ~name req)
 
 (* The shard socket of fleet worker [i] under a fleet at [path]. *)
 let worker_path ~path i = Printf.sprintf "%s.w%d" path i
@@ -709,42 +646,32 @@ let worker_path ~path i = Printf.sprintf "%s.w%d" path i
 let graph_rng seed = Rng.create seed
 let partition_rng seed = Rng.create (seed lxor 0x7ea5eed)
 
-let build_pair req =
-  let g = build_instance req.family (graph_rng req.seed) ~n:req.n ~d:req.d ~eps:req.eps in
-  let inputs = build_partition req.partition (partition_rng req.seed) ~k:req.k g in
-  (g, inputs)
+(* [g] with [req]'s partition of it. *)
+let partitioned req g = (g, build_partition req.partition (partition_rng req.seed) ~k:req.k g)
 
-(* The cached instance/partition pair for [req], built on a miss.  Each call
-   is one counted lookup; [metrics] mirrors the hit/miss into the server
-   registry so [{"op": "stats"}] can report it. *)
-let instance_pair ?cache ?metrics req =
+(* The pair under [key], built by [build] on a miss.  Each call is one
+   counted lookup; [metrics] mirrors the hit/miss into the server registry
+   so [{"op": "stats"}] can report it. *)
+let cached_pair ?cache ?metrics key build =
   match cache with
-  | None -> build_pair req
+  | None -> build ()
   | Some c ->
-      let key = key_of_request req in
       let hit = Lru.mem c key in
       (match metrics with Some m -> Metrics.record_cache m ~hit | None -> ());
-      Lru.find_or_add c key (fun () -> build_pair req)
+      Lru.find_or_add c key build
+
+let instance_pair ?cache ?metrics req =
+  cached_pair ?cache ?metrics (key_of_request req) (fun () ->
+      partitioned req
+        (build_instance req.family (graph_rng req.seed) ~n:req.n ~d:req.d ~eps:req.eps))
 
 (* The dataset twin: the graph is the registry's memoized load (shared
    across every connection of the daemon), only the partition is built —
    from the same [partition_rng] stream a generated request of this seed
    would use. *)
-let dataset_pair ?cache ?metrics ~registry dreq =
-  let build () =
-    let g = Tfree_dataset.Registry.graph registry dreq.ds_name in
-    let inputs =
-      build_partition dreq.ds_partition (partition_rng dreq.ds_seed) ~k:dreq.ds_k g
-    in
-    (g, inputs)
-  in
-  match cache with
-  | None -> build ()
-  | Some c ->
-      let key = key_of_dataset_request dreq in
-      let hit = Lru.mem c key in
-      (match metrics with Some m -> Metrics.record_cache m ~hit | None -> ());
-      Lru.find_or_add c key build
+let dataset_pair ?cache ?metrics ~registry ~name req =
+  cached_pair ?cache ?metrics (key_of_dataset_request ~name req) (fun () ->
+      partitioned req (Tfree_dataset.Registry.graph registry name))
 
 (* -------------------------------------------------- serve observability *)
 
@@ -823,14 +750,9 @@ let run_protocol ?trace ~fault req (g, inputs) =
         | None -> Wire_runtime.tap net
         | Some tr -> Tfree_comm.Channel.compose_all [ Trace.tap tr; Wire_runtime.tap net ]
       in
-      let seed = req.seed in
       let params = Tfree.Params.(with_eps practical req.eps) in
       let report =
-        match req.protocol with
-        | Unrestricted -> Tfree.Tester.unrestricted ~tap ~seed params inputs
-        | Sim -> Tfree.Tester.simultaneous ~tap ~seed params ~d:(Graph.avg_degree g) inputs
-        | Oblivious -> Tfree.Tester.simultaneous_oblivious ~tap ~seed params inputs
-        | Exact -> Tfree.Tester.exact ~tap ~seed inputs
+        Tfree.Tester.run ~tap ~seed:req.seed params ~d:(Graph.avg_degree g) req.protocol inputs
       in
       let wire = Wire_runtime.report net ~accounted_bits:report.Tfree.Tester.bits in
       {
@@ -841,39 +763,34 @@ let run_protocol ?trace ~fault req (g, inputs) =
         wire;
       })
 
-(* A dataset query runs exactly like the generated request that shares its
-   protocol-side fields; only its instance comes from the registry. *)
-let run_fields dreq =
-  {
-    default_request with
-    protocol = dreq.ds_protocol;
-    k = dreq.ds_k;
-    eps = dreq.ds_eps;
-    seed = dreq.ds_seed;
-    transport = dreq.ds_transport;
-    fault = dreq.ds_fault;
-  }
-
 let parse_fault_spec ~who spec =
   match Fault.parse spec with
   | Ok s -> s
   | Error msg -> invalid_arg (Printf.sprintf "%s: bad fault spec: %s" who msg)
 
-let refuse_bad_eps ~who eps =
-  match Tfree.Params.check_eps eps with Ok () -> () | Error msg -> invalid_arg (who ^ ": " ^ msg)
+(* The numbers a query must get right before any instance is built: eps
+   in (0, 1] and at least one player. *)
+let check_query req =
+  match Tfree.Params.check_eps req.eps with
+  | Ok () when req.k < 1 -> Error (Printf.sprintf "k must be at least 1, got %d" req.k)
+  | checked -> checked
+
+(* [req]'s fault schedule; [Invalid_argument] naming [who] when [req] cannot run. *)
+let checked_schedule ~who req =
+  match check_query req with
+  | Ok () -> parse_fault_spec ~who req.fault
+  | Error msg -> invalid_arg (who ^ ": " ^ msg)
 
 let run_request ?cache ?metrics req =
-  refuse_bad_eps ~who:"run_request" req.eps;
-  let fault = parse_fault_spec ~who:"run_request" req.fault in
+  let fault = checked_schedule ~who:"run_request" req in
   run_protocol ~fault req (instance_pair ?cache ?metrics req)
 
 (* Byte-identical to the generated path when the dataset holds the graph
    {!graph_rng} would build: partition and protocol derive from the same
    streams a generated request uses. *)
-let run_dataset_request ?cache ?metrics ~registry dreq =
-  refuse_bad_eps ~who:"run_dataset_request" dreq.ds_eps;
-  let fault = parse_fault_spec ~who:"run_dataset_request" dreq.ds_fault in
-  run_protocol ~fault (run_fields dreq) (dataset_pair ?cache ?metrics ~registry dreq)
+let run_dataset_request ?cache ?metrics ~registry ~name req =
+  let fault = checked_schedule ~who:"run_dataset_request" req in
+  run_protocol ~fault req (dataset_pair ?cache ?metrics ~registry ~name req)
 
 (* One served protocol query, timed and recorded: [instance] fetches the
    graph/partition pair (the cache_lookup phase), [req] carries the
@@ -885,11 +802,11 @@ let run_dataset_request ?cache ?metrics ~registry dreq =
    file vanished or rotted under the manifest) is a [Run_failure] with its
    own message — the request was well-formed, the server's data was not.
    An eps outside (0, 1] is [Malformed], refused before any instance is
-   built, whichever codec or request kind carried it. *)
+   built, whichever codec or request kind carried it; so is a k below 1. *)
 let run_core ~metrics ~version ~instance ~fields req =
   let t0 = Mono.now_us () in
   let phased () =
-    (match Tfree.Params.check_eps req.eps with Ok () -> () | Error msg -> raise (Bad msg));
+    (match check_query req with Ok () -> () | Error msg -> raise (Bad msg));
     let fault = parse_fault_spec ~who:"serve" req.fault in
     let pair = timed_phase ~metrics Phase.Cache_lookup instance in
     (* A sampled trace only accounts clean runs: an injected fault aborts
@@ -900,7 +817,7 @@ let run_core ~metrics ~version ~instance ~fields req =
   match phased () with
   | trace, resp ->
       Metrics.record_query ~version metrics
-        ~protocol:(protocol_to_string req.protocol)
+        ~protocol:(Tfree.Tester.protocol_to_string req.protocol)
         ~found_triangle:
           (match resp.verdict with
           | Tfree.Tester.Triangle _ -> true
@@ -912,7 +829,7 @@ let run_core ~metrics ~version ~instance ~fields req =
       | Some _ -> Obs_ctx.traced_bits := !Obs_ctx.traced_bits + resp.wire.Wire_runtime.accounted_bits
       | None -> ());
       maybe_slow_query ~latency_us:(Mono.now_us () -. t0)
-        (("protocol", Jsonout.Str (protocol_to_string req.protocol)) :: fields);
+        (("protocol", Jsonout.Str (Tfree.Tester.protocol_to_string req.protocol)) :: fields);
       Ok resp
   | exception Bad msg ->
       Metrics.record_error metrics ~category:Metrics.Malformed;
@@ -939,7 +856,7 @@ let run_core ~metrics ~version ~instance ~fields req =
    rest of the batch runs.  Clients only ever send [Ok] items. *)
 type wire_op =
   | Op_query of request
-  | Op_dataset of dataset_request
+  | Op_dataset of { name : string; req : request }
   | Op_batch of (request, string) result list
   | Op_stats
   | Op_health
@@ -983,7 +900,7 @@ let batch_request_to_json reqs =
 
 let op_to_json = function
   | Op_query req -> request_to_json req
-  | Op_dataset dreq -> dataset_request_to_json dreq
+  | Op_dataset { name; req } -> dataset_request_to_json ~name req
   | Op_batch items -> batch_request_to_json (List.map sendable items)
   | Op_stats -> Jsonout.Obj [ ("op", Jsonout.Str "stats") ]
   | Op_health -> Jsonout.Obj [ ("op", Jsonout.Str "health") ]
@@ -1004,7 +921,7 @@ let op_of_json j =
       | None -> malformed "batch without a \"requests\" list")
   | None, Some (Jsonout.Str "dataset") -> (
       match dataset_request_of_json j with
-      | Ok dreq -> Ok (Op_dataset dreq)
+      | Ok (name, req) -> Ok (Op_dataset { name; req })
       | Error msg -> Error (Bad_dataset msg))
   | None, Some (Jsonout.Str o) ->
       Error (Undecodable (Metrics.Unknown_op, Printf.sprintf "unknown op %S" o))
@@ -1091,7 +1008,7 @@ let encode_op_frame b op =
   in
   match op with
   | Op_query req -> encode_query_frame b req
-  | Op_dataset dreq -> encode_dataset_frame b dreq
+  | Op_dataset { name; req } -> encode_dataset_frame b ~name req
   | Op_batch items -> encode_batch_frame b (List.map sendable items)
   | Op_stats -> tag_only tag_stats
   | Op_health -> tag_only tag_health
@@ -1131,7 +1048,7 @@ let decode_op cur =
         else if tag = tag_dataset then (
           match decode_dataset_request_body cur with
           | Error msg -> Error (Bad_dataset msg)
-          | Ok dreq -> ended (Op_dataset dreq))
+          | Ok (name, req) -> ended (Op_dataset { name; req }))
         else Error (Undecodable (Metrics.Unknown_op, Printf.sprintf "unknown frame tag %d" tag))
       with Wire_error.Wire_error k ->
         if tag = tag_dataset then Error (Bad_dataset (bad_frame k)) else malformed (bad_frame k))
@@ -1277,24 +1194,24 @@ let handle ?cache ?registry ?hooks ~metrics ~stop ~version decoded =
   | Error (Bad_dataset msg) ->
       if Option.is_none registry then no_registry () else fail Metrics.Malformed msg
   | Ok (Op_query req) -> single (run_query req)
-  | Ok (Op_dataset dreq) -> (
+  | Ok (Op_dataset { name; req }) -> (
       match registry with
       | None -> no_registry ()
       | Some reg ->
-          if Tfree_dataset.Registry.find reg dreq.ds_name = None then
-            fail Metrics.Malformed (Printf.sprintf "unknown dataset %S" dreq.ds_name)
+          if Tfree_dataset.Registry.find reg name = None then
+            fail Metrics.Malformed (Printf.sprintf "unknown dataset %S" name)
           else
             let outcome =
-              run_core ~metrics ~version (run_fields dreq)
-                ~instance:(fun () -> dataset_pair ?cache ~metrics ~registry:reg dreq)
+              run_core ~metrics ~version req
+                ~instance:(fun () -> dataset_pair ?cache ~metrics ~registry:reg ~name req)
                 ~fields:
                   [
-                    ("dataset", Jsonout.Str dreq.ds_name);
-                    ("k", Jsonout.Num (float_of_int dreq.ds_k));
-                    ("seed", Jsonout.Num (float_of_int dreq.ds_seed));
+                    ("dataset", Jsonout.Str name);
+                    ("k", Jsonout.Num (float_of_int req.k));
+                    ("seed", Jsonout.Num (float_of_int req.seed));
                   ]
             in
-            if Result.is_ok outcome then Metrics.record_dataset metrics ~name:dreq.ds_name;
+            if Result.is_ok outcome then Metrics.record_dataset metrics ~name;
             single outcome)
   | Ok (Op_batch items) ->
       Metrics.record_batch metrics ~items:(List.length items);
@@ -2520,10 +2437,11 @@ let client_query ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol
     (function R_response resp -> Some resp | _ -> None)
     (call ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path (Op_query req))
 
-let client_dataset ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path dreq =
+let client_dataset ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path ~name req =
   project
     (function R_response resp -> Some resp | _ -> None)
-    (call ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path (Op_dataset dreq))
+    (call ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path
+       (Op_dataset { name; req }))
 
 let client_batch ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path reqs =
   project

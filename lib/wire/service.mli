@@ -24,21 +24,22 @@ open Tfree_graph
 
 type family = Far | Free | Hub | Mu | Gnp | Behrend | Diluted
 type partition_kind = Disjoint | Dup | Replicate | Skewed | Hash
-type protocol = Unrestricted | Sim | Oblivious | Exact
+
+(** The protocol enum and its name table ({!Tfree.Tester.protocols}, in
+    the same code order) live with the testers; {!Tfree.Tester.run} runs
+    one. *)
+type protocol = Tfree.Tester.protocol = Unrestricted | Sim | Oblivious | Exact
 
 (** Each enum's values with their CLI names, in v2 wire-code order: a
-    value's position is its code (Far = 0, Disjoint = 0, Unrestricted = 0).
-    The conversions below derive from these tables. *)
+    value's position is its code (Far = 0, Disjoint = 0).  The conversions
+    below derive from these tables. *)
 
 val families : (string * family) list
 val partitions : (string * partition_kind) list
-val protocols : (string * protocol) list
 val family_to_string : family -> string
 val family_of_string : string -> family option
 val partition_to_string : partition_kind -> string
 val partition_of_string : string -> partition_kind option
-val protocol_to_string : protocol -> string
-val protocol_of_string : string -> protocol option
 
 (** The instance generators behind the [--instance] flag. *)
 val build_instance : family -> Rng.t -> n:int -> d:float -> eps:float -> Graph.t
@@ -64,26 +65,14 @@ type request = {
 }
 
 (** far/dup/oblivious, n=300 d=6 k=4 eps=0.1 seed=1, pipe transport, no
-    fault; a request JSON object may omit any field to take its default. *)
+    fault; a request JSON object may omit any field to take its default.
+
+    A [{"op": "dataset"}] query is a registered dataset [name] plus an
+    ordinary request: it runs the request's protocol over that graph,
+    partitioned by its partition/k under its seed.  The request's
+    generator fields (family/n/d) are never read, sent or decoded: a
+    decoded dataset query carries {!default_request}'s. *)
 val default_request : request
-
-(** A [{"op": "dataset"}] query: run [ds_protocol] over the registered
-    dataset [ds_name], partitioned by [ds_partition]/[ds_k] under
-    [ds_seed].  Same query vocabulary as {!request} minus the generator
-    fields (family/n/d), which the registry supersedes. *)
-type dataset_request = {
-  ds_name : string;
-  ds_partition : partition_kind;
-  ds_protocol : protocol;
-  ds_k : int;
-  ds_eps : float;
-  ds_seed : int;
-  ds_transport : Wire_runtime.kind;
-  ds_fault : string;
-}
-
-(** dup/oblivious, k=4 eps=0.1 seed=1, pipe transport, no fault. *)
-val default_dataset_request : name:string -> dataset_request
 
 type response = {
   verdict : Tfree.Tester.verdict;
@@ -98,11 +87,13 @@ val request_to_json : request -> Jsonout.t
 (** Rejects anything but a JSON object. *)
 val request_of_json : Jsonout.t -> (request, string) result
 
-(** The [{"op": "dataset"}] object; a missing field takes its default,
+(** The [{"op": "dataset"}] object: the request object without
+    family/n/d, after ["op"] and ["name"].  Decoding, a missing field takes
+    its default, a generator field is ignored whatever it holds, and
     [name] is required and must be non-empty. *)
-val dataset_request_to_json : dataset_request -> Jsonout.t
+val dataset_request_to_json : name:string -> request -> Jsonout.t
 
-val dataset_request_of_json : Jsonout.t -> (dataset_request, string) result
+val dataset_request_of_json : Jsonout.t -> (string * request, string) result
 val response_to_json : response -> Jsonout.t
 val response_of_json : Jsonout.t -> (response, string) result
 
@@ -133,7 +124,7 @@ val tag_health : int
 val tag_health_reply : int
 
 val encode_query_frame : Proto.buf -> request -> unit
-val encode_dataset_frame : Proto.buf -> dataset_request -> unit
+val encode_dataset_frame : Proto.buf -> name:string -> request -> unit
 val encode_batch_frame : Proto.buf -> request list -> unit
 val encode_response_frame : Proto.buf -> response -> unit
 
@@ -142,7 +133,7 @@ val encode_response_frame : Proto.buf -> response -> unit
 val encode_batch_reply_frame : Proto.buf -> response list -> unit
 val encode_error_frame : Proto.buf -> category:Metrics.error_category -> string -> unit
 val decode_request_body : Proto.cursor -> (request, string) result
-val decode_dataset_request_body : Proto.cursor -> (dataset_request, string) result
+val decode_dataset_request_body : Proto.cursor -> (string * request, string) result
 
 (** @raise Wire_error.Wire_error on a garbled layout. *)
 val decode_response_body : Proto.cursor -> response
@@ -169,18 +160,13 @@ type instance_key =
       key_eps : float;
       key_seed : int;
     }
-  | Key_dataset of {
-      key_name : string;
-      key_ds_partition : partition_kind;
-      key_ds_k : int;
-      key_ds_seed : int;
-    }
+  | Key_dataset of { key_name : string; key_partition : partition_kind; key_k : int; key_seed : int }
 
 type instance_cache = (instance_key, Graph.t * Partition.t) Lru.t
 
 val create_cache : ?capacity:int -> unit -> instance_cache
 val key_of_request : request -> instance_key
-val key_of_dataset_request : dataset_request -> instance_key
+val key_of_dataset_request : name:string -> request -> instance_key
 
 (** {2 Fleet sharding}
 
@@ -199,7 +185,7 @@ val shard_key : instance_key -> int
 val shard_of_key : workers:int -> instance_key -> int
 
 val shard_of_request : workers:int -> request -> int
-val shard_of_dataset_request : workers:int -> dataset_request -> int
+val shard_of_dataset_request : workers:int -> name:string -> request -> int
 
 (** The shard socket path of fleet worker [i] under a fleet serving
     [path]: [path.w<i>]. *)
@@ -219,15 +205,17 @@ val partition_rng : int -> Rng.t
     [cache], always builds. *)
 val instance_pair : ?cache:instance_cache -> ?metrics:Metrics.t -> request -> Graph.t * Partition.t
 
-(** The cached graph/partition pair for a dataset request: the graph from
-    the registry (itself memoized), the partition from {!partition_rng}.
+(** The cached graph/partition pair for dataset [name] under [req]: the
+    graph from the registry (itself memoized), the partition from
+    {!partition_rng}; the same counted lookup as {!instance_pair}.
     @raise Tfree_dataset.Dataset_error.Dataset_error when the dataset is
     unknown or its file fails to load. *)
 val dataset_pair :
   ?cache:instance_cache ->
   ?metrics:Metrics.t ->
   registry:Tfree_dataset.Registry.t ->
-  dataset_request ->
+  name:string ->
+  request ->
   Graph.t * Partition.t
 
 (** Build the requested instance, run the requested protocol over a wire
@@ -237,8 +225,8 @@ val dataset_pair :
     would produce; the network is closed even when a fault aborts the run.
     @raise Wire_error.Wire_error when an injected fault aborts the run.
     @raise Invalid_argument on an eps outside (0, 1]
-    ({!Tfree.Params.check_eps}); the server answers such a request, on
-    either codec, with that error as a malformed request. *)
+    ({!Tfree.Params.check_eps}) or a k below 1; the server answers such a
+    request, on either codec, with that error as a malformed request. *)
 val run_request : ?cache:instance_cache -> ?metrics:Metrics.t -> request -> response
 
 (** {!run_request} over a registered dataset: same protocol run, same
@@ -248,12 +236,13 @@ val run_request : ?cache:instance_cache -> ?metrics:Metrics.t -> request -> resp
     @raise Wire_error.Wire_error when an injected fault aborts the run.
     @raise Tfree_dataset.Dataset_error.Dataset_error on a registry or
     load failure.
-    @raise Invalid_argument on an eps outside (0, 1]. *)
+    @raise Invalid_argument on an eps outside (0, 1] or a k below 1. *)
 val run_dataset_request :
   ?cache:instance_cache ->
   ?metrics:Metrics.t ->
   registry:Tfree_dataset.Registry.t ->
-  dataset_request ->
+  name:string ->
+  request ->
   response
 
 (** {2 The request algebra}
@@ -268,7 +257,7 @@ val run_dataset_request :
     encoders reject [Error] ones with [Invalid_argument]). *)
 type wire_op =
   | Op_query of request
-  | Op_dataset of dataset_request
+  | Op_dataset of { name : string; req : request }  (** a registered dataset, see {!default_request} *)
   | Op_batch of (request, string) result list
   | Op_stats
   | Op_health
@@ -491,7 +480,8 @@ val client_dataset :
   ?metrics:Metrics.t ->
   ?protocol:Proto.pref ->
   path:string ->
-  dataset_request ->
+  name:string ->
+  request ->
   (response, string) result
 
 (** Many requests as one [{"op": "batch"}] exchange, per-item results in

@@ -48,7 +48,7 @@ let body_after_tag fill =
   Bytes.sub_string (Proto.storage b) (Proto.frame_off b + varint + 1) (body - 1)
 
 let query_body r = body_after_tag (fun b -> Service.encode_query_frame b r)
-let dataset_body d = body_after_tag (fun b -> Service.encode_dataset_frame b d)
+let dataset_body ~name r = body_after_tag (fun b -> Service.encode_dataset_frame b ~name r)
 
 (* [s] with byte [i] replaced by [c] *)
 let poke s i c = String.mapi (fun j x -> if j = i then Char.chr c else x) s
@@ -328,14 +328,14 @@ let main_server () =
         (fun s -> unit_ path probe "non-object line" (Line s))
         [ "5"; "[1,2]"; "\"x\""; "null" ];
       (* dataset ops without a registry *)
-      let d = Service.default_dataset_request ~name:"gen" in
-      both path probe "dataset, no registry" ~line:(Service.dataset_request_to_json d)
-        ~frame:(frame_of (fun b -> Service.encode_dataset_frame b d));
+      let d = Service.default_request and name = "gen" in
+      both path probe "dataset, no registry" ~line:(Service.dataset_request_to_json ~name d)
+        ~frame:(frame_of (fun b -> Service.encode_dataset_frame b ~name d));
       unit_ path probe "dataset without name, no registry" (Line "{\"op\": \"dataset\"}");
       unit_ path probe "dataset bad partition code, no registry"
-        (raw_frame 10 (poke (dataset_body d) 4 9));
+        (raw_frame 10 (poke (dataset_body ~name d) 4 9));
       unit_ path probe "dataset truncated, no registry"
-        (raw_frame 10 (String.sub (dataset_body d) 0 3));
+        (raw_frame 10 (String.sub (dataset_body ~name d) 0 3));
       unit_ path probe "shutdown with trailing bytes" (raw_frame 8 "\000");
       shutdown_unit path "shutdown" (Line "{\"cmd\": \"shutdown\"}"))
 
@@ -365,28 +365,24 @@ let with_registry f =
 let dataset_server () =
   with_registry (fun registry ->
       with_server ~registry "datasets" (fun path probe ->
-          let d =
-            {
-              (Service.default_dataset_request ~name:"gen") with
-              ds_protocol = Service.Exact;
-              ds_seed = 5;
-            }
-          in
-          let ds name d =
-            both path probe name ~line:(Service.dataset_request_to_json d)
-              ~frame:(frame_of (fun b -> Service.encode_dataset_frame b d))
+          let d = { Service.default_request with protocol = Service.Exact; seed = 5 } in
+          let ds ?(name = "gen") unit d =
+            both path probe unit ~line:(Service.dataset_request_to_json ~name d)
+              ~frame:(frame_of (fun b -> Service.encode_dataset_frame b ~name d))
           in
           ds "dataset" d;
-          ds "dataset cache hit" { d with ds_protocol = Service.Sim };
-          ds "dataset unknown name" { d with ds_name = "nope" };
+          ds "dataset cache hit" { d with protocol = Service.Sim };
+          ds ~name:"nope" "dataset unknown name" d;
           (* a dataset query ignores the generator fields, however bad *)
           unit_ path probe "dataset with stray generator fields"
             (Line
                "{\"op\": \"dataset\", \"name\": \"gen\", \"protocol\": \"exact\", \"seed\": 5, \
                 \"family\": \"bogus\", \"n\": -5, \"d\": \"x\"}");
           unit_ path probe "dataset without name" (Line "{\"op\": \"dataset\"}");
-          unit_ path probe "dataset bad partition code" (raw_frame 10 (poke (dataset_body d) 4 9));
-          unit_ path probe "dataset truncated" (raw_frame 10 (String.sub (dataset_body d) 0 3));
+          unit_ path probe "dataset bad partition code"
+            (raw_frame 10 (poke (dataset_body ~name:"gen" d) 4 9));
+          unit_ path probe "dataset truncated"
+            (raw_frame 10 (String.sub (dataset_body ~name:"gen" d) 0 3));
           shutdown_unit path "shutdown" (raw_frame 8 "")))
 
 (* One fixed reply per fault kind and version: replies 0-5 go out as v1

@@ -45,7 +45,7 @@ let run_row protocol transport ~n ~d ~seed =
       seed;
     }
   in
-  Printf.printf "%s/%s n=%d d=%g seed=%d\n" (Service.protocol_to_string protocol)
+  Printf.printf "%s/%s n=%d d=%g seed=%d\n" (Tester.protocol_to_string protocol)
     (Wire.kind_to_string transport) n d seed;
   let g, inputs = Service.instance_pair req in
   let net = Wire.create ~transport ~k:req.k () in
@@ -56,12 +56,7 @@ let run_row protocol transport ~n ~d ~seed =
       let tap = Channel.compose_all [ rec_tap; Wire.tap net ] in
       let params = Tfree.Params.(with_eps practical req.eps) in
       let report =
-        match protocol with
-        | Service.Unrestricted -> Tester.unrestricted ~tap ~seed params inputs
-        | Service.Sim ->
-            Tester.simultaneous ~tap ~seed params ~d:(Tfree_graph.Graph.avg_degree g) inputs
-        | Service.Oblivious -> Tester.simultaneous_oblivious ~tap ~seed params inputs
-        | Service.Exact -> Tester.exact ~tap ~seed inputs
+        Tester.run ~tap ~seed params ~d:(Tfree_graph.Graph.avg_degree g) protocol inputs
       in
       let r = Wire.report net ~accounted_bits:report.Tester.bits in
       Printf.printf "  verdict %s bits=%d rounds=%d max_message=%d\n"
@@ -89,4 +84,4 @@ let () =
           List.iter (fun seed -> run_row protocol Wire.Pipe ~n ~d ~seed) [ 1; 2 ])
         [ (60, 4.0); (200, 8.0); (100, 16.0) ];
       run_row protocol Wire.Socketpair ~n:60 ~d:4.0 ~seed:1)
-    Service.protocols
+    Tester.protocols

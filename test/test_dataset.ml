@@ -211,27 +211,41 @@ let test_sniff () =
         (fun p -> checkb "load_graph agrees with sniff" true (same_graph g (Registry.load_graph p)))
         [ snap; col; lst ])
 
-(* ------------------------------------------------- dataset_request codecs *)
+(* ----------------------------------------------- dataset query codecs *)
 
-let sample_dreq =
-  {
-    Service.ds_name = "corpus-1";
-    ds_partition = Service.Skewed;
-    ds_protocol = Service.Exact;
-    ds_k = 6;
-    ds_eps = 0.25;
-    ds_seed = 99;
-    ds_transport = Tfree_wire.Wire_runtime.Socketpair;
-    ds_fault = "2:drop";
-  }
+(* (name, request) pairs whose generator fields are the defaults, the
+   only ones a decoded dataset query can carry *)
+let sample_dreqs =
+  [
+    ( "corpus-1",
+      {
+        Service.default_request with
+        partition = Service.Skewed;
+        protocol = Service.Exact;
+        k = 6;
+        eps = 0.25;
+        seed = 99;
+        transport = Tfree_wire.Wire_runtime.Socketpair;
+        fault = "2:drop";
+      } );
+    ("x", Service.default_request);
+  ]
 
 let test_dataset_request_json_roundtrip () =
   List.iter
-    (fun dreq ->
-      match Service.dataset_request_of_json (Service.dataset_request_to_json dreq) with
-      | Ok back -> checkb "json round-trips" true (back = dreq)
+    (fun (name, req) ->
+      match Service.dataset_request_of_json (Service.dataset_request_to_json ~name req) with
+      | Ok back -> checkb "json round-trips" true (back = (name, req))
       | Error msg -> Alcotest.failf "json round trip failed: %s" msg)
-    [ sample_dreq; Service.default_dataset_request ~name:"x" ];
+    sample_dreqs;
+  (* the generator fields are neither sent nor read *)
+  (match
+     Service.dataset_request_of_json
+       (Service.dataset_request_to_json ~name:"x"
+          { Service.default_request with family = Service.Gnp; n = 7; d = 1.5 })
+   with
+  | Ok back -> checkb "generator fields dropped" true (back = ("x", Service.default_request))
+  | Error msg -> Alcotest.failf "json decode failed: %s" msg);
   (match Service.dataset_request_of_json (Jsonout.Obj [ ("op", Jsonout.Str "dataset") ]) with
   | Ok _ -> Alcotest.fail "accepted a dataset request with no name"
   | Error _ -> ());
@@ -241,9 +255,9 @@ let test_dataset_request_json_roundtrip () =
 
 let test_dataset_request_binary_roundtrip () =
   List.iter
-    (fun dreq ->
+    (fun (name, req) ->
       let buf = Proto.create_buf () in
-      Service.encode_dataset_frame buf dreq;
+      Service.encode_dataset_frame buf ~name req;
       let frame = Bytes.sub (Proto.storage buf) (Proto.frame_off buf) (Proto.frame_len buf) in
       let cur = Proto.cursor () in
       let used = Proto.try_frame frame ~pos:0 ~limit:(Bytes.length frame) cur in
@@ -252,9 +266,9 @@ let test_dataset_request_binary_roundtrip () =
       match Service.decode_dataset_request_body cur with
       | Ok back ->
           Proto.expect_end cur;
-          checkb "binary round-trips" true (back = dreq)
+          checkb "binary round-trips" true (back = (name, req))
       | Error msg -> Alcotest.failf "binary round trip failed: %s" msg)
-    [ sample_dreq; Service.default_dataset_request ~name:"x" ]
+    sample_dreqs
 
 (* --------------------------------------------------- service parity (in-process) *)
 
@@ -277,30 +291,30 @@ let test_run_dataset_matches_run_request () =
   with_gen_registry (fun registry ->
       List.iter
         (fun protocol ->
-          let dreq =
-            { (Service.default_dataset_request ~name:"gen") with ds_protocol = protocol; ds_seed = gen_seed }
-          in
           let req =
             { Service.default_request with family = Service.Far; protocol; n = gen_n; d = gen_d; seed = gen_seed }
           in
           checkb
-            (Printf.sprintf "dataset = generated (%s)" (Service.protocol_to_string protocol))
+            (Printf.sprintf "dataset = generated (%s)" (Tfree.Tester.protocol_to_string protocol))
             true
-            (Service.run_dataset_request ~registry dreq = Service.run_request req))
+            (Service.run_dataset_request ~registry ~name:"gen" req = Service.run_request req))
         [ Service.Sim; Service.Oblivious; Service.Exact; Service.Unrestricted ])
 
 let test_dataset_cache_key () =
   with_gen_registry (fun registry ->
       let cache = Service.create_cache () in
       let metrics = Metrics.create () in
-      let dreq = { (Service.default_dataset_request ~name:"gen") with ds_seed = 4 } in
-      let r1 = Service.run_dataset_request ~cache ~metrics ~registry dreq in
-      let r2 = Service.run_dataset_request ~cache ~metrics ~registry dreq in
+      let dreq = { Service.default_request with seed = 4 } in
+      let r1 = Service.run_dataset_request ~cache ~metrics ~registry ~name:"gen" dreq in
+      let r2 = Service.run_dataset_request ~cache ~metrics ~registry ~name:"gen" dreq in
       checkb "cached repeat is identical" true (r1 = r2);
       checki "one miss" 1 (Metrics.cache_misses metrics);
       checki "one hit" 1 (Metrics.cache_hits metrics);
       (* a different protocol shares the instance (protocol not in the key) *)
-      let _ = Service.run_dataset_request ~cache ~metrics ~registry { dreq with Service.ds_protocol = Service.Exact } in
+      let _ =
+        Service.run_dataset_request ~cache ~metrics ~registry ~name:"gen"
+          { dreq with protocol = Service.Exact }
+      in
       checki "protocol change still hits" 2 (Metrics.cache_hits metrics))
 
 let test_handle_line_dataset_errors () =
@@ -321,13 +335,13 @@ let test_handle_line_dataset_errors () =
         | Some (Jsonout.Str c) -> checks "category" cat c
         | _ -> Alcotest.fail "error reply carries no category")
   in
-  let line = Jsonout.to_line (Service.dataset_request_to_json (Service.default_dataset_request ~name:"gen")) in
+  let line = Jsonout.to_line (Service.dataset_request_to_json ~name:"gen" Service.default_request) in
   (* no registry configured: unknown op, fatal client-side *)
   expect_category line ~registry:None "unknown_op";
   with_gen_registry (fun registry ->
       (* unknown name: malformed *)
       let bad =
-        Jsonout.to_line (Service.dataset_request_to_json (Service.default_dataset_request ~name:"nope"))
+        Jsonout.to_line (Service.dataset_request_to_json ~name:"nope" Service.default_request)
       in
       expect_category bad ~registry:(Some registry) "malformed";
       (* missing name: malformed *)
@@ -364,16 +378,11 @@ let test_forked_server_byte_parity () =
       Tfree_fixture.with_daemon ~tag:"ds-parity" ~expect_served:3
         (fun path -> Service.serve ~registry ~line_timeout_s:5.0 ~path ())
         (fun path ->
-          let dataset_line =
-            Jsonout.to_line
-              (Service.dataset_request_to_json
-                 { (Service.default_dataset_request ~name:"gen") with ds_seed = gen_seed })
+          let twin =
+            { Service.default_request with family = Service.Far; n = gen_n; d = gen_d; seed = gen_seed }
           in
-          let query_line =
-            Jsonout.to_line
-              (Service.request_to_json
-                 { Service.default_request with family = Service.Far; n = gen_n; d = gen_d; seed = gen_seed })
-          in
+          let dataset_line = Jsonout.to_line (Service.dataset_request_to_json ~name:"gen" twin) in
+          let query_line = Jsonout.to_line (Service.request_to_json twin) in
           let from_dataset = raw_exchange path dataset_line in
           let from_query = raw_exchange path query_line in
           let repeat = raw_exchange path dataset_line in
@@ -397,11 +406,11 @@ let test_dataset_refuses_bad_eps () =
   let named eps =
     match Tfree.Params.check_eps eps with Error msg -> msg | Ok () -> Alcotest.failf "eps=%g accepted" eps
   in
-  let dreq eps = { (Service.default_dataset_request ~name:"gen") with Service.ds_eps = eps } in
+  let dreq eps = { Service.default_request with eps } in
   with_gen_registry (fun registry ->
       List.iter
         (fun eps ->
-          match Service.run_dataset_request ~registry (dreq eps) with
+          match Service.run_dataset_request ~registry ~name:"gen" (dreq eps) with
           | _ -> Alcotest.failf "run_dataset_request ran at eps=%g" eps
           | exception Invalid_argument e -> checks "run_dataset_request refuses" ("run_dataset_request: " ^ named eps) e)
         bad;
@@ -414,7 +423,7 @@ let test_dataset_refuses_bad_eps () =
                 (fun eps ->
                   (* JSON has no NaN or infinity: only finite values go over v1 *)
                   if protocol = Proto.V2 || Float.is_finite eps then
-                    match Service.client_dataset ~protocol ~path (dreq eps) with
+                    match Service.client_dataset ~protocol ~path ~name:"gen" (dreq eps) with
                     | Ok _ -> Alcotest.failf "%s eps=%g: dataset query served" name eps
                     | Error msg -> checks (Printf.sprintf "%s eps=%g refused by name" name eps) (named eps) msg)
                 bad)

@@ -132,7 +132,7 @@ let ref_partition name rng ~k g =
   | "skewed" ->
       ref_split ~n ~k
         (List.map
-           (fun e -> if Rng.bool rng ~p:0.8 then (0, e) else (1 + Rng.int rng (max 1 (k - 1)), e))
+           (fun e -> if k = 1 || Rng.bool rng ~p:0.8 then (0, e) else (1 + Rng.int rng (k - 1), e))
            es)
   | _ -> invalid_arg name
 
@@ -208,17 +208,13 @@ let props =
       (fun (gs, k) ->
         let g, rng = random_graph gs in
         List.for_all
-          (fun (name, split) ->
-            (* skewed needs a second player for the non-biased edges *)
-            if name = "skewed" && k = 1 then true
-            else begin
-              let p = split rng ~k g in
-              Array.length p = k
-              && Graph.equal (Partition.union p) g
-              && Array.for_all
-                   (fun pl -> Graph.n pl = Graph.n g && Graph.fold_edges pl ~init:true ~f:(fun ok u v -> ok && Graph.mem_edge g u v))
-                   p
-            end)
+          (fun (_, split) ->
+            let p = split rng ~k g in
+            Array.length p = k
+            && Graph.equal (Partition.union p) g
+            && Array.for_all
+                 (fun pl -> Graph.n pl = Graph.n g && Graph.fold_edges pl ~init:true ~f:(fun ok u v -> ok && Graph.mem_edge g u v))
+                 p)
           partitioners);
     Test.make ~name:"partitioners = list reference, draw for draw" ~count:100
       (pair arb_graph_seed (int_range 1 6))

@@ -233,16 +233,6 @@ let test_frame_checksum_catches_every_body_flip () =
 
 (* --------------------------------------------------- wire-runtime parity *)
 
-type proto_run = ?tap:Channel.tap -> seed:int -> Partition.t -> Tfree.Tester.report
-
-let protocols ~davg : (string * proto_run) list =
-  [
-    ("unrestricted", fun ?tap ~seed parts -> Tfree.Tester.unrestricted ?tap ~seed params parts);
-    ("sim", fun ?tap ~seed parts -> Tfree.Tester.simultaneous ?tap ~seed params ~d:davg parts);
-    ("oblivious", fun ?tap ~seed parts -> Tfree.Tester.simultaneous_oblivious ?tap ~seed params parts);
-    ("exact", fun ?tap ~seed parts -> Tfree.Tester.exact ?tap ~seed parts);
-  ]
-
 (* The acceptance identity, per protocol and transport: same verdict, same
    accounted bits, and wire_bytes*8 - framing_overhead_bits = accounted_bits
    exactly. *)
@@ -255,10 +245,10 @@ let parity_suite transport () =
       let parts = Partition.with_duplication rng ~k ~dup_p:0.3 g in
       let davg = Graph.avg_degree g in
       List.iter
-        (fun (name, (run : proto_run)) ->
-          let model = run ~seed parts in
+        (fun (name, protocol) ->
+          let model = Tfree.Tester.run ~seed params ~d:davg protocol parts in
           let net = Wire.create ~transport ~k () in
-          let wired = run ~tap:(Wire.tap net) ~seed parts in
+          let wired = Tfree.Tester.run ~tap:(Wire.tap net) ~seed params ~d:davg protocol parts in
           let r = Wire.report net ~accounted_bits:wired.Tfree.Tester.bits in
           Wire.close net;
           checkb (name ^ " verdict parity") true
@@ -270,7 +260,7 @@ let parity_suite transport () =
             ((8 * r.Wire.wire_bytes) - r.Wire.framing_overhead_bits);
           checkb (name ^ " reconciles") true (Wire.reconciles r);
           checkb (name ^ " frames flowed") true (r.Wire.frames > 0))
-        (protocols ~davg))
+        Tfree.Tester.protocols)
     [ 1; 2; 3 ]
 
 let test_parity_blackboard () =
@@ -373,15 +363,16 @@ let chaos_matrix transport () =
     ]
   in
   List.iter
-    (fun (name, (run : proto_run)) ->
-      let base = run ~seed:9 parts in
+    (fun (name, protocol) ->
+      let run ?tap () = Tfree.Tester.run ?tap ~seed:9 params ~d:davg protocol parts in
+      let base = run () in
       List.iter
         (fun kind ->
           List.iter
             (fun op ->
               let label = Printf.sprintf "%s/%s@%d" name (Fault.kind_name kind) op in
               let net = Wire.create ~fault:[ { Fault.op; kind } ] ~transport ~k () in
-              (match run ~tap:(Wire.tap net) ~seed:9 parts with
+              (match run ~tap:(Wire.tap net) () with
               | wired ->
                   checkb (label ^ ": verdict survives") true
                     (wired.Tfree.Tester.verdict = base.Tfree.Tester.verdict);
@@ -391,7 +382,7 @@ let chaos_matrix transport () =
               Wire.close net)
             [ 0; 3; 10 ])
         kinds)
-    (protocols ~davg)
+    Tfree.Tester.protocols
 
 (* ------------------------------------------------------- tap composition *)
 
@@ -408,17 +399,12 @@ let composition_suite mode transport () =
   let g = Gen.far_with_degree rng ~n:240 ~d:5.0 ~eps:0.1 in
   let parts = Partition.with_duplication rng ~k ~dup_p:0.3 g in
   let davg = Graph.avg_degree g in
-  let run_with (run : proto_run) ?tap () =
-    match mode with
-    | Runtime.Coordinator -> run ?tap ~seed parts
-    | Runtime.Blackboard ->
-        (* only the adaptive protocol distinguishes the modes; the
-           simultaneous ones go through their own referee *)
-        Tfree.Tester.unrestricted ~mode ?tap ~seed params parts
-  in
+  (* only the adaptive protocol distinguishes the modes; the simultaneous
+     ones go through their own referee *)
+  let run_with protocol ?tap () = Tfree.Tester.run ~mode ?tap ~seed params ~d:davg protocol parts in
   List.iter
-    (fun (name, run) ->
-      let model = run_with run () in
+    (fun (name, protocol) ->
+      let model = run_with protocol () in
       let collector = Trace.create () in
       let net = Option.map (fun tr -> Wire.create ~transport:tr ~k ()) transport in
       let tap =
@@ -427,7 +413,7 @@ let composition_suite mode transport () =
           :: Trace.tap collector
           :: Option.to_list (Option.map Wire.tap net))
       in
-      let traced = Trace.with_collector collector (fun () -> run_with run ~tap ()) in
+      let traced = Trace.with_collector collector (fun () -> run_with protocol ~tap ()) in
       checkb (name ^ " verdict unchanged by composition") true
         (model.Tfree.Tester.verdict = traced.Tfree.Tester.verdict);
       checki (name ^ " accounted bits unchanged") model.Tfree.Tester.bits traced.Tfree.Tester.bits;
@@ -441,7 +427,7 @@ let composition_suite mode transport () =
           checki (name ^ " one frame per traced event") (Trace.message_count collector)
             r.Wire.frames)
         net)
-    (protocols ~davg)
+    Tfree.Tester.protocols
 
 (* -------------------------------------------------------------- service *)
 
@@ -486,7 +472,7 @@ let test_service_run_request_reconciles () =
         Service.run_request { Service.default_request with protocol; n = 150; seed = 3 }
       in
       checkb
-        (Service.protocol_to_string protocol ^ " response reconciles")
+        (Tfree.Tester.protocol_to_string protocol ^ " response reconciles")
         true
         (Wire.reconciles resp.Service.wire);
       match Service.response_of_json (Service.response_to_json resp) with
@@ -1002,6 +988,33 @@ let test_service_refuses_bad_eps () =
           checki "no run failure" 0 (int_at stats [ "errors_by_category"; "run_failure" ])
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
 
+(* A query with fewer than one player is a named malformed request too,
+   in process and from a forked daemon over v1 and v2: never a run
+   failure from deep inside the partitioner. *)
+let test_service_refuses_k_below_one () =
+  let named k = Printf.sprintf "k must be at least 1, got %d" k in
+  let query k = { Service.default_request with partition = Service.Skewed; k } in
+  List.iter
+    (fun k ->
+      match Service.run_request (query k) with
+      | _ -> Alcotest.failf "run_request ran at k=%d" k
+      | exception Invalid_argument e ->
+          Alcotest.(check string) "run_request refuses" ("run_request: " ^ named k) e)
+    [ 0; -3 ];
+  Fixture.with_daemon ~tag:"bad-k" ~expect_served:0 serve (fun path ->
+      List.iter
+        (fun (protocol, name) ->
+          match Service.client_query ~protocol ~path (query 0) with
+          | Ok _ -> Alcotest.failf "%s: k=0 query served" name
+          | Error msg -> Alcotest.(check string) (name ^ ": k=0 refused by name") (named 0) msg)
+        [ (Proto.V1, "v1"); (Proto.V2, "v2") ];
+      match Service.client_stats ~path () with
+      | Ok stats ->
+          checki "both refusals are malformed" 2 (int_at stats [ "errors_by_category"; "malformed" ]);
+          checki "no run failure" 0 (int_at stats [ "errors_by_category"; "run_failure" ]);
+          checki "no cache lookup" 0 (int_at stats [ "cache"; "lookups" ])
+      | Error msg -> Alcotest.failf "stats query failed: %s" msg)
+
 (* -------------------------------------------------- version negotiation *)
 
 (* A v2 client against a v1-capped server: the handshake answers with 1,
@@ -1322,7 +1335,7 @@ let test_enum_wire_codes () =
   List.iteri
     (fun code protocol ->
       let _, _, c, _ = codes { base with protocol } in
-      checki (Service.protocol_to_string protocol) code c)
+      checki (Tfree.Tester.protocol_to_string protocol) code c)
     Service.[ Unrestricted; Sim; Oblivious; Exact ];
   List.iteri
     (fun code transport ->
@@ -1392,22 +1405,22 @@ module Algebra_gen = struct
 
   let request =
     let* family = enum Service.families and* partition = enum Service.partitions
-    and* protocol = enum Service.protocols and* transport = enum Wire.kinds in
+    and* protocol = enum Tfree.Tester.protocols and* transport = enum Wire.kinds in
     let* n = int and* d = num and* k = int and* eps = num and* seed = int and* fault = fault in
     return { Service.family; partition; protocol; n; d; k; eps; seed; transport; fault }
 
-  let dataset_request =
-    let* ds_name = name and* ds_partition = enum Service.partitions
-    and* ds_protocol = enum Service.protocols and* ds_transport = enum Wire.kinds in
-    let* ds_k = int and* ds_eps = num and* ds_seed = int and* ds_fault = fault in
-    return
-      { Service.ds_name; ds_partition; ds_protocol; ds_k; ds_eps; ds_seed; ds_transport; ds_fault }
+  (* a dataset query's generator fields are never sent, so they decode
+     to the defaults *)
+  let dataset_op =
+    let* name = name and* req = request in
+    let { Service.family; n; d; _ } = Service.default_request in
+    return (Service.Op_dataset { name; req = { req with family; n; d } })
 
   let op =
     oneof
       [
         map (fun r -> Service.Op_query r) request;
-        map (fun d -> Service.Op_dataset d) dataset_request;
+        dataset_op;
         map (fun rs -> Service.Op_batch (List.map Result.ok rs)) (list_size (0 -- 4) request);
         oneofl [ Service.Op_stats; Service.Op_health; Service.Op_shutdown ];
       ]
@@ -1632,7 +1645,7 @@ let test_shard_pinned_values () =
     (Service.shard_key (Service.key_of_request Service.default_request));
   checki "dataset arm" 1054919659
     (Service.shard_key
-       (Service.key_of_dataset_request (Service.default_dataset_request ~name:"web")))
+       (Service.key_of_dataset_request ~name:"web" Service.default_request))
 
 (* Near-uniformity over a seed sweep, both key arms: every shard of a
    4-fleet gets within a factor 2 of its fair share. *)
@@ -1654,8 +1667,7 @@ let test_shard_near_uniform () =
   in
   spread "generated" (fun s -> Service.shard_of_request ~workers (shard_req s));
   spread "dataset" (fun s ->
-      Service.shard_of_dataset_request ~workers
-        { (Service.default_dataset_request ~name:"web") with Service.ds_seed = s })
+      Service.shard_of_dataset_request ~workers ~name:"web" { Service.default_request with seed = s })
 
 let arb_instance_key =
   let open QCheck in
@@ -1677,8 +1689,8 @@ let arb_instance_key =
     Gen.(bool >>= fun dataset ->
         if dataset then
           Gen.map3
-            (fun key_name key_ds_partition (key_ds_k, key_ds_seed) ->
-              Service.Key_dataset { key_name; key_ds_partition; key_ds_k; key_ds_seed })
+            (fun key_name key_partition (key_k, key_seed) ->
+              Service.Key_dataset { key_name; key_partition; key_k; key_seed })
             gen_name gen_part
             (Gen.pair (Gen.int_range 2 12) (Gen.int_range 0 1_000_000))
         else
@@ -1885,9 +1897,9 @@ let test_fleet_chaos_reconciles () =
       in
       let s0 = seed_on_shard ~workers ~shard:0 100 in
       let shard1 = seeds_on_shard ~workers ~shard:1 ~count:9 200 in
-      let dreq = Service.default_dataset_request ~name:"soak" in
-      let dshard = Service.shard_of_dataset_request ~workers dreq in
-      let expected_ds = Service.run_dataset_request ~registry dreq in
+      let dreq = Service.default_request in
+      let dshard = Service.shard_of_dataset_request ~workers ~name:"soak" dreq in
+      let expected_ds = Service.run_dataset_request ~registry ~name:"soak" dreq in
       let expected1 = Array.of_list (List.map (fun s -> Service.run_request (shard_req s)) shard1) in
       let pub_seed = 999 in
       (* 3 worker-0 attempts + 3 v1 + 3 v2 + 3 batch + 1 dataset + 1 public *)
@@ -1941,7 +1953,7 @@ let test_fleet_chaos_reconciles () =
             tallies;
           (* dataset query, routed to its key's shard *)
           (match
-             Service.client_dataset ~path:(Service.worker_path ~path dshard) dreq
+             Service.client_dataset ~path:(Service.worker_path ~path dshard) ~name:"soak" dreq
            with
           | Ok resp -> checkb "dataset verdict = local run" true (resp = expected_ds)
           | Error msg -> Alcotest.failf "dataset query failed: %s" msg);
@@ -2089,8 +2101,9 @@ let chaos_qcheck_prop =
   let rng = Rng.create 777 in
   let g = Gen.far_with_degree rng ~n:120 ~d:4.0 ~eps:0.1 in
   let parts = Partition.with_duplication rng ~k ~dup_p:0.3 g in
-  let protos = protocols ~davg:(Graph.avg_degree g) in
-  let bases = List.map (fun (name, (run : proto_run)) -> (name, run ~seed:4 parts)) protos in
+  let run ?tap protocol = Tfree.Tester.run ?tap ~seed:4 params ~d:(Graph.avg_degree g) protocol parts in
+  let protos = List.map snd Tfree.Tester.protocols in
+  let bases = List.map run protos in
   QCheck.Test.make ~name:"chaos: any schedule yields the fault-free verdict or a typed error"
     ~count:30
     (Tfree_proptest.Fault_gen.arb_fault_schedule ~max_ops:40 ~max_events:5 ())
@@ -2098,10 +2111,10 @@ let chaos_qcheck_prop =
       List.for_all
         (fun transport ->
           List.for_all2
-            (fun (_, (run : proto_run)) (_, base) ->
+            (fun protocol base ->
               let net = Wire.create ~fault:sched ~transport ~k () in
               let ok =
-                match run ~tap:(Wire.tap net) ~seed:4 parts with
+                match run ~tap:(Wire.tap net) protocol with
                 | wired -> wired.Tfree.Tester.verdict = base.Tfree.Tester.verdict
                 | exception Wire_error.Wire_error _ -> true
               in
@@ -2173,6 +2186,7 @@ let () =
           Alcotest.test_case "request defaults" `Quick test_service_request_defaults;
           Alcotest.test_case "rejects unknown enum" `Quick test_service_request_rejects_unknown;
           Alcotest.test_case "refuses eps outside (0, 1]" `Quick test_service_refuses_bad_eps;
+          Alcotest.test_case "refuses k below 1" `Quick test_service_refuses_k_below_one;
           Alcotest.test_case "run_request reconciles" `Quick test_service_run_request_reconciles;
           Alcotest.test_case "handle_line categories" `Quick test_handle_line_categories;
           Alcotest.test_case "health over v1" `Quick test_handle_line_health;
