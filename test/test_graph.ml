@@ -328,12 +328,8 @@ let test_partition_skewed () =
   let g = Gen.gnp rng ~n:100 ~p:0.2 in
   let parts = Partition.skewed rng ~k:4 ~bias:0.9 g in
   checkb "union reassembles" true (Graph.equal (Partition.union parts) g);
-  checkb "player 0 dominates" true (Graph.m (Partition.player parts 0) > Graph.m g / 2)
-
-(* A lone player takes every edge, whatever the bias. *)
-let test_partition_skewed_one_player () =
-  let rng = Rng.create 28 in
-  let g = Gen.gnp rng ~n:60 ~p:0.2 in
+  checkb "player 0 dominates" true (Graph.m (Partition.player parts 0) > Graph.m g / 2);
+  (* a lone player takes every edge, whatever the bias *)
   List.iter
     (fun bias ->
       let parts = Partition.skewed rng ~k:1 ~bias g in
@@ -595,7 +591,6 @@ let () =
           Alcotest.test_case "replicate" `Quick test_partition_replicate;
           Alcotest.test_case "by endpoint hash" `Quick test_partition_by_endpoint_hash;
           Alcotest.test_case "skewed" `Quick test_partition_skewed;
-          Alcotest.test_case "skewed one player" `Quick test_partition_skewed_one_player;
           Alcotest.test_case "all to one" `Quick test_partition_all_to_one;
         ] );
       ( "bucket",
