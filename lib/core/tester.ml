@@ -66,14 +66,7 @@ type protocol = Unrestricted | Sim | Oblivious | Exact
 let protocols =
   [ ("unrestricted", Unrestricted); ("sim", Sim); ("oblivious", Oblivious); ("exact", Exact) ]
 
-(* Compares with [==] (exact on constant constructors) and recurses at top
-   level, so a served query's name lookup allocates no closure. *)
-let rec name_in table p =
-  match table with
-  | (s, q) :: rest -> if q == p then s else name_in rest p
-  | [] -> invalid_arg "Tester: protocol missing from its table"
-
-let protocol_to_string p = name_in protocols p
+let protocol_to_string p = fst (List.find (fun (_, q) -> q = p) protocols)
 let protocol_of_string s = List.assoc_opt s protocols
 
 let run ?mode ?tap ~seed p ~d protocol inputs =

@@ -45,8 +45,8 @@ val protocol_of_string : string -> protocol option
 
 (** Run [protocol]: {!unrestricted} (in [mode], default coordinator),
     {!simultaneous} at average degree [d], {!simultaneous_oblivious} or
-    {!exact}.  [mode] is read by the unrestricted tester only, [d] and
-    [p] only by the testers that take them. *)
+    {!exact}.  [mode] reaches only the unrestricted tester, [d] only the
+    simultaneous one, and the params every tester but the exact baseline. *)
 val run :
   ?mode:Runtime.mode ->
   ?tap:Channel.tap ->
