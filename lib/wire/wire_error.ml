@@ -21,6 +21,7 @@ type kind =
   | Peer_closed of string  (** the other side of the transport went away *)
   | Timeout of string  (** a read deadline expired *)
   | Injected of string  (** a scheduled {!Fault} fired and was detected as such *)
+  | Unavailable of string  (** a transport could not be opened (e.g. no descriptor left) *)
 
 exception Wire_error of kind
 
@@ -30,13 +31,15 @@ let message = function
   | Peer_closed m -> m
   | Timeout m -> m
   | Injected m -> m
+  | Unavailable m -> m
   | Oversized { limit; got } -> Printf.sprintf "frame of %d bytes exceeds the %d-byte cap" got limit
 
-(** The service-telemetry bucket: truncated/corrupt/oversized/peer-closed
-    and injected faults are all ["transport"]; deadlines are ["timeout"]. *)
+(** The service-telemetry bucket: truncated/corrupt/oversized/peer-closed,
+    injected faults and unopenable transports are all ["transport"];
+    deadlines are ["timeout"]. *)
 let category = function
   | Timeout _ -> "timeout"
-  | Truncated _ | Corrupt _ | Oversized _ | Peer_closed _ | Injected _ -> "transport"
+  | Truncated _ | Corrupt _ | Oversized _ | Peer_closed _ | Injected _ | Unavailable _ -> "transport"
 
 let to_string k = Printf.sprintf "wire error (%s): %s" (category k) (message k)
 

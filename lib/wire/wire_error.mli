@@ -11,6 +11,7 @@ type kind =
   | Peer_closed of string  (** the other side of the transport went away *)
   | Timeout of string  (** a read deadline expired *)
   | Injected of string  (** a scheduled {!Fault} fired and was detected as such *)
+  | Unavailable of string  (** a transport could not be opened (e.g. no descriptor left) *)
 
 exception Wire_error of kind
 

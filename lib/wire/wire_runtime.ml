@@ -52,10 +52,26 @@ let create ?(fault = []) ?(transport = Pipe) ~k () =
      frame happens to cross. *)
   let counter = ref 0 in
   let wrap tr = if fault = [] then tr else Transport.faulty ~counter ~schedule:fault tr in
+  (* A transport that fails to open (a socketpair past the descriptor
+     limit) closes every link opened before it, so a refused network
+     leaks nothing, and fails typed. *)
+  let opened = ref [] in
+  let link i =
+    match mk () with
+    | tr ->
+        opened := tr :: !opened;
+        wrap tr
+    | exception Unix.Unix_error (err, fn, _) ->
+        List.iter Transport.close !opened;
+        Wire_error.error
+          (Wire_error.Unavailable
+             (Printf.sprintf "Wire_runtime: cannot open link %d of %d (%s: %s)" (i + 1) (k + 1) fn
+                (Unix.error_message err)))
+  in
   {
     transport;
     k;
-    links = Array.init (k + 1) (fun _ -> wrap (mk ()));
+    links = Array.init (k + 1) link;
     down = Array.init k (fun _ -> fresh_stats ());
     up = Array.init k (fun _ -> fresh_stats ());
     board = fresh_stats ();

@@ -31,7 +31,11 @@ type net
 (** [create ?fault ?transport ~k ()] builds the network.  A non-empty
     [fault] schedule wraps every link in {!Transport.faulty} with one shared
     op counter, so the schedule's op numbers index the global frame sequence
-    of the whole network. *)
+    of the whole network.
+    @raise Wire_error.Wire_error ([Unavailable]) when a link cannot be
+    opened (a socketpair past the descriptor limit); the links opened
+    before it are closed first, so a refused network holds no
+    descriptor. *)
 val create : ?fault:Fault.schedule -> ?transport:kind -> k:int -> unit -> net
 
 val close : net -> unit
