@@ -427,6 +427,25 @@ val serve :
   unit ->
   int
 
+(** {2 Fleet control channel}
+
+    A fleet parent and each of its workers exchange control messages over
+    a socketpair: one tag byte, a 4-byte little-endian payload length, the
+    payload bytes. *)
+
+(** Write one message (blocking until every byte is written). *)
+val ctl_write : Unix.file_descr -> char -> string -> unit
+
+(** The largest payload {!ctl_read} accepts, 16 MiB: a metrics snapshot
+    is a few KB, so a longer claim is a desynchronized stream. *)
+val ctl_max_payload : int
+
+(** Read one message.  [`Eof] when the channel closes or resets before a
+    whole message arrives, and when a header claims more than
+    {!ctl_max_payload} bytes (nothing is allocated for such a claim).
+    Never raises on any byte sequence the peer sends. *)
+val ctl_read : Unix.file_descr -> [ `Msg of char * string | `Eof ]
+
 (** Send one op to a server at [path] and return its reply, checked
     against the op's shape (a batch reply has one item per request).  Waits
     up to [timeout_s] (default 30) for the reply.  Transient failures —

@@ -1729,6 +1729,85 @@ let shard_qcheck_props =
           [ 1; 2; 3; 4; 7; 8; 16 ]);
   ]
 
+(* ------------------------------------------- fleet control channel *)
+
+(* [ctl_read] on whatever a peer sends: the bytes go into one end of a
+   socketpair, that end closes, and the reader drains the other end.  A
+   reference parse of the same bytes says what each read must return: a
+   whole message while one is there, [`Eof] at the first short or
+   over-long (past [ctl_max_payload]) header, and then [`Eof] for good. *)
+let ctl_reference data =
+  let le32 i = Char.code data.[i] lor (Char.code data.[i + 1] lsl 8)
+               lor (Char.code data.[i + 2] lsl 16) lor (Char.code data.[i + 3] lsl 24) in
+  let len = String.length data in
+  let rec go pos acc =
+    if pos + 5 > len then List.rev acc
+    else
+      let n = le32 (pos + 1) in
+      if n > Service.ctl_max_payload || pos + 5 + n > len then List.rev acc
+      else go (pos + 5 + n) (`Msg (data.[pos], String.sub data (pos + 5) n) :: acc)
+  in
+  go 0 []
+
+let with_ctl_pair f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
+    (fun () -> f a b)
+
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
+(* Raw bytes, or up to four messages: whole ones, and headers whose length
+   field claims 0, a few bytes, exactly the cap, one past it, or anything
+   up to 2^32 - 1, each followed by up to 64 bytes. *)
+let gen_ctl_bytes =
+  let open QCheck.Gen in
+  let le32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff)) in
+  let claim =
+    oneof
+      [
+        int_range 0 64;
+        oneofl [ Service.ctl_max_payload; Service.ctl_max_payload + 1; 0xffff_ffff ];
+        map Int64.to_int (map (fun x -> Int64.logand (Int64.of_int x) 0xffff_ffffL) int);
+      ]
+  in
+  let header tag n = String.make 1 tag ^ le32 n in
+  let claimed = map3 (fun tag n body -> header tag n ^ body) char claim (string_size (0 -- 64)) in
+  let whole = map2 (fun tag body -> header tag (String.length body) ^ body) char (string_size (0 -- 64)) in
+  oneof
+    [ string_size (0 -- 64); map (String.concat "") (list_size (1 -- 4) (oneof [ claimed; whole ])) ]
+
+let ctl_props =
+  let open QCheck in
+  [
+    Test.make ~name:"ctl_read never raises, never allocates past the cap" ~count:300
+      (make ~print:String.escaped gen_ctl_bytes) (fun data ->
+        with_ctl_pair (fun a b ->
+            ignore (Unix.write_substring a data 0 (String.length data));
+            Unix.close a;
+            let expected = ctl_reference data in
+            let rec drain acc =
+              let before = allocated_bytes () in
+              let r = Service.ctl_read b in
+              let used = allocated_bytes () -. before in
+              if used > float_of_int (Service.ctl_max_payload + 4096) then
+                Test.fail_reportf "one ctl_read allocated %.0f bytes" used;
+              match r with `Eof -> List.rev acc | `Msg _ as m -> drain (m :: acc)
+            in
+            let got = drain [] in
+            got = expected && Service.ctl_read b = `Eof));
+    Test.make ~name:"ctl_write then ctl_read round-trips" ~count:300
+      (make
+         ~print:(fun msgs -> String.concat "; " (List.map (fun (t, p) -> Printf.sprintf "%C:%S" t p) msgs))
+         Gen.(list_size (1 -- 4) (pair char (string_size (0 -- 4096)))))
+      (fun msgs ->
+        with_ctl_pair (fun a b ->
+            List.iter (fun (tag, payload) -> Service.ctl_write a tag payload) msgs;
+            List.for_all (fun (tag, payload) -> Service.ctl_read b = `Msg (tag, payload)) msgs));
+  ]
+
 (* ------------------------------------- fleet merge = single process *)
 
 (* One fixed query stream, routed per-shard exactly as a fleet routes it:
@@ -2264,5 +2343,6 @@ let () =
         ] );
       ( "qcheck",
         List.map QCheck_alcotest.to_alcotest
-          (qcheck_props @ shard_qcheck_props @ [ fleet_merge_order_prop; chaos_qcheck_prop ]) );
+          (qcheck_props @ shard_qcheck_props @ ctl_props
+           @ [ fleet_merge_order_prop; chaos_qcheck_prop ]) );
     ]
