@@ -157,23 +157,53 @@ let print_report g (report : Tfree.Tester.report) =
   Printf.printf "communication: %d bits over %d round(s); max single message %d bits\n"
     report.Tfree.Tester.bits report.Tfree.Tester.rounds report.Tfree.Tester.max_message
 
+(* The tester report inside a served (or wired) response. *)
+let report_of_response (r : Service.response) =
+  {
+    Tfree.Tester.verdict = r.verdict;
+    bits = r.bits;
+    rounds = r.rounds;
+    max_message = r.max_message;
+  }
+
 let verdict_string = function
   | Tfree.Tester.Triangle _ -> "triangle"
   | Tfree.Tester.Triangle_free -> "triangle-free"
+
+(* Run [f] with [trace]'s collector installed, handing it the collector;
+   [trace] is the --trace collector and its output file, if any. *)
+let traced trace f =
+  match trace with
+  | Some (c, _) -> Trace.with_collector c (fun () -> f (Some c))
+  | None -> f None
+
+(* Write the --trace file of a run that accounted [accounted] bits: check
+   that the traced message bits decompose it exactly (exit 1 otherwise),
+   write the Chrome trace with [accounted_bits] and [other] in its
+   otherData, and print the summary line. *)
+let write_trace (c, file) ~accounted other =
+  if not (Trace.decomposes c ~accounted) then (
+    Printf.eprintf "trace: decomposition FAILED — traced %d bits, accounted %d\n"
+      (Trace.total_bits c) accounted;
+    exit 1);
+  let json =
+    Trace.to_chrome c ~other:(("accounted_bits", Jsonout.Num (float_of_int accounted)) :: other)
+  in
+  Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc (Jsonout.to_string json));
+  Printf.printf "trace: %d message event(s), %d bits = accounted bits exactly; wrote %s\n"
+    (Trace.message_count c) (Trace.total_bits c) file
 
 (* The --congest path of `tfree run`: one node per vertex, a hard round
    budget, per-round accounting.  Shares --seed/--n/--d/--eps/--instance,
    --input and --trace with the communication protocols; partition, wire and
    fault flags are meaningless here (single-machine simulation of a
    message-passing network, no byte transport) and are rejected loudly. *)
-let run_congest g ~eps ~seed ~rounds ~b_bits ~trace_out =
+let run_congest g ~eps ~seed ~rounds ~b_bits ~trace =
   let n = Graph.n g in
   let used_b_bits = match b_bits with Some b -> b | None -> Congest_tester.default_b_bits ~n in
-  let collector = Option.map (fun _ -> Trace.create ()) trace_out in
-  let tap = Option.map Trace.tap collector in
-  let run_tester () = Congest_tester.test ?rounds ?b_bits ?tap g ~eps ~seed in
   let r =
-    match collector with Some c -> Trace.with_collector c run_tester | None -> run_tester ()
+    traced trace (fun c ->
+        Congest_tester.test ?rounds ?b_bits ?tap:(Option.map Trace.tap c) g ~eps ~seed)
   in
   let st = r.Congest_tester.stats in
   (match r.Congest_tester.triangle with
@@ -186,33 +216,21 @@ let run_congest g ~eps ~seed ~rounds ~b_bits ~trace_out =
     r.Congest_tester.rounds r.Congest_tester.budget used_b_bits;
   Printf.printf "communication: %d bits in %d message(s); max single message %d bits\n"
     st.Congest.total_message_bits st.Congest.messages st.Congest.max_message_bits;
-  match (collector, trace_out) with
-  | Some c, Some file ->
-      let accounted = st.Congest.total_message_bits in
-      if not (Trace.decomposes c ~accounted) then (
-        Printf.eprintf "trace: decomposition FAILED — traced %d bits, accounted %d\n"
-          (Trace.total_bits c) accounted;
-        exit 1);
-      let json =
-        Trace.to_chrome c
-          ~other:
-            [
-              ("accounted_bits", Jsonout.Num (float_of_int accounted));
-              ("protocol", Jsonout.Str "congest");
-              ( "verdict",
-                Jsonout.Str (match r.Congest_tester.triangle with Some _ -> "triangle" | None -> "triangle-free") );
-              ("outcome", Jsonout.Str (Congest.outcome_to_string st.Congest.outcome));
-              ("rounds_run", Jsonout.Num (float_of_int st.Congest.rounds_run));
-              ("round_budget", Jsonout.Num (float_of_int r.Congest_tester.budget));
-              ("b_bits", Jsonout.Num (float_of_int used_b_bits));
-              ("n", Jsonout.Num (float_of_int n));
-              ("seed", Jsonout.Num (float_of_int seed));
-            ]
-      in
-      Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc (Jsonout.to_string json));
-      Printf.printf "trace: %d message event(s), %d bits = accounted bits exactly; wrote %s\n"
-        (Trace.message_count c) (Trace.total_bits c) file
-  | _ -> ()
+  Option.iter
+    (fun t ->
+      write_trace t ~accounted:st.Congest.total_message_bits
+        [
+          ("protocol", Jsonout.Str "congest");
+          ( "verdict",
+            Jsonout.Str (match r.Congest_tester.triangle with Some _ -> "triangle" | None -> "triangle-free") );
+          ("outcome", Jsonout.Str (Congest.outcome_to_string st.Congest.outcome));
+          ("rounds_run", Jsonout.Num (float_of_int st.Congest.rounds_run));
+          ("round_budget", Jsonout.Num (float_of_int r.Congest_tester.budget));
+          ("b_bits", Jsonout.Num (float_of_int used_b_bits));
+          ("n", Jsonout.Num (float_of_int n));
+          ("seed", Jsonout.Num (float_of_int seed));
+        ])
+    trace
 
 let run_cmd =
   let run seed n d k eps family part proto blackboard wire transport fault_spec trace_out input
@@ -231,6 +249,7 @@ let run_cmd =
               g)
       | None -> Service.build_instance family (Service.graph_rng seed) ~n ~d ~eps
     in
+    let trace = Option.map (fun file -> (Trace.create (), file)) trace_out in
     if congest then begin
       (* the congest simulation has no players, wire or faults to configure *)
       if wire || fault_spec <> "" then begin
@@ -251,7 +270,7 @@ let run_cmd =
       | _ -> ());
       Printf.printf "instance: n=%d m=%d avg degree %.2f; congest (one node per vertex)\n"
         (Graph.n g) (Graph.m g) (Graph.avg_degree g);
-      run_congest g ~eps ~seed ~rounds ~b_bits ~trace_out
+      run_congest g ~eps ~seed ~rounds ~b_bits ~trace
     end
     else begin
     if k < 1 then begin
@@ -261,67 +280,45 @@ let run_cmd =
     let inputs = Service.build_partition part (Service.partition_rng seed) ~k g in
     Printf.printf "instance: n=%d m=%d avg degree %.2f; k=%d players (duplication %b)\n" (Graph.n g)
       (Graph.m g) (Graph.avg_degree g) k (Partition.has_duplication inputs);
-    let params = Tfree.Params.(with_eps practical eps) in
     let fault = parse_fault_spec fault_spec in
-    (* a fault schedule only means something on the wire, so it implies it *)
-    let wire = wire || fault <> [] in
-    let net = if wire then Some (Wire.create ~fault ~transport ~k ()) else None in
-    let collector = Option.map (fun _ -> Trace.create ()) trace_out in
-    (* trace before wire: record the declared message, then move its bytes *)
-    let tap =
-      match List.filter_map Fun.id [ Option.map Trace.tap collector; Option.map Wire.tap net ] with
-      | [] -> None
-      | taps -> Some (Tfree_comm.Channel.compose_all taps)
-    in
     let mode = if blackboard then Tfree_comm.Runtime.Blackboard else Tfree_comm.Runtime.Coordinator in
-    let run_protocol () =
-      Tfree.Tester.run ~mode ?tap ~seed params ~d:(Graph.avg_degree g) proto inputs
-    in
-    let report =
-      match
-        match collector with
-        | Some c -> Trace.with_collector c run_protocol
-        | None -> run_protocol ()
-      with
-      | r -> r
-      | exception Tfree_wire.Wire_error.Wire_error kind ->
-          (* fail closed: an injected (or real) wire fault aborts the run
-             with a typed error and a nonzero exit, never a wrong verdict *)
-          Option.iter Wire.close net;
-          Printf.eprintf "wire fault aborted the run: %s\n" (Tfree_wire.Wire_error.message kind);
-          exit 3
+    let report, wire_report =
+      (* a fault schedule only means something on the wire, so it implies it *)
+      if wire || fault <> [] then begin
+        let req =
+          { Service.family; partition = part; protocol = proto; n; d; k; eps; seed; transport;
+            fault = fault_spec }
+        in
+        match traced trace (fun c -> Service.run_protocol ~mode ?trace:c ~fault req (g, inputs)) with
+        | r -> (report_of_response r, Some r.Service.wire)
+        | exception Tfree_wire.Wire_error.Wire_error kind ->
+            (* fail closed: an injected (or real) wire fault aborts the run
+               with a typed error and a nonzero exit, never a wrong verdict *)
+            Printf.eprintf "wire fault aborted the run: %s\n" (Tfree_wire.Wire_error.message kind);
+            exit 3
+      end
+      else
+        let params = Tfree.Params.(with_eps practical eps) in
+        ( traced trace (fun c ->
+              Tfree.Tester.run ~mode ?tap:(Option.map Trace.tap c) ~seed params
+                ~d:(Graph.avg_degree g) proto inputs),
+          None )
     in
     print_report (Some g) report;
     Option.iter
-      (fun net ->
-        let r = Wire.report net ~accounted_bits:report.Tfree.Tester.bits in
-        Printf.printf "wire (%s): %s\n" (Wire.kind_to_string (Wire.transport_kind net))
-          (Wire.report_summary r);
-        Wire.close net)
-      net;
-    match (collector, trace_out) with
-    | Some c, Some file ->
-        let accounted = report.Tfree.Tester.bits in
-        if not (Trace.decomposes c ~accounted) then (
-          Printf.eprintf "trace: decomposition FAILED — traced %d bits, accounted %d\n"
-            (Trace.total_bits c) accounted;
-          exit 1);
-        let json =
-          Trace.to_chrome c
-            ~other:
-              [
-                ("accounted_bits", Jsonout.Num (float_of_int accounted));
-                ("protocol", Jsonout.Str (Tfree.Tester.protocol_to_string proto));
-                ("verdict", Jsonout.Str (verdict_string report.Tfree.Tester.verdict));
-                ("n", Jsonout.Num (float_of_int (Graph.n g)));
-                ("k", Jsonout.Num (float_of_int k));
-                ("seed", Jsonout.Num (float_of_int seed));
-              ]
-        in
-        Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc (Jsonout.to_string json));
-        Printf.printf "trace: %d message event(s), %d bits = accounted bits exactly; wrote %s\n"
-          (Trace.message_count c) (Trace.total_bits c) file
-    | _ -> ()
+      (fun w -> Printf.printf "wire (%s): %s\n" (Wire.kind_to_string transport) (Wire.report_summary w))
+      wire_report;
+    Option.iter
+      (fun t ->
+        write_trace t ~accounted:report.Tfree.Tester.bits
+          [
+            ("protocol", Jsonout.Str (Tfree.Tester.protocol_to_string proto));
+            ("verdict", Jsonout.Str (verdict_string report.Tfree.Tester.verdict));
+            ("n", Jsonout.Num (float_of_int (Graph.n g)));
+            ("k", Jsonout.Num (float_of_int k));
+            ("seed", Jsonout.Num (float_of_int seed));
+          ])
+      trace
     end
   in
   let wire_arg =
@@ -822,13 +819,7 @@ let client_cmd =
       let print_response resp =
         if as_json then print_endline (Jsonout.to_line (Service.response_to_json resp))
         else (
-          print_report None
-            {
-              Tfree.Tester.verdict = resp.Service.verdict;
-              bits = resp.Service.bits;
-              rounds = resp.Service.rounds;
-              max_message = resp.Service.max_message;
-            };
+          print_report None (report_of_response resp);
           Printf.printf "wire: %s\n" (Wire.report_summary resp.Service.wire))
       in
       match batch with

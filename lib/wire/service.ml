@@ -734,13 +734,14 @@ let maybe_slow_query ~latency_us fields =
 
 (* ---------------------------------------------------------- run a query *)
 
-(* The protocol run itself, shared by the generated and dataset paths so
-   the two can never drift: same network, same params, same report shape.
-   The network is closed even when an injected fault aborts the run, so a
-   chaos loop cannot leak descriptors.  [trace] additionally routes every
-   protocol message into a sampled request timeline (composed before the
-   wire tap, so the ledger the wire reconciles against is untouched). *)
-let run_protocol ?trace ~fault req (g, inputs) =
+(* The protocol run itself, shared by the generated and dataset paths and
+   by [tfree run --wire] so they can never drift: same network, same
+   params, same report shape.  The network is closed even when an injected
+   fault aborts the run, so a chaos loop cannot leak descriptors.  [trace]
+   additionally routes every protocol message into a trace collector
+   (composed before the wire tap, so the ledger the wire reconciles
+   against is untouched). *)
+let run_protocol ?mode ?trace ~fault req (g, inputs) =
   let net = Wire_runtime.create ~fault ~transport:req.transport ~k:req.k () in
   Fun.protect
     ~finally:(fun () -> Wire_runtime.close net)
@@ -752,7 +753,8 @@ let run_protocol ?trace ~fault req (g, inputs) =
       in
       let params = Tfree.Params.(with_eps practical req.eps) in
       let report =
-        Tfree.Tester.run ~tap ~seed:req.seed params ~d:(Graph.avg_degree g) req.protocol inputs
+        Tfree.Tester.run ?mode ~tap ~seed:req.seed params ~d:(Graph.avg_degree g) req.protocol
+          inputs
       in
       let wire = Wire_runtime.report net ~accounted_bits:report.Tfree.Tester.bits in
       {

@@ -218,6 +218,24 @@ val dataset_pair :
   request ->
   Graph.t * Partition.t
 
+(** Run [req]'s protocol on an instance/partition pair over a fresh wire
+    network of [req]'s transport and k, under the fault schedule [fault]
+    (already parsed from [req.fault] by the caller), and reconcile the
+    wire traffic against the accounted bits.  [mode] reaches the
+    unrestricted tester (default coordinator); [trace] records every
+    protocol message into that collector, ahead of the wire tap.  The
+    network is closed however the run ends.  Checks neither eps nor k
+    ({!run_request} does).
+    @raise Wire_error.Wire_error when a fault aborts the run, or when the
+    network cannot be built ({!Wire_runtime.create}). *)
+val run_protocol :
+  ?mode:Tfree_comm.Runtime.mode ->
+  ?trace:Tfree_trace.Trace.t ->
+  fault:Fault.schedule ->
+  request ->
+  Graph.t * Partition.t ->
+  response
+
 (** Build the requested instance, run the requested protocol over a wire
     network (under the request's fault schedule, if any), reconcile.
     Deterministic in the request's seed and fault spec — with or without
