@@ -67,7 +67,7 @@ let client_protocol_arg =
        & opt_all
            (enum
               (List.map (fun (name, p) -> (name, `Tester p)) Tfree.Tester.protocols
-              @ [ ("v1", `Wire Proto.V1); ("v2", `Wire Proto.V2); ("auto", `Wire Proto.Auto) ]))
+              @ List.map (fun p -> (Proto.pref_to_string p, `Wire p)) [ Proto.V1; V2; Auto ]))
            []
        & info [ "protocol" ] ~docv:"PROTO" ~doc)
 

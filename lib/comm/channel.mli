@@ -22,11 +22,6 @@ type tap = { deliver : round:int -> t -> Msg.t -> Msg.t }
 (** The pure-model tap: messages arrive untouched. *)
 val identity : tap
 
-(** [compose a b] delivers through [a], then through [b].  Every tap must
-    preserve the message's value and bit count, so composition order only
-    selects which observers are attached, never what the protocol sees. *)
-val compose : tap -> tap -> tap
-
 (** Chain any number of taps, left to right; [compose_all []] = {!identity}. *)
 val compose_all : tap list -> tap
 

@@ -45,18 +45,3 @@ let summary t =
     "total=%d bits (coord->players=%d, players->coord=%d), rounds=%d, messages=%d, player upload max=%d min=%d spread=%d"
     (total t) t.to_players t.from_players t.rounds t.messages (max_player_upload t)
     (min_player_upload t) (upload_spread t)
-
-let to_json t =
-  Tfree_util.Jsonout.(
-    Obj
-      [
-        ("total", Num (float_of_int (total t)));
-        ("to_players", Num (float_of_int t.to_players));
-        ("from_players", Num (float_of_int t.from_players));
-        ("rounds", Num (float_of_int t.rounds));
-        ("messages", Num (float_of_int t.messages));
-        ("max_player_upload", Num (float_of_int (max_player_upload t)));
-        ("min_player_upload", Num (float_of_int (min_player_upload t)));
-        ("upload_spread", Num (float_of_int (upload_spread t)));
-        ("per_player", List (Array.to_list (Array.map (fun b -> Num (float_of_int b)) t.per_player)));
-      ])

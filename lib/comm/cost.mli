@@ -23,15 +23,6 @@ val next_round : t -> unit
 (** Largest single player's upload — becomes streaming space in §4.2.2. *)
 val max_player_upload : t -> int
 
-(** Smallest single player's upload. *)
-val min_player_upload : t -> int
-
-(** [max_player_upload - min_player_upload]: per-player imbalance. *)
-val upload_spread : t -> int
-
 (** Human-readable one-line summary, including the per-player upload
     watermark (max/min/spread). *)
 val summary : t -> string
-
-(** Ledger as JSON (totals, directions, rounds, per-player uploads). *)
-val to_json : t -> Tfree_util.Jsonout.t

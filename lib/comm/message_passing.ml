@@ -32,7 +32,6 @@ let make ~seed inputs =
     transcript = [];
   }
 
-let k t = t.k
 let input t j = Partition.player t.inputs j
 let shared_rng t ~key = Rng.split t.shared key
 

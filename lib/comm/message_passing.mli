@@ -12,7 +12,6 @@ type t
 
 val make : seed:int -> Partition.t -> t
 
-val k : t -> int
 val input : t -> int -> Graph.t
 val shared_rng : t -> key:int -> Tfree_util.Rng.t
 

@@ -21,13 +21,6 @@ type result = {
   stats : Simulator.stats;
 }
 
-(** [true] when any node has recorded a triangle — the tester's halt
-    predicate. *)
-val detected : state array -> bool
-
-(** The paper-shaped default budget ceil(c/ǫ²) (c defaults to 2). *)
-val default_budget : ?c:float -> eps:float -> unit -> int
-
 (** The default CONGEST bandwidth, ⌈log₂ n⌉ + 1 bits. *)
 val default_b_bits : n:int -> int
 

@@ -18,19 +18,6 @@ val msb_index : int -> int
     [alpha] (both in (0,1)). *)
 val thresholds : alpha:float -> float * float
 
-(** α-approximation (probability >= 1-τ) of |∪ⱼ elements(Eⱼ)|; [elements]
-    lists a player's universe elements as integers agreed by all players.
-    [boost] scales the per-guess experiment count.  0 when nobody holds
-    anything. *)
-val approx_distinct :
-  Runtime.t ->
-  key:int ->
-  alpha:float ->
-  tau:float ->
-  boost:float ->
-  elements:(Graph.t -> int list) ->
-  int
-
 (** Lemma 3.2: without duplication, the truncated-count sum — never
     over-counts, within factor [alpha], O(k·log log) bits, deterministic.
     @raise Invalid_argument when [alpha <= 1]. *)

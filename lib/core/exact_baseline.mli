@@ -6,8 +6,6 @@
 open Tfree_comm
 open Tfree_graph
 
-val protocol : Triangle.triangle option Simultaneous.protocol
-
 val run :
   ?tap:Tfree_comm.Channel.tap ->
   seed:int ->

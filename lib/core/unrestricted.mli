@@ -10,12 +10,6 @@ open Tfree_graph
 
 type stats = { buckets_tried : int; candidates_tested : int; edges_posted : int }
 
-val no_stats : stats
-
-(** Per-player suspected-bucket membership B̃ʲᵢ for all buckets, precomputed
-    once per run (purely local). *)
-val btilde_members : Runtime.t -> int array array array
-
 (** Algorithm 1: uniform sample from B̃ᵢ under a shared random priority,
     unbiased despite duplication.  [None] iff no player suspects bucket
     [i]. *)
@@ -31,20 +25,6 @@ val get_full_candidates :
     neighbours confirmed by some player (per-player caps applied; on a
     blackboard players post in turns without repetition, Theorem 3.23). *)
 val sample_edges : Runtime.t -> Params.t -> key:int -> int -> d_hat:int -> int list
-
-(** Ask every player for an edge closing a vee of the posted star; any
-    returned triangle is verified-by-construction real. *)
-val close_vee : Runtime.t -> v:int -> ws:int list -> Triangle.triangle option
-
-(** Algorithm 5 for one bucket. *)
-val find_triangle_vee :
-  ?btilde:int array array array ->
-  Runtime.t ->
-  Params.t ->
-  key:int ->
-  i:int ->
-  stats:stats ref ->
-  Triangle.triangle option
 
 (** Algorithm 6 with the degree-oblivious window: estimate d, iterate the
     buckets of [d_l/2, 2·d_h], return a real triangle or [None]. *)

@@ -13,10 +13,6 @@
 
 open Tfree_graph
 
-(** Parse from a sequence of lines (newlines already stripped); the
-    sequence is forced exactly once. *)
-val parse_lines : string Seq.t -> Graph.t
-
 val parse_string : string -> Graph.t
 
 (** Parse a file, reading line by line.

@@ -74,7 +74,3 @@ let to_string g =
   Buffer.add_string b (Printf.sprintf "# tfree dataset: n=%d m=%d\n" (Graph.n g) (Graph.m g));
   Graph.iter_edges g (fun u v -> Buffer.add_string b (Printf.sprintf "%d %d\n" u v));
   Buffer.contents b
-
-let save g path =
-  try Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (to_string g))
-  with Sys_error msg -> E.io "%s" msg

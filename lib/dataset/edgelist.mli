@@ -13,7 +13,6 @@
 
 open Tfree_graph
 
-val parse_lines : ?n:int -> string Seq.t -> Graph.t
 val parse_string : ?n:int -> string -> Graph.t
 
 (** @raise Dataset_error.Dataset_error on unreadable or malformed input. *)
@@ -22,5 +21,3 @@ val load : ?n:int -> string -> Graph.t
 (** One [u v] line per edge (0-based, lexicographic) under a [#] banner.
     [parse_string ~n:(Graph.n g)] inverts it exactly. *)
 val to_string : Graph.t -> string
-
-val save : Graph.t -> string -> unit

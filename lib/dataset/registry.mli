@@ -15,7 +15,6 @@ open Tfree_graph
 type format = Dimacs | Edges | Snapshot
 
 val format_to_string : format -> string
-val format_of_string : string -> format option
 
 (** Decide a file's format from its content: the snapshot magic, else a
     DIMACS [p]-line among the leading lines, else an edge list.
@@ -49,7 +48,6 @@ val create : ?dir:string -> unit -> t
 val load : string -> t
 
 val save : t -> string -> unit
-val to_json : t -> Tfree_util.Jsonout.t
 
 (** Add or replace (by name) an entry. *)
 val add : t -> entry -> unit

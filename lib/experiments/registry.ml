@@ -45,9 +45,4 @@ let find id = List.find_opt (fun e -> e.id = id) all
     every job count. *)
 let run ?(scale = Common.Small) entry = entry.run scale
 
-(** Run every registered experiment in registry order, pairing each entry
-    with its tables — the Table-1 harness loop shared by [bench/main.exe]
-    and callers that want the tables without printing. *)
-let run_all ?(scale = Common.Small) () = List.map (fun e -> (e, run ~scale e)) all
-
 let run_and_print ?(scale = Common.Small) entry = List.iter Table.print (run ~scale entry)

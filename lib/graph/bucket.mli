@@ -18,23 +18,11 @@ val count : n:int -> int
 (** Vertex lists per bucket index. *)
 val members : Graph.t -> int list array
 
-(** The full-vertex edge-fraction threshold ǫ/(12·log n) (Definition 5). *)
-val full_vertex_threshold : n:int -> eps:float -> float
-
 (** Is at least an ǫ/(12·log n) fraction of v's incident edges covered by
     disjoint vees (Definition 5)? *)
 val is_full_vertex : Graph.t -> eps:float -> int -> bool
 
 val full_vertices : Graph.t -> eps:float -> int list
-
-(** Disjoint triangle-vees sourced at the given vertices (the paper's
-    disjointness: edge-disjoint or distinct sources). *)
-val disjoint_vees_in : Graph.t -> int list -> int
-
-(** The full-bucket threshold ǫ·n·d/(2·log n) (Definition 4). *)
-val full_bucket_threshold : Graph.t -> eps:float -> float
-
-val is_full_bucket : Graph.t -> eps:float -> int list -> bool
 
 (** Index of the lowest-degree full bucket, if any (B_min). *)
 val b_min : Graph.t -> eps:float -> int option

@@ -37,8 +37,6 @@ let pattern_adj p =
     p.edges;
   adj
 
-let degree_in_pattern p v = List.length (pattern_adj p).(v)
-
 (** [find g p] returns an embedding as an array [assignment] with
     [assignment.(pattern vertex) = graph vertex], or [None].  The search
     assigns pattern vertices in order, so patterns should list

@@ -14,9 +14,6 @@ val four_path : pattern
 val diamond : pattern
 val five_cycle : pattern
 
-(** Degree of a vertex within the pattern. *)
-val degree_in_pattern : pattern -> int -> int
-
 (** An embedding [a] (with [a.(pattern vertex) = graph vertex]) if one
     exists. *)
 val find : Graph.t -> pattern -> int array option

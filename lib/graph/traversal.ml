@@ -55,9 +55,7 @@ let components g =
   done;
   (label, !next)
 
-let component_count g = snd (components g)
-
-let is_connected g = Graph.n g <= 1 || component_count g = 1
+let is_connected g = Graph.n g <= 1 || snd (components g) = 1
 
 (** Proper 2-coloring if one exists (bipartite), [None] otherwise. *)
 let two_color g =

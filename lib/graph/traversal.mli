@@ -7,8 +7,6 @@ val bfs : Graph.t -> int -> int array
 (** (component label per vertex, number of components). *)
 val components : Graph.t -> int array * int
 
-val component_count : Graph.t -> int
-
 val is_connected : Graph.t -> bool
 
 (** Proper 2-coloring when bipartite. *)

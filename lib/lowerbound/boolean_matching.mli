@@ -12,26 +12,11 @@ type instance = {
   w : bool array;  (** Bob's n bits *)
 }
 
-(** n (the number of matching rows). *)
-val size : instance -> int
-
 (** (Mx)ⱼ ⊕ wⱼ. *)
 val row_value : instance -> int -> bool
 
 (** Random instance with Mx ⊕ w = target·1ⁿ. *)
 val generate : Tfree_util.Rng.t -> n:int -> target:bool -> instance
-
-(** The hub vertex u of the reduction graph. *)
-val hub : int
-
-(** Vertex (i, b) of the reduction graph's [2n]×{0,1} grid. *)
-val vertex_of : i:int -> b:bool -> int
-
-(** Vertex count of the reduction graph: 4n + 1. *)
-val graph_n : instance -> int
-
-val alice_edges : instance -> (int * int) list
-val bob_edges : instance -> (int * int) list
 
 val reduction_graph : instance -> Graph.t
 

@@ -6,17 +6,8 @@ open Tfree_graph
 
 type sides = { part : int; alice : Graph.t; bob : Graph.t; charlie : Graph.t }
 
-(** Which player's side a cross-part pair belongs to.
-    @raise Invalid_argument on within-part pairs. *)
-val side_of : part:int -> int -> int -> [ `Alice | `Bob | `Charlie ]
-
 (** Sample G ~ µ with parts of size [part] (n = 3·part). *)
 val sample : Tfree_util.Rng.t -> part:int -> gamma:float -> Graph.t
-
-(** The canonical 3-player split of a tripartite graph. *)
-val split : Graph.t -> part:int -> sides
-
-val to_partition : sides -> Partition.t
 
 (** Sample the graph together with its 3-player partition. *)
 val sample_partition : Tfree_util.Rng.t -> part:int -> gamma:float -> Graph.t * Partition.t

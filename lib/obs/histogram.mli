@@ -26,9 +26,6 @@ val sub_bits : t -> int
 (** Total bucket count — the memory bound, independent of samples. *)
 val num_buckets : t -> int
 
-(** Relative bucket width, [2^-sub_bits]. *)
-val precision : t -> float
-
 (** Upper bound on [|quantile t q - exact_q|] for an exact quantile value
     [exact]: [1.0 +. |exact| *. 2^(1 - sub_bits)]. *)
 val max_error : t -> float -> float

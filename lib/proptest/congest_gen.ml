@@ -45,7 +45,5 @@ let shrink c yield =
   if c.n > 12 then yield { c with n = max 12 (c.n / 2) };
   if c.budget > 1 then yield { c with budget = c.budget / 2 }
 
-let arb_case = QCheck.make ~print ~shrink gen
-
-(** {!arb_case}: cases over all three families, n ≤ 120, budgets ≤ 48. *)
-let arbitrary = arb_case
+(** Cases over all three families, n ≤ 120, budgets ≤ 48. *)
+let arbitrary = QCheck.make ~print ~shrink gen

@@ -13,19 +13,10 @@ type case = {
   budget : int;  (** hard round budget for the run *)
 }
 
-val family_to_string : family -> string
-
-val print : case -> string
-
 (** The case's instance, derived from the case alone — properties rebuild
     it at will. *)
 val graph : case -> Graph.t
 
-val gen : case QCheck.Gen.t
-
 (** Cases over all three families, 12 ≤ n ≤ 120, budgets 1 … 48; shrinking
     walks n and the budget down. *)
-val arb_case : case QCheck.arbitrary
-
-(** {!arb_case}. *)
 val arbitrary : case QCheck.arbitrary

@@ -8,8 +8,6 @@
 
 open Tfree_wire
 
-let print = Fault.to_string
-
 let gen_kind : Fault.kind QCheck.Gen.t =
   let open QCheck.Gen in
   frequency
@@ -33,6 +31,4 @@ let shrink sched =
   QCheck.Iter.map Fault.normalize (QCheck.Shrink.list ~shrink:QCheck.Shrink.nil sched)
 
 let arb_fault_schedule ?max_ops ?max_events () =
-  QCheck.make ~print ~shrink (gen ?max_ops ?max_events ())
-
-let arbitrary = arb_fault_schedule ()
+  QCheck.make ~print:Fault.to_string ~shrink (gen ?max_ops ?max_events ())

@@ -5,16 +5,8 @@
 
 open Tfree_wire
 
-(** {!Tfree_wire.Fault.to_string}: the replayable spec. *)
-val print : Fault.schedule -> string
-
-val gen_kind : Fault.kind QCheck.Gen.t
-
 (** Normalized schedules of up to [max_events] (default 6) faults over the
     first [max_ops] (default 60) write operations. *)
 val gen : ?max_ops:int -> ?max_events:int -> unit -> Fault.schedule QCheck.Gen.t
 
 val arb_fault_schedule : ?max_ops:int -> ?max_events:int -> unit -> Fault.schedule QCheck.arbitrary
-
-(** {!arb_fault_schedule} at its defaults. *)
-val arbitrary : Fault.schedule QCheck.arbitrary

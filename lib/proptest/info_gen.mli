@@ -3,18 +3,6 @@
     and masses are normalized exactly, so KL divergences are finite and
     [Info.check_joint] accepts every generated joint. *)
 
-(** Distributions with [2..max_n] (default 8) strictly positive atoms. *)
-val gen_dist : ?max_n:int -> unit -> float array QCheck.Gen.t
-
-(** Two distributions over one support (for KL divergence). *)
-val gen_dist_pair : ?max_n:int -> unit -> (float array * float array) QCheck.Gen.t
-
-(** Joints with [2..max_n] (default 5) rows and columns, all cells
-    positive. *)
-val gen_joint : ?max_n:int -> unit -> float array array QCheck.Gen.t
-
-val print_dist : float array -> string
-val print_joint : float array array -> string
 val arb_dist : ?max_n:int -> unit -> float array QCheck.arbitrary
 val arb_dist_pair : ?max_n:int -> unit -> (float array * float array) QCheck.arbitrary
 val arb_joint : ?max_n:int -> unit -> float array array QCheck.arbitrary

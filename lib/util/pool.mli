@@ -37,7 +37,3 @@ val parallel_init : ?jobs:int -> int -> (int -> 'a) -> 'a array
 (** [parallel_map f xs] is [List.map f xs] computed on the pool, preserving
     order. *)
 val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** Join the worker domains (registered with [at_exit]; explicit calls are
-    only needed by tests that count live domains). *)
-val shutdown : unit -> unit

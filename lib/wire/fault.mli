@@ -17,10 +17,6 @@ type event = { op : int; kind : kind }
 type schedule = event list
 
 val kind_name : kind -> string
-val kind_to_string : kind -> string
-
-(** The six grammar names, in canonical order. *)
-val all_kind_names : string list
 
 (** Canonical explicit spec; {!parse} inverts it exactly. *)
 val to_string : schedule -> string

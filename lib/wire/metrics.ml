@@ -190,7 +190,6 @@ let record_phase t ~phase ~us =
     locked t (fun () -> Histogram.record t.phases.(Phase.index phase) us)
 
 let latency_snapshot t = locked t (fun () -> Histogram.copy t.latency)
-let phase_snapshot t phase = locked t (fun () -> Histogram.copy t.phases.(Phase.index phase))
 let phase_count t phase = locked t (fun () -> Histogram.count t.phases.(Phase.index phase))
 
 let queries_served t = locked t (fun () -> t.queries_served)
@@ -199,8 +198,6 @@ let errors t = locked t (fun () -> errors_unlocked t)
 let errors_in t category = locked t (fun () -> t.error_counts.(index_of category))
 let retries t = locked t (fun () -> t.retries)
 let injected t = locked t (fun () -> t.injected)
-let accepted t = locked t (fun () -> t.accepted)
-let shed t = locked t (fun () -> t.shed)
 let in_flight t = locked t (fun () -> t.in_flight)
 let cache_hits t = locked t (fun () -> t.cache_hits)
 let cache_misses t = locked t (fun () -> t.cache_misses)
@@ -212,7 +209,6 @@ let dataset_served t name =
   locked t (fun () -> match Hashtbl.find_opt t.datasets name with Some c -> c | None -> 0)
 
 let version_served t v = locked t (fun () -> t.version_served.(version_slot v))
-let version_bytes t v = locked t (fun () -> t.version_bytes.(version_slot v))
 
 (** Fold [other]'s counters and histograms into [t] (used by the load
     generator to merge per-client registries into one for reconciliation,

@@ -100,9 +100,6 @@ val record_phase : t -> phase:Tfree_obs.Phase.t -> us:float -> unit
 (** Snapshot (deep copy) of the end-to-end latency histogram. *)
 val latency_snapshot : t -> Tfree_obs.Histogram.t
 
-(** Snapshot of one phase's latency histogram. *)
-val phase_snapshot : t -> Tfree_obs.Phase.t -> Tfree_obs.Histogram.t
-
 (** Samples recorded for one phase. *)
 val phase_count : t -> Tfree_obs.Phase.t -> int
 
@@ -114,8 +111,6 @@ val errors : t -> int
 val errors_in : t -> error_category -> int
 val retries : t -> int
 val injected : t -> int
-val accepted : t -> int
-val shed : t -> int
 val in_flight : t -> int
 val cache_hits : t -> int
 val cache_misses : t -> int
@@ -127,9 +122,6 @@ val accounted_bits : t -> int
 (** Queries served over wire-protocol version [v] (out-of-range versions
     clamp to the nearest tracked slot). *)
 val version_served : t -> int -> int
-
-(** Serve-socket bytes recorded for wire-protocol version [v]. *)
-val version_bytes : t -> int -> int
 
 (** Fold [other]'s counters, verdict tallies and latency histograms into
     the first registry (gauges are not merged; histogram merge is exact).

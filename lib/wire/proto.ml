@@ -53,12 +53,6 @@ type pref = V1 | V2 | Auto
 
 let pref_to_string = function V1 -> "v1" | V2 -> "v2" | Auto -> "auto"
 
-let pref_of_string = function
-  | "v1" -> Some V1
-  | "v2" -> Some V2
-  | "auto" -> Some Auto
-  | _ -> None
-
 (** The two-byte hello for [version], both directions: the client offers
     the highest version it speaks, the server answers with the version the
     connection will use (0 = refused; the connection falls back to v1). *)
@@ -300,10 +294,6 @@ let try_frame data ~pos ~limit cur =
       frame_end - pos
     end
   end
-
-(** Framing overhead of a sealed frame whose body is [body_len] bytes: the
-    length varint plus the 2-byte checksum. *)
-let frame_overhead_bytes ~body_len = varint_size (body_len + 2) + 2
 
 (* ------------------------------------------------ connection read buffer *)
 

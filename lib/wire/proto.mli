@@ -26,7 +26,6 @@ val max_version : int
 type pref = V1 | V2 | Auto
 
 val pref_to_string : pref -> string
-val pref_of_string : string -> pref option
 
 (** The two-byte hello for [version], identical in both directions: the
     client offers the highest version it speaks, the server answers with
@@ -34,16 +33,6 @@ val pref_of_string : string -> pref option
 val hello : int -> string
 
 (** {2 Frames} *)
-
-(** Same cap as {!Frame.max_frame_bytes}: a corrupted length prefix must
-    not make either side allocate or wait for gigabytes. *)
-val max_frame_bytes : int
-
-val sum16 : Bytes.t -> int -> int -> int
-
-(** Length prefix + checksum bytes a sealed frame adds around a
-    [body_len]-byte body. *)
-val frame_overhead_bytes : body_len:int -> int
 
 (** {2 Writing: reusable scratch buffer}
 
@@ -92,8 +81,6 @@ val cursor : unit -> cursor
 
 (** Point the cursor at [data[pos, limit)]. *)
 val set_cursor : cursor -> Bytes.t -> pos:int -> limit:int -> unit
-
-val remaining : cursor -> int
 
 (** The [get_*] readers mirror the writers; each raises a typed
     {!Wire_error.Wire_error} ([Truncated] past the limit, [Corrupt] on an

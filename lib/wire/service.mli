@@ -37,9 +37,7 @@ type protocol = Tfree.Tester.protocol = Unrestricted | Sim | Oblivious | Exact
 val families : (string * family) list
 val partitions : (string * partition_kind) list
 val family_to_string : family -> string
-val family_of_string : string -> family option
 val partition_to_string : partition_kind -> string
-val partition_of_string : string -> partition_kind option
 
 (** The instance generators behind the [--instance] flag. *)
 val build_instance : family -> Rng.t -> n:int -> d:float -> eps:float -> Graph.t
@@ -112,16 +110,8 @@ val batch_request_to_json : request list -> Jsonout.t
 
 val tag_query : int
 val tag_reply : int
-val tag_error : int
 val tag_batch : int
-val tag_batch_reply : int
-val tag_stats : int
-val tag_stats_reply : int
-val tag_shutdown : int
-val tag_bye : int
 val tag_dataset : int
-val tag_health : int
-val tag_health_reply : int
 
 val encode_query_frame : Proto.buf -> request -> unit
 val encode_dataset_frame : Proto.buf -> name:string -> request -> unit
@@ -131,7 +121,6 @@ val encode_response_frame : Proto.buf -> response -> unit
 (** The all-ok batch reply frame, byte-identical to the server's when
     every item serves (used to account wire bytes without a tap). *)
 val encode_batch_reply_frame : Proto.buf -> response list -> unit
-val encode_error_frame : Proto.buf -> category:Metrics.error_category -> string -> unit
 val decode_request_body : Proto.cursor -> (request, string) result
 val decode_dataset_request_body : Proto.cursor -> (string * request, string) result
 
@@ -204,19 +193,6 @@ val partition_rng : int -> Rng.t
     counted lookup per call, mirrored into [metrics] when given).  Without
     [cache], always builds. *)
 val instance_pair : ?cache:instance_cache -> ?metrics:Metrics.t -> request -> Graph.t * Partition.t
-
-(** The cached graph/partition pair for dataset [name] under [req]: the
-    graph from the registry (itself memoized), the partition from
-    {!partition_rng}; the same counted lookup as {!instance_pair}.
-    @raise Tfree_dataset.Dataset_error.Dataset_error when the dataset is
-    unknown or its file fails to load. *)
-val dataset_pair :
-  ?cache:instance_cache ->
-  ?metrics:Metrics.t ->
-  registry:Tfree_dataset.Registry.t ->
-  name:string ->
-  request ->
-  Graph.t * Partition.t
 
 (** Run [req]'s protocol on an instance/partition pair over a fresh wire
     network of [req]'s transport and k, under the fault schedule [fault]

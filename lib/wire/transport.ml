@@ -25,15 +25,12 @@
     hang. *)
 
 type t = {
-  kind : string;
   send : Bytes.t -> int -> int -> unit;  (** write the whole range *)
   recv : Bytes.t -> int -> int -> unit;  (** fill exactly the range *)
   exchange : Bytes.t -> int -> int -> Bytes.t -> unit;
       (** write the range, read as many bytes back into the second buffer *)
   close : unit -> unit;
 }
-
-let kind t = t.kind
 
 let check_range who b off len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
@@ -108,7 +105,6 @@ let ring_exchange r src off len into =
 let pipe () =
   let r = { data = Bytes.create 256; head = 0; size = 0 } in
   {
-    kind = "pipe";
     send = ring_push r;
     recv = ring_pop r;
     exchange = ring_exchange r;
@@ -158,7 +154,6 @@ let socketpair () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let closed = ref false in
   {
-    kind = "socketpair";
     send = write_all a;
     recv = read_exact b;
     exchange = exchange_fds ~wr:a ~rd:b;
@@ -263,4 +258,4 @@ let faulty ?(counter = ref 0) ~schedule inner =
       recv into 0 len
     end
   in
-  { kind = inner.kind ^ "+faulty"; send; recv; exchange; close = (fun () -> inner.close ()) }
+  { send; recv; exchange; close = (fun () -> inner.close ()) }

@@ -13,9 +13,6 @@
 
 type t
 
-(** "pipe", "socketpair", or the wrapped form "<kind>+faulty". *)
-val kind : t -> string
-
 (** [send t src off len] writes [src.[off .. off+len-1]].
     @raise Invalid_argument if the range is not inside [src]. *)
 val send : t -> Bytes.t -> int -> int -> unit

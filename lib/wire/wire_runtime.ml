@@ -36,7 +36,6 @@ type chan_stats = {
 let fresh_stats () = { frames = 0; wire_bytes = 0; payload_bits = 0 }
 
 type net = {
-  transport : kind;
   k : int;
   links : Transport.t array;  (** [0..k-1] player channels, [k] the board *)
   down : chan_stats array;  (** coordinator -> player j *)
@@ -69,7 +68,6 @@ let create ?(fault = []) ?(transport = Pipe) ~k () =
                 (Unix.error_message err)))
   in
   {
-    transport;
     k;
     links = Array.init (k + 1) link;
     down = Array.init k (fun _ -> fresh_stats ());
@@ -79,8 +77,6 @@ let create ?(fault = []) ?(transport = Pipe) ~k () =
   }
 
 let close net = Array.iter Transport.close net.links
-
-let transport_kind net = net.transport
 
 (* Route a channel to its link and direction counter. *)
 let link net = function

@@ -39,7 +39,6 @@ type net
 val create : ?fault:Fault.schedule -> ?transport:kind -> k:int -> unit -> net
 
 val close : net -> unit
-val transport_kind : net -> kind
 
 (** The byte-moving {!Channel.tap}: frame into the network's scratch,
     cross the transport, decode, count; the protocol consumes the decoded
