@@ -1737,13 +1737,11 @@ let shard_qcheck_props =
    read must return: a whole message while one is there, then [`Eof] at
    the first short or over-long (past [ctl_max_payload]) message. *)
 let ctl_reference data =
-  let le32 i = Char.code data.[i] lor (Char.code data.[i + 1] lsl 8)
-               lor (Char.code data.[i + 2] lsl 16) lor (Char.code data.[i + 3] lsl 24) in
   let len = String.length data in
   let rec go pos acc =
     if pos + 5 > len then List.rev acc
     else
-      let n = le32 (pos + 1) in
+      let n = Int32.to_int (String.get_int32_le data (pos + 1)) land 0xffff_ffff in
       if n > Service.ctl_max_payload || pos + 5 + n > len then List.rev acc
       else go (pos + 5 + n) (`Msg (data.[pos], String.sub data (pos + 5) n) :: acc)
   in
@@ -1770,7 +1768,7 @@ let gen_ctl_bytes =
       [
         int_range 0 64;
         oneofl [ Service.ctl_max_payload; Service.ctl_max_payload + 1; 0xffff_ffff ];
-        map Int64.to_int (map (fun x -> Int64.logand (Int64.of_int x) 0xffff_ffffL) int);
+        map (fun x -> x land 0xffff_ffff) int;
       ]
   in
   let header tag n = String.make 1 tag ^ le32 n in
