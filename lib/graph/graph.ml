@@ -1,4 +1,69 @@
-type t = { n : int; adj : int array array; m : int }
+(* Rows.  A materialized graph holds every sorted row in [adj].  A view
+   (a partition's player, built by [views]) shares the rows of the graph it
+   was cut from, [src], and owns the arcs whose bits are set in [owned]:
+   row v's arcs are [src.(v)] at positions [off.(v) ..], one bit each.  Its
+   [adj] starts with every row [unread]; [row] fills row v from the owned
+   arcs the first time anything reads it, and keeps it.  Every accessor
+   but [equal] reads rows through [row], which on a row already there
+   costs one physical comparison.
+
+   Two domains may fill the same row at once.  Each builds its own copy
+   from the same bits and stores it with one [caml_modify], which
+   publishes the initialised array (a release store in OCaml 5), so a
+   reader sees [unread] or one of two equal rows, never a partial one. *)
+type t = {
+  n : int;
+  m : int;
+  adj : int array array;
+  src : int array array;  (** a view's parent rows; [adj] in a materialized graph *)
+  off : int array;  (** arc offsets into [src], n + 1 of them; empty if materialized *)
+  owned : Bytes.t;  (** one bit per arc of [src]; empty if materialized *)
+}
+
+let materialized ~n ~m adj = { n; m; adj; src = adj; off = [||]; owned = Bytes.empty }
+
+(* A row no one has read yet.  Compared by [==]: every empty array is the
+   same atom, so the mark must not be empty. *)
+let unread = Array.make 1 (-1)
+
+let owns bits a = Char.code (Bytes.unsafe_get bits (a lsr 3)) land (1 lsl (a land 7)) <> 0
+
+let own bits a =
+  let i = a lsr 3 in
+  let byte = Char.code (Bytes.unsafe_get bits i) lor (1 lsl (a land 7)) in
+  Bytes.unsafe_set bits i (Char.unsafe_chr byte)
+
+(* Row v of a view, filtered out of its parent row and kept.  A row the
+   view owns whole is the parent's row itself. *)
+let read_row g v =
+  let src = g.src.(v) and base = g.off.(v) in
+  let len = Array.length src in
+  let count = ref 0 in
+  for i = 0 to len - 1 do
+    if owns g.owned (base + i) then incr count
+  done;
+  let r =
+    if !count = len then src
+    else begin
+      let r = Array.make !count 0 in
+      let j = ref 0 in
+      for i = 0 to len - 1 do
+        if owns g.owned (base + i) then begin
+          Array.unsafe_set r !j (Array.unsafe_get src i);
+          incr j
+        end
+      done;
+      r
+    end
+  in
+  g.adj.(v) <- r;
+  r
+[@@inline never]
+
+(* The one way to a row: bounds-checked by the array access. *)
+let[@inline] row g v =
+  let r = g.adj.(v) in
+  if r != unread then r else read_row g v
 
 type edge = int * int
 
@@ -145,10 +210,11 @@ module Builder = struct
           let x = a.(i) in
           deg.(x) <- deg.(x) + 1
         done);
-    if b.ascending then { n; adj = fill_rows b deg; m = ((chunk * List.length b.full) + b.pos) / 2 }
+    if b.ascending then
+      materialized ~n ~m:(((chunk * List.length b.full) + b.pos) / 2) (fill_rows b deg)
     else begin
       let adj = sort_rows b deg in
-      { n; adj; m = Array.fold_left (fun s a -> s + Array.length a) 0 adj / 2 }
+      materialized ~n ~m:(Array.fold_left (fun s a -> s + Array.length a) 0 adj / 2) adj
     end
 end
 
@@ -162,7 +228,7 @@ let of_edges ~n edges =
   List.iter (fun (u, v) -> Builder.add b u v) edges;
   Builder.build b
 
-let empty ~n = { n; adj = Array.make n [||]; m = 0 }
+let empty ~n = materialized ~n ~m:0 (Array.make n [||])
 
 let n g = g.n
 let m g = g.m
@@ -171,11 +237,11 @@ let avg_degree g = if g.n = 0 then 0.0 else 2.0 *. float_of_int g.m /. float_of_
 
 let degree g v =
   check_vertex g.n v;
-  Array.length g.adj.(v)
+  Array.length (row g v)
 
 let neighbors g v =
   check_vertex g.n v;
-  g.adj.(v)
+  row g v
 
 (* Binary search in a sorted adjacency array. *)
 let mem_sorted a x =
@@ -195,14 +261,14 @@ let mem_sorted a x =
 let mem_edge g u v =
   if u = v then false
   else begin
-    let au = g.adj.(u) and av = g.adj.(v) in
+    let au = row g u and av = row g v in
     let a, x = if Array.length au <= Array.length av then (au, v) else (av, u) in
     mem_sorted a x
   end
 
 let iter_edges g f =
   for u = 0 to g.n - 1 do
-    Array.iter (fun v -> if u < v then f u v) g.adj.(u)
+    Array.iter (fun v -> if u < v then f u v) (row g u)
   done
 
 let fold_edges g ~init ~f =
@@ -211,6 +277,46 @@ let fold_edges g ~init ~f =
   !acc
 
 let edges g = List.rev (fold_edges g ~init:[] ~f:(fun acc u v -> (u, v) :: acc))
+
+(* The arcs of the edge being routed are [uv] (in row u) and [vu] (in row
+   v).  Rows are sorted and [u] ascends, so v's smaller neighbours come up
+   in row order: [next.(v)] is the arc of the next one. *)
+let views g ~k route =
+  let n = g.n in
+  for v = 0 to n - 1 do
+    ignore (row g v)
+  done;
+  let rows = g.adj in
+  let off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v) + Array.length rows.(v)
+  done;
+  let owned = Array.init k (fun _ -> Bytes.make ((off.(n) + 7) / 8) '\000') in
+  let m = Array.make k 0 in
+  let uv = ref 0 and vu = ref 0 in
+  let give j =
+    let bits = owned.(j) in
+    if not (owns bits !uv) then begin
+      own bits !uv;
+      own bits !vu;
+      m.(j) <- m.(j) + 1
+    end
+  in
+  let next = Array.sub off 0 n in
+  for u = 0 to n - 1 do
+    let r = rows.(u) in
+    for i = 0 to Array.length r - 1 do
+      let v = r.(i) in
+      if u < v then begin
+        uv := off.(u) + i;
+        vu := next.(v);
+        next.(v) <- !vu + 1;
+        route give u v
+      end
+    done
+  done;
+  Array.init k (fun j ->
+      { n; m = m.(j); adj = Array.make n unread; src = rows; off; owned = owned.(j) })
 
 (* Merge the sorted adjacency arrays directly instead of rebuilding from the
    concatenated edge lists (no list materialization, no re-sort). *)
@@ -256,11 +362,11 @@ let union g1 g2 =
   let deg_sum = ref 0 in
   let adj =
     Array.init g1.n (fun v ->
-        let a = merge g1.adj.(v) g2.adj.(v) in
+        let a = merge (row g1 v) (row g2 v) in
         deg_sum := !deg_sum + Array.length a;
         a)
   in
-  { n = g1.n; adj; m = !deg_sum / 2 }
+  materialized ~n:g1.n ~m:(!deg_sum / 2) adj
 
 let filter_edges g f =
   let b = Builder.create ~n:g.n in
@@ -279,7 +385,7 @@ let permute ~who g perm =
   let inv = inverse ~who perm in
   let adj = Array.make n [||] in
   for v = 0 to g.n - 1 do
-    adj.(perm.(v)) <- Array.make (Array.length g.adj.(v)) 0
+    adj.(perm.(v)) <- Array.make (Array.length (row g v)) 0
   done;
   let fill = Array.make n 0 in
   for w = 0 to n - 1 do
@@ -290,9 +396,9 @@ let permute ~who g perm =
           let x' = perm.(x) in
           adj.(x').(fill.(x')) <- w;
           fill.(x') <- fill.(x') + 1)
-        g.adj.(v)
+        (row g v)
   done;
-  { n; adj; m = g.m }
+  materialized ~n ~m:g.m adj
 
 let relabel g perm =
   if Array.length perm <> g.n then invalid_arg "Graph.relabel: permutation size mismatch";
@@ -302,7 +408,33 @@ let embed g perm =
   if Array.length perm < g.n then invalid_arg "Graph.embed: permutation smaller than the graph";
   permute ~who:"embed" g perm
 
-let equal g1 g2 = g1.n = g2.n && g1.m = g2.m && g1.adj = g2.adj
+(* Row v of [g] as it stands: the array it is read from, with the owned
+   arcs to filter it by when it is an unread view row ([Bytes.empty]
+   filters nothing). *)
+let peek g v =
+  let r = g.adj.(v) in
+  if r != unread then (r, 0, Bytes.empty) else (g.src.(v), g.off.(v), g.owned)
+
+(* Rows are compared in place, so comparing views builds no row: a full
+   comparison of a partition's players would otherwise leave every row of
+   every player behind. *)
+let same_row g1 g2 v =
+  let a, base_a, bits_a = peek g1 v and b, base_b, bits_b = peek g2 v in
+  let rec skip arr base bits i =
+    if i < Array.length arr && Bytes.length bits > 0 && not (owns bits (base + i)) then
+      skip arr base bits (i + 1)
+    else i
+  in
+  let rec go i j =
+    let i = skip a base_a bits_a i and j = skip b base_b bits_b j in
+    if i = Array.length a || j = Array.length b then i = Array.length a && j = Array.length b
+    else a.(i) = b.(j) && go (i + 1) (j + 1)
+  in
+  go 0 0
+
+let equal g1 g2 =
+  let rec rows_from v = v >= g1.n || (same_row g1 g2 v && rows_from (v + 1)) in
+  g1.n = g2.n && g1.m = g2.m && rows_from 0
 
 let pp fmt g =
   Format.fprintf fmt "@[<v>graph n=%d m=%d@," g.n g.m;

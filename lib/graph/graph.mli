@@ -1,12 +1,27 @@
 (** Undirected simple graphs on vertices [0 .. n-1], the common substrate for
     the whole reproduction.
 
-    The representation is immutable after construction: sorted adjacency
-    arrays, giving O(log deg) edge membership, O(1) degree queries and cheap
-    set intersections (the triangle algorithms rely on all three).  A player's
-    private input in the communication protocols is itself a [t] on the same
-    vertex set, so every local operation a player performs is a plain graph
-    operation. *)
+    A graph is immutable: sorted adjacency rows, giving O(log deg) edge
+    membership, O(1) degree queries and cheap set intersections (the
+    triangle algorithms rely on all three).  A player's private input in
+    the communication protocols is itself a [t] on the same vertex set, so
+    every local operation a player performs is a plain graph operation.
+
+    {b Views.}  A partition's players are {e views} of the input graph
+    ({!views}): a view shares the input's rows and arc offsets and holds
+    one bit per arc saying which edges are its own, plus its edge count.
+    Row [v] of a view is filtered out of the input's row the first time
+    any accessor reads it and kept from then on, so a player whose protocol
+    reads a few rows never pays for the rest.  Every accessor reads rows the
+    same way; on a row already there that costs one physical comparison and
+    no allocation.  {!equal} alone compares an unread row in place and
+    keeps nothing.  A view answers every function below exactly as the
+    materialized graph of its edges would.
+
+    {b Domains.}  Reading a view from several domains at once is safe.  Two
+    domains that fill the same row race benignly: each builds an equal,
+    fully initialised row and publishes it with one store, and a reader
+    sees one of them whole. *)
 
 type t
 
@@ -32,9 +47,9 @@ val of_edges : n:int -> (int * int) list -> t
 val of_edge_seq : n:int -> (int * int) Seq.t -> t
 
 (** Incremental construction: {!of_edges} one edge at a time, with the
-    same checks, semantics and cost.  The partitioners feed each player's
-    edges in {!iter_edges} order, so every player takes the ascending fast
-    path. *)
+    same checks, semantics and cost.  The generators stream their edges
+    through it; a filter fed in {!iter_edges} order takes the ascending
+    fast path. *)
 module Builder : sig
   type graph := t
   type t
@@ -55,6 +70,16 @@ module Builder : sig
   val build : t -> graph
 end
 
+(** [views g ~k route] cuts [g] into [k] players that are views of [g].
+    It walks [g]'s edges once in {!iter_edges} order and calls
+    [route give u v] for each; [give j] hands the edge to player [j] by
+    setting the bits of both its arcs (giving it twice is giving it once).
+    Apart from [route]'s own work, it allocates the arc offsets ([n + 1]
+    words, shared by all players) and, per player, one bit per arc and an
+    [n]-word row table; no row is built until it is read.  A view [g] is
+    read whole first. *)
+val views : t -> k:int -> ((int -> unit) -> int -> int -> unit) -> t array
+
 val empty : n:int -> t
 
 (** Number of vertices. *)
@@ -68,7 +93,8 @@ val avg_degree : t -> float
 
 val degree : t -> int -> int
 
-(** Sorted array of neighbours; physically shared, do not mutate. *)
+(** Sorted array of neighbours; physically shared, do not mutate.  On a
+    view, the first read of a row builds it ({!views}). *)
 val neighbors : t -> int -> int array
 
 (** O(log min-degree) membership probe of the shorter sorted adjacency;
@@ -104,7 +130,7 @@ val relabel : t -> int array -> t
     not a permutation. *)
 val embed : t -> int array -> t
 
-(** Structural equality of edge sets. *)
+(** Structural equality of edge sets.  Builds no row of a view. *)
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -21,26 +21,21 @@ let union (p : t) = Array.fold_left Graph.union (Graph.empty ~n:(n p)) p
 
 let player (p : t) j = p.(j)
 
-(* Walk [g]'s edges in [Graph.iter_edges] order, letting [route players u v]
-   add each to the builders of the players that receive it.  Every player
-   sees its edges ascending, so each build takes the fast path. *)
-let split ~k g route =
-  let players = Array.init k (fun _ -> Graph.Builder.create ~n:(Graph.n g)) in
-  Graph.iter_edges g (route players);
-  Array.map Graph.Builder.build players
+(* Every partitioner that draws routes the edges through [Graph.views] in
+   [Graph.iter_edges] order, one draw sequence per edge, so its players
+   share the input's rows and the stream is left where it always was. *)
 
 (** Each edge goes to exactly one uniformly random player. *)
-let disjoint_random rng ~k g =
-  split ~k g (fun players u v -> Graph.Builder.add players.(Rng.int rng k) u v)
+let disjoint_random rng ~k g = Graph.views g ~k (fun give _ _ -> give (Rng.int rng k))
 
 (** Each edge goes to one uniform owner, and additionally to every other
     player independently with probability [dup_p] — the duplication regime. *)
 let with_duplication rng ~k ~dup_p g =
-  split ~k g (fun players u v ->
+  Graph.views g ~k (fun give _ _ ->
       let owner = Rng.int rng k in
-      Graph.Builder.add players.(owner) u v;
+      give owner;
       for j = 0 to k - 1 do
-        if j <> owner && Rng.bool rng ~p:dup_p then Graph.Builder.add players.(j) u v
+        if j <> owner && Rng.bool rng ~p:dup_p then give j
       done)
 
 (** Every player receives the whole graph: worst-case duplication. *)
@@ -50,16 +45,15 @@ let replicate ~k g = Array.init k (fun _ -> g)
     a locality-flavoured partition (closest to CONGEST-style inputs). *)
 let by_endpoint_hash rng ~k g =
   let salt = Rng.int rng 1_000_000_007 in
-  split ~k g (fun players u v -> Graph.Builder.add players.((u + salt) mod k) u v)
+  Graph.views g ~k (fun give u _ -> give ((u + salt) mod k))
 
 (** Player 0 receives each edge with probability [bias]; the rest is spread
     uniformly over the other players — exercises the "irrelevant player"
     analysis of §3.4.3.  A lone player receives every edge, drawing
     nothing. *)
 let skewed rng ~k ~bias g =
-  split ~k g (fun players u v ->
-      let j = if k = 1 || Rng.bool rng ~p:bias then 0 else 1 + Rng.int rng (k - 1) in
-      Graph.Builder.add players.(j) u v)
+  Graph.views g ~k (fun give _ _ ->
+      give (if k = 1 || Rng.bool rng ~p:bias then 0 else 1 + Rng.int rng (k - 1)))
 
 let all_to_one ~k g =
   Array.init k (fun j -> if j = 0 then g else Graph.empty ~n:(Graph.n g))

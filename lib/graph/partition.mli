@@ -1,7 +1,19 @@
 (** Dividing an input graph between k players (§2).  A partition is an array
     of k graphs on the same vertex set whose union is the input; {e edge
     duplication} (several players holding the same edge) is allowed, and no
-    locality is guaranteed. *)
+    locality is guaranteed.
+
+    The players of a drawn partition ([disjoint_random], [with_duplication],
+    [by_endpoint_hash], [skewed]) are views of the input ({!Graph.views}):
+    they share its rows and one array of arc offsets, and each player
+    holds one bit per arc ([2m / 8] bytes), an [n]-word row table and its
+    edge count, so a partition allocates about [(k + 2) · n + k · m / 32]
+    words before any row is read ([n] of them scratch).  A row a player reads is filtered out of
+    the input's row once and kept; a row the player holds whole is the
+    input's row itself.  Each partitioner draws, edge by edge in
+    {!Graph.iter_edges} order, exactly what it drew when every player was
+    built separately.  [replicate] and [all_to_one] share the input graph
+    itself. *)
 
 type t = Graph.t array
 

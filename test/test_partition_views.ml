@@ -202,7 +202,9 @@ let probes ~seed =
       name = "union";
       read =
         (fun whole g ->
-              Printf.sprintf "%b %s" (Graph.equal (Graph.union g whole) whole) (digest (Graph.union g g)));
+          Printf.sprintf "%b %s"
+            (Graph.equal (Graph.union g whole) whole)
+            (digest (Graph.union g g)));
     };
     { name = "relabel"; read = (fun _ g -> digest (Graph.relabel g (perm ~seed (Graph.n g)))) };
     { name = "embed"; read = (fun _ g -> digest (Graph.embed g (perm ~seed (Graph.n g + 3)))) };
@@ -224,8 +226,7 @@ let probes ~seed =
 let fail fmt = QCheck.Test.fail_reportf fmt
 
 (* Same players, and the same next draw from the partition stream. *)
-let same_players c =
-  let g = instance c in
+let same_players_of c g =
   let got, rl = partition c g in
   let want, rr = reference_partition c g in
   if Array.length got <> Array.length want then
@@ -238,6 +239,28 @@ let same_players c =
   let a = Rng.int rl 1_000_000_007 and b = Rng.int rr 1_000_000_007 in
   if a <> b then fail "next partition draw %d against the reference's %d" a b;
   true
+
+let same_players c = same_players_of c (instance c)
+
+(* A player cut again: the input is itself a view, partly read. *)
+let nested c () =
+  let g = instance c in
+  let got, _ = partition c g and want, _ = reference_partition c g in
+  Array.iteri
+    (fun j p ->
+      for v = 0 to Graph.n p - 1 do
+        if v mod 5 = j mod 5 then ignore (Graph.neighbors p v)
+      done;
+      let again = { c with part = Dup 0.3; k = 3; seed = c.seed + j } in
+      let cut, _ = partition again p and cut', _ = reference_partition again want.(j) in
+      Array.iteri
+        (fun i q ->
+          Alcotest.(check bool)
+            (Printf.sprintf "player %d, its player %d" j i)
+            true
+            (Graph.equal q cut'.(i)))
+        cut)
+    got
 
 (* For every probe, on fresh library partitions: the probe reads each
    player first, or after [neighbors] has read a third of its rows; its
@@ -264,7 +287,8 @@ let accessors_agree c =
                 for v = 0 to Graph.n p - 1 do
                   if (v + c.seed) mod 3 = 0 then ignore (Graph.neighbors p v)
                 done;
-              check ~after:(if pretouch then "a third of the rows read" else "first read") j p first;
+              let after = if pretouch then "a third of the rows read" else "first read" in
+              check ~after j p first;
               if digest p <> digest want.(j) then
                 fail "player %d: rows differ after %s read first" j first.name)
             got)
@@ -280,7 +304,8 @@ let prop_players =
     same_players
 
 let prop_accessors =
-  QCheck.Test.make ~count:40 ~name:"every accessor answers as on the reference, whatever reads first"
+  QCheck.Test.make ~count:40
+    ~name:"every accessor answers as on the reference, whatever reads first"
     (QCheck.make ~print:print_case gen_case)
     accessors_agree
 
@@ -306,7 +331,9 @@ let two_domains c () =
       (fun rows ->
         Array.iteri
           (fun j r ->
-            Alcotest.(check (list string)) (Printf.sprintf "round %d player %d" round j) expected.(j) r)
+            Alcotest.(check (list string))
+              (Printf.sprintf "round %d player %d" round j)
+              expected.(j) r)
           rows)
       seen
   done
@@ -330,6 +357,7 @@ let corners =
     corner "every copy goes out" { cold_build with n = 300; part = Dup 1.0; k = 12 };
     corner "no copy goes out" { cold_build with n = 300; part = Dup 0.0; k = 9 };
     corner "skewed onto player 0" { cold_build with n = 300; part = Skewed 1.0; k = 10 };
+    Alcotest.test_case "a player cut again" `Quick (nested { cold_build with n = 300 });
     Alcotest.test_case "two domains read the same players" `Quick (two_domains cold_build);
     Alcotest.test_case "two domains, twelve players" `Quick
       (two_domains { cold_build with n = 600; d = 8.0; part = Dup 0.3; k = 12 });
