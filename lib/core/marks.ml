@@ -21,6 +21,8 @@ let sample rng ~n ~p =
   mark t rng ~p ~bit:1;
   t
 
+let copy = Bytes.copy
+
 let get t v = Char.code (Bytes.get t v)
 
 (* Rows are sorted, so within a marked row the accepted neighbours come out

@@ -6,8 +6,8 @@
     [Rng.hash_float] is stateless, so building a table draws nothing from
     any stream: the marks, and every message built from them, are the ones
     the per-edge test gives.  A table is built inside one player's message
-    function and never shared, so the player stays a function of its own
-    input and the shared randomness. *)
+    function and never shared with another player, so the player stays a
+    function of its own input and the shared randomness. *)
 
 open Tfree_util
 open Tfree_graph
@@ -25,6 +25,9 @@ val mark : t -> Rng.t -> p:float -> bit:int -> unit
 
 (** [sample rng ~n ~p] is [create ~n] marked with bit 1 at probability [p]. *)
 val sample : Rng.t -> n:int -> p:float -> t
+
+(** An independent copy: marking one leaves the other as it was. *)
+val copy : t -> t
 
 (** The mark of a vertex. *)
 val get : t -> int -> int

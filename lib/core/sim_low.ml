@@ -28,13 +28,17 @@ let s_bit = 1
 
 let r_bit = 2
 
+(* The R half of the R/S table: one hash per vertex. *)
+let r_table ~n (rng_r, p_r) =
+  let marks = Marks.create ~n in
+  Marks.mark marks rng_r ~p:p_r ~bit:r_bit;
+  marks
+
 (* An edge is wanted when both endpoints are in R ∪ S and one is in R.
    Each vertex is hashed once per sample (Marks); only rows of vertices in
    R ∪ S are walked. *)
-let select ~s:(rng_s, p_s) ~r:(rng_r, p_r) ~cap input =
-  let marks = Marks.create ~n:(Graph.n input) in
+let select marks ~s:(rng_s, p_s) ~cap input =
   Marks.mark marks rng_s ~p:p_s ~bit:s_bit;
-  Marks.mark marks rng_r ~p:p_r ~bit:r_bit;
   let selected =
     Marks.fold_edges marks input ~init:[] ~f:(fun acc u v ->
         if (Marks.get marks u lor Marks.get marks v) land r_bit <> 0 then (u, v) :: acc else acc)
@@ -44,9 +48,9 @@ let select ~s:(rng_s, p_s) ~r:(rng_r, p_r) ~cap input =
 let player_message (p : Params.t) ~d ~capped ctx _j input =
   let n = ctx.Simultaneous.n in
   let s = (Simultaneous.shared_rng ctx ~key:21, p1 p ~d) in
-  let r = (Simultaneous.shared_rng ctx ~key:22, p2 p ~n) in
+  let r = r_table ~n:(Graph.n input) (Simultaneous.shared_rng ctx ~key:22, p2 p ~n) in
   let cap = if capped then edge_cap p ~n ~d else max_int in
-  Msg.edges ~n (select ~s ~r ~cap input)
+  Msg.edges ~n (select r ~s ~cap input)
 
 let referee ctx messages =
   let n = ctx.Simultaneous.n in

@@ -43,8 +43,9 @@ let cap_low (p : Params.t) ~k ~n =
        (Float.ceil (4.0 *. p.boost /. p.delta *. sqrt (float_of_int n) *. logn *. (1.0 +. logk))))
 
 (* Edges this player contributes to the instance with guess 2^t: the
-   Sim_high or Sim_low selection, under the guess's own keys. *)
-let instance_edges (p : Params.t) ctx ~t ~d_bar input =
+   Sim_high or Sim_low selection, under the guess's own keys.  [r] is the
+   player's R table, built at most once per message. *)
+let instance_edges (p : Params.t) ctx ~t ~d_bar ~r input =
   let n = ctx.Simultaneous.n in
   let k = ctx.Simultaneous.k in
   let d_guess = Float.pow 2.0 (float_of_int t) in
@@ -57,9 +58,8 @@ let instance_edges (p : Params.t) ctx ~t ~d_bar input =
   else
     (* AlgLow sampling: S keyed by the guess, R shared across instances (the
        paper notes players can reuse the same R). *)
-    Sim_low.select
+    Sim_low.select (Marks.copy (Lazy.force r))
       ~s:(Simultaneous.shared_rng ctx ~key:(2000 + t), Sim_low.p1 p ~d:d_guess)
-      ~r:(Simultaneous.shared_rng ctx ~key:22, Sim_low.p2 p ~n)
       ~cap:(cap_low p ~k ~n) input
 
 let player_message (p : Params.t) ctx _j input =
@@ -67,9 +67,12 @@ let player_message (p : Params.t) ctx _j input =
   let k = ctx.Simultaneous.k in
   let d_bar = observed_avg_degree ~n input in
   let guesses = if Graph.m input = 0 then [] else guess_range p ~k ~n d_bar in
+  let r =
+    lazy (Sim_low.r_table ~n:(Graph.n input) (Simultaneous.shared_rng ctx ~key:22, Sim_low.p2 p ~n))
+  in
   let parts =
     List.concat_map
-      (fun t -> [ Msg.nat t; Msg.edges ~n (instance_edges p ctx ~t ~d_bar input) ])
+      (fun t -> [ Msg.nat t; Msg.edges ~n (instance_edges p ctx ~t ~d_bar ~r input) ])
       guesses
   in
   Msg.tuple parts

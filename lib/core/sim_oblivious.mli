@@ -4,9 +4,11 @@
     instances with d̄ⱼ-tied budgets (Lemmas 3.30–3.31); the referee checks
     each per-guess union.  Each instance selects its edges through
     {!Sim_high.select} or {!Sim_low.select} under the guess's own keys, so
-    a player hashes every vertex once per sample of each guess it takes
-    part in, not once per incident edge; [Rng.hash_float] is stateless,
-    so this draws nothing and sends exactly the per-edge selection. *)
+    a player hashes every vertex once per sample, not once per incident
+    edge: once per guess for the guess's own sample, and once per message
+    for the R sample that every AlgLow guess shares.  [Rng.hash_float] is
+    stateless, so this draws nothing and sends exactly the per-edge
+    selection. *)
 
 open Tfree_comm
 open Tfree_graph
