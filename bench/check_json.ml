@@ -255,17 +255,22 @@ let () =
     if not (words > 0.0) then fail "micro/gen-far: words not positive";
     if words > limit then
       fail "micro/gen-far: %g words/build over the %g budget" words limit;
-    (* The sim player row (bench/micro_core.ml): timed, and inside an
-       allocation budget no looser than the micro gate's. *)
-    let player = wire_row "micro/sim-player" in
-    let limit = float_field player "limit" and words = float_field player "words" in
-    if limit <= 0.0 then fail "micro/sim-player: non-positive limit";
-    if limit > Micro_core.words_limit then
-      fail "micro/sim-player: limit %g is looser than the %g-word gate" limit Micro_core.words_limit;
-    if not (float_field player "ns" > 0.0) then fail "micro/sim-player: ns not positive";
-    if not (float_field player "ns_spread" >= 0.0) then fail "micro/sim-player: ns_spread negative";
-    if not (words > 0.0) then fail "micro/sim-player: words not positive";
-    if words > limit then fail "micro/sim-player: %g words/run over the %g budget" words limit;
+    (* The cold-build core rows (bench/micro_core.ml): the sim player
+       messages and the dup partition, each timed and inside an allocation
+       budget no looser than the micro gate's. *)
+    let core_row name gate out =
+      let row = wire_row name in
+      let limit = float_field row "limit" and words = float_field row "words" in
+      if limit <= 0.0 then fail "%s: non-positive limit" name;
+      if limit > gate then fail "%s: limit %g is looser than the %g-word gate" name limit gate;
+      if not (float_field row "ns" > 0.0) then fail "%s: ns not positive" name;
+      if not (float_field row "ns_spread" >= 0.0) then fail "%s: ns_spread negative" name;
+      if not (words > 0.0) then fail "%s: words not positive" name;
+      if not (float_field row out > 0.0) then fail "%s: %s not positive" name out;
+      if words > limit then fail "%s: %g words/run over the %g budget" name words limit
+    in
+    core_row "micro/sim-player" Micro_core.words_limit "bits";
+    core_row "micro/partition" Micro_core.partition_words_limit "edges";
     (* The dataset rows (bench/dataset_bench.ml) witness the reasons
        lib/dataset exists: the snapshot loads faster than regenerating or
        re-parsing the corpus, and is the smaller on-disk encoding. *)

@@ -267,9 +267,9 @@ let measure_wire () = Micro_wire.measure ~iters:(if opts.smoke then 20_000 else 
    allocation of one Gen.far_with_degree build at the cold-build shape. *)
 let measure_gen () = Micro_gen.measure ~builds:(if opts.smoke then 20 else 200)
 
-(* The sim player micro-benchmark (bench/micro_core.ml): time and
-   allocation of the four Algorithm 8 player messages of a cold-build
-   query. *)
+(* The cold-build core micro-benchmark (bench/micro_core.ml): time and
+   allocation of the four Algorithm 8 player messages and of the dup
+   partition of a cold-build query. *)
 let measure_core () = Micro_core.measure ~runs:(if opts.smoke then 50 else 500)
 
 (* The dataset-pipeline micro-benchmark (bench/dataset_bench.ml): snapshot

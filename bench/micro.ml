@@ -4,9 +4,9 @@
    framed and payload bytes/query and on encode and decode ns/query, the
    v2 round trip stays inside its minor-words allocation budget, a
    wire-tap delivery of a fixed-width frame inside its per-frame budget,
-   a cold far-instance build ({!Micro_gen}) and the four Algorithm 8
-   player messages of a cold-build query ({!Micro_core}) inside their
-   allocation budgets.
+   a cold far-instance build ({!Micro_gen}), and the four Algorithm 8
+   player messages and the dup partition of a cold-build query
+   ({!Micro_core}) inside their allocation budgets.
 
      (default)   full iteration count, for quoting numbers
      --smoke     reduced iterations; what CI runs on every push
@@ -19,7 +19,7 @@ let smoke_iters = 20_000
 let builds = ref 200
 let smoke_builds = 20
 
-(* sim player runs: each is well under a ms *)
+(* sim player and partition runs: each is a ms or less *)
 let player_runs = ref 500
 let smoke_player_runs = 50
 
@@ -54,8 +54,8 @@ let () =
   match gate (Micro_wire.check r) @ gate (Micro_gen.check g) @ gate (Micro_core.check c) with
   | [] ->
       print_endline
-        "micro: ok (v2 beats v1 on bytes and time; zero-alloc, tap, far-build and sim-player \
-         budgets held)"
+        "micro: ok (v2 beats v1 on bytes and time; zero-alloc, tap, far-build, sim-player and \
+         partition budgets held)"
   | violations ->
       List.iter (fun v -> prerr_endline ("micro: GATE FAILED: " ^ v)) violations;
       exit 1

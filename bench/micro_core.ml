@@ -1,22 +1,29 @@
-(* Micro-benchmark of the simultaneous testers' player kernel: the four
-   Algorithm 8 ([Sim_low]) player messages of one cold-build query — the
-   far instance at n = 2000, d = 24, ǫ = 0.1, dup partition over k = 4
-   players, seed 11 — computed exactly as the served sim query computes
-   them.
+(* Micro-benchmarks of a cold-build query's core: the far instance at
+   n = 2000, d = 24, ǫ = 0.1, dup partition over k = 4 players, seed 11.
 
-     ns/run      the four messages, fastest of {!loops} timed loops
-                 ({!Timing.best_of}), with the loops' spread
+     micro/sim-player   the four Algorithm 8 ([Sim_low]) player messages,
+                        computed exactly as the served sim query computes
+                        them
+     micro/partition    [Service.build_partition Dup] of the instance, as
+                        a cold query builds it
+
+   For each row:
+
+     ns/run      fastest of {!loops} timed loops ({!Timing.best_of}), with
+                 the loops' spread
      words/run   words allocated by one run (minor and major heap, from
                  {!Timing.allocated_words}); every run does the same work,
                  so the figure is exact
 
    Each player builds one R/S membership table (one hash per vertex and
    sample), walks only the rows of vertices in R ∪ S, and encodes its
-   selected edges; {!check} holds a run to {!words_limit} words.
+   selected edges.  A partition draws its ownership bits and hands out
+   players that are views of the instance: no player row is built until a
+   protocol reads it.  {!check} holds a run of each to its words limit.
 
-   [bench/main.ml] embeds the row in BENCH_results.json
-   ([micro/sim-player]); [bench/micro.ml] gates it behind the @micro-smoke
-   alias; [bench/check_json.ml] re-validates the emitted row. *)
+   [bench/main.ml] embeds the rows in BENCH_results.json; [bench/micro.ml]
+   gates them behind the @micro-smoke alias; [bench/check_json.ml]
+   re-validates the emitted rows. *)
 
 open Tfree_util
 open Tfree_graph
@@ -29,21 +36,43 @@ let k = 4
 let eps = 0.1
 let seed = 11
 
-(** The allocation budget of one run (four player messages), in words. *)
+(** The allocation budget of one sim player run (four player messages), in
+    words. *)
 let words_limit = 10_000.0
+
+(** The allocation budget of one partition, in words (about 231k when
+    every player was built through its own [Graph.Builder]). *)
+let partition_words_limit = 30_000.0
 
 (** Timed loops; each runs [runs / loops] runs. *)
 let loops = 5
 
-type result = {
+type row = {
   runs : int;
   ns : float;  (** ns per run, fastest loop *)
   spread : float;  (** slowest loop / fastest loop - 1 *)
   words : float;  (** allocated words per run *)
-  bits : int;  (** the four messages' bits: what a run sends *)
 }
 
-let fixture () =
+type result = {
+  player : row;
+  bits : int;  (** the four messages' bits: what a player run sends *)
+  partition : row;
+  held : int;  (** edges the four players hold, duplicates counted *)
+}
+
+let measure_row ~runs run =
+  Gc.full_major ();
+  let w0 = Timing.allocated_words () in
+  for _ = 1 to runs do
+    ignore (Sys.opaque_identity (run ()))
+  done;
+  let words = (Timing.allocated_words () -. w0) /. float_of_int runs in
+  let t = Timing.best_of ~loops ~iters:(max 1 (runs / loops)) run in
+  { runs; ns = t.Timing.best_ns; spread = t.Timing.spread; words }
+
+let measure ~runs =
+  if runs < 1 then invalid_arg "Micro_core.measure: runs must be positive";
   let req =
     {
       Service.default_request with
@@ -61,56 +90,65 @@ let fixture () =
   let params = Tfree.Params.(with_eps practical eps) in
   let player = (Tfree.Sim_low.protocol params ~d:(Graph.avg_degree g)).Simultaneous.player in
   let ctx = { Simultaneous.k; n; shared = Rng.split (Rng.create seed) 0 } in
-  fun () -> Array.init k (fun j -> player ctx j (Partition.player parts j))
-
-let measure ~runs =
-  if runs < 1 then invalid_arg "Micro_core.measure: runs must be positive";
-  let run = fixture () in
-  let bits = Array.fold_left (fun acc m -> acc + Msg.bits m) 0 (run ()) in
-  Gc.full_major ();
-  let w0 = Timing.allocated_words () in
-  for _ = 1 to runs do
-    ignore (Sys.opaque_identity (run ()))
-  done;
-  let words = (Timing.allocated_words () -. w0) /. float_of_int runs in
-  let t = Timing.best_of ~loops ~iters:(max 1 (runs / loops)) run in
-  { runs; ns = t.Timing.best_ns; spread = t.Timing.spread; words; bits }
+  let play () = Array.init k (fun j -> player ctx j (Partition.player parts j)) in
+  let bits = Array.fold_left (fun acc m -> acc + Msg.bits m) 0 (play ()) in
+  let split () = Service.build_partition Service.Dup (Service.partition_rng seed) ~k g in
+  let held = Array.fold_left (fun acc p -> acc + Graph.m p) 0 (split ()) in
+  { player = measure_row ~runs play; bits; partition = measure_row ~runs split; held }
 
 let check r =
-  if r.words > words_limit then
-    Error [ Printf.sprintf "sim player run allocates %.0f words, budget %.0f" r.words words_limit ]
-  else Ok ()
+  let over name words limit =
+    if words > limit then [ Printf.sprintf "%s allocates %.0f words, budget %.0f" name words limit ]
+    else []
+  in
+  match
+    over "sim player run" r.player.words words_limit
+    @ over "dup partition" r.partition.words partition_words_limit
+  with
+  | [] -> Ok ()
+  | violations -> Error violations
 
 let print_table r =
+  let line name row limit extra =
+    [
+      name;
+      Printf.sprintf "%.0f" row.ns;
+      Printf.sprintf "%.0f%%" (100.0 *. row.spread);
+      Printf.sprintf "%.0f" row.words;
+      Printf.sprintf "<= %.0f" limit;
+      extra;
+    ]
+  in
   Table.print
     (Table.make
        ~title:
-         (Printf.sprintf "sim player micro, Sim_low n=%d d=%g k=%d (best of %d loops of %d runs)" n d
-            k loops (max 1 (r.runs / loops)))
-       ~header:[ "ns/run"; "spread"; "words/run"; "budget"; "bits/run" ]
+         (Printf.sprintf
+            "cold-build core micro, far n=%d d=%g dup k=%d (best of %d loops of %d runs)" n d k
+            loops (max 1 (r.player.runs / loops)))
+       ~header:[ "row"; "ns/run"; "spread"; "words/run"; "budget"; "out" ]
        [
-         [
-           Printf.sprintf "%.0f" r.ns;
-           Printf.sprintf "%.0f%%" (100.0 *. r.spread);
-           Printf.sprintf "%.0f" r.words;
-           Printf.sprintf "<= %.0f" words_limit;
-           string_of_int r.bits;
-         ];
+         line "Sim_low players" r.player words_limit (Printf.sprintf "%d bits" r.bits);
+         line "dup partition" r.partition partition_words_limit (Printf.sprintf "%d edges" r.held);
        ])
 
 let to_rows r =
   let num x = Jsonout.Num x in
-  [
+  let row name (x : row) limit extra =
     Jsonout.Obj
-      [
-        ("name", Jsonout.Str "micro/sim-player");
-        ("n", num (float_of_int n));
-        ("d", num d);
-        ("k", num (float_of_int k));
-        ("ns", num r.ns);
-        ("ns_spread", num r.spread);
-        ("words", num r.words);
-        ("limit", num words_limit);
-        ("bits", num (float_of_int r.bits));
-      ];
+      ([
+         ("name", Jsonout.Str name);
+         ("n", num (float_of_int n));
+         ("d", num d);
+         ("k", num (float_of_int k));
+         ("ns", num x.ns);
+         ("ns_spread", num x.spread);
+         ("words", num x.words);
+         ("limit", num limit);
+       ]
+      @ extra)
+  in
+  [
+    row "micro/sim-player" r.player words_limit [ ("bits", num (float_of_int r.bits)) ];
+    row "micro/partition" r.partition partition_words_limit
+      [ ("edges", num (float_of_int r.held)) ];
   ]
