@@ -19,7 +19,7 @@ let smoke_iters = 20_000
 let builds = ref 200
 let smoke_builds = 20
 
-(* sim player and partition runs: each is a ms or less *)
+(* sim player and partition runs: each is a few ms at most *)
 let player_runs = ref 500
 let smoke_player_runs = 50
 
