@@ -12,10 +12,10 @@
     one bit per arc saying which edges are its own, plus its edge count.
     Row [v] of a view is filtered out of the input's row the first time
     any accessor reads it and kept from then on, so a player whose protocol
-    reads a few rows never pays for the rest.  Every accessor reads rows the
-    same way; on a row already there that costs one physical comparison and
-    no allocation.  {!equal} alone compares an unread row in place and
-    keeps nothing.  A view answers every function below exactly as the
+    reads a few rows never pays for the rest.  Every accessor but {!equal}
+    reads rows that way; on a row already there that costs one physical
+    comparison and no allocation.  {!equal} compares an unread row in place
+    and keeps nothing.  A view answers every function below exactly as the
     materialized graph of its edges would.
 
     {b Domains.}  Reading a view from several domains at once is safe.  Two
@@ -75,9 +75,9 @@ end
     [route give u v] for each; [give j] hands the edge to player [j] by
     setting the bits of both its arcs (giving it twice is giving it once).
     Apart from [route]'s own work, it allocates the arc offsets ([n + 1]
-    words, shared by all players) and, per player, one bit per arc and an
-    [n]-word row table; no row is built until it is read.  A view [g] is
-    read whole first. *)
+    words, shared by all players), an [n]-word scratch cursor and, per
+    player, one bit per arc and an [n]-word row table; no row is built
+    until it is read.  A view [g] is read whole first. *)
 val views : t -> k:int -> ((int -> unit) -> int -> int -> unit) -> t array
 
 val empty : n:int -> t
