@@ -56,6 +56,14 @@ let check_fleet fleet =
   if qps 4 <= qps 1 then fail "fleet/w4 qps (%g) does not beat fleet/w1 (%g)" (qps 4) (qps 1);
   List.length by_workers
 
+(* The tfree/* protocol, substrate and lower-bound rows (bench/main.ml):
+   every unfiltered document must carry each by name, so a regeneration
+   that drops one fails here instead of shrinking the baseline. *)
+let protocol_rows =
+  [ "table1/unrestricted"; "table1/sim-low"; "table1/sim-high"; "table1/sim-oblivious";
+    "table1/exact-baseline"; "substrate/triangle-find"; "substrate/greedy-packing";
+    "substrate/degree-approx"; "lower/bm-reduction"; "lower/streaming-detector" ]
+
 let () =
   let fleet_required = Array.exists (( = ) "--fleet") Sys.argv in
   let path =
@@ -182,11 +190,25 @@ let () =
     | Some [] -> if only = None then fail "empty micro list" else []
     | None -> fail "micro is not a list"
   in
+  (* Every spread a row carries (ns_spread, <x>_ns_spread) is non-negative,
+     and a row timed per run has a positive ns_per_run, its ns_spread and
+     non-negative words. *)
   List.iter
     (fun m ->
-      (match field m "name" with Jsonout.Str _ -> () | _ -> fail "micro name is not a string");
-      ignore (Jsonout.member "ns_per_run" m);
-      ignore (Jsonout.member "r2" m))
+      let name =
+        match field m "name" with Jsonout.Str n -> n | _ -> fail "micro name is not a string"
+      in
+      let fields = match m with Jsonout.Obj fields -> fields | _ -> [] in
+      List.iter
+        (fun (k, _) ->
+          if String.ends_with ~suffix:"ns_spread" k && not (float_field m k >= 0.0) then
+            fail "%s: %s negative" name k)
+        fields;
+      if List.mem_assoc "ns_per_run" fields then begin
+        if not (float_field m "ns_per_run" > 0.0) then fail "%s: ns_per_run not positive" name;
+        if not (float_field m "words" >= 0.0) then fail "%s: words negative" name;
+        ignore (float_field m "ns_spread")
+      end)
     micro;
   (* The wire-codec rows (bench/micro_wire.ml) must be present on every
      unfiltered document, and the document itself must witness the v2-beats-v1
@@ -203,10 +225,13 @@ let () =
       | Some m -> m
       | None -> fail "missing micro row %S" name
     in
+    List.iter (fun n -> ignore (float_field (wire_row ("tfree/" ^ n)) "ns_per_run")) protocol_rows;
     let beaten name =
       let row = wire_row name in
       let v1 = float_field row "v1" and v2 = float_field row "v2" in
-      if not (v2 < v1) then fail "%s: v2 (%g) is not below v1 (%g)" name v2 v1
+      if not (v2 > 0.0) then fail "%s: v2 (%g) not positive" name v2;
+      if not (v2 < v1) then fail "%s: v2 (%g) is not below v1 (%g)" name v2 v1;
+      ignore (float_field row "v1_ns_spread" +. float_field row "v2_ns_spread")
     in
     beaten "micro/serve-encode-ns";
     beaten "micro/serve-decode-ns";
@@ -252,6 +277,7 @@ let () =
     let limit = float_field gen "limit" and words = float_field gen "words" in
     if limit <= 0.0 then fail "micro/gen-far: non-positive limit";
     if not (float_field gen "ms" > 0.0) then fail "micro/gen-far: ms not positive";
+    ignore (float_field gen "ns_spread");
     if not (words > 0.0) then fail "micro/gen-far: words not positive";
     if words > limit then
       fail "micro/gen-far: %g words/build over the %g budget" words limit;
@@ -278,6 +304,10 @@ let () =
     let snap_ns = float_field load "snapshot_ns" in
     let regen_ns = float_field load "regen_ns" in
     let dimacs_ns = float_field load "dimacs_ns" in
+    List.iter
+      (fun p -> ignore (float_field load (p ^ "_ns_spread")))
+      [ "regen"; "dimacs"; "snapshot" ];
+    if not (snap_ns > 0.0) then fail "dataset/snapshot-load-vs-regen: load time not positive";
     if float_field load "m" <= 0.0 then fail "dataset/snapshot-load-vs-regen: non-positive m";
     if not (snap_ns < regen_ns) then
       fail "dataset/snapshot-load-vs-regen: load (%g ns) not below regeneration (%g ns)" snap_ns

@@ -11,7 +11,8 @@
      dimacs ns       re-parse the text file
      snapshot ns     load the snapshot
 
-   plus the size ledger (snapshot vs DIMACS bytes, bits/edge).  The gates
+   each the fastest of up to {!Timing.loops} timed loops ({!Timing.row})
+   with the loops' spread, plus the size ledger (snapshot vs DIMACS bytes, bits/edge).  The gates
    are the reasons lib/dataset exists: the snapshot must load faster than
    regeneration and faster than the text parse, and must be the smaller
    encoding — {!check} turns each failure into a violation string.  Every
@@ -35,20 +36,12 @@ type result = {
   iters : int;
   n : int;
   m : int;
-  regen_ns : float;
-  dimacs_ns : float;
-  snapshot_ns : float;
+  regen : Timing.row;
+  dimacs : Timing.row;
+  snapshot : Timing.row;
   dimacs_bytes : int;
   snapshot_bytes : int;
 }
-
-let time_ns ~iters f =
-  ignore (Sys.opaque_identity (f ()));
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
 
 let measure ~iters =
   if iters < 1 then invalid_arg "Dataset_bench.measure: iters must be positive";
@@ -70,9 +63,9 @@ let measure ~iters =
         iters;
         n = Graph.n g;
         m = Graph.m g;
-        regen_ns = time_ns ~iters regen;
-        dimacs_ns = time_ns ~iters (fun () -> Graph.m (Dimacs.load dimacs_file));
-        snapshot_ns = time_ns ~iters (fun () -> Graph.m (Snapshot.load snap_file));
+        regen = Timing.row ~runs:iters regen;
+        dimacs = Timing.row ~runs:iters (fun () -> Dimacs.load dimacs_file);
+        snapshot = Timing.row ~runs:iters (fun () -> Snapshot.load snap_file);
         dimacs_bytes = (Unix.stat dimacs_file).Unix.st_size;
         snapshot_bytes = (Unix.stat snap_file).Unix.st_size;
       })
@@ -86,10 +79,10 @@ let measure ~iters =
 let violations r =
   let v = ref [] in
   let push fmt = Printf.ksprintf (fun s -> v := s :: !v) fmt in
-  if r.snapshot_ns >= r.regen_ns then
-    push "snapshot load %.0f ns >= regeneration %.0f" r.snapshot_ns r.regen_ns;
-  if r.snapshot_ns >= r.dimacs_ns then
-    push "snapshot load %.0f ns >= dimacs parse %.0f" r.snapshot_ns r.dimacs_ns;
+  if r.snapshot.ns >= r.regen.ns then
+    push "snapshot load %.0f ns >= regeneration %.0f" r.snapshot.ns r.regen.ns;
+  if r.snapshot.ns >= r.dimacs.ns then
+    push "snapshot load %.0f ns >= dimacs parse %.0f" r.snapshot.ns r.dimacs.ns;
   if r.snapshot_bytes >= r.dimacs_bytes then
     push "snapshot %d B >= dimacs %d B" r.snapshot_bytes r.dimacs_bytes;
   List.rev !v
@@ -99,24 +92,24 @@ let check r = match violations r with [] -> Ok () | v -> Error v
 (* ------------------------------------------------------------- output *)
 
 let print_table r =
-  let ms x = Printf.sprintf "%.2f ms" (x /. 1e6) in
+  let ms (x : Timing.row) = Printf.sprintf "%.2f ms (+%.0f%%)" (x.ns /. 1e6) (100.0 *. x.spread) in
   Tfree_util.Table.print
     (Tfree_util.Table.make
        ~title:
          (Printf.sprintf "dataset pipeline micro (far n=%d m=%d, %d iters/row)" r.n r.m r.iters)
        ~header:[ "path"; "time"; "vs regen"; "bytes" ]
        [
-         [ "regenerate"; ms r.regen_ns; "1.000"; "-" ];
+         [ "regenerate"; ms r.regen; "1.000"; "-" ];
          [
            "parse dimacs";
-           ms r.dimacs_ns;
-           Printf.sprintf "%.3f" (r.dimacs_ns /. r.regen_ns);
+           ms r.dimacs;
+           Printf.sprintf "%.3f" (r.dimacs.ns /. r.regen.ns);
            string_of_int r.dimacs_bytes;
          ];
          [
            "load snapshot";
-           ms r.snapshot_ns;
-           Printf.sprintf "%.3f" (r.snapshot_ns /. r.regen_ns);
+           ms r.snapshot;
+           Printf.sprintf "%.3f" (r.snapshot.ns /. r.regen.ns);
            string_of_int r.snapshot_bytes;
          ];
        ])
@@ -130,9 +123,12 @@ let to_rows r =
     Tfree_util.Jsonout.Obj
       [
         ("name", Tfree_util.Jsonout.Str "dataset/snapshot-load-vs-regen");
-        ("regen_ns", num r.regen_ns);
-        ("dimacs_ns", num r.dimacs_ns);
-        ("snapshot_ns", num r.snapshot_ns);
+        ("regen_ns", num r.regen.ns);
+        ("dimacs_ns", num r.dimacs.ns);
+        ("snapshot_ns", num r.snapshot.ns);
+        ("regen_ns_spread", num r.regen.spread);
+        ("dimacs_ns_spread", num r.dimacs.spread);
+        ("snapshot_ns_spread", num r.snapshot.spread);
         ("m", int r.m);
       ];
     Tfree_util.Jsonout.Obj

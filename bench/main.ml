@@ -4,8 +4,10 @@
    1. The Table-1 regeneration harness: every experiment of DESIGN.md §4 runs
       at Small scale and prints its table (these are the numbers EXPERIMENTS.md
       quotes).
-   2. Bechamel micro-benchmarks: one Test.make per Table-1 protocol row (plus
-      the substrate hot paths), timing a single representative run.
+   2. Micro-benchmarks: one row per Table-1 protocol (plus the substrate hot
+      paths), timing a single representative run, then the wire, build,
+      core and dataset rows; every row is timed and its allocation counted
+      by {!Timing.row}.
 
    Modes (parsed from argv, no cmdliner here to keep bench standalone):
      (default)      print part 1 then part 2, as always
@@ -14,18 +16,16 @@
                     BENCH_results.json (schema documented in EXPERIMENTS.md)
      --jobs N       request N pool workers (same semantics as the CLI flag:
                     a ceiling, capped at the hardware core count)
-     --smoke        shrink the bechamel quota so --json finishes quickly;
-                    used by the @bench-smoke dune alias
+     --smoke        run every micro row fewer times so --json finishes
+                    quickly; used by the @bench-smoke dune alias
      --only ID      run a subset of the registered experiments instead of the
                     whole harness; repeat the flag for a union of ids.
-                    Bechamel micro-benchmarks are skipped and the JSON
+                    Micro-benchmarks are skipped and the JSON
                     document records the filter in its "only" field (a
                     string for one id, a list for several) *)
 
 open Tfree_util
 open Tfree_graph
-open Bechamel
-open Toolkit
 
 (* ------------------------------------------------------------ argv *)
 
@@ -102,7 +102,7 @@ let render_experiments () =
   let wall = Unix.gettimeofday () -. t0 in
   (Buffer.contents buf, timings, wall)
 
-(* -------------------------------------------- part 2: bechamel micro *)
+(* ----------------------------------------------- part 2: micro rows *)
 
 let params = Tfree.Params.practical
 
@@ -185,97 +185,83 @@ let trace_profile =
     | "table1/exact-gap" -> Some (traced (fun tap -> Tfree.Tester.exact ~tap ~seed:1 parts_low))
     | _ -> None
 
-let micro_tests =
+(* One row per Table-1 protocol, plus the substrate hot paths and the
+   lower-bound apparatus, each timing a single representative run with
+   {!Timing.row}.  The run counts are sized to about 50 ms a row under
+   --smoke; a full run takes ten times as many. *)
+let protocol_rows () =
+  let scale = if opts.smoke then 1 else 10 in
   let g_low, parts_low = fixture_low in
   let g_dense, parts_dense = fixture_dense in
-  Test.make_grouped ~name:"tfree"
-    [
-      Test.make ~name:"table1/unrestricted"
-        (Staged.stage (fun () -> Tfree.Tester.unrestricted ~seed:(next_seed ()) params parts_low));
-      Test.make ~name:"table1/sim-low"
-        (Staged.stage (fun () ->
-             Tfree.Sim_low.run ~seed:(next_seed ()) params ~d:(Graph.avg_degree g_low) parts_low));
-      Test.make ~name:"table1/sim-high"
-        (Staged.stage (fun () ->
-             Tfree.Sim_high.run ~seed:(next_seed ()) params ~d:(Graph.avg_degree g_dense) parts_dense));
-      Test.make ~name:"table1/sim-oblivious"
-        (Staged.stage (fun () -> Tfree.Sim_oblivious.run ~seed:(next_seed ()) params parts_low));
-      Test.make ~name:"table1/exact-baseline"
-        (Staged.stage (fun () -> Tfree.Tester.exact ~seed:(next_seed ()) parts_low));
-      Test.make ~name:"substrate/triangle-find"
-        (Staged.stage (fun () -> Triangle.find g_dense));
-      Test.make ~name:"substrate/greedy-packing"
-        (Staged.stage (fun () -> Triangle.greedy_packing g_low));
-      Test.make ~name:"substrate/degree-approx"
-        (Staged.stage (fun () ->
-             let rt = Tfree_comm.Runtime.make ~seed:(next_seed ()) parts_low in
-             Tfree.Degree_approx.approx_degree rt ~key:1 ~alpha:3.0 ~tau:0.1 ~boost:0.3 0));
-      Test.make ~name:"lower/bm-reduction"
-        (Staged.stage (fun () ->
-             let rng = Rng.create (next_seed ()) in
-             let inst = Tfree_lowerbound.Boolean_matching.generate rng ~n:256 ~target:false in
-             Tfree_lowerbound.Boolean_matching.reduction_graph inst));
-      Test.make ~name:"lower/streaming-detector"
-        (Staged.stage (fun () ->
-             let det = Tfree_streaming.Detector.make ~seed:(next_seed ()) ~p:0.2 in
-             let rng = Rng.create (next_seed ()) in
-             Tfree_streaming.Stream_alg.run det ~n:(Graph.n g_low)
-               (Tfree_streaming.Stream_alg.stream_of_graph rng g_low)));
-    ]
+  let row name runs f = ("tfree/" ^ name, Timing.row ~runs:(runs * scale) f) in
+  [
+    row "table1/unrestricted" 5 (fun () ->
+        Tfree.Tester.unrestricted ~seed:(next_seed ()) params parts_low);
+    row "table1/sim-low" 100 (fun () ->
+        Tfree.Sim_low.run ~seed:(next_seed ()) params ~d:(Graph.avg_degree g_low) parts_low);
+    row "table1/sim-high" 100 (fun () ->
+        Tfree.Sim_high.run ~seed:(next_seed ()) params ~d:(Graph.avg_degree g_dense) parts_dense);
+    row "table1/sim-oblivious" 25 (fun () ->
+        Tfree.Sim_oblivious.run ~seed:(next_seed ()) params parts_low);
+    row "table1/exact-baseline" 50 (fun () -> Tfree.Tester.exact ~seed:(next_seed ()) parts_low);
+    row "substrate/triangle-find" 50 (fun () -> Triangle.find g_dense);
+    row "substrate/greedy-packing" 100 (fun () -> Triangle.greedy_packing g_low);
+    row "substrate/degree-approx" 5000 (fun () ->
+        let rt = Tfree_comm.Runtime.make ~seed:(next_seed ()) parts_low in
+        Tfree.Degree_approx.approx_degree rt ~key:1 ~alpha:3.0 ~tau:0.1 ~boost:0.3 0);
+    row "lower/bm-reduction" 200 (fun () ->
+        let rng = Rng.create (next_seed ()) in
+        let inst = Tfree_lowerbound.Boolean_matching.generate rng ~n:256 ~target:false in
+        Tfree_lowerbound.Boolean_matching.reduction_graph inst);
+    row "lower/streaming-detector" 100 (fun () ->
+        let det = Tfree_streaming.Detector.make ~seed:(next_seed ()) ~p:0.2 in
+        let rng = Rng.create (next_seed ()) in
+        Tfree_streaming.Stream_alg.run det ~n:(Graph.n g_low)
+          (Tfree_streaming.Stream_alg.stream_of_graph rng g_low));
+  ]
 
-(* Run bechamel and return (name, ns/run, r²) rows, sorted by name. *)
-let measure_micro () =
-  let quota, limit = if opts.smoke then (0.05, 50) else (0.5, 300) in
-  let cfg = Benchmark.cfg ~limit ~quota:(Time.second quota) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] micro_tests in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name o acc ->
-        let est = match Analyze.OLS.estimates o with Some [ e ] -> e | _ -> Float.nan in
-        let r2 = Option.value ~default:Float.nan (Analyze.OLS.r_square o) in
-        (name, est, r2) :: acc)
-      results []
-  in
-  List.sort compare rows
-
-let print_micro rows =
-  print_endline "# Bechamel micro-benchmarks (one Test.make per protocol row)";
-  let table =
-    Table.make ~title:"wall-clock per run"
-      ~header:[ "benchmark"; "time/run"; "r²" ]
-      (List.map
-         (fun (name, est, r2) ->
-           let human =
-             if Float.is_nan est then "-"
-             else if est > 1e9 then Printf.sprintf "%.2f s" (est /. 1e9)
-             else if est > 1e6 then Printf.sprintf "%.2f ms" (est /. 1e6)
-             else if est > 1e3 then Printf.sprintf "%.2f us" (est /. 1e3)
-             else Printf.sprintf "%.0f ns" est
-           in
-           [ name; human; Table.fcell r2 ])
-         rows)
-  in
-  Table.print table
-
-(* The wire-codec micro-benchmark (bench/micro_wire.ml): JSON v1 vs binary
-   v2 on the serve hot path.  Same iteration split as @micro-smoke. *)
-let measure_wire () = Micro_wire.measure ~iters:(if opts.smoke then 20_000 else 200_000)
-
-(* The cold far-build micro-benchmark (bench/micro_gen.ml): time and
-   allocation of one Gen.far_with_degree build at the cold-build shape. *)
-let measure_gen () = Micro_gen.measure ~builds:(if opts.smoke then 20 else 200)
-
-(* The cold-build core micro-benchmark (bench/micro_core.ml): time and
-   allocation of the four Algorithm 8 player messages and of the dup
-   partition of a cold-build query. *)
-let measure_core () = Micro_core.measure ~runs:(if opts.smoke then 50 else 500)
-
-(* The dataset-pipeline micro-benchmark (bench/dataset_bench.ml): snapshot
-   load vs regeneration vs text parse on a quarter-million-edge corpus.
-   Few iterations — each one loads the whole graph. *)
-let measure_dataset () = Dataset_bench.measure ~iters:(if opts.smoke then 2 else 5)
+(* Measure every micro row and print its table, then return the rows of the
+   document's micro array: the protocol rows above, the wire codec and tap
+   (bench/micro_wire.ml, same iteration split as @micro-smoke), the cold
+   far build (bench/micro_gen.ml), the cold-build core (bench/micro_core.ml)
+   and the dataset pipeline (bench/dataset_bench.ml; few iterations, as
+   each loads a quarter-million-edge graph). *)
+let micro_suite () =
+  let smoke a b = if opts.smoke then a else b in
+  let protocol = protocol_rows () in
+  Table.print
+    (Table.make
+       ~title:(Printf.sprintf "protocol micro-benchmarks (best of %d loops)" Timing.loops)
+       ~header:[ "benchmark"; "us/run"; "spread"; "words/run" ]
+       (List.map
+          (fun (name, (r : Timing.row)) ->
+            [
+              name;
+              Printf.sprintf "%.2f" (r.ns /. 1e3);
+              Printf.sprintf "%.0f%%" (100.0 *. r.spread);
+              Printf.sprintf "%.0f" r.words;
+            ])
+          protocol));
+  let wire = Micro_wire.measure ~iters:(smoke 20_000 200_000) in
+  Micro_wire.print_table wire;
+  let gen = Micro_gen.measure ~builds:(smoke 20 200) in
+  Micro_gen.print_table gen;
+  let core = Micro_core.measure ~runs:(smoke 50 500) in
+  Micro_core.print_table core;
+  let dataset = Dataset_bench.measure ~iters:(smoke 2 5) in
+  Dataset_bench.print_table dataset;
+  List.map
+    (fun (name, (r : Timing.row)) ->
+      Jsonout.Obj
+        [
+          ("name", Str name);
+          ("ns_per_run", Num r.ns);
+          ("ns_spread", Num r.spread);
+          ("words", Num r.words);
+        ])
+    protocol
+  @ Micro_wire.to_rows wire @ Micro_gen.to_rows gen @ Micro_core.to_rows core
+  @ Dataset_bench.to_rows dataset
 
 (* ------------------------------------------------------- json output *)
 
@@ -285,7 +271,7 @@ let json_file = "BENCH_results.json"
    Schema "tfree-bench/v1" (documented in EXPERIMENTS.md):
      harness runs are the full Table-1 loop at jobs=1 and at the requested
      job count, with per-experiment wall-clock and a byte-identity check of
-     the rendered tables; micro rows are bechamel OLS estimates. *)
+     the rendered tables; micro rows are {!Timing.row} measurements. *)
 let run_json () =
   let requested = match opts.jobs with Some j -> j | None -> Pool.jobs () in
   Pool.set_jobs 1;
@@ -296,18 +282,9 @@ let run_json () =
   let identical = String.equal out1 outn in
   print_string outn;
   (* A filtered run regenerates only the requested experiments' tables; the
-     bechamel micro suite covers the whole protocol zoo, so it only runs
+     micro suite covers the whole protocol zoo, so it only runs
      with the full harness. *)
-  let micro = if opts.only = [] then measure_micro () else [] in
-  if opts.only = [] then print_micro micro;
-  let wire = if opts.only = [] then Some (measure_wire ()) else None in
-  Option.iter Micro_wire.print_table wire;
-  let gen = if opts.only = [] then Some (measure_gen ()) else None in
-  Option.iter Micro_gen.print_table gen;
-  let core = if opts.only = [] then Some (measure_core ()) else None in
-  Option.iter Micro_core.print_table core;
-  let dataset = if opts.only = [] then Some (measure_dataset ()) else None in
-  Option.iter Dataset_bench.print_table dataset;
+  let micro = if opts.only = [] then micro_suite () else [] in
   (* The congest threshold/accounting rows (lib/experiments/congest_threshold.ml):
      seeded, wall-clock-free, so the document stays byte-stable. *)
   let congest = if opts.only = [] then Tfree_experiments.Congest_threshold.bench_rows () else [] in
@@ -341,17 +318,7 @@ let run_json () =
               ("tables_identical", Bool identical);
               ("experiments", List experiments);
             ] );
-        ( "micro",
-          List
-            (List.map
-               (fun (name, est, r2) ->
-                 Jsonout.Obj [ ("name", Str name); ("ns_per_run", Num est); ("r2", Num r2) ])
-               micro
-            @ (match wire with Some w -> Micro_wire.to_rows w | None -> [])
-            @ (match gen with Some g -> Micro_gen.to_rows g | None -> [])
-            @ (match core with Some c -> Micro_core.to_rows c | None -> [])
-            @ (match dataset with Some d -> Dataset_bench.to_rows d | None -> [])
-            @ congest) );
+        ("micro", List (micro @ congest));
       ])
   in
   let oc = open_out json_file in
@@ -368,12 +335,6 @@ let () =
   else begin
     let out, _, _ = render_experiments () in
     print_string out;
-    if opts.only = [] then begin
-      print_micro (measure_micro ());
-      Micro_wire.print_table (measure_wire ());
-      Micro_gen.print_table (measure_gen ());
-      Micro_core.print_table (measure_core ());
-      Dataset_bench.print_table (measure_dataset ())
-    end;
+    if opts.only = [] then ignore (micro_suite ());
     print_endline "done."
   end

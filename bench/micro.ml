@@ -6,7 +6,10 @@
    wire-tap delivery of a fixed-width frame inside its per-frame budget,
    a cold far-instance build ({!Micro_gen}), and the four Algorithm 8
    player messages and the dup partition of a cold-build query
-   ({!Micro_core}) inside their allocation budgets.
+   ({!Micro_core}) inside their allocation budgets.  Every words budget
+   reads the one counter in {!Timing.row}, so that counter must first read
+   exactly the words of a closure allocating one known block, on the minor
+   heap and on the major heap.
 
      (default)   full iteration count, for quoting numbers
      --smoke     reduced iterations; what CI runs on every push
@@ -22,6 +25,16 @@ let smoke_builds = 20
 (* sim player and partition runs: each is a few ms at most *)
 let player_runs = ref 500
 let smoke_player_runs = 50
+
+(* A block of [len] fields is [len] + 1 words with its header; one over
+   256 words goes straight to the major heap. *)
+let counter_violations () =
+  List.filter_map
+    (fun len ->
+      let words = (Timing.row ~runs:100 (fun () -> Array.make len 0)).Timing.words in
+      if words = float_of_int (len + 1) then None
+      else Some (Printf.sprintf "allocation counter reads %g words for Array.make %d" words len))
+    [ 10; 1000 ]
 
 let () =
   let rec parse = function
@@ -51,11 +64,12 @@ let () =
   let c = Micro_core.measure ~runs:!player_runs in
   Micro_core.print_table c;
   let gate = function Ok () -> [] | Error v -> v in
-  match gate (Micro_wire.check r) @ gate (Micro_gen.check g) @ gate (Micro_core.check c) with
+  let gates = gate (Micro_wire.check r) @ gate (Micro_gen.check g) @ gate (Micro_core.check c) in
+  match counter_violations () @ gates with
   | [] ->
       print_endline
-        "micro: ok (v2 beats v1 on bytes and time; zero-alloc, tap, far-build, sim-player and \
-         partition budgets held)"
+        "micro: ok (allocation counter exact; v2 beats v1 on bytes and time; zero-alloc, tap, \
+         far-build, sim-player and partition budgets held)"
   | violations ->
       List.iter (fun v -> prerr_endline ("micro: GATE FAILED: " ^ v)) violations;
       exit 1

@@ -9,11 +9,10 @@
 
    For each row:
 
-     ns/run      fastest of {!loops} timed loops ({!Timing.best_of}), with
-                 the loops' spread
-     words/run   words allocated by one run (minor and major heap, from
-                 {!Timing.allocated_words}); every run does the same work,
-                 so the figure is exact
+     ns/run      fastest of {!Timing.loops} timed loops ({!Timing.row}),
+                 with the loops' spread
+     words/run   words allocated by one run (minor and major heap); every
+                 run does the same work, so the figure is exact
 
    Each player builds one R/S membership table (one hash per vertex and
    sample), walks only the rows of vertices in R ∪ S, and encodes its
@@ -44,32 +43,13 @@ let words_limit = 10_000.0
     every player was built through its own [Graph.Builder]). *)
 let partition_words_limit = 30_000.0
 
-(** Timed loops; each runs [runs / loops] runs. *)
-let loops = 5
-
-type row = {
-  runs : int;
-  ns : float;  (** ns per run, fastest loop *)
-  spread : float;  (** slowest loop / fastest loop - 1 *)
-  words : float;  (** allocated words per run *)
-}
-
 type result = {
-  player : row;
+  runs : int;
+  player : Timing.row;
   bits : int;  (** the four messages' bits: what a player run sends *)
-  partition : row;
+  partition : Timing.row;
   held : int;  (** edges the four players hold, duplicates counted *)
 }
-
-let measure_row ~runs run =
-  Gc.full_major ();
-  let w0 = Timing.allocated_words () in
-  for _ = 1 to runs do
-    ignore (Sys.opaque_identity (run ()))
-  done;
-  let words = (Timing.allocated_words () -. w0) /. float_of_int runs in
-  let t = Timing.best_of ~loops ~iters:(max 1 (runs / loops)) run in
-  { runs; ns = t.Timing.best_ns; spread = t.Timing.spread; words }
 
 let measure ~runs =
   if runs < 1 then invalid_arg "Micro_core.measure: runs must be positive";
@@ -94,7 +74,7 @@ let measure ~runs =
   let bits = Array.fold_left (fun acc m -> acc + Msg.bits m) 0 (play ()) in
   let split () = Service.build_partition Service.Dup (Service.partition_rng seed) ~k g in
   let held = Array.fold_left (fun acc p -> acc + Graph.m p) 0 (split ()) in
-  { player = measure_row ~runs play; bits; partition = measure_row ~runs split; held }
+  { runs; player = Timing.row ~runs play; bits; partition = Timing.row ~runs split; held }
 
 let check r =
   let over name words limit =
@@ -109,7 +89,7 @@ let check r =
   | violations -> Error violations
 
 let print_table r =
-  let line name row limit extra =
+  let line name (row : Timing.row) limit extra =
     [
       name;
       Printf.sprintf "%.0f" row.ns;
@@ -123,8 +103,8 @@ let print_table r =
     (Table.make
        ~title:
          (Printf.sprintf
-            "cold-build core micro, far n=%d d=%g dup k=%d (best of %d loops of %d runs)" n d k
-            loops (max 1 (r.player.runs / loops)))
+            "cold-build core micro, far n=%d d=%g dup k=%d (%d runs, best of %d loops)" n d k
+            r.runs (min Timing.loops r.runs))
        ~header:[ "row"; "ns/run"; "spread"; "words/run"; "budget"; "out" ]
        [
          line "Sim_low players" r.player words_limit (Printf.sprintf "%d bits" r.bits);
@@ -133,7 +113,7 @@ let print_table r =
 
 let to_rows r =
   let num x = Jsonout.Num x in
-  let row name (x : row) limit extra =
+  let row name (x : Timing.row) limit extra =
     Jsonout.Obj
       ([
          ("name", Jsonout.Str name);

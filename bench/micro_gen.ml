@@ -2,9 +2,10 @@
    cold-build workload's shape (n = 2000, d = 24, ǫ = 0.1), each build on a
    fresh seed as a cold query's would be.
 
-     ms/build      median wall time of one build
-     words/build   words allocated per build (minor and major heap, from
-                   {!Timing.allocated_words}), averaged over the builds
+     ms/build      wall time of one build, fastest of {!Timing.loops}
+                   timed loops ({!Timing.row}), with the loops' spread
+     words/build   words allocated per build (minor and major heap),
+                   averaged over the builds
 
    A build streams its edges into one flat buffer and one Graph.Builder;
    {!check} holds it to {!words_limit} allocated words, about half of what
@@ -26,8 +27,7 @@ let words_limit = 260_000.0
 
 type result = {
   builds : int;
-  ms : float;  (** median ms per build *)
-  words : float;  (** allocated words per build *)
+  build : Timing.row;  (** one build, each on a fresh seed *)
   edges : int;  (** edges of the first build *)
 }
 
@@ -35,26 +35,19 @@ let build seed = Gen.far_with_degree (Rng.create seed) ~n ~d ~eps
 
 let measure ~builds =
   if builds < 1 then invalid_arg "Micro_gen.measure: builds must be positive";
-  let edges = Graph.m (build 11) in
-  Gc.full_major ();
-  let w0 = Timing.allocated_words () in
-  for i = 1 to builds do
-    ignore (Sys.opaque_identity (build (11 + i)))
-  done;
-  let words = (Timing.allocated_words () -. w0) /. float_of_int builds in
-  let times =
-    Array.init builds (fun i ->
-        let t0 = Unix.gettimeofday () in
-        ignore (Sys.opaque_identity (build (11 + i)));
-        (Unix.gettimeofday () -. t0) *. 1e3)
+  let seed = ref 11 in
+  let edges = Graph.m (build !seed) in
+  let fresh () =
+    incr seed;
+    build !seed
   in
-  { builds; ms = Stats.median (Array.to_list times); words; edges }
+  { builds; build = Timing.row ~runs:builds fresh; edges }
 
 let check r =
-  if r.words > words_limit then
+  if r.build.words > words_limit then
     Error
       [
-        Printf.sprintf "far build allocates %.0f words, budget %.0f" r.words words_limit;
+        Printf.sprintf "far build allocates %.0f words, budget %.0f" r.build.words words_limit;
       ]
   else Ok ()
 
@@ -62,11 +55,12 @@ let print_table r =
   Table.print
     (Table.make
        ~title:(Printf.sprintf "far build micro, n=%d d=%g eps=%g (%d builds)" n d eps r.builds)
-       ~header:[ "ms/build"; "words/build"; "budget"; "edges" ]
+       ~header:[ "ms/build"; "spread"; "words/build"; "budget"; "edges" ]
        [
          [
-           Printf.sprintf "%.2f" r.ms;
-           Printf.sprintf "%.0f" r.words;
+           Printf.sprintf "%.2f" (r.build.ns /. 1e6);
+           Printf.sprintf "%.0f%%" (100.0 *. r.build.spread);
+           Printf.sprintf "%.0f" r.build.words;
            Printf.sprintf "<= %.0f" words_limit;
            string_of_int r.edges;
          ];
@@ -81,8 +75,9 @@ let to_rows r =
         ("n", num (float_of_int n));
         ("d", num d);
         ("eps", num eps);
-        ("ms", num r.ms);
-        ("words", num r.words);
+        ("ms", num (r.build.ns /. 1e6));
+        ("ns_spread", num r.build.spread);
+        ("words", num r.build.words);
         ("limit", num words_limit);
         ("edges", num (float_of_int r.edges));
       ];

@@ -9,8 +9,12 @@
      bytes/query       framed (what crosses the socket) and payload (the
                        body inside the framing: the JSON text for v1, the
                        frame body for v2), reported separately
-     minor words/query minor-heap allocation of one v2 encode+decode round
-                       trip over preallocated scratch buffers
+     minor words/query words allocated by one v2 encode+decode round trip
+                       over preallocated scratch buffers
+
+   Every time is the fastest of {!Timing.loops} timed loops
+   ({!Timing.row}), reported with the loops' spread, and every word count
+   comes from the same loops.
 
    The v2 path is required to be zero-alloc in the steady state: after a
    warm-up pass grows the scratch buffers to working size, the round trip
@@ -23,13 +27,11 @@
 
    A second table times the protocol-side wire path: one delivery through
    [Wire_runtime.tap] on a pipe (frame, cross, decode, compare), in ns and
-   minor words, for an empty message, a one-bit reply (the unrestricted
+   words, for an empty message, a one-bit reply (the unrestricted
    protocol's degree-approximation frame), an optional vertex, 40 vertices
-   and 200 edges.  Its ns are the fastest of {!tap_loops} timed loops
-   ({!Timing.best_of}), reported with their spread.  The three fixed-width
-   frames must stay inside {!tap_words_limit} minor words per delivery —
-   the payload reader and the decoded message, no buffers — which {!check}
-   enforces.
+   and 200 edges.  The three fixed-width frames must stay inside
+   {!tap_words_limit} words per delivery — the payload reader and the
+   decoded message, no buffers — which {!check} enforces.
 
    [bench/main.ml] embeds the rows in BENCH_results.json ([micro/serve-*],
    [micro/tap-frame]); [bench/micro.ml] runs the gate standalone behind the
@@ -77,24 +79,22 @@ let () = assert (Wire.reconciles fixture_response.Service.wire)
 
 type result = {
   iters : int;
-  v1_encode_ns : float;
-  v2_encode_ns : float;
-  v1_decode_ns : float;
-  v2_decode_ns : float;
+  v1_encode : Timing.row;
+  v2_encode : Timing.row;
+  v1_decode : Timing.row;
+  v2_decode : Timing.row;
   v1_framed_bytes : int;  (** request line + reply line, newlines included *)
   v1_payload_bytes : int;  (** the JSON text alone *)
   v2_framed_bytes : int;  (** both frames: length prefix + body + checksum *)
   v2_payload_bytes : int;  (** both frame bodies *)
-  minor_words : float;  (** minor-heap words per v2 encode+decode round trip *)
+  round_trip : Timing.row;  (** one v2 encode+decode round trip *)
   tap : tap_case list;  (** one delivery through the wire tap, per message shape *)
 }
 
 and tap_case = {
   case : string;
   fixed : bool;  (** a fixed-width frame, held to {!tap_words_limit} *)
-  tap_ns : float;  (** ns per delivery, fastest of {!tap_loops} loops *)
-  tap_spread : float;  (** slowest loop / fastest loop - 1 *)
-  tap_words : float;  (** minor words per delivery *)
+  delivery : Timing.row;
 }
 
 (** The zero-alloc budget: one v2 round trip may allocate the decoded
@@ -110,19 +110,7 @@ let minor_words_limit = 256.0
     vertex. *)
 let tap_words_limit = 16.0
 
-(** Timed loops per tap row; each runs [iters / tap_loops] deliveries. *)
-let tap_loops = 5
-
 (* --------------------------------------------------------- measurement *)
-
-let time_ns ~iters f =
-  ignore (Sys.opaque_identity (f ()));
-  (* warm-up: grow scratch, fault in code *)
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
 
 (* The message shapes the tap is timed on: the unrestricted protocol's
    tiny messages, then a medium and a large list. *)
@@ -149,14 +137,7 @@ let measure_tap ~iters =
         (fun (case, fixed, msg) ->
           let deliver () = tap.Channel.deliver ~round:0 (Channel.To_player 0) msg in
           if not (Msg.equal (deliver ()) msg) then failwith "micro: tap altered a message";
-          Gc.full_major ();
-          let w0 = Gc.minor_words () in
-          for _ = 1 to iters do
-            ignore (Sys.opaque_identity (deliver ()))
-          done;
-          let tap_words = (Gc.minor_words () -. w0) /. float_of_int iters in
-          let t = Timing.best_of ~loops:tap_loops ~iters:(max 1 (iters / tap_loops)) deliver in
-          { case; fixed; tap_ns = t.Timing.best_ns; tap_spread = t.Timing.spread; tap_words })
+          { case; fixed; delivery = Timing.row ~runs:iters deliver })
         tap_messages)
 
 let measure ~iters =
@@ -225,7 +206,7 @@ let measure ~iters =
   ignore (v2_encode ());
   let v2_framed_bytes = Proto.frame_len qbuf + Proto.frame_len rbuf in
   let v2_payload_bytes = Proto.frame_body_len qbuf + Proto.frame_body_len rbuf in
-  (* allocation: one warmed v2 round trip, minor words per iteration.
+  (* allocation: one warmed v2 round trip, words per iteration.
      The round trip includes latency-histogram recording — the serve loop
      records every query and every phase — under the SAME budget: the
      histogram's int fast path must stay zero-alloc or the gate trips. *)
@@ -236,32 +217,25 @@ let measure ~iters =
     ignore (Sys.opaque_identity (v2_decode ()));
     Histogram.record_int hist 37
   in
-  round_trip ();
-  Gc.full_major ();
-  let w0 = Gc.minor_words () in
-  for _ = 1 to iters do
-    round_trip ()
-  done;
-  let minor_words = (Gc.minor_words () -. w0) /. float_of_int iters in
   {
     iters;
-    v1_encode_ns = time_ns ~iters v1_encode;
-    v2_encode_ns = time_ns ~iters v2_encode;
-    v1_decode_ns = time_ns ~iters (fun () -> fst (v1_decode ()));
-    v2_decode_ns = time_ns ~iters (fun () -> fst (v2_decode ()));
+    v1_encode = Timing.row ~runs:iters v1_encode;
+    v2_encode = Timing.row ~runs:iters v2_encode;
+    v1_decode = Timing.row ~runs:iters v1_decode;
+    v2_decode = Timing.row ~runs:iters v2_decode;
     v1_framed_bytes;
     v1_payload_bytes;
     v2_framed_bytes;
     v2_payload_bytes;
-    minor_words;
+    round_trip = Timing.row ~runs:iters round_trip;
     tap = measure_tap ~iters;
   }
 
 (* ----------------------------------------------------------- the gate *)
 
 (** Every way v2 is required to beat v1, as violation strings (empty =
-    pass).  The byte gates are deterministic; the timing gates compare
-    medians-of-one and are run at iteration counts high enough that the
+    pass).  The byte gates are deterministic; the timing gates compare the
+    fastest loops, run at iteration counts high enough that the
     two-orders-of-magnitude JSON/binary gap cannot flip on noise. *)
 let violations r =
   let v = ref [] in
@@ -270,17 +244,17 @@ let violations r =
     push "v2 framed bytes/query %d >= v1 %d" r.v2_framed_bytes r.v1_framed_bytes;
   if r.v2_payload_bytes >= r.v1_payload_bytes then
     push "v2 payload bytes/query %d >= v1 %d" r.v2_payload_bytes r.v1_payload_bytes;
-  if r.v2_encode_ns >= r.v1_encode_ns then
-    push "v2 encode %.0f ns/query >= v1 %.0f" r.v2_encode_ns r.v1_encode_ns;
-  if r.v2_decode_ns >= r.v1_decode_ns then
-    push "v2 decode %.0f ns/query >= v1 %.0f" r.v2_decode_ns r.v1_decode_ns;
-  if r.minor_words > minor_words_limit then
-    push "v2 round trip allocates %.1f minor words/query, budget %.0f" r.minor_words
+  if r.v2_encode.ns >= r.v1_encode.ns then
+    push "v2 encode %.0f ns/query >= v1 %.0f" r.v2_encode.ns r.v1_encode.ns;
+  if r.v2_decode.ns >= r.v1_decode.ns then
+    push "v2 decode %.0f ns/query >= v1 %.0f" r.v2_decode.ns r.v1_decode.ns;
+  if r.round_trip.words > minor_words_limit then
+    push "v2 round trip allocates %.1f words/query, budget %.0f" r.round_trip.words
       minor_words_limit;
   List.iter
     (fun c ->
-      if c.fixed && c.tap_words > tap_words_limit then
-        push "tap delivery of %s allocates %.1f minor words/frame, budget %.0f" c.case c.tap_words
+      if c.fixed && c.delivery.words > tap_words_limit then
+        push "tap delivery of %s allocates %.1f words/frame, budget %.0f" c.case c.delivery.words
           tap_words_limit)
     r.tap;
   List.rev !v
@@ -293,37 +267,41 @@ let print_tap_table r =
   Table.print
     (Table.make
        ~title:
-         (Printf.sprintf "wire tap micro, pipe (best of %d loops of %d deliveries/row)" tap_loops
-            (max 1 (r.iters / tap_loops)))
-       ~header:[ "message"; "ns/frame"; "spread"; "minor words/frame"; "budget" ]
+         (Printf.sprintf "wire tap micro, pipe (%d deliveries/row, best of %d loops)" r.iters
+            (min Timing.loops r.iters))
+       ~header:[ "message"; "ns/frame"; "spread"; "words/frame"; "budget" ]
        (List.map
           (fun c ->
             [
               c.case;
-              Printf.sprintf "%.1f" c.tap_ns;
-              Printf.sprintf "%.0f%%" (100.0 *. c.tap_spread);
-              Printf.sprintf "%.1f" c.tap_words;
+              Printf.sprintf "%.1f" c.delivery.ns;
+              Printf.sprintf "%.0f%%" (100.0 *. c.delivery.spread);
+              Printf.sprintf "%.1f" c.delivery.words;
               (if c.fixed then Printf.sprintf "<= %.0f" tap_words_limit else "-");
             ])
           r.tap))
 
 let print_table r =
-  let f1 x = Printf.sprintf "%.1f" x in
+  (* a time with its spread: the slowest loop was that much slower *)
+  let timed (x : Timing.row) = Printf.sprintf "%.1f (+%.0f%%)" x.ns (100.0 *. x.spread) in
   Table.print
-    (Table.make ~title:(Printf.sprintf "wire codec micro (%d iters/row)" r.iters)
+    (Table.make
+       ~title:
+         (Printf.sprintf "wire codec micro (%d iters/row, best of %d loops)" r.iters
+            (min Timing.loops r.iters))
        ~header:[ "metric"; "v1 (json)"; "v2 (binary)"; "v2/v1" ]
        [
          [
            "encode ns/query";
-           f1 r.v1_encode_ns;
-           f1 r.v2_encode_ns;
-           Printf.sprintf "%.3f" (r.v2_encode_ns /. r.v1_encode_ns);
+           timed r.v1_encode;
+           timed r.v2_encode;
+           Printf.sprintf "%.3f" (r.v2_encode.ns /. r.v1_encode.ns);
          ];
          [
            "decode ns/query";
-           f1 r.v1_decode_ns;
-           f1 r.v2_decode_ns;
-           Printf.sprintf "%.3f" (r.v2_decode_ns /. r.v1_decode_ns);
+           timed r.v1_decode;
+           timed r.v2_decode;
+           Printf.sprintf "%.3f" (r.v2_decode.ns /. r.v1_decode.ns);
          ];
          [
            "framed bytes/query";
@@ -342,31 +320,31 @@ let print_table r =
          [
            "minor words/query (v2)";
            "-";
-           f1 r.minor_words;
+           Printf.sprintf "%.1f" r.round_trip.words;
            Printf.sprintf "<= %.0f" minor_words_limit;
          ];
        ]);
   print_tap_table r
 
-(* The BENCH_results.json rows.  Same array as the bechamel rows (every
+(* The BENCH_results.json rows.  Same array as the protocol rows (every
    row carries a "name"); the wire rows carry their own fields instead of
-   ns_per_run/r2, and check_json validates them by name. *)
+   ns_per_run, and check_json validates them by name. *)
 let to_rows r =
   let num x = Jsonout.Num x in
   let int n = num (float_of_int n) in
+  let v1_v2 name (v1 : Timing.row) (v2 : Timing.row) =
+    Jsonout.Obj
+      [
+        ("name", Jsonout.Str name);
+        ("v1", num v1.ns);
+        ("v2", num v2.ns);
+        ("v1_ns_spread", num v1.spread);
+        ("v2_ns_spread", num v2.spread);
+      ]
+  in
   [
-    Jsonout.Obj
-      [
-        ("name", Jsonout.Str "micro/serve-encode-ns");
-        ("v1", num r.v1_encode_ns);
-        ("v2", num r.v2_encode_ns);
-      ];
-    Jsonout.Obj
-      [
-        ("name", Jsonout.Str "micro/serve-decode-ns");
-        ("v1", num r.v1_decode_ns);
-        ("v2", num r.v2_decode_ns);
-      ];
+    v1_v2 "micro/serve-encode-ns" r.v1_encode r.v2_encode;
+    v1_v2 "micro/serve-decode-ns" r.v1_decode r.v2_decode;
     Jsonout.Obj
       [
         ("name", Jsonout.Str "micro/serve-bytes-per-query");
@@ -378,7 +356,7 @@ let to_rows r =
     Jsonout.Obj
       [
         ("name", Jsonout.Str "micro/serve-minor-words-per-query");
-        ("v2", num r.minor_words);
+        ("v2", num r.round_trip.words);
         ("limit", num minor_words_limit);
       ];
     Jsonout.Obj
@@ -387,9 +365,9 @@ let to_rows r =
       :: List.concat_map
            (fun c ->
              [
-               (c.case ^ "_ns", num c.tap_ns);
-               (c.case ^ "_ns_spread", num c.tap_spread);
-               (c.case ^ "_words", num c.tap_words);
+               (c.case ^ "_ns", num c.delivery.ns);
+               (c.case ^ "_ns_spread", num c.delivery.spread);
+               (c.case ^ "_words", num c.delivery.words);
              ])
            r.tap);
   ]

@@ -1,33 +1,18 @@
-(* Best-of-k wall-clock timing and exact allocation counts for the micro
-   benchmarks.
+(* The one timer and allocation counter of the micro benchmarks.
 
-   One timed loop
-   on a shared host reads whatever the scheduler gave it: the same tap
-   delivery has read 11.5 and 17.9 us in two runs.  The fastest of k loops
-   is the figure least disturbed by other load, and the relative spread
-   (slowest / fastest - 1) says how far to trust it. *)
+   One timed loop on a shared host reads whatever the scheduler gave it:
+   the same tap delivery has read 11.5 and 17.9 us in two runs.  The
+   fastest of k loops is the figure least disturbed by other load, and the
+   relative spread (slowest / fastest - 1) says how far to trust it. *)
 
-type t = {
-  best_ns : float;  (** ns per call in the fastest loop *)
+type row = {
+  ns : float;  (** ns per call in the fastest loop *)
   spread : float;  (** slowest loop / fastest loop - 1 *)
+  words : float;  (** words allocated per call, minor and major heap *)
 }
 
-(* [best_of ~loops ~iters f] warms [f] up once, then times [loops] loops of
-   [iters] calls each. *)
-let best_of ~loops ~iters f =
-  if loops < 1 || iters < 1 then invalid_arg "Timing.best_of: loops and iters must be positive";
-  ignore (Sys.opaque_identity (f ()));
-  let per_call () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
-  in
-  let times = List.init loops (fun _ -> per_call ()) in
-  let best = List.fold_left Float.min Float.infinity times in
-  let worst = List.fold_left Float.max 0.0 times in
-  { best_ns = best; spread = (if best > 0.0 then (worst /. best) -. 1.0 else 0.0) }
+(** Timed loops per row. *)
+let loops = 5
 
 (* Words allocated so far, minor and major heap.  [Gc.allocated_bytes]
    (and the minor field of [Gc.counters]) leave out what the current minor
@@ -38,3 +23,34 @@ let best_of ~loops ~iters f =
 let allocated_words () =
   let _, promoted, major = Gc.counters () in
   Gc.minor_words () +. major -. promoted
+
+(* [row ~runs f] warms [f] up once, then times [runs] calls in
+   [min loops runs] loops of equal length, counting each loop's words
+   between two reads of {!allocated_words}.  What one read allocates itself
+   is taken off, so a call that allocates w words reads exactly w. *)
+let row ~runs f =
+  if runs < 1 then invalid_arg "Timing.row: runs must be positive";
+  let loops = min loops runs in
+  let iters = runs / loops in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.full_major ();
+  let w = allocated_words () in
+  let counter = allocated_words () -. w in
+  let words = ref 0.0 in
+  let times =
+    List.init loops (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        let w0 = allocated_words () in
+        for _ = 1 to iters do
+          ignore (Sys.opaque_identity (f ()))
+        done;
+        words := !words +. (allocated_words () -. w0 -. counter);
+        (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters)
+  in
+  let best = List.fold_left Float.min Float.infinity times in
+  let worst = List.fold_left Float.max 0.0 times in
+  {
+    ns = best;
+    spread = (if best > 0.0 then (worst /. best) -. 1.0 else 0.0);
+    words = !words /. float_of_int (loops * iters);
+  }

@@ -51,18 +51,18 @@ let split t key =
   let k = mix64 (Int64.logxor t.salt (Int64.of_int key)) in
   make (mix64 (Int64.logxor (state t) k)) (mix64 (Int64.add k golden))
 
+(* The top 53 bits of [h] as a float in [0, 1).  Multiplying by 2^-53 is
+   exact, so it equals dividing by 2^53, without the division. *)
+let[@inline] unit_float h = Int64.to_float (Int64.shift_right_logical h 11) *. 0x1p-53
+
 (** Stateless keyed hash in [0, 1). *)
 let[@inline] hash_float t key =
-  let h = mix64 (Int64.logxor (Int64.add (state t) (Int64.of_int key)) t.salt) in
-  let mantissa = Int64.to_float (Int64.shift_right_logical h 11) in
-  mantissa /. 9007199254740992.0 (* 2^53 *)
+  unit_float (mix64 (Int64.logxor (Int64.add (state t) (Int64.of_int key)) t.salt))
 
 (** Stateless keyed hash over a pair of keys, in [0, 1). *)
 let hash_float2 t key1 key2 =
   let h1 = mix64 (Int64.logxor (Int64.add (state t) (Int64.of_int key1)) t.salt) in
-  let h = mix64 (Int64.add h1 (Int64.of_int key2)) in
-  let mantissa = Int64.to_float (Int64.shift_right_logical h 11) in
-  mantissa /. 9007199254740992.0
+  unit_float (mix64 (Int64.add h1 (Int64.of_int key2)))
 
 let hash_bool t key ~p = hash_float t key < p
 
@@ -72,9 +72,7 @@ let int t bound =
   let r = Int64.shift_right_logical (next_int64 t) 1 in
   Int64.to_int (Int64.rem r (Int64.of_int bound))
 
-let[@inline] float t =
-  let mantissa = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
-  mantissa /. 9007199254740992.0
+let[@inline] float t = unit_float (next_int64 t)
 
 let[@inline] bool t ~p = float t < p
 

@@ -404,6 +404,17 @@ let test_lru_clear () =
 let qcheck_props =
   let open QCheck in
   [
+    Test.make ~name:"rng float is the top 53 bits over 2^53" ~count:200 (pair int int)
+      (fun (seed, key) ->
+        let r = Rng.split (Rng.create seed) key in
+        let c = Rng.copy r in
+        List.for_all
+          (fun _ ->
+            let mantissa = Int64.to_float (Int64.shift_right_logical (Rng.next_int64 c) 11) in
+            Int64.equal
+              (Int64.bits_of_float (Rng.float r))
+              (Int64.bits_of_float (mantissa /. 9007199254740992.0)))
+          (List.init 64 Fun.id));
     Test.make ~name:"bernoulli_subset within range" ~count:200
       (pair small_nat (float_range 0.0 1.0))
       (fun (n, p) ->
