@@ -25,6 +25,5 @@ val wait_in : Unix.file_descr list -> timeout_s:float -> Unix.file_descr list
 
 (** [readable fd ~timeout_s] is [wait_in [fd]] collapsed to a boolean:
     [true] when [fd] is readable (or at EOF/error), [false] on timeout or
-    [EINTR].  The single-fd wait the byte-at-a-time deadline readers
-    use. *)
+    [EINTR].  The single-fd wait of the client's deadline reads. *)
 val readable : Unix.file_descr -> timeout_s:float -> bool

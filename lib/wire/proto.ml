@@ -13,12 +13,14 @@
       writer ({!begin_frame}/{!end_frame}) that seals a varint length
       prefix and a 2-byte mod-2^16 checksum around whatever was put;
     - {!cursor}, a reusable bounds-checked reader over a byte region;
-    - {!try_frame}, the streaming frame splitter the server's event loop
-      drains its per-connection read buffer with;
-    - {!rbuf}, that per-connection read buffer: grown on demand, compacted
+    - {!try_frame}, the streaming frame splitter;
+    - {!rbuf}, a connection's read buffer: grown on demand, compacted
       in place, and — the part a long-lived daemon needs — shrunk back to
       a small default once a large request has been consumed, so one
-      near-8MB line does not pin megabytes for the connection's lifetime.
+      near-8MB line does not pin megabytes for the connection's lifetime;
+    - {!reader}, the one way either end of a serve connection reads: an
+      {!rbuf} filled by chunked socket reads ({!fill}) and split by
+      {!next} into the hello answer, a v1 line or a v2 frame.
 
     Everything on the steady-state path is allocation-free: puts poke
     bytes into preallocated storage, gets read scalars out of it, and the
@@ -255,13 +257,12 @@ let try_frame data ~pos ~limit cur =
   (* length varint, streaming: incomplete only while it may still finish *)
   let l = ref 0 and shift = ref 0 and p = ref pos and continue = ref true and result = ref 0 in
   while !continue do
+    if !p - pos >= 10 then Wire_error.errorf_corrupt "Proto.try_frame: length varint longer than 10 bytes";
     if !p >= limit then begin
-      if !p - pos >= 10 then Wire_error.errorf_corrupt "Proto.try_frame: length varint longer than 10 bytes";
       result := -1;
       continue := false
     end
     else begin
-      if !p - pos >= 10 then Wire_error.errorf_corrupt "Proto.try_frame: length varint longer than 10 bytes";
       let byte = Char.code (Bytes.unsafe_get data !p) in
       incr p;
       l := !l lor ((byte land 0x7f) lsl !shift);
@@ -297,12 +298,12 @@ let try_frame data ~pos ~limit cur =
 
 (* ------------------------------------------------ connection read buffer *)
 
-(* A connection's read accumulation: appended by the event loop's [read],
-   consumed a line or a frame at a time.  Capacity policy: grow by doubling
-   to fit whatever arrives (the server separately caps buffered bytes), but
-   once consumption leaves at most a small tail, fall back to the default
-   allocation — a connection that once carried a near-8MB batch must not
-   pin that memory while it idles. *)
+(* A connection's read accumulation: filled straight from the socket,
+   consumed a hello, a line or a frame at a time.  Capacity policy: grow
+   by doubling to fit whatever arrives (the callers separately cap
+   buffered bytes), but once consumption leaves at most a small tail, fall
+   back to the default allocation — a connection that once carried a
+   near-8MB batch must not pin that memory while it idles. *)
 
 let rbuf_default_capacity = 4 * 1024
 
@@ -318,10 +319,11 @@ let rbuf_data r = r.rdata
 let rbuf_start r = r.rstart
 let rbuf_capacity r = Bytes.length r.rdata
 
-let rbuf_append r src off len =
-  let avail = rbuf_avail r in
+(* Make [len] bytes free past [rend]: compact first, grow by doubling only
+   if the tail plus [len] still misses. *)
+let rbuf_reserve r len =
   if r.rend + len > Bytes.length r.rdata then begin
-    (* compact first; grow only if the tail plus the new bytes still miss *)
+    let avail = rbuf_avail r in
     if r.rstart > 0 then begin
       Bytes.blit r.rdata r.rstart r.rdata 0 avail;
       r.rstart <- 0;
@@ -336,7 +338,10 @@ let rbuf_append r src off len =
       Bytes.blit r.rdata 0 grown 0 r.rend;
       r.rdata <- grown
     end
-  end;
+  end
+
+let rbuf_append r src off len =
+  rbuf_reserve r len;
   Bytes.blit src off r.rdata r.rend len;
   r.rend <- r.rend + len
 
@@ -358,3 +363,70 @@ let rbuf_consume r n =
     r.rstart <- 0;
     r.rend <- avail
   end
+
+(* ------------------------------------------------------------ the reader *)
+
+(* [scanned]: how many bytes past the buffer's start are known to hold no
+   newline, so a long line is scanned once, not once per fill. *)
+type reader = { buf : rbuf; body : cursor; mutable scanned : int }
+
+let reader () = { buf = rbuf_create (); body = cursor (); scanned = 0 }
+let buffered r = rbuf_avail r.buf
+let body r = r.body
+
+type fill = Data | Eof | Again
+
+(* A free tail shorter than this is compacted before a read.  The buffer
+   only grows once it is full, so a caller that checks its cap before
+   each fill never allocates past it. *)
+let min_read = 1024
+
+let fill r fd =
+  let b = r.buf in
+  let cap = Bytes.length b.rdata in
+  if cap - b.rend < min_read then rbuf_reserve b (max 1 (min min_read (cap - rbuf_avail b)));
+  match Unix.read fd b.rdata b.rend (Bytes.length b.rdata - b.rend) with
+  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> Eof
+  | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Again
+  | 0 -> Eof
+  | n ->
+      b.rend <- b.rend + n;
+      Data
+
+type unit_read = Pending | Hello of int | Line of string | Frame of int
+
+(* The first '\n' in [data[pos, lim)], or -1; [Bytes.index_from] would
+   scan past the buffered region. *)
+let find_newline data pos lim =
+  let i = ref pos in
+  while !i < lim && Bytes.unsafe_get data !i <> '\n' do
+    incr i
+  done;
+  if !i < lim then !i else -1
+
+let next r ~version =
+  let b = r.buf in
+  let data = b.rdata and start = b.rstart and limit = b.rend in
+  if version >= 2 then (
+    match try_frame data ~pos:start ~limit r.body with
+    | -1 -> Pending
+    | len ->
+        rbuf_consume b len;
+        Frame len)
+  else if version = 0 && start < limit && Bytes.unsafe_get data start = magic then
+    if limit - start < 2 then Pending
+    else begin
+      let offered = Char.code (Bytes.unsafe_get data (start + 1)) in
+      rbuf_consume b 2;
+      Hello offered
+    end
+  else
+    match find_newline data (start + r.scanned) limit with
+    | -1 ->
+        r.scanned <- limit - start;
+        Pending
+    | nl ->
+        let line = Bytes.sub_string data start (nl - start) in
+        rbuf_consume b (nl - start + 1);
+        r.scanned <- 0;
+        Line line

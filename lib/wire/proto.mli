@@ -1,7 +1,8 @@
 (** Wire-format primitives for the serve protocol's binary v2: the
     negotiation handshake constants, a reusable zero-alloc frame writer and
-    bounds-checked reader, the streaming frame splitter the server's event
-    loop drains with, and the self-shrinking per-connection read buffer.
+    bounds-checked reader, the streaming frame splitter, the self-shrinking
+    per-connection read buffer, and the one socket reader both ends of a
+    serve connection read with.
 
     The service-shape layouts (query/reply/batch/stats) live in
     {!Service}; this module only knows bytes.  Frames carry the same
@@ -33,6 +34,12 @@ val pref_to_string : pref -> string
 val hello : int -> string
 
 (** {2 Frames} *)
+
+(** The largest frame length prefix a reader accepts, 64 MiB (as
+    {!Frame.max_frame_bytes}): a corrupted prefix must not make a reader
+    allocate or wait for gigabytes.  The client caps a v1 reply line at the
+    same size. *)
+val max_frame_bytes : int
 
 (** {2 Writing: reusable scratch buffer}
 
@@ -147,3 +154,41 @@ val rbuf_append : rbuf -> Bytes.t -> int -> int -> unit
     the shrink policy.
     @raise Invalid_argument when [n] exceeds {!rbuf_avail}. *)
 val rbuf_consume : rbuf -> int -> unit
+
+(** {2 The socket reader}
+
+    The one way either end of a serve connection reads: {!fill} tops an
+    {!rbuf} up with one chunked [Unix.read], and {!next}, the one splitter,
+    takes the next unit off its front.  The daemon fills once per readable
+    event and drains; the client fills under its reply deadline and keeps
+    one reader from its hello to the reply. *)
+
+type reader
+
+val reader : unit -> reader
+
+(** Bytes read but not yet taken. *)
+val buffered : reader -> int
+
+(** Covers the body of the last {!Frame} taken, until the next {!fill}. *)
+val body : reader -> cursor
+
+(** [Eof]: the peer closed or reset; [Again]: [EINTR] or not ready. *)
+type fill = Data | Eof | Again
+
+(** One read into the buffer's free tail, compacted when short of room
+    and grown only when full.
+    @raise Unix.Unix_error on any other read failure. *)
+val fill : reader -> Unix.file_descr -> fill
+
+(** [Hello v] carries the version byte of a {!hello}; [Line] is a v1
+    line without its newline; [Frame len] a v2 frame of [len] bytes. *)
+type unit_read = Pending | Hello of int | Line of string | Frame of int
+
+(** Take the next complete unit, or return [Pending] and take nothing.
+    [version] is what the connection speaks: [0] while negotiating (a
+    first byte of {!magic} opens a hello, anything else a line), [1] v1
+    lines, [2] v2 frames.
+    @raise Wire_error.Wire_error on a frame stream that can never resync
+    (as {!try_frame}). *)
+val next : reader -> version:int -> unit_read

@@ -395,20 +395,24 @@ let category_code category =
 let category_of_code i =
   match List.nth_opt Metrics.all_categories i with Some c -> c | None -> Metrics.Run_failure
 
-(* query body: 4 enum bytes, 3 zigzag ints, 2 f64, the fault spec *)
-let put_request b r =
-  Proto.put_u8 b (family_code r.family);
+(* The v2 query body, one layout for both query kinds: family, partition,
+   protocol and transport bytes, zigzag n, k and seed, f64 d and eps, the
+   fault spec.  A dataset query ([generated = false]) skips the generator
+   fields (family, n, d); its frame puts the registered name where the
+   family byte would be. *)
+let put_query b ~generated r =
+  if generated then Proto.put_u8 b (family_code r.family);
   Proto.put_u8 b (partition_code r.partition);
   Proto.put_u8 b (protocol_code r.protocol);
   Proto.put_u8 b (transport_code r.transport);
-  Proto.put_zigzag b r.n;
+  if generated then Proto.put_zigzag b r.n;
   Proto.put_zigzag b r.k;
   Proto.put_zigzag b r.seed;
-  Proto.put_f64 b r.d;
+  if generated then Proto.put_f64 b r.d;
   Proto.put_f64 b r.eps;
   Proto.put_string b r.fault
 
-(* The semantic half of both v2 query layouts: enum codes to values and
+(* The semantic half of the v2 query reader: enum codes to values and
    the fault spec checked.  [Error] makes a bad code or fault spec a
    per-request malformed reply, exactly like its JSON twin. *)
 let request_of_codes family_c partition_c protocol_c transport_c ~n ~d ~k ~eps ~seed ~fault =
@@ -424,20 +428,24 @@ let request_of_codes family_c partition_c protocol_c transport_c ~n ~d ~k ~eps ~
   | _, _, None, _ -> Error (Printf.sprintf "unknown protocol code %d" protocol_c)
   | _, _, _, None -> Error (Printf.sprintf "unknown transport code %d" transport_c)
 
-(* Structural reads happen unconditionally (a failure raises and fails the
-   whole frame) before the semantic checks. *)
-let decode_request_body cur =
-  let family_c = Proto.get_u8 cur in
+(* The reader of {!put_query}'s layout; a skipped generator field takes
+   {!default_request}'s value.  Structural reads happen unconditionally (a
+   failure raises and fails the whole frame) before the semantic checks. *)
+let get_query cur ~generated =
+  let r = default_request in
+  let family_c = if generated then Proto.get_u8 cur else family_code r.family in
   let partition_c = Proto.get_u8 cur in
   let protocol_c = Proto.get_u8 cur in
   let transport_c = Proto.get_u8 cur in
-  let n = Proto.get_zigzag cur in
+  let n = if generated then Proto.get_zigzag cur else r.n in
   let k = Proto.get_zigzag cur in
   let seed = Proto.get_zigzag cur in
-  let d = Proto.get_f64 cur in
+  let d = if generated then Proto.get_f64 cur else r.d in
   let eps = Proto.get_f64 cur in
   let fault = Proto.get_string cur in
   request_of_codes family_c partition_c protocol_c transport_c ~n ~d ~k ~eps ~seed ~fault
+
+let decode_request_body cur = get_query cur ~generated:true
 
 (* reply body: verdict (+ witness), the counters, the reconciled wire report *)
 let put_response b r =
@@ -498,7 +506,7 @@ let decode_response_body cur =
 let encode_query_frame b r =
   Proto.begin_frame b;
   Proto.put_u8 b tag_query;
-  put_request b r;
+  put_query b ~generated:true r;
   Proto.end_frame b
 
 let encode_response_frame b r =
@@ -521,42 +529,22 @@ let encode_batch_frame b reqs =
   Proto.begin_frame b;
   Proto.put_u8 b tag_batch;
   Proto.put_varint b (List.length reqs);
-  List.iter (fun r -> put_request b r) reqs;
+  List.iter (fun r -> put_query b ~generated:true r) reqs;
   Proto.end_frame b
 
-(* dataset query body: the registered name, 3 enum bytes, 2 zigzag ints,
-   1 f64, the fault spec; the request's family/n/d are not sent *)
-let put_dataset_request b ~name r =
-  Proto.put_string b name;
-  Proto.put_u8 b (partition_code r.partition);
-  Proto.put_u8 b (protocol_code r.protocol);
-  Proto.put_u8 b (transport_code r.transport);
-  Proto.put_zigzag b r.k;
-  Proto.put_zigzag b r.seed;
-  Proto.put_f64 b r.eps;
-  Proto.put_string b r.fault
-
+(* A structural failure raises before the name is checked, as in
+   {!get_query}. *)
 let decode_dataset_request_body cur =
   let name = Proto.get_string cur in
-  let partition_c = Proto.get_u8 cur in
-  let protocol_c = Proto.get_u8 cur in
-  let transport_c = Proto.get_u8 cur in
-  let k = Proto.get_zigzag cur in
-  let seed = Proto.get_zigzag cur in
-  let eps = Proto.get_f64 cur in
-  let fault = Proto.get_string cur in
+  let req = get_query cur ~generated:false in
   if name = "" then Error "dataset name must be non-empty"
-  else
-    let r = default_request in
-    Result.map
-      (fun req -> (name, req))
-      (request_of_codes (family_code r.family) partition_c protocol_c transport_c ~n:r.n ~d:r.d ~k
-         ~eps ~seed ~fault)
+  else Result.map (fun req -> (name, req)) req
 
 let encode_dataset_frame b ~name r =
   Proto.begin_frame b;
   Proto.put_u8 b tag_dataset;
-  put_dataset_request b ~name r;
+  Proto.put_string b name;
+  put_query b ~generated:false r;
   Proto.end_frame b
 
 (* ------------------------------------------------- the instance cache *)
@@ -1247,64 +1235,17 @@ let handle_line ?cache ?registry ?hooks ~metrics ~stop ?(version = 1) line =
     ~encode:(fun reply -> Jsonout.to_line (reply_to_json ~metrics reply))
     line
 
-(* ------------------------------------------------------- line transport *)
+(* ------------------------------------------------------------ transport *)
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let sent = ref 0 in
-  while !sent < n do
-    sent := !sent + Unix.write fd b !sent (n - !sent)
-  done
-
-let write_line fd s = write_all fd (s ^ "\n")
-
-type line_read =
-  | Line of string  (** a complete newline-terminated line *)
-  | Eof  (** orderly close with nothing buffered *)
-  | Partial of string  (** the peer vanished mid-line; never process this *)
-  | Timed_out  (** the deadline expired before the newline arrived *)
-
-(* Read one line byte-by-byte under a wall-clock deadline.  The poll
-   before every read keeps a silent or half-dead peer from pinning the
-   server; a connection reset surfaces as [Partial]/[Eof] rather than an
-   exception so the caller's accounting stays simple.  {!Evpoll.readable}
-   rather than [Unix.select]: a select here crashes with EINVAL the
-   moment the process holds any fd >= FD_SETSIZE, which a fleet-scale
-   process routinely does. *)
-let read_line_deadline fd ~deadline =
-  let buf = Buffer.create 256 in
-  let one = Bytes.create 1 in
-  let finish_eof () = if Buffer.length buf = 0 then Eof else Partial (Buffer.contents buf) in
-  let rec loop () =
-    let remaining = deadline -. Unix.gettimeofday () in
-    if remaining <= 0.0 then Timed_out
-    else if not (Evpoll.readable fd ~timeout_s:remaining) then
-      (* timeout or EINTR: re-check the deadline and wait again *)
-      loop ()
-    else
-      match Unix.read fd one 0 1 with
-      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> finish_eof ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | 0 -> finish_eof ()
-      | _ ->
-          let c = Bytes.get one 0 in
-          if c = '\n' then Line (Buffer.contents buf)
-          else (
-            Buffer.add_char buf c;
-            loop ())
-  in
-  loop ()
-
-
-let write_bytes_all fd data off len =
+(* Write every byte of [data[off, off+len)]: the one write loop of both
+   ends and of the fleet's control channel. *)
+let write_bytes fd data off len =
   let sent = ref 0 in
   while !sent < len do
     sent := !sent + Unix.write fd data (off + !sent) (len - !sent)
   done
 
-(* Write the sealed frame currently held by [b]. *)
-let write_frame fd b = write_bytes_all fd (Proto.storage b) (Proto.frame_off b) (Proto.frame_len b)
+let write_string fd s = write_bytes fd (Bytes.unsafe_of_string s) 0 (String.length s)
 
 (* Reply-level fault injection over one encoded reply [data[off, off+len)]:
    the [op]-th reply the server writes (0-based across the whole server
@@ -1326,7 +1267,7 @@ let write_frame fd b = write_bytes_all fd (Proto.storage b) (Proto.frame_off b) 
 let inject_reply ~metrics ~fault ~op fd data ~off ~len ~region:(region_off, region_len) =
   match Fault.find fault op with
   | None ->
-      write_bytes_all fd data off len;
+      write_bytes fd data off len;
       (`Keep, true)
   | Some kind -> (
       Metrics.record_injected metrics;
@@ -1339,35 +1280,34 @@ let inject_reply ~metrics ~fault ~op fd data ~off ~len ~region:(region_off, regi
             let byte = region_off + (i / 8) in
             Bytes.set data byte (Char.chr (Char.code (Bytes.get data byte) lxor (1 lsl (i mod 8))))
           end;
-          write_bytes_all fd data off len;
+          write_bytes fd data off len;
           (`Keep, false)
       | Fault.Truncate { keep } ->
-          write_bytes_all fd data off (min (max keep 0) (max 0 (len - 1)));
+          write_bytes fd data off (min (max keep 0) (max 0 (len - 1)));
           (`Close, false)
       | Fault.Delay { amount } ->
           Unix.sleepf (float_of_int (max amount 0) /. 1000.0);
-          write_bytes_all fd data off len;
+          write_bytes fd data off len;
           (`Keep, true)
       | Fault.Partial { at } ->
           let cut = max 1 (min at (len - 1)) in
-          write_bytes_all fd data off cut;
-          write_bytes_all fd data (off + cut) (len - cut);
+          write_bytes fd data off cut;
+          write_bytes fd data (off + cut) (len - cut);
           (`Keep, true))
 
-(* One open connection in the event loop: its descriptor, the read buffer
-   holding bytes that do not yet form a complete line or frame, the
-   preallocated scratch a binary reply is encoded into, the reusable
-   cursor binary requests are decoded through, the wire-protocol version
-   the connection negotiated (0 until the first byte decides), and the
-   wall-clock instant by which the next request unit must arrive.  The
-   read buffer shrinks back to a small default once a large request has
-   been consumed ({!Proto.rbuf_consume}), so one near-cap line or batch
-   does not pin megabytes for the connection's lifetime. *)
+(* One open connection in the event loop: its descriptor, the reader
+   holding bytes that do not yet form a complete unit (its cursor covers
+   the body of the frame being served), the preallocated scratch a binary
+   reply is encoded into, the wire-protocol version the connection
+   negotiated (0 until the first byte decides), and the wall-clock
+   instant by which the next request unit must arrive.  The read buffer
+   shrinks back to a small default once a large request has been consumed
+   ({!Proto.rbuf_consume}), so one near-cap line or batch does not pin
+   megabytes for the connection's lifetime. *)
 type conn = {
   conn_fd : Unix.file_descr;
-  rbuf : Proto.rbuf;
+  rd : Proto.reader;
   wbuf : Proto.buf;
-  rcur : Proto.cursor;
   mutable version : int;
   mutable deadline : float;
   mutable conn_open : bool;
@@ -1375,15 +1315,6 @@ type conn = {
      assembled; nan between units.  Feeds the read-phase histogram. *)
   mutable read_start : float;
 }
-
-(* Find '\n' in [data[pos, lim)]; [Bytes.index_from] would scan past the
-   buffered region. *)
-let find_newline data pos lim =
-  let i = ref pos in
-  while !i < lim && Bytes.unsafe_get data !i <> '\n' do
-    incr i
-  done;
-  if !i < lim then Some !i else None
 
 (* A connection that streams garbage without newlines must not grow its
    buffer forever; past this it is shed with a malformed error. *)
@@ -1498,10 +1429,11 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
           Metrics.record_error metrics ~category:Metrics.Overload;
           log Logger.Warn "shed" [ ("max_clients", jnum max_clients) ];
           (try
-             write_line fd
+             write_string fd
                (Jsonout.to_line
                   (error_obj ~category:Metrics.Overload
-                     (Printf.sprintf "server at capacity (%d clients); retry later" max_clients)))
+                     (Printf.sprintf "server at capacity (%d clients); retry later" max_clients))
+               ^ "\n")
            with Unix.Unix_error _ -> ());
           try Unix.close fd with Unix.Unix_error _ -> ()
         end
@@ -1510,9 +1442,8 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
           conns :=
             {
               conn_fd = fd;
-              rbuf = Proto.rbuf_create ();
+              rd = Proto.reader ();
               wbuf = Proto.create_buf ();
-              rcur = Proto.cursor ();
               version = 0;
               deadline = Unix.gettimeofday () +. line_timeout_s;
               conn_open = true;
@@ -1548,7 +1479,7 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
       ];
     try
       let data, off, len, _ = encode_for c (R_error (category, msg)) in
-      write_bytes_all c.conn_fd data off len
+      write_bytes c.conn_fd data off len
     with Unix.Unix_error _ -> ()
   in
   (* One request unit fully assembled out of [c]'s socket: one read-phase
@@ -1563,17 +1494,16 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
       c.read_start <- (if remaining > 0 then now else nan)
     end
   in
-  (* Serve one unit of [c] (a line, or the frame under [c.rcur]) and route
+  (* Serve one unit of [c] ([decode] reads it into an op) and route
      the reply through the fault schedule; tally the served queries and —
      when the reply landed byte-intact — credit the exchange's
      request+reply bytes to the connection's wire-protocol version, so
      stats reconcile exactly against what the client's successful
      exchanges measured. *)
-  let serve_conn_unit c input ~request_bytes =
-    let decode = function `Line line -> op_of_line line | `Frame -> decode_op c.rcur in
+  let serve_conn_unit c decode ~request_bytes =
     match
       serve_unit ?cache ?registry ?hooks ~metrics ~stop ~version:(max 1 c.version) ~decode
-        ~encode:(encode_for c) input
+        ~encode:(encode_for c) ()
     with
     | exception e ->
         Metrics.record_error metrics ~category:Metrics.Run_failure;
@@ -1598,113 +1528,79 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
                 ~bytes:(request_bytes + len);
             if action = `Close then close_conn c)
   in
-  (* The next complete unit buffered in [c] and its byte length: a line
-     (v1) or a frame whose body [c.rcur] now covers (v2); [None] until more
-     bytes arrive.  A frame stream that can never resync raises. *)
-  let next_unit c =
-    let data = Proto.rbuf_data c.rbuf and start = Proto.rbuf_start c.rbuf in
-    let limit = start + Proto.rbuf_avail c.rbuf in
-    if c.version >= 2 then
-      match Proto.try_frame data ~pos:start ~limit c.rcur with
-      | -1 -> None
-      | len -> Some (`Frame, len)
-    else
-      Option.map
-        (fun nl -> (`Line (Bytes.sub_string data start (nl - start)), nl - start + 1))
-        (find_newline data start limit)
+  (* One request unit of [len] bytes taken off [c]'s reader: note its read
+     time, roll the deadline forward and serve it while the budget
+     lasts. *)
+  let serve_taken c decode len =
+    note_unit_read c ~remaining:(Proto.buffered c.rd);
+    c.deadline <- Unix.gettimeofday () +. line_timeout_s;
+    if budget_left () then observe_unit (fun () -> serve_conn_unit c decode ~request_bytes:len)
   in
-  (* Serve every complete unit in [c]'s read buffer; keep the unfinished
-     tail for the next readable event.  Each unit rolls the deadline
-     forward.  A stream-level framing error — garbage or oversized length
+  (* A hello offering [offered]: answer [min offered max_version].  One
+     offering version 0 is a typed malformed error answered with a
+     version-0 hello; the connection then falls back to v1 and stays
+     usable.  Handshake bytes are not a request unit: they are excluded
+     from the per-version byte gauges, from the fault schedule's reply
+     numbering (so op indices line up across versions) and from the read
+     phase, whose clock re-arms without recording. *)
+  let negotiate c offered =
+    c.read_start <- (if Proto.buffered c.rd > 0 then Mono.now_us () else nan);
+    c.deadline <- Unix.gettimeofday () +. line_timeout_s;
+    let negotiated = if offered < 1 then 0 else min offered max_version in
+    if negotiated = 0 then Metrics.record_error metrics ~category:Metrics.Malformed;
+    match write_string c.conn_fd (Proto.hello negotiated) with
+    | () -> c.version <- max 1 negotiated
+    | exception Unix.Unix_error _ ->
+        transport_error ();
+        close_conn c
+  in
+  (* Serve every complete unit buffered for [c] ({!Proto.next} splits
+     them: while the connection negotiates, a first byte of {!Proto.magic}
+     opens the version hello and anything else a JSON line, which makes
+     the connection v1); keep the unfinished tail for the next readable
+     event.  A stream-level framing error — garbage or oversized length
      prefix, checksum mismatch — is unrecoverable (a byte stream cannot
      resync), so it costs a transport error and the connection; a frame
      that passes its checksum but decodes badly is answered with the
      connection kept. *)
-  let drain_units c =
+  let drain c =
     let scanning = ref true in
     while !scanning && c.conn_open && not !stop do
-      match next_unit c with
+      match Proto.next c.rd ~version:c.version with
       | exception Wire_error.Wire_error k ->
           transport_error ();
           write_error_conn c ~category:Metrics.Transport
             ("unrecoverable frame stream: " ^ Wire_error.message k);
           close_conn c
-      | None ->
-          if Proto.rbuf_avail c.rbuf > max_line_bytes then begin
+      | Proto.Pending ->
+          if Proto.buffered c.rd > max_line_bytes then begin
             Metrics.record_error metrics ~category:Metrics.Malformed;
             write_error_conn c ~category:Metrics.Malformed
               (if c.version >= 2 then "request frame too long" else "request line too long");
             close_conn c
           end;
           scanning := false
-      | Some (input, len) ->
-          note_unit_read c ~remaining:(Proto.rbuf_avail c.rbuf - len);
-          c.deadline <- Unix.gettimeofday () +. line_timeout_s;
-          if budget_left () then
-            observe_unit (fun () -> serve_conn_unit c input ~request_bytes:len);
-          if c.conn_open then Proto.rbuf_consume c.rbuf len else scanning := false
+      | Proto.Hello offered -> negotiate c offered
+      | Proto.Line line ->
+          c.version <- 1;
+          serve_taken c (fun () -> op_of_line line) (String.length line + 1)
+      | Proto.Frame len -> serve_taken c (fun () -> decode_op (Proto.body c.rd)) len
     done
   in
-  (* The first byte decides the connection's protocol: {!Proto.magic}
-     opens the version handshake, anything else is the first byte of a
-     JSON line and the connection is v1.  A hello offering version 0 is a
-     typed malformed error answered with a version-0 hello; the
-     connection then falls back to v1 and stays usable.  Handshake bytes
-     are excluded from the per-version byte gauges and from the fault
-     schedule's reply numbering, so op indices line up across versions. *)
-  let rec drain c =
-    if c.conn_open then
-      if c.version = 0 then begin
-        let avail = Proto.rbuf_avail c.rbuf in
-        if avail >= 1 then begin
-          let data = Proto.rbuf_data c.rbuf and start = Proto.rbuf_start c.rbuf in
-          if Bytes.get data start <> Proto.magic then begin
-            c.version <- 1;
-            drain c
-          end
-          else if avail >= 2 then begin
-            let requested = Char.code (Bytes.get data (start + 1)) in
-            Proto.rbuf_consume c.rbuf 2;
-            (* handshake bytes are not a request unit: re-arm the read
-               clock without recording *)
-            c.read_start <-
-              (if Proto.rbuf_avail c.rbuf > 0 then Mono.now_us () else nan);
-            c.deadline <- Unix.gettimeofday () +. line_timeout_s;
-            let negotiated = if requested < 1 then 0 else min requested max_version in
-            if negotiated = 0 then
-              Metrics.record_error metrics ~category:Metrics.Malformed;
-            (match
-               write_all c.conn_fd (Proto.hello negotiated)
-             with
-            | () ->
-                c.version <- max 1 negotiated;
-                drain c
-            | exception Unix.Unix_error _ ->
-                transport_error ();
-                close_conn c)
-          end
-          (* else: magic seen, version byte still in flight — wait *)
-        end
-      end
-      else drain_units c
-  in
-  let chunk = Bytes.create 4096 in
   let on_eof c =
     (* the client died mid-line (or mid-frame); a half request is not a
        request *)
-    if Proto.rbuf_avail c.rbuf > 0 then transport_error ();
+    if Proto.buffered c.rd > 0 then transport_error ();
     close_conn c
   in
   let service_conn c =
-    match Unix.read c.conn_fd chunk 0 (Bytes.length chunk) with
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> on_eof c
-    | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    match Proto.fill c.rd c.conn_fd with
     | exception Unix.Unix_error _ ->
         transport_error ();
         close_conn c
-    | 0 -> on_eof c
-    | nread ->
-        Proto.rbuf_append c.rbuf chunk 0 nread;
+    | Proto.Eof -> on_eof c
+    | Proto.Again -> ()
+    | Proto.Data ->
         if Float.is_nan c.read_start then c.read_start <- Mono.now_us ();
         drain c
   in
@@ -1794,8 +1690,8 @@ let ctl_write fd tag payload =
   Bytes.set hdr 2 (Char.chr ((n lsr 8) land 0xff));
   Bytes.set hdr 3 (Char.chr ((n lsr 16) land 0xff));
   Bytes.set hdr 4 (Char.chr ((n lsr 24) land 0xff));
-  write_bytes_all fd hdr 0 5;
-  write_all fd payload
+  write_bytes fd hdr 0 5;
+  write_string fd payload
 
 (* Largest control payload we accept: a metrics snapshot is a few KB, so
    anything past this is a desynchronized stream, treated like a close. *)
@@ -2260,107 +2156,83 @@ let guard_attempt f =
       Error (`Transient, Printf.sprintf "%s: %s" fn (Unix.error_message e))
   | exception Wire_error.Wire_error k -> Error (`Transient, Wire_error.message k)
 
-(* One byte off the socket under a deadline.  Poll-backed like every
-   deadline read: a client library living in a process with >= FD_SETSIZE
-   descriptors open must not crash in select. *)
-let read_byte_deadline fd ~deadline =
-  let one = Bytes.create 1 in
-  let rec loop () =
-    let remaining = deadline -. Unix.gettimeofday () in
-    if remaining <= 0.0 then `Timeout
-    else if not (Evpoll.readable fd ~timeout_s:remaining) then loop ()
-    else
-      match Unix.read fd one 0 1 with
-      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> `Eof
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | 0 -> `Eof
-      | _ -> `Byte (Bytes.get one 0)
-  in
-  loop ()
+(* Send a request, ignoring a closed socket: a server that shed this
+   connection wrote its typed reply before closing, and the read that
+   follows finds that reply (or the close). *)
+let send sock data off len =
+  try write_bytes sock data off len
+  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
 
-(* Accumulate socket bytes until {!Proto.try_frame} finds one complete
-   frame; [cur] then covers its body.  Garbage that can never frame
-   raises {!Wire_error.Wire_error} (the attempt guard classifies it
-   transient). *)
-let read_frame_deadline sock ~deadline cur =
-  let rb = Proto.rbuf_create () in
-  let chunk = Bytes.create 4096 in
-  let rec loop () =
-    let start = Proto.rbuf_start rb in
-    match
-      Proto.try_frame (Proto.rbuf_data rb) ~pos:start ~limit:(start + Proto.rbuf_avail rb) cur
-    with
-    | n when n >= 0 -> `Frame
-    | _ -> (
-        let remaining = deadline -. Unix.gettimeofday () in
-        if remaining <= 0.0 then `Timeout
-        else if not (Evpoll.readable sock ~timeout_s:remaining) then loop ()
-        else
-          match Unix.read sock chunk 0 (Bytes.length chunk) with
-          | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> `Closed
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-          | 0 -> `Closed
-          | nread ->
-              Proto.rbuf_append rb chunk 0 nread;
-              loop ())
-  in
-  loop ()
+(* The next unit the server sends over [r] ([version] as in
+   {!Proto.next}), read in chunks under [deadline].  Poll-backed like
+   every deadline read: a client library living in a process with >=
+   FD_SETSIZE descriptors open must not crash in select.  A line that
+   reaches the v2 frame cap is [`Too_long]: the largest honest reply is a
+   fraction of it. *)
+let rec receive r sock ~deadline ~version =
+  match Proto.next r ~version with
+  | Proto.Pending ->
+      let remaining = deadline -. Unix.gettimeofday () in
+      if version < 2 && Proto.buffered r >= Proto.max_frame_bytes then `Too_long
+      else if remaining <= 0.0 then `Timeout
+      else if not (Evpoll.readable sock ~timeout_s:remaining) then
+        (* timeout or EINTR: re-check the deadline and wait again *)
+        receive r sock ~deadline ~version
+      else (
+        match Proto.fill r sock with
+        | Proto.Eof -> `Closed
+        | Proto.Data | Proto.Again -> receive r sock ~deadline ~version)
+  | taken -> `Unit taken
 
 (* Offer the server our best version and classify its answer.  A server
    that does not speak the handshake still answers *something* — most
-   usefully the overload-shed JSON error line — so a non-magic first byte
-   is read out as a line and interpreted as a v1 reply; its typed
-   category keeps the retry classification (an overload shed stays
-   transient with the server's own message). *)
-let client_hello sock ~deadline =
-  write_all sock (Proto.hello Proto.max_version);
-  match read_byte_deadline sock ~deadline with
-  | `Timeout -> Error (`Transient, "handshake timed out")
-  | `Eof -> Error (`Transient, "server closed during handshake")
-  | `Byte b when b = Proto.magic -> (
-      match read_byte_deadline sock ~deadline with
-      | `Timeout -> Error (`Transient, "handshake timed out")
-      | `Eof -> Error (`Transient, "server closed during handshake")
-      | `Byte v -> (
-          match Char.code v with
-          | 2 -> Ok 2
-          | 1 -> Ok 1
-          | 0 -> Error (`Fatal, "server refused the protocol handshake")
-          | v -> Error (`Transient, Printf.sprintf "server negotiated unknown version %d" v)))
-  | `Byte b -> (
-      (* a JSON line, not a handshake: read it out and interpret it *)
-      match read_line_deadline sock ~deadline with
-      | Timed_out -> Error (`Transient, "handshake timed out")
-      | Eof | Partial _ -> Error (`Transient, "server closed during handshake")
-      | Line rest -> (
-          match Jsonout.parse (String.make 1 b ^ rest) with
-          | Ok j when is_error j ->
-              let category, msg = error_of_json j in
-              Error (classify_category category, msg)
-          | Ok _ | Error _ -> Error (`Transient, "garbled handshake reply")))
+   usefully the overload-shed JSON error line — so a line is interpreted
+   as a v1 reply; its typed category keeps the retry classification (an
+   overload shed stays transient with the server's own message). *)
+let client_hello r sock ~deadline =
+  let hello = Proto.hello Proto.max_version in
+  send sock (Bytes.unsafe_of_string hello) 0 (String.length hello);
+  let transient msg = Error (`Transient, msg) in
+  match receive r sock ~deadline ~version:0 with
+  | `Timeout -> transient "handshake timed out"
+  | `Closed -> transient "server closed during handshake"
+  | `Unit (Proto.Hello ((1 | 2) as v)) -> Ok v
+  | `Unit (Proto.Hello 0) -> Error (`Fatal, "server refused the protocol handshake")
+  | `Unit (Proto.Hello v) -> transient (Printf.sprintf "server negotiated unknown version %d" v)
+  | `Unit (Proto.Line line) -> (
+      match Jsonout.parse line with
+      | Ok j when is_error j ->
+          let category, msg = error_of_json j in
+          Error (classify_category category, msg)
+      | Ok _ | Error _ -> transient "garbled handshake reply")
+  | `Too_long | `Unit (Proto.Frame _ | Proto.Pending) -> transient "garbled handshake reply"
 
-(* One v1 exchange on a connected socket. *)
-let line_exchange sock ~deadline op =
-  write_line sock (Jsonout.to_line (op_to_json op));
-  match read_line_deadline sock ~deadline with
-  | Eof | Partial _ -> Error (`Transient, "server closed the connection")
-  | Timed_out -> Error (`Transient, "reply timed out")
-  | Line reply -> (
+(* One exchange on a connected socket speaking [version]: a JSON line
+   (v1) or a frame (v2) out, the reply in through [r]. *)
+let exchange r sock ~deadline ~version op =
+  (if version >= 2 then begin
+     let b = Proto.create_buf () in
+     encode_op_frame b op;
+     send sock (Proto.storage b) (Proto.frame_off b) (Proto.frame_len b)
+   end
+   else
+     let line = Jsonout.to_line (op_to_json op) ^ "\n" in
+     send sock (Bytes.unsafe_of_string line) 0 (String.length line));
+  match receive r sock ~deadline ~version with
+  | `Closed -> Error (`Transient, "server closed the connection")
+  | `Timeout -> Error (`Transient, "reply timed out")
+  | `Too_long ->
+      Error
+        ( `Transient,
+          Printf.sprintf "garbled reply: reply line reached the %d-byte cap" Proto.max_frame_bytes )
+  | `Unit (Proto.Line reply) -> (
       match Jsonout.parse reply with
       | Error msg -> Error (`Transient, "bad reply JSON: " ^ msg)
       | Ok j ->
           Result.map_error (fun msg -> (`Transient, "garbled reply: " ^ msg)) (reply_of_json ~op j))
-
-(* One v2 exchange on a connected, negotiated socket. *)
-let frame_exchange sock ~deadline op =
-  let b = Proto.create_buf () in
-  encode_op_frame b op;
-  write_frame sock b;
-  let cur = Proto.cursor () in
-  match read_frame_deadline sock ~deadline cur with
-  | `Timeout -> Error (`Transient, "reply timed out")
-  | `Closed -> Error (`Transient, "server closed the connection")
-  | `Frame -> Result.map_error (fun msg -> (`Transient, msg)) (decode_reply cur)
+  | `Unit (Proto.Frame _) ->
+      Result.map_error (fun msg -> (`Transient, msg)) (decode_reply (Proto.body r))
+  | `Unit (Proto.Hello _ | Proto.Pending) -> Error (`Transient, "garbled reply: unexpected unit")
 
 (* Does [reply] have the shape [op] asks for?  A mismatch is a garbled
    reply, worth a retry. *)
@@ -2385,18 +2257,14 @@ let attempt ~protocol ~timeout_s ~path op =
   guard_attempt (fun () ->
       with_connection ~path (fun sock ->
           let deadline = Unix.gettimeofday () +. timeout_s in
+          (* one reader from the hello to the reply *)
+          let r = Proto.reader () in
           let version =
             match (protocol : Proto.pref) with
             | Proto.V1 -> Ok 1
-            | Proto.V2 | Proto.Auto -> client_hello sock ~deadline
+            | Proto.V2 | Proto.Auto -> client_hello r sock ~deadline
           in
-          let reply =
-            match version with
-            | Error e -> Error e
-            | Ok 1 -> line_exchange sock ~deadline op
-            | Ok _ -> frame_exchange sock ~deadline op
-          in
-          match reply with
+          match Result.bind version (fun version -> exchange r sock ~deadline ~version op) with
           | Ok (R_error (category, msg)) -> Error (classify_category category, msg)
           | Ok reply -> fits op reply
           | Error e -> Error e))

@@ -289,19 +289,18 @@ val decode_op : Proto.cursor -> (wire_op, decode_error) result
 val encode_reply_frame : ?metrics:Metrics.t -> Proto.buf -> wire_reply -> unit
 val decode_reply : Proto.cursor -> (wire_reply, string) result
 
-(** {2 Server and client} *)
+(** {2 Server and client}
 
-(** One line read off a socket under a deadline. *)
-type line_read =
-  | Line of string  (** a complete newline-terminated line *)
-  | Eof  (** orderly close with nothing buffered *)
-  | Partial of string  (** the peer vanished mid-line; never process this *)
-  | Timed_out  (** the deadline expired before the newline arrived *)
-
-(** Read one newline-terminated line under a wall-clock [deadline]
-    (absolute, as from [Unix.gettimeofday]).  Connection resets surface as
-    [Eof]/[Partial], never an exception. *)
-val read_line_deadline : Unix.file_descr -> deadline:float -> line_read
+    Both ends of a connection read through one {!Proto.reader}: chunked
+    reads into one buffer per connection, split by {!Proto.next} into the
+    hello answer, a v1 line or a v2 frame.  The daemon fills it once per
+    readable event and serves every complete unit; the client fills it
+    under its reply deadline ([Evpoll] waits) from the hello to the reply,
+    so bytes read past the hello answer are kept.  A client whose request
+    write finds the socket closed still reads what the server sent before
+    closing — the overload shed's typed reply — and a v1 reply line that
+    reaches {!Proto.max_frame_bytes} is refused as a transient garbled
+    reply. *)
 
 (** Fleet delegation hooks for the dispatcher: a fleet worker's
     stats/health ops must describe the whole fleet, not one shard, so the

@@ -44,3 +44,14 @@ val fork_clients : ?coordinate:(unit -> unit) -> int -> (int -> string) -> strin
     path, truncated to an int; fails naming the path when it is missing or
     not a number. *)
 val int_at : Tfree_util.Jsonout.t -> string list -> int
+
+(** [fork_child body] forks a child that runs [body] and leaves with
+    [Unix._exit 0], or [Unix._exit 2] after naming the exception on
+    stderr when [body] raises; returns the child's pid. *)
+val fork_child : (unit -> unit) -> int
+
+(** [reap ~nudge ~deadline_s pid] polls [pid] every 50 ms, calling
+    [nudge] before each poll, until it exits ([Some status]) or
+    [deadline_s] passes; then it SIGKILLs and reaps it and returns
+    [None]. *)
+val reap : nudge:(unit -> unit) -> deadline_s:float -> int -> Unix.process_status option

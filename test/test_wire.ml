@@ -666,19 +666,21 @@ let test_concurrent_clients_interleaved () =
           ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
           (fun () ->
             Unix.connect sock (Unix.ADDR_UNIX path);
+            (* a reply that never comes fails the read (and the client)
+               instead of hanging the test *)
+            Unix.setsockopt_float sock Unix.SO_RCVTIMEO 30.0;
+            let inp = Unix.in_channel_of_descr sock in
             let wrong = ref 0 in
             for q = 0 to per_client - 1 do
               let line = Jsonout.to_line (Service.request_to_json (req_for c q)) in
               let n = String.length line + 1 in
               assert (Unix.write_substring sock (line ^ "\n") 0 n = n);
-              (match
-                 Service.read_line_deadline sock ~deadline:(Unix.gettimeofday () +. 30.0)
-               with
-              | Service.Line reply -> (
+              (match In_channel.input_line inp with
+              | Some reply -> (
                   match Result.bind (Jsonout.parse reply) Service.response_of_json with
                   | Ok resp -> if resp <> expected.(c).(q) then incr wrong
                   | Error _ -> incr wrong)
-              | _ -> incr wrong);
+              | None -> incr wrong);
               if q = 0 then begin
                 (* hold the connection hostage until every client has been
                    answered once over its own open connection *)
@@ -889,6 +891,169 @@ let test_overload_sheds_with_typed_error () =
             (int_at stats [ "connections"; "shed" ] = overload);
           checki "the one real query served" 1 (int_at stats [ "queries_served" ])
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
+
+(* ------------------------------------------------------ client reader *)
+
+(* A fake server on a fresh socket: a forked child accepts [conns]
+   connections and hands each to [answer] (a client closing early is
+   fine), while [f path] runs here.  The child must then exit cleanly. *)
+let with_fake_server ?(conns = 1) ~tag answer f =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tfree-fake-%s-%d.sock" tag (Unix.getpid ()))
+  in
+  if Sys.file_exists path then Sys.remove path;
+  let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_UNIX path);
+  Unix.listen lsock 8;
+  let pid =
+    Fixture.fork_child (fun () ->
+        for _ = 1 to conns do
+          let fd, _ = Unix.accept lsock in
+          (try answer fd with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+          Unix.close fd
+        done)
+  in
+  Unix.close lsock;
+  let finish ~deadline_s =
+    Sys.remove path;
+    Fixture.reap ~nudge:ignore ~deadline_s pid
+  in
+  match f path with
+  | result ->
+      checkb "fake server exited cleanly" true (finish ~deadline_s:10.0 = Some (Unix.WEXITED 0));
+      result
+  | exception e ->
+      ignore (finish ~deadline_s:0.0);
+      raise e
+
+(* The client's next unit off [fd], as the fake server reads it. *)
+let rec take_unit r fd ~version =
+  match Proto.next r ~version with
+  | Proto.Pending -> (
+      match Proto.fill r fd with
+      | Proto.Eof -> failwith "client closed before its request"
+      | Proto.Data | Proto.Again -> take_unit r fd ~version)
+  | taken -> taken
+
+let write_string fd s =
+  let rec go off =
+    if off < String.length s then go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+(* One byte per write, a little apart, so the client reads the bytes in
+   many pieces. *)
+let write_bytewise fd s =
+  String.iter
+    (fun c ->
+      write_string fd (String.make 1 c);
+      Unix.sleepf 0.0002)
+    s
+
+let fake_request = { Service.default_request with protocol = Service.Exact; n = 60 }
+
+(* The reply a server sends for [resp] over [version], as bytes. *)
+let reply_bytes ~version resp =
+  if version >= 2 then begin
+    let b = Proto.create_buf () in
+    Service.encode_reply_frame b (Service.R_response resp);
+    Bytes.sub_string (Proto.storage b) (Proto.frame_off b) (Proto.frame_len b)
+  end
+  else Jsonout.to_line (Service.reply_to_json (Service.R_response resp)) ^ "\n"
+
+(* [Service.call] must get the same reply however the server's bytes are
+   cut: the hello answer and the reply one byte per write; the reply
+   followed by trailing bytes and a close; and (v2) the hello answer and
+   the reply in one write, before the request was read, so the reply
+   arrives with the hello and must not be lost. *)
+let test_client_reads_fragmented_and_padded_replies () =
+  let resp = Service.run_request fake_request in
+  let case (protocol, version) (what, shape) =
+    let reply = reply_bytes ~version resp in
+    let answer fd =
+      let r = Proto.reader () in
+      let hello () =
+        if version >= 2 then
+          match take_unit r fd ~version:0 with
+          | Proto.Hello _ -> ()
+          | _ -> failwith "expected the client hello"
+      in
+      let answer_hello = if version >= 2 then Proto.hello version else "" in
+      let request () = ignore (take_unit r fd ~version) in
+      match shape with
+      | `Bytewise ->
+          hello ();
+          write_bytewise fd answer_hello;
+          request ();
+          write_bytewise fd reply
+      | `Trailing ->
+          hello ();
+          write_string fd answer_hello;
+          request ();
+          write_string fd (reply ^ "\xff\000trailing bytes\n{\"ok\": false}\n")
+      | `Eager ->
+          hello ();
+          write_string fd (answer_hello ^ reply)
+    in
+    with_fake_server ~tag:"frag" answer (fun path ->
+        match Service.call ~timeout_s:10.0 ~protocol ~path (Service.Op_query fake_request) with
+        | Ok (Service.R_response got) ->
+            checkb (Printf.sprintf "%s over v%d: the server's reply" what version) true (got = resp)
+        | Ok _ -> Alcotest.failf "%s over v%d: wrong reply shape" what version
+        | Error msg -> Alcotest.failf "%s over v%d: %s" what version msg)
+  in
+  List.iter
+    (fun (p, v) ->
+      List.iter (case (p, v))
+        ((if v >= 2 then [ ("hello and reply in one write", `Eager) ] else [])
+        @ [ ("one byte per write", `Bytewise); ("trailing bytes then close", `Trailing) ]))
+    [ (Proto.V1, 1); (Proto.V2, 2) ]
+
+(* A server that never ends its v1 reply line costs the client a
+   transient garbled-reply error once the line reaches the frame cap, not
+   unbounded memory; the retry envelope tries again. *)
+let test_client_caps_reply_line () =
+  let answer fd =
+    ignore (take_unit (Proto.reader ()) fd ~version:1);
+    let chunk = String.make (1 lsl 20) 'x' in
+    for _ = 0 to Proto.max_frame_bytes lsr 20 do
+      write_string fd chunk
+    done
+  in
+  with_fake_server ~conns:2 ~tag:"longline" answer (fun path ->
+      let m = Metrics.create () in
+      match
+        Service.call ~timeout_s:30.0 ~retries:1 ~backoff_s:0.01 ~metrics:m ~protocol:Proto.V1
+          ~path (Service.Op_query fake_request)
+      with
+      | Ok _ -> Alcotest.fail "an endless reply line was accepted"
+      | Error msg ->
+          checkb (Printf.sprintf "garbled reply: %s" msg) true
+            (contains_substring msg "garbled reply");
+          checki "retried as transient" 1 (Metrics.retries m))
+
+(* A server that sheds a connection writes its typed overload reply and
+   closes, perhaps before the client's hello or request is written; the
+   client must still read that reply, not report the failed write. *)
+let test_client_reads_shed_reply_after_close () =
+  let attempts = 20 in
+  let shed =
+    Jsonout.to_line (Service.reply_to_json (Service.R_error (Metrics.Overload, "server at capacity")))
+    ^ "\n"
+  in
+  with_fake_server ~conns:(2 * attempts) ~tag:"shed" (fun fd -> write_string fd shed) (fun path ->
+      for _ = 1 to attempts do
+        List.iter
+          (fun protocol ->
+            match Service.call ~timeout_s:10.0 ~protocol ~path (Service.Op_query fake_request) with
+            | Ok _ -> Alcotest.fail "a shed connection answered"
+            | Error msg ->
+                checkb (Printf.sprintf "the shed reply: %s" msg) true
+                  (contains_substring msg "capacity"))
+          [ Proto.V1; Proto.Auto ]
+      done)
 
 (* -------------------------------------------------- proto read buffer *)
 
@@ -2282,6 +2447,14 @@ let () =
         [
           Alcotest.test_case "read buffer shrinks after a large burst" `Quick
             test_proto_rbuf_shrinks;
+        ] );
+      ( "client-reader",
+        [
+          Alcotest.test_case "fragmented and padded replies" `Quick
+            test_client_reads_fragmented_and_padded_replies;
+          Alcotest.test_case "v1 reply line capped" `Quick test_client_caps_reply_line;
+          Alcotest.test_case "shed reply read after the close" `Quick
+            test_client_reads_shed_reply_after_close;
         ] );
       ( "negotiation",
         [
