@@ -14,13 +14,9 @@
       prefix and a 2-byte mod-2^16 checksum around whatever was put;
     - {!cursor}, a reusable bounds-checked reader over a byte region;
     - {!try_frame}, the streaming frame splitter;
-    - {!rbuf}, a connection's read buffer: grown on demand, compacted
-      in place, and — the part a long-lived daemon needs — shrunk back to
-      a small default once a large request has been consumed, so one
-      near-8MB line does not pin megabytes for the connection's lifetime;
-    - {!reader}, the one way either end of a serve connection reads: an
-      {!rbuf} filled by chunked socket reads ({!fill}) and split by
-      {!next} into the hello answer, a v1 line or a v2 frame.
+    - {!reader}, the one way either end of a serve connection reads:
+      chunked socket reads ({!fill}) into a self-shrinking buffer, split
+      by {!next} into the hello answer, a v1 line or a v2 frame.
 
     Everything on the steady-state path is allocation-free: puts poke
     bytes into preallocated storage, gets read scalars out of it, and the
@@ -296,14 +292,17 @@ let try_frame data ~pos ~limit cur =
     end
   end
 
-(* ------------------------------------------------ connection read buffer *)
+(* ------------------------------------------------------------ the reader *)
 
-(* A connection's read accumulation: filled straight from the socket,
-   consumed a hello, a line or a frame at a time.  Capacity policy: grow
-   by doubling to fit whatever arrives (the callers separately cap
-   buffered bytes), but once consumption leaves at most a small tail, fall
-   back to the default allocation — a connection that once carried a
-   near-8MB batch must not pin that memory while it idles. *)
+(* A connection's reads: {!fill} puts socket bytes straight into
+   [rdata[rend, ...)], {!next} takes them a hello, a line or a frame at a
+   time from [rstart].  Capacity policy: grow by doubling to fit whatever
+   arrives (the callers separately cap buffered bytes), but once
+   consumption leaves at most a small tail, fall back to the default
+   allocation — a connection that once carried a near-8MB batch must not
+   pin that memory while it idles.  [scanned] counts the bytes past
+   [rstart] known to hold no newline, so a long line is scanned once, not
+   once per fill. *)
 
 let rbuf_default_capacity = 4 * 1024
 
@@ -311,19 +310,26 @@ let rbuf_default_capacity = 4 * 1024
     fits the default allocation again. *)
 let rbuf_retain_capacity = 64 * 1024
 
-type rbuf = { mutable rdata : Bytes.t; mutable rstart : int; mutable rend : int }
+type reader = {
+  mutable rdata : Bytes.t;
+  mutable rstart : int;
+  mutable rend : int;
+  body : cursor;
+  mutable scanned : int;
+}
 
-let rbuf_create () = { rdata = Bytes.create rbuf_default_capacity; rstart = 0; rend = 0 }
-let rbuf_avail r = r.rend - r.rstart
-let rbuf_data r = r.rdata
-let rbuf_start r = r.rstart
-let rbuf_capacity r = Bytes.length r.rdata
+let reader () =
+  { rdata = Bytes.create rbuf_default_capacity; rstart = 0; rend = 0; body = cursor (); scanned = 0 }
+
+let buffered r = r.rend - r.rstart
+let capacity r = Bytes.length r.rdata
+let body r = r.body
 
 (* Make [len] bytes free past [rend]: compact first, grow by doubling only
    if the tail plus [len] still misses. *)
-let rbuf_reserve r len =
+let reserve r len =
   if r.rend + len > Bytes.length r.rdata then begin
-    let avail = rbuf_avail r in
+    let avail = buffered r in
     if r.rstart > 0 then begin
       Bytes.blit r.rdata r.rstart r.rdata 0 avail;
       r.rstart <- 0;
@@ -340,15 +346,11 @@ let rbuf_reserve r len =
     end
   end
 
-let rbuf_append r src off len =
-  rbuf_reserve r len;
-  Bytes.blit src off r.rdata r.rend len;
-  r.rend <- r.rend + len
-
-let rbuf_consume r n =
-  if n < 0 || n > rbuf_avail r then invalid_arg "Proto.rbuf_consume: not that many bytes buffered";
+(* Discard [n] taken bytes from the front and apply the shrink policy. *)
+let consume r n =
   r.rstart <- r.rstart + n;
-  let avail = rbuf_avail r in
+  r.scanned <- 0;
+  let avail = buffered r in
   if avail = 0 then begin
     r.rstart <- 0;
     r.rend <- 0;
@@ -364,16 +366,6 @@ let rbuf_consume r n =
     r.rend <- avail
   end
 
-(* ------------------------------------------------------------ the reader *)
-
-(* [scanned]: how many bytes past the buffer's start are known to hold no
-   newline, so a long line is scanned once, not once per fill. *)
-type reader = { buf : rbuf; body : cursor; mutable scanned : int }
-
-let reader () = { buf = rbuf_create (); body = cursor (); scanned = 0 }
-let buffered r = rbuf_avail r.buf
-let body r = r.body
-
 type fill = Data | Eof | Again
 
 (* A free tail shorter than this is compacted before a read.  The buffer
@@ -382,15 +374,14 @@ type fill = Data | Eof | Again
 let min_read = 1024
 
 let fill r fd =
-  let b = r.buf in
-  let cap = Bytes.length b.rdata in
-  if cap - b.rend < min_read then rbuf_reserve b (max 1 (min min_read (cap - rbuf_avail b)));
-  match Unix.read fd b.rdata b.rend (Bytes.length b.rdata - b.rend) with
+  let cap = Bytes.length r.rdata in
+  if cap - r.rend < min_read then reserve r (max 1 (min min_read (cap - buffered r)));
+  match Unix.read fd r.rdata r.rend (Bytes.length r.rdata - r.rend) with
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> Eof
   | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Again
   | 0 -> Eof
   | n ->
-      b.rend <- b.rend + n;
+      r.rend <- r.rend + n;
       Data
 
 type unit_read = Pending | Hello of int | Line of string | Frame of int
@@ -405,19 +396,18 @@ let find_newline data pos lim =
   if !i < lim then !i else -1
 
 let next r ~version =
-  let b = r.buf in
-  let data = b.rdata and start = b.rstart and limit = b.rend in
+  let data = r.rdata and start = r.rstart and limit = r.rend in
   if version >= 2 then (
     match try_frame data ~pos:start ~limit r.body with
     | -1 -> Pending
     | len ->
-        rbuf_consume b len;
+        consume r len;
         Frame len)
   else if version = 0 && start < limit && Bytes.unsafe_get data start = magic then
     if limit - start < 2 then Pending
     else begin
       let offered = Char.code (Bytes.unsafe_get data (start + 1)) in
-      rbuf_consume b 2;
+      consume r 2;
       Hello offered
     end
   else
@@ -427,6 +417,5 @@ let next r ~version =
         Pending
     | nl ->
         let line = Bytes.sub_string data start (nl - start) in
-        rbuf_consume b (nl - start + 1);
-        r.scanned <- 0;
+        consume r (nl - start + 1);
         Line line

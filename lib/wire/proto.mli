@@ -1,8 +1,8 @@
 (** Wire-format primitives for the serve protocol's binary v2: the
     negotiation handshake constants, a reusable zero-alloc frame writer and
-    bounds-checked reader, the streaming frame splitter, the self-shrinking
-    per-connection read buffer, and the one socket reader both ends of a
-    serve connection read with.
+    bounds-checked reader, the streaming frame splitter, and the one
+    self-shrinking socket reader both ends of a serve connection read
+    with.
 
     The service-shape layouts (query/reply/batch/stats) live in
     {!Service}; this module only knows bytes.  Frames carry the same
@@ -117,58 +117,36 @@ val expect_end : cursor -> unit
     connection closed. *)
 val try_frame : Bytes.t -> pos:int -> limit:int -> cursor -> int
 
-(** {2 Per-connection read buffer}
-
-    Grown by doubling to fit whatever arrives, compacted in place, and —
-    the part a long-lived daemon needs — shrunk back to the default
-    allocation once consumption leaves at most a small tail, so one
-    near-8MB batch does not pin megabytes for the connection's
-    lifetime. *)
-
-type rbuf
-
-val rbuf_default_capacity : int
-
-(** Retained capacity above this is released as soon as the buffered tail
-    fits the default allocation again. *)
-val rbuf_retain_capacity : int
-
-val rbuf_create : unit -> rbuf
-
-(** Unconsumed byte count. *)
-val rbuf_avail : rbuf -> int
-
-(** Backing storage; unconsumed bytes live at
-    [[rbuf_start, rbuf_start + rbuf_avail)]. *)
-val rbuf_data : rbuf -> Bytes.t
-
-val rbuf_start : rbuf -> int
-
-(** Current backing allocation size (observable for the shrink tests). *)
-val rbuf_capacity : rbuf -> int
-
-(** Append [len] bytes of [src] starting at [off]. *)
-val rbuf_append : rbuf -> Bytes.t -> int -> int -> unit
-
-(** Discard [n] bytes from the front (a consumed line or frame); applies
-    the shrink policy.
-    @raise Invalid_argument when [n] exceeds {!rbuf_avail}. *)
-val rbuf_consume : rbuf -> int -> unit
-
 (** {2 The socket reader}
 
-    The one way either end of a serve connection reads: {!fill} tops an
-    {!rbuf} up with one chunked [Unix.read], and {!next}, the one splitter,
-    takes the next unit off its front.  The daemon fills once per readable
-    event and drains; the client fills under its reply deadline and keeps
-    one reader from its hello to the reply. *)
+    The one way either end of a serve connection reads: {!fill} tops a
+    read buffer up with one chunked [Unix.read], and {!next}, the one
+    splitter, takes the next unit off its front.  The daemon fills once
+    per readable event and drains; the client fills under its reply
+    deadline and keeps one reader from its hello to the reply.
+
+    The buffer grows by doubling to fit whatever arrives, is compacted in
+    place, and — the part a long-lived daemon needs — shrinks back to the
+    default allocation once taking a unit leaves at most a small tail, so
+    one near-8MB batch does not pin megabytes for the connection's
+    lifetime. *)
 
 type reader
 
 val reader : unit -> reader
 
+(** A fresh reader's allocation. *)
+val rbuf_default_capacity : int
+
+(** Capacity above this is released as soon as the buffered tail fits the
+    default allocation again. *)
+val rbuf_retain_capacity : int
+
 (** Bytes read but not yet taken. *)
 val buffered : reader -> int
+
+(** The current allocation (observable for the shrink tests). *)
+val capacity : reader -> int
 
 (** Covers the body of the last {!Frame} taken, until the next {!fill}. *)
 val body : reader -> cursor

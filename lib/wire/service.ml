@@ -1300,10 +1300,10 @@ let inject_reply ~metrics ~fault ~op fd data ~off ~len ~region:(region_off, regi
    the body of the frame being served), the preallocated scratch a binary
    reply is encoded into, the wire-protocol version the connection
    negotiated (0 until the first byte decides), and the wall-clock
-   instant by which the next request unit must arrive.  The read buffer
-   shrinks back to a small default once a large request has been consumed
-   ({!Proto.rbuf_consume}), so one near-cap line or batch does not pin
-   megabytes for the connection's lifetime. *)
+   instant by which the next request unit must arrive.  The reader
+   shrinks back to a small default once a large request has been taken,
+   so one near-cap line or batch does not pin megabytes for the
+   connection's lifetime. *)
 type conn = {
   conn_fd : Unix.file_descr;
   rd : Proto.reader;

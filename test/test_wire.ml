@@ -593,6 +593,39 @@ let test_service_client_killed_mid_request () =
           checki "the real query still served" 1 (int_at stats [ "queries_served" ])
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
 
+(* A client streaming past the daemon's 8 MiB line cap without a newline
+   is shed with a malformed error, and promptly: the buffered line is
+   scanned for its newline once, not once per read (rescanning took the
+   single-threaded loop seconds). *)
+let test_service_sheds_unterminated_line () =
+  Fixture.with_daemon ~tag:"longline" ~expect_served:0 serve (fun path ->
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+      let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect sock (Unix.ADDR_UNIX path);
+      Unix.setsockopt_float sock Unix.SO_RCVTIMEO 5.0;
+      let chunk = Bytes.make 65536 'x' in
+      (try
+         for _ = 0 to (8 * 1024 * 1024 / 65536) + 1 do
+           ignore (Unix.write sock chunk 0 (Bytes.length chunk))
+         done
+       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+      let reply =
+        match In_channel.input_line (Unix.in_channel_of_descr sock) with
+        | Some line -> line
+        | None -> Alcotest.fail "daemon closed without a reply"
+        | exception Sys_error msg -> Alcotest.failf "no reply within 5 s: %s" msg
+      in
+      Unix.close sock;
+      (match Jsonout.parse reply with
+      | Ok j ->
+          checkb "malformed" true (Jsonout.member "category" j = Some (Jsonout.Str "malformed"));
+          checkb "names the line" true
+            (Jsonout.member "error" j = Some (Jsonout.Str "request line too long"))
+      | Error msg -> Alcotest.failf "reply is not JSON: %s" msg);
+      match Service.client_stats ~path () with
+      | Ok stats -> checki "one malformed error" 1 (int_at stats [ "errors_by_category"; "malformed" ])
+      | Error msg -> Alcotest.failf "stats query failed: %s" msg)
+
 (* The retry acceptance case: the server sabotages its first three replies
    (drop, bit-flip, truncate-and-close); client_query with retries must
    recover the fault-free verdict, spending exactly three retries, and the
@@ -1061,42 +1094,52 @@ let test_client_reads_shed_reply_after_close () =
    consumption leaves at most a small tail: one near-8MB line or batch
    frame must not pin megabytes for the connection's lifetime. *)
 let test_proto_rbuf_shrinks () =
-  let rb = Proto.rbuf_create () in
-  checki "fresh capacity is the default" Proto.rbuf_default_capacity (Proto.rbuf_capacity rb);
-  let big = 5 * 1024 * 1024 in
-  let chunk = Bytes.make 65536 'x' in
-  let rec fill n =
-    if n > 0 then begin
-      Proto.rbuf_append rb chunk 0 (min n 65536);
-      fill (n - 65536)
-    end
+  let r = Proto.reader () in
+  let src, dst = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* [s] through the socket pair into [r], a chunk at a time *)
+  let feed s =
+    let off = ref 0 in
+    while !off < String.length s do
+      let before = Proto.buffered r in
+      let n = Unix.write_substring src s !off (min 65536 (String.length s - !off)) in
+      while Proto.buffered r < before + n do
+        ignore (Proto.fill r dst)
+      done;
+      off := !off + n
+    done
   in
-  fill big;
-  let tail = Bytes.make 64 'y' in
-  Proto.rbuf_append rb tail 0 64;
-  checki "everything buffered" (big + 64) (Proto.rbuf_avail rb);
-  checkb "buffer grew past the retain cap" true
-    (Proto.rbuf_capacity rb > Proto.rbuf_retain_capacity);
+  let take what =
+    match Proto.next r ~version:1 with
+    | Proto.Line line -> line
+    | _ -> Alcotest.failf "%s: no complete line buffered" what
+  in
+  checki "fresh capacity is the default" Proto.rbuf_default_capacity (Proto.capacity r);
+  let big = 5 * 1024 * 1024 and mib = 1024 * 1024 in
+  let line n c = String.make (n - 1) c ^ "\n" in
+  (* a 1 MiB line, the rest of the burst as a second line, a 64-byte tail *)
+  feed (line mib 'x' ^ line (big - mib) 'x' ^ String.make 64 'y');
+  checki "everything buffered" (big + 64) (Proto.buffered r);
+  checkb "buffer grew past the retain cap" true (Proto.capacity r > Proto.rbuf_retain_capacity);
   (* a partial consume that leaves a large tail must NOT shrink: the rest
      of the burst is still in flight *)
-  Proto.rbuf_consume rb (1024 * 1024);
+  ignore (take "first line");
   checkb "large remaining tail keeps the allocation" true
-    (Proto.rbuf_capacity rb > Proto.rbuf_retain_capacity);
+    (Proto.capacity r > Proto.rbuf_retain_capacity);
   (* consuming down to a small tail releases the memory and keeps the tail *)
-  Proto.rbuf_consume rb (big - (1024 * 1024));
-  checki "tail intact" 64 (Proto.rbuf_avail rb);
+  ignore (take "second line");
+  checki "tail intact" 64 (Proto.buffered r);
   checkb "capacity released back to the default" true
-    (Proto.rbuf_capacity rb <= Proto.rbuf_default_capacity);
-  let kept = Bytes.sub (Proto.rbuf_data rb) (Proto.rbuf_start rb) 64 in
-  checkb "tail bytes preserved across the shrink" true
-    (Bytes.for_all (fun c -> c = 'y') kept);
-  Proto.rbuf_consume rb 64;
-  checki "empty after the tail" 0 (Proto.rbuf_avail rb);
+    (Proto.capacity r <= Proto.rbuf_default_capacity);
+  feed "\n";
+  checkb "tail bytes preserved across the shrink" true (take "tail" = String.make 64 'y');
+  checki "empty after the tail" 0 (Proto.buffered r);
   (* full drain of an oversized buffer also resets the allocation *)
-  fill big;
-  Proto.rbuf_consume rb (Proto.rbuf_avail rb);
+  feed (line big 'x');
+  ignore (take "big line");
   checki "full drain leaves the default allocation" Proto.rbuf_default_capacity
-    (Proto.rbuf_capacity rb)
+    (Proto.capacity r);
+  Unix.close src;
+  Unix.close dst
 
 (* An eps outside (0, 1] is one named malformed-request error on every
    path: a query or batch item over v1 and over v2, and the in-process
@@ -1530,19 +1573,18 @@ let test_truncated_batch_frame_runs_nothing () =
       checki "hello answered" 2 (Unix.read sock hello 0 2);
       checkb "v2 negotiated" true (Bytes.get hello 1 = '\002');
       ignore (Unix.write sock (Proto.storage b) (Proto.frame_off b) (Proto.frame_len b));
-      let rb = Proto.rbuf_create () and chunk = Bytes.create 4096 and cur = Proto.cursor () in
+      let r = Proto.reader () in
       let rec read_frame () =
-        let start = Proto.rbuf_start rb in
-        if Proto.try_frame (Proto.rbuf_data rb) ~pos:start ~limit:(start + Proto.rbuf_avail rb) cur < 0
-        then
-          match Unix.read sock chunk 0 4096 with
-          | 0 -> Alcotest.fail "server closed instead of replying"
-          | n ->
-              Proto.rbuf_append rb chunk 0 n;
-              read_frame ()
+        match Proto.next r ~version:2 with
+        | Proto.Frame _ -> ()
+        | _ -> (
+            match Proto.fill r sock with
+            | Proto.Eof -> Alcotest.fail "server closed instead of replying"
+            | Proto.Again -> Alcotest.fail "no reply within 10 s"
+            | Proto.Data -> read_frame ())
       in
       read_frame ();
-      (match Service.decode_reply cur with
+      (match Service.decode_reply (Proto.body r) with
       | Ok (Service.R_error (Metrics.Malformed, _)) -> ()
       | _ -> Alcotest.fail "expected one malformed error frame");
       Unix.close sock;
@@ -2475,6 +2517,8 @@ let () =
             test_service_malformed_line_keeps_connection;
           Alcotest.test_case "client killed mid-request" `Quick
             test_service_client_killed_mid_request;
+          Alcotest.test_case "unterminated line shed promptly" `Quick
+            test_service_sheds_unterminated_line;
           Alcotest.test_case "client retry recovers through faults" `Quick
             test_service_client_retry_recovers;
         ] );
