@@ -2290,8 +2290,12 @@ let with_retries ~retries ~backoff_s ~backoff_seed ~metrics attempt =
   in
   go 0
 
+(* SIGPIPE is ignored here as in {!serve}: a request written into a
+   socket the server already closed (an overload shed) must surface as
+   [EPIPE], which {!send} absorbs, not kill the calling process. *)
 let call ?(timeout_s = 30.0) ?(retries = 0) ?(backoff_s = 0.05) ?(backoff_seed = 0) ?metrics
     ?(protocol = Proto.Auto) ~path op =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   with_retries ~retries ~backoff_s ~backoff_seed ~metrics (fun () ->
       attempt ~protocol ~timeout_s ~path op)
 

@@ -455,7 +455,12 @@ val ctl_read : Unix.file_descr -> [ `Msg of char * string | `Eof ]
     handshake, then binary v2 frames when the server speaks v2, JSON v1
     lines otherwise; [V1] skips the handshake entirely, staying
     wire-compatible with pre-v2 servers).  The retry envelope covers the
-    handshake. *)
+    handshake.
+
+    Like {!serve}, [call] sets SIGPIPE to ignored for the process: a
+    request written after the server closed the connection (an overload
+    shed) must not kill the caller, which reads the server's typed reply
+    instead. *)
 val call :
   ?timeout_s:float ->
   ?retries:int ->
