@@ -1320,23 +1320,27 @@ type conn = {
    buffer forever; past this it is shed with a malformed error. *)
 let max_line_bytes = 8 * 1024 * 1024
 
-(* Bind, listen and unblock one Unix-domain listener, replacing any stale
-   socket file at [path]. *)
+(* Bind, listen and unblock one Unix-domain listener at [path], replacing
+   any stale socket file there.  The socket is bound under a temporary
+   name and renamed into place once it listens: a connect between a bind
+   at [path] and its listen is refused, and a client (or a test fixture)
+   that sees [path] must be able to connect. *)
 let bind_listener ~backlog path =
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let tmp = path ^ ".tmp" in
+  (try Unix.unlink tmp with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
-     Unix.bind sock (Unix.ADDR_UNIX path);
+     Unix.bind sock (Unix.ADDR_UNIX tmp);
      Unix.listen sock backlog;
      (* poll may report the listener readable for a connection that was
         aborted before we accept; nonblocking turns that race into EAGAIN *)
-     Unix.set_nonblock sock
+     Unix.set_nonblock sock;
+     Unix.rename tmp path
    with e ->
      (try Unix.close sock with Unix.Unix_error _ -> ());
-     (try Unix.unlink path with Unix.Unix_error _ -> ());
+     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
      raise e);
   sock
-
 
 (* The event loop proper, over already-bound [listeners]: a poll-based
    ({!Evpoll}, no FD_SETSIZE ceiling) single-threaded loop serving every
