@@ -325,27 +325,6 @@ let buffered r = r.rend - r.rstart
 let capacity r = Bytes.length r.rdata
 let body r = r.body
 
-(* Make [len] bytes free past [rend]: compact first, grow by doubling only
-   if the tail plus [len] still misses. *)
-let reserve r len =
-  if r.rend + len > Bytes.length r.rdata then begin
-    let avail = buffered r in
-    if r.rstart > 0 then begin
-      Bytes.blit r.rdata r.rstart r.rdata 0 avail;
-      r.rstart <- 0;
-      r.rend <- avail
-    end;
-    if r.rend + len > Bytes.length r.rdata then begin
-      let cap = ref (Bytes.length r.rdata) in
-      while !cap < r.rend + len do
-        cap := !cap * 2
-      done;
-      let grown = Bytes.create !cap in
-      Bytes.blit r.rdata 0 grown 0 r.rend;
-      r.rdata <- grown
-    end
-  end
-
 (* Discard [n] taken bytes from the front and apply the shrink policy. *)
 let consume r n =
   r.rstart <- r.rstart + n;
@@ -369,13 +348,25 @@ let consume r n =
 type fill = Data | Eof | Again
 
 (* A free tail shorter than this is compacted before a read.  The buffer
-   only grows once it is full, so a caller that checks its cap before
-   each fill never allocates past it. *)
+   only grows, by doubling, once it is full, so a caller that checks its
+   cap before each fill never allocates past it. *)
 let min_read = 1024
 
 let fill r fd =
-  let cap = Bytes.length r.rdata in
-  if cap - r.rend < min_read then reserve r (max 1 (min min_read (cap - buffered r)));
+  let avail = buffered r in
+  if Bytes.length r.rdata - r.rend < min_read then begin
+    if avail = Bytes.length r.rdata then begin
+      (* full, so [rstart] is 0 *)
+      let grown = Bytes.create (2 * avail) in
+      Bytes.blit r.rdata 0 grown 0 avail;
+      r.rdata <- grown
+    end
+    else if r.rstart > 0 then begin
+      Bytes.blit r.rdata r.rstart r.rdata 0 avail;
+      r.rstart <- 0;
+      r.rend <- avail
+    end
+  end;
   match Unix.read fd r.rdata r.rend (Bytes.length r.rdata - r.rend) with
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> Eof
   | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Again

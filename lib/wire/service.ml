@@ -2175,10 +2175,10 @@ let send sock data off len =
    fraction of it. *)
 let rec receive r sock ~deadline ~version =
   match Proto.next r ~version with
+  | Proto.Pending when version < 2 && Proto.buffered r >= Proto.max_frame_bytes -> `Too_long
   | Proto.Pending ->
       let remaining = deadline -. Unix.gettimeofday () in
-      if version < 2 && Proto.buffered r >= Proto.max_frame_bytes then `Too_long
-      else if remaining <= 0.0 then `Timeout
+      if remaining <= 0.0 then `Timeout
       else if not (Evpoll.readable sock ~timeout_s:remaining) then
         (* timeout or EINTR: re-check the deadline and wait again *)
         receive r sock ~deadline ~version

@@ -594,9 +594,9 @@ let test_service_client_killed_mid_request () =
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
 
 (* A client streaming past the daemon's 8 MiB line cap without a newline
-   is shed with a malformed error, and promptly: the buffered line is
-   scanned for its newline once, not once per read (rescanning took the
-   single-threaded loop seconds). *)
+   is shed with a malformed error, and promptly: the buffered line must be
+   scanned for its newline once, not once per read, or the
+   single-threaded loop stalls for seconds. *)
 let test_service_sheds_unterminated_line () =
   Fixture.with_daemon ~tag:"longline" ~expect_served:0 serve (fun path ->
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
