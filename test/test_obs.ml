@@ -350,6 +350,130 @@ let test_metrics_health_json_is_scalar () =
   checkb "no verdict table in the health payload" true (Jsonout.member "verdicts" h = None);
   checkb "no histograms in the health payload" true (Jsonout.member "latency_us" h = None)
 
+(* A fixed registry that touches every counter, both wire versions, two
+   verdict protocols, a dataset and every phase, rendered through the
+   three serializers.  The renderings are pinned byte for byte, minus the
+   two wall-clock fields ([uptime_s], [served_per_sec]). *)
+let pinned_registry () =
+  let m = Metrics.create ~started_at:1700000000.25 () in
+  Metrics.record_query ~version:1 m ~protocol:"exact" ~found_triangle:false ~wire_bytes:120
+    ~accounted_bits:640 ~latency_us:250.0;
+  Metrics.record_query ~version:2 m ~protocol:"sim" ~found_triangle:true ~wire_bytes:48
+    ~accounted_bits:320 ~latency_us:1875.5;
+  Metrics.record_query ~version:2 m ~protocol:"sim" ~found_triangle:false ~wire_bytes:52
+    ~accounted_bits:352 ~latency_us:40.0;
+  Metrics.record_version_bytes m ~version:1 ~bytes:300;
+  Metrics.record_version_bytes m ~version:2 ~bytes:170;
+  Metrics.record_dataset m ~name:"karate";
+  List.iter (fun category -> Metrics.record_error m ~category) Metrics.all_categories;
+  Metrics.record_error m ~category:Metrics.Malformed;
+  Metrics.record_retry m;
+  Metrics.record_injected m;
+  Metrics.record_injected m;
+  List.iter (fun () -> Metrics.record_accept m) [ (); (); () ];
+  Metrics.record_shed m;
+  Metrics.set_in_flight m 2;
+  Metrics.record_cache m ~hit:true;
+  Metrics.record_cache m ~hit:false;
+  Metrics.record_cache m ~hit:false;
+  Metrics.record_batch m ~items:5;
+  List.iteri
+    (fun i phase -> Metrics.record_phase m ~phase ~us:(float_of_int (10 * (i + 1))))
+    Phase.all;
+  m
+
+let without_clock = function
+  | Jsonout.Obj fields ->
+      Jsonout.to_line
+        (Jsonout.Obj (List.filter (fun (k, _) -> k <> "uptime_s" && k <> "served_per_sec") fields))
+  | j -> Jsonout.to_line j
+
+let test_metrics_renderings_pinned () =
+  let m = pinned_registry () in
+  Alcotest.(check string) "to_wire" {|{
+  "started_at": 1700000000.25,
+  "queries_served": 3,
+  "wire_bytes": 220,
+  "accounted_bits": 1312,
+  "errors": [
+    2,
+    1,
+    1,
+    1,
+    1,
+    1
+  ],
+  "retries": 1,
+  "injected": 2,
+  "accepted": 3,
+  "shed": 1,
+  "in_flight": 2,
+  "cache_hits": 1,
+  "cache_misses": 2,
+  "batches": 1,
+  "batch_items": 5,
+  "version_served": [
+    0,
+    1,
+    2
+  ],
+  "version_bytes": [
+    0,
+    300,
+    170
+  ],
+  "verdicts": {
+    "exact": [
+      0,
+      1
+    ],
+    "sim": [
+      1,
+      1
+    ]
+  },
+  "datasets": {
+    "karate": 1
+  },
+  "latency": "5:3:0x1.0ebp+11:0x1.4p+5:0x1.d4ep+10:40.1,126.1,218.1",
+  "phases": [
+    "5:1:0x1.4p+3:0x1.4p+3:0x1.4p+3:10.1",
+    "5:1:0x1.4p+4:0x1.4p+4:0x1.4p+4:20.1",
+    "5:1:0x1.ep+4:0x1.ep+4:0x1.ep+4:30.1",
+    "5:1:0x1.4p+5:0x1.4p+5:0x1.4p+5:40.1",
+    "5:1:0x1.9p+5:0x1.9p+5:0x1.9p+5:50.1",
+    "5:1:0x1.ep+5:0x1.ep+5:0x1.ep+5:60.1"
+  ]
+}
+|} (Metrics.to_wire m);
+  Alcotest.(check string) "health_json"
+    "{\"queries_served\":3,\"errors\":7,\"in_flight\":2,\"accepted\":3,\"shed\":1}"
+    (without_clock (Metrics.health_json m));
+  Alcotest.(check string) "to_json"
+    (String.concat ""
+       [
+         "{\"queries_served\":3,\"errors\":7,\"errors_by_category\":{\"malformed\":2,";
+         "\"unknown_op\":1,\"run_failure\":1,\"timeout\":1,\"transport\":1,\"overload\":1},";
+         "\"retries\":1,\"injected_faults\":2,\"wire_bytes\":220,\"accounted_bits\":1312,";
+         "\"in_flight\":2,\"connections\":{\"accepted\":3,\"shed\":1,\"in_flight\":2},";
+         "\"cache\":{\"hits\":1,\"misses\":2,\"lookups\":3},\"batch\":{\"batches\":1,\"items\":5},";
+         "\"protocol_versions\":{\"v1\":{\"served\":1,\"bytes\":300},\"v2\":{\"served\":2,";
+         "\"bytes\":170}},\"verdicts\":{\"exact\":{\"triangle\":0,\"triangle_free\":1},";
+         "\"sim\":{\"triangle\":1,\"triangle_free\":1}},\"datasets\":{\"karate\":1},";
+         "\"latency_us\":{\"count\":3,\"mean\":721.83333333333337,\"sum\":2165.5,\"min\":40,";
+         "\"max\":1875.5,\"p50\":249.5,\"p90\":1550.3000000000002,\"p99\":1842.98,";
+         "\"p999\":1872.248},\"phases\":{\"read\":{\"count\":1,\"mean\":10,\"sum\":10,\"min\":10,";
+         "\"max\":10,\"p50\":10,\"p90\":10,\"p99\":10,\"p999\":10},\"parse\":{\"count\":1,";
+         "\"mean\":20,\"sum\":20,\"min\":20,\"max\":20,\"p50\":20,\"p90\":20,\"p99\":20,";
+         "\"p999\":20},\"cache_lookup\":{\"count\":1,\"mean\":30,\"sum\":30,\"min\":30,\"max\":30,";
+         "\"p50\":30,\"p90\":30,\"p99\":30,\"p999\":30},\"run\":{\"count\":1,\"mean\":40,";
+         "\"sum\":40,\"min\":40,\"max\":40,\"p50\":40,\"p90\":40,\"p99\":40,\"p999\":40},";
+         "\"encode\":{\"count\":1,\"mean\":50,\"sum\":50,\"min\":50,\"max\":50,\"p50\":50,";
+         "\"p90\":50,\"p99\":50,\"p999\":50},\"write\":{\"count\":1,\"mean\":60,\"sum\":60,";
+         "\"min\":60,\"max\":60,\"p50\":60,\"p90\":60,\"p99\":60,\"p999\":60}}}";
+       ])
+    (without_clock (Metrics.to_json m))
+
 (* A fleet worker's snapshot arrives over the control channel, so
    [Metrics.of_wire] must fail closed on any bytes: [Ok] or [Error], never
    an exception, and an [Ok] registry must render back to a snapshot that
@@ -516,6 +640,7 @@ let () =
             test_metrics_health_json_is_scalar;
           Alcotest.test_case "of_wire refuses bad histograms" `Quick
             test_metrics_of_wire_bad_histograms;
+          Alcotest.test_case "renderings pinned" `Quick test_metrics_renderings_pinned;
           QCheck_alcotest.to_alcotest prop_to_wire_round_trips;
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make ~name:"metrics: of_wire never raises" ~count:3000
