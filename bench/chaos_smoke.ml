@@ -176,8 +176,8 @@ let retry_recovery () =
             resp.Service.verdict <> local.Service.verdict
             || resp.Service.bits <> local.Service.bits
           then fail "retry client recovered a response that differs from the local run";
-          if Metrics.retries m <> 3 then
-            fail "client spent %d retries, schedule forced exactly 3" (Metrics.retries m);
+          let retries = Metrics.count m Metrics.Retries in
+          if retries <> 3 then fail "client spent %d retries, schedule forced exactly 3" retries;
           let stat = get_stats path in
           if stat [ "injected_faults" ] <> 3 then
             fail "server injected %d faults, scheduled 3" (stat [ "injected_faults" ]);

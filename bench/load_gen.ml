@@ -222,7 +222,7 @@ let run_client ~workers ~pref ~path ~expected c =
       let t0 = Unix.gettimeofday () in
       List.iter
         (fun (path, reqs) ->
-          let before = Metrics.retries m in
+          let before = Metrics.count m Metrics.Retries in
           let results =
             match reqs with
             | [ r ] ->
@@ -238,7 +238,7 @@ let run_client ~workers ~pref ~path ~expected c =
                 | Ok items -> items
                 | Error msg -> List.map (fun _ -> Error msg) reqs)
           in
-          t.extra <- t.extra + ((Metrics.retries m - before) * List.length reqs);
+          t.extra <- t.extra + ((Metrics.count m Metrics.Retries - before) * List.length reqs);
           List.iter2
             (fun r result ->
               match check_item (expected r.Service.seed) result with
@@ -256,7 +256,7 @@ let run_client ~workers ~pref ~path ~expected c =
         (exchanges_of ~workers ~path chunk);
       t.lats_us <- int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) :: t.lats_us)
     (plan_for_client c);
-  t.retries <- Metrics.retries m;
+  t.retries <- Metrics.count m Metrics.Retries;
   t
 
 (* One tally line per client; the eighth token is its raw latency samples

@@ -101,7 +101,7 @@ let e24_datasets scale =
           let from_generated = exchange query_line in
           let repeat = exchange dataset_line in
           let parity = String.equal from_dataset from_generated && String.equal from_dataset repeat in
-          let hits = Tfree_wire.Metrics.cache_hits metrics in
+          let hits = Tfree_wire.Metrics.count metrics Tfree_wire.Metrics.Cache_hits in
           let served = Tfree_wire.Metrics.dataset_served metrics "e24" in
           let bits =
             match Jsonout.parse from_dataset with

@@ -95,32 +95,36 @@ let e26_fleet scale =
   let worker_counts = [ 1; 2; 4 ] in
   (* ---- Table A: merged-vs-single parity ---- *)
   let parity_seeds = List.init 6 (fun i -> 1 + i) in
+  (* every counter but the batch envelope count, every error category,
+     and the per-version, verdict and dataset tables of the stats JSON *)
   let counters m =
-    ( Metrics.queries_served m,
-      Metrics.errors m,
-      Metrics.batch_items m,
-      Metrics.cache_hits m,
-      Metrics.cache_misses m,
-      Metrics.wire_bytes m,
-      Metrics.accounted_bits m )
+    let tables = Metrics.to_json m in
+    ( List.filter_map
+        (fun (c, _) -> if c = Metrics.Batches then None else Some (Metrics.count m c))
+        Metrics.counters,
+      List.map (Metrics.errors_in m) Metrics.all_categories,
+      List.map
+        (fun k -> Option.map Jsonout.to_line (Jsonout.member k tables))
+        [ "protocol_versions"; "verdicts"; "datasets" ] )
   in
   let row_a ~reference w =
     let m =
       run_sharded ~workers:w ~cache_capacity:32 (parity_stream ~n ~workers:w ~seeds:parity_seeds)
     in
-    let served, errors, items, hits, misses, bytes, bits = counters m in
-    let okay = match reference with None -> true | Some c -> counters m = c in
-    ( counters m,
+    let mine = counters m in
+    let okay = match reference with None -> true | Some c -> mine = c in
+    let cell c = string_of_int (Metrics.count m c) in
+    ( mine,
       [
         string_of_int w;
-        string_of_int served;
-        string_of_int errors;
-        string_of_int (Metrics.batches m);
-        string_of_int items;
-        string_of_int hits;
-        string_of_int misses;
-        string_of_int bytes;
-        string_of_int bits;
+        cell Metrics.Queries_served;
+        string_of_int (Metrics.errors m);
+        cell Metrics.Batches;
+        cell Metrics.Batch_items;
+        cell Metrics.Cache_hits;
+        cell Metrics.Cache_misses;
+        cell Metrics.Wire_bytes;
+        cell Metrics.Accounted_bits;
         (if okay then "yes" else "NO");
       ] )
   in
@@ -152,10 +156,11 @@ let e26_fleet scale =
             line_for ~n seed ))
     in
     let m = run_sharded ~workers:w ~cache_capacity:capacity lines in
-    let hits = Metrics.cache_hits m and misses = Metrics.cache_misses m in
+    let hits = Metrics.count m Metrics.Cache_hits in
+    let misses = Metrics.count m Metrics.Cache_misses in
     let lookups = hits + misses in
     let okay =
-      Metrics.queries_served m = queries
+      Metrics.count m Metrics.Queries_served = queries
       && lookups = queries
       && if w = 1 then misses = queries (* LRU thrash: every reuse already evicted *)
          else misses = distinct (* every shard slice fits its cache *)

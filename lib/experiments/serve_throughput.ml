@@ -114,8 +114,8 @@ let e23_serve scale =
         let _, k = exchange ~cache ~metrics ~stop line in
         served := !served + k)
       (List.init queries Fun.id);
-    let hits = Tfree_wire.Metrics.cache_hits metrics in
-    let misses = Tfree_wire.Metrics.cache_misses metrics in
+    let hits = Tfree_wire.Metrics.count metrics Tfree_wire.Metrics.Cache_hits in
+    let misses = Tfree_wire.Metrics.count metrics Tfree_wire.Metrics.Cache_misses in
     let lookups = hits + misses in
     let okay = !served = queries && lookups = queries && misses = s && hits = queries - s in
     [

@@ -9,14 +9,18 @@
     [{"op": "stats"}] can tell a misbehaving client from a misbehaving
     network from a saturated daemon.  Injected faults (a [--fault-spec]
     schedule firing) and client retries are tallied separately: they are
-    chaos bookkeeping, not service errors.  The concurrent server also
-    feeds gauges: connections accepted/shed/in flight, instance-cache
-    hits and misses, batch exchanges and their item counts.
+    chaos bookkeeping, not service errors.  The event loop also feeds
+    connections accepted/shed/in flight, instance-cache hits and misses,
+    and batch exchanges and their item counts.  The running totals are
+    one [int array] indexed through the [counters] table.
 
-    Every mutation and every read takes the registry's mutex, so one
-    registry can be shared by concurrently running clients (the load
-    generator fans its per-client tallies into one) or by a server that
-    serves connections from several domains.  Latency lives in bounded
+    A serve process's registry is written and read by its one event loop,
+    in one domain; a fleet worker keeps its own and ships it to the parent
+    as a {!to_wire} snapshot, which the parent folds in with {!merge}.
+    The load generator's clients are forked processes that count retries
+    in a registry each and report tally lines.  No caller shares a
+    registry across domains, but every mutation and every read still
+    takes the registry's mutex, so one could be.  Latency lives in bounded
     {!Tfree_obs.Histogram}s — one for end-to-end query latency, one per
     serve {!Tfree_obs.Phase} — so registry memory is O(buckets) no matter
     how many queries are served, quantiles (p50/p90/p99/p999) cost
@@ -59,24 +63,51 @@ let category_of_name = function
   | "overload" -> Some Overload
   | _ -> None
 
+type counter =
+  | Queries_served
+  | Wire_bytes
+  | Accounted_bits
+  | Retries
+  | Injected
+  | Accepted
+  | Shed
+  | Cache_hits
+  | Cache_misses
+  | Batches
+  | Batch_items
+
+(* The one declaration of the scalar counters and their snapshot keys, in
+   [to_wire] order; a counter's index in [t.counts] is its position here. *)
+let counters =
+  [
+    (Queries_served, "queries_served");
+    (Wire_bytes, "wire_bytes");
+    (Accounted_bits, "accounted_bits");
+    (Retries, "retries");
+    (Injected, "injected");
+    (Accepted, "accepted");
+    (Shed, "shed");
+    (Cache_hits, "cache_hits");
+    (Cache_misses, "cache_misses");
+    (Batches, "batches");
+    (Batch_items, "batch_items");
+  ]
+
+let slot c =
+  let rec go i = function
+    | (c', _) :: rest -> if c' = c then i else go (i + 1) rest
+    | [] -> assert false
+  in
+  go 0 counters
+
 type protocol_counts = { mutable triangle : int; mutable triangle_free : int }
 
 type t = {
   mutex : Mutex.t;
   started_at : float;  (** [Unix.gettimeofday] at {!create}; basis of served/sec *)
-  mutable queries_served : int;
-  mutable wire_bytes : int;  (** transport bytes of all served queries *)
-  mutable accounted_bits : int;  (** ledger bits of all served queries *)
+  counts : int array;  (** indexed in [counters] order *)
   error_counts : int array;  (** indexed in [all_categories] order *)
-  mutable retries : int;  (** client-side retry attempts (client registries) *)
-  mutable injected : int;  (** scheduled faults that fired (chaos runs) *)
-  mutable accepted : int;  (** connections the event loop accepted *)
-  mutable shed : int;  (** connections refused with an overload error *)
   mutable in_flight : int;  (** gauge: connections currently open *)
-  mutable cache_hits : int;  (** instance-cache lookups answered without a rebuild *)
-  mutable cache_misses : int;  (** instance-cache lookups that rebuilt *)
-  mutable batches : int;  (** [{"op": "batch"}] exchanges *)
-  mutable batch_items : int;  (** individual requests carried by those exchanges *)
   version_served : int array;  (** queries served per wire-protocol version, indexed 1/2 *)
   version_bytes : int array;  (** serve-socket bytes per wire-protocol version, indexed 1/2 *)
   verdicts : (string, protocol_counts) Hashtbl.t;
@@ -99,19 +130,9 @@ let create ?started_at () =
   {
     mutex = Mutex.create ();
     started_at = (match started_at with Some t -> t | None -> Unix.gettimeofday ());
-    queries_served = 0;
-    wire_bytes = 0;
-    accounted_bits = 0;
+    counts = Array.make (List.length counters) 0;
     error_counts = Array.make (List.length all_categories) 0;
-    retries = 0;
-    injected = 0;
-    accepted = 0;
-    shed = 0;
     in_flight = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    batches = 0;
-    batch_items = 0;
     version_served = Array.make (max_wire_version + 1) 0;
     version_bytes = Array.make (max_wire_version + 1) 0;
     verdicts = Hashtbl.create 8;
@@ -124,6 +145,11 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
+(* Add [n] to a counter; the caller holds the mutex. *)
+let bump t c n =
+  let i = slot c in
+  t.counts.(i) <- t.counts.(i) + n
+
 let counts_for t protocol =
   match Hashtbl.find_opt t.verdicts protocol with
   | Some c -> c
@@ -135,9 +161,9 @@ let counts_for t protocol =
 let record_query ?(version = 1) t ~protocol ~found_triangle ~wire_bytes ~accounted_bits
     ~latency_us =
   locked t (fun () ->
-      t.queries_served <- t.queries_served + 1;
-      t.wire_bytes <- t.wire_bytes + wire_bytes;
-      t.accounted_bits <- t.accounted_bits + accounted_bits;
+      bump t Queries_served 1;
+      bump t Wire_bytes wire_bytes;
+      bump t Accounted_bits accounted_bits;
       let s = version_slot version in
       t.version_served.(s) <- t.version_served.(s) + 1;
       let c = counts_for t protocol in
@@ -160,25 +186,18 @@ let record_error t ~category =
   locked t (fun () ->
       t.error_counts.(index_of category) <- t.error_counts.(index_of category) + 1)
 
-let record_retry t = locked t (fun () -> t.retries <- t.retries + 1)
-let record_injected t = locked t (fun () -> t.injected <- t.injected + 1)
-let record_accept t = locked t (fun () -> t.accepted <- t.accepted + 1)
-let record_shed t = locked t (fun () -> t.shed <- t.shed + 1)
+let incr t c = locked t (fun () -> bump t c 1)
 let set_in_flight t n = locked t (fun () -> t.in_flight <- n)
-
-let record_cache t ~hit =
-  locked t (fun () ->
-      if hit then t.cache_hits <- t.cache_hits + 1 else t.cache_misses <- t.cache_misses + 1)
+let record_cache t ~hit = locked t (fun () -> bump t (if hit then Cache_hits else Cache_misses) 1)
 
 let record_batch t ~items =
   locked t (fun () ->
-      t.batches <- t.batches + 1;
-      t.batch_items <- t.batch_items + items)
+      bump t Batches 1;
+      bump t Batch_items items)
 
-let record_dataset t ~name =
-  locked t (fun () ->
-      let c = match Hashtbl.find_opt t.datasets name with Some c -> c | None -> 0 in
-      Hashtbl.replace t.datasets name (c + 1))
+let dataset_count t name = Option.value (Hashtbl.find_opt t.datasets name) ~default:0
+let add_dataset t name n = Hashtbl.replace t.datasets name (dataset_count t name + n)
+let record_dataset t ~name = locked t (fun () -> add_dataset t name 1)
 
 let record_version_bytes t ~version ~bytes =
   locked t (fun () ->
@@ -192,63 +211,34 @@ let record_phase t ~phase ~us =
 let latency_snapshot t = locked t (fun () -> Histogram.copy t.latency)
 let phase_count t phase = locked t (fun () -> Histogram.count t.phases.(Phase.index phase))
 
-let queries_served t = locked t (fun () -> t.queries_served)
+let count t c = locked t (fun () -> t.counts.(slot c))
 let errors_unlocked t = Array.fold_left ( + ) 0 t.error_counts
 let errors t = locked t (fun () -> errors_unlocked t)
 let errors_in t category = locked t (fun () -> t.error_counts.(index_of category))
-let retries t = locked t (fun () -> t.retries)
-let injected t = locked t (fun () -> t.injected)
 let in_flight t = locked t (fun () -> t.in_flight)
-let cache_hits t = locked t (fun () -> t.cache_hits)
-let cache_misses t = locked t (fun () -> t.cache_misses)
-let batches t = locked t (fun () -> t.batches)
-let batch_items t = locked t (fun () -> t.batch_items)
-let wire_bytes t = locked t (fun () -> t.wire_bytes)
-let accounted_bits t = locked t (fun () -> t.accounted_bits)
-let dataset_served t name =
-  locked t (fun () -> match Hashtbl.find_opt t.datasets name with Some c -> c | None -> 0)
+let dataset_served t name = locked t (fun () -> dataset_count t name)
 
 let version_served t v = locked t (fun () -> t.version_served.(version_slot v))
 
-(** Fold [other]'s counters and histograms into [t] (used by the load
-    generator to merge per-client registries into one for reconciliation,
-    and by fleet-wide stats to combine per-worker registries).  Histogram
-    merge is exact — bucket-wise count addition.  Gauges ([in_flight])
-    are not merged. *)
+(* Histogram merge is exact: bucket-wise count addition.  The
+   [in_flight] gauge is not merged. *)
 let merge t other =
   (* Lock ordering: always [t] then [other]; callers merge into one
      accumulator from one thread, so this cannot deadlock. *)
   locked t (fun () ->
       locked other (fun () ->
-          t.queries_served <- t.queries_served + other.queries_served;
-          t.wire_bytes <- t.wire_bytes + other.wire_bytes;
-          t.accounted_bits <- t.accounted_bits + other.accounted_bits;
-          Array.iteri (fun i n -> t.error_counts.(i) <- t.error_counts.(i) + n) other.error_counts;
-          t.retries <- t.retries + other.retries;
-          t.injected <- t.injected + other.injected;
-          t.accepted <- t.accepted + other.accepted;
-          t.shed <- t.shed + other.shed;
-          t.cache_hits <- t.cache_hits + other.cache_hits;
-          t.cache_misses <- t.cache_misses + other.cache_misses;
-          t.batches <- t.batches + other.batches;
-          t.batch_items <- t.batch_items + other.batch_items;
-          Array.iteri
-            (fun i n -> t.version_served.(i) <- t.version_served.(i) + n)
-            other.version_served;
-          Array.iteri
-            (fun i n -> t.version_bytes.(i) <- t.version_bytes.(i) + n)
-            other.version_bytes;
+          let add_into dst src = Array.iteri (fun i n -> dst.(i) <- dst.(i) + n) src in
+          add_into t.counts other.counts;
+          add_into t.error_counts other.error_counts;
+          add_into t.version_served other.version_served;
+          add_into t.version_bytes other.version_bytes;
           Hashtbl.iter
             (fun protocol c ->
               let mine = counts_for t protocol in
               mine.triangle <- mine.triangle + c.triangle;
               mine.triangle_free <- mine.triangle_free + c.triangle_free)
             other.verdicts;
-          Hashtbl.iter
-            (fun name c ->
-              let mine = match Hashtbl.find_opt t.datasets name with Some c -> c | None -> 0 in
-              Hashtbl.replace t.datasets name (mine + c))
-            other.datasets;
+          Hashtbl.iter (add_dataset t) other.datasets;
           Histogram.merge t.latency other.latency;
           Array.iteri (fun i h -> Histogram.merge t.phases.(i) h) other.phases))
 
@@ -266,47 +256,41 @@ let merge t other =
    merge ignores them, but the fleet parent sums them by hand for the
    fleet-wide gauge. *)
 
+let num n = Jsonout.Num (float_of_int n)
+
+(* A table's entries as JSON object fields, sorted by key. *)
+let sorted_fields tbl f = Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl [] |> List.sort compare
+
 let to_wire t =
   locked t (fun () ->
-      let num n = Jsonout.Num (float_of_int n) in
       let ints a = Jsonout.List (Array.to_list (Array.map num a)) in
-      let verdicts =
-        Hashtbl.fold
-          (fun protocol c acc ->
-            (protocol, Jsonout.List [ num c.triangle; num c.triangle_free ]) :: acc)
-          t.verdicts []
-        |> List.sort compare
+      let verdicts c = Jsonout.List [ num c.triangle; num c.triangle_free ] in
+      (* [errors] and [in_flight] keep the places earlier builds gave them
+         among the counters: [of_wire] reads by key, but the bytes stay the
+         same *)
+      let after = function
+        | Accounted_bits -> [ ("errors", ints t.error_counts) ]
+        | Shed -> [ ("in_flight", num t.in_flight) ]
+        | _ -> []
       in
-      let datasets =
-        Hashtbl.fold (fun name c acc -> (name, num c) :: acc) t.datasets [] |> List.sort compare
+      let counter_fields =
+        List.mapi (fun i (c, name) -> (name, num t.counts.(i)) :: after c) counters
       in
       Jsonout.to_string
         (Jsonout.Obj
-           [
-             ("started_at", Jsonout.Num t.started_at);
-             ("queries_served", num t.queries_served);
-             ("wire_bytes", num t.wire_bytes);
-             ("accounted_bits", num t.accounted_bits);
-             ("errors", ints t.error_counts);
-             ("retries", num t.retries);
-             ("injected", num t.injected);
-             ("accepted", num t.accepted);
-             ("shed", num t.shed);
-             ("in_flight", num t.in_flight);
-             ("cache_hits", num t.cache_hits);
-             ("cache_misses", num t.cache_misses);
-             ("batches", num t.batches);
-             ("batch_items", num t.batch_items);
+           (("started_at", Jsonout.Num t.started_at)
+            :: List.concat counter_fields
+            @ [
              ("version_served", ints t.version_served);
              ("version_bytes", ints t.version_bytes);
-             ("verdicts", Jsonout.Obj verdicts);
-             ("datasets", Jsonout.Obj datasets);
+             ("verdicts", Jsonout.Obj (sorted_fields t.verdicts verdicts));
+             ("datasets", Jsonout.Obj (sorted_fields t.datasets num));
              ("latency", Jsonout.Str (Histogram.to_compact t.latency));
              ( "phases",
                Jsonout.List
                  (Array.to_list
                     (Array.map (fun h -> Jsonout.Str (Histogram.to_compact h)) t.phases)) );
-           ]))
+             ])))
 
 exception Bad_wire of string
 
@@ -355,19 +339,9 @@ let of_wire s =
       | Error msg -> fail "bad %S histogram: %s" k msg
     in
     let t = create ~started_at:(float_of "started_at") () in
-    t.queries_served <- int_of "queries_served";
-    t.wire_bytes <- int_of "wire_bytes";
-    t.accounted_bits <- int_of "accounted_bits";
+    List.iteri (fun i (_, name) -> t.counts.(i) <- int_of name) counters;
     fill_ints "errors" t.error_counts;
-    t.retries <- int_of "retries";
-    t.injected <- int_of "injected";
-    t.accepted <- int_of "accepted";
-    t.shed <- int_of "shed";
     t.in_flight <- int_of "in_flight";
-    t.cache_hits <- int_of "cache_hits";
-    t.cache_misses <- int_of "cache_misses";
-    t.batches <- int_of "batches";
-    t.batch_items <- int_of "batch_items";
     fill_ints "version_served" t.version_served;
     fill_ints "version_bytes" t.version_bytes;
     (match Jsonout.member "verdicts" j with
@@ -418,7 +392,7 @@ let histogram_json h =
   let num_or_null v = if Histogram.count h = 0 then Jsonout.Null else Jsonout.Num v in
   Jsonout.Obj
     [
-      ("count", Jsonout.Num (float_of_int (Histogram.count h)));
+      ("count", num (Histogram.count h));
       ("mean", num_or_null (Histogram.mean h));
       ("sum", Jsonout.Num (Histogram.sum h));
       ("min", num_or_null (Histogram.min_value h));
@@ -429,53 +403,44 @@ let histogram_json h =
       ("p999", num_or_null (Histogram.quantile h 0.999));
     ]
 
+let uptime t = Float.max 1e-9 (Unix.gettimeofday () -. t.started_at)
+
 let to_json t =
   locked t (fun () ->
-      let verdict_objs =
-        Hashtbl.fold
-          (fun protocol c acc ->
-            ( protocol,
-              Jsonout.Obj
-                [
-                  ("triangle", Jsonout.Num (float_of_int c.triangle));
-                  ("triangle_free", Jsonout.Num (float_of_int c.triangle_free));
-                ] )
-            :: acc)
-          t.verdicts []
-        |> List.sort compare
+      let verdicts c =
+        Jsonout.Obj [ ("triangle", num c.triangle); ("triangle_free", num c.triangle_free) ]
       in
-      let category_objs =
-        List.map
-          (fun c ->
-            (category_name c, Jsonout.Num (float_of_int t.error_counts.(index_of c))))
-          all_categories
-      in
-      let uptime = Float.max 1e-9 (Unix.gettimeofday () -. t.started_at) in
-      let num n = Jsonout.Num (float_of_int n) in
+      let category c = (category_name c, num t.error_counts.(index_of c)) in
+      let uptime = uptime t in
+      let get c = t.counts.(slot c) in
+      let counter c = num (get c) in
       Jsonout.Obj
         [
-          ("queries_served", num t.queries_served);
+          ("queries_served", counter Queries_served);
           ("errors", num (errors_unlocked t));
-          ("errors_by_category", Jsonout.Obj category_objs);
-          ("retries", num t.retries);
-          ("injected_faults", num t.injected);
-          ("wire_bytes", num t.wire_bytes);
-          ("accounted_bits", num t.accounted_bits);
+          ("errors_by_category", Jsonout.Obj (List.map category all_categories));
+          ("retries", counter Retries);
+          ("injected_faults", counter Injected);
+          ("wire_bytes", counter Wire_bytes);
+          ("accounted_bits", counter Accounted_bits);
           ("uptime_s", Jsonout.Num uptime);
-          ("served_per_sec", Jsonout.Num (float_of_int t.queries_served /. uptime));
+          ("served_per_sec", Jsonout.Num (float_of_int (get Queries_served) /. uptime));
           ("in_flight", num t.in_flight);
           ( "connections",
             Jsonout.Obj
-              [ ("accepted", num t.accepted); ("shed", num t.shed); ("in_flight", num t.in_flight) ]
-          );
+              [
+                ("accepted", counter Accepted);
+                ("shed", counter Shed);
+                ("in_flight", num t.in_flight);
+              ] );
           ( "cache",
             Jsonout.Obj
               [
-                ("hits", num t.cache_hits);
-                ("misses", num t.cache_misses);
-                ("lookups", num (t.cache_hits + t.cache_misses));
+                ("hits", counter Cache_hits);
+                ("misses", counter Cache_misses);
+                ("lookups", num (get Cache_hits + get Cache_misses));
               ] );
-          ("batch", Jsonout.Obj [ ("batches", num t.batches); ("items", num t.batch_items) ]);
+          ("batch", Jsonout.Obj [ ("batches", counter Batches); ("items", counter Batch_items) ]);
           ( "protocol_versions",
             Jsonout.Obj
               (List.init max_wire_version (fun i ->
@@ -485,13 +450,8 @@ let to_json t =
                        [
                          ("served", num t.version_served.(v)); ("bytes", num t.version_bytes.(v));
                        ] ))) );
-          ("verdicts", Jsonout.Obj verdict_objs);
-          ( "datasets",
-            Jsonout.Obj
-              (Hashtbl.fold
-                 (fun name c acc -> (name, Jsonout.Num (float_of_int c)) :: acc)
-                 t.datasets []
-              |> List.sort compare) );
+          ("verdicts", Jsonout.Obj (sorted_fields t.verdicts verdicts));
+          ("datasets", Jsonout.Obj (sorted_fields t.datasets num));
           ("latency_us", histogram_json t.latency);
           ( "phases",
             Jsonout.Obj
@@ -507,14 +467,13 @@ let to_json t =
     the LRU lives outside the registry.) *)
 let health_json t =
   locked t (fun () ->
-      let num n = Jsonout.Num (float_of_int n) in
-      let uptime = Float.max 1e-9 (Unix.gettimeofday () -. t.started_at) in
+      let counter c = num t.counts.(slot c) in
       Jsonout.Obj
         [
-          ("uptime_s", Jsonout.Num uptime);
-          ("queries_served", num t.queries_served);
+          ("uptime_s", Jsonout.Num (uptime t));
+          ("queries_served", counter Queries_served);
           ("errors", num (errors_unlocked t));
           ("in_flight", num t.in_flight);
-          ("accepted", num t.accepted);
-          ("shed", num t.shed);
+          ("accepted", counter Accepted);
+          ("shed", counter Shed);
         ])

@@ -9,10 +9,11 @@
     queries served, quantiles cost O(buckets) within the histogram's
     documented precision, and {!merge} folds histograms exactly.
 
-    Safe under concurrent mutation: every record and read takes an internal
-    mutex, so one registry can be shared across domains (the concurrent
-    server, or a load generator's per-client tallies merged with
-    {!merge}). *)
+    A serve process's registry is written and read by its one event loop;
+    each fleet worker keeps its own and ships it to the parent with
+    {!to_wire}, and the parent folds the snapshots together with
+    {!merge}.  Nothing shares a registry across domains, but every record
+    and read takes an internal mutex, so one could be. *)
 
 type error_category =
   | Malformed  (** unparseable JSON, bad field types, unknown command, bad request values *)
@@ -29,6 +30,25 @@ val category_name : error_category -> string
 val category_of_name : string -> error_category option
 
 type t
+
+(** The running totals.  {!merge} adds them up, and {!to_wire} and
+    {!of_wire} carry them all. *)
+type counter =
+  | Queries_served  (** protocol queries served *)
+  | Wire_bytes  (** transport bytes of all served queries *)
+  | Accounted_bits  (** ledger bits of all served queries *)
+  | Retries  (** client-side retry attempts (client registries) *)
+  | Injected  (** scheduled faults that fired (chaos bookkeeping, not an error) *)
+  | Accepted  (** connections the event loop accepted *)
+  | Shed  (** connections shed at the [--max-clients] cap (each pairs with an [Overload] error) *)
+  | Cache_hits  (** instance-cache lookups answered without a rebuild *)
+  | Cache_misses  (** instance-cache lookups that rebuilt *)
+  | Batches  (** [{"op": "batch"}] exchanges *)
+  | Batch_items  (** requests carried by those exchanges *)
+
+(** Every counter with its key in a {!to_wire} snapshot, in snapshot
+    order. *)
+val counters : (counter * string) list
 
 (** [started_at] (default: now) back-dates the registry's start time —
     the fleet parent stamps its merged registry with its own start so the
@@ -55,19 +75,8 @@ val record_query :
 (** Record a failed line under its category. *)
 val record_error : t -> category:error_category -> unit
 
-(** Record one client-side retry attempt (client registries). *)
-val record_retry : t -> unit
-
-(** Record one scheduled fault that fired (chaos bookkeeping, not an
-    error). *)
-val record_injected : t -> unit
-
-(** Record one accepted connection. *)
-val record_accept : t -> unit
-
-(** Record one connection shed at the [--max-clients] cap (pairs with an
-    [Overload] error). *)
-val record_shed : t -> unit
+(** Add one to a counter. *)
+val incr : t -> counter -> unit
 
 (** Set the open-connections gauge (the event loop updates it on every
     accept and close). *)
@@ -103,21 +112,13 @@ val latency_snapshot : t -> Tfree_obs.Histogram.t
 (** Samples recorded for one phase. *)
 val phase_count : t -> Tfree_obs.Phase.t -> int
 
-val queries_served : t -> int
+val count : t -> counter -> int
 
 (** Total errors across all categories. *)
 val errors : t -> int
 
 val errors_in : t -> error_category -> int
-val retries : t -> int
-val injected : t -> int
 val in_flight : t -> int
-val cache_hits : t -> int
-val cache_misses : t -> int
-val batches : t -> int
-val batch_items : t -> int
-val wire_bytes : t -> int
-val accounted_bits : t -> int
 
 (** Queries served over wire-protocol version [v] (out-of-range versions
     clamp to the nearest tracked slot). *)
@@ -125,9 +126,7 @@ val version_served : t -> int -> int
 
 (** Fold [other]'s counters, verdict tallies and latency histograms into
     the first registry (gauges are not merged; histogram merge is exact).
-    Used by the load generator to reconcile per-client tallies against the
-    server's stats, and by fleet-wide stats to combine worker
-    registries. *)
+    The fleet parent combines its workers' registries with it. *)
 val merge : t -> t -> unit
 
 (** Serialize the registry for the fleet control channel: every counter,

@@ -1270,7 +1270,7 @@ let inject_reply ~metrics ~fault ~op fd data ~off ~len ~region:(region_off, regi
       write_bytes fd data off len;
       (`Keep, true)
   | Some kind -> (
-      Metrics.record_injected metrics;
+      Metrics.incr metrics Metrics.Injected;
       match kind with
       | Fault.Drop | Fault.Close -> (`Close, false)
       | Fault.Corrupt { bit } ->
@@ -1429,7 +1429,7 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
         if List.length !conns >= max_clients then begin
           (* shed: a typed refusal, then close — the client sees a reply,
              not a hang, and its retry loop treats overload as transient *)
-          Metrics.record_shed metrics;
+          Metrics.incr metrics Metrics.Shed;
           Metrics.record_error metrics ~category:Metrics.Overload;
           log Logger.Warn "shed" [ ("max_clients", jnum max_clients) ];
           (try
@@ -1442,7 +1442,7 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
           try Unix.close fd with Unix.Unix_error _ -> ()
         end
         else begin
-          Metrics.record_accept metrics;
+          Metrics.incr metrics Metrics.Accepted;
           conns :=
             {
               conn_fd = fd;
@@ -2001,9 +2001,9 @@ let serve_fleet ~workers ~backlog ~max_clients ?max_requests ~line_timeout_s ~fa
                         ("pid", jnum s.slot_pid);
                         ("alive", Jsonout.Bool s.slot_alive);
                         ("restarts", jnum s.slot_restarts);
-                        ("served", jnum (Metrics.queries_served s.slot_last));
+                        ("served", jnum (Metrics.count s.slot_last Metrics.Queries_served));
                         ("in_flight", jnum (Metrics.in_flight s.slot_last));
-                        ("cache_hits", jnum (Metrics.cache_hits s.slot_last));
+                        ("cache_hits", jnum (Metrics.count s.slot_last Metrics.Cache_hits));
                       ])
                   slots)) );
       ]
@@ -2104,7 +2104,7 @@ let serve_fleet ~workers ~backlog ~max_clients ?max_requests ~line_timeout_s ~fa
       (try Unix.close fd with Unix.Unix_error _ -> ());
       try Unix.unlink (worker_path ~path i) with Unix.Unix_error _ -> ())
     privates;
-  let total = Metrics.queries_served graveyard in
+  let total = Metrics.count graveyard Metrics.Queries_served in
   log Logger.Info "fleet_shutdown" [ ("served", jnum total) ];
   total
 
@@ -2286,7 +2286,7 @@ let with_retries ~retries ~backoff_s ~backoff_seed ~metrics attempt =
     | Error (`Transient, msg) ->
         if n >= retries then Error msg
         else begin
-          (match metrics with Some m -> Metrics.record_retry m | None -> ());
+          (match metrics with Some m -> Metrics.incr m Metrics.Retries | None -> ());
           let base = backoff_s *. (2.0 ** float_of_int n) in
           Unix.sleepf (base +. (base *. 0.25 *. Rng.float rng));
           go (n + 1)

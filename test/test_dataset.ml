@@ -308,14 +308,14 @@ let test_dataset_cache_key () =
       let r1 = Service.run_dataset_request ~cache ~metrics ~registry ~name:"gen" dreq in
       let r2 = Service.run_dataset_request ~cache ~metrics ~registry ~name:"gen" dreq in
       checkb "cached repeat is identical" true (r1 = r2);
-      checki "one miss" 1 (Metrics.cache_misses metrics);
-      checki "one hit" 1 (Metrics.cache_hits metrics);
+      checki "one miss" 1 (Metrics.count metrics Metrics.Cache_misses);
+      checki "one hit" 1 (Metrics.count metrics Metrics.Cache_hits);
       (* a different protocol shares the instance (protocol not in the key) *)
       let _ =
         Service.run_dataset_request ~cache ~metrics ~registry ~name:"gen"
           { dreq with protocol = Service.Exact }
       in
-      checki "protocol change still hits" 2 (Metrics.cache_hits metrics))
+      checki "protocol change still hits" 2 (Metrics.count metrics Metrics.Cache_hits))
 
 let test_handle_line_dataset_errors () =
   let metrics = Metrics.create () in

@@ -311,7 +311,7 @@ let test_metrics_negative_latency_rejected () =
     ~latency_us:nan;
   Metrics.record_query m ~protocol:"exact" ~found_triangle:false ~wire_bytes:10 ~accounted_bits:64
     ~latency_us:250.0;
-  checki "all three queries count" 3 (Metrics.queries_served m);
+  checki "all three queries count" 3 (Metrics.count m Metrics.Queries_served);
   let lat = Metrics.latency_snapshot m in
   checki "only the valid latency sample lands" 1 (Histogram.count lat);
   checkb "and it is the sample" true (Histogram.min_value lat = 250.0)
@@ -325,7 +325,7 @@ let test_metrics_merge_folds_histograms () =
   Metrics.record_phase a ~phase:Phase.Run ~us:5.0;
   Metrics.record_phase b ~phase:Phase.Run ~us:7.0;
   Metrics.merge a b;
-  checki "served folds" 2 (Metrics.queries_served a);
+  checki "served folds" 2 (Metrics.count a Metrics.Queries_served);
   let lat = Metrics.latency_snapshot a in
   checki "latency histogram folds" 2 (Histogram.count lat);
   checkb "across the full range" true
@@ -367,11 +367,11 @@ let pinned_registry () =
   Metrics.record_dataset m ~name:"karate";
   List.iter (fun category -> Metrics.record_error m ~category) Metrics.all_categories;
   Metrics.record_error m ~category:Metrics.Malformed;
-  Metrics.record_retry m;
-  Metrics.record_injected m;
-  Metrics.record_injected m;
-  List.iter (fun () -> Metrics.record_accept m) [ (); (); () ];
-  Metrics.record_shed m;
+  Metrics.incr m Metrics.Retries;
+  Metrics.incr m Metrics.Injected;
+  Metrics.incr m Metrics.Injected;
+  List.iter (fun () -> Metrics.incr m Metrics.Accepted) [ (); (); () ];
+  Metrics.incr m Metrics.Shed;
   Metrics.set_in_flight m 2;
   Metrics.record_cache m ~hit:true;
   Metrics.record_cache m ~hit:false;
@@ -524,7 +524,9 @@ let gen_registry =
         (bool >|= fun hit m -> Metrics.record_cache m ~hit);
         (int_bound 8 >|= fun items m -> Metrics.record_batch m ~items);
         (int_bound 4 >|= fun n m -> Metrics.set_in_flight m n);
-        oneofl [ Metrics.record_retry; Metrics.record_injected; Metrics.record_accept; Metrics.record_shed ];
+        (oneofl Metrics.counters >|= fun (c, _) m -> Metrics.incr m c);
+        ( pair (int_range 1 Metrics.max_wire_version) (int_bound 10_000)
+        >|= fun (version, bytes) m -> Metrics.record_version_bytes m ~version ~bytes );
       ]
   in
   pair (float_bound_inclusive 2e9) (list_size (int_range 0 25) event) >|= fun (started_at, events) ->

@@ -650,7 +650,7 @@ let test_service_client_retry_recovers () =
           checkb "recovered verdict = fault-free verdict" true
             (resp.Service.verdict = local.Service.verdict);
           checki "recovered bits = fault-free bits" local.Service.bits resp.Service.bits;
-          checki "exactly three retries spent" 3 (Metrics.retries m);
+          checki "exactly three retries spent" 3 (Metrics.count m Metrics.Retries);
           match Service.client_stats ~path () with
           | Ok stats ->
               checki "server tallied the injected schedule exactly" (List.length fault)
@@ -863,7 +863,7 @@ let test_chaos_schedule_spares_other_clients () =
           | Ok resp -> if resp <> expected.(c).(q) then incr wrong
           | Error _ -> incr wrong
         done;
-        (!wrong, Metrics.retries m)
+        (!wrong, Metrics.count m Metrics.Retries)
       in
       let results = fork_clients clients run_client in
       let wrong = List.fold_left (fun acc (w, _) -> acc + w) 0 results in
@@ -1065,7 +1065,7 @@ let test_client_caps_reply_line () =
       | Error msg ->
           checkb (Printf.sprintf "garbled reply: %s" msg) true
             (contains_substring msg "garbled reply");
-          checki "retried as transient" 1 (Metrics.retries m))
+          checki "retried as transient" 1 (Metrics.count m Metrics.Retries))
 
 (* A server that sheds a connection writes its typed overload reply and
    closes, perhaps before the client's hello or request is written; the
@@ -1448,7 +1448,7 @@ let test_handle_line_categories () =
   checki "unknown_op count" 1 (Metrics.errors_in m Metrics.Unknown_op);
   checki "run_failure count" 1 (Metrics.errors_in m Metrics.Run_failure);
   checki "transport count" 1 (Metrics.errors_in m Metrics.Transport);
-  checki "no query served" 0 (Metrics.queries_served m);
+  checki "no query served" 0 (Metrics.count m Metrics.Queries_served);
   checkb "shutdown untouched" true (not !stop);
   (* a line or batch item that is not a JSON object is malformed, never a
      default query *)
@@ -1470,7 +1470,7 @@ let test_handle_line_categories () =
              items)
   | _ -> Alcotest.fail "batch reply without results");
   checki "non-object malformed count" 5 (Metrics.errors_in m Metrics.Malformed);
-  checki "non-objects serve no query" 0 (Metrics.queries_served m)
+  checki "non-objects serve no query" 0 (Metrics.count m Metrics.Queries_served)
 
 (* {"op": "health"} over the v1 line protocol: a cheap scalar liveness
    payload — no verdict table, no histograms — that does not count as a
@@ -1501,7 +1501,7 @@ let test_handle_line_health () =
     | _ -> false);
   checkb "no verdict table walk" true (Jsonout.member "verdicts" h = None);
   checkb "no histograms" true (Jsonout.member "latency_us" h = None);
-  checki "health is not a served query" 0 (Metrics.queries_served m);
+  checki "health is not a served query" 0 (Metrics.count m Metrics.Queries_served);
   checki "health is not an error" 0 (Metrics.errors m);
   checkb "shutdown untouched" true (not !stop)
 
@@ -1809,14 +1809,14 @@ let test_metrics_categories () =
   Metrics.record_error m ~category:Metrics.Malformed;
   Metrics.record_error m ~category:Metrics.Transport;
   Metrics.record_error m ~category:Metrics.Transport;
-  Metrics.record_retry m;
-  Metrics.record_injected m;
+  Metrics.incr m Metrics.Retries;
+  Metrics.incr m Metrics.Injected;
   checki "total is the category sum" 3 (Metrics.errors m);
   checki "malformed" 1 (Metrics.errors_in m Metrics.Malformed);
   checki "transport" 2 (Metrics.errors_in m Metrics.Transport);
   checki "unknown_op untouched" 0 (Metrics.errors_in m Metrics.Unknown_op);
-  checki "retries" 1 (Metrics.retries m);
-  checki "injected" 1 (Metrics.injected m);
+  checki "retries" 1 (Metrics.count m Metrics.Retries);
+  checki "injected" 1 (Metrics.count m Metrics.Injected);
   List.iter
     (fun c ->
       checkb
@@ -2090,8 +2090,12 @@ let test_fleet_merge_matches_single () =
   let single = Metrics.create () in
   run_lines ~metrics:single ~cache:(Service.create_cache ~capacity:16 ()) (List.map snd stream);
   let acc = merge_snapshots ~order:(Array.init (Array.length snapshots) Fun.id) snapshots in
-  checki "queries served" (Metrics.queries_served single) (Metrics.queries_served acc);
-  checkb "stream served something" true (Metrics.queries_served acc > 0);
+  (* a distinct key lives on exactly one shard, so sharded caches hit and
+     miss exactly as the single cache does *)
+  List.iter
+    (fun (c, name) -> checki name (Metrics.count single c) (Metrics.count acc c))
+    Metrics.counters;
+  checkb "stream served something" true (Metrics.count acc Metrics.Queries_served > 0);
   checki "errors" (Metrics.errors single) (Metrics.errors acc);
   List.iter
     (fun c ->
@@ -2099,15 +2103,13 @@ let test_fleet_merge_matches_single () =
         ("errors in " ^ Metrics.category_name c)
         (Metrics.errors_in single c) (Metrics.errors_in acc c))
     Metrics.all_categories;
-  (* a distinct key lives on exactly one shard, so sharded caches hit and
-     miss exactly as the single cache does *)
-  checki "cache hits" (Metrics.cache_hits single) (Metrics.cache_hits acc);
-  checki "cache misses" (Metrics.cache_misses single) (Metrics.cache_misses acc);
-  checki "batches" (Metrics.batches single) (Metrics.batches acc);
-  checki "batch items" (Metrics.batch_items single) (Metrics.batch_items acc);
-  checki "wire bytes" (Metrics.wire_bytes single) (Metrics.wire_bytes acc);
-  checki "accounted bits" (Metrics.accounted_bits single) (Metrics.accounted_bits acc);
   checki "v1 served gauge" (Metrics.version_served single 1) (Metrics.version_served acc 1);
+  List.iter
+    (fun k ->
+      Alcotest.(check string) k
+        (Jsonout.to_line (Option.get (Jsonout.member k (Metrics.to_json single))))
+        (Jsonout.to_line (Option.get (Jsonout.member k (Metrics.to_json acc)))))
+    [ "protocol_versions"; "verdicts"; "datasets" ];
   checki "latency samples"
     (int_at (Metrics.to_json single) [ "queries_served" ])
     (int_at (Metrics.to_json acc) [ "queries_served" ])
@@ -2208,7 +2210,7 @@ let test_fleet_chaos_reconciles () =
           | Ok resp ->
               checkb "recovered verdict = fault-free verdict" true
                 (resp = Service.run_request (shard_req s0));
-              checki "exactly two retries spent" 2 (Metrics.retries m));
+              checki "exactly two retries spent" 2 (Metrics.count m Metrics.Retries));
           (* concurrent clients on worker 1's shard: v1 lines, v2 frames,
              one batch exchange *)
           let seed_of c q = List.nth shard1 ((3 * c) + q) in
