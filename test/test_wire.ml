@@ -2111,8 +2111,8 @@ let test_fleet_merge_matches_single () =
         (Jsonout.to_line (Option.get (Jsonout.member k (Metrics.to_json acc)))))
     [ "protocol_versions"; "verdicts"; "datasets" ];
   checki "latency samples"
-    (int_at (Metrics.to_json single) [ "queries_served" ])
-    (int_at (Metrics.to_json acc) [ "queries_served" ])
+    (int_at (Metrics.to_json single) [ "latency_us"; "count" ])
+    (int_at (Metrics.to_json acc) [ "latency_us"; "count" ])
 
 let fleet_merge_order_prop =
   QCheck.Test.make ~name:"fleet merge is order-independent" ~count:50 QCheck.(int_bound 1_000_000)
