@@ -524,7 +524,8 @@ val client_stats :
 (** Fetch the server's cheap liveness payload ([{"op": "health"}] over v1,
     a dedicated frame tag over v2); returns the [health] object: uptime,
     queries served, errors, connection gauges and instance-cache occupancy
-    — O(1) scalars, no verdict-table or histogram walk on the server. *)
+    ([cache]; a fleet replies with its ["workers"] object instead) — O(1)
+    scalars, no verdict-table or histogram walk on the server. *)
 val client_health :
   ?timeout_s:float -> ?protocol:Proto.pref -> path:string -> unit -> (Jsonout.t, string) result
 
