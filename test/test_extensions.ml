@@ -1,6 +1,5 @@
-(* Tests for the extension features: H-freeness (patterns, packing, the
-   generalized simultaneous protocol), Newman's private-coin transformation,
-   and the message-passing ⇄ coordinator equivalence. *)
+(* Tests for the H-freeness extension: patterns, packing and the
+   generalized simultaneous protocol. *)
 
 open Tfree_util
 open Tfree_graph
@@ -134,91 +133,6 @@ let test_sim_subgraph_sample_grows_with_pattern () =
   let s4 = Tfree.Sim_subgraph.sample_size params ~n:2000 ~d:10.0 Subgraph.four_cycle in
   checkb "sample grows with h" true (s4 > s3)
 
-(* --------------------------------------------------------------- Newman *)
-
-let test_newman_cost_overhead () =
-  let rng = Rng.create 7 in
-  let g = Gen.far_with_degree rng ~n:400 ~d:5.0 ~eps:0.1 in
-  let parts = Partition.disjoint_random rng ~k:4 g in
-  let result, rt =
-    Newman.run_private ~coordinator_seed:9 ~seed_bits:24 parts (fun rt ->
-        Cost.total (Runtime.cost rt))
-  in
-  (* the body observed exactly the announcement cost before doing anything *)
-  checki "overhead charged"
-    (Newman.overhead_bits ~mode:Runtime.Coordinator ~k:4 ~seed_bits:24)
-    result;
-  checkb "ledger matches" true (Cost.total (Runtime.cost rt) >= result)
-
-let test_newman_blackboard_overhead () =
-  checki "blackboard announce once" 24
-    (Newman.overhead_bits ~mode:Runtime.Blackboard ~k:8 ~seed_bits:24);
-  checki "coordinator announce k times" (8 * 24)
-    (Newman.overhead_bits ~mode:Runtime.Coordinator ~k:8 ~seed_bits:24)
-
-let test_newman_protocol_still_correct () =
-  let rng = Rng.create 8 in
-  let g = Gen.far_with_degree rng ~n:600 ~d:5.0 ~eps:0.1 in
-  let parts = Partition.with_duplication rng ~k:4 ~dup_p:0.3 g in
-  let hits = ref 0 in
-  for s = 1 to 6 do
-    let result, _ =
-      Newman.run_private ~coordinator_seed:s ~seed_bits:24 parts (fun rt ->
-          fst (Tfree.Unrestricted.find_triangle rt params))
-    in
-    match result with
-    | Some t ->
-        checkb "real triangle" true (Triangle.is_triangle g t);
-        incr hits
-    | None -> ()
-  done;
-  checkb (Printf.sprintf "private coins still detect (%d/6)" !hits) true (!hits >= 4)
-
-(* ------------------------------------------------------ message passing *)
-
-let test_mp_transcript_accounting () =
-  let rng = Rng.create 9 in
-  let g = Gen.gnp rng ~n:40 ~p:0.2 in
-  let parts = Partition.disjoint_random rng ~k:4 g in
-  let mp = Message_passing.make ~seed:1 parts in
-  let m1 = Message_passing.send mp ~src:0 ~dst:1 (Msg.nat 100) in
-  let _ = Message_passing.send mp ~src:1 ~dst:2 (Msg.edges ~n:40 [ (0, 1) ]) in
-  checki "two messages" 2 (Message_passing.message_count mp);
-  checki "bits summed" (Msg.bits m1 + Msg.bits (Msg.edges ~n:40 [ (0, 1) ])) (Message_passing.total_bits mp)
-
-let test_mp_rejects_bad_endpoints () =
-  let parts = [| Graph.empty ~n:4; Graph.empty ~n:4 |] in
-  let mp = Message_passing.make ~seed:1 parts in
-  Alcotest.check_raises "self send" (Invalid_argument "Message_passing.send: bad endpoints")
-    (fun () -> ignore (Message_passing.send mp ~src:0 ~dst:0 (Msg.bool true)));
-  Alcotest.check_raises "out of range" (Invalid_argument "Message_passing.send: bad endpoints")
-    (fun () -> ignore (Message_passing.send mp ~src:0 ~dst:5 (Msg.bool true)))
-
-let test_mp_coordinator_simulation_bound () =
-  (* §2: simulating message passing with a coordinator costs at most
-     2·CC + messages·ceil(log k). *)
-  let rng = Rng.create 10 in
-  let g = Gen.gnp rng ~n:60 ~p:0.2 in
-  let parts = Partition.disjoint_random rng ~k:8 g in
-  let mp = Message_passing.make ~seed:2 parts in
-  (* a toy gossip: each player ships its edge count around a ring *)
-  for j = 0 to 6 do
-    ignore
-      (Message_passing.send mp ~src:j ~dst:(j + 1)
-         (Msg.nat (Graph.m (Message_passing.input mp j))))
-  done;
-  checki "simulation matches claimed bound" (Message_passing.coordinator_bound mp)
-    (Message_passing.simulate_in_coordinator mp);
-  checkb "overhead is log k per message" true
-    (Message_passing.simulate_in_coordinator mp
-    = (2 * Message_passing.total_bits mp) + (7 * 3))
-
-let test_mp_shared_rng () =
-  let parts = [| Graph.empty ~n:4; Graph.empty ~n:4 |] in
-  let mp = Message_passing.make ~seed:3 parts in
-  let a = Message_passing.shared_rng mp ~key:5 and b = Message_passing.shared_rng mp ~key:5 in
-  Alcotest.check Alcotest.int64 "agree" (Rng.next_int64 a) (Rng.next_int64 b)
-
 (* --------------------------------------------------------------- QCheck *)
 
 let qcheck_props =
@@ -278,19 +192,6 @@ let () =
           Alcotest.test_case "specializes to K3" `Slow test_sim_subgraph_specializes_to_triangle;
           Alcotest.test_case "cap respected" `Quick test_sim_subgraph_cap_respected;
           Alcotest.test_case "sample grows with h" `Quick test_sim_subgraph_sample_grows_with_pattern;
-        ] );
-      ( "newman",
-        [
-          Alcotest.test_case "cost overhead" `Quick test_newman_cost_overhead;
-          Alcotest.test_case "blackboard overhead" `Quick test_newman_blackboard_overhead;
-          Alcotest.test_case "still correct" `Slow test_newman_protocol_still_correct;
-        ] );
-      ( "message-passing",
-        [
-          Alcotest.test_case "transcript accounting" `Quick test_mp_transcript_accounting;
-          Alcotest.test_case "bad endpoints" `Quick test_mp_rejects_bad_endpoints;
-          Alcotest.test_case "coordinator bound" `Quick test_mp_coordinator_simulation_bound;
-          Alcotest.test_case "shared rng" `Quick test_mp_shared_rng;
         ] );
       ("qcheck", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]
