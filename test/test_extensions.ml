@@ -133,6 +133,23 @@ let test_sim_subgraph_sample_grows_with_pattern () =
   let s4 = Tfree.Sim_subgraph.sample_size params ~n:2000 ~d:10.0 Subgraph.four_cycle in
   checkb "sample grows with h" true (s4 > s3)
 
+(* ------------------------------------------------------ sim C5-freeness *)
+
+let test_sim_c5_one_sided () =
+  (* a bipartite graph has no odd cycle, so the tester must never report a C5 *)
+  let rng = Rng.create 10 in
+  let g = Gen.free_with_degree rng ~n:400 ~d:6.0 in
+  checkb "input is C5-free" true (Subgraph.is_free g Subgraph.five_cycle);
+  let parts = Partition.with_duplication rng ~k:4 ~dup_p:0.3 g in
+  for s = 1 to 8 do
+    let o = Tfree.Sim_subgraph.run ~seed:s params ~d:(Graph.avg_degree g) Subgraph.five_cycle parts in
+    checkb "never fabricates a C5" true (o.Simultaneous.result = None)
+  done
+
+let test_sim_c5_detects () =
+  let rate = detection_rate Subgraph.five_cycle ~copies:60 ~noise:40 ~n:500 10 in
+  checkb (Printf.sprintf "C5 rate %.2f" rate) true (rate >= 0.7)
+
 (* --------------------------------------------------------------- QCheck *)
 
 let qcheck_props =
@@ -192,6 +209,11 @@ let () =
           Alcotest.test_case "specializes to K3" `Slow test_sim_subgraph_specializes_to_triangle;
           Alcotest.test_case "cap respected" `Quick test_sim_subgraph_cap_respected;
           Alcotest.test_case "sample grows with h" `Quick test_sim_subgraph_sample_grows_with_pattern;
+        ] );
+      ( "sim-subgraph-c5",
+        [
+          Alcotest.test_case "one-sided" `Quick test_sim_c5_one_sided;
+          Alcotest.test_case "detects C5" `Slow test_sim_c5_detects;
         ] );
       ("qcheck", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]
