@@ -34,6 +34,8 @@ type t = {
   cost : Cost.t;
   mode : mode;
   tap : Channel.tap;
+  to_player : Channel.t array;  (** [Channel.To_player j], built once: a delivery allocates none *)
+  from_player : Channel.t array;  (** [Channel.From_player j], likewise *)
 }
 
 let make ?(mode = Coordinator) ?(tap = Channel.identity) ~seed inputs =
@@ -48,6 +50,8 @@ let make ?(mode = Coordinator) ?(tap = Channel.identity) ~seed inputs =
     cost = Cost.create ~k;
     mode;
     tap;
+    to_player = Array.init k (fun j -> Channel.To_player j);
+    from_player = Array.init k (fun j -> Channel.From_player j);
   }
 
 let k t = t.k
@@ -68,7 +72,7 @@ let deliver_request t ~round req =
   match t.mode with
   | Coordinator ->
       for j = 0 to t.k - 1 do
-        ignore (t.tap.Channel.deliver ~round (Channel.To_player j) req)
+        ignore (t.tap.Channel.deliver ~round t.to_player.(j) req)
       done
   | Blackboard -> ignore (t.tap.Channel.deliver ~round Channel.Board req)
 
@@ -79,10 +83,10 @@ let query t j ~req respond =
   Cost.next_round t.cost;
   let round = t.cost.Cost.rounds in
   Cost.charge_to_player t.cost (Msg.bits req);
-  ignore (t.tap.Channel.deliver ~round (Channel.To_player j) req);
+  ignore (t.tap.Channel.deliver ~round t.to_player.(j) req);
   let reply = respond (input t j) in
   Cost.charge_from_player t.cost j (Msg.bits reply);
-  t.tap.Channel.deliver ~round (Channel.From_player j) reply
+  t.tap.Channel.deliver ~round t.from_player.(j) reply
 
 (** One parallel round: the same request to every player, one response each.
     In blackboard mode the request is posted once. *)
@@ -97,7 +101,7 @@ let ask_all t ~req respond =
   Array.init t.k (fun j ->
       let reply = respond j (input t j) in
       Cost.charge_from_player t.cost j (Msg.bits reply);
-      t.tap.Channel.deliver ~round (Channel.From_player j) reply)
+      t.tap.Channel.deliver ~round t.from_player.(j) reply)
 
 (** Like {!ask_all}, but in blackboard mode each player also sees the replies
     of the players before it (they are posted publicly, §2) — the mechanism
@@ -123,7 +127,7 @@ let ask_all_visible t ~req respond =
     Cost.charge_from_player t.cost j (Msg.bits reply);
     (* Later players' [visible] lists read back the delivered copy — on a
        blackboard what they see is what was posted, not what was meant. *)
-    replies.(j) <- t.tap.Channel.deliver ~round (Channel.From_player j) reply
+    replies.(j) <- t.tap.Channel.deliver ~round t.from_player.(j) reply
   done;
   replies
 

@@ -4,9 +4,6 @@
 (** [floor (log2 x)].  @raise Invalid_argument if [x < 1]. *)
 val floor_log2 : int -> int
 
-(** Smallest [b] with [2^b >= c]; at least 1. *)
-val for_card : int -> int
-
 (** Bits to name a vertex of an n-vertex graph: ceil(log2 n). *)
 val vertex : n:int -> int
 

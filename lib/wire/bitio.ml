@@ -23,12 +23,6 @@ let reset w =
   w.acc <- 0;
   w.pending <- 0
 
-let truncate w n =
-  if n < 0 || n > w.pos then invalid_arg "Bitio.truncate: past the whole bytes written";
-  w.pos <- n;
-  w.acc <- 0;
-  w.pending <- 0
-
 let bits_written w = (8 * w.pos) + w.pending
 let byte_length w = w.pos + if w.pending > 0 then 1 else 0
 let storage w = w.buf

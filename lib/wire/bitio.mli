@@ -16,13 +16,6 @@ val writer : unit -> writer
 (** Forget everything written; the storage is kept for reuse. *)
 val reset : writer -> unit
 
-(** [truncate w n] keeps the first [n] bytes written and forgets the rest,
-    so the next write lands at byte [n]; the kept bytes stay in the
-    storage as they are.  [truncate w 0] is {!reset}.
-    @raise Invalid_argument unless [0 <= n] and the first [n] bytes are
-    whole bytes already written. *)
-val truncate : writer -> int -> unit
-
 (** Bits written since creation or the last {!reset}, including any pad
     bits {!align} added. *)
 val bits_written : writer -> int

@@ -21,10 +21,9 @@
     the first byte is written (the bit count is [Msg.bits], the descriptor
     size is {!Codec.layout_size}), so the whole image — prefix, header,
     descriptor, payload, checksum — is written once, front to back, into a
-    reusable {!scratch}.  The header (prefix, bit count, descriptor)
-    depends only on the layout and the bit count; while both repeat, the
-    previous frame's header is left where it is in the image and only the
-    payload and checksum are written again.
+    reusable {!scratch}.  The frames of the three constant messages are
+    built that way once, at module initialisation, and {!exchange} sends
+    and recognises them without encoding or parsing.
 
     Parsing fails closed: a length field beyond {!max_frame_bytes} raises
     [Oversized], a body the stream cannot supply raises [Truncated], and a
@@ -54,78 +53,72 @@ let sum16 data off len =
 
 (* ------------------------------------------------------------- encoding *)
 
-(* The header memo is keyed by the layout by physical equality, not
-   structure: a layout is immutable, so the same value is the same
-   descriptor, and [==] costs nothing where a structural compare would
-   walk the layout the memo exists to avoid walking.  Every smart
-   constructor of [Msg] but the constant ones allocates a fresh layout, so
-   the memo hits on [L_unit] and [L_bool] frames (the one-bit replies that
-   make up ~99% of an unrestricted query's frames) and on a message resent
-   unchanged; any other frame misses and writes its header as it would
-   with no memo. *)
 type scratch = {
-  image : Bitio.writer;  (** the outgoing frame, bytes [0, frame_len) *)
+  writer : Bitio.writer;  (** where {!encode_into} builds a frame *)
+  mutable frame : Bytes.t;  (** the frame last built or sent: bytes [0, len) *)
+  mutable len : int;
   mutable back : Bytes.t;  (** where {!exchange} reads the frame back *)
   cursor : int ref;  (** {!exchange}'s parse position in [back] *)
-  mutable key_layout : Msg.layout;  (** the header in [image] is for this layout ... *)
-  mutable key_bits : int;  (** ... at this payload bit count; -1 when there is none *)
-  mutable start : int;  (** where the body begins: the length prefix's size *)
-  mutable header_len : int;  (** where the payload begins *)
-  mutable body_len : int;  (** the body length the prefix carries *)
 }
 
 let scratch () =
-  {
-    image = Bitio.writer ();
-    back = Bytes.create 64;
-    cursor = ref 0;
-    key_layout = Msg.L_unit;
-    key_bits = -1;
-    start = 0;
-    header_len = 0;
-    body_len = 0;
-  }
+  let writer = Bitio.writer () in
+  { writer; frame = Bitio.storage writer; len = 0; back = Bytes.create 64; cursor = ref 0 }
 
 (** Write the whole frame for [msg] into [s], replacing the previous one. *)
 let encode_into s msg =
-  let w = s.image in
+  let w = s.writer in
   let payload_bits = Msg.bits msg and layout = Msg.layout msg in
-  if layout == s.key_layout && payload_bits = s.key_bits then Bitio.truncate w s.header_len
-  else begin
-    (* cleared first, so a layout the descriptor writer refuses leaves no
-       key behind for a header that was not written *)
-    s.key_bits <- -1;
-    let body_len =
-      Codec.varint_size payload_bits + Codec.layout_size layout + ((payload_bits + 7) / 8) + 2
-    in
-    Bitio.reset w;
-    Codec.put_varint w body_len;
-    s.start <- Bitio.byte_length w;
-    Codec.put_varint w payload_bits;
-    Codec.put_layout w layout;
-    s.header_len <- Bitio.byte_length w;
-    s.body_len <- body_len;
-    s.key_layout <- layout;
-    s.key_bits <- payload_bits
-  end;
+  let body_len =
+    Codec.varint_size payload_bits + Codec.layout_size layout + ((payload_bits + 7) / 8) + 2
+  in
+  Bitio.reset w;
+  Codec.put_varint w body_len;
+  let start = Bitio.byte_length w in
+  Codec.put_varint w payload_bits;
+  Codec.put_layout w layout;
   Codec.encode_into w msg;
   Bitio.align w;
-  let ck = sum16 (Bitio.storage w) s.start (Bitio.byte_length w - s.start) in
+  let ck = sum16 (Bitio.storage w) start (Bitio.byte_length w - start) in
   Bitio.put_byte w ck;
   Bitio.put_byte w (ck lsr 8);
-  if Bitio.byte_length w - s.start <> s.body_len then
+  s.frame <- Bitio.storage w;
+  s.len <- Bitio.byte_length w;
+  if s.len - start <> body_len then
     invalid_arg
-      (Printf.sprintf "Frame.encode_into: wrote a %d-byte body, sized it at %d"
-         (Bitio.byte_length w - s.start) s.body_len)
+      (Printf.sprintf "Frame.encode_into: wrote a %d-byte body, sized it at %d" (s.len - start)
+         body_len)
 
-let image s = Bitio.storage s.image
-let frame_len s = Bitio.byte_length s.image
+let image s = s.frame
+let frame_len s = s.len
 
 (** The whole frame for [msg], in fresh bytes. *)
 let encode msg =
   let s = scratch () in
   encode_into s msg;
   Bytes.sub (image s) 0 (frame_len s)
+
+(* The frames of the three constant messages — the empty requests and
+   one-bit replies that make up ~99% of an unrestricted query's frames. *)
+let constants = [| Msg.empty; Msg.bool false; Msg.bool true |]
+let images = Array.map encode constants
+
+(* The index of [msg] among [constants], or [Array.length constants].  The
+   constant messages are shared values, so [==] finds every one of them. *)
+let rec sent_index msg i =
+  if i = Array.length constants || constants.(i) == msg then i else sent_index msg (i + 1)
+
+let rec same_bytes img back i =
+  i = Bytes.length img || (Bytes.get img i = Bytes.get back i && same_bytes img back (i + 1))
+
+(* Are the first [len] bytes of [back] exactly image [i]?  The length
+   first, then the bytes. *)
+let is_image i back len = Bytes.length images.(i) = len && same_bytes images.(i) back 0
+
+(* The index of the image the first [len] bytes of [back] are, or
+   [Array.length images]. *)
+let rec read_index back len i =
+  if i = Array.length images || is_image i back len then i else read_index back len (i + 1)
 
 (* ------------------------------------------------------------- decoding *)
 
@@ -204,17 +197,30 @@ let read tr =
   let msg = parse_body body (ref 0) ~body_len in
   (msg, prefix_len + body_len)
 
-(** Loopback round trip through [s]: the frame is built in [s]'s image,
-    crosses the transport into [s]'s read-back buffer, and is decoded from
-    there into a fresh message. *)
+(** Loopback round trip through [s]: the frame, built in [s]'s writer or
+    taken from the constant images, crosses the transport into [s]'s
+    read-back buffer.  Bytes equal to a constant image come back as that
+    constant, which is what parsing them returns; any others are parsed. *)
 let exchange s tr msg =
-  encode_into s msg;
-  let len = frame_len s in
+  let sent = sent_index msg 0 in
+  if sent < Array.length images then begin
+    s.frame <- images.(sent);
+    s.len <- Bytes.length s.frame
+  end
+  else encode_into s msg;
+  let len = s.len in
   if Bytes.length s.back < len then s.back <- Bytes.create (max len (2 * Bytes.length s.back));
-  Transport.exchange tr (image s) 0 len s.back;
-  let pos = s.cursor in
-  pos := 0;
-  let delivered = decode_within s.back ~limit:len pos in
-  if !pos <> len then
-    Wire_error.errorf_corrupt "Frame.exchange: %d trailing bytes after the frame" (len - !pos);
-  delivered
+  Transport.exchange tr s.frame 0 len s.back;
+  let got =
+    if sent < Array.length images && is_image sent s.back len then sent
+    else read_index s.back len 0
+  in
+  if got < Array.length constants then constants.(got)
+  else begin
+    let pos = s.cursor in
+    pos := 0;
+    let delivered = decode_within s.back ~limit:len pos in
+    if !pos <> len then
+      Wire_error.errorf_corrupt "Frame.exchange: %d trailing bytes after the frame" (len - !pos);
+    delivered
+  end

@@ -23,42 +23,32 @@ val max_frame_bytes : int
     largest frame.  A scratch serves one frame at a time and is not safe
     to share between domains.
 
-    The scratch also remembers which header its image holds — the length
-    prefix, the payload bit count and the layout descriptor — keyed by the
-    message's layout, {e by physical equality}, and its payload bit count.
-    Those two fix every header byte, and a layout is immutable, so the
-    same layout value is the same descriptor.  A frame whose key matches
-    leaves the previous frame's header in place and writes only its
-    payload and checksum; any other writes its header afresh.  Only the
-    constant layouts of {!Msg.empty} and {!Msg.bool} (and a message resent
-    unchanged) share a layout value between messages: every other smart
-    constructor of {!Msg} builds a fresh layout, so those frames miss and
-    cost one comparison more than with no memo.  On an unrestricted query,
-    whose frames are nearly all one-bit replies, about 99% of frames hit.
-    Either way the image is byte-for-byte the frame {!encode} builds.
-    Nothing is remembered on the decoding side: {!exchange} parses every
-    field of the bytes it reads back. *)
+    The frames of the three constant messages, {!Msg.empty} and both
+    {!Msg.bool} replies, are built once by {!encode}.  {!exchange} sends
+    such a message's frame as it is, writing nothing into the scratch, and
+    hands back the constant for bytes that come back equal to one of these
+    frames; every other frame is encoded and parsed in full.  On an
+    unrestricted query, about 99% of frames are constant. *)
 type scratch
 
 val scratch : unit -> scratch
 
 (** Write the whole frame for the message into the scratch, replacing the
-    previous frame: the header (kept from the last frame if the message's
-    layout and bit count are the last frame's), then the payload, then the
-    checksum, written once, front to back.  This is the only frame
-    encoder; {!encode}, {!write} and {!exchange} all go through it.
+    previous frame: header, payload, then checksum, written once, front to
+    back.  This is the only frame encoder; {!encode}, {!write} and
+    {!exchange} all go through it.
     @raise Invalid_argument as {!Codec.encode_into}, or if the body comes
     out at another length than its header announces. *)
 val encode_into : scratch -> Msg.t -> unit
 
-(** The scratch's image: the current frame is bytes [0, frame_len s).  The
-    buffer belongs to the scratch — the next {!encode_into} or {!exchange}
-    on it overwrites it or replaces it with a larger one — so copy out any
-    bytes that must outlive that.  Read it only: the next frame may keep
-    this one's header bytes where they are. *)
+(** The frame last built or sent through the scratch: bytes
+    [0, frame_len s).  The buffer is the scratch's own, which the next
+    frame overwrites or replaces, or a constant frame shared by every
+    scratch: read it only, and copy out any bytes that must outlive the
+    next frame. *)
 val image : scratch -> Bytes.t
 
-(** Size in bytes of the frame currently in the scratch. *)
+(** Size in bytes of the frame last built or sent through the scratch. *)
 val frame_len : scratch -> int
 
 (** The whole frame for a message, in fresh bytes the caller owns. *)
@@ -84,9 +74,10 @@ val write : Transport.t -> Msg.t -> int
 val read : Transport.t -> Msg.t * int
 
 (** Loopback round trip through the scratch: encode the frame into its
-    image, cross the transport into its read-back buffer, decode.  Returns
-    the delivered message, a fresh value that shares no memory with the
-    scratch; the frame's size is {!frame_len} afterwards.
+    image (or take a constant frame), cross the transport into its
+    read-back buffer, decode.  Returns the delivered message, which shares
+    no memory with the scratch; the frame's size is {!frame_len}
+    afterwards.
     @raise Wire_error.Wire_error as for {!read}, or if bytes trail the
     frame. *)
 val exchange : scratch -> Transport.t -> Msg.t -> Msg.t

@@ -25,7 +25,7 @@ type chan_stats = {
     the blackboard, with per-channel, per-direction counters.  The network
     owns one {!Frame.scratch}: every frame it delivers is built in and read
     back through those reused buffers, so a delivery allocates only the
-    decoded message.  A network serves one protocol run at a time. *)
+    decoded message, and an empty message or a one-bit reply nothing.  A network serves one protocol run at a time. *)
 type net
 
 (** [create ?fault ?transport ~k ()] builds the network.  A non-empty

@@ -183,14 +183,14 @@ let test_binomial_bounds_and_mean () =
 
 (* ----------------------------------------------------------------- Bits *)
 
+(* The cardinality code behind [vertex] and [int_in_range]: [c] values
+   cost the smallest [b] with [2^b >= c] bits, and at least 1. *)
 let test_bits_for_card () =
-  checki "card 1" 1 (Bits.for_card 1);
-  checki "card 2" 1 (Bits.for_card 2);
-  checki "card 3" 2 (Bits.for_card 3);
-  checki "card 4" 2 (Bits.for_card 4);
-  checki "card 5" 3 (Bits.for_card 5);
-  checki "card 1024" 10 (Bits.for_card 1024);
-  checki "card 1025" 11 (Bits.for_card 1025)
+  List.iter
+    (fun (c, b) ->
+      checki (Printf.sprintf "range of %d" c) b (Bits.int_in_range ~lo:0 ~hi:(c - 1));
+      checki (Printf.sprintf "vertex of %d" c) b (Bits.vertex ~n:c))
+    [ (1, 1); (2, 1); (3, 2); (4, 2); (5, 3); (1024, 10); (1025, 11) ]
 
 let test_bits_vertex_edge () =
   checki "vertex of 1000" 10 (Bits.vertex ~n:1000);
@@ -427,9 +427,9 @@ let qcheck_props =
         let s = Sampling.without_replacement r n m in
         List.length s = m && List.length (List.sort_uniq compare s) = m);
     Test.make ~name:"bits monotone in cardinality" ~count:200 (int_range 1 1_000_000) (fun c ->
-        Bits.for_card c <= Bits.for_card (c + 1));
+        Bits.int_in_range ~lo:0 ~hi:(c - 1) <= Bits.int_in_range ~lo:0 ~hi:c);
     Test.make ~name:"for_card inverts power of two" ~count:30 (int_range 1 30) (fun b ->
-        Bits.for_card (1 lsl b) = b);
+        Bits.int_in_range ~lo:0 ~hi:((1 lsl b) - 1) = b);
     Test.make ~name:"elias gamma grows logarithmically" ~count:200 (int_range 0 1_000_000) (fun v ->
         Bits.elias_gamma v <= (2 * 20) + 1);
     Test.make ~name:"quantile within min..max" ~count:200

@@ -341,13 +341,13 @@ let arb_msg_sequence =
     ~print:(fun ms -> String.concat " | " (List.map Tfree_proptest.Msg_gen.print ms))
     (list_size (int_range 20 80) (frequency [ (3, small); (2, gen_msg) ]))
 
-(* Sequences aimed at a scratch that remembers the header of its last
-   frame.  Each layout below is one physical value, so the messages built
+(* Sequences that mix the constant frames with encoded ones on one
+   scratch.  Each layout below is one physical value, so the messages built
    on it share their layout by [==]: runs of them (a round's replies), the
    same layout at different payload bit counts ([L_nat], an optional
    vertex present or absent, lists of different lengths, a nested tuple),
    structurally equal layouts built afresh by the smart constructors, and
-   arbitrary messages in between, so a miss follows a hit. *)
+   arbitrary messages in between. *)
 let shared_vertex_opt = Msg.L_vertex_opt { n = 300 }
 let shared_vertices = Msg.L_vertices { n = 40 }
 
@@ -497,6 +497,91 @@ let test_scratch_reuse_socketpair () =
       Alcotest.(check int) "frame size" (Bytes.length (Ref.frame msg)) (Frame.frame_len s))
     [ Msg.vertex_opt ~n:300 (Some 7); big; Msg.empty; Msg.nat 41; big; Msg.bool false ];
   Transport.close tr
+
+(* ---------------------------------------------------- constant frames *)
+
+let constants = [ ("empty", Msg.empty); ("false", Msg.bool false); ("true", Msg.bool true) ]
+
+(* The frame path with no constant frames: encode, cross, parse in full. *)
+let parsed_exchange tr msg =
+  let frame = Frame.encode msg in
+  let len = Bytes.length frame in
+  let back = Bytes.create len in
+  Transport.exchange tr frame 0 len back;
+  let pos = ref 0 in
+  let delivered = Frame.decode back pos in
+  if !pos <> len then
+    Wire_error.errorf_corrupt "Frame.exchange: %d trailing bytes after the frame" (len - !pos);
+  delivered
+
+let outcome f = match f () with m -> Ok m | exception Wire_error.Wire_error e -> Error e
+
+let test_constant_images () =
+  (* the image a constant is sent as is the frame the encoder and the
+     reference build, parses back to the constant, and sets [frame_len],
+     also right after a larger frame went through the same scratch *)
+  let s = Frame.scratch () and tr = Transport.pipe () in
+  List.iter
+    (fun (name, c) ->
+      ignore (Frame.exchange s tr (Msg.vertices ~n:300 (List.init 40 Fun.id)));
+      let back = Frame.exchange s tr c in
+      let image = Bytes.sub (Frame.image s) 0 (Frame.frame_len s) in
+      Alcotest.(check bool) (name ^ ": delivered") true (Msg.equal back c);
+      Alcotest.(check bytes) (name ^ ": image = Frame.encode") (Frame.encode c) image;
+      Alcotest.(check bytes) (name ^ ": image = reference") (Ref.frame c) image;
+      Alcotest.(check int)
+        (name ^ ": frame_len") (Bytes.length (Frame.encode c)) (Frame.frame_len s);
+      let pos = ref 0 in
+      Alcotest.(check bool) (name ^ ": decodes to it") true (Msg.equal (Frame.decode image pos) c);
+      Alcotest.(check int) (name ^ ": whole frame read") (Bytes.length image) !pos)
+    constants
+
+let test_constant_faults () =
+  (* every single-bit flip and every proper truncation of a constant frame,
+     injected on its crossing, fails with exactly the error the full parse
+     raises; none comes back as a message *)
+  let s = Frame.scratch () in
+  List.iter
+    (fun (name, c) ->
+      let len = Bytes.length (Frame.encode c) in
+      List.iter
+        (fun kind ->
+          let schedule = [ { Fault.op = 0; kind } ] in
+          let faulty () = Transport.faulty ~schedule (Transport.pipe ()) in
+          let what = Printf.sprintf "%s frame, %s" name (Fault.to_string schedule) in
+          match
+            ( outcome (fun () -> Frame.exchange s (faulty ()) c),
+              outcome (fun () -> parsed_exchange (faulty ()) c) )
+          with
+          | Error got, Error want when got = want -> ()
+          | Error got, Error want ->
+              Alcotest.failf "%s: raised %s, the full parse %s" what (Wire_error.message got)
+                (Wire_error.message want)
+          | Ok _, _ -> Alcotest.failf "%s: delivered a message" what
+          | Error _, Ok _ -> Alcotest.failf "%s: the full parse delivered a message" what)
+        (List.init (8 * len) (fun bit -> Fault.Corrupt { bit })
+        @ List.init len (fun keep -> Fault.Truncate { keep })))
+    constants
+
+let test_stale_constant_refused () =
+  (* a held-back [false] frame comes out of the transport in place of the
+     [true] frame sent after it: it is a well-formed constant frame, so the
+     exchange hands back [false], as the full parse does, and only an echo
+     check like the wire tap's ([Msg.equal] against the message sent) can
+     refuse it.  The frame is held by a [send]: inside a [Wire_runtime]
+     net every frame crosses by [exchange], which reads a delayed frame
+     back in its own op *)
+  let stale () =
+    let schedule = [ { Fault.op = 0; kind = Fault.Delay { amount = 1 } } ] in
+    let tr = Transport.faulty ~schedule (Transport.pipe ()) in
+    ignore (Frame.write tr (Msg.bool false));
+    tr
+  in
+  let delivered = Frame.exchange (Frame.scratch ()) (stale ()) (Msg.bool true) in
+  Alcotest.(check bool) "the stale false comes back" true (Msg.equal delivered (Msg.bool false));
+  Alcotest.(check bool) "as the full parse reads it" true
+    (Msg.equal delivered (parsed_exchange (stale ()) (Msg.bool true)));
+  Alcotest.(check bool) "the echo check refuses it" false (Msg.equal delivered (Msg.bool true))
 
 let test_widest_fields () =
   (* a full 62-bit range code and the largest gamma value an int allows *)
@@ -831,6 +916,10 @@ let () =
           Alcotest.test_case "pipe exchange, empty and pending ring" `Quick
             test_pipe_exchange_empty_and_pending;
           Alcotest.test_case "scratch reuse over socketpair" `Quick test_scratch_reuse_socketpair;
+          Alcotest.test_case "constant images" `Quick test_constant_images;
+          Alcotest.test_case "constant frames under flips and truncations" `Quick
+            test_constant_faults;
+          Alcotest.test_case "stale constant frame" `Quick test_stale_constant_refused;
           Alcotest.test_case "62-bit fields" `Quick test_widest_fields;
           Alcotest.test_case "gamma code past an int" `Quick test_gamma_too_long;
           Alcotest.test_case "pipe ring wraps and grows" `Quick test_pipe_ring_wraps;
