@@ -115,11 +115,6 @@ let rec same_bytes img back i =
    first, then the bytes. *)
 let is_image i back len = Bytes.length images.(i) = len && same_bytes images.(i) back 0
 
-(* The index of the image the first [len] bytes of [back] are, or
-   [Array.length images]. *)
-let rec read_index back len i =
-  if i = Array.length images || is_image i back len then i else read_index back len (i + 1)
-
 (* ------------------------------------------------------------- decoding *)
 
 (* Validate and decode one frame body of [body_len] bytes at [!pos]: verify
@@ -199,8 +194,9 @@ let read tr =
 
 (** Loopback round trip through [s]: the frame, built in [s]'s writer or
     taken from the constant images, crosses the transport into [s]'s
-    read-back buffer.  Bytes equal to a constant image come back as that
-    constant, which is what parsing them returns; any others are parsed. *)
+    read-back buffer.  A constant's frame that comes back intact returns
+    that constant, which is what parsing it returns; any other bytes are
+    parsed. *)
 let exchange s tr msg =
   let sent = sent_index msg 0 in
   if sent < Array.length images then begin
@@ -211,11 +207,7 @@ let exchange s tr msg =
   let len = s.len in
   if Bytes.length s.back < len then s.back <- Bytes.create (max len (2 * Bytes.length s.back));
   Transport.exchange tr s.frame 0 len s.back;
-  let got =
-    if sent < Array.length images && is_image sent s.back len then sent
-    else read_index s.back len 0
-  in
-  if got < Array.length constants then constants.(got)
+  if sent < Array.length images && is_image sent s.back len then constants.(sent)
   else begin
     let pos = s.cursor in
     pos := 0;

@@ -26,8 +26,9 @@ val max_frame_bytes : int
     The frames of the three constant messages, {!Msg.empty} and both
     {!Msg.bool} replies, are built once by {!encode}.  {!exchange} sends
     such a message's frame as it is, writing nothing into the scratch, and
-    hands back the constant for bytes that come back equal to one of these
-    frames; every other frame is encoded and parsed in full.  On an
+    hands back the constant when the bytes come back equal to that frame;
+    every other frame is encoded, and every other read-back parsed, in
+    full.  On an
     unrestricted query, about 99% of frames are constant. *)
 type scratch
 
