@@ -659,7 +659,11 @@ let test_varint_overflow () =
       corrupt ("Frame.decode " ^ name) (fun () -> Frame.decode framed (ref 0));
       let tr = Transport.pipe () in
       Transport.send tr framed 0 (Bytes.length framed);
-      corrupt ("Frame.read " ^ name) (fun () -> Frame.read tr))
+      corrupt ("Frame.read " ^ name) (fun () -> Frame.read tr);
+      (* as a v2 length prefix: the zero bytes behind it are a body whose
+         checksum matches whatever length the prefix is read as *)
+      corrupt ("Proto.try_frame " ^ name) (fun () ->
+          Proto.try_frame framed ~pos:0 ~limit:(Bytes.length framed) cur))
     [ ("overflow to 0", overflow_to_zero); ("overflow to 5", overflow_to_five) ];
   (* the widest honest varints still decode: max_int in 9 bytes, and a
      zero tenth byte *)
