@@ -138,7 +138,8 @@ let decode_payload layout data ~off ~bits =
 
 (* ---------------------------------------------------- layout descriptor *)
 
-(* Unsigned LEB128, a byte per 7 bits. *)
+(* Unsigned LEB128, a byte per 7 bits, into a bit writer; {!Proto.get_varint}
+   reads it back. *)
 let put_varint w v =
   if v < 0 then invalid_arg "Codec.put_varint: negative";
   let v = ref v in
@@ -147,49 +148,6 @@ let put_varint w v =
     v := !v lsr 7
   done;
   Bitio.put_byte w !v
-
-let varint_size v =
-  let n = ref 1 and v = ref v in
-  while !v >= 0x80 do
-    incr n;
-    v := !v lsr 7
-  done;
-  !n
-
-(* Decode-side failures are wire faults, not caller bugs: a truncated,
-   over-long or overflowing varint raises the typed {!Wire_error}.  Nine
-   7-bit groups cover every OCaml int, so a tenth byte may only carry zero
-   payload bits (any other bit would be shifted out and silently dropped),
-   and an eleventh byte is garbage. *)
-let get_varint_long data ~limit pos =
-  let v = ref 0 and shift = ref 0 and continue = ref true in
-  while !continue do
-    if !shift > 63 then Wire_error.errorf_corrupt "Codec.get_varint: varint longer than 10 bytes";
-    if !pos >= limit then Wire_error.errorf_truncated "Codec.get_varint: truncated at byte %d" !pos;
-    let byte = Char.code (Bytes.get data !pos) in
-    incr pos;
-    if !shift = 63 && byte land 0x7f <> 0 then
-      Wire_error.errorf_corrupt "Codec.get_varint: varint overflows 63 bits";
-    v := !v lor ((byte land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    continue := byte land 0x80 <> 0
-  done;
-  if !v < 0 then Wire_error.errorf_corrupt "Codec.get_varint: negative value";
-  !v
-
-let get_varint data ~limit pos =
-  let limit = if limit < Bytes.length data then limit else Bytes.length data in
-  let p = !pos in
-  if p >= 0 && p < limit && Char.code (Bytes.unsafe_get data p) < 0x80 then begin
-    (* the common one-byte varint *)
-    pos := p + 1;
-    Char.code (Bytes.unsafe_get data p)
-  end
-  else get_varint_long data ~limit pos
-
-(* Zigzag for possibly-negative range bounds. *)
-let zigzag v = if v >= 0 then 2 * v else (-2 * v) - 1
-let unzigzag z = if z land 1 = 0 then z / 2 else -((z + 1) / 2)
 
 (* Every layout is a tag varint, then its parameters: [L_int_in] its two
    zigzagged bounds, the vertex layouts their [n], [L_tuple] its arity and
@@ -211,8 +169,8 @@ let rec put_layout w (l : Msg.layout) =
   match l with
   | Msg.L_unit | Msg.L_bool | Msg.L_nat -> ()
   | Msg.L_int_in { lo; hi } ->
-      put_varint w (zigzag lo);
-      put_varint w (zigzag hi)
+      put_varint w (Proto.zigzag lo);
+      put_varint w (Proto.zigzag hi)
   | Msg.L_vertex { n }
   | Msg.L_vertex_opt { n }
   | Msg.L_edge { n }
@@ -234,14 +192,15 @@ let rec layout_size (l : Msg.layout) =
   +
   match l with
   | Msg.L_unit | Msg.L_bool | Msg.L_nat -> 0
-  | Msg.L_int_in { lo; hi } -> varint_size (zigzag lo) + varint_size (zigzag hi)
+  | Msg.L_int_in { lo; hi } ->
+      Proto.varint_size (Proto.zigzag lo) + Proto.varint_size (Proto.zigzag hi)
   | Msg.L_vertex { n }
   | Msg.L_vertex_opt { n }
   | Msg.L_edge { n }
   | Msg.L_vertices { n }
   | Msg.L_edges { n } ->
-      varint_size n
-  | Msg.L_tuple ls -> varint_size (List.length ls) + layouts_size ls
+      Proto.varint_size n
+  | Msg.L_tuple ls -> Proto.varint_size (List.length ls) + layouts_size ls
 
 and layouts_size = function [] -> 0 | l :: ls -> layout_size l + layouts_size ls
 
@@ -249,31 +208,31 @@ and layouts_size = function [] -> 0 | l :: ls -> layout_size l + layouts_size ls
    refusing it keeps a forged descriptor from exhausting the stack. *)
 let max_layout_depth = 64
 
-let rec get_layout_at data ~limit pos depth : Msg.layout =
+let rec get_layout_at cur depth : Msg.layout =
   if depth > max_layout_depth then
     Wire_error.errorf_corrupt "Codec.get_layout: layout nested deeper than %d" max_layout_depth;
-  match get_varint data ~limit pos with
+  match Proto.get_varint cur with
   | 0 -> Msg.L_unit
   | 1 -> Msg.L_bool
   | 2 ->
-      let lo = unzigzag (get_varint data ~limit pos) in
-      let hi = unzigzag (get_varint data ~limit pos) in
+      let lo = Proto.get_zigzag cur in
+      let hi = Proto.get_zigzag cur in
       (* the range must be non-empty and its size hi - lo + 1 an int *)
       if hi < lo || hi - lo < 0 || hi - lo = max_int then
         Wire_error.errorf_corrupt "Codec.get_layout: empty or unrepresentable range [%d, %d]" lo hi;
       Msg.L_int_in { lo; hi }
   | 3 -> Msg.L_nat
-  | 4 -> Msg.L_vertex { n = get_varint data ~limit pos }
-  | 5 -> Msg.L_vertex_opt { n = get_varint data ~limit pos }
-  | 6 -> Msg.L_edge { n = get_varint data ~limit pos }
-  | 7 -> Msg.L_vertices { n = get_varint data ~limit pos }
-  | 8 -> Msg.L_edges { n = get_varint data ~limit pos }
+  | 4 -> Msg.L_vertex { n = Proto.get_varint cur }
+  | 5 -> Msg.L_vertex_opt { n = Proto.get_varint cur }
+  | 6 -> Msg.L_edge { n = Proto.get_varint cur }
+  | 7 -> Msg.L_vertices { n = Proto.get_varint cur }
+  | 8 -> Msg.L_edges { n = Proto.get_varint cur }
   | 9 ->
-      let len = get_varint data ~limit pos in
-      Msg.L_tuple (List.init len (fun _ -> get_layout_at data ~limit pos (depth + 1)))
+      let len = Proto.get_varint cur in
+      Msg.L_tuple (List.init len (fun _ -> get_layout_at cur (depth + 1)))
   | tag -> Wire_error.errorf_corrupt "Codec.get_layout: unknown tag %d" tag
 
-let get_layout data ~limit pos = get_layout_at data ~limit pos 0
+let get_layout cur = get_layout_at cur 0
 
 let layout_to_bytes l =
   let w = Bitio.writer () in

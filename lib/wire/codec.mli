@@ -2,7 +2,9 @@
     message {!Tfree_comm.Msg.layout}: the encoded payload occupies exactly
     [Msg.bits] bits (asserted), so wire bytes reconcile with the cost model
     by construction.  The layout descriptor serializes separately and is
-    framing overhead, never payload. *)
+    framing overhead, never payload.  It travels inside a {!Frame}'s body,
+    in the envelope {!Proto} owns, and is read back through a
+    {!Proto.cursor}: this module has no varint reader of its own. *)
 
 open Tfree_comm
 
@@ -35,23 +37,12 @@ val layout_size : Msg.layout -> int
 (** The descriptor alone, in fresh bytes. *)
 val layout_to_bytes : Msg.layout -> Bytes.t
 
-(** Parse a descriptor from [data] starting at [!pos], advancing [pos];
-    reads no byte at or beyond [limit].
-    @raise Wire_error.Wire_error — [Truncated] at [limit], [Corrupt] on an
-    unknown tag, a bad varint, an empty or unrepresentable range, or
-    nesting deeper than 64. *)
-val get_layout : Bytes.t -> limit:int -> int ref -> Msg.layout
+(** Parse a descriptor at the cursor, moving it past the descriptor.
+    @raise Wire_error.Wire_error — [Truncated] at the cursor's limit,
+    [Corrupt] on an unknown tag, a bad varint, an empty or unrepresentable
+    range, or nesting deeper than 64. *)
+val get_layout : Proto.cursor -> Msg.layout
 
-(** Unsigned LEB128 varint, shared with the frame header.  Allocates
-    nothing. *)
+(** Unsigned LEB128 varint into a bit writer, shared with the frame
+    header; {!Proto.get_varint} reads it.  Allocates nothing. *)
 val put_varint : Bitio.writer -> int -> unit
-
-(** Bytes {!put_varint} writes for [v]. *)
-val varint_size : int -> int
-
-(** Parse a varint at [!pos], advancing [pos]; reads no byte at or beyond
-    [limit].
-    @raise Wire_error.Wire_error — [Truncated] at [limit], [Corrupt] on a
-    varint longer than 10 bytes, one whose tenth byte carries payload bits
-    (they would overflow 63 bits), or one overflowing into the sign bit. *)
-val get_varint : Bytes.t -> limit:int -> int ref -> int

@@ -1,21 +1,23 @@
-(** Length-prefixed message framing.
+(** A player's message in the lib/wire frame envelope.
 
-    Frame format, all framing fields byte-aligned:
+    The envelope (varint length, body, 2-byte mod-2^16 checksum, 64 MiB
+    cap) is {!Proto}'s, shared with the v2 serve frames; this module puts
+    a {!Msg} in its body, all fields byte-aligned:
 
     {v
     varint  L              length in bytes of everything after this varint
     varint  payload_bits   exact payload length in bits
     layout  descriptor     self-delimiting (Codec.put_layout)
     payload bytes          ceil(payload_bits / 8), right-padded
-    2 bytes checksum       sum mod 2^16 of every body byte before it
+    2 bytes checksum       Proto.sum16 of every body byte before it
     v}
 
     The payload occupies exactly [Msg.bits] bits ({!Codec.encode_into}
     asserts it); everything else — length prefix, bit count, descriptor,
     final padding, checksum — is framing overhead.  Per frame,
-    [8 * total_bytes - payload_bits] is that overhead, so over a run
-    [wire_bytes * 8 - framing_overhead_bits = accounted_bits] holds exactly
-    when the ledger and the transport agree.
+    [8 * total_bytes - payload_bits] is that overhead ({!overhead_bits}),
+    so over a run [wire_bytes * 8 - framing_overhead_bits = accounted_bits]
+    holds exactly when the ledger and the transport agree.
 
     Every frame is built by {!encode_into}: the body length is known before
     the first byte is written (the bit count is [Msg.bits], the descriptor
@@ -25,31 +27,20 @@
     built that way once, at module initialisation, and {!exchange} sends
     and recognises them without encoding or parsing.
 
-    Parsing fails closed: a length field beyond {!max_frame_bytes} raises
-    [Oversized], a body the stream cannot supply raises [Truncated], and a
-    checksum mismatch, impossible length combination or undecodable payload
-    raises [Corrupt] — all typed {!Wire_error.Wire_error}s, so a fault
-    injected below this layer can abort a run but never smuggle a wrong
-    message past it.  The byte-sum checksum detects {e every} single
-    bit-flip in the body (a flip changes one byte by ±2^k, k ≤ 7, which
-    cannot vanish mod 2^16). *)
+    Parsing runs {!Proto.try_frame}, the one envelope check, and then
+    reads the body alone: the bit count, the descriptor and the payload,
+    through a {!Proto.cursor}.  It fails closed: a length beyond
+    {!Proto.max_frame_bytes} raises [Oversized], a frame the bytes cannot
+    supply raises [Truncated], and a checksum mismatch, impossible length
+    combination or undecodable payload raises [Corrupt] — all typed
+    {!Wire_error.Wire_error}s, so a fault injected below this layer can
+    abort a run but never smuggle a wrong message past it. *)
 
 open Tfree_comm
 
-(** Hard cap on the body length a reader will believe (64 MiB) — a
-    corrupted length prefix must not make the receiver allocate or wait for
-    gigabytes.  The largest honest frame in the repo is well under 1 MiB. *)
-let max_frame_bytes = 1 lsl 26
-
-(* Smallest possible body: 1-byte bit count + 1-byte layout + checksum. *)
+(* Smallest body a message fits in: 1-byte bit count + 1-byte layout +
+   checksum. *)
 let min_body_bytes = 4
-
-let sum16 data off len =
-  let s = ref 0 in
-  for i = off to off + len - 1 do
-    s := !s + Char.code (Bytes.unsafe_get data i)
-  done;
-  !s land 0xffff
 
 (* ------------------------------------------------------------- encoding *)
 
@@ -58,19 +49,27 @@ type scratch = {
   mutable frame : Bytes.t;  (** the frame last built or sent: bytes [0, len) *)
   mutable len : int;
   mutable back : Bytes.t;  (** where {!exchange} reads the frame back *)
-  cursor : int ref;  (** {!exchange}'s parse position in [back] *)
+  pos : int ref;  (** {!exchange}'s parse position in [back] *)
+  cur : Proto.cursor;  (** reads the body of the frame being parsed *)
 }
 
 let scratch () =
   let writer = Bitio.writer () in
-  { writer; frame = Bitio.storage writer; len = 0; back = Bytes.create 64; cursor = ref 0 }
+  {
+    writer;
+    frame = Bitio.storage writer;
+    len = 0;
+    back = Bytes.create 64;
+    pos = ref 0;
+    cur = Proto.cursor ();
+  }
 
 (** Write the whole frame for [msg] into [s], replacing the previous one. *)
 let encode_into s msg =
   let w = s.writer in
   let payload_bits = Msg.bits msg and layout = Msg.layout msg in
   let body_len =
-    Codec.varint_size payload_bits + Codec.layout_size layout + ((payload_bits + 7) / 8) + 2
+    Proto.varint_size payload_bits + Codec.layout_size layout + ((payload_bits + 7) / 8) + 2
   in
   Bitio.reset w;
   Codec.put_varint w body_len;
@@ -79,7 +78,7 @@ let encode_into s msg =
   Codec.put_layout w layout;
   Codec.encode_into w msg;
   Bitio.align w;
-  let ck = sum16 (Bitio.storage w) start (Bitio.byte_length w - start) in
+  let ck = Proto.sum16 (Bitio.storage w) start (Bitio.byte_length w - start) in
   Bitio.put_byte w ck;
   Bitio.put_byte w (ck lsr 8);
   s.frame <- Bitio.storage w;
@@ -117,80 +116,36 @@ let is_image i back len = Bytes.length images.(i) = len && same_bytes images.(i)
 
 (* ------------------------------------------------------------- decoding *)
 
-(* Validate and decode one frame body of [body_len] bytes at [!pos]: verify
-   the checksum, then the length arithmetic, then decode the payload, and
-   leave [pos] just past the body.  The caller has already bounds-checked
-   the body against the data; nothing outside it is read. *)
-let parse_body data pos ~body_len =
-  if body_len < min_body_bytes then
-    Wire_error.errorf_corrupt "Frame: body of %d bytes is shorter than any frame" body_len;
+(* One frame from [data] at [!pos], reading no byte at or beyond [limit]:
+   the envelope check, then the body — bit count, layout, payload — which
+   must fill it exactly.  Leaves [pos] just past the frame. *)
+let parse cur data ~limit pos =
   let start = !pos in
-  let ck_off = start + body_len - 2 in
-  let expect = sum16 data start (body_len - 2) in
-  let got = Char.code (Bytes.get data ck_off) lor (Char.code (Bytes.get data (ck_off + 1)) lsl 8) in
-  if expect <> got then
-    Wire_error.errorf_corrupt "Frame: checksum mismatch (computed %04x, carried %04x)" expect got;
-  let payload_bits = Codec.get_varint data ~limit:ck_off pos in
-  let layout = Codec.get_layout data ~limit:ck_off pos in
-  let payload_bytes = (payload_bits + 7) / 8 in
-  if !pos + payload_bytes <> ck_off then
-    Wire_error.errorf_corrupt "Frame: inconsistent frame lengths (%d-bit payload in a %d-byte body)"
-      payload_bits body_len;
-  let msg = Codec.decode_payload layout data ~off:!pos ~bits:payload_bits in
-  pos := start + body_len;
-  msg
-
-let check_body_len body_len =
-  if body_len > max_frame_bytes then
-    Wire_error.error (Wire_error.Oversized { limit = max_frame_bytes; got = body_len })
-
-(* One frame from [data] at [!pos], reading no byte at or beyond [limit]. *)
-let decode_within data ~limit pos =
-  let body_len = Codec.get_varint data ~limit pos in
-  check_body_len body_len;
-  if !pos + body_len > limit then
-    Wire_error.errorf_truncated "Frame.decode: length field %d larger than the %d-byte buffer"
-      body_len (limit - !pos);
-  parse_body data pos ~body_len
+  match Proto.try_frame data ~pos:start ~limit cur with
+  | -1 ->
+      Wire_error.errorf_truncated "Frame.decode: frame runs past the %d bytes it was given"
+        (limit - start)
+  | len ->
+      let body_len = Proto.remaining cur + 2 in
+      if body_len < min_body_bytes then
+        Wire_error.errorf_corrupt "Frame: body of %d bytes is shorter than any frame" body_len;
+      let payload_bits = Proto.get_varint cur in
+      let layout = Codec.get_layout cur in
+      let payload_bytes = (payload_bits + 7) / 8 in
+      if Proto.remaining cur <> payload_bytes then
+        Wire_error.errorf_corrupt
+          "Frame: inconsistent frame lengths (%d-bit payload in a %d-byte body)" payload_bits
+          body_len;
+      pos := start + len;
+      Codec.decode_payload layout data ~off:(!pos - 2 - payload_bytes) ~bits:payload_bits
 
 (** Parse one frame from [data] at [!pos]; advances [pos] past it. *)
-let decode data pos = decode_within data ~limit:(Bytes.length data) pos
+let decode data pos = parse (Proto.cursor ()) data ~limit:(Bytes.length data) pos
 
 (** Overhead of the frame [bytes] carrying a [payload_bits]-bit payload. *)
 let overhead_bits ~frame_bytes ~payload_bits = (8 * frame_bytes) - payload_bits
 
 (* ------------------------------------------------------------ transport *)
-
-(** Send one frame; returns the frame size in bytes. *)
-let write tr msg =
-  let s = scratch () in
-  encode_into s msg;
-  Transport.send tr (image s) 0 (frame_len s);
-  frame_len s
-
-(* Read the length prefix one byte at a time (a stream has no lookahead):
-   up to the first byte without a continuation bit, or ten bytes, whichever
-   comes first; {!Codec.get_varint} then judges them. *)
-let read_prefix tr =
-  let prefix = Bytes.create 10 in
-  let n = ref 0 and continue = ref true in
-  while !continue do
-    Transport.recv tr prefix !n 1;
-    continue := Char.code (Bytes.get prefix !n) land 0x80 <> 0 && !n < 9;
-    incr n
-  done;
-  let pos = ref 0 in
-  let body_len = Codec.get_varint prefix ~limit:!n pos in
-  (body_len, !n)
-
-(** Receive one frame; returns the message and the frame size in bytes. *)
-let read tr =
-  let body_len, prefix_len = read_prefix tr in
-  check_body_len body_len;
-  let body = Bytes.create body_len in
-  Transport.recv tr body 0 body_len;
-  let msg = parse_body body (ref 0) ~body_len in
-  (msg, prefix_len + body_len)
 
 (** Loopback round trip through [s]: the frame, built in [s]'s writer or
     taken from the constant images, crosses the transport into [s]'s
@@ -209,9 +164,9 @@ let exchange s tr msg =
   Transport.exchange tr s.frame 0 len s.back;
   if sent < Array.length images && is_image sent s.back len then constants.(sent)
   else begin
-    let pos = s.cursor in
+    let pos = s.pos in
     pos := 0;
-    let delivered = decode_within s.back ~limit:len pos in
+    let delivered = parse s.cur s.back ~limit:len pos in
     if !pos <> len then
       Wire_error.errorf_corrupt "Frame.exchange: %d trailing bytes after the frame" (len - !pos);
     delivered

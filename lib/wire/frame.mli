@@ -1,18 +1,17 @@
-(** Length-prefixed framing over a {!Transport}: varint length, varint
-    payload bit count, layout descriptor, a payload of exactly [Msg.bits]
-    bits, and a 2-byte mod-2^16 checksum that detects every single bit-flip
-    in the body.  Everything except the payload bits is framing overhead,
-    so [8 * frame_bytes - payload_bits] per frame reconciles wire bytes
-    against the cost ledger.  Parsing fails closed with typed
+(** A player's message in the lib/wire frame envelope ({!Proto}'s varint
+    length, body, 2-byte mod-2^16 checksum and 64 MiB cap, shared with the
+    v2 serve frames).  The body is a varint payload bit count, a layout
+    descriptor, and a payload of exactly [Msg.bits] bits.  Everything
+    except the payload bits is framing overhead, so
+    [8 * frame_bytes - payload_bits] per frame reconciles wire bytes
+    against the cost ledger.  Player frames are read only by {!decode} and
+    {!exchange}; both run {!Proto.try_frame}, the one envelope check, and
+    then parse the body.  Parsing fails closed with typed
     {!Wire_error.Wire_error}s ([Oversized] / [Truncated] / [Corrupt]) —
     never out-of-bounds reads, unbounded allocation, or string-matched
     exceptions. *)
 
 open Tfree_comm
-
-(** Hard cap (64 MiB) on the body length a reader will believe; a corrupted
-    length prefix beyond it raises [Oversized]. *)
-val max_frame_bytes : int
 
 (** {2 The frame image} *)
 
@@ -36,8 +35,8 @@ val scratch : unit -> scratch
 
 (** Write the whole frame for the message into the scratch, replacing the
     previous frame: header, payload, then checksum, written once, front to
-    back.  This is the only frame encoder; {!encode}, {!write} and
-    {!exchange} all go through it.
+    back.  This is the only frame encoder; {!encode} and {!exchange} go
+    through it.
     @raise Invalid_argument as {!Codec.encode_into}, or if the body comes
     out at another length than its header announces. *)
 val encode_into : scratch -> Msg.t -> unit
@@ -58,27 +57,24 @@ val encode : Msg.t -> Bytes.t
 (** {2 Parsing} *)
 
 (** Parse one frame from a buffer at [!pos]; advances [pos] past it.
-    @raise Wire_error.Wire_error on truncation, an oversized or inconsistent
-    length, a checksum mismatch, or an undecodable payload. *)
+    @raise Wire_error.Wire_error as {!Proto.try_frame} for the envelope
+    (a frame the buffer cannot supply is [Truncated]), and [Corrupt] on a
+    body shorter than any frame, inconsistent lengths or an undecodable
+    payload. *)
 val decode : Bytes.t -> int ref -> Msg.t
 
+(** [8 * frame_bytes - payload_bits]: the framing overhead of frames
+    carrying that many payload bits, one frame or a whole run's. *)
 val overhead_bits : frame_bytes:int -> payload_bits:int -> int
 
 (** {2 Over a transport} *)
-
-(** Send one frame; returns its size in bytes. *)
-val write : Transport.t -> Msg.t -> int
-
-(** Receive one frame; returns the message and its size in bytes.
-    @raise Wire_error.Wire_error as for {!decode}, plus whatever the
-    transport raises ([Truncated] / [Peer_closed]). *)
-val read : Transport.t -> Msg.t * int
 
 (** Loopback round trip through the scratch: encode the frame into its
     image (or take a constant frame), cross the transport into its
     read-back buffer, decode.  Returns the delivered message, which shares
     no memory with the scratch; the frame's size is {!frame_len}
     afterwards.
-    @raise Wire_error.Wire_error as for {!read}, or if bytes trail the
+    @raise Wire_error.Wire_error as for {!decode}, plus whatever the
+    transport raises ([Truncated] / [Peer_closed]), or if bytes trail the
     frame. *)
 val exchange : scratch -> Transport.t -> Msg.t -> Msg.t

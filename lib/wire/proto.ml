@@ -1,19 +1,26 @@
-(** Wire-format primitives for the serve protocol's binary v2.
+(** The frame envelope of lib/wire, and the serve protocol's binary v2.
 
-    The JSON-per-line service protocol (v1) pays a parse/print cost and a
-    5-10x byte inflation on every query — exactly the waste the repo's
-    bit-accounting discipline exists to expose.  Protocol v2 keeps the
-    framing discipline of {!Frame} (varint length prefix, byte-sum
-    checksum, fail-closed typed errors) but carries fixed binary layouts
-    for the service's request/reply/batch/stats shapes.  This module owns
-    the pieces that are shape-independent:
+    Every frame in lib/wire, a player's {!Frame} and a v2 serve frame
+    alike, travels in one envelope:
+
+    {v
+    varint  L         length in bytes of everything after this varint
+    body    L-2 bytes a player's Msg (Frame) or a tag + fields (Service)
+    2 bytes checksum  sum mod 2^16 of the body bytes
+    v}
+
+    This module owns that envelope and every byte-level primitive it is
+    built from, one copy each: the LEB128 reader and writer, {!varint_size},
+    zigzag, {!sum16} and the {!max_frame_bytes} cap.  {!Codec} reads its
+    layout descriptor and {!Frame} its header through the same {!cursor};
+    {!try_frame} is the one envelope check, run by the v2 reader and by
+    {!Frame.decode} alike.  On top of the envelope it keeps the v2 pieces
+    that do not depend on a frame's shape:
 
     - the negotiation handshake constants ({!magic}, {!max_version});
     - {!buf}, a reusable growable scratch buffer with a frame
       writer ({!begin_frame}/{!end_frame}) that seals a varint length
       prefix and a 2-byte mod-2^16 checksum around whatever was put;
-    - {!cursor}, a reusable bounds-checked reader over a byte region;
-    - {!try_frame}, the streaming frame splitter;
     - {!reader}, the one way either end of a serve connection reads:
       chunked socket reads ({!fill}) into a self-shrinking buffer, split
       by {!next} into the hello answer, a v1 line or a v2 frame.
@@ -22,15 +29,7 @@
     bytes into preallocated storage, gets read scalars out of it, and the
     only allocations are amortized buffer growth and the boxed
     float/int64 a 64-bit load cannot avoid.  The micro-benchmark gate
-    ([bench/micro]) asserts this with a [Gc.minor_words]-per-query bound.
-
-    Frame format (identical discipline to {!Frame}):
-
-    {v
-    varint  L         length in bytes of everything after this varint
-    body    L-2 bytes tag byte + fixed layout fields (Service owns these)
-    2 bytes checksum  sum mod 2^16 of the body bytes
-    v} *)
+    ([bench/micro]) asserts this with a [Gc.minor_words]-per-query bound. *)
 
 (* --------------------------------------------------------- negotiation *)
 
@@ -56,7 +55,12 @@ let pref_to_string = function V1 -> "v1" | V2 -> "v2" | Auto -> "auto"
     connection will use (0 = refused; the connection falls back to v1). *)
 let hello version = Printf.sprintf "%c%c" magic (Char.chr (version land 0xff))
 
-(* ------------------------------------------------------------- checksum *)
+(* ---------------------------------------------------------- primitives *)
+
+(** Hard cap on the body length a reader will believe (64 MiB): a
+    corrupted length prefix must not make a reader allocate or wait for
+    gigabytes.  The largest honest frame in the repo is well under 1 MiB. *)
+let max_frame_bytes = 1 lsl 26
 
 let sum16 data off len =
   let s = ref 0 in
@@ -65,9 +69,13 @@ let sum16 data off len =
   done;
   !s land 0xffff
 
-(* The frame cap mirrors {!Frame.max_frame_bytes}: a corrupted length
-   prefix must not make the server allocate or wait for gigabytes. *)
-let max_frame_bytes = 1 lsl 26
+let varint_size v =
+  let rec go v acc = if v < 0x80 then acc else go (v lsr 7) (acc + 1) in
+  go v 1
+
+(* Zigzag, so that small negative integers take few varint bytes. *)
+let zigzag v = if v >= 0 then 2 * v else (-2 * v) - 1
+let unzigzag z = if z land 1 = 0 then z / 2 else -((z + 1) / 2)
 
 (* ------------------------------------------------------- scratch buffer *)
 
@@ -101,26 +109,24 @@ let put_u8 b v =
   Bytes.unsafe_set b.data b.len (Char.unsafe_chr (v land 0xff));
   b.len <- b.len + 1
 
-(* Unsigned LEB128, as everywhere else in lib/wire. *)
+(* The one LEB128 writer into a {!buf}: [v] at [data.[pos]], returning the
+   position after it.  The caller has made room. *)
+let rec write_varint data pos v =
+  if v < 0x80 then begin
+    Bytes.unsafe_set data pos (Char.unsafe_chr v);
+    pos + 1
+  end
+  else begin
+    Bytes.unsafe_set data pos (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+    write_varint data (pos + 1) (v lsr 7)
+  end
+
 let put_varint b v =
   if v < 0 then invalid_arg "Proto.put_varint: negative";
   ensure b 10;
-  let v = ref v in
-  let continue = ref true in
-  while !continue do
-    if !v < 0x80 then begin
-      Bytes.unsafe_set b.data b.len (Char.unsafe_chr !v);
-      b.len <- b.len + 1;
-      continue := false
-    end
-    else begin
-      Bytes.unsafe_set b.data b.len (Char.unsafe_chr (0x80 lor (!v land 0x7f)));
-      b.len <- b.len + 1;
-      v := !v lsr 7
-    end
-  done
+  b.len <- write_varint b.data b.len v
 
-let put_zigzag b v = put_varint b (if v >= 0 then 2 * v else (-2 * v) - 1)
+let put_zigzag b v = put_varint b (zigzag v)
 
 let put_f64 b f =
   ensure b 8;
@@ -133,10 +139,6 @@ let put_string b s =
   ensure b n;
   Bytes.blit_string s 0 b.data b.len n;
   b.len <- b.len + n
-
-let varint_size v =
-  let rec go v acc = if v < 0x80 then acc else go (v lsr 7) (acc + 1) in
-  go v 1
 
 let begin_frame b =
   b.len <- headroom;
@@ -151,21 +153,8 @@ let end_frame b =
   b.len <- b.len + 2;
   (* seal the length varint flush against the body, inside the headroom *)
   let l = body_len + 2 in
-  let s = varint_size l in
-  b.off <- headroom - s;
-  let v = ref l and pos = ref b.off in
-  let continue = ref true in
-  while !continue do
-    if !v < 0x80 then begin
-      Bytes.unsafe_set b.data !pos (Char.unsafe_chr !v);
-      continue := false
-    end
-    else begin
-      Bytes.unsafe_set b.data !pos (Char.unsafe_chr (0x80 lor (!v land 0x7f)));
-      incr pos;
-      v := !v lsr 7
-    end
-  done
+  b.off <- headroom - varint_size l;
+  ignore (write_varint b.data b.off l)
 
 let storage b = b.data
 let frame_off b = b.off
@@ -182,7 +171,10 @@ type cursor = { mutable cdata : Bytes.t; mutable cpos : int; mutable clim : int 
 
 let cursor () = { cdata = Bytes.empty; cpos = 0; clim = 0 }
 
+(* The readers below use unchecked loads, so the range is checked here. *)
 let set_cursor cur data ~pos ~limit =
+  if pos < 0 || pos > limit || limit > Bytes.length data then
+    invalid_arg "Proto.set_cursor: range outside the buffer";
   cur.cdata <- data;
   cur.cpos <- pos;
   cur.clim <- limit
@@ -196,28 +188,40 @@ let get_u8 cur =
   cur.cpos <- cur.cpos + 1;
   v
 
-(* As {!Codec.get_varint}: nine 7-bit groups cover every int, so a tenth
-   byte may carry no payload bits (they would be shifted out). *)
-let get_varint cur =
-  let v = ref 0 and shift = ref 0 and continue = ref true in
-  while !continue do
-    if cur.cpos >= cur.clim then
-      Wire_error.errorf_truncated "Proto.get_varint: truncated varint";
-    if !shift > 63 then Wire_error.errorf_corrupt "Proto.get_varint: varint longer than 10 bytes";
+(* The one LEB128 reader in lib/wire: the varint at the cursor, which
+   moves past it, or [-1] if the limit comes first.  Nine 7-bit groups
+   cover every int, so a tenth byte may carry no payload bits (they would
+   be shifted out) and an eleventh is garbage; a ninth group reaching the
+   sign bit is garbage too. *)
+let rec scan_varint_from cur v shift =
+  if shift > 63 then Wire_error.errorf_corrupt "Proto.get_varint: varint longer than 10 bytes";
+  if cur.cpos >= cur.clim then -1
+  else begin
     let byte = Char.code (Bytes.unsafe_get cur.cdata cur.cpos) in
     cur.cpos <- cur.cpos + 1;
-    if !shift = 63 && byte land 0x7f <> 0 then
+    if shift = 63 && byte land 0x7f <> 0 then
       Wire_error.errorf_corrupt "Proto.get_varint: varint overflows 63 bits";
-    v := !v lor ((byte land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    continue := byte land 0x80 <> 0
-  done;
-  if !v < 0 then Wire_error.errorf_corrupt "Proto.get_varint: negative value";
-  !v
+    let v = v lor ((byte land 0x7f) lsl shift) in
+    if byte land 0x80 <> 0 then scan_varint_from cur v (shift + 7)
+    else if v < 0 then Wire_error.errorf_corrupt "Proto.get_varint: negative value"
+    else v
+  end
 
-let get_zigzag cur =
-  let z = get_varint cur in
-  if z land 1 = 0 then z / 2 else -((z + 1) / 2)
+let scan_varint cur =
+  let p = cur.cpos in
+  if p < cur.clim && Char.code (Bytes.unsafe_get cur.cdata p) < 0x80 then begin
+    (* the common one-byte varint *)
+    cur.cpos <- p + 1;
+    Char.code (Bytes.unsafe_get cur.cdata p)
+  end
+  else scan_varint_from cur 0 0
+
+let get_varint cur =
+  let v = scan_varint cur in
+  if v < 0 then Wire_error.errorf_truncated "Proto.get_varint: truncated varint";
+  v
+
+let get_zigzag cur = unzigzag (get_varint cur)
 
 let get_f64 cur =
   if cur.cpos + 8 > cur.clim then Wire_error.errorf_truncated "Proto.get_f64: truncated float";
@@ -227,7 +231,7 @@ let get_f64 cur =
 
 let get_string cur =
   let n = get_varint cur in
-  if cur.cpos + n > cur.clim then
+  if n > remaining cur then
     Wire_error.errorf_truncated "Proto.get_string: %d-byte string in a %d-byte remainder" n
       (remaining cur);
   let s = if n = 0 then "" else Bytes.sub_string cur.cdata cur.cpos n in
@@ -239,58 +243,41 @@ let expect_end cur =
     Wire_error.errorf_corrupt "Proto.expect_end: %d trailing bytes after the message"
       (remaining cur)
 
-(* ---------------------------------------------------- stream frame split *)
+(* ------------------------------------------------------------ envelope *)
 
-(** Scan [data[pos, limit)] for one complete frame.  On success, verify the
-    checksum, point [cur] at the body (tag + fields, checksum excluded) and
-    return the total frame length to consume from the stream; return [-1]
-    when the bytes so far are a prefix of a valid frame (read more).
+(** The one envelope check.  Scan [data[pos, limit)] for one complete
+    frame: the length prefix, then the cap, then the shortest body (a tag
+    byte and the checksum), then the bounds, then the checksum.  On
+    success point [cur] at the body (checksum excluded) and return the
+    total frame length to consume; return [-1] when the bytes so far are a
+    prefix of a valid frame (read more).
     @raise Wire_error.Wire_error when the bytes can never become a valid
-    frame: an oversized or garbage length prefix, a checksum mismatch, a
-    body too short to carry a tag.  A byte stream cannot resync after any
-    of these, so the caller must fail the connection closed. *)
+    frame.  A byte stream cannot resync after any of these, so the caller
+    must fail the connection closed. *)
 let try_frame data ~pos ~limit cur =
-  (* length varint, streaming: incomplete only while it may still finish *)
-  let l = ref 0 and shift = ref 0 and p = ref pos and continue = ref true and result = ref 0 in
-  while !continue do
-    if !p - pos >= 10 then Wire_error.errorf_corrupt "Proto.try_frame: length varint longer than 10 bytes";
-    if !p >= limit then begin
-      result := -1;
-      continue := false
-    end
-    else begin
-      let byte = Char.code (Bytes.unsafe_get data !p) in
-      incr p;
-      l := !l lor ((byte land 0x7f) lsl !shift);
-      shift := !shift + 7;
-      if byte land 0x80 = 0 then continue := false
-    end
-  done;
-  if !result = -1 then -1
-  else begin
-    if !l < 0 then Wire_error.errorf_corrupt "Proto.try_frame: negative length prefix";
-    if !l > max_frame_bytes then
-      Wire_error.error (Wire_error.Oversized { limit = max_frame_bytes; got = !l });
-    if !l < 3 then
-      Wire_error.errorf_corrupt "Proto.try_frame: %d-byte frame is shorter than any message" !l;
-    let body_start = !p in
-    let frame_end = body_start + !l in
-    if frame_end > limit then -1
-    else begin
-      let body_len = !l - 2 in
-      let ck_off = body_start + body_len in
-      let expect = sum16 data body_start body_len in
-      let got =
-        Char.code (Bytes.unsafe_get data ck_off)
-        lor (Char.code (Bytes.unsafe_get data (ck_off + 1)) lsl 8)
-      in
-      if expect <> got then
-        Wire_error.errorf_corrupt "Proto.try_frame: checksum mismatch (computed %04x, carried %04x)"
-          expect got;
-      set_cursor cur data ~pos:body_start ~limit:ck_off;
-      frame_end - pos
-    end
-  end
+  set_cursor cur data ~pos ~limit;
+  match scan_varint cur with
+  | -1 -> -1
+  | l ->
+      if l > max_frame_bytes then
+        Wire_error.error (Wire_error.Oversized { limit = max_frame_bytes; got = l });
+      if l < 3 then
+        Wire_error.errorf_corrupt "Proto.try_frame: %d-byte frame is shorter than any message" l;
+      let body_start = cur.cpos in
+      if l > limit - body_start then -1
+      else begin
+        let ck_off = body_start + l - 2 in
+        let expect = sum16 data body_start (l - 2) in
+        let got =
+          Char.code (Bytes.unsafe_get data ck_off)
+          lor (Char.code (Bytes.unsafe_get data (ck_off + 1)) lsl 8)
+        in
+        if expect <> got then
+          Wire_error.errorf_corrupt
+            "Proto.try_frame: checksum mismatch (computed %04x, carried %04x)" expect got;
+        cur.clim <- ck_off;
+        ck_off + 2 - pos
+      end
 
 (* ------------------------------------------------------------ the reader *)
 

@@ -1,14 +1,19 @@
-(** Wire-format primitives for the serve protocol's binary v2: the
-    negotiation handshake constants, a reusable zero-alloc frame writer and
-    bounds-checked reader, the streaming frame splitter, and the one
-    self-shrinking socket reader both ends of a serve connection read
-    with.
+(** The frame envelope every lib/wire frame travels in, one copy of each
+    byte-level primitive it is built from, and the serve protocol's binary
+    v2 on top of it.
+
+    The envelope is a varint length prefix, a body, and a 2-byte
+    mod-2^16 checksum over the body.  {!Frame} puts a player's message in
+    the body; {!Service} puts the tag and fields of a v2 serve frame.
+    Both write with the primitives below, and both read through one
+    {!cursor} and one envelope check, {!try_frame}.  The v2 pieces are the
+    negotiation handshake constants, a reusable zero-alloc frame writer,
+    and the one self-shrinking socket reader both ends of a serve
+    connection read with.
 
     The service-shape layouts (query/reply/batch/stats) live in
-    {!Service}; this module only knows bytes.  Frames carry the same
-    discipline as {!Frame}: a varint length prefix, a body, and a 2-byte
-    mod-2^16 checksum over the body.  All reader failures raise the typed
-    {!Wire_error.Wire_error} — nothing here fails open. *)
+    {!Service}; this module only knows bytes.  All reader failures raise
+    the typed {!Wire_error.Wire_error}; nothing here fails open. *)
 
 (** {2 Negotiation} *)
 
@@ -33,13 +38,26 @@ val pref_to_string : pref -> string
     the version the connection will use ([0] = refused, fall back to v1). *)
 val hello : int -> string
 
-(** {2 Frames} *)
+(** {2 Byte-level primitives} *)
 
-(** The largest frame length prefix a reader accepts, 64 MiB (as
-    {!Frame.max_frame_bytes}): a corrupted prefix must not make a reader
-    allocate or wait for gigabytes.  The client caps a v1 reply line at the
-    same size. *)
+(** The largest frame length prefix a reader accepts, 64 MiB: a
+    corrupted prefix must not make a reader allocate or wait for
+    gigabytes.  The client caps a v1 reply line at the same size. *)
 val max_frame_bytes : int
+
+(** [sum16 data off len]: the sum mod 2^16 of [data.[off .. off+len-1]],
+    the envelope's checksum.  It detects every single bit-flip (a flip
+    changes one byte by ±2^k, k ≤ 7, which cannot vanish mod 2^16). *)
+val sum16 : Bytes.t -> int -> int -> int
+
+(** Bytes an unsigned LEB128 varint of the value takes. *)
+val varint_size : int -> int
+
+(** Zigzag map of a possibly-negative integer onto a non-negative one,
+    small magnitudes to small values, and its inverse. *)
+val zigzag : int -> int
+
+val unzigzag : int -> int
 
 (** {2 Writing: reusable scratch buffer}
 
@@ -86,13 +104,19 @@ type cursor
 
 val cursor : unit -> cursor
 
-(** Point the cursor at [data[pos, limit)]. *)
+(** Point the cursor at [data[pos, limit)].
+    @raise Invalid_argument if the range is not inside [data]. *)
 val set_cursor : cursor -> Bytes.t -> pos:int -> limit:int -> unit
+
+(** Bytes left before the limit. *)
+val remaining : cursor -> int
 
 (** The [get_*] readers mirror the writers; each raises a typed
     {!Wire_error.Wire_error} ([Truncated] past the limit, [Corrupt] on an
     overlong, overflowing or negative varint) rather than reading out of
-    bounds. *)
+    bounds.  {!get_varint} is the one LEB128 reader of lib/wire: a varint
+    longer than 10 bytes, one whose tenth byte carries payload bits (they
+    would overflow 63 bits) or one reaching the sign bit is [Corrupt]. *)
 
 val get_u8 : cursor -> int
 val get_varint : cursor -> int
@@ -104,17 +128,21 @@ val get_string : cursor -> string
     layout mismatch, not trailing garbage to ignore. *)
 val expect_end : cursor -> unit
 
-(** {2 Stream splitting} *)
+(** {2 The envelope check} *)
 
 (** [try_frame data ~pos ~limit cur] scans [data[pos, limit)] for one
-    complete frame.  On success: verifies the checksum, points [cur] at
-    the body (checksum excluded) and returns the total byte length to
-    consume.  Returns [-1] while the buffered bytes are still a prefix of
-    a valid frame (read more).
+    complete frame, checking in this order: the length prefix, the
+    {!max_frame_bytes} cap ([Oversized]), a body too short for a tag and
+    the checksum ([Corrupt]), the bounds, the checksum ([Corrupt]).  On
+    success it points [cur] at the body (checksum excluded) and returns
+    the total byte length to consume.  It returns [-1] while the bytes are
+    still a prefix of a valid frame (read more); [cur] is then spent.
+    Every frame reader in lib/wire runs this check: the v2 splitter
+    ({!next}) and {!Frame.decode}.
     @raise Wire_error.Wire_error when the bytes can never become a valid
-    frame (oversized or garbage length, checksum mismatch, body shorter
-    than a tag) — a byte stream cannot resync after these, so fail the
-    connection closed. *)
+    frame — a byte stream cannot resync after these, so fail the
+    connection closed.
+    @raise Invalid_argument if [pos, limit) is not inside [data]. *)
 val try_frame : Bytes.t -> pos:int -> limit:int -> cursor -> int
 
 (** {2 The socket reader}
@@ -148,7 +176,7 @@ val buffered : reader -> int
 (** The current allocation (observable for the shrink tests). *)
 val capacity : reader -> int
 
-(** Covers the body of the last {!Frame} taken, until the next {!fill}. *)
+(** Covers the body of the last {!Frame} taken, until the next {!next}. *)
 val body : reader -> cursor
 
 (** [Eof]: the peer closed or reset; [Again]: [EINTR] or not ready. *)

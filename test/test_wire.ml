@@ -95,10 +95,11 @@ let test_layout_descriptor_roundtrip () =
   List.iter
     (fun msg ->
       let d = Codec.layout_to_bytes (Msg.layout msg) in
-      let pos = ref 0 in
-      let back = Codec.get_layout d ~limit:(Bytes.length d) pos in
+      let cur = Proto.cursor () in
+      Proto.set_cursor cur d ~pos:0 ~limit:(Bytes.length d);
+      let back = Codec.get_layout cur in
       checkb "layout descriptor round-trips" true (back = Msg.layout msg);
-      checki "descriptor fully consumed" (Bytes.length d) !pos)
+      checki "descriptor fully consumed" 0 (Proto.remaining cur))
     sample_msgs
 
 (* ---------------------------------------------------------------- frame *)
@@ -115,14 +116,21 @@ let test_frame_buffer_roundtrip () =
         (Frame.overhead_bits ~frame_bytes:(Bytes.length frame) ~payload_bits:(Msg.bits msg) > 0))
     sample_msgs
 
+(* Every sample frame sent back to back, then read off the stream in one
+   piece: the frames delimit themselves. *)
 let stream_roundtrip tr =
-  let sent = List.map (fun msg -> (msg, Frame.write tr msg)) sample_msgs in
-  List.iter
-    (fun (msg, wrote) ->
-      let back, read = Frame.read tr in
-      checki "read size = written size" wrote read;
+  let frames = List.map Frame.encode sample_msgs in
+  List.iter (fun f -> Transport.send tr f 0 (Bytes.length f)) frames;
+  let stream = Bytes.create (List.fold_left (fun n f -> n + Bytes.length f) 0 frames) in
+  Transport.recv tr stream 0 (Bytes.length stream);
+  let pos = ref 0 in
+  List.iter2
+    (fun msg frame ->
+      let start = !pos in
+      let back = Frame.decode stream pos in
+      checki "read size = written size" (Bytes.length frame) (!pos - start);
       checkb "stream round-trips" true (Msg.value back = Msg.value msg && Msg.bits back = Msg.bits msg))
-    sent
+    sample_msgs frames
 
 let test_frame_over_pipe () = stream_roundtrip (Transport.pipe ())
 
@@ -163,6 +171,9 @@ let varint_bytes v =
   Codec.put_varint w v;
   Bitio.to_bytes w
 
+(* A message whose frame is longer than 11 bytes. *)
+let long_msg = Msg.vertices ~n:300 (List.init 40 Fun.id)
+
 let forge_frame ~bits ~layout_bytes ~payload =
   let body = Buffer.create 32 in
   Buffer.add_bytes body (varint_bytes bits);
@@ -179,17 +190,20 @@ let forge_frame ~bits ~layout_bytes ~payload =
   Buffer.to_bytes frame
 
 let test_frame_truncated_varint () =
-  (* a length prefix whose continuation never ends, cut off by the stream *)
+  (* a length prefix whose continuation never ends, cut off by the stream:
+     five continuation bytes in flight ahead of the 5-byte frame an
+     exchange sends are all it reads back *)
   let tr = Transport.pipe () in
-  Transport.send tr (Bytes.of_string "\x80") 0 1;
-  raises_wire_error "truncated varint over pipe" (fun () -> Frame.read tr);
+  Transport.send tr (Bytes.make 5 '\x80') 0 5;
+  raises_wire_error "truncated varint over pipe" (fun () ->
+      Frame.exchange (Frame.scratch ()) tr Msg.empty);
   (* and the same shape inside a buffer *)
   raises_wire_error "truncated varint in buffer" (fun () ->
       Frame.decode (Bytes.of_string "\x80") (ref 0));
   (* a varint that never terminates within its 10-byte budget *)
   let tr2 = Transport.pipe () in
   Transport.send tr2 (Bytes.make 11 '\x80') 0 11;
-  raises_wire_error "unterminated varint" (fun () -> Frame.read tr2)
+  raises_wire_error "unterminated varint" (fun () -> Frame.exchange (Frame.scratch ()) tr2 long_msg)
 
 let test_frame_length_larger_than_buffer () =
   (* length field says 100 bytes; the buffer holds 3 *)
@@ -197,7 +211,7 @@ let test_frame_length_larger_than_buffer () =
       Frame.decode (Bytes.of_string "\x64abc") (ref 0));
   (* a length beyond the hard cap must refuse before allocating *)
   raises_wire_error "length > max_frame_bytes" (fun () ->
-      Frame.decode (varint_bytes (Frame.max_frame_bytes + 1)) (ref 0))
+      Frame.decode (varint_bytes (Proto.max_frame_bytes + 1)) (ref 0))
 
 let test_frame_zero_length () =
   (* body length 0: shorter than any legal frame *)
@@ -220,9 +234,9 @@ let test_frame_checksum_catches_every_body_flip () =
   let msg = Msg.tuple [ Msg.nat 5; Msg.edge ~n:40 (1, 2); Msg.bool true ] in
   let frame = Frame.encode msg in
   let body_start =
-    let pos = ref 0 in
-    ignore (Codec.get_varint frame ~limit:(Bytes.length frame) pos);
-    !pos
+    let cur = Proto.cursor () in
+    Proto.set_cursor cur frame ~pos:0 ~limit:(Bytes.length frame);
+    Bytes.length frame - Proto.get_varint cur
   in
   for bit = 8 * body_start to (8 * Bytes.length frame) - 1 do
     let copy = Bytes.copy frame in

@@ -573,7 +573,8 @@ let test_stale_constant_parsed () =
   let stale () =
     let schedule = [ { Fault.op = 0; kind = Fault.Delay { amount = 1 } } ] in
     let tr = Transport.faulty ~schedule (Transport.pipe ()) in
-    ignore (Frame.write tr (Msg.bool false));
+    let frame = Frame.encode (Msg.bool false) in
+    Transport.send tr frame 0 (Bytes.length frame);
     tr
   in
   let delivered = Frame.exchange (Frame.scratch ()) (stale ()) (Msg.bool true) in
@@ -644,26 +645,24 @@ let corrupt name f =
   | exception Wire_error.Wire_error (Wire_error.Corrupt _) -> ()
   | exception e -> Alcotest.failf "%s: raised %s instead of Corrupt" name (Printexc.to_string e)
 
+let cursor_on b =
+  let cur = Proto.cursor () in
+  Proto.set_cursor cur b ~pos:0 ~limit:(Bytes.length b);
+  cur
+
 let test_varint_overflow () =
   List.iter
     (fun (name, s) ->
       let b = Bytes.of_string s in
-      corrupt ("Codec.get_varint " ^ name) (fun () ->
-          Codec.get_varint b ~limit:(Bytes.length b) (ref 0));
-      let cur = Proto.cursor () in
-      Proto.set_cursor cur b ~pos:0 ~limit:(Bytes.length b);
-      corrupt ("Proto.get_varint " ^ name) (fun () -> Proto.get_varint cur);
-      (* as a frame's length prefix, in a buffer and off a stream with
-         enough bytes behind it to satisfy the bogus length *)
+      corrupt ("Proto.get_varint " ^ name) (fun () -> Proto.get_varint (cursor_on b));
+      (* as a frame's length prefix, with enough bytes behind it to
+         satisfy the bogus length: a player frame in a buffer, and a v2
+         frame, where the zero bytes are a body whose checksum matches
+         whatever length the prefix is read as *)
       let framed = Bytes.cat b (Bytes.make 16 '\x00') in
       corrupt ("Frame.decode " ^ name) (fun () -> Frame.decode framed (ref 0));
-      let tr = Transport.pipe () in
-      Transport.send tr framed 0 (Bytes.length framed);
-      corrupt ("Frame.read " ^ name) (fun () -> Frame.read tr);
-      (* as a v2 length prefix: the zero bytes behind it are a body whose
-         checksum matches whatever length the prefix is read as *)
       corrupt ("Proto.try_frame " ^ name) (fun () ->
-          Proto.try_frame framed ~pos:0 ~limit:(Bytes.length framed) cur))
+          Proto.try_frame framed ~pos:0 ~limit:(Bytes.length framed) (Proto.cursor ())))
     [ ("overflow to 0", overflow_to_zero); ("overflow to 5", overflow_to_five) ];
   (* the widest honest varints still decode: max_int in 9 bytes, and a
      zero tenth byte *)
@@ -671,10 +670,10 @@ let test_varint_overflow () =
   Codec.put_varint w max_int;
   let b = Bitio.to_bytes w in
   Alcotest.(check int) "max_int in 9 bytes" 9 (Bytes.length b);
-  Alcotest.(check int) "max_int round-trips" max_int (Codec.get_varint b ~limit:9 (ref 0));
+  Alcotest.(check int) "max_int round-trips" max_int (Proto.get_varint (cursor_on b));
   let padded = Bytes.of_string "\x85\x80\x80\x80\x80\x80\x80\x80\x80\x00" in
-  Alcotest.(check int) "zero tenth byte" 5 (Codec.get_varint padded ~limit:10 (ref 0));
-  corrupt "eleven bytes" (fun () -> Codec.get_varint (Bytes.make 11 '\x80') ~limit:11 (ref 0))
+  Alcotest.(check int) "zero tenth byte" 5 (Proto.get_varint (cursor_on padded));
+  corrupt "eleven bytes" (fun () -> Proto.get_varint (cursor_on (Bytes.make 11 '\x80')))
 
 (* ----------------------------------------------------------- fail-closed *)
 
@@ -737,9 +736,8 @@ let mutate data other m =
 (* The body of a frame: everything between the length prefix and the
    checksum — what a re-sealed mutation rewrites. *)
 let body_of frame =
-  let pos = ref 0 in
-  let body_len = Codec.get_varint frame ~limit:(Bytes.length frame) pos in
-  Bytes.sub frame !pos (body_len - 2)
+  let body_len = Proto.get_varint (cursor_on frame) in
+  Bytes.sub frame (Bytes.length frame - body_len) (body_len - 2)
 
 let reseal body =
   let b = Buffer.create (Bytes.length body + 2) in
@@ -766,16 +764,17 @@ let prop_frame_fails_closed (m1, m2, (mut, sealed)) =
     if sealed then reseal (mutate (body_of f1) (body_of f2) mut) else mutate f1 f2 mut
   in
   only_wire_errors "Frame.decode" (fun () -> Frame.decode data (ref 0))
-  && only_wire_errors "Frame.read" (fun () ->
+  && only_wire_errors "Frame.exchange" (fun () ->
+         (* the mutated bytes in flight ahead of the frame the exchange
+            sends are what it reads back first *)
          let tr = Transport.pipe () in
          Transport.send tr data 0 (Bytes.length data);
-         Frame.read tr)
+         Frame.exchange (Frame.scratch ()) tr m1)
 
 let prop_descriptor_fails_closed (m1, m2, (mut, _)) =
   let d1 = Codec.layout_to_bytes (Msg.layout m1) and d2 = Codec.layout_to_bytes (Msg.layout m2) in
   let data = mutate d1 d2 mut in
-  only_wire_errors "Codec.get_layout" (fun () ->
-      Codec.get_layout data ~limit:(Bytes.length data) (ref 0))
+  only_wire_errors "Codec.get_layout" (fun () -> Codec.get_layout (cursor_on data))
 
 let test_deep_descriptor_refused () =
   (* a tuple of a tuple of ... 10k deep, each level one [9, 1] pair *)
@@ -786,12 +785,12 @@ let test_deep_descriptor_refused () =
     Bytes.set b ((2 * i) + 1) '\x01'
   done;
   Bytes.set b (2 * depth) '\x00';
-  corrupt "deep descriptor" (fun () -> Codec.get_layout b ~limit:(Bytes.length b) (ref 0));
+  corrupt "deep descriptor" (fun () -> Codec.get_layout (cursor_on b));
   (* an empty range is garbage, not an Invalid_argument later *)
   let w = Bitio.writer () in
   List.iter (Codec.put_varint w) [ 2; 10; 2 ];
   let d = Bitio.to_bytes w in
-  corrupt "empty range" (fun () -> Codec.get_layout d ~limit:(Bytes.length d) (ref 0))
+  corrupt "empty range" (fun () -> Codec.get_layout (cursor_on d))
 
 let test_out_of_range_value_is_corrupt () =
   (* a range of 5 values coded in 3 bits, carrying 7: the checksum and the
