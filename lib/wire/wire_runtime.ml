@@ -140,7 +140,8 @@ let report net ~accounted_bits =
     wire_bytes = t.wire_bytes;
     frames = t.frames;
     payload_bits = t.payload_bits;
-    framing_overhead_bits = (8 * t.wire_bytes) - t.payload_bits;
+    framing_overhead_bits =
+      Frame.overhead_bits ~frame_bytes:t.wire_bytes ~payload_bits:t.payload_bits;
     accounted_bits;
     ratio =
       (if accounted_bits = 0 then Float.infinity
