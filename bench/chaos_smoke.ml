@@ -3,9 +3,13 @@
 
      1. in-process chaos matrix: every fault kind x {pipe, socketpair} x all
         four protocols, one injected fault per run.  A run either completes
-        with the fault-free verdict and bit count (the fault missed or was
-        benign) or aborts with a typed Wire_error whose scheduled kind is
-        non-benign.  Wrong verdicts and hangs are hard failures.
+        with the fault-free verdict and bit count, and with the frames and
+        wire bytes of a fault-free net's report (the fault missed or was
+        benign), or aborts with a typed Wire_error whose scheduled kind is
+        non-benign.  Wrong verdicts and hangs are hard failures.  A wire
+        net crosses every frame by [Transport.exchange], whose read-back
+        delivers a held or split write at once, so its [delay] and
+        [partial] cells run fault-free; the report check pins that.
 
      2. forked tfree-serve daemon sabotaging its own first three replies
         (drop, corrupt, truncate); a client with retries=5 must recover the
@@ -39,6 +43,16 @@ let kinds =
     Fault.Close;
   ]
 
+(* One run of [proto] through a fresh wire net with [fault]: the result
+   and the net's report. *)
+let wired_run ~fault ~transport ~seed ~davg proto parts =
+  let net = Wire.create ~fault ~transport ~k:4 () in
+  Fun.protect
+    ~finally:(fun () -> Wire.close net)
+    (fun () ->
+      let r = Tfree.Tester.run ~tap:(Wire.tap net) ~seed params ~d:davg proto parts in
+      (r, Wire.report net ~accounted_bits:r.Tfree.Tester.bits))
+
 let chaos_matrix () =
   let seed = 7 in
   let _, parts = Common.far_instance ~n:200 ~d:4.0 ~k:4 ~dup:true seed in
@@ -48,24 +62,29 @@ let chaos_matrix () =
     (fun transport ->
       List.iter
         (fun (pname, proto) ->
-          let base = Tfree.Tester.run ~seed params ~d:davg proto parts in
+          let base, base_wire = wired_run ~fault:[] ~transport ~seed ~davg proto parts in
           List.iter
             (fun kind ->
               List.iter
                 (fun op ->
-                  let net = Wire.create ~fault:[ { Fault.op; kind } ] ~transport ~k:4 () in
-                  match
-                    Fun.protect
-                      ~finally:(fun () -> Wire.close net)
-                      (fun () -> Tfree.Tester.run ~tap:(Wire.tap net) ~seed params ~d:davg proto parts)
-                  with
-                  | r ->
+                  let fault = [ { Fault.op; kind } ] in
+                  match wired_run ~fault ~transport ~seed ~davg proto parts with
+                  | r, wire ->
                       if
                         r.Tfree.Tester.verdict <> base.Tfree.Tester.verdict
                         || r.Tfree.Tester.bits <> base.Tfree.Tester.bits
                       then
                         fail "%s/%s under %s@%d: run completed but differs from fault-free base"
                           (Wire.kind_to_string transport) pname (Fault.kind_name kind) op
+                      else if
+                        wire.Wire.frames <> base_wire.Wire.frames
+                        || wire.Wire.wire_bytes <> base_wire.Wire.wire_bytes
+                      then
+                        fail "%s/%s under %s@%d: run completed with %d frames, %dB on the wire; \
+                              the fault-free net sent %d frames, %dB"
+                          (Wire.kind_to_string transport) pname (Fault.kind_name kind) op
+                          wire.Wire.frames wire.Wire.wire_bytes base_wire.Wire.frames
+                          base_wire.Wire.wire_bytes
                       else incr clean
                   | exception Wire_error.Wire_error k ->
                       if Fault.benign kind then

@@ -47,10 +47,13 @@ val socketpair : unit -> t
     numbering across several wrapped transports, e.g. one per channel of a
     wire network) suffers the fault named for it — [Drop] swallows the
     bytes, [Corrupt] flips one bit, [Truncate] delivers a proper prefix,
-    [Delay] holds the bytes until the op counter passes (benign),
-    [Partial] splits the write in two (benign), [Close] closes the stream.
-    A {!send} and an {!exchange} are one op each, so a frame is one op
-    however it crosses.  The wrapper's read side raises a typed
+    [Delay] holds the bytes back from later writes until the op counter
+    passes (benign), [Partial] splits the write in two (benign), [Close]
+    closes the stream.  A {!send} and an {!exchange} are one op each, so a
+    frame is one op however it crosses.  Every read first delivers all
+    held bytes, so only a {!send} can be held across another write: an
+    {!exchange} reads its own write straight back, which makes [Delay]
+    and [Partial] on an exchange fault-free.  The wrapper's read side raises a typed
     [Truncated] instead of blocking when injected faults starved the
     stream, so a chaos run can fail closed but never hang.  Deterministic:
     same schedule, same traffic, same faults. *)
