@@ -14,8 +14,14 @@
     zigzag, {!sum16} and the {!max_frame_bytes} cap.  {!Codec} reads its
     layout descriptor and {!Frame} its header through the same {!cursor};
     {!try_frame} is the one envelope check, run by the v2 reader and by
-    {!Frame.decode} alike.  On top of the envelope it keeps the v2 pieces
-    that do not depend on a frame's shape:
+    {!Frame.decode} alike.
+
+    The JSON-per-line service protocol (v1) pays a parse/print cost and a
+    5-10x byte inflation on every query, exactly the waste the repo's
+    bit-accounting discipline exists to expose; v2 carries fixed binary
+    layouts for the service's request/reply/batch/stats shapes in this
+    envelope instead.  On top of the envelope this module keeps the v2
+    pieces that do not depend on a frame's shape:
 
     - the negotiation handshake constants ({!magic}, {!max_version});
     - {!buf}, a reusable growable scratch buffer with a frame
@@ -73,9 +79,9 @@ let varint_size v =
   let rec go v acc = if v < 0x80 then acc else go (v lsr 7) (acc + 1) in
   go v 1
 
-(* Zigzag, so that small negative integers take few varint bytes. *)
+(* Zigzag, so that small negative integers take few varint bytes;
+   {!get_zigzag} inverts it. *)
 let zigzag v = if v >= 0 then 2 * v else (-2 * v) - 1
-let unzigzag z = if z land 1 = 0 then z / 2 else -((z + 1) / 2)
 
 (* ------------------------------------------------------- scratch buffer *)
 
@@ -221,7 +227,9 @@ let get_varint cur =
   if v < 0 then Wire_error.errorf_truncated "Proto.get_varint: truncated varint";
   v
 
-let get_zigzag cur = unzigzag (get_varint cur)
+let get_zigzag cur =
+  let z = get_varint cur in
+  if z land 1 = 0 then z / 2 else -((z + 1) / 2)
 
 let get_f64 cur =
   if cur.cpos + 8 > cur.clim then Wire_error.errorf_truncated "Proto.get_f64: truncated float";

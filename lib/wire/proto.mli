@@ -54,10 +54,8 @@ val sum16 : Bytes.t -> int -> int -> int
 val varint_size : int -> int
 
 (** Zigzag map of a possibly-negative integer onto a non-negative one,
-    small magnitudes to small values, and its inverse. *)
+    small magnitudes to small values; {!get_zigzag} reads it back. *)
 val zigzag : int -> int
-
-val unzigzag : int -> int
 
 (** {2 Writing: reusable scratch buffer}
 

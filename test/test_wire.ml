@@ -211,7 +211,12 @@ let test_frame_length_larger_than_buffer () =
       Frame.decode (Bytes.of_string "\x64abc") (ref 0));
   (* a length beyond the hard cap must refuse before allocating *)
   raises_wire_error "length > max_frame_bytes" (fun () ->
-      Frame.decode (varint_bytes (Proto.max_frame_bytes + 1)) (ref 0))
+      Frame.decode (varint_bytes (Proto.max_frame_bytes + 1)) (ref 0));
+  (* a scan told its 3-byte buffer holds 10 refuses before an unchecked
+     load can read past the end *)
+  Alcotest.check_raises "scan range past the buffer"
+    (Invalid_argument "Proto.set_cursor: range outside the buffer") (fun () ->
+      ignore (Proto.try_frame (Bytes.of_string "\x05ab") ~pos:0 ~limit:10 (Proto.cursor ())))
 
 let test_frame_zero_length () =
   (* body length 0: shorter than any legal frame *)

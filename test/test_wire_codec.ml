@@ -673,7 +673,15 @@ let test_varint_overflow () =
   Alcotest.(check int) "max_int round-trips" max_int (Proto.get_varint (cursor_on b));
   let padded = Bytes.of_string "\x85\x80\x80\x80\x80\x80\x80\x80\x80\x00" in
   Alcotest.(check int) "zero tenth byte" 5 (Proto.get_varint (cursor_on padded));
-  corrupt "eleven bytes" (fun () -> Proto.get_varint (cursor_on (Bytes.make 11 '\x80')))
+  corrupt "eleven bytes" (fun () -> Proto.get_varint (cursor_on (Bytes.make 11 '\x80')));
+  (* max_int as a v2 string length: the remainder cannot hold it, and the
+     bounds check must not wrap round and let the copy raise a bare
+     Invalid_argument *)
+  match Proto.get_string (cursor_on (Bytes.cat b (Bytes.of_string "abc"))) with
+  | _ -> Alcotest.fail "max_int-byte string: decoded"
+  | exception Wire_error.Wire_error (Wire_error.Truncated _) -> ()
+  | exception e ->
+      Alcotest.failf "max_int-byte string: raised %s instead of Truncated" (Printexc.to_string e)
 
 (* ----------------------------------------------------------- fail-closed *)
 
