@@ -38,8 +38,7 @@
 
 open Tfree_comm
 
-(* Smallest body a message fits in: 1-byte bit count + 1-byte layout +
-   checksum. *)
+(* Smallest possible body: 1-byte bit count + 1-byte layout + checksum. *)
 let min_body_bytes = 4
 
 (* ------------------------------------------------------------- encoding *)
