@@ -7,9 +7,9 @@
         wire bytes of a fault-free net's report (the fault missed or was
         benign), or aborts with a typed Wire_error whose scheduled kind is
         non-benign.  Wrong verdicts and hangs are hard failures.  A wire
-        net crosses every frame by [Transport.exchange], whose read-back
-        delivers a held or split write at once, so its [delay] and
-        [partial] cells run fault-free; the report check pins that.
+        net crosses every frame by one [Transport.exchange], which reads
+        its own write straight back, so a [delay] or [partial] scheduled
+        on it is fault-free; the report check pins that.
 
      2. forked tfree-serve daemon sabotaging its own first three replies
         (drop, corrupt, truncate); a client with retries=5 must recover the

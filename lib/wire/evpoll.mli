@@ -1,7 +1,7 @@
 (** A poll(2)-backed readiness wait for the serve event loop and the
     deadline readers.
 
-    [Unix.select] caps every descriptor at [FD_SETSIZE] (~1024): a fleet
+    select(2) caps every descriptor at [FD_SETSIZE] (~1024): a fleet
     worker holding thousands of connections — or a client library living
     in a process that merely has 1024 other fds open — crashes with
     [EINVAL] the moment a descriptor crosses the cap.  poll(2) has no

@@ -22,14 +22,15 @@
     v}
 
     Fault semantics (see {!Transport.faulty} and {!Service.serve} for the
-    byte-level and reply-level interpretations):
+    exchange-level and reply-level interpretations):
     - [drop]: the write is swallowed whole;
     - [corrupt@b]: bit [b] (modulo the buffer length) is flipped;
     - [truncate@k]: only the first [k] bytes are delivered;
-    - [delay@a]: the write is held back ([a] = hold amount: operations at
-      the transport level, milliseconds at the service level);
-    - [partial@p]: the write is split at byte [p] into two deliveries — a
-      correct byte stream must reassemble it, so this fault is benign;
+    - [delay@a]: the reply is held back [a] milliseconds; an exchange,
+      which reads its own write straight back, is fault-free;
+    - [partial@p]: the reply is split at byte [p] into two writes — a
+      correct byte stream must reassemble it, so this fault is benign (and
+      fault-free on an exchange);
     - [close]: the connection is closed, losing the write. *)
 
 type kind =
@@ -71,6 +72,14 @@ let benign = function Delay _ | Partial _ -> true | Drop | Corrupt _ | Truncate 
 
 (** The first event scheduled at [op], if any. *)
 let find schedule op = Option.map (fun e -> e.kind) (List.find_opt (fun e -> e.op = op) schedule)
+
+let flip_bit b ~off ~len bit =
+  let nbits = 8 * len in
+  if nbits > 0 then begin
+    let i = ((bit mod nbits) + nbits) mod nbits in
+    let byte = off + (i / 8) in
+    Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl (i mod 8))))
+  end
 
 let normalize schedule = List.sort_uniq (fun a b -> compare (a.op, a.kind) (b.op, b.kind)) schedule
 

@@ -5,13 +5,26 @@
     reproducible.  Consumed by {!Transport.faulty} (ops = frames) and
     {!Service.serve} (ops = replies). *)
 
+(** What each kind does to a reply of {!Service.serve}, and to an exchange
+    of {!Transport.faulty}, which reads its own write straight back. *)
 type kind =
-  | Drop  (** the write is swallowed whole *)
-  | Corrupt of { bit : int }  (** bit [bit mod (8·len)] is flipped *)
-  | Truncate of { keep : int }  (** only the first [keep] bytes are delivered *)
-  | Delay of { amount : int }  (** held back: ops (transport) / ms (service) *)
-  | Partial of { at : int }  (** split at byte [at] into two deliveries; benign *)
-  | Close  (** the connection is closed, losing the write *)
+  | Drop
+      (** the reply is swallowed whole; the exchange raises [Truncated]
+          with nothing in flight *)
+  | Corrupt of { bit : int }
+      (** bit [bit mod (8·len)] of the reply, or of the exchange's
+          read-back, is flipped ({!flip_bit}) *)
+  | Truncate of { keep : int }
+      (** only the first [keep] bytes of the reply are sent; the exchange
+          raises [Truncated] with [min keep (len - 1)] in flight *)
+  | Delay of { amount : int }
+      (** the reply is sent [amount] ms late; the exchange is fault-free *)
+  | Partial of { at : int }
+      (** the reply is split at byte [at] into two writes; the exchange is
+          fault-free *)
+  | Close
+      (** the connection is closed, losing the reply; the exchange closes
+          the transport and raises [Peer_closed], as does every later one *)
 
 type event = { op : int; kind : kind }
 type schedule = event list
@@ -28,6 +41,11 @@ val benign : kind -> bool
 
 (** The fault scheduled at write operation [op], if any. *)
 val find : schedule -> int -> kind option
+
+(** [flip_bit b ~off ~len bit] flips bit [bit mod (8·len)] of
+    [b.[off .. off+len-1]] (bit [i] is bit [i mod 8] of byte [i / 8]),
+    taking the remainder non-negative; an empty range is left alone. *)
+val flip_bit : Bytes.t -> off:int -> len:int -> int -> unit
 
 (** Sort by op and drop duplicates. *)
 val normalize : schedule -> schedule

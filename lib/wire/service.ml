@@ -1274,12 +1274,7 @@ let inject_reply ~metrics ~fault ~op fd data ~off ~len ~region:(region_off, regi
       match kind with
       | Fault.Drop | Fault.Close -> (`Close, false)
       | Fault.Corrupt { bit } ->
-          let nbits = 8 * region_len in
-          if nbits > 0 then begin
-            let i = ((bit mod nbits) + nbits) mod nbits in
-            let byte = region_off + (i / 8) in
-            Bytes.set data byte (Char.chr (Char.code (Bytes.get data byte) lxor (1 lsl (i mod 8))))
-          end;
+          Fault.flip_bit data ~off:region_off ~len:region_len bit;
           write_bytes fd data off len;
           (`Keep, false)
       | Fault.Truncate { keep } ->

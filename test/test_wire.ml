@@ -116,13 +116,12 @@ let test_frame_buffer_roundtrip () =
         (Frame.overhead_bits ~frame_bytes:(Bytes.length frame) ~payload_bits:(Msg.bits msg) > 0))
     sample_msgs
 
-(* Every sample frame sent back to back, then read off the stream in one
-   piece: the frames delimit themselves. *)
+(* Every sample frame back to back in one buffer, then read off it in
+   order: the frames delimit themselves.  Then each crosses the transport
+   by one exchange and comes back as the message sent. *)
 let stream_roundtrip tr =
   let frames = List.map Frame.encode sample_msgs in
-  List.iter (fun f -> Transport.send tr f 0 (Bytes.length f)) frames;
-  let stream = Bytes.create (List.fold_left (fun n f -> n + Bytes.length f) 0 frames) in
-  Transport.recv tr stream 0 (Bytes.length stream);
+  let stream = Bytes.concat Bytes.empty frames in
   let pos = ref 0 in
   List.iter2
     (fun msg frame ->
@@ -130,7 +129,14 @@ let stream_roundtrip tr =
       let back = Frame.decode stream pos in
       checki "read size = written size" (Bytes.length frame) (!pos - start);
       checkb "stream round-trips" true (Msg.value back = Msg.value msg && Msg.bits back = Msg.bits msg))
-    sample_msgs frames
+    sample_msgs frames;
+  checki "whole stream read" (Bytes.length stream) !pos;
+  let scratch = Frame.scratch () in
+  List.iter
+    (fun msg ->
+      let back = Frame.exchange scratch tr msg in
+      checkb "exchange round-trips" true (Msg.value back = Msg.value msg && Msg.bits back = Msg.bits msg))
+    sample_msgs
 
 let test_frame_over_pipe () = stream_roundtrip (Transport.pipe ())
 
@@ -190,20 +196,18 @@ let forge_frame ~bits ~layout_bytes ~payload =
   Buffer.to_bytes frame
 
 let test_frame_truncated_varint () =
-  (* a length prefix whose continuation never ends, cut off by the stream:
-     five continuation bytes in flight ahead of the 5-byte frame an
-     exchange sends are all it reads back *)
-  let tr = Transport.pipe () in
-  Transport.send tr (Bytes.make 5 '\x80') 0 5;
-  raises_wire_error "truncated varint over pipe" (fun () ->
-      Frame.exchange (Frame.scratch ()) tr Msg.empty);
-  (* and the same shape inside a buffer *)
+  (* a length prefix whose continuation never ends, cut off where the
+     bytes end: five continuation bytes, as long as the frame of
+     [Msg.empty] an exchange would read back in their place *)
+  raises_wire_error "truncated varint, frame-sized" (fun () ->
+      Frame.decode (Bytes.make 5 '\x80') (ref 0));
+  (* and a single continuation byte *)
   raises_wire_error "truncated varint in buffer" (fun () ->
       Frame.decode (Bytes.of_string "\x80") (ref 0));
-  (* a varint that never terminates within its 10-byte budget *)
-  let tr2 = Transport.pipe () in
-  Transport.send tr2 (Bytes.make 11 '\x80') 0 11;
-  raises_wire_error "unterminated varint" (fun () -> Frame.exchange (Frame.scratch ()) tr2 long_msg)
+  (* a varint that never terminates within its 10-byte budget, with a
+     whole frame behind it *)
+  raises_wire_error "unterminated varint" (fun () ->
+      Frame.decode (Bytes.cat (Bytes.make 11 '\x80') (Frame.encode long_msg)) (ref 0))
 
 let test_frame_length_larger_than_buffer () =
   (* length field says 100 bytes; the buffer holds 3 *)

@@ -404,92 +404,13 @@ let prop_scratch_matches_fresh msgs =
       && Msg.layout back = Msg.layout msg)
     msgs
 
-(* A pipe's [exchange] against [send] then [recv] on a second pipe in the
-   same state: the same bytes come back, and the same bytes stay in flight,
-   whether the ring was empty or still held an unmatched send. *)
-type pipe_op = Send of string | Exchange of int * string | Recv of int
-
-let arb_pipe_ops =
-  let open QCheck.Gen in
-  let bytes = string_size ~gen:char (int_range 0 600) in
-  let op =
-    frequency
-      [
-        (2, bytes >|= fun s -> Send s);
-        (4, pair (int_bound 5) bytes >|= fun (off, s) -> Exchange (off, s));
-        (2, int_bound 400 >|= fun n -> Recv n);
-      ]
-  in
-  QCheck.make
-    ~print:(fun ops ->
-      String.concat "; "
-        (List.map
-           (function
-             | Send s -> Printf.sprintf "send %d" (String.length s)
-             | Exchange (off, s) -> Printf.sprintf "exchange %d@%d" (String.length s) off
-             | Recv n -> Printf.sprintf "recv %d" n)
-           ops))
-    (list_size (int_range 1 30) op)
-
-let prop_pipe_exchange_is_push_pop ops =
-  let direct = Transport.pipe () and pushed = Transport.pipe () in
-  let in_flight = ref 0 in
-  let recv_both n =
-    let a = Bytes.create n and b = Bytes.create n in
-    Transport.recv direct a 0 n;
-    Transport.recv pushed b 0 n;
-    Bytes.equal a b
-  in
-  let step = function
-    | Send s ->
-        let b = Bytes.of_string s in
-        Transport.send direct b 0 (Bytes.length b);
-        Transport.send pushed b 0 (Bytes.length b);
-        in_flight := !in_flight + Bytes.length b;
-        true
-    | Exchange (off, s) ->
-        let len = String.length s in
-        let src = Bytes.make (off + len + 2) '\xa5' in
-        Bytes.blit_string s 0 src off len;
-        let a = Bytes.make (len + 1) '\x00' and b = Bytes.make (len + 1) '\x00' in
-        Transport.exchange direct src off len a;
-        Transport.send pushed src off len;
-        Transport.recv pushed b 0 len;
-        Bytes.equal a b
-    | Recv n ->
-        let n = Int.min n !in_flight in
-        in_flight := !in_flight - n;
-        recv_both n
-  in
-  let starved tr =
-    match Transport.recv tr (Bytes.create 1) 0 1 with
-    | () -> false
-    | exception Wire_error.Wire_error (Wire_error.Truncated _) -> true
-  in
-  List.for_all step ops
-  && recv_both !in_flight
-  && starved direct && starved pushed
-
-let test_pipe_exchange_empty_and_pending () =
-  (* the two ring states by name: an exchange on an empty ring hands back
-     the frame; after an unmatched send it hands back the pending bytes
-     first, and the frame's tail stays in flight *)
-  let tr = Transport.pipe () in
-  let frame = Bytes.of_string "frame" and into = Bytes.create 5 in
-  Transport.exchange tr frame 0 5 into;
-  Alcotest.(check string) "empty ring" "frame" (Bytes.to_string into);
-  Transport.send tr (Bytes.of_string "ab") 0 2;
-  Transport.exchange tr frame 0 5 into;
-  Alcotest.(check string) "pending bytes first" "abfra" (Bytes.to_string into);
-  let rest = Bytes.create 2 in
-  Transport.recv tr rest 0 2;
-  Alcotest.(check string) "the tail stays in flight" "me" (Bytes.to_string rest)
+(* A frame of about 360 KB, larger than a socket buffer. *)
+let big = Msg.edges ~n:4096 (List.init 120_000 (fun i -> (i mod 4096, (i * 7) mod 4096)))
 
 let test_scratch_reuse_socketpair () =
   (* the same reuse through real kernel-crossing bytes, a frame larger than
      the socket buffer in the middle *)
   let s = Frame.scratch () and tr = Transport.socketpair () in
-  let big = Msg.edges ~n:4096 (List.init 120_000 (fun i -> (i mod 4096, (i * 7) mod 4096))) in
   List.iter
     (fun msg ->
       let back = Frame.exchange s tr msg in
@@ -497,6 +418,45 @@ let test_scratch_reuse_socketpair () =
       Alcotest.(check int) "frame size" (Bytes.length (Ref.frame msg)) (Frame.frame_len s))
     [ Msg.vertex_opt ~n:300 (Some 7); big; Msg.empty; Msg.nat 41; big; Msg.bool false ];
   Transport.close tr
+
+(* A frame larger than the socket buffer with each fault kind scheduled on
+   its exchange: the benign two deliver it, the other four fail typed, and
+   none blocks.  An alarm fails the case instead of letting it hang. *)
+let test_faults_past_socket_buffer () =
+  let expect kind =
+    match (kind : Fault.kind) with
+    | Delay _ | Partial _ -> "delivered"
+    | Corrupt _ -> "corrupt"
+    | Drop | Truncate _ -> "truncated"
+    | Close -> "peer_closed"
+  in
+  let watchdog = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> failwith "watchdog: hung")) in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm watchdog)
+    (fun () ->
+      List.iter
+        (fun kind ->
+          let s = Frame.scratch () and inner = Transport.socketpair () in
+          let tr = Transport.faulty ~schedule:[ { Fault.op = 0; kind } ] inner in
+          ignore (Unix.alarm 20);
+          let got =
+            match Frame.exchange s tr big with
+            | back -> if Msg.equal back big then "delivered" else "another message"
+            | exception Wire_error.Wire_error (Wire_error.Corrupt _) -> "corrupt"
+            | exception Wire_error.Wire_error (Wire_error.Truncated _) -> "truncated"
+            | exception Wire_error.Wire_error (Wire_error.Peer_closed _) -> "peer_closed"
+          in
+          ignore (Unix.alarm 0);
+          Transport.close tr;
+          Alcotest.(check bool) "frame past the socket buffer" true (Frame.frame_len s > 300_000);
+          Alcotest.(check string) (Fault.kind_name kind) (expect kind) got)
+        Fault.
+          [
+            Drop; Corrupt { bit = 8000 }; Truncate { keep = 100 }; Delay { amount = 1 };
+            Partial { at = 1000 }; Close;
+          ])
 
 (* ---------------------------------------------------- constant frames *)
 
@@ -563,25 +523,6 @@ let test_constant_faults () =
         @ List.init len (fun keep -> Fault.Truncate { keep })))
     constants
 
-let test_stale_constant_parsed () =
-  (* a held-back [false] frame comes out of the transport in place of the
-     [true] frame sent after it: it is not the frame sent, so the exchange
-     parses it and hands back [false], exactly as the full parse does.
-     The frame is held by a [send]: inside a [Wire_runtime] net every
-     frame crosses by [exchange], which reads a delayed frame back in its
-     own op, so the tap's refusal of a stale frame is not reached here *)
-  let stale () =
-    let schedule = [ { Fault.op = 0; kind = Fault.Delay { amount = 1 } } ] in
-    let tr = Transport.faulty ~schedule (Transport.pipe ()) in
-    let frame = Frame.encode (Msg.bool false) in
-    Transport.send tr frame 0 (Bytes.length frame);
-    tr
-  in
-  let delivered = Frame.exchange (Frame.scratch ()) (stale ()) (Msg.bool true) in
-  Alcotest.(check bool) "the stale false comes back" true (Msg.equal delivered (Msg.bool false));
-  Alcotest.(check bool) "as the full parse reads it" true
-    (Msg.equal delivered (parsed_exchange (stale ()) (Msg.bool true)))
-
 let test_widest_fields () =
   (* a full 62-bit range code and the largest gamma value an int allows *)
   let w = Bitio.writer () in
@@ -608,31 +549,6 @@ let test_gamma_too_long () =
   Alcotest.check_raises "gamma beyond an int"
     (Invalid_argument "Bitio.get_gamma: code longer than any int")
     (fun () -> ignore (Bitio.get_gamma r))
-
-let test_pipe_ring_wraps () =
-  (* interleaved writes and partial reads walk the ring's head round its
-     end and force a growth while it is wrapped; the bytes come out in
-     order *)
-  let tr = Transport.pipe () in
-  let sent = Buffer.create 4096 and got = Buffer.create 4096 in
-  let next = ref 0 in
-  let send n =
-    let b = Bytes.init n (fun _ -> incr next; Char.chr (!next land 0xff)) in
-    Buffer.add_bytes sent b;
-    Transport.send tr b 0 n
-  in
-  let recv n =
-    let b = Bytes.create (n + 3) in
-    Transport.recv tr b 3 n;
-    Buffer.add_subbytes got b 3 n
-  in
-  List.iter
-    (fun (s, r) ->
-      send s;
-      recv r)
-    [ (200, 150); (150, 100); (180, 170); (90, 0); (700, 500); (40, 440); (3, 3) ];
-  Alcotest.(check string) "FIFO order across wrap and growth" (Buffer.contents sent)
-    (Buffer.contents got)
 
 (* ------------------------------------------------------- varint overflow *)
 
@@ -772,12 +688,11 @@ let prop_frame_fails_closed (m1, m2, (mut, sealed)) =
     if sealed then reseal (mutate (body_of f1) (body_of f2) mut) else mutate f1 f2 mut
   in
   only_wire_errors "Frame.decode" (fun () -> Frame.decode data (ref 0))
-  && only_wire_errors "Frame.exchange" (fun () ->
-         (* the mutated bytes in flight ahead of the frame the exchange
-            sends are what it reads back first *)
-         let tr = Transport.pipe () in
-         Transport.send tr data 0 (Bytes.length data);
-         Frame.exchange (Frame.scratch ()) tr m1)
+  && only_wire_errors "Frame.decode of a read-back" (fun () ->
+         (* the bytes an exchange of [m1] would read back with the mutated
+            bytes ahead of its frame: as long as that frame *)
+         let f1_len = Bytes.length f1 in
+         Frame.decode (Bytes.sub (Bytes.cat data f1) 0 f1_len) (ref 0))
 
 let prop_descriptor_fails_closed (m1, m2, (mut, _)) =
   let d1 = Codec.layout_to_bytes (Msg.layout m1) and d2 = Codec.layout_to_bytes (Msg.layout m2) in
@@ -919,20 +834,14 @@ let () =
           qc
             (QCheck.Test.make ~name:"reused scratch image = fresh Frame.encode" ~count:300
                arb_memo_sequence prop_scratch_matches_fresh);
-          qc
-            (QCheck.Test.make ~name:"pipe exchange = send then recv" ~count:500 arb_pipe_ops
-               prop_pipe_exchange_is_push_pop);
-          Alcotest.test_case "pipe exchange, empty and pending ring" `Quick
-            test_pipe_exchange_empty_and_pending;
           Alcotest.test_case "scratch reuse over socketpair" `Quick test_scratch_reuse_socketpair;
+          Alcotest.test_case "faults on a frame past the socket buffer" `Quick
+            test_faults_past_socket_buffer;
           Alcotest.test_case "constant images" `Quick test_constant_images;
           Alcotest.test_case "constant frames under flips and truncations" `Quick
             test_constant_faults;
-          Alcotest.test_case "stale constant frame parses as the full parse does" `Quick
-            test_stale_constant_parsed;
           Alcotest.test_case "62-bit fields" `Quick test_widest_fields;
           Alcotest.test_case "gamma code past an int" `Quick test_gamma_too_long;
-          Alcotest.test_case "pipe ring wraps and grows" `Quick test_pipe_ring_wraps;
         ] );
       ( "varint-overflow",
         [ Alcotest.test_case "tenth byte payload is corrupt" `Quick test_varint_overflow ] );
