@@ -144,7 +144,18 @@ let tell_all t msg =
   deliver_request t ~round msg
 
 (** OR over one bit per player — the "does anyone have it" idiom used by the
-    edge-query building block and the degree-approximation experiments. *)
+    edge-query building block and the degree-approximation experiments.
+    One round with an empty request: player [j] answers [predicate j input],
+    charged and delivered through the tap in player order.  Every player
+    answers, even after a yes, so the ledger and the tap see exactly what
+    {!ask_all} would; no reply array is built. *)
 let any_player t predicate =
-  let replies = ask_all t ~req:Msg.empty (fun _ input -> Msg.bool (predicate input)) in
-  Array.exists Msg.get_bool replies
+  Cost.next_round t.cost;
+  let round = t.cost.Cost.rounds in
+  let found = ref false in
+  for j = 0 to t.k - 1 do
+    let reply = Msg.bool (predicate j (input t j)) in
+    Cost.charge_from_player t.cost j (Msg.bits reply);
+    if Msg.get_bool (t.tap.Channel.deliver ~round t.from_player.(j) reply) then found := true
+  done;
+  !found

@@ -54,5 +54,9 @@ val ask_all_visible : t -> req:Msg.t -> (int -> Graph.t -> Msg.t list -> Msg.t) 
     channels, once on a blackboard. *)
 val tell_all : t -> Msg.t -> unit
 
-(** OR of one bit per player: "does anyone have it". *)
-val any_player : t -> (Graph.t -> bool) -> bool
+(** OR of one bit per player: "does anyone have it".  One round with an
+    empty request; player [j] answers [predicate j input].  Every player
+    answers and is charged and tapped in player order, even after a yes: it
+    never short-circuits, so its ledger and its channel crossings are those
+    of {!ask_all} with one-bit replies. *)
+val any_player : t -> (int -> Graph.t -> bool) -> bool

@@ -15,7 +15,7 @@ open Tfree_comm
     one bit; the coordinator announces the OR.  O(k) bits. *)
 let query_edge rt (u, v) =
   let u, v = Graph.normalize_edge (u, v) in
-  let present = Runtime.any_player rt (fun input -> Graph.mem_edge input u v) in
+  let present = Runtime.any_player rt (fun _ input -> Graph.mem_edge input u v) in
   Runtime.tell_all rt (Msg.bool present);
   present
 

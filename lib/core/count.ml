@@ -38,7 +38,7 @@ let is_triangle_edge rt ~key (u, v) =
   Runtime.tell_all rt (Msg.tuple [ Msg.vertex ~n u; Msg.vertex ~n v; Msg.vertices ~n nu ]);
   let mark = Array.make n false in
   List.iter (fun w -> if w <> v then mark.(w) <- true) nu;
-  Runtime.any_player rt (fun input ->
+  Runtime.any_player rt (fun _ input ->
       Array.exists (fun w -> w <> u && mark.(w)) (Graph.neighbors input v))
 
 type estimate = {

@@ -43,17 +43,33 @@ let thresholds ~alpha =
   let margin = (high -. low) /. 2.0 in
   (theta, margin)
 
+(* Whether [els] holds an element marked at probability [p] under [rng]:
+   a loop that stops at the first marked element and allocates nothing (a
+   local recursive function would allocate its closure on every call).
+   [Rng.hash_bool] compares inside [Rng], so no float is boxed per element
+   even where [hash_float] is not inlined into this module. *)
+let holds_marked rng ~p els =
+  let len = Array.length els in
+  let i = ref 0 in
+  while !i < len && not (Rng.hash_bool rng (Array.unsafe_get els !i) ~p) do
+    incr i
+  done;
+  !i < len
+
 (** [approx_distinct rt ~key ~alpha ~tau ~boost ~elements] returns an
     α-approximation (with probability >= 1-τ) of |∪_j elements(E_j)|, where
-    [elements] lists a player's universe elements as integers agreed upon by
-    all players (e.g. neighbour ids of a fixed vertex).  Returns 0 when no
-    player holds any element. *)
+    [elements] gives a player's universe elements as integers agreed upon by
+    all players (e.g. neighbour ids of a fixed vertex); the arrays are read
+    in place, never written.  Returns 0 when no player holds any element. *)
 let approx_distinct rt ~key ~alpha ~tau ~boost ~elements =
-  let local : int list array = Array.init (Runtime.k rt) (fun j -> elements (Runtime.input rt j)) in
+  (* At alpha = 1 the Hoeffding margin is 0 and sizes an infinite run; below
+     1 the guesses grow instead of shrinking and the scan never ends. *)
+  if alpha <= 1.0 then invalid_arg "approx_distinct: alpha must exceed 1";
+  let local : int array array = Array.init (Runtime.k rt) (fun j -> elements (Runtime.input rt j)) in
   (* Phase 1: MSB indices of the local counts. *)
   let replies =
     Runtime.ask_all rt ~req:Msg.empty (fun j _ ->
-        Msg.int_in ~lo:(-1) ~hi:62 (msb_index (List.length local.(j))))
+        Msg.int_in ~lo:(-1) ~hi:62 (msb_index (Array.length local.(j))))
   in
   let d' =
     Array.fold_left
@@ -80,13 +96,9 @@ let approx_distinct rt ~key ~alpha ~tau ~boost ~elements =
       let successes = ref 0 in
       for e = 0 to m_exp - 1 do
         let mark_rng = Runtime.shared_rng rt ~key:(key + (7919 * idx) + (104729 * (e + 1))) in
-        let replies =
-          Runtime.ask_all rt ~req:Msg.empty (fun j _ ->
-              (* Each player checks its (precomputed) elements for a marked
-                 one and answers a single bit. *)
-              Msg.bool (List.exists (fun el -> Rng.hash_float mark_rng el < p) local.(j)))
-        in
-        if Array.exists Msg.get_bool replies then incr successes
+        (* Each player checks its elements for a marked one and answers a
+           single bit. *)
+        if Runtime.any_player rt (fun j _ -> holds_marked mark_rng ~p local.(j)) then incr successes
       done;
       float_of_int !successes /. float_of_int m_exp >= theta
     in
@@ -138,12 +150,16 @@ let approx_distinct_nodup rt ~key:_ ~alpha ~elements =
 
 (** α-approximate deg(v) under duplication (Theorem 3.1 specialized). *)
 let approx_degree rt ~key ~alpha ~tau ~boost v =
-  approx_distinct rt ~key ~alpha ~tau ~boost ~elements:(fun input ->
-      Array.to_list (Graph.neighbors input v))
+  approx_distinct rt ~key ~alpha ~tau ~boost ~elements:(fun input -> Graph.neighbors input v)
 
 (** α-approximate total edge count m (for the degree-oblivious driver,
     Corollary 3.22). *)
 let approx_edge_count rt ~key ~alpha ~tau ~boost =
   let n = Runtime.n rt in
   approx_distinct rt ~key ~alpha ~tau ~boost ~elements:(fun input ->
-      List.map (fun (u, v) -> (u * n) + v) (Graph.edges input))
+      let codes = Array.make (Graph.m input) 0 in
+      let next = ref 0 in
+      Graph.iter_edges input (fun u v ->
+          codes.(!next) <- (u * n) + v;
+          incr next);
+      codes)

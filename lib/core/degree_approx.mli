@@ -18,12 +18,23 @@ val msb_index : int -> int
     [alpha] (both in (0,1)). *)
 val thresholds : alpha:float -> float * float
 
+(** Theorem 3.1: an α-approximation, with probability >= 1-τ, of the
+    number of distinct elements the players hold jointly; 0 when nobody
+    holds any.  [elements input] is a player's elements as an [int array]
+    (ids agreed upon by all players, repeats allowed), read in place and
+    never written.  Each phase-2 experiment is one {!Runtime.any_player}
+    round in which a player scans its array up to the first marked element.
+    @raise Invalid_argument when [alpha <= 1], before any round. *)
+val approx_distinct :
+  Runtime.t -> key:int -> alpha:float -> tau:float -> boost:float -> elements:(Graph.t -> int array) -> int
+
 (** Lemma 3.2: without duplication, the truncated-count sum — never
     over-counts, within factor [alpha], O(k·log log) bits, deterministic.
     @raise Invalid_argument when [alpha <= 1]. *)
 val approx_distinct_nodup : Runtime.t -> key:int -> alpha:float -> elements:(Graph.t -> int list) -> int
 
-(** α-approximate deg(v) under duplication. *)
+(** α-approximate deg(v) under duplication: {!approx_distinct} over each
+    player's neighbour row of v, as the player's graph stores it. *)
 val approx_degree : Runtime.t -> key:int -> alpha:float -> tau:float -> boost:float -> int -> int
 
 (** α-approximate total edge count m (Corollary 3.22's degree estimate). *)

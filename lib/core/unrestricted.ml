@@ -50,46 +50,61 @@ let btilde_members rt =
       done;
       Array.map Array.of_list lists)
 
+(* The priority order of Algorithm 1: (hash, vertex) pairs compared
+   lexicographically, so a hash tie goes to the smaller vertex. *)
+let[@inline] precedes (hv : float) (v : int) (hb : float) (b : int) = hv < hb || (hv = hb && v < b)
+
 (* Algorithm 1: uniform sample from B̃_i = ∪_j B̃ʲ_i under a shared random
    priority; unbiased despite vertices being suspected by several players.
    [btilde] is the optional precomputed membership (player -> bucket ->
-   vertices); without it each player scans its whole vertex range. *)
+   vertices); without it each player scans its whole vertex range.  Each
+   side keeps its best (hash, vertex) in two locals and hashes every vertex
+   it considers once; -1 stands for no vertex yet. *)
 let sample_uniform_from_btilde ?btilde rt ~key ~i =
   let rng = Runtime.shared_rng rt ~key in
-  let prio v = (Rng.hash_float rng v, v) in
   let n = Runtime.n rt in
   let k = Runtime.k rt in
-  let best_in_array vs =
-    Array.fold_left
-      (fun acc v ->
-        match acc with Some b when prio b <= prio v -> acc | _ -> Some v)
-      None vs
-  in
   let best_of j input =
-    match btilde with
-    | Some tbl -> best_in_array tbl.(j).(i)
+    let best = ref (-1) and best_h = ref infinity in
+    (match btilde with
+    | Some tbl ->
+        let vs = tbl.(j).(i) in
+        for x = 0 to Array.length vs - 1 do
+          let v = vs.(x) in
+          let hv = Rng.hash_float rng v in
+          if precedes hv v !best_h !best then begin
+            best := v;
+            best_h := hv
+          end
+        done
     | None ->
-        let best = ref None in
         for v = 0 to n - 1 do
           if Bucket.suspects ~k ~i (Graph.degree input v) then begin
-            match !best with
-            | Some b when prio b <= prio v -> ()
-            | _ -> best := Some v
+            let hv = Rng.hash_float rng v in
+            if precedes hv v !best_h !best then begin
+              best := v;
+              best_h := hv
+            end
           end
-        done;
-        !best
+        done);
+    if !best < 0 then None else Some !best
   in
   let replies =
     Tfree_trace.Trace.span "candidate-sample" (fun () ->
         Runtime.ask_all rt ~req:Msg.empty (fun j input -> Msg.vertex_opt ~n (best_of j input)))
   in
-  Array.fold_left
-    (fun acc reply ->
-      match (acc, Msg.get_vertex_opt reply) with
-      | None, r -> r
-      | Some b, Some v when prio v < prio b -> Some v
-      | acc, _ -> acc)
-    None replies
+  let best = ref (-1) and best_h = ref infinity in
+  for j = 0 to Array.length replies - 1 do
+    match Msg.get_vertex_opt replies.(j) with
+    | None -> ()
+    | Some v ->
+        let hv = Rng.hash_float rng v in
+        if precedes hv v !best_h !best then begin
+          best := v;
+          best_h := hv
+        end
+  done;
+  if !best < 0 then None else Some !best
 
 (* Algorithm 3: candidate full vertices for bucket i, with approximate
    degrees.  Caps follow the paper's q and |C| bounds scaled by boost. *)
@@ -215,7 +230,7 @@ let find_triangle_vee ?btilde rt p ~key ~i ~stats =
 (** Algorithm 6 with the degree-oblivious window of Corollary 3.22: estimate
     d, then run FindTriangleVee on every bucket intersecting [d_l/2, 2·d_h].
     Returns a real triangle or [None]. *)
-let find_triangle ?(collect_stats = false) rt (p : Params.t) =
+let find_triangle rt (p : Params.t) =
   let stats = ref no_stats in
   let n = Runtime.n rt in
   let m_hat =
@@ -243,6 +258,5 @@ let find_triangle ?(collect_stats = false) rt (p : Params.t) =
       end
     in
     let result = Tfree_trace.Trace.span "bucket-scan" (fun () -> scan 0) in
-    ignore collect_stats;
     (result, !stats)
   end

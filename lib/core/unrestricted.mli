@@ -10,6 +10,11 @@ open Tfree_graph
 
 type stats = { buckets_tried : int; candidates_tested : int; edges_posted : int }
 
+(** Algorithm 1's priority order: [precedes hv v hb b] iff the pair
+    [(hv, v)] sorts before [(hb, b)], hash first, a tie going to the smaller
+    vertex. *)
+val precedes : float -> int -> float -> int -> bool
+
 (** Algorithm 1: uniform sample from B̃ᵢ under a shared random priority,
     unbiased despite duplication.  [None] iff no player suspects bucket
     [i]. *)
@@ -28,5 +33,4 @@ val sample_edges : Runtime.t -> Params.t -> key:int -> int -> d_hat:int -> int l
 
 (** Algorithm 6 with the degree-oblivious window: estimate d, iterate the
     buckets of [d_l/2, 2·d_h], return a real triangle or [None]. *)
-val find_triangle :
-  ?collect_stats:bool -> Runtime.t -> Params.t -> Triangle.triangle option * stats
+val find_triangle : Runtime.t -> Params.t -> Triangle.triangle option * stats

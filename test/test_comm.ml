@@ -124,8 +124,8 @@ let test_runtime_any_player () =
   let g, parts = fixture_partition 3 in
   let rt = Runtime.make ~seed:1 parts in
   let u, v = List.hd (Graph.edges g) in
-  checkb "edge found" true (Runtime.any_player rt (fun input -> Graph.mem_edge input u v));
-  checkb "absent everywhere" false (Runtime.any_player rt (fun _ -> false))
+  checkb "edge found" true (Runtime.any_player rt (fun _ input -> Graph.mem_edge input u v));
+  checkb "absent everywhere" false (Runtime.any_player rt (fun _ _ -> false))
 
 let test_runtime_shared_rng_agreement () =
   let _, parts = fixture_partition 3 in

@@ -1,15 +1,20 @@
 (* Differential tests for the per-round kernels of the unrestricted tester
-   (§3.3): the list- and tuple-based originals of [Runtime.any_player],
-   Theorem 3.1's [Degree_approx.approx_distinct] (through [approx_degree]
-   and [approx_edge_count]) and Algorithm 1's
-   [Unrestricted.sample_uniform_from_btilde] are kept below as a reference.
+   (§3.3): the list- and tuple-based originals of [Runtime.any_player]
+   (an [ask_all] whose reply array is ORed afterwards), Theorem 3.1's
+   [Degree_approx.approx_distinct] (over element lists, directly and
+   through [approx_degree] and [approx_edge_count]) and Algorithm 1's
+   [Unrestricted.sample_uniform_from_btilde] (polymorphic compare on
+   (hash, vertex) pairs) are kept below as a reference.
    Each library kernel must return the reference's value and leave the same
    ledger (total, per direction, per player, messages, rounds) and the same
    tap record: every channel crossing, in order, with its round and its
    message.  The cases cover every family and partition at n from 4 to 400,
    1 to 5 players, both runtime modes, with and without a precomputed B̃
-   table, plus empty inputs, a bucket nobody suspects, one player and every
-   player answering yes. *)
+   table, plus empty inputs, a bucket nobody suspects, one player, every
+   player holding every element and every player answering yes.  The
+   priority order is checked against the pair compare on hash ties, which
+   the real hash never draws, and an alpha of at most 1 must be refused
+   before any round. *)
 
 open Tfree_util
 open Tfree_graph
@@ -20,7 +25,7 @@ module Service = Tfree_wire.Service
 
 module Ref = struct
   let any_player rt predicate =
-    let replies = Runtime.ask_all rt ~req:Msg.empty (fun _ input -> Msg.bool (predicate input)) in
+    let replies = Runtime.ask_all rt ~req:Msg.empty (fun j input -> Msg.bool (predicate j input)) in
     Array.exists Msg.get_bool replies
 
   let approx_distinct rt ~key ~alpha ~tau ~boost ~elements =
@@ -234,13 +239,25 @@ let predicate (c : case) j input =
 
 let any_player_agrees (c : case) parts =
   agree "any_player" c parts ~equal:Bool.equal ~show:show_bool
-    (fun rt -> Runtime.any_player rt (fun input -> predicate c (Graph.m input mod c.k) input))
-    (fun rt -> Ref.any_player rt (fun input -> predicate c (Graph.m input mod c.k) input))
+    (fun rt -> Runtime.any_player rt (predicate c))
+    (fun rt -> Ref.any_player rt (predicate c))
+
+(* Elements drawn from the case: repeats within a player and across
+   players, none on an empty input. *)
+let elements (c : case) input =
+  Array.init (Graph.m input) (fun x -> ((x * (c.key + 1)) + Graph.m input) mod 97)
 
 let approx_agrees (c : case) parts =
   let n = Partition.n parts in
   let v = c.key mod n in
-  agree "approx_degree" c parts ~equal:Int.equal ~show:show_int
+  agree "approx_distinct" c parts ~equal:Int.equal ~show:show_int
+    (fun rt ->
+      Tfree.Degree_approx.approx_distinct rt ~key:c.key ~alpha:c.alpha ~tau:c.tau ~boost:c.boost
+        ~elements:(elements c))
+    (fun rt ->
+      Ref.approx_distinct rt ~key:c.key ~alpha:c.alpha ~tau:c.tau ~boost:c.boost
+        ~elements:(fun input -> Array.to_list (elements c input)))
+  && agree "approx_degree" c parts ~equal:Int.equal ~show:show_int
     (fun rt ->
       Tfree.Degree_approx.approx_degree rt ~key:c.key ~alpha:c.alpha ~tau:c.tau ~boost:c.boost v)
     (fun rt -> Ref.approx_degree rt ~key:c.key ~alpha:c.alpha ~tau:c.tau ~boost:c.boost v)
@@ -308,15 +325,56 @@ let corners =
     corner "every player answers yes" (fun () ->
         let parts = parts_of base in
         agree "any_player" base parts ~equal:Bool.equal ~show:show_bool
-          (fun rt -> Runtime.any_player rt (fun _ -> true))
-          (fun rt -> Ref.any_player rt (fun _ -> true)));
+          (fun rt -> Runtime.any_player rt (fun _ _ -> true))
+          (fun rt -> Ref.any_player rt (fun _ _ -> true)));
     corner "no player answers yes" (fun () ->
         let parts = parts_of base in
         agree "any_player" base parts ~equal:Bool.equal ~show:show_bool
-          (fun rt -> Runtime.any_player rt (fun _ -> false))
-          (fun rt -> Ref.any_player rt (fun _ -> false)));
+          (fun rt -> Runtime.any_player rt (fun _ _ -> false))
+          (fun rt -> Ref.any_player rt (fun _ _ -> false)));
+    corner "only the first player answers yes" (fun () ->
+        let parts = parts_of base in
+        agree "any_player" base parts ~equal:Bool.equal ~show:show_bool
+          (fun rt -> Runtime.any_player rt (fun j _ -> j = 0))
+          (fun rt -> Ref.any_player rt (fun j _ -> j = 0)));
   ]
+
+(* The pair compare of the reference on hashes drawn from four values, so
+   ties between different vertices are common. *)
+let prop_precedes =
+  QCheck.Test.make ~count:2000 ~name:"precedes is the (hash, vertex) pair order"
+    QCheck.(
+      let hash = make ~print:string_of_float (Gen.oneofl [ 0.0; 0.25; 0.5; 0.999 ]) in
+      let vertex = int_range 0 4 in
+      quad hash vertex hash vertex)
+    (fun (hv, v, hb, b) -> Tfree.Unrestricted.precedes hv v hb b = (compare (hv, v) (hb, b) < 0))
+
+(* An alpha of at most 1 is refused before any round is charged: at 1 the
+   Hoeffding margin is 0, below 1 the guesses grow without end. *)
+let alpha_refused () =
+  let parts = parts_of { base with n = 60; d = 4.0 } in
+  List.iter
+    (fun alpha ->
+      let check name f =
+        let rt = Runtime.make ~seed:1 parts in
+        Alcotest.check_raises
+          (Printf.sprintf "%s at alpha %g" name alpha)
+          (Invalid_argument "approx_distinct: alpha must exceed 1")
+          (fun () -> ignore (f rt));
+        Alcotest.(check int) (Printf.sprintf "%s at alpha %g: rounds" name alpha) 0
+          (Runtime.cost rt).Cost.rounds
+      in
+      check "approx_degree" (fun rt ->
+          Tfree.Degree_approx.approx_degree rt ~key:1 ~alpha ~tau:0.1 ~boost:1.0 0);
+      check "approx_edge_count" (fun rt ->
+          Tfree.Degree_approx.approx_edge_count rt ~key:1 ~alpha ~tau:0.1 ~boost:1.0))
+    [ 1.0; 0.5 ]
 
 let () =
   Alcotest.run "tfree_unrestricted_kernels"
-    [ ("corners", corners); ("reference", [ QCheck_alcotest.to_alcotest prop_agree ]) ]
+    [
+      ("corners", corners);
+      ( "reference",
+        [ QCheck_alcotest.to_alcotest prop_agree; QCheck_alcotest.to_alcotest prop_precedes ] );
+      ("alpha", [ Alcotest.test_case "alpha of at most 1 refused" `Quick alpha_refused ]);
+    ]

@@ -318,7 +318,7 @@ let test_wire_runtime_surface () =
   Runtime.tell_all rt (Msg.bool true);
   let echoed = Runtime.query rt 1 ~req:(Msg.vertex ~n 0) (fun _ -> Msg.nat 42) in
   checki "query reply decoded" 42 (Msg.get_int echoed);
-  checkb "someone owns an edge" true (Runtime.any_player rt (fun gj -> Graph.m gj > 0));
+  checkb "someone owns an edge" true (Runtime.any_player rt (fun _ gj -> Graph.m gj > 0));
   let r = Wire.report net ~accounted_bits:(Cost.total (Runtime.cost rt)) in
   Wire.close net;
   checki "surface accounted = cost ledger" (Cost.total (Runtime.cost rt)) r.Wire.accounted_bits;
