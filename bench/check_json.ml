@@ -284,10 +284,11 @@ let () =
     if not (words > 0.0) then fail "micro/gen-far: words not positive";
     if words > limit then
       fail "micro/gen-far: %g words/build over the %g budget" words limit;
-    (* The cold-build core rows (bench/micro_core.ml): the sim player
-       messages and the dup partition, each timed and inside an allocation
-       budget no looser than the micro gate's. *)
-    let core_row name gate out =
+    (* The core rows (bench/micro_core.ml): the sim player messages and
+       the dup partition of a cold-build query and one chatty-shaped
+       unrestricted run, each timed, inside an allocation budget no looser
+       than the micro gate's, and carrying what it produced. *)
+    let core_row name gate outs =
       let row = wire_row name in
       let limit = float_field row "limit" and words = float_field row "words" in
       if limit <= 0.0 then fail "%s: non-positive limit" name;
@@ -295,11 +296,14 @@ let () =
       if not (float_field row "ns" > 0.0) then fail "%s: ns not positive" name;
       if not (float_field row "ns_spread" >= 0.0) then fail "%s: ns_spread negative" name;
       if not (words > 0.0) then fail "%s: words not positive" name;
-      if not (float_field row out > 0.0) then fail "%s: %s not positive" name out;
+      List.iter
+        (fun out -> if not (float_field row out > 0.0) then fail "%s: %s not positive" name out)
+        outs;
       if words > limit then fail "%s: %g words/run over the %g budget" name words limit
     in
-    core_row "micro/sim-player" Micro_core.words_limit "bits";
-    core_row "micro/partition" Micro_core.partition_words_limit "edges";
+    core_row "micro/sim-player" Micro_core.words_limit [ "bits" ];
+    core_row "micro/partition" Micro_core.partition_words_limit [ "edges" ];
+    core_row "micro/unrestricted" Micro_core.unrestricted_words_limit [ "bits"; "rounds" ];
     (* The dataset rows (bench/dataset_bench.ml) witness the reasons
        lib/dataset exists: the snapshot loads faster than regenerating or
        re-parsing the corpus, and is the smaller on-disk encoding. *)

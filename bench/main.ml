@@ -223,7 +223,7 @@ let protocol_rows () =
 (* Measure every micro row and print its table, then return the rows of the
    document's micro array: the protocol rows above, the wire codec and tap
    (bench/micro_wire.ml, same iteration split as @micro-smoke), the cold
-   far build (bench/micro_gen.ml), the cold-build core (bench/micro_core.ml)
+   far build (bench/micro_gen.ml), the protocol core (bench/micro_core.ml)
    and the dataset pipeline (bench/dataset_bench.ml; few iterations, as
    each loads a quarter-million-edge graph). *)
 let micro_suite () =
