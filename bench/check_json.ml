@@ -15,47 +15,6 @@ let float_field doc name =
   | Some x -> x
   | None -> fail "field %S is not a number" name
 
-(* The fleet member (load_gen --fleet --fleet-out): one row per worker
-   count in {1, 2, 4}, each an exactly-reconciled run, plus the sweep's
-   throughput gate — the sharded fleets must beat one worker on the same
-   workload.  Validated whenever the member is present; [--fleet] makes
-   its absence an error. *)
-let check_fleet fleet =
-  ignore (field (field fleet "workload") "queries");
-  let rows =
-    match Jsonout.to_list (field fleet "rows") with
-    | Some (_ :: _ as l) -> l
-    | _ -> fail "fleet rows missing or empty"
-  in
-  let int_of row name = int_of_float (float_field row name) in
-  let by_workers =
-    List.map
-      (fun row ->
-        let w = int_of row "workers" in
-        (match field row "name" with
-        | Jsonout.Str name when name = Printf.sprintf "fleet/w%d" w -> ()
-        | Jsonout.Str name -> fail "fleet row for %d workers is named %S" w name
-        | _ -> fail "fleet row name is not a string");
-        if int_of row "wrong" <> 0 then fail "fleet/w%d row records wrong verdicts" w;
-        if int_of row "restarts" <> 0 then fail "fleet/w%d row records worker restarts" w;
-        (match field row "reconciled" with
-        | Bool true -> ()
-        | _ -> fail "fleet/w%d row is not marked reconciled" w);
-        let served = int_of row "served" and ok = int_of row "ok" and extra = int_of row "extra" in
-        if served <> ok + extra then
-          fail "fleet/w%d: served %d != %d ok + %d re-served" w served ok extra;
-        let qps = float_field row "qps" in
-        if qps <= 0.0 then fail "fleet/w%d: non-positive qps" w;
-        (w, qps))
-      rows
-  in
-  if List.sort compare (List.map fst by_workers) <> [ 1; 2; 4 ] then
-    fail "fleet rows must cover worker counts {1, 2, 4} exactly";
-  let qps w = List.assoc w by_workers in
-  if qps 2 <= qps 1 then fail "fleet/w2 qps (%g) does not beat fleet/w1 (%g)" (qps 2) (qps 1);
-  if qps 4 <= qps 1 then fail "fleet/w4 qps (%g) does not beat fleet/w1 (%g)" (qps 4) (qps 1);
-  List.length by_workers
-
 (* The tfree/* protocol, substrate and lower-bound rows (bench/main.ml):
    every unfiltered document must carry each by name, so a regeneration
    that drops one fails here instead of shrinking the baseline. *)
@@ -65,12 +24,7 @@ let protocol_rows =
     "substrate/degree-approx"; "lower/bm-reduction"; "lower/streaming-detector" ]
 
 let () =
-  let fleet_required = Array.exists (( = ) "--fleet") Sys.argv in
-  let path =
-    match List.filter (fun a -> a <> "--fleet") (List.tl (Array.to_list Sys.argv)) with
-    | p :: _ -> p
-    | [] -> "BENCH_results.json"
-  in
+  let path = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_results.json" in
   let content =
     try In_channel.with_open_text path In_channel.input_all
     with Sys_error msg -> fail "%s" msg
@@ -80,18 +34,8 @@ let () =
     | Ok v -> v
     | Error msg -> fail "%s: invalid JSON: %s" path msg
   in
-  let fleet_rows =
-    match Jsonout.member "fleet" doc with
-    | Some fleet -> check_fleet fleet
-    | None when fleet_required -> fail "--fleet requires a fleet member in %s" path
-    | None -> 0
-  in
   (match field doc "schema" with
   | Str "tfree-bench/v1" -> ()
-  | Str "tfree-fleet/v1" ->
-      (* standalone sweep document: the fleet member is all there is *)
-      Printf.printf "check_json: %s ok (%d fleet rows)\n" path fleet_rows;
-      exit 0
   | Str other -> fail "unexpected schema %S" other
   | _ -> fail "schema is not a string");
   (* A document produced with --only flags carries the filter (one id as a
@@ -386,5 +330,5 @@ let () =
     if float_field acc "rounds_run" > float_field acc "budget" then
       fail "congest/accounting: rounds_run exceeds the budget"
   end;
-  Printf.printf "check_json: %s ok (%d experiments, %d micro rows, %d fleet rows)\n" path
-    (List.length experiments) (List.length micro) fleet_rows
+  Printf.printf "check_json: %s ok (%d experiments, %d micro rows)\n" path
+    (List.length experiments) (List.length micro)

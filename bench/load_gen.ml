@@ -70,9 +70,6 @@ let max_clients = ref 64
 let cache_capacity = ref 32
 let inst_n = ref 200
 let protocol_mode = ref "both"
-let workers = ref 0
-let fleet_sweep = ref false
-let fleet_out = ref ""
 
 let specs =
   [
@@ -88,15 +85,6 @@ let specs =
     ("--n", Arg.Set_int inst_n, "N  instance size per query (default 200)");
     ("--protocol", Arg.Set_string protocol_mode,
      "P  wire protocol to drive: v1, v2 or both (default both)");
-    ("--workers", Arg.Set_int workers,
-     "W  drive a W-worker fleet (serve --workers W) with shard-aware clients; 0 = single server \
-      (default 0)");
-    ("--fleet", Arg.Set fleet_sweep,
-     "  fleet throughput sweep: run the workload at 1, 2 and 4 workers, reconcile each run \
-      exactly, and require the multi-worker runs to beat one worker on wall-clock qps");
-    ("--fleet-out", Arg.Set_string fleet_out,
-     "FILE  write the sweep's fleet/* rows as JSON: into FILE's \"fleet\" member when it is a \
-      tfree-bench/v1 document, else as a standalone tfree-fleet/v1 document");
   ]
 
 let usage = "load_gen [options]  -- closed-loop load generator for tfree-serve"
@@ -191,69 +179,48 @@ let check_item expected = function
       then `Ok
       else `Wrong
 
-(* The exchanges one batch chunk takes: one for a single server; against a
-   fleet, one per shard the chunk touches, each sent to the worker that
-   owns its requests' instance keys — the same {!Service.shard_of_request}
-   hash the fleet parent shards by — so each worker's LRU sees only its
-   slice of the seed space. *)
-let exchanges_of ~workers ~path reqs =
-  if workers = 0 then [ (path, reqs) ]
-  else
-    let by_shard = Hashtbl.create 4 in
-    List.iter
-      (fun r ->
-        let sh = Service.shard_of_request ~workers r in
-        Hashtbl.replace by_shard sh (r :: (try Hashtbl.find by_shard sh with Not_found -> [])))
-      reqs;
-    Hashtbl.fold (fun sh rs acc -> (sh, List.rev rs) :: acc) by_shard []
-    |> List.sort compare
-    |> List.map (fun (sh, rs) -> (Service.worker_path ~path sh, rs))
-
 (* Client [c]: drive its plan, one exchange of one request as a query and
    of several as a batch, and tally every reply against the local run.
    Retries are accounted per exchange ([extra]), so the reconciliation
    [served = ok + extra] stays exact at any batch size: a retried exchange
    re-serves exactly its own items. *)
-let run_client ~workers ~pref ~path ~expected c =
+let run_client ~pref ~path ~expected c =
   let m = Metrics.create () in
   let t = fresh_tally () in
   List.iter
-    (fun chunk ->
+    (fun reqs ->
       let t0 = Unix.gettimeofday () in
-      List.iter
-        (fun (path, reqs) ->
-          let before = Metrics.count m Metrics.Retries in
-          let results =
-            match reqs with
-            | [ r ] ->
-                [
-                  Service.client_query ~timeout_s:5.0 ~retries:!retries ~backoff_s:0.02
-                    ~backoff_seed:c ~metrics:m ~protocol:pref ~path r;
-                ]
-            | _ -> (
-                match
-                  Service.client_batch ~timeout_s:5.0 ~retries:!retries ~backoff_s:0.02
-                    ~backoff_seed:c ~metrics:m ~protocol:pref ~path reqs
-                with
-                | Ok items -> items
-                | Error msg -> List.map (fun _ -> Error msg) reqs)
-          in
-          t.extra <- t.extra + ((Metrics.count m Metrics.Retries - before) * List.length reqs);
-          List.iter2
-            (fun r result ->
-              match check_item (expected r.Service.seed) result with
-              | `Ok -> t.ok <- t.ok + 1
-              | `Wrong -> t.wrong <- t.wrong + 1
-              | `Failed msg ->
-                  Printf.eprintf "load_gen: client %d exchange failed: %s\n%!" c msg;
-                  t.failed <- t.failed + 1)
-            reqs results;
-          if List.for_all Result.is_ok results then begin
-            let framed, payload = exchange_bytes ~pref reqs (List.map Result.get_ok results) in
-            t.framed <- t.framed + framed;
-            t.payload <- t.payload + payload
-          end)
-        (exchanges_of ~workers ~path chunk);
+      let before = Metrics.count m Metrics.Retries in
+      let results =
+        match reqs with
+        | [ r ] ->
+            [
+              Service.client_query ~timeout_s:5.0 ~retries:!retries ~backoff_s:0.02
+                ~backoff_seed:c ~metrics:m ~protocol:pref ~path r;
+            ]
+        | _ -> (
+            match
+              Service.client_batch ~timeout_s:5.0 ~retries:!retries ~backoff_s:0.02
+                ~backoff_seed:c ~metrics:m ~protocol:pref ~path reqs
+            with
+            | Ok items -> items
+            | Error msg -> List.map (fun _ -> Error msg) reqs)
+      in
+      t.extra <- t.extra + ((Metrics.count m Metrics.Retries - before) * List.length reqs);
+      List.iter2
+        (fun r result ->
+          match check_item (expected r.Service.seed) result with
+          | `Ok -> t.ok <- t.ok + 1
+          | `Wrong -> t.wrong <- t.wrong + 1
+          | `Failed msg ->
+              Printf.eprintf "load_gen: client %d exchange failed: %s\n%!" c msg;
+              t.failed <- t.failed + 1)
+        reqs results;
+      if List.for_all Result.is_ok results then begin
+        let framed, payload = exchange_bytes ~pref reqs (List.map Result.get_ok results) in
+        t.framed <- t.framed + framed;
+        t.payload <- t.payload + payload
+      end;
       t.lats_us <- int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) :: t.lats_us)
     (plan_for_client c);
   t.retries <- Metrics.count m Metrics.Retries;
@@ -275,33 +242,26 @@ let tally_line t =
 type run = {
   t : tally;  (** every client's tally summed; [lats_us] holds all samples *)
   stats : Jsonout.t;  (** the server's stats once every client is done *)
-  secs : float;  (** wall clock of the client phase *)
 }
 
-(* One full load run: fork the daemon (a [workers]-worker fleet when
-   [workers] > 0) and the client fleet, drain and merge the tallies, fetch
-   the stats and shut the daemon down.  The merge is checked here: the
+(* One full load run: fork the daemon and the client processes, drain and
+   merge the tallies, fetch the stats and shut the daemon down.  The merge is checked here: the
    per-client histograms merged = one histogram of all raw samples,
    exactly, with quantiles tracking the exact sample quantiles within the
    histogram's documented precision; and the daemon's own served count
    agrees with its stats. *)
-let drive ~label ~tag ~workers ~pref ~fault ~expected =
+let drive ~label ~tag ~pref ~fault ~expected =
   let serve path =
     Service.serve ~max_clients:!max_clients ~line_timeout_s:10.0 ~fault
-      ~cache_capacity:!cache_capacity
-      ?workers:(if workers > 0 then Some workers else None)
-      ~path ()
+      ~cache_capacity:!cache_capacity ~path ()
   in
-  let (lines, secs, stats), served =
-    Fixture.run_daemon ~workers ~tag serve (fun path ->
-        let t0 = Unix.gettimeofday () in
+  let (lines, stats), served =
+    Fixture.run_daemon ~tag serve (fun path ->
         let lines =
-          Fixture.fork_clients !clients (fun c ->
-              tally_line (run_client ~workers ~pref ~path ~expected c))
+          Fixture.fork_clients !clients (fun c -> tally_line (run_client ~pref ~path ~expected c))
         in
-        let secs = Unix.gettimeofday () -. t0 in
         match Service.client_stats ~protocol:pref ~path () with
-        | Ok stats -> (lines, secs, stats)
+        | Ok stats -> (lines, stats)
         | Error msg -> fail "[%s] stats query: %s" label msg)
   in
   let t = fresh_tally () in
@@ -346,7 +306,7 @@ let drive ~label ~tag ~workers ~pref ~fault ~expected =
     fail "[%s] serve returned %s, its stats say %d served" label
       (match served with Some n -> string_of_int n | None -> "no count")
       (Fixture.int_at stats [ "queries_served" ]);
-  { t; stats; secs }
+  { t; stats }
 
 type run_summary = {
   label : string;
@@ -362,7 +322,7 @@ type run_summary = {
 let run_load ~pref ~fault ~expected =
   let label = Proto.pref_to_string pref in
   let active = match (pref : Proto.pref) with V1 -> 1 | V2 | Auto -> 2 in
-  let { t; stats; _ } = drive ~label ~tag:("load-" ^ label) ~workers:0 ~pref ~fault ~expected in
+  let { t; stats } = drive ~label ~tag:("load-" ^ label) ~pref ~fault ~expected in
   let stat = Fixture.int_at stats in
   let total = !clients * !queries in
   if t.wrong > 0 then fail "[%s] %d wrong verdicts out of %d queries" label t.wrong total;
@@ -455,162 +415,6 @@ let run_load ~pref ~fault ~expected =
     us_per_query = List.fold_left ( +. ) 0.0 lats /. float_of_int total;
   }
 
-(* ------------------------------------------------------- fleet harness *)
-
-(* The fleet workload's shard-aware clients (see {!exchanges_of}) are the
-   single-core throughput lever the sweep measures: with [--seeds] past a
-   worker's [--cache] capacity, one worker thrashes (every lookup rebuilds
-   its instance) while at two or four workers every shard slice fits its
-   cache and repeats hit. *)
-
-type fleet_row = {
-  fr_workers : int;
-  fr_qps : float;
-  fr_served : int;
-  fr_ok : int;
-  fr_retries : int;
-  fr_extra : int;
-  fr_hits : int;
-  fr_misses : int;
-  fr_restarts : int;
-}
-
-(* One full fleet run at [workers] over v2: measure wall-clock qps over
-   the client phase, then reconcile the merged {"op":"stats"} exactly —
-   served = ok + extra, zero wrong, zero errors, cache lookups = served,
-   per-worker gauges summing to the total, no restarts. *)
-let run_fleet_load ~workers ~expected =
-  let label = Printf.sprintf "fleet w%d" workers in
-  let { t; stats; secs } =
-    drive ~label ~tag:(Printf.sprintf "load-w%d" workers) ~workers ~pref:Proto.V2 ~fault:[]
-      ~expected
-  in
-  let stat = Fixture.int_at stats in
-  let total = !clients * !queries in
-  if t.wrong > 0 then fail "[%s] %d wrong verdicts out of %d queries" label t.wrong total;
-  if t.failed > 0 then fail "[%s] %d exchanges exhausted their retry budget" label t.failed;
-  if t.ok <> total then fail "[%s] %d ok replies, expected %d" label t.ok total;
-  let served = stat [ "queries_served" ] in
-  if served <> t.ok + t.extra then
-    fail "[%s] fleet served %d queries; clients account for %d (= %d ok + %d re-served)" label
-      served (t.ok + t.extra) t.ok t.extra;
-  if stat [ "errors" ] <> 0 then
-    fail "[%s] fleet tallied %d errors on a clean run" label (stat [ "errors" ]);
-  if stat [ "injected_faults" ] <> 0 then
-    fail "[%s] fleet injected %d faults with no schedule" label (stat [ "injected_faults" ]);
-  let hits = stat [ "cache"; "hits" ] and misses = stat [ "cache"; "misses" ] in
-  if hits + misses <> served then
-    fail "[%s] cache lookups %d != queries served %d" label (hits + misses) served;
-  if stat [ "workers"; "count" ] <> workers then
-    fail "[%s] workers gauge says %d, fleet has %d" label (stat [ "workers"; "count" ]) workers;
-  let restarts = stat [ "workers"; "restarts" ] in
-  if restarts <> 0 then fail "[%s] %d unexpected worker restarts" label restarts;
-  (match Option.bind (Jsonout.member "workers" stats) (Jsonout.member "fleet") with
-  | Some (Jsonout.List entries) ->
-      if List.length entries <> workers then
-        fail "[%s] %d per-worker gauge rows, expected %d" label (List.length entries) workers;
-      let sum = List.fold_left (fun acc e -> acc + Fixture.int_at e [ "served" ]) 0 entries in
-      if sum <> served then
-        fail "[%s] per-worker served gauges sum to %d, fleet served %d" label sum served
-  | _ -> fail "[%s] workers object missing the fleet array" label);
-  let qps = float_of_int total /. Float.max 1e-9 secs in
-  Printf.printf
-    "load_gen: [%s] %d clients x %d queries: %.0f qps, served %d (%d ok + %d re-served), cache \
-     %d/%d hit/miss\n"
-    label !clients !queries qps served t.ok t.extra hits misses;
-  {
-    fr_workers = workers;
-    fr_qps = qps;
-    fr_served = served;
-    fr_ok = t.ok;
-    fr_retries = t.retries;
-    fr_extra = t.extra;
-    fr_hits = hits;
-    fr_misses = misses;
-    fr_restarts = restarts;
-  }
-
-let fleet_json rows =
-  let num i = Jsonout.Num (float_of_int i) in
-  Jsonout.Obj
-    [
-      ( "workload",
-        Jsonout.Obj
-          [
-            ("clients", num !clients);
-            ("queries", num !queries);
-            ("batch", num !batch);
-            ("seeds", num !seeds);
-            ("cache", num !cache_capacity);
-            ("n", num !inst_n);
-          ] );
-      ( "rows",
-        Jsonout.List
-          (List.map
-             (fun r ->
-               Jsonout.Obj
-                 [
-                   ("name", Jsonout.Str (Printf.sprintf "fleet/w%d" r.fr_workers));
-                   ("workers", num r.fr_workers);
-                   ("qps", Jsonout.Num r.fr_qps);
-                   ("served", num r.fr_served);
-                   ("ok", num r.fr_ok);
-                   ("retries", num r.fr_retries);
-                   ("extra", num r.fr_extra);
-                   ("wrong", num 0);
-                   ("cache_hits", num r.fr_hits);
-                   ("cache_misses", num r.fr_misses);
-                   ("restarts", num r.fr_restarts);
-                   ("reconciled", Jsonout.Bool true);
-                 ])
-             rows) );
-    ]
-
-(* Write the sweep's rows: injected as the "fleet" member of an existing
-   tfree-bench/v1 document (the committed baseline keeps one document),
-   or as a standalone tfree-fleet/v1 document. *)
-let write_fleet_out file rows =
-  let fleet = fleet_json rows in
-  let doc =
-    match
-      if Sys.file_exists file then Jsonout.parse (In_channel.with_open_text file In_channel.input_all)
-      else Error "absent"
-    with
-    | Ok (Jsonout.Obj fields)
-      when Jsonout.member "schema" (Jsonout.Obj fields) = Some (Jsonout.Str "tfree-bench/v1") ->
-        Jsonout.Obj (List.filter (fun (k, _) -> k <> "fleet") fields @ [ ("fleet", fleet) ])
-    | _ -> Jsonout.Obj [ ("schema", Jsonout.Str "tfree-fleet/v1"); ("fleet", fleet) ]
-  in
-  Out_channel.with_open_text file (fun oc ->
-      Out_channel.output_string oc (Jsonout.to_string ~indent:2 doc);
-      Out_channel.output_char oc '\n');
-  Printf.printf "load_gen: fleet rows written to %s\n" file
-
-let run_fleet_sweep ~expected =
-  (* Two measured runs per worker count, keeping the faster: every run
-     reconciles exactly on its own, so the extra run only filters
-     one-off scheduler noise out of the wall-clock qps the gate below
-     compares. *)
-  let rows =
-    List.map
-      (fun w ->
-        let a = run_fleet_load ~workers:w ~expected in
-        let b = run_fleet_load ~workers:w ~expected in
-        if b.fr_qps > a.fr_qps then b else a)
-      [ 1; 2; 4 ]
-  in
-  let qps w =
-    match List.find_opt (fun r -> r.fr_workers = w) rows with
-    | Some r -> r.fr_qps
-    | None -> fail "fleet sweep lost its w%d row" w
-  in
-  Printf.printf "load_gen: fleet qps  w1 %.0f  w2 %.0f  w4 %.0f\n" (qps 1) (qps 2) (qps 4);
-  if qps 2 <= qps 1 then
-    fail "fleet of 2 (%.0f qps) does not beat one worker (%.0f qps)" (qps 2) (qps 1);
-  if qps 4 <= qps 1 then
-    fail "fleet of 4 (%.0f qps) does not beat one worker (%.0f qps)" (qps 4) (qps 1);
-  if !fleet_out <> "" then write_fleet_out !fleet_out rows
-
 let () =
   Arg.parse specs (fun a -> fail "unexpected argument %S" a) usage;
   if !clients < 1 || !queries < 1 || !batch < 1 || !seeds < 1 then
@@ -636,20 +440,6 @@ let () =
     Array.init !seeds (fun i -> Service.run_request (request_for (1 + i)))
   in
   let expected seed = expected_arr.(seed - 1) in
-  if !fleet_sweep || !workers > 0 then begin
-    (* Fleet runs are clean-path throughput measurements: the fault
-       schedule targets a single server's reply stream and would make
-       the per-worker op indices racy across a fleet. *)
-    if !fault_spec <> "" then
-      fail "--fleet/--workers measure the clean path; drop --fault (%S)" !fault_spec;
-    if !fleet_sweep then run_fleet_sweep ~expected
-    else begin
-      let row = run_fleet_load ~workers:!workers ~expected in
-      if !fleet_out <> "" then write_fleet_out !fleet_out [ row ]
-    end;
-    print_endline "load_gen: ok";
-    exit 0
-  end;
   let summaries = List.map (fun pref -> run_load ~pref ~fault ~expected) prefs in
   (match summaries with
   | [ s1; s2 ] ->

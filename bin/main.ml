@@ -623,7 +623,7 @@ let dataset_cmd =
 let serve_cmd =
   let run path max_requests line_timeout backlog max_clients cache_capacity fault_spec
       max_version datasets preload log_file log_level slow_us trace_sample trace_out metrics_file
-      metrics_interval workers =
+      metrics_interval =
     let fault = parse_fault_spec fault_spec in
     let registry =
       Option.map
@@ -656,22 +656,14 @@ let serve_cmd =
         Printf.eprintf "error: --trace-sample needs --trace-out FILE to write to\n";
         exit 2
     | _ -> ());
-    (match workers with
-    | Some w when w < 1 ->
-        Printf.eprintf "error: --workers must be >= 1\n";
-        exit 2
-    | _ -> ());
     Printf.printf
-      "tfree-serve: listening on %s (backlog %d, max %d clients, cache %d, wire protocol <= v%d)%s%s\n%!"
+      "tfree-serve: listening on %s (backlog %d, max %d clients, cache %d, wire protocol <= v%d)%s\n%!"
       path backlog max_clients cache_capacity max_version
-      (match workers with
-      | Some w -> Printf.sprintf " (fleet of %d worker(s), shards at %s.w<i>)" w path
-      | None -> "")
       (if fault = [] then "" else Printf.sprintf " (injecting %d reply fault(s))" (List.length fault));
     let served =
       Service.serve ~backlog ~max_clients ?max_requests ~line_timeout_s:line_timeout ~fault
         ~cache_capacity ~max_version ?registry ?logger ?slow_us ~trace_sample ?trace_out
-        ?metrics_file ~metrics_interval_s:metrics_interval ?workers ~path ()
+        ?metrics_file ~metrics_interval_s:metrics_interval ~path ()
     in
     Option.iter Logger.close logger;
     Printf.printf "tfree-serve: served %d request(s); bye\n" served
@@ -756,30 +748,20 @@ let serve_cmd =
          & info [ "metrics-interval" ] ~docv:"SECONDS"
              ~doc:"Seconds between --metrics-file rewrites (floored at 0.1).")
   in
-  let workers_arg =
-    Arg.(value & opt (some int) None
-         & info [ "workers" ] ~docv:"N"
-             ~doc:"Fleet mode: fork N worker processes sharing the public socket, each also \
-                   owning a shard socket at PATH.w<i> (shard-aware clients route by instance \
-                   key so every worker's cache stays hot).  Stats and health from any worker \
-                   describe the whole fleet; dead workers are respawned with monotone \
-                   counters.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Answer triangle-freeness queries over a Unix-domain socket (one JSON value per \
              line; requests name an instance family, a partition and a protocol — or, with \
              --datasets, a registered corpus).  A poll event loop serves many clients \
              concurrently, with per-connection deadlines, bounded admission and an LRU \
-             instance cache; --workers forks a sharded multi-process fleet past a single \
-             core.  The server degrades under bad clients and injected faults; it \
+             instance cache.  The server degrades under bad clients and injected faults; it \
              never dies mid-conversation.  Observability: --log (structured JSONL events), \
              --slow-us (slow-query log), --trace-sample/--trace-out (sampled request \
              timelines), --metrics-file (Prometheus text dumps).")
     Term.(const run $ socket_arg $ max_arg $ line_timeout_arg $ backlog_arg $ max_clients_arg
           $ cache_arg $ fault_spec_arg $ serve_protocol_arg $ datasets_arg $ preload_arg
           $ log_arg $ log_level_arg $ slow_arg $ trace_sample_arg $ trace_out_arg
-          $ metrics_file_arg $ metrics_interval_arg $ workers_arg)
+          $ metrics_file_arg $ metrics_interval_arg)
 
 let client_cmd =
   let run path shutdown stats health format as_json batch seed n d k eps family part proto_specs

@@ -32,7 +32,6 @@ let all : entry list =
     { id = "serve/throughput"; title = "E23 serve throughput"; run = Serve_throughput.e23_serve };
     { id = "dataset/scaling"; title = "E24 real-graph datasets"; run = Datasets.e24_datasets };
     { id = "serve/latency"; title = "E25 serve latency decomposition"; run = Serve_latency.e25_serve_latency };
-    { id = "serve/fleet"; title = "E26 fleet sharding"; run = Serve_fleet.e26_fleet };
     { id = "congest/round-threshold"; title = "E27 round-budget threshold"; run = Congest_threshold.e27_round_threshold };
   ]
 

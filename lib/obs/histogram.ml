@@ -44,7 +44,6 @@ let create ?(sub_bits = 5) () =
     fstate = [| 0.0; infinity; neg_infinity |];
   }
 
-let sub_bits t = t.sub_bits
 let num_buckets t = Array.length t.counts
 let precision t = 1.0 /. float_of_int t.sub_count
 let count t = t.total

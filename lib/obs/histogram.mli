@@ -21,8 +21,6 @@ type t
     @raise Invalid_argument outside 1..16. *)
 val create : ?sub_bits:int -> unit -> t
 
-val sub_bits : t -> int
-
 (** Total bucket count — the memory bound, independent of samples. *)
 val num_buckets : t -> int
 

@@ -1,9 +1,9 @@
 (** A poll(2)-backed readiness wait for the serve event loop and the
     deadline readers.
 
-    select(2) caps every descriptor at [FD_SETSIZE] (~1024): a fleet
-    worker holding thousands of connections — or a client library living
-    in a process that merely has 1024 other fds open — crashes with
+    select(2) caps every descriptor at [FD_SETSIZE] (~1024): a daemon
+    holding thousands of connections — or a client library living in a
+    process that merely has 1024 other fds open — crashes with
     [EINVAL] the moment a descriptor crosses the cap.  poll(2) has no
     such ceiling, so everything in {!Service} that used to sit in a
     select now sits here.

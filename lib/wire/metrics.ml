@@ -12,23 +12,19 @@
     chaos bookkeeping, not service errors.  The event loop also feeds
     connections accepted/shed/in flight, instance-cache hits and misses,
     and batch exchanges and their item counts.  The running totals are
-    one [int array] indexed through the [counters] table.
+    one [int array] indexed by [slot].
 
     A serve process's registry is written and read by its one event loop,
-    in one domain; a fleet worker keeps its own and ships it to the parent
-    as a {!to_wire} snapshot, which the parent folds in with {!merge}.
-    The load generator's clients are forked processes that count retries
-    in a registry each and report tally lines.  No caller shares a
-    registry across domains, but every mutation and every read still
-    takes the registry's mutex, so one could be.  Latency lives in bounded
-    {!Tfree_obs.Histogram}s — one for end-to-end query latency, one per
-    serve {!Tfree_obs.Phase} — so registry memory is O(buckets) no matter
-    how many queries are served, quantiles (p50/p90/p99/p999) cost
-    O(buckets) at render time within the histogram's documented precision
-    (exact on empty and single-sample registries: [null] and the sample
-    itself), and {!merge} folds histograms exactly, which is what lets
-    per-worker registries combine into fleet-wide stats without shipping
-    raw samples. *)
+    in one domain.  The load generator's clients are forked processes
+    that count retries in a registry each and report tally lines.  No
+    caller shares a registry across domains, but every mutation and every
+    read still takes the registry's mutex, so one could be.  Latency lives
+    in bounded {!Tfree_obs.Histogram}s — one for end-to-end query latency,
+    one per serve {!Tfree_obs.Phase} — so registry memory is O(buckets) no
+    matter how many queries are served, and quantiles (p50/p90/p99/p999)
+    cost O(buckets) at render time within the histogram's documented
+    precision (exact on empty and single-sample registries: [null] and the
+    sample itself). *)
 
 open Tfree_util
 open Tfree_obs
@@ -76,36 +72,28 @@ type counter =
   | Batches
   | Batch_items
 
-(* The one declaration of the scalar counters and their snapshot keys, in
-   [to_wire] order; a counter's index in [t.counts] is its position here. *)
-let counters =
-  [
-    (Queries_served, "queries_served");
-    (Wire_bytes, "wire_bytes");
-    (Accounted_bits, "accounted_bits");
-    (Retries, "retries");
-    (Injected, "injected");
-    (Accepted, "accepted");
-    (Shed, "shed");
-    (Cache_hits, "cache_hits");
-    (Cache_misses, "cache_misses");
-    (Batches, "batches");
-    (Batch_items, "batch_items");
-  ]
+(* A counter's index in [t.counts]. *)
+let slot = function
+  | Queries_served -> 0
+  | Wire_bytes -> 1
+  | Accounted_bits -> 2
+  | Retries -> 3
+  | Injected -> 4
+  | Accepted -> 5
+  | Shed -> 6
+  | Cache_hits -> 7
+  | Cache_misses -> 8
+  | Batches -> 9
+  | Batch_items -> 10
 
-let slot c =
-  let rec go i = function
-    | (c', _) :: rest -> if c' = c then i else go (i + 1) rest
-    | [] -> assert false
-  in
-  go 0 counters
+let counter_count = 11
 
 type protocol_counts = { mutable triangle : int; mutable triangle_free : int }
 
 type t = {
   mutex : Mutex.t;
   started_at : float;  (** [Unix.gettimeofday] at {!create}; basis of served/sec *)
-  counts : int array;  (** indexed in [counters] order *)
+  counts : int array;  (** indexed by [slot] *)
   error_counts : int array;  (** indexed in [all_categories] order *)
   mutable in_flight : int;  (** gauge: connections currently open *)
   version_served : int array;  (** queries served per wire-protocol version, indexed 1/2 *)
@@ -117,20 +105,19 @@ type t = {
 }
 
 (* versions 1..max_wire_version index [version_served]/[version_bytes];
-   slot 0 is dead.  Out-of-range versions are clamped into range so a
-   merge of a registry from a newer build cannot crash an older one. *)
+   slot 0 is dead.  Out-of-range versions are clamped into range. *)
 let max_wire_version = 2
 let version_slot v = if v < 1 then 1 else if v > max_wire_version then max_wire_version else v
 
-(* All histograms in a registry share one precision so merge never faces a
-   sub_bits mismatch; 2^-5 ≈ 3.1% relative bucket width. *)
+(* All histograms in a registry share one precision: 2^-5 ≈ 3.1% relative
+   bucket width. *)
 let histogram_sub_bits = 5
 
-let create ?started_at () =
+let create () =
   {
     mutex = Mutex.create ();
-    started_at = (match started_at with Some t -> t | None -> Unix.gettimeofday ());
-    counts = Array.make (List.length counters) 0;
+    started_at = Unix.gettimeofday ();
+    counts = Array.make counter_count 0;
     error_counts = Array.make (List.length all_categories) 0;
     in_flight = 0;
     version_served = Array.make (max_wire_version + 1) 0;
@@ -196,8 +183,8 @@ let record_batch t ~items =
       bump t Batch_items items)
 
 let dataset_count t name = Option.value (Hashtbl.find_opt t.datasets name) ~default:0
-let add_dataset t name n = Hashtbl.replace t.datasets name (dataset_count t name + n)
-let record_dataset t ~name = locked t (fun () -> add_dataset t name 1)
+let record_dataset t ~name =
+  locked t (fun () -> Hashtbl.replace t.datasets name (dataset_count t name + 1))
 
 let record_version_bytes t ~version ~bytes =
   locked t (fun () ->
@@ -215,175 +202,12 @@ let count t c = locked t (fun () -> t.counts.(slot c))
 let errors_unlocked t = Array.fold_left ( + ) 0 t.error_counts
 let errors t = locked t (fun () -> errors_unlocked t)
 let errors_in t category = locked t (fun () -> t.error_counts.(index_of category))
-let in_flight t = locked t (fun () -> t.in_flight)
 let dataset_served t name = locked t (fun () -> dataset_count t name)
-
-let version_served t v = locked t (fun () -> t.version_served.(version_slot v))
-
-(* Histogram merge is exact: bucket-wise count addition.  The
-   [in_flight] gauge is not merged. *)
-let merge t other =
-  (* Lock ordering: always [t] then [other]; callers merge into one
-     accumulator from one thread, so this cannot deadlock. *)
-  locked t (fun () ->
-      locked other (fun () ->
-          let add_into dst src = Array.iteri (fun i n -> dst.(i) <- dst.(i) + n) src in
-          add_into t.counts other.counts;
-          add_into t.error_counts other.error_counts;
-          add_into t.version_served other.version_served;
-          add_into t.version_bytes other.version_bytes;
-          Hashtbl.iter
-            (fun protocol c ->
-              let mine = counts_for t protocol in
-              mine.triangle <- mine.triangle + c.triangle;
-              mine.triangle_free <- mine.triangle_free + c.triangle_free)
-            other.verdicts;
-          Hashtbl.iter (add_dataset t) other.datasets;
-          Histogram.merge t.latency other.latency;
-          Array.iteri (fun i h -> Histogram.merge t.phases.(i) h) other.phases))
-
-(* ------------------------------------------- cross-process snapshots *)
-
-(* A registry serialized for the fleet control channel: every counter,
-   both version arrays, the verdict and dataset tables, the start time,
-   and each histogram in its exact {!Histogram.to_compact} encoding — so
-   [of_wire] round-trips to a registry whose {!merge} into an accumulator
-   is indistinguishable from merging the original.  JSON because it is
-   cheap to write with {!Jsonout} and the fleet control channel is not a
-   hot path (stats pulls, worker exits); the histogram compacts keep the
-   bucket counts exact, and {!Jsonout} prints non-integral floats with
-   %.17g so [started_at] survives.  Gauges ([in_flight]) travel too:
-   merge ignores them, but the fleet parent sums them by hand for the
-   fleet-wide gauge. *)
 
 let num n = Jsonout.Num (float_of_int n)
 
 (* A table's entries as JSON object fields, sorted by key. *)
 let sorted_fields tbl f = Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl [] |> List.sort compare
-
-let to_wire t =
-  locked t (fun () ->
-      let ints a = Jsonout.List (Array.to_list (Array.map num a)) in
-      let verdicts c = Jsonout.List [ num c.triangle; num c.triangle_free ] in
-      (* [errors] and [in_flight] keep the places earlier builds gave them
-         among the counters: [of_wire] reads by key, but the bytes stay the
-         same *)
-      let after = function
-        | Accounted_bits -> [ ("errors", ints t.error_counts) ]
-        | Shed -> [ ("in_flight", num t.in_flight) ]
-        | _ -> []
-      in
-      let counter_fields =
-        List.mapi (fun i (c, name) -> (name, num t.counts.(i)) :: after c) counters
-      in
-      Jsonout.to_string
-        (Jsonout.Obj
-           (("started_at", Jsonout.Num t.started_at)
-            :: List.concat counter_fields
-            @ [
-             ("version_served", ints t.version_served);
-             ("version_bytes", ints t.version_bytes);
-             ("verdicts", Jsonout.Obj (sorted_fields t.verdicts verdicts));
-             ("datasets", Jsonout.Obj (sorted_fields t.datasets num));
-             ("latency", Jsonout.Str (Histogram.to_compact t.latency));
-             ( "phases",
-               Jsonout.List
-                 (Array.to_list
-                    (Array.map (fun h -> Jsonout.Str (Histogram.to_compact h)) t.phases)) );
-             ])))
-
-exception Bad_wire of string
-
-(* Every counter a snapshot carries is a count: a whole number, at least
-   zero, and small enough to survive the trip through a JSON float. *)
-let count_of_float f =
-  if Float.is_integer f && f >= 0.0 && f <= 0x1p53 then Some (int_of_float f) else None
-
-let of_wire s =
-  let fail fmt = Printf.ksprintf (fun m -> raise (Bad_wire m)) fmt in
-  let parse_result j =
-    let count what v =
-      match Option.bind (Jsonout.to_float v) count_of_float with
-      | Some n -> n
-      | None -> fail "%s is not a count" what
-    in
-    let int_of k =
-      match Jsonout.member k j with
-      | Some v -> count (Printf.sprintf "field %S" k) v
-      | None -> fail "missing field %S" k
-    in
-    let float_of k =
-      match Option.bind (Jsonout.member k j) Jsonout.to_float with
-      | Some f when Float.is_finite f -> f
-      | _ -> fail "missing or non-finite field %S" k
-    in
-    let fill_ints k dst =
-      match Jsonout.member k j with
-      | Some (Jsonout.List l) ->
-          (* tolerate a snapshot from a build tracking more (or fewer)
-             slots: copy what fits, exactly like version_slot clamps *)
-          List.iteri
-            (fun i v ->
-              if i < Array.length dst then dst.(i) <- count (Printf.sprintf "an entry of %S" k) v)
-            l
-      | _ -> fail "missing list field %S" k
-    in
-    (* Fold a shipped histogram into [dst]: only one of the same bucket
-       layout merges, and a snapshot with any other is garbage. *)
-    let merge_histogram k dst s =
-      match Histogram.of_compact s with
-      | Ok h when Histogram.sub_bits h = Histogram.sub_bits dst -> Histogram.merge dst h
-      | Ok h ->
-          fail "%S histogram has sub_bits %d, not %d" k (Histogram.sub_bits h)
-            (Histogram.sub_bits dst)
-      | Error msg -> fail "bad %S histogram: %s" k msg
-    in
-    let t = create ~started_at:(float_of "started_at") () in
-    List.iteri (fun i (_, name) -> t.counts.(i) <- int_of name) counters;
-    fill_ints "errors" t.error_counts;
-    t.in_flight <- int_of "in_flight";
-    fill_ints "version_served" t.version_served;
-    fill_ints "version_bytes" t.version_bytes;
-    (match Jsonout.member "verdicts" j with
-    | Some (Jsonout.Obj fields) ->
-        List.iter
-          (fun (protocol, v) ->
-            match v with
-            | Jsonout.List [ tri; free ] ->
-                let what = Printf.sprintf "a verdict count for %S" protocol in
-                Hashtbl.replace t.verdicts protocol
-                  { triangle = count what tri; triangle_free = count what free }
-            | _ -> fail "bad verdict entry for %S" protocol)
-          fields
-    | _ -> fail "missing object field \"verdicts\"");
-    (match Jsonout.member "datasets" j with
-    | Some (Jsonout.Obj fields) ->
-        List.iter
-          (fun (name, v) ->
-            Hashtbl.replace t.datasets name
-              (count (Printf.sprintf "the count for dataset %S" name) v))
-          fields
-    | _ -> fail "missing object field \"datasets\"");
-    (match Jsonout.member "latency" j with
-    | Some (Jsonout.Str s) -> merge_histogram "latency" t.latency s
-    | _ -> fail "missing string field \"latency\"");
-    (match Jsonout.member "phases" j with
-    | Some (Jsonout.List l) ->
-        List.iteri
-          (fun i v ->
-            match v with
-            | Jsonout.Str s when i < Array.length t.phases ->
-                merge_histogram "phases" t.phases.(i) s
-            | Jsonout.Str _ -> ()
-            | _ -> fail "non-string entry in \"phases\"")
-          l
-    | _ -> fail "missing list field \"phases\"");
-    t
-  in
-  match Jsonout.parse s with
-  | Error msg -> Error ("Metrics.of_wire: bad JSON: " ^ msg)
-  | Ok j -> (
-      try Ok (parse_result j) with Bad_wire msg -> Error ("Metrics.of_wire: " ^ msg))
 
 (* Render one histogram as the stats-JSON latency object.  The legacy
    per-sample keys (count/mean/p50/p90/p99) keep their meaning; p999,

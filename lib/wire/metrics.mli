@@ -6,14 +6,12 @@
 
     Latency (end-to-end and per serve {!Tfree_obs.Phase}) lives in bounded
     {!Tfree_obs.Histogram}s: registry memory is O(buckets) regardless of
-    queries served, quantiles cost O(buckets) within the histogram's
-    documented precision, and {!merge} folds histograms exactly.
+    queries served, and quantiles cost O(buckets) within the histogram's
+    documented precision.
 
-    A serve process's registry is written and read by its one event loop;
-    each fleet worker keeps its own and ships it to the parent with
-    {!to_wire}, and the parent folds the snapshots together with
-    {!merge}.  Nothing shares a registry across domains, but every record
-    and read takes an internal mutex, so one could be. *)
+    A serve process's registry is written and read by its one event loop.
+    Nothing shares a registry across domains, but every record and read
+    takes an internal mutex, so one could be. *)
 
 type error_category =
   | Malformed  (** unparseable JSON, bad field types, unknown command, bad request values *)
@@ -31,8 +29,7 @@ val category_of_name : string -> error_category option
 
 type t
 
-(** The running totals.  {!merge} adds them up, and {!to_wire} and
-    {!of_wire} carry them all. *)
+(** The running totals. *)
 type counter =
   | Queries_served  (** protocol queries served *)
   | Wire_bytes  (** transport bytes of all served queries *)
@@ -46,15 +43,8 @@ type counter =
   | Batches  (** [{"op": "batch"}] exchanges *)
   | Batch_items  (** requests carried by those exchanges *)
 
-(** Every counter with its key in a {!to_wire} snapshot, in snapshot
-    order. *)
-val counters : (counter * string) list
-
-(** [started_at] (default: now) back-dates the registry's start time —
-    the fleet parent stamps its merged registry with its own start so the
-    fleet-wide [uptime_s]/[served_per_sec] describe the fleet, not the
-    moment of the merge. *)
-val create : ?started_at:float -> unit -> t
+(** A fresh registry; its uptime counts from now. *)
+val create : unit -> t
 
 (** Record one successfully served protocol query.  [version] is the wire
     protocol the serving connection negotiated (1 = JSON lines, 2 = binary;
@@ -118,34 +108,6 @@ val count : t -> counter -> int
 val errors : t -> int
 
 val errors_in : t -> error_category -> int
-val in_flight : t -> int
-
-(** Queries served over wire-protocol version [v] (out-of-range versions
-    clamp to the nearest tracked slot). *)
-val version_served : t -> int -> int
-
-(** Fold [other]'s counters, verdict tallies and latency histograms into
-    the first registry (gauges are not merged; histogram merge is exact).
-    The fleet parent combines its workers' registries with it. *)
-val merge : t -> t -> unit
-
-(** Serialize the registry for the fleet control channel: every counter,
-    the verdict/dataset tables, the start time and each histogram in its
-    exact {!Tfree_obs.Histogram.to_compact} encoding, as one JSON line.
-    {!of_wire} round-trips to a registry whose {!merge} into an
-    accumulator is indistinguishable from merging the original —
-    fleet-wide stats stay exact across process boundaries.  The
-    [in_flight] gauge travels too (merge ignores it; the fleet parent
-    sums it by hand). *)
-val to_wire : t -> string
-
-(** Parse a {!to_wire} snapshot.  It reads what arrives over the fleet
-    control channel, so it fails closed: any other input — a counter that
-    is not a whole number in [0, 2^53], a non-finite start time, a
-    histogram that does not parse or has another bucket layout — is an
-    [Error], never an exception, and an [Ok] registry renders back to a
-    snapshot that parses to the same registry. *)
-val of_wire : string -> (t, string) result
 
 (** The stats-query payload: counters, per-category error counts, retry and
     injected-fault tallies, connection gauges ([accepted]/[shed]/

@@ -6,9 +6,8 @@
    queries it served, and the same codec encodes the reply.  There are
    two codecs: JSON v1 (one JSON value per line, both directions) and
    binary v2 (tagged {!Proto} frames).  The codecs only move bytes; every
-   decision — metrics, the registry check, the fleet's stats/health
-   delegation, stopping on shutdown — lives in [handle], so the two wire
-   versions cannot drift.
+   decision — metrics, the registry check, stopping on shutdown — lives
+   in [handle], so the two wire versions cannot drift.
 
    A query names an instance family, an edge partition and a protocol (the
    same enums the tfree CLI exposes) plus size parameters; the server
@@ -589,43 +588,6 @@ let key_of_request req =
 let key_of_dataset_request ~name req =
   Key_dataset { key_name = name; key_partition = req.partition; key_k = req.k; key_seed = req.seed }
 
-(* ------------------------------------------------------- fleet sharding *)
-
-(* Where a fleet routes a key: FNV-1a over a canonical rendering of every
-   field of the instance key.  Deliberately *not* [Hashtbl.hash]: the
-   shard of a key must agree across processes, builds and runs — the
-   client picks the worker socket from it, and the worker's cache
-   hit-rate rests on the agreement.  Floats render in hex ([%h]) so the
-   encoding is exact, and the two key arms get distinct prefixes so a
-   generated key can never collide with a dataset key by rendering. *)
-let shard_key key =
-  let canonical =
-    match key with
-    | Key_generated k ->
-        Printf.sprintf "g|%s|%s|%d|%h|%d|%h|%d"
-          (family_to_string k.key_family)
-          (partition_to_string k.key_partition)
-          k.key_n k.key_d k.key_k k.key_eps k.key_seed
-    | Key_dataset k ->
-        Printf.sprintf "d|%s|%s|%d|%d" k.key_name
-          (partition_to_string k.key_partition)
-          k.key_k k.key_seed
-  in
-  let h = ref 0x811c9dc5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) canonical;
-  (* xor-fold the high half in, then drop to 30 bits so the result is a
-     nonnegative immediate int on every platform *)
-  (!h lxor (!h lsr 16)) land 0x3FFFFFFF
-
-let shard_of_key ~workers key = if workers <= 1 then 0 else shard_key key mod workers
-let shard_of_request ~workers req = shard_of_key ~workers (key_of_request req)
-
-let shard_of_dataset_request ~workers ~name req =
-  shard_of_key ~workers (key_of_dataset_request ~name req)
-
-(* The shard socket of fleet worker [i] under a fleet at [path]. *)
-let worker_path ~path i = Printf.sprintf "%s.w%d" path i
-
 (* The graph and the partition come from *independent* seed-determined
    streams.  This is what lets a dataset-backed query (whose graph comes
    off disk, consuming no randomness) partition identically to the
@@ -1136,33 +1098,20 @@ let health_payload ?cache metrics =
           ])
   | j -> j
 
-(* Fleet delegation hooks: a fleet worker's stats/health ops must
-   describe the whole fleet, not one shard, so the handler lets the fleet
-   layer substitute those two payloads.  [None] from a hook (the parent
-   was unreachable) degrades to the local registry — a stats query never
-   errors because the control channel hiccupped. *)
-type serve_hooks = {
-  hook_stats : unit -> Jsonout.t option;
-  hook_health : unit -> Jsonout.t option;
-}
-
 (* One decoded unit -> its reply and how many protocol queries it served
    (the unit the [max_requests] budget and the served counter measure —
    0 or 1 for a single op, up to the item count for a batch).  The only
-   place that records metrics, applies the fleet hooks, checks the
-   registry and sets [stop].  Every failure replies with a structured,
-   categorized error recorded under that category; inside a batch,
-   failures are per item, each exactly the reply the request would have
-   gotten on its own.  [version] feeds the per-version served gauge. *)
-let handle ?cache ?registry ?hooks ~metrics ~stop ~version decoded =
+   place that records metrics, checks the registry and sets [stop].
+   Every failure replies with a structured, categorized error recorded
+   under that category; inside a batch, failures are per item, each
+   exactly the reply the request would have gotten on its own.
+   [version] feeds the per-version served gauge. *)
+let handle ?cache ?registry ~metrics ~stop ~version decoded =
   let fail category msg =
     Metrics.record_error metrics ~category;
     (R_error (category, msg), 0)
   in
   let no_registry () = fail Metrics.Unknown_op "no dataset registry configured" in
-  let delegated hook local =
-    match Option.bind hooks (fun h -> hook h ()) with Some j -> j | None -> local ()
-  in
   let run_query req =
     run_core ~metrics ~version req
       ~instance:(fun () -> instance_pair ?cache ~metrics req)
@@ -1215,30 +1164,28 @@ let handle ?cache ?registry ?hooks ~metrics ~stop ~version decoded =
           items
       in
       (R_batch results, List.length (List.filter Result.is_ok results))
-  | Ok Op_stats ->
-      (R_stats (delegated (fun h -> h.hook_stats) (fun () -> Metrics.to_json metrics)), 0)
-  | Ok Op_health ->
-      (R_health (delegated (fun h -> h.hook_health) (fun () -> health_payload ?cache metrics)), 0)
+  | Ok Op_stats -> (R_stats (Metrics.to_json metrics), 0)
+  | Ok Op_health -> (R_health (health_payload ?cache metrics), 0)
   | Ok Op_shutdown ->
       stop := true;
       (R_bye, 0)
 
 (* decode -> handle -> encode for one request unit: the decode is the
    parse phase, each served response's encoding the encode phase. *)
-let serve_unit ?cache ?registry ?hooks ~metrics ~stop ~version ~decode ~encode input =
+let serve_unit ?cache ?registry ~metrics ~stop ~version ~decode ~encode input =
   let decoded = timed_phase ~metrics Phase.Parse (fun () -> decode input) in
-  let reply, served = handle ?cache ?registry ?hooks ~metrics ~stop ~version decoded in
+  let reply, served = handle ?cache ?registry ~metrics ~stop ~version decoded in
   (encode reply, served)
 
-let handle_line ?cache ?registry ?hooks ~metrics ~stop ?(version = 1) line =
-  serve_unit ?cache ?registry ?hooks ~metrics ~stop ~version ~decode:op_of_line
+let handle_line ?cache ?registry ~metrics ~stop ?(version = 1) line =
+  serve_unit ?cache ?registry ~metrics ~stop ~version ~decode:op_of_line
     ~encode:(fun reply -> Jsonout.to_line (reply_to_json ~metrics reply))
     line
 
 (* ------------------------------------------------------------ transport *)
 
 (* Write every byte of [data[off, off+len)]: the one write loop of both
-   ends and of the fleet's control channel. *)
+   ends. *)
 let write_bytes fd data off len =
   let sent = ref 0 in
   while !sent < len do
@@ -1337,19 +1284,15 @@ let bind_listener ~backlog path =
      raise e);
   sock
 
-(* The event loop proper, over already-bound [listeners]: a poll-based
+(* The event loop proper, over an already-bound [listener]: a poll-based
    ({!Evpoll}, no FD_SETSIZE ceiling) single-threaded loop serving every
-   open connection plus any number of accept sources.  The single-process
-   server runs it over one listener; a fleet worker runs it over the
-   shared public listener plus its own shard listener, with [ctl] adding
-   the parent's control descriptor to the poll set ([on_ctl] runs when it
-   turns readable) and [hooks] routing stats/health payloads through the
-   parent.  [stop] is caller-owned so the control channel can stop the
-   loop from outside a connection.  Returns the number of queries served;
-   the caller owns listener cleanup. *)
-let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_requests
-    ~line_timeout_s ~fault ~cache_capacity ~max_version ?registry ?logger ?slow_us ~trace_sample
-    ?trace_out ?metrics_file ~metrics_interval_s ~who () =
+   open connection plus the accept source.  Returns the number of queries
+   served; the caller owns listener cleanup. *)
+let run_event_loop ~listener ~max_clients ?max_requests ~line_timeout_s ~fault ~cache_capacity
+    ~max_version ?registry ?logger ?slow_us ~trace_sample ?trace_out ?metrics_file
+    ~metrics_interval_s ~who () =
+  let metrics = Metrics.create () in
+  let stop = ref false in
   let log level event fields =
     match logger with Some lg -> Logger.log lg level event fields | None -> ()
   in
@@ -1501,7 +1444,7 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
      exchanges measured. *)
   let serve_conn_unit c decode ~request_bytes =
     match
-      serve_unit ?cache ?registry ?hooks ~metrics ~stop ~version:(max 1 c.version) ~decode
+      serve_unit ?cache ?registry ~metrics ~stop ~version:(max 1 c.version) ~decode
         ~encode:(encode_for c) ()
     with
     | exception e ->
@@ -1626,18 +1569,11 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
     in
     let timeout = Float.min timeout (!next_dump -. now) in
     let timeout = if timeout = Float.infinity then -1.0 else Float.max 0.0 timeout in
-    let fds =
-      List.rev_append listeners
-        ((match ctl with Some (fd, _) -> [ fd ] | None -> [])
-        @ List.map (fun c -> c.conn_fd) !conns)
-    in
+    let fds = listener :: List.map (fun c -> c.conn_fd) !conns in
     (* Evpoll absorbs EINTR (empty ready set) and has no FD_SETSIZE cap,
-       so a fleet-scale descriptor count cannot EINVAL the loop. *)
+       so a large descriptor count cannot EINVAL the loop. *)
     let ready = Evpoll.wait_in fds ~timeout_s:timeout in
-    (match ctl with
-    | Some (fd, on_ctl) when List.mem fd ready -> on_ctl ()
-    | _ -> ());
-    List.iter (fun lsock -> if List.mem lsock ready then accept_one lsock) listeners;
+    if List.mem listener ready then accept_one listener;
     List.iter
       (fun c ->
         if c.conn_open && (not !stop) && budget_left () && List.mem c.conn_fd ready then (
@@ -1668,464 +1604,19 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
   Obs_ctx.slow := None;
   !served
 
-
-(* ------------------------------------------------- fleet control channel *)
-
-(* Parent <-> worker control messages over a per-worker socketpair: one
-   tag byte, a 4-byte little-endian payload length, the payload bytes.
-   Worker to parent: ['q']/['h'] delegate a stats/health op (payload =
-   the worker's own {!Metrics.to_wire} snapshot), ['o'] answers a parent
-   ping with a fresh snapshot, ['f'] announces exit (one flag byte —
-   0 = parent-ordered, 1 = a client asked the fleet to shut down,
-   2 = this worker's request budget ran out — then the final snapshot).
-   Parent to worker: ['p'] pings for a snapshot, ['r'] carries the merged
-   stats/health JSON, ['x'] orders the worker to stop. *)
-
-let ctl_write fd tag payload =
-  let n = String.length payload in
-  let hdr = Bytes.create 5 in
-  Bytes.set hdr 0 tag;
-  Bytes.set hdr 1 (Char.chr (n land 0xff));
-  Bytes.set hdr 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set hdr 3 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set hdr 4 (Char.chr ((n lsr 24) land 0xff));
-  write_bytes fd hdr 0 5;
-  write_string fd payload
-
-(* Largest control payload we accept: a metrics snapshot is a few KB, so
-   anything past this is a desynchronized stream, treated like a close. *)
-let ctl_max_payload = 16 * 1024 * 1024
-
-let ctl_read fd =
-  let rec read_exact b off len =
-    if len = 0 then true
-    else
-      match Unix.read fd b off len with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_exact b off len
-      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> false
-      | 0 -> false
-      | k -> read_exact b (off + k) (len - k)
-  in
-  let hdr = Bytes.create 5 in
-  if not (read_exact hdr 0 5) then `Eof
-  else
-    let b i = Char.code (Bytes.get hdr i) in
-    let n = b 1 lor (b 2 lsl 8) lor (b 3 lsl 16) lor (b 4 lsl 24) in
-    if n < 0 || n > ctl_max_payload then `Eof
-    else
-      let payload = Bytes.create n in
-      if read_exact payload 0 n then `Msg (Bytes.get hdr 0, Bytes.to_string payload) else `Eof
-
-(* ------------------------------------------------------------ fleet mode *)
-
-(* One fleet worker: the event loop over the shared public listener plus
-   this worker's shard listener, with stats/health delegated to the
-   parent over [ctl].  Runs in the forked child.  While waiting for the
-   parent's merged ['r'] reply the worker keeps answering ['p'] pings —
-   the parent may be mid-barrier collecting snapshots for *another*
-   worker's stats op, and two workers each waiting on the other's
-   snapshot must not deadlock.  A dead control channel degrades to local
-   payloads and, on EOF, stops the loop: an orphaned worker must not
-   outlive its fleet. *)
-let worker_main ~ctl ~listeners ~max_clients ?max_requests ~line_timeout_s ~fault
-    ~cache_capacity ~max_version ?registry ?logger ?slow_us ~trace_sample ?trace_out
-    ?metrics_file ~metrics_interval_s ~who () =
-  let metrics = Metrics.create () in
-  let stop = ref false in
-  (* distinguishes a parent-ordered stop from a client shutdown command *)
-  let parent_stopped = ref false in
-  let send tag payload =
-    try
-      ctl_write ctl tag payload;
-      true
-    with Unix.Unix_error _ -> false
-  in
-  let on_parent_gone () =
-    stop := true;
-    parent_stopped := true
-  in
-  let ask tag =
-    if not (send tag (Metrics.to_wire metrics)) then None
-    else
-      let rec await () =
-        match ctl_read ctl with
-        | `Eof ->
-            on_parent_gone ();
-            None
-        | `Msg ('r', payload) -> (
-            match Jsonout.parse payload with Ok j -> Some j | Error _ -> None)
-        | `Msg ('p', _) ->
-            ignore (send 'o' (Metrics.to_wire metrics));
-            await ()
-        | `Msg ('x', _) ->
-            stop := true;
-            parent_stopped := true;
-            await ()
-        | `Msg _ -> await ()
-      in
-      await ()
-  in
-  let hooks = { hook_stats = (fun () -> ask 'q'); hook_health = (fun () -> ask 'h') } in
-  let on_ctl () =
-    match ctl_read ctl with
-    | `Eof -> on_parent_gone ()
-    | `Msg ('p', _) -> ignore (send 'o' (Metrics.to_wire metrics))
-    | `Msg ('x', _) ->
-        stop := true;
-        parent_stopped := true
-    | `Msg _ -> ()
-  in
-  let served =
-    run_event_loop ~listeners ~ctl:(ctl, on_ctl) ~hooks ~metrics ~stop ~max_clients ?max_requests
-      ~line_timeout_s ~fault ~cache_capacity ~max_version ?registry ?logger ?slow_us
-      ~trace_sample ?trace_out ?metrics_file ~metrics_interval_s ~who ()
-  in
-  let flag =
-    if !stop && not !parent_stopped then '\001' (* a client asked the fleet to stop *)
-    else if not !stop then '\002' (* own max_requests budget ran out *)
-    else '\000'
-  in
-  ignore (send 'f' (String.make 1 flag ^ Metrics.to_wire metrics));
-  (try Unix.close ctl with Unix.Unix_error _ -> ());
-  served
-
-(* Parent-side bookkeeping for one worker seat.  [slot_last] is the
-   latest snapshot this incarnation reported; when the process dies it is
-   folded into the fleet graveyard and reset, so merged counters are
-   always graveyard + live snapshots — monotone across respawns, never
-   double-counted. *)
-type fleet_slot = {
-  slot_id : int;
-  mutable slot_pid : int;
-  mutable slot_ctl : Unix.file_descr;
-  mutable slot_ctl_open : bool;
-  mutable slot_alive : bool;  (* process believed running (until reaped) *)
-  mutable slot_restarts : int;
-  mutable slot_done : bool;  (* exited on purpose: shutdown or budget *)
-  mutable slot_last : Metrics.t;
-}
-
-let serve_fleet ~workers ~backlog ~max_clients ?max_requests ~line_timeout_s ~fault
-    ~cache_capacity ~max_version ?registry ?logger ?slow_us ~trace_sample ?trace_out
-    ?metrics_file ~metrics_interval_s ~path () =
-  let log level event fields =
-    match logger with Some lg -> Logger.log lg level event fields | None -> ()
-  in
-  let jnum v = Jsonout.Num (float_of_int v) in
-  let started_at = Unix.gettimeofday () in
-  (* Every listener is bound before the first fork and stays open in the
-     parent for the fleet's whole life: a respawned worker re-inherits
-     the same descriptors, and while a seat is empty its connections
-     queue in the kernel backlog instead of being refused. *)
-  let public = bind_listener ~backlog path in
-  let privates =
-    try Array.init workers (fun i -> bind_listener ~backlog (worker_path ~path i))
-    with e ->
-      (try Unix.close public with Unix.Unix_error _ -> ());
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      for i = 0 to workers - 1 do
-        try Unix.unlink (worker_path ~path i) with Unix.Unix_error _ -> ()
-      done;
-      raise e
-  in
-  let slots =
-    Array.init workers (fun i ->
-        {
-          slot_id = i;
-          slot_pid = 0;
-          slot_ctl = Unix.stdin;
-          slot_ctl_open = false;
-          slot_alive = false;
-          slot_restarts = 0;
-          slot_done = false;
-          slot_last = Metrics.create ();
-        })
-  in
-  let graveyard = Metrics.create ~started_at () in
-  let stopping = ref false in
-  let close_ctl slot =
-    if slot.slot_ctl_open then begin
-      slot.slot_ctl_open <- false;
-      try Unix.close slot.slot_ctl with Unix.Unix_error _ -> ()
-    end
-  in
-  let spawn slot =
-    let parent_fd, child_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.fork () with
-    | 0 ->
-        (try Unix.close parent_fd with Unix.Unix_error _ -> ());
-        Array.iter (fun s -> if s.slot_ctl_open then close_ctl s) slots;
-        (* this worker accepts on the public socket and its own shard
-           socket only *)
-        Array.iteri
-          (fun j fd ->
-            if j <> slot.slot_id then try Unix.close fd with Unix.Unix_error _ -> ())
-          privates;
-        let suffix file = file ^ ".w" ^ string_of_int slot.slot_id in
-        let code =
-          try
-            ignore
-              (worker_main ~ctl:child_fd
-                 ~listeners:[ public; privates.(slot.slot_id) ]
-                 ~max_clients ?max_requests ~line_timeout_s
-                   (* the chaos schedule, when given, belongs to worker 0
-                      alone so fault indices stay deterministic *)
-                 ~fault:(if slot.slot_id = 0 then fault else [])
-                 ~cache_capacity ~max_version ?registry ?logger ?slow_us ~trace_sample
-                 ?trace_out:(Option.map suffix trace_out)
-                 ?metrics_file:(Option.map suffix metrics_file)
-                 ~metrics_interval_s
-                 ~who:(Printf.sprintf "%s#w%d" path slot.slot_id)
-                 ());
-            0
-          with _ -> 1
-        in
-        (* _exit: the child must not run the parent's at_exit machinery
-           (the logger flushes per line already) *)
-        Unix._exit code
-    | pid ->
-        (try Unix.close child_fd with Unix.Unix_error _ -> ());
-        slot.slot_pid <- pid;
-        slot.slot_ctl <- parent_fd;
-        slot.slot_ctl_open <- true;
-        slot.slot_alive <- true;
-        slot.slot_last <- Metrics.create ();
-        log Logger.Info "worker_start" [ ("worker", jnum slot.slot_id); ("pid", jnum pid) ]
-  in
-  let broadcast_stop () =
-    if not !stopping then begin
-      stopping := true;
-      Array.iter
-        (fun s ->
-          if s.slot_ctl_open then
-            try ctl_write s.slot_ctl 'x' "" with Unix.Unix_error _ -> close_ctl s)
-        slots
-    end
-  in
-  let update_last slot payload =
-    match Metrics.of_wire payload with Ok m -> slot.slot_last <- m | Error _ -> ()
-  in
-  (* a worker's exit announcement: its final snapshot plus why it left *)
-  let note_final slot payload =
-    if String.length payload >= 1 then begin
-      update_last slot (String.sub payload 1 (String.length payload - 1));
-      match payload.[0] with
-      | '\001' ->
-          slot.slot_done <- true;
-          broadcast_stop ()
-      | '\002' -> slot.slot_done <- true
-      | _ -> ()
-    end;
-    close_ctl slot
-  in
-  (* Reap exited workers: fold the last snapshot into the graveyard (and
-     zero the seat's live snapshot so merged counters never double-count),
-     then respawn the seat unless the fleet is stopping or the worker left
-     on purpose — the respawned process re-inherits the still-open
-     listeners, so the seat's shard keeps its socket. *)
-  let reap () =
-    let scanning = ref true in
-    while !scanning do
-      match Unix.waitpid [ Unix.WNOHANG ] (-1) with
-      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> scanning := false
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | 0, _ -> scanning := false
-      | pid, _ -> (
-          match Array.find_opt (fun s -> s.slot_alive && s.slot_pid = pid) slots with
-          | None -> ()
-          | Some slot ->
-              slot.slot_alive <- false;
-              (* The worker's exit announcement may still sit unread in
-                 the ctl socket: the child writes ['f'] and exits, and
-                 this reap can run before the main loop polls the
-                 channel.  Drain it before discarding the channel —
-                 dropping a flag-1 ['f'] here would lose a client's
-                 fleet-stop order and respawn the seat forever.  The
-                 child is already reaped, so the drain ends at EOF and
-                 cannot block. *)
-              let rec drain_ctl () =
-                if slot.slot_ctl_open then
-                  match ctl_read slot.slot_ctl with
-                  | `Eof -> close_ctl slot
-                  | `Msg (('o' | 'q' | 'h'), payload) ->
-                      update_last slot payload;
-                      drain_ctl ()
-                  | `Msg ('f', payload) -> note_final slot payload (* closes the ctl *)
-                  | `Msg _ -> drain_ctl ()
-              in
-              drain_ctl ();
-              close_ctl slot;
-              Metrics.merge graveyard slot.slot_last;
-              slot.slot_last <- Metrics.create ();
-              if !stopping || slot.slot_done then
-                log Logger.Info "worker_exit" [ ("worker", jnum slot.slot_id); ("pid", jnum pid) ]
-              else begin
-                slot.slot_restarts <- slot.slot_restarts + 1;
-                log Logger.Warn "worker_respawn"
-                  [ ("worker", jnum slot.slot_id); ("restarts", jnum slot.slot_restarts) ];
-                spawn slot
-              end)
-    done
-  in
-  (* Fleet-wide merged registry: graveyard + every seat's last snapshot.
-     [in_flight] is a gauge, not a counter — summed by hand over live
-     seats. *)
-  let merged () =
-    let m = Metrics.create ~started_at () in
-    Metrics.merge m graveyard;
-    Array.iter (fun s -> Metrics.merge m s.slot_last) slots;
-    Metrics.set_in_flight m
-      (Array.fold_left
-         (fun acc s -> if s.slot_alive then acc + Metrics.in_flight s.slot_last else acc)
-         0 slots);
-    m
-  in
-  let worker_gauges () =
-    Jsonout.Obj
-      [
-        ("count", jnum workers);
-        ("restarts", jnum (Array.fold_left (fun acc s -> acc + s.slot_restarts) 0 slots));
-        ( "fleet",
-          Jsonout.List
-            (Array.to_list
-               (Array.map
-                  (fun s ->
-                    Jsonout.Obj
-                      [
-                        ("worker", jnum s.slot_id);
-                        ("pid", jnum s.slot_pid);
-                        ("alive", Jsonout.Bool s.slot_alive);
-                        ("restarts", jnum s.slot_restarts);
-                        ("served", jnum (Metrics.count s.slot_last Metrics.Queries_served));
-                        ("in_flight", jnum (Metrics.in_flight s.slot_last));
-                        ("cache_hits", jnum (Metrics.count s.slot_last Metrics.Cache_hits));
-                      ])
-                  slots)) );
-      ]
-  in
-  let reply_payload kind =
-    let m = merged () in
-    let body = if kind = 'q' then Metrics.to_json m else Metrics.health_json m in
-    let body =
-      match body with
-      | Jsonout.Obj fields -> Jsonout.Obj (fields @ [ ("workers", worker_gauges ()) ])
-      | j -> j
-    in
-    Jsonout.to_string body
-  in
-  (* stats/health asks that arrived from other workers while a barrier
-     was draining; answered right after the triggering reply, against the
-     snapshots that same barrier just refreshed *)
-  let queued_asks = Queue.create () in
-  (* Barrier-pull every other live seat's snapshot before answering a
-     stats/health delegation, so the merged payload is fresh, not
-     cache-stale.  A seat that answers with its own ['q']/['h'] instead
-     of a pong is itself blocked waiting for a merged reply: its ask is
-     queued and it stays pending, because its pong is still on the way
-     (the worker's await loop answers pings).  A seat that reports
-     ['f'] or EOF mid-barrier is simply dropped from pending; timeout
-     falls back to whatever snapshot the seat last sent. *)
-  let pull_all ~except =
-    let pending = ref [] in
-    Array.iter
-      (fun s ->
-        if s != except && s.slot_alive && s.slot_ctl_open then
-          match ctl_write s.slot_ctl 'p' "" with
-          | () -> pending := s :: !pending
-          | exception Unix.Unix_error _ -> close_ctl s)
-      slots;
-    let deadline = Unix.gettimeofday () +. 5.0 in
-    while !pending <> [] && Unix.gettimeofday () < deadline do
-      let fds = List.map (fun s -> s.slot_ctl) !pending in
-      let remaining = Float.max 0.01 (deadline -. Unix.gettimeofday ()) in
-      let ready = Evpoll.wait_in fds ~timeout_s:remaining in
-      List.iter
-        (fun s ->
-          let drop () = pending := List.filter (fun x -> x != s) !pending in
-          match ctl_read s.slot_ctl with
-          | `Eof ->
-              close_ctl s;
-              drop ()
-          | `Msg ('o', payload) ->
-              update_last s payload;
-              drop ()
-          | `Msg (('q' | 'h') as k, payload) ->
-              update_last s payload;
-              Queue.push (s, k) queued_asks
-          | `Msg ('f', payload) ->
-              note_final s payload;
-              drop ()
-          | `Msg _ -> ())
-        (List.filter (fun s -> List.mem s.slot_ctl ready) !pending)
-    done
-  in
-  let answer slot kind =
-    if slot.slot_ctl_open then
-      try ctl_write slot.slot_ctl 'r' (reply_payload kind)
-      with Unix.Unix_error _ -> close_ctl slot
-  in
-  let handle_msg slot =
-    match ctl_read slot.slot_ctl with
-    | `Eof -> close_ctl slot
-    | `Msg ('o', payload) -> update_last slot payload
-    | `Msg ('f', payload) -> note_final slot payload
-    | `Msg (('q' | 'h') as kind, payload) ->
-        update_last slot payload;
-        pull_all ~except:slot;
-        answer slot kind;
-        while not (Queue.is_empty queued_asks) do
-          let s, k = Queue.pop queued_asks in
-          answer s k
-        done
-    | `Msg _ -> ()
-  in
-  log Logger.Info "fleet_start" [ ("path", Jsonout.Str path); ("workers", jnum workers) ];
-  Array.iter spawn slots;
-  let all_reaped () = Array.for_all (fun s -> not s.slot_alive) slots in
-  while not (all_reaped ()) do
-    reap ();
-    if not (all_reaped ()) then begin
-      let fds =
-        Array.fold_left (fun acc s -> if s.slot_ctl_open then s.slot_ctl :: acc else acc) [] slots
-      in
-      let ready = Evpoll.wait_in fds ~timeout_s:0.25 in
-      Array.iter (fun s -> if s.slot_ctl_open && List.mem s.slot_ctl ready then handle_msg s) slots
-    end
-  done;
-  (try Unix.close public with Unix.Unix_error _ -> ());
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  Array.iteri
-    (fun i fd ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      try Unix.unlink (worker_path ~path i) with Unix.Unix_error _ -> ())
-    privates;
-  let total = Metrics.count graveyard Metrics.Queries_served in
-  log Logger.Info "fleet_shutdown" [ ("served", jnum total) ];
-  total
-
 let serve ?(backlog = 64) ?(max_clients = 64) ?max_requests ?(line_timeout_s = 30.0)
     ?(fault = []) ?(cache_capacity = 32) ?(max_version = Proto.max_version) ?registry ?logger
-    ?slow_us ?(trace_sample = 0) ?trace_out ?metrics_file ?(metrics_interval_s = 5.0) ?workers
-    ~path () =
+    ?slow_us ?(trace_sample = 0) ?trace_out ?metrics_file ?(metrics_interval_s = 5.0) ~path () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  match workers with
-  | Some w when w < 1 -> invalid_arg "serve: workers must be >= 1"
-  | Some w ->
-      serve_fleet ~workers:w ~backlog ~max_clients ?max_requests ~line_timeout_s ~fault
+  let sock = bind_listener ~backlog path in
+  let finish () =
+    (try Unix.close sock with Unix.Unix_error _ -> ());
+    try Unix.unlink path with Unix.Unix_error _ -> ()
+  in
+  Fun.protect ~finally:finish (fun () ->
+      run_event_loop ~listener:sock ~max_clients ?max_requests ~line_timeout_s ~fault
         ~cache_capacity ~max_version ?registry ?logger ?slow_us ~trace_sample ?trace_out
-        ?metrics_file ~metrics_interval_s ~path ()
-  | None ->
-      let sock = bind_listener ~backlog path in
-      let metrics = Metrics.create () in
-      let stop = ref false in
-      let finish () =
-        (try Unix.close sock with Unix.Unix_error _ -> ());
-        try Unix.unlink path with Unix.Unix_error _ -> ()
-      in
-      Fun.protect ~finally:finish (fun () ->
-          run_event_loop ~listeners:[ sock ] ~metrics ~stop ~max_clients ?max_requests
-            ~line_timeout_s ~fault ~cache_capacity ~max_version ?registry ?logger ?slow_us
-            ~trace_sample ?trace_out ?metrics_file ~metrics_interval_s ~who:path ())
+        ?metrics_file ~metrics_interval_s ~who:path ())
 
 (* ---------------------------------------------------------------- client *)
 

@@ -139,46 +139,10 @@ val decode_response_body : Proto.cursor -> response
     from the independent {!partition_rng} stream, and the protocol run
     seeds itself independently. *)
 
-type instance_key =
-  | Key_generated of {
-      key_family : family;
-      key_partition : partition_kind;
-      key_n : int;
-      key_d : float;
-      key_k : int;
-      key_eps : float;
-      key_seed : int;
-    }
-  | Key_dataset of { key_name : string; key_partition : partition_kind; key_k : int; key_seed : int }
-
+type instance_key
 type instance_cache = (instance_key, Graph.t * Partition.t) Lru.t
 
 val create_cache : ?capacity:int -> unit -> instance_cache
-val key_of_request : request -> instance_key
-val key_of_dataset_request : name:string -> request -> instance_key
-
-(** {2 Fleet sharding}
-
-    A fleet routes every request to the worker owning its instance key,
-    so each worker's LRU sees only its own shard and stays hot.  The hash
-    is FNV-1a over a canonical rendering of {e every} field of the key
-    (floats in exact hex) — deterministic across processes, builds and
-    runs, unlike [Hashtbl.hash]; both key arms hash with distinct
-    prefixes. *)
-
-(** The deterministic hash of a key: nonnegative, stable across
-    processes. *)
-val shard_key : instance_key -> int
-
-(** [shard_key] reduced mod [workers] ([0] when [workers <= 1]). *)
-val shard_of_key : workers:int -> instance_key -> int
-
-val shard_of_request : workers:int -> request -> int
-val shard_of_dataset_request : workers:int -> name:string -> request -> int
-
-(** The shard socket path of fleet worker [i] under a fleet serving
-    [path]: [path.w<i>]. *)
-val worker_path : path:string -> int -> string
 
 (** The graph generator's rng stream for [seed]. *)
 val graph_rng : int -> Rng.t
@@ -302,16 +266,6 @@ val decode_reply : Proto.cursor -> (wire_reply, string) result
     reaches {!Proto.max_frame_bytes} is refused as a transient garbled
     reply. *)
 
-(** Fleet delegation hooks for the dispatcher: a fleet worker's
-    stats/health ops must describe the whole fleet, not one shard, so the
-    dispatcher lets the fleet layer substitute those two payloads.
-    [None] from a hook (the fleet parent was unreachable) falls back to
-    the local registry. *)
-type serve_hooks = {
-  hook_stats : unit -> Jsonout.t option;
-  hook_health : unit -> Jsonout.t option;
-}
-
 (** One request line to one reply line against [metrics] — the v1 codec
     around the server's dispatcher, exactly what a socket line gets.  Sets
     [stop] on a shutdown command.  Returns the reply and how many protocol
@@ -324,12 +278,10 @@ type serve_hooks = {
     wire-protocol version of the serving connection (default 1), feeding
     the per-version served gauge.  [registry] enables [{"op": "dataset"}]
     lines; without it they answer a structured unknown-op error, before
-    the body is validated.  [hooks] overrides the stats/health payloads
-    ({!serve_hooks}). *)
+    the body is validated. *)
 val handle_line :
   ?cache:instance_cache ->
   ?registry:Tfree_dataset.Registry.t ->
-  ?hooks:serve_hooks ->
   metrics:Metrics.t ->
   stop:bool ref ->
   ?version:int ->
@@ -377,29 +329,7 @@ val handle_line :
     shutdown, with the traced runs' accounted bits in [otherData].
     [metrics_file] is atomically replaced with a Prometheus text
     exposition of the stats every [metrics_interval_s] seconds (default
-    5, floored at 0.1) and once more at shutdown.
-
-    [workers = Some n] (n >= 1) turns the call into a {e fleet}: the
-    parent binds the public listener at [path] plus one shard listener
-    per worker ({!worker_path}), forks [n] worker processes that each
-    run the event loop over the public socket and their own shard
-    socket, and supervises.  Requests routed with {!shard_of_request}
-    to [path.w<i>] keep each worker's instance cache hot; connections to
-    the public [path] land on whichever worker accepts first.  Stats and
-    health queries answered by any worker describe the whole fleet: the
-    parent barrier-pulls every worker's registry snapshot, merges them
-    (plus a graveyard of finished workers, so counters are monotone
-    across crashes) with {!Metrics.merge}, and adds a ["workers"] object
-    with per-worker gauges ([pid], [alive], [restarts], [served],
-    [in_flight], [cache_hits]).  A worker that dies is reaped, its last
-    snapshot folded in, and its seat respawned on the same listeners (no
-    connection is refused while the seat is empty — the backlog holds
-    them).  A [{"cmd": "shutdown"}] received by any worker stops the
-    whole fleet; [max_requests] applies per worker, and a worker that
-    exhausts its budget is not respawned.  In fleet mode [fault] goes to
-    worker 0 alone (deterministic chaos indices), and [metrics_file] /
-    [trace_out] are suffixed [.w<i>] per worker.  The returned served
-    count is the fleet-wide total. *)
+    5, floored at 0.1) and once more at shutdown. *)
 val serve :
   ?backlog:int ->
   ?max_clients:int ->
@@ -415,29 +345,9 @@ val serve :
   ?trace_out:string ->
   ?metrics_file:string ->
   ?metrics_interval_s:float ->
-  ?workers:int ->
   path:string ->
   unit ->
   int
-
-(** {2 Fleet control channel}
-
-    A fleet parent and each of its workers exchange control messages over
-    a socketpair: one tag byte, a 4-byte little-endian payload length, the
-    payload bytes. *)
-
-(** Write one message (blocking until every byte is written). *)
-val ctl_write : Unix.file_descr -> char -> string -> unit
-
-(** The largest payload {!ctl_read} accepts, 16 MiB: a metrics snapshot
-    is a few KB, so a longer claim is a desynchronized stream. *)
-val ctl_max_payload : int
-
-(** Read one message.  [`Eof] when the channel closes or resets before a
-    whole message arrives, and when a header claims more than
-    {!ctl_max_payload} bytes (nothing is allocated for such a claim).
-    Never raises on any byte sequence the peer sends. *)
-val ctl_read : Unix.file_descr -> [ `Msg of char * string | `Eof ]
 
 (** Send one op to a server at [path] and return its reply, checked
     against the op's shape (a batch reply has one item per request).  Waits
@@ -524,8 +434,7 @@ val client_stats :
 (** Fetch the server's cheap liveness payload ([{"op": "health"}] over v1,
     a dedicated frame tag over v2); returns the [health] object: uptime,
     queries served, errors, connection gauges and instance-cache occupancy
-    ([cache]; a fleet replies with its ["workers"] object instead) — O(1)
-    scalars, no verdict-table or histogram walk on the server. *)
+    ([cache]) — O(1) scalars, no verdict-table or histogram walk on the server. *)
 val client_health :
   ?timeout_s:float -> ?protocol:Proto.pref -> path:string -> unit -> (Jsonout.t, string) result
 

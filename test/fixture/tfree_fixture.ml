@@ -9,7 +9,7 @@ let write_all fd s =
   in
   go 0
 
-(* Everything readable from [fd] until EOF, or until it would block. *)
+(* Everything readable from [fd] until EOF. *)
 let read_all fd =
   let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
   let rec go () =
@@ -18,7 +18,6 @@ let read_all fd =
     | n ->
         Buffer.add_subbytes buf chunk 0 n;
         go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   in
   go ();
   Buffer.contents buf
@@ -58,7 +57,7 @@ let describe_status = function
   | Unix.WSIGNALED s -> Printf.sprintf "was killed by signal %d" s
   | Unix.WSTOPPED s -> Printf.sprintf "was stopped by signal %d" s
 
-let run_daemon ?(workers = 0) ~tag serve f =
+let run_daemon ~tag serve f =
   (* A daemon that sheds or exits closes connections under our writes:
      they must fail with EPIPE, not kill this process. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -66,8 +65,7 @@ let run_daemon ?(workers = 0) ~tag serve f =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "tfree-%s-%d.sock" tag (Unix.getpid ()))
   in
-  let paths = path :: List.init workers (Service.worker_path ~path) in
-  let remove_stale () = List.iter (fun p -> if Sys.file_exists p then Sys.remove p) paths in
+  let remove_stale () = if Sys.file_exists path then Sys.remove path in
   remove_stale ();
   let rd, wr = Unix.pipe ~cloexec:true () in
   let pid =
@@ -79,12 +77,10 @@ let run_daemon ?(workers = 0) ~tag serve f =
           | exception e -> "raised " ^ Printexc.to_string e))
   in
   Unix.close wr;
-  (* Fleet workers inherit the write end, so never block on it. *)
-  Unix.set_nonblock rd;
   let shutdown () = ignore (Service.call ~timeout_s:0.5 ~path Service.Op_shutdown) in
   let await () =
     let until = Unix.gettimeofday () +. 10.0 in
-    while not (List.for_all Sys.file_exists paths) do
+    while not (Sys.file_exists path) do
       if Unix.gettimeofday () > until then failf "%s: daemon socket %s never appeared" tag path;
       Unix.sleepf 0.05
     done
@@ -110,7 +106,7 @@ let run_daemon ?(workers = 0) ~tag serve f =
       remove_stale ();
       failf "%s: daemon did not exit after shutdown" tag
   | Some (Unix.WEXITED 0) -> (
-      if List.exists Sys.file_exists paths then failf "%s: daemon left its socket behind" tag;
+      if Sys.file_exists path then failf "%s: daemon left its socket behind" tag;
       match report with
       | "" -> (result, None)
       | _ -> (
@@ -119,8 +115,8 @@ let run_daemon ?(workers = 0) ~tag serve f =
           | None -> failf "%s: daemon %s" tag report))
   | Some status -> failf "%s: daemon %s" tag (describe_status status)
 
-let with_daemon ?workers ?expect_served ~tag serve f =
-  let result, served = run_daemon ?workers ~tag serve f in
+let with_daemon ?expect_served ~tag serve f =
+  let result, served = run_daemon ~tag serve f in
   (match (expect_served, served) with
   | None, _ -> ()
   | Some m, Some n -> if n <> m then failf "%s: served %d, expected %d" tag n m

@@ -7,12 +7,10 @@
     Failures of the fixture itself raise [Failure] with a message that
     starts with the daemon's tag. *)
 
-(** [run_daemon ?workers ~tag serve f] picks a fresh temp socket path for
-    [tag] (removing any stale file there and at the [workers] shard paths
-    {!Tfree_wire.Service.worker_path}), forks a child that runs
-    [serve path] and reports the count it returns over a pipe, waits until
-    the public socket and every shard socket exist, and runs [f path].
-    Then it shuts the daemon down through the public socket (re-asking
+(** [run_daemon ~tag serve f] picks a fresh temp socket path for [tag]
+    (removing any stale file there), forks a child that runs [serve path]
+    and reports the count it returns over a pipe, waits until the socket
+    exists, and runs [f path].  Then it shuts the daemon down (re-asking
     until it exits, since a shutdown can itself be shed), reaps it, and
     checks that it exited cleanly and left no socket behind.  Returns
     [f]'s result and the served count, or [None] when the child exec'd
@@ -24,13 +22,12 @@
     If [f] raises, the daemon is asked to shut down, polled until a short
     deadline, then SIGKILLed and reaped, and the original exception is
     re-raised. *)
-val run_daemon :
-  ?workers:int -> tag:string -> (string -> int) -> (string -> 'a) -> 'a * int option
+val run_daemon : tag:string -> (string -> int) -> (string -> 'a) -> 'a * int option
 
 (** {!run_daemon}, then fail with ["<tag>: served N, expected M"] unless
     the daemon served exactly [expect_served] queries (when given). *)
 val with_daemon :
-  ?workers:int -> ?expect_served:int -> tag:string -> (string -> int) -> (string -> 'a) -> 'a
+  ?expect_served:int -> tag:string -> (string -> int) -> (string -> 'a) -> 'a
 
 (** [fork_clients n client] forks [n] processes; child [i] runs
     [client i] and writes the returned line (no newline) to a shared pipe,

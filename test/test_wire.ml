@@ -848,11 +848,41 @@ let test_cache_hits_reconcile_in_stats () =
           checki "hits + misses = lookups" (cache "lookups") (cache "hits" + cache "misses")
       | Error msg -> Alcotest.failf "stats query failed: %s" msg)
 
+(* A temp dataset registry holding one snapshot graph named "soak". *)
+let with_soak_registry f =
+  let dir = Filename.temp_file "tfree_soak_ds" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun x -> try Sys.remove (Filename.concat dir x) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      let module Reg = Tfree_dataset.Registry in
+      let g = Gen.gnp (Rng.create 42) ~n:60 ~p:0.1 in
+      Tfree_dataset.Snapshot.save g (Filename.concat dir "soak.tfs");
+      let reg = Reg.create ~dir () in
+      Reg.add reg
+        {
+          Reg.name = "soak";
+          path = "soak.tfs";
+          format = Reg.Snapshot;
+          n = Graph.n g;
+          m = Graph.m g;
+          gen = None;
+        };
+      f reg)
+
 (* Chaos under concurrency: a reply-fault schedule that drops, kills and
-   corrupts connections while K clients query in parallel.  Every client
-   must still end with its exact fault-free verdict (retrying through the
-   chaos), and the stats must reconcile: served = successes + retries,
-   every scheduled fault fired, zero service errors. *)
+   corrupts connections while K clients query in parallel — one over v1
+   lines, one over v2 frames, one with a v2 batch — followed by a dataset
+   query.  Every client must still end with its exact fault-free verdict
+   (retrying through the chaos), and the stats, over both stats protocols,
+   must reconcile: served = successes + every retried exchange's items,
+   split exactly across the per-version gauges, every scheduled fault
+   fired, zero service errors. *)
 let test_chaos_schedule_spares_other_clients () =
   let fault =
     [
@@ -869,39 +899,81 @@ let test_chaos_schedule_spares_other_clients () =
     Array.init clients (fun c ->
         Array.init per_client (fun q -> Service.run_request (req_for c q)))
   in
-  (* every sabotaged reply is a query the server processed and one client
-     retry, so served = clients·per_client + |schedule| exactly *)
-  Fixture.with_daemon ~tag:"chaos-conc"
-    ~expect_served:((clients * per_client) + List.length fault)
-    (serve ~fault)
-    (fun path ->
-      let run_client c =
+  let dreq = Service.default_request in
+  with_soak_registry (fun registry ->
+      let expected_ds = Service.run_dataset_request ~registry ~name:"soak" dreq in
+      (* client 0 speaks v1 lines, client 1 v2 frames, client 2 sends its
+         requests as one v2 batch; each reports its retries *)
+      let run_client path c =
         let m = Metrics.create () in
         let wrong = ref 0 in
-        for q = 0 to per_client - 1 do
-          match
-            Service.client_query ~retries:8 ~backoff_s:0.01 ~backoff_seed:c ~metrics:m ~path
-              (req_for c q)
-          with
-          | Ok resp -> if resp <> expected.(c).(q) then incr wrong
-          | Error _ -> incr wrong
-        done;
+        (if c = 2 then
+           match
+             Service.client_batch ~retries:8 ~backoff_s:0.01 ~backoff_seed:c ~metrics:m
+               ~protocol:Proto.V2 ~path (List.init per_client (req_for c))
+           with
+           | Ok items ->
+               List.iteri (fun q item -> if item <> Ok expected.(c).(q) then incr wrong) items
+           | Error _ -> wrong := per_client
+         else
+           let protocol = if c = 0 then Proto.V1 else Proto.V2 in
+           for q = 0 to per_client - 1 do
+             match
+               Service.client_query ~retries:8 ~backoff_s:0.01 ~backoff_seed:c ~metrics:m ~protocol
+                 ~path (req_for c q)
+             with
+             | Ok resp -> if resp <> expected.(c).(q) then incr wrong
+             | Error _ -> incr wrong
+           done);
         (!wrong, Metrics.count m Metrics.Retries)
       in
-      let results = fork_clients clients run_client in
-      let wrong = List.fold_left (fun acc (w, _) -> acc + w) 0 results in
-      let retries = List.fold_left (fun acc (_, r) -> acc + r) 0 results in
-      checki "zero wrong verdicts under chaos" 0 wrong;
-      checki "one retry per scheduled fault" (List.length fault) retries;
-      match Service.client_stats ~path () with
-      | Ok stats ->
-          checki "served = successes + retries"
-            ((clients * per_client) + retries)
-            (int_at stats [ "queries_served" ]);
-          checki "every scheduled fault fired" (List.length fault)
-            (int_at stats [ "injected_faults" ]);
-          checki "injected faults are not service errors" 0 (int_at stats [ "errors" ])
-      | Error msg -> Alcotest.failf "stats query failed: %s" msg)
+      let retries = Array.make clients 0 in
+      (* a retried exchange re-serves all its items: one for a query, the
+         whole batch for the batch *)
+      let expect_served () =
+        (clients * per_client) + retries.(0) + retries.(1) + (per_client * retries.(2)) + 1
+      in
+      let (), served =
+        Fixture.run_daemon ~tag:"chaos-conc"
+          (fun path -> Service.serve ~registry ~line_timeout_s:5.0 ~fault ~path ())
+          (fun path ->
+            Fixture.fork_clients clients (fun c ->
+                let wrong, r = run_client path c in
+                Printf.sprintf "%d %d %d" c wrong r)
+            |> List.iter (fun line ->
+                   Scanf.sscanf line "%d %d %d" (fun c wrong r ->
+                       checki (Printf.sprintf "client %d: zero wrong verdicts under chaos" c) 0 wrong;
+                       retries.(c) <- r));
+            checki "one retry per scheduled fault" (List.length fault)
+              (Array.fold_left ( + ) 0 retries);
+            (match Service.client_dataset ~path ~name:"soak" dreq with
+            | Ok resp -> checkb "dataset verdict = local run" true (resp = expected_ds)
+            | Error msg -> Alcotest.failf "dataset query failed: %s" msg);
+            List.iter
+              (fun protocol ->
+                match Service.client_stats ~protocol ~path () with
+                | Error msg -> Alcotest.failf "stats query failed: %s" msg
+                | Ok stats ->
+                    checki "served = successes + retried items" (expect_served ())
+                      (int_at stats [ "queries_served" ]);
+                    checki "v1 gauge = the v1 client's attempts" (per_client + retries.(0))
+                      (int_at stats [ "protocol_versions"; "v1"; "served" ]);
+                    checki "v2 gauge = every other attempt"
+                      (expect_served () - per_client - retries.(0))
+                      (int_at stats [ "protocol_versions"; "v2"; "served" ]);
+                    checki "batch exchanges" (1 + retries.(2)) (int_at stats [ "batch"; "batches" ]);
+                    checki "batch items" (per_client * (1 + retries.(2)))
+                      (int_at stats [ "batch"; "items" ]);
+                    checki "dataset gauge" 1 (int_at stats [ "datasets"; "soak" ]);
+                    checki "every scheduled fault fired" (List.length fault)
+                      (int_at stats [ "injected_faults" ]);
+                    checki "injected faults are not service errors" 0 (int_at stats [ "errors" ]))
+              [ Proto.V1; Proto.V2 ];
+            match Service.client_health ~path () with
+            | Ok h -> checki "health served count" (expect_served ()) (int_at h [ "queries_served" ])
+            | Error msg -> Alcotest.failf "health query failed: %s" msg)
+      in
+      checkb "daemon served count = stats" true (served = Some (expect_served ())))
 
 (* At --max-clients the server sheds with a typed overload error — a
    structured reply, never a hang — and the client treats it as transient:
@@ -1850,542 +1922,6 @@ let test_metrics_categories () =
   checkb "unknown category name maps to None" true (Metrics.category_of_name "bogus" = None);
   checkb "empty category name maps to None" true (Metrics.category_of_name "" = None)
 
-(* --------------------------------------------------------- fleet shard *)
-
-(* Cheap deterministic request (exact protocol over a 60-vertex
-   instance), keyed only by its seed. *)
-let shard_req seed = { Service.default_request with protocol = Service.Exact; n = 60; seed }
-
-(* The first [count] seeds at or after [from] whose requests land on
-   [shard] of a [workers]-fleet. *)
-let seeds_on_shard ~workers ~shard ~count from =
-  let rec go s acc k =
-    if k = 0 then List.rev acc
-    else if s > from + 100_000 then
-      Alcotest.failf "no %d seeds on shard %d/%d near %d" count shard workers from
-    else if Service.shard_of_request ~workers (shard_req s) = shard then go (s + 1) (s :: acc) (k - 1)
-    else go (s + 1) acc k
-  in
-  go from [] count
-
-let seed_on_shard ~workers ~shard from =
-  match seeds_on_shard ~workers ~shard ~count:1 from with
-  | [ s ] -> s
-  | _ -> assert false
-
-(* The shard hash must be stable across processes, builds and runs — a
-   fleet parent and a shard-routing client hash independently, and a
-   deployed fleet's caches survive upgrades only if the function never
-   moves.  Pinned reference values (FNV-1a over the documented canonical
-   renderings) catch any accidental change to the constants or the
-   rendering, on both key arms. *)
-let test_shard_pinned_values () =
-  checki "generated arm" 343342335
-    (Service.shard_key (Service.key_of_request Service.default_request));
-  checki "dataset arm" 1054919659
-    (Service.shard_key
-       (Service.key_of_dataset_request ~name:"web" Service.default_request))
-
-(* Near-uniformity over a seed sweep, both key arms: every shard of a
-   4-fleet gets within a factor 2 of its fair share. *)
-let test_shard_near_uniform () =
-  let workers = 4 and total = 2000 in
-  let spread tag shard_of =
-    let counts = Array.make workers 0 in
-    for s = 0 to total - 1 do
-      let sh = shard_of s in
-      counts.(sh) <- counts.(sh) + 1
-    done;
-    Array.iteri
-      (fun i c ->
-        checkb
-          (Printf.sprintf "%s shard %d near-uniform (%d of %d)" tag i c total)
-          true
-          (c >= total / (2 * workers) && c <= 2 * total / workers))
-      counts
-  in
-  spread "generated" (fun s -> Service.shard_of_request ~workers (shard_req s));
-  spread "dataset" (fun s ->
-      Service.shard_of_dataset_request ~workers ~name:"web" { Service.default_request with seed = s })
-
-let arb_instance_key =
-  let open QCheck in
-  let gen_family =
-    Gen.oneofl
-      [ Service.Far; Service.Free; Service.Hub; Service.Mu; Service.Gnp; Service.Behrend;
-        Service.Diluted ]
-  in
-  let gen_part =
-    Gen.oneofl [ Service.Disjoint; Service.Dup; Service.Replicate; Service.Skewed; Service.Hash ]
-  in
-  let gen_name =
-    Gen.map
-      (fun l -> String.init (1 + (List.length l mod 10)) (fun i ->
-           Char.chr (Char.code 'a' + (List.nth l (i mod List.length l) mod 26))))
-      (Gen.list_size (Gen.int_range 1 10) (Gen.int_range 0 25))
-  in
-  let gen_key =
-    Gen.(bool >>= fun dataset ->
-        if dataset then
-          Gen.map3
-            (fun key_name key_partition (key_k, key_seed) ->
-              Service.Key_dataset { key_name; key_partition; key_k; key_seed })
-            gen_name gen_part
-            (Gen.pair (Gen.int_range 2 12) (Gen.int_range 0 1_000_000))
-        else
-          Gen.map3
-            (fun (key_family, key_partition) (key_n, key_seed) (di, ei, key_k) ->
-              Service.Key_generated
-                {
-                  key_family;
-                  key_partition;
-                  key_n;
-                  key_d = float_of_int di /. 8.0;
-                  key_k;
-                  key_eps = float_of_int ei /. 64.0;
-                  key_seed;
-                })
-            (Gen.pair gen_family gen_part)
-            (Gen.pair (Gen.int_range 1 100_000) (Gen.int_range 0 1_000_000))
-            (Gen.triple (Gen.int_range 1 400) (Gen.int_range 1 63) (Gen.int_range 2 12)))
-  in
-  make gen_key
-
-let shard_qcheck_props =
-  let open QCheck in
-  [
-    Test.make ~name:"shard_key is deterministic and nonnegative" ~count:300 arb_instance_key
-      (fun key -> Service.shard_key key >= 0 && Service.shard_key key = Service.shard_key key);
-    Test.make ~name:"shard_of_key lands in range for every fleet size" ~count:300 arb_instance_key
-      (fun key ->
-        List.for_all
-          (fun workers ->
-            let s = Service.shard_of_key ~workers key in
-            s >= 0
-            && s < max workers 1
-            && (workers > 1 || s = 0)
-            && (workers <= 1 || s = Service.shard_key key mod workers))
-          [ 1; 2; 3; 4; 7; 8; 16 ]);
-  ]
-
-(* ------------------------------------------- fleet control channel *)
-
-(* [ctl_read] on whatever a peer sends: the bytes go into one end of a
-   socketpair, that end closes, and the reader drains the other end up to
-   its first [`Eof].  A reference parse of the same bytes says what each
-   read must return: a whole message while one is there, then [`Eof] at
-   the first short or over-long (past [ctl_max_payload]) message. *)
-let ctl_reference data =
-  let len = String.length data in
-  let rec go pos acc =
-    if pos + 5 > len then List.rev acc
-    else
-      let n = Int32.to_int (String.get_int32_le data (pos + 1)) land 0xffff_ffff in
-      if n > Service.ctl_max_payload || pos + 5 + n > len then List.rev acc
-      else go (pos + 5 + n) (`Msg (data.[pos], String.sub data (pos + 5) n) :: acc)
-  in
-  go 0 []
-
-let with_ctl_pair f =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
-    (fun () -> f a b)
-
-let allocated_bytes () =
-  let _, promoted, major = Gc.counters () in
-  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
-
-(* Raw bytes, or up to four messages: whole ones, and headers whose length
-   field claims 0, a few bytes, exactly the cap, one past it, or anything
-   up to 2^32 - 1, each followed by up to 64 bytes. *)
-let gen_ctl_bytes =
-  let open QCheck.Gen in
-  let le32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff)) in
-  let claim =
-    oneof
-      [
-        int_range 0 64;
-        oneofl [ Service.ctl_max_payload; Service.ctl_max_payload + 1; 0xffff_ffff ];
-        map (fun x -> x land 0xffff_ffff) int;
-      ]
-  in
-  let header tag n = String.make 1 tag ^ le32 n in
-  let claimed = map3 (fun tag n body -> header tag n ^ body) char claim (string_size (0 -- 64)) in
-  let whole = map2 (fun tag body -> header tag (String.length body) ^ body) char (string_size (0 -- 64)) in
-  oneof
-    [ string_size (0 -- 64); map (String.concat "") (list_size (1 -- 4) (oneof [ claimed; whole ])) ]
-
-let ctl_props =
-  let open QCheck in
-  [
-    Test.make ~name:"ctl_read never raises, never allocates past the cap" ~count:300
-      (make ~print:String.escaped gen_ctl_bytes) (fun data ->
-        with_ctl_pair (fun a b ->
-            ignore (Unix.write_substring a data 0 (String.length data));
-            Unix.close a;
-            let expected = ctl_reference data in
-            let rec drain acc =
-              let before = allocated_bytes () in
-              let r = Service.ctl_read b in
-              let used = allocated_bytes () -. before in
-              if used > float_of_int (Service.ctl_max_payload + 4096) then
-                Test.fail_reportf "one ctl_read allocated %.0f bytes" used;
-              match r with `Eof -> List.rev acc | `Msg _ as m -> drain (m :: acc)
-            in
-            drain [] = expected));
-    Test.make ~name:"ctl_write then ctl_read round-trips" ~count:300
-      (make
-         ~print:(fun msgs -> String.concat "; " (List.map (fun (t, p) -> Printf.sprintf "%C:%S" t p) msgs))
-         Gen.(list_size (1 -- 4) (pair char (string_size (0 -- 4096)))))
-      (fun msgs ->
-        with_ctl_pair (fun a b ->
-            List.iter (fun (tag, payload) -> Service.ctl_write a tag payload) msgs;
-            List.for_all (fun (tag, payload) -> Service.ctl_read b = `Msg (tag, payload)) msgs));
-  ]
-
-(* ------------------------------------- fleet merge = single process *)
-
-(* One fixed query stream, routed per-shard exactly as a fleet routes it:
-   plain lines by their request's shard, batch lines grouped per shard
-   (the load generator's grouping), plus a malformed line and an unknown
-   op to exercise the error counters.  The single-process reference runs
-   the very same lines through one registry. *)
-let fleet_stream ~workers =
-  let plain = List.init 12 (fun i -> shard_req (i mod 4)) in
-  let plain_lines =
-    List.map
-      (fun r ->
-        (Service.shard_of_request ~workers r, Jsonout.to_line (Service.request_to_json r)))
-      plain
-  in
-  let batch = List.init 4 (fun i -> shard_req (20 + i)) in
-  let by_shard = Hashtbl.create 4 in
-  List.iter
-    (fun r ->
-      let sh = Service.shard_of_request ~workers r in
-      Hashtbl.replace by_shard sh (r :: (try Hashtbl.find by_shard sh with Not_found -> [])))
-    batch;
-  let batch_lines =
-    Hashtbl.fold
-      (fun sh rs acc ->
-        (sh, Jsonout.to_line (Service.batch_request_to_json (List.rev rs))) :: acc)
-      by_shard []
-    |> List.sort compare
-  in
-  plain_lines @ batch_lines @ [ (0, "{nope"); (1 mod workers, "{\"op\": \"levitate\"}") ]
-
-let run_lines ~metrics ~cache lines =
-  let stop = ref false in
-  List.iter (fun line -> ignore (Service.handle_line ~cache ~metrics ~stop line)) lines
-
-(* Per-worker registries of a sharded run, serialized through the ctl
-   codec exactly as the fleet parent receives them (computed once). *)
-let fleet_shard_snapshots =
-  lazy
-    (let workers = 3 in
-     let stream = fleet_stream ~workers in
-     let shards =
-       Array.init workers (fun _ -> (Metrics.create (), Service.create_cache ~capacity:16 ()))
-     in
-     List.iter
-       (fun (sh, line) ->
-         let metrics, cache = shards.(sh) in
-         run_lines ~metrics ~cache [ line ])
-       stream;
-     (stream, Array.map (fun (m, _) -> Metrics.to_wire m) shards))
-
-let merge_snapshots ~order snapshots =
-  let acc = Metrics.create ~started_at:0.0 () in
-  Array.iter
-    (fun i ->
-      match Metrics.of_wire snapshots.(i) with
-      | Ok m -> Metrics.merge acc m
-      | Error e -> Alcotest.failf "worker snapshot does not round-trip: %s" e)
-    order;
-  acc
-
-(* The fleet invariant behind {"op": "stats"}: per-worker registries,
-   shipped over the ctl codec and merged, are indistinguishable from one
-   single-process registry that served the same stream. *)
-let test_fleet_merge_matches_single () =
-  let stream, snapshots = Lazy.force fleet_shard_snapshots in
-  let single = Metrics.create () in
-  run_lines ~metrics:single ~cache:(Service.create_cache ~capacity:16 ()) (List.map snd stream);
-  let acc = merge_snapshots ~order:(Array.init (Array.length snapshots) Fun.id) snapshots in
-  (* a distinct key lives on exactly one shard, so sharded caches hit and
-     miss exactly as the single cache does *)
-  List.iter
-    (fun (c, name) -> checki name (Metrics.count single c) (Metrics.count acc c))
-    Metrics.counters;
-  checkb "stream served something" true (Metrics.count acc Metrics.Queries_served > 0);
-  checki "errors" (Metrics.errors single) (Metrics.errors acc);
-  List.iter
-    (fun c ->
-      checki
-        ("errors in " ^ Metrics.category_name c)
-        (Metrics.errors_in single c) (Metrics.errors_in acc c))
-    Metrics.all_categories;
-  checki "v1 served gauge" (Metrics.version_served single 1) (Metrics.version_served acc 1);
-  List.iter
-    (fun k ->
-      Alcotest.(check string) k
-        (Jsonout.to_line (Option.get (Jsonout.member k (Metrics.to_json single))))
-        (Jsonout.to_line (Option.get (Jsonout.member k (Metrics.to_json acc)))))
-    [ "protocol_versions"; "verdicts"; "datasets" ];
-  checki "latency samples"
-    (int_at (Metrics.to_json single) [ "latency_us"; "count" ])
-    (int_at (Metrics.to_json acc) [ "latency_us"; "count" ])
-
-let fleet_merge_order_prop =
-  QCheck.Test.make ~name:"fleet merge is order-independent" ~count:50 QCheck.(int_bound 1_000_000)
-    (fun salt ->
-      let _, snapshots = Lazy.force fleet_shard_snapshots in
-      let workers = Array.length snapshots in
-      let order = Array.init workers Fun.id in
-      let rng = Rng.create (salt + 1) in
-      for i = workers - 1 downto 1 do
-        let j = Rng.int rng (i + 1) in
-        let t = order.(i) in
-        order.(i) <- order.(j);
-        order.(j) <- t
-      done;
-      let reference = merge_snapshots ~order:(Array.init workers Fun.id) snapshots in
-      let shuffled = merge_snapshots ~order snapshots in
-      (* to_wire is a canonical rendering (sorted tables, exact histogram
-         encodings), so byte equality is registry equality *)
-      Metrics.to_wire shuffled = Metrics.to_wire reference)
-
-(* ------------------------------------------------- fleet soak (forked) *)
-
-module Snapshot = Tfree_dataset.Snapshot
-module Dsreg = Tfree_dataset.Registry
-
-(* A temp dataset registry holding one snapshot graph named "soak". *)
-let with_fleet_registry f =
-  let dir = Filename.temp_file "tfree_fleet_ds" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun x -> try Sys.remove (Filename.concat dir x) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () ->
-      let rng = Rng.create 42 in
-      let g = Gen.gnp rng ~n:60 ~p:0.1 in
-      Snapshot.save g (Filename.concat dir "soak.tfs");
-      let reg = Dsreg.create ~dir () in
-      Dsreg.add reg
-        {
-          Dsreg.name = "soak";
-          path = "soak.tfs";
-          format = Dsreg.Snapshot;
-          n = Graph.n g;
-          m = Graph.m g;
-          gen = None;
-        };
-      f reg)
-
-let workers_member stats =
-  match Jsonout.member "workers" stats with
-  | Some w -> w
-  | None -> Alcotest.fail "stats missing the fleet workers object"
-
-let fleet_entries stats =
-  match Option.bind (Jsonout.member "fleet" (workers_member stats)) Jsonout.to_list with
-  | Some l -> l
-  | None -> Alcotest.fail "workers object missing the fleet array"
-
-(* Part A of the soak: a 2-worker fleet under chaos on worker 0, driven
-   by sequential faulted queries, three concurrent client processes
-   (v1, v2 and a batch) on worker 1's shard, a dataset query and a
-   public-socket query.  Every verdict must equal the fault-free local
-   run, and the fleet-wide stats must reconcile exactly: served =
-   clean queries + faulted worker-0 attempts, two injected faults, zero
-   errors, per-worker served gauges summing to the total — over v1 and
-   v2 stats alike. *)
-let test_fleet_chaos_reconciles () =
-  with_fleet_registry (fun registry ->
-      let workers = 2 in
-      let fault =
-        [ { Fault.op = 0; kind = Fault.Drop }; { Fault.op = 1; kind = Fault.Corrupt { bit = 9 } } ]
-      in
-      let s0 = seed_on_shard ~workers ~shard:0 100 in
-      let shard1 = seeds_on_shard ~workers ~shard:1 ~count:9 200 in
-      let dreq = Service.default_request in
-      let dshard = Service.shard_of_dataset_request ~workers ~name:"soak" dreq in
-      let expected_ds = Service.run_dataset_request ~registry ~name:"soak" dreq in
-      let expected1 = Array.of_list (List.map (fun s -> Service.run_request (shard_req s)) shard1) in
-      let pub_seed = 999 in
-      (* 3 worker-0 attempts + 3 v1 + 3 v2 + 3 batch + 1 dataset + 1 public *)
-      let expect_served = 3 + 9 + 1 + 1 in
-      Fixture.with_daemon ~workers ~tag:"fleet-chaos" ~expect_served
-        (fun path -> Service.serve ~registry ~line_timeout_s:5.0 ~fault ~workers ~path ())
-        (fun path ->
-          let w0 = Service.worker_path ~path 0 and w1 = Service.worker_path ~path 1 in
-          (* sequential first: worker 0's reply stream is deterministic, so
-             ops 0 and 1 of the schedule hit exactly this client *)
-          let m = Metrics.create () in
-          (match Service.client_query ~retries:3 ~backoff_s:0.01 ~metrics:m ~path:w0 (shard_req s0) with
-          | Error msg -> Alcotest.failf "faulted query did not recover: %s" msg
-          | Ok resp ->
-              checkb "recovered verdict = fault-free verdict" true
-                (resp = Service.run_request (shard_req s0));
-              checki "exactly two retries spent" 2 (Metrics.count m Metrics.Retries));
-          (* concurrent clients on worker 1's shard: v1 lines, v2 frames,
-             one batch exchange *)
-          let seed_of c q = List.nth shard1 ((3 * c) + q) in
-          let exp_of c q = expected1.((3 * c) + q) in
-          let tallies =
-            fork_clients 3 (fun c ->
-                if c = 2 then
-                  let reqs = List.init 3 (fun q -> shard_req (seed_of c q)) in
-                  match Service.client_batch ~protocol:Proto.V2 ~path:w1 reqs with
-                  | Error _ -> (1000, 0)
-                  | Ok items ->
-                      let wrong = ref 0 in
-                      List.iteri
-                        (fun q item ->
-                          match item with
-                          | Ok resp when resp = exp_of c q -> ()
-                          | _ -> incr wrong)
-                        items;
-                      (!wrong, 0)
-                else
-                  let protocol = if c = 0 then Proto.V1 else Proto.V2 in
-                  let wrong = ref 0 in
-                  for q = 0 to 2 do
-                    match Service.client_query ~protocol ~path:w1 (shard_req (seed_of c q)) with
-                    | Ok resp when resp = exp_of c q -> ()
-                    | _ -> incr wrong
-                  done;
-                  (!wrong, 0))
-          in
-          List.iteri
-            (fun c (wrong, retries) ->
-              checki (Printf.sprintf "client %d zero wrong verdicts" c) 0 wrong;
-              checki (Printf.sprintf "client %d zero retries" c) 0 retries)
-            tallies;
-          (* dataset query, routed to its key's shard *)
-          (match
-             Service.client_dataset ~path:(Service.worker_path ~path dshard) ~name:"soak" dreq
-           with
-          | Ok resp -> checkb "dataset verdict = local run" true (resp = expected_ds)
-          | Error msg -> Alcotest.failf "dataset query failed: %s" msg);
-          (* public socket still serves (whichever worker accepts) *)
-          (match Service.client_query ~path (shard_req pub_seed) with
-          | Ok resp ->
-              checkb "public-socket verdict = local run" true
-                (resp = Service.run_request (shard_req pub_seed))
-          | Error msg -> Alcotest.failf "public-socket query failed: %s" msg);
-          (* fleet-wide reconciliation, over both stats protocols *)
-          List.iter
-            (fun protocol ->
-              match Service.client_stats ~protocol ~path () with
-              | Error msg -> Alcotest.failf "fleet stats failed: %s" msg
-              | Ok stats ->
-                  checki "fleet served = every attempt" expect_served
-                    (int_at stats [ "queries_served" ]);
-                  checki "two injected faults tallied" 2 (int_at stats [ "injected_faults" ]);
-                  checki "zero errors" 0 (int_at stats [ "errors" ]);
-                  checki "batch exchanges" 1 (int_at stats [ "batch"; "batches" ]);
-                  checki "batch items" 3 (int_at stats [ "batch"; "items" ]);
-                  checki "worker count gauge" workers (int_at stats [ "workers"; "count" ]);
-                  checki "no restarts" 0 (int_at stats [ "workers"; "restarts" ]);
-                  let entries = fleet_entries stats in
-                  checki "one gauge row per worker" workers (List.length entries);
-                  let sum =
-                    List.fold_left (fun acc e -> acc + int_at e [ "served" ]) 0 entries
-                  in
-                  checki "per-worker served gauges sum to the total" expect_served sum;
-                  List.iter
-                    (fun e ->
-                      checkb "worker alive" true
-                        (Jsonout.member "alive" e = Some (Jsonout.Bool true)))
-                    entries)
-            [ Proto.V1; Proto.V2 ];
-          (* health is fleet-wide too *)
-          match Service.client_health ~path:w1 () with
-          | Ok h ->
-              checki "fleet-wide health served count" expect_served
-                (int_at h [ "queries_served" ]);
-              ignore (workers_member h)
-          | Error msg -> Alcotest.failf "fleet health failed: %s" msg))
-
-(* Part B of the soak: SIGKILL a worker mid-fleet.  The supervisor must
-   fold the dead seat's last snapshot into the graveyard, respawn the
-   seat on the same inherited shard socket, and keep every fleet-wide
-   counter monotone across the crash; the respawned worker serves its
-   shard again and the final reconciliation is exact. *)
-let test_fleet_kill_respawn () =
-  let workers = 2 in
-  let s0 = seed_on_shard ~workers ~shard:0 1000 in
-  let s1 = seed_on_shard ~workers ~shard:1 1000 in
-  let s0' = seed_on_shard ~workers ~shard:0 (s0 + 1) in
-  let s1' = seed_on_shard ~workers ~shard:1 (s1 + 1) in
-  Fixture.with_daemon ~workers ~tag:"fleet-respawn" ~expect_served:4
-    (fun path -> Service.serve ~line_timeout_s:5.0 ~workers ~path ())
-    (fun path ->
-      let w0 = Service.worker_path ~path 0 and w1 = Service.worker_path ~path 1 in
-      let query sock seed =
-        match Service.client_query ~path:sock (shard_req seed) with
-        | Ok resp ->
-            checkb "verdict = local run" true (resp = Service.run_request (shard_req seed))
-        | Error msg -> Alcotest.failf "query failed: %s" msg
-      in
-      query w0 s0;
-      query w1 s1;
-      let stats () =
-        (* asked on worker 0's shard socket: guaranteed-live answerer *)
-        match Service.client_stats ~path:w0 () with
-        | Ok s -> s
-        | Error msg -> Alcotest.failf "fleet stats failed: %s" msg
-      in
-      let s = stats () in
-      checki "two served before the kill" 2 (int_at s [ "queries_served" ]);
-      let victim =
-        match fleet_entries s with
-        | [ _; e1 ] ->
-            checkb "worker 1 alive before the kill" true
-              (Jsonout.member "alive" e1 = Some (Jsonout.Bool true));
-            int_at e1 [ "pid" ]
-        | _ -> Alcotest.fail "expected two fleet gauge rows"
-      in
-      Unix.kill victim Sys.sigkill;
-      (* await the respawn; counters must never go backwards while the
-         seat is empty (the stats barrier rides the graveyard fold) *)
-      let rec await tries prev =
-        if tries = 0 then Alcotest.fail "worker 1 was not respawned"
-        else
-          let s = stats () in
-          let served = int_at s [ "queries_served" ] in
-          checkb "served counter is monotone across the crash" true (served >= prev);
-          let e1 = List.nth (fleet_entries s) 1 in
-          if
-            Jsonout.member "alive" e1 = Some (Jsonout.Bool true)
-            && int_at e1 [ "pid" ] <> victim
-          then begin
-            checki "restart gauge counted the respawn" 1
-              (int_at s [ "workers"; "restarts" ]);
-            checki "restart gauge on the seat" 1 (int_at e1 [ "restarts" ]);
-            served
-          end
-          else begin
-            Unix.sleepf 0.1;
-            await (tries - 1) served
-          end
-      in
-      let served_after = await 100 2 in
-      checki "no query lost in the graveyard fold" 2 served_after;
-      (* the respawned seat serves its shard on the inherited socket *)
-      query w0 s0';
-      query w1 s1';
-      let s = stats () in
-      checki "exact final reconciliation" 4 (int_at s [ "queries_served" ]);
-      checki "a crash is not a service error" 0 (int_at s [ "errors" ]))
-
 (* --------------------------------------------------------------- QCheck *)
 
 let qcheck_props =
@@ -2575,22 +2111,6 @@ let () =
           Alcotest.test_case "quantiles on single sample" `Quick test_metrics_quantiles_single;
           Alcotest.test_case "error categories" `Quick test_metrics_categories;
         ] );
-      ( "fleet-shard",
-        [
-          Alcotest.test_case "pinned hash values" `Quick test_shard_pinned_values;
-          Alcotest.test_case "near-uniform over both key arms" `Quick test_shard_near_uniform;
-          Alcotest.test_case "merged workers = single process" `Quick
-            test_fleet_merge_matches_single;
-        ] );
-      ( "fleet-soak",
-        [
-          Alcotest.test_case "chaos on worker 0 reconciles exactly" `Quick
-            test_fleet_chaos_reconciles;
-          Alcotest.test_case "SIGKILL a worker: respawn, monotone counters" `Quick
-            test_fleet_kill_respawn;
-        ] );
       ( "qcheck",
-        List.map QCheck_alcotest.to_alcotest
-          (qcheck_props @ shard_qcheck_props @ ctl_props
-           @ [ fleet_merge_order_prop; chaos_qcheck_prop ]) );
+        List.map QCheck_alcotest.to_alcotest (qcheck_props @ [ chaos_qcheck_prop ]) );
     ]
