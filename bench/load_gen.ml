@@ -159,14 +159,13 @@ type tally = {
   mutable wrong : int;
   mutable failed : int;
   mutable retries : int;
-  mutable extra : int;  (** queries the server served again for a retried exchange *)
   mutable framed : int;
   mutable payload : int;
   mutable lats_us : int list;  (** newest first; one sample per batch chunk *)
 }
 
 let fresh_tally () =
-  { ok = 0; wrong = 0; failed = 0; retries = 0; extra = 0; framed = 0; payload = 0; lats_us = [] }
+  { ok = 0; wrong = 0; failed = 0; retries = 0; framed = 0; payload = 0; lats_us = [] }
 
 let check_item expected = function
   | Error msg -> `Failed msg
@@ -180,17 +179,13 @@ let check_item expected = function
       else `Wrong
 
 (* Client [c]: drive its plan, one exchange of one request as a query and
-   of several as a batch, and tally every reply against the local run.
-   Retries are accounted per exchange ([extra]), so the reconciliation
-   [served = ok + extra] stays exact at any batch size: a retried exchange
-   re-serves exactly its own items. *)
+   of several as a batch, and tally every reply against the local run. *)
 let run_client ~pref ~path ~expected c =
   let m = Metrics.create () in
   let t = fresh_tally () in
   List.iter
     (fun reqs ->
       let t0 = Unix.gettimeofday () in
-      let before = Metrics.count m Metrics.Retries in
       let results =
         match reqs with
         | [ r ] ->
@@ -206,7 +201,6 @@ let run_client ~pref ~path ~expected c =
             | Ok items -> items
             | Error msg -> List.map (fun _ -> Error msg) reqs)
       in
-      t.extra <- t.extra + ((Metrics.count m Metrics.Retries - before) * List.length reqs);
       List.iter2
         (fun r result ->
           match check_item (expected r.Service.seed) result with
@@ -226,16 +220,16 @@ let run_client ~pref ~path ~expected c =
   t.retries <- Metrics.count m Metrics.Retries;
   t
 
-(* One tally line per client; the eighth token is its raw latency samples
-   and the ninth its latency histogram in {!Histogram.to_compact} form
+(* One tally line per client; the seventh token is its raw latency samples
+   and the eighth its latency histogram in {!Histogram.to_compact} form
    (space-free), built from exactly those samples — the parent checks the
    merge of these against a histogram of all the raw samples. *)
 let tally_line t =
   let lats = String.concat "," (List.rev_map string_of_int t.lats_us) in
   let h = Histogram.create () in
   List.iter (fun us -> Histogram.record h (float_of_int us)) t.lats_us;
-  Printf.sprintf "%d %d %d %d %d %d %d %s %s" t.ok t.wrong t.failed t.retries t.extra t.framed
-    t.payload lats (Histogram.to_compact h)
+  Printf.sprintf "%d %d %d %d %d %d %s %s" t.ok t.wrong t.failed t.retries t.framed t.payload lats
+    (Histogram.to_compact h)
 
 (* --------------------------------------------------------- the harness *)
 
@@ -269,12 +263,11 @@ let drive ~label ~tag ~pref ~fault ~expected =
   List.iter
     (fun line ->
       match String.split_on_char ' ' line with
-      | [ o; w; f; r; x; fb; pb; ls; hc ] ->
+      | [ o; w; f; r; fb; pb; ls; hc ] ->
           t.ok <- t.ok + int_of_string o;
           t.wrong <- t.wrong + int_of_string w;
           t.failed <- t.failed + int_of_string f;
           t.retries <- t.retries + int_of_string r;
-          t.extra <- t.extra + int_of_string x;
           t.framed <- t.framed + int_of_string fb;
           t.payload <- t.payload + int_of_string pb;
           List.iter

@@ -86,7 +86,7 @@ let slot = function
   | Batches -> 9
   | Batch_items -> 10
 
-let counter_count = 11
+let counter_count = slot Batch_items + 1
 
 type protocol_counts = { mutable triangle : int; mutable triangle_free : int }
 
