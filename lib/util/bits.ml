@@ -42,10 +42,15 @@ let vertex ~n = for_card (Int.max n 2)
 (** Bits to name an (unordered) edge: two vertex identifiers. *)
 let edge ~n = 2 * vertex ~n
 
-(** Bits for an integer known to lie in [lo, hi]. *)
+(** Bits for an integer known to lie in [lo, hi]: the width of the offset
+    [hi - lo], computed without forming the count [hi - lo + 1], which
+    wraps at [lo = 0, hi = max_int].  [hi - lo] itself wraps (reads
+    negative) exactly when the range holds more than 2^62 values. *)
 let int_in_range ~lo ~hi =
   if hi < lo then invalid_arg "Bits.int_in_range: hi < lo";
-  for_card (hi - lo + 1)
+  let span = hi - lo in
+  if span < 0 then invalid_arg "Bits.int_in_range: more than 2^62 values";
+  if span = 0 then 1 else 1 + floor_log2 span
 
 (** Bits for a nonnegative integer sent with a self-delimiting (Elias-gamma
     style) code: 2*floor(log2 (v+1)) + 1. *)

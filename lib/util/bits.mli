@@ -10,8 +10,11 @@ val vertex : n:int -> int
 (** Bits to name an unordered edge: two vertex identifiers. *)
 val edge : n:int -> int
 
-(** Bits for an integer known by both sides to lie in [lo, hi].
-    @raise Invalid_argument if [hi < lo]. *)
+(** Bits for an integer known by both sides to lie in [lo, hi]:
+    [1 + floor_log2 (hi - lo)], and 1 when [hi = lo].  At most 62: the
+    range [0, max_int] costs 62 bits.
+    @raise Invalid_argument if [hi < lo] or the range holds more than 2^62
+    values (as [min_int, max_int] does). *)
 val int_in_range : lo:int -> hi:int -> int
 
 (** Self-delimiting (Elias-gamma style) code length for a nonnegative

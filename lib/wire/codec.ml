@@ -217,8 +217,9 @@ let rec get_layout_at cur depth : Msg.layout =
   | 2 ->
       let lo = Proto.get_zigzag cur in
       let hi = Proto.get_zigzag cur in
-      (* the range must be non-empty and its size hi - lo + 1 an int *)
-      if hi < lo || hi - lo < 0 || hi - lo = max_int then
+      (* the range must be non-empty and hold at most 2^62 values, the
+         ranges {!Tfree_util.Bits.int_in_range} charges *)
+      if hi < lo || hi - lo < 0 then
         Wire_error.errorf_corrupt "Codec.get_layout: empty or unrepresentable range [%d, %d]" lo hi;
       Msg.L_int_in { lo; hi }
   | 3 -> Msg.L_nat

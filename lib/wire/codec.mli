@@ -39,8 +39,8 @@ val layout_to_bytes : Msg.layout -> Bytes.t
 
 (** Parse a descriptor at the cursor, moving it past the descriptor.
     @raise Wire_error.Wire_error — [Truncated] at the cursor's limit,
-    [Corrupt] on an unknown tag, a bad varint, an empty or unrepresentable
-    range, or nesting deeper than 64. *)
+    [Corrupt] on an unknown tag, a bad varint, an empty range or one of
+    more than 2^62 values, or nesting deeper than 64. *)
 val get_layout : Proto.cursor -> Msg.layout
 
 (** Unsigned LEB128 varint into a bit writer, shared with the frame

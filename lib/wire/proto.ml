@@ -227,9 +227,11 @@ let get_varint cur =
   if v < 0 then Wire_error.errorf_truncated "Proto.get_varint: truncated varint";
   v
 
+(* [-(z lsr 1) - 1], not [-((z + 1) / 2)]: at [z = max_int], the image of
+   -2^61, [z + 1] wraps and read back +2^61. *)
 let get_zigzag cur =
   let z = get_varint cur in
-  if z land 1 = 0 then z / 2 else -((z + 1) / 2)
+  if z land 1 = 0 then z lsr 1 else -(z lsr 1) - 1
 
 let get_f64 cur =
   if cur.cpos + 8 > cur.clim then Wire_error.errorf_truncated "Proto.get_f64: truncated float";

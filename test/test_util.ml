@@ -199,11 +199,23 @@ let test_bits_vertex_edge () =
 let test_bits_int_in_range () =
   checki "range [0,0]" 1 (Bits.int_in_range ~lo:0 ~hi:0);
   checki "range [0,255]" 8 (Bits.int_in_range ~lo:0 ~hi:255);
-  checki "range [-1,62]" 6 (Bits.int_in_range ~lo:(-1) ~hi:62)
+  checki "range [-1,62]" 6 (Bits.int_in_range ~lo:(-1) ~hi:62);
+  (* the widest ranges: the count hi - lo + 1 no longer fits an int *)
+  checki "range [0,max_int]" 62 (Bits.int_in_range ~lo:0 ~hi:max_int);
+  checki "range [0,2^61-1]" 61 (Bits.int_in_range ~lo:0 ~hi:((1 lsl 61) - 1));
+  checki "range [-1,max_int-1]" 62 (Bits.int_in_range ~lo:(-1) ~hi:(max_int - 1));
+  checki "range [min_int,-1]" 62 (Bits.int_in_range ~lo:min_int ~hi:(-1))
 
 let test_bits_int_in_range_invalid () =
   Alcotest.check_raises "hi < lo" (Invalid_argument "Bits.int_in_range: hi < lo") (fun () ->
-      ignore (Bits.int_in_range ~lo:3 ~hi:2))
+      ignore (Bits.int_in_range ~lo:3 ~hi:2));
+  List.iter
+    (fun (lo, hi) ->
+      Alcotest.check_raises
+        (Printf.sprintf "[%d,%d] holds more than 2^62 values" lo hi)
+        (Invalid_argument "Bits.int_in_range: more than 2^62 values")
+        (fun () -> ignore (Bits.int_in_range ~lo ~hi)))
+    [ (min_int, max_int); (-1, max_int); (min_int, 0) ]
 
 let test_bits_elias_gamma () =
   checki "0" 1 (Bits.elias_gamma 0);

@@ -538,9 +538,37 @@ let test_widest_fields () =
     (Bits.int_in_range ~lo:0 ~hi:(max_int - 1));
   Alcotest.(check int) "vertex of a huge graph costs 62 bits" 62 (Bits.vertex ~n:max_int);
   let msg = Msg.int_in ~lo:(-(1 lsl 60)) ~hi:((1 lsl 61) - 1) ((1 lsl 61) - 2) in
-  Alcotest.(check int) "the widest framable range" 62 (Msg.bits msg);
+  Alcotest.(check int) "a 62-bit range" 62 (Msg.bits msg);
   Alcotest.(check bool) "62-bit message frames as the reference" true
     (prop_frame_matches_reference msg)
+
+(* Range codes as wide as an int allows, the widths that packed words of
+   bits travel in: each 61- and 62-bit message must come back equal from
+   its payload alone, and, where its descriptor can carry the bounds
+   (zigzag varints reach [-2^61, 2^61 - 1]), from its frame, framed as the
+   reference frames it. *)
+let test_wide_int_in () =
+  List.iter
+    (fun (lo, hi, v, width) ->
+      let what = Printf.sprintf "int_in [%d,%d] carrying %d" lo hi v in
+      let msg = Msg.int_in ~lo ~hi v in
+      Alcotest.(check int) (what ^ ": bits") width (Msg.bits msg);
+      let payload, bits = Codec.encode_payload msg in
+      let back = Codec.decode_payload (Msg.layout msg) payload ~off:0 ~bits in
+      Alcotest.(check bool) (what ^ ": payload round trip") true (Msg.equal back msg);
+      if lo >= -(1 lsl 61) && hi < 1 lsl 61 then
+        Alcotest.(check bool) (what ^ ": frame round trip") true
+          (prop_frame_matches_reference msg))
+    [
+      (0, (1 lsl 61) - 1, (1 lsl 61) - 1, 61);
+      (0, (1 lsl 61) - 1, 0x0AAA_AAAA_AAAA_AAAA, 61);
+      (-(1 lsl 61), (1 lsl 61) - 1, (1 lsl 61) - 1, 62);
+      (-(1 lsl 61), (1 lsl 61) - 1, -(1 lsl 61), 62);
+      (0, max_int, max_int, 62);
+      (0, max_int, 0x1555_5555_5555_5555, 62);
+      (min_int, -1, min_int, 62);
+      (-1, max_int - 1, max_int - 1, 62);
+    ]
 
 let test_gamma_too_long () =
   (* 62 zeros then a 1: the value would be 2^62 - 1 + rest, past max_int *)
@@ -841,6 +869,7 @@ let () =
           Alcotest.test_case "constant frames under flips and truncations" `Quick
             test_constant_faults;
           Alcotest.test_case "62-bit fields" `Quick test_widest_fields;
+          Alcotest.test_case "61- and 62-bit int_in round trips" `Quick test_wide_int_in;
           Alcotest.test_case "gamma code past an int" `Quick test_gamma_too_long;
         ] );
       ( "varint-overflow",
