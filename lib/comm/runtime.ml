@@ -64,6 +64,9 @@ let input t j = Partition.player t.inputs j
     communication is charged. *)
 let shared_rng t ~key = Rng.split t.shared key
 
+(** [shared_rng t ~key] into slot [i] of a split table, unboxed. *)
+let shared_split t c i ~key = Rng.set_split c i t.shared key
+
 let private_rng t j = t.private_rngs.(j)
 
 (* Send [req] down every player channel (private mode) or post it once

@@ -33,6 +33,11 @@ val input : t -> int -> Graph.t
     parties, free of communication. *)
 val shared_rng : t -> key:int -> Tfree_util.Rng.t
 
+(** [shared_split t c i ~key]: slot [i] of [c] becomes
+    [shared_rng t ~key], for keyed marks only ({!Tfree_util.Rng.any_marked});
+    allocates nothing. *)
+val shared_split : t -> Tfree_util.Rng.splits -> int -> key:int -> unit
+
 (** Player [j]'s private randomness. *)
 val private_rng : t -> int -> Tfree_util.Rng.t
 

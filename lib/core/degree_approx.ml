@@ -43,19 +43,6 @@ let thresholds ~alpha =
   let margin = (high -. low) /. 2.0 in
   (theta, margin)
 
-(* Whether [els] holds an element marked at probability [p] under [rng]:
-   a loop that stops at the first marked element and allocates nothing (a
-   local recursive function would allocate its closure on every call).
-   [Rng.hash_bool] compares inside [Rng], so no float is boxed per element
-   even where [hash_float] is not inlined into this module. *)
-let holds_marked rng ~p els =
-  let len = Array.length els in
-  let i = ref 0 in
-  while !i < len && not (Rng.hash_bool rng (Array.unsafe_get els !i) ~p) do
-    incr i
-  done;
-  !i < len
-
 (** [approx_distinct rt ~key ~alpha ~tau ~boost ~elements] returns an
     α-approximation (with probability >= 1-τ) of |∪_j elements(E_j)|, where
     [elements] gives a player's universe elements as integers agreed upon by
@@ -91,14 +78,19 @@ let approx_distinct rt ~key ~alpha ~tau ~boost ~elements =
       let hoeffding = Float.log (2.0 *. float_of_int n_guesses /. tau) /. (2.0 *. margin *. margin) in
       max 8 (int_of_float (Float.ceil (boost *. hoeffding)))
     in
+    (* Experiment e's mark stream, derived once per guess into slot e and
+       read by every player. *)
+    let marks = Rng.splits m_exp in
     let run_guess idx g =
       let p = Float.min 1.0 (1.0 /. g) in
+      for e = 0 to m_exp - 1 do
+        Runtime.shared_split rt marks e ~key:(key + (7919 * idx) + (104729 * (e + 1)))
+      done;
       let successes = ref 0 in
       for e = 0 to m_exp - 1 do
-        let mark_rng = Runtime.shared_rng rt ~key:(key + (7919 * idx) + (104729 * (e + 1))) in
         (* Each player checks its elements for a marked one and answers a
            single bit. *)
-        if Runtime.any_player rt (fun j _ -> holds_marked mark_rng ~p local.(j)) then incr successes
+        if Runtime.any_player rt (fun j _ -> Rng.any_marked marks e ~p local.(j)) then incr successes
       done;
       float_of_int !successes /. float_of_int m_exp >= theta
     in

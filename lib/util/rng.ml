@@ -66,6 +66,46 @@ let hash_float2 t key1 key2 =
 
 let hash_bool t key ~p = hash_float t key < p
 
+(* Split children kept for keyed hashing only, 16 bytes a slot: the
+   child's state, then its salt.  Read and written through the compiler's
+   unboxed 64-bit primitives, so a slot costs no record and no boxed salt,
+   where [split] allocates both. *)
+type splits = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let splits count =
+  if count < 0 then invalid_arg "Rng.splits: negative count";
+  Bytes.create (16 * count)
+
+let check_slot c i name = if i < 0 || (16 * i) + 16 > Bytes.length c then invalid_arg name
+
+(** Slot [i] becomes [split t key], by the same arithmetic. *)
+let set_split c i t key =
+  check_slot c i "Rng.set_split: slot out of range";
+  let k = mix64 (Int64.logxor t.salt (Int64.of_int key)) in
+  set64 c (16 * i) (mix64 (Int64.logxor (state t) k));
+  set64 c ((16 * i) + 8) (mix64 (Int64.add k golden))
+
+(** [hash_bool] under slot [i]'s child, key by key, stopping at the first
+    marked key: the child's state and salt are read once, into unboxed
+    locals, and the scan allocates nothing. *)
+let any_marked c i ~p keys =
+  check_slot c i "Rng.any_marked: slot out of range";
+  let s = get64 c (16 * i) and salt = get64 c ((16 * i) + 8) in
+  let len = Array.length keys in
+  let j = ref 0 in
+  while
+    !j < len
+    && not
+         (unit_float (mix64 (Int64.logxor (Int64.add s (Int64.of_int (Array.unsafe_get keys !j))) salt))
+         < p)
+  do
+    incr j
+  done;
+  !j < len
+
 (** Uniform integer in [0, bound). *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

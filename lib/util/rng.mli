@@ -32,6 +32,25 @@ val hash_float2 : t -> int -> int -> float
 (** [hash_bool t key ~p]: shared Bernoulli(p) mark for [key]. *)
 val hash_bool : t -> int -> p:float -> bool
 
+(** A table of split children used only for keyed Bernoulli marks, held
+    unboxed: filling a slot and scanning under it allocate nothing, where
+    each {!split} allocates a stream. *)
+type splits
+
+(** A table of [count] slots, each unset until {!set_split} fills it.
+    @raise Invalid_argument if [count < 0]. *)
+val splits : int -> splits
+
+(** [set_split c i t key]: slot [i] of [c] becomes the child [split t key].
+    @raise Invalid_argument if [i] is not a slot of [c]. *)
+val set_split : splits -> int -> t -> int -> unit
+
+(** [any_marked c i ~p keys]: whether [hash_bool (split t key) x ~p] holds
+    for some [x] of [keys], where slot [i] holds [split t key]; the scan
+    stops at the first marked key and reads [keys] in place.
+    @raise Invalid_argument if [i] is not a slot of [c]. *)
+val any_marked : splits -> int -> p:float -> int array -> bool
+
 (** Uniform integer in [0, bound); advances the stream.
     @raise Invalid_argument if [bound <= 0]. *)
 val int : t -> int -> int
