@@ -248,6 +248,12 @@ let () =
     core_row "micro/sim-player" Micro_core.words_limit [ "bits" ];
     core_row "micro/partition" Micro_core.partition_words_limit [ "edges" ];
     core_row "micro/unrestricted" Micro_core.unrestricted_words_limit [ "bits"; "rounds" ];
+    (* one round per degree guess: a run that spends a round on each of
+       Theorem 3.1's experiments fails here *)
+    let rounds = float_field (wire_row "micro/unrestricted") "rounds" in
+    if rounds <> float_of_int Micro_core.unrestricted_rounds then
+      fail "micro/unrestricted: %g rounds, not the %d of one round per degree guess" rounds
+        Micro_core.unrestricted_rounds;
     (* The dataset rows (bench/dataset_bench.ml) witness the reasons
        lib/dataset exists: the snapshot loads faster than regenerating or
        re-parsing the corpus, and is the smaller on-disk encoding. *)

@@ -11,9 +11,10 @@
    And a chatty query's: the far instance at n = 300, d = 6, same ǫ,
    partition, k and seed.
 
-     micro/unrestricted one [Tester.unrestricted] run (§3.3), about ten
-                        thousand rounds, nearly all of them one-bit
-                        distinct-elements experiments
+     micro/unrestricted one [Tester.unrestricted] run (§3.3): 458 rounds,
+                        one per degree guess of Theorem 3.1 carrying all
+                        of the guess's experiments, where one round per
+                        experiment took 13,195
 
    For each row:
 
@@ -26,9 +27,10 @@
    sample), walks only the rows of vertices in R ∪ S, and encodes its
    selected edges.  A partition draws its ownership bits and hands out
    players that are views of the instance: no player row is built until a
-   protocol reads it.  An unrestricted run's rounds allocate almost
-   nothing: no reply array, no element list, no boxed priority.  {!check}
-   holds a run of each to its words limit.
+   protocol reads it.  An unrestricted run's experiments allocate almost
+   nothing: no split stream, no element list, no boxed priority.  {!check}
+   holds a run of each to its words limit, and the unrestricted run to its
+   round count.
 
    [bench/main.ml] embeds the rows in BENCH_results.json; [bench/micro.ml]
    gates them behind the @micro-smoke alias; [bench/check_json.ml]
@@ -55,10 +57,15 @@ let words_limit = 10_000.0
     every player was built through its own [Graph.Builder]). *)
 let partition_words_limit = 30_000.0
 
-(** The allocation budget of one unrestricted run, in words: about 385k in
-    a dev build, 1.70M when every round built a reply array and every
-    experiment an element list. *)
-let unrestricted_words_limit = 450_000.0
+(** The allocation budget of one unrestricted run, in words: about 200k in
+    a dev build; 274k with one round per experiment, 385k when every
+    experiment also split its own stream, 1.70M when every round built a
+    reply array and every experiment an element list. *)
+let unrestricted_words_limit = 235_000.0
+
+(** The rounds of that run: one per degree guess, not one per experiment
+    (13,195). *)
+let unrestricted_rounds = 458
 
 type result = {
   runs : int;
@@ -108,6 +115,13 @@ let check r =
     over "sim player run" r.player.words words_limit
     @ over "dup partition" r.partition.words partition_words_limit
     @ over "unrestricted run" r.unrestricted.words unrestricted_words_limit
+    @
+    if r.unrestricted_rounds <> unrestricted_rounds then
+      [
+        Printf.sprintf "unrestricted run takes %d rounds, not %d" r.unrestricted_rounds
+          unrestricted_rounds;
+      ]
+    else []
   with
   | [] -> Ok ()
   | violations -> Error violations

@@ -147,7 +147,7 @@ let tell_all t msg =
   deliver_request t ~round msg
 
 (** OR over one bit per player — the "does anyone have it" idiom used by the
-    edge-query building block and the degree-approximation experiments.
+    edge-query building block and the triangle-edge test.
     One round with an empty request: player [j] answers [predicate j input],
     charged and delivered through the tap in player order.  Every player
     answers, even after a yes, so the ledger and the tap see exactly what

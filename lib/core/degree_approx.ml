@@ -15,7 +15,9 @@
       players run shared-randomness Bernoulli experiments (mark each universe
       element with probability 1/g; report whether they hold a marked
       element) and stop at the first guess whose empirical success rate
-      clears a threshold.
+      clears a threshold.  A guess's experiments are non-adaptive (only
+      their success count is read), so one round carries them all: each
+      player answers one bit per experiment, packed into words.
 
     The paper's threshold constant ("F(r)/c") contains typos; we use the
     statistically equivalent choice documented in DESIGN.md §2: the midpoint
@@ -42,6 +44,40 @@ let thresholds ~alpha =
   let theta = (low +. high) /. 2.0 in
   let margin = (high -. low) /. 2.0 in
   (theta, margin)
+
+(* A player's answer at one guess carries one bit per experiment, LSB-first
+   in words of at most [word_bits] bits.  Each word is a range code over
+   [0, 2^w - 1], which costs exactly its w bits, so a player's reply costs
+   m_exp bits, as many as m_exp one-bit answers would. *)
+let word_bits = 61
+
+(* Player reply: bit e is whether [els] holds an element marked in
+   experiment e (slot e of [marks]). *)
+let mark_words marks ~p ~m_exp els =
+  let rec words first =
+    if first >= m_exp then []
+    else begin
+      let w = min word_bits (m_exp - first) in
+      let word = ref 0 in
+      for b = 0 to w - 1 do
+        if Rng.any_marked marks (first + b) ~p els then word := !word lor (1 lsl b)
+      done;
+      Msg.int_in ~lo:0 ~hi:((1 lsl w) - 1) !word :: words (first + w)
+    end
+  in
+  Msg.tuple (words 0)
+
+let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
+
+(* The experiments some player succeeded in: the set bits of the OR, word
+   by word, of the players' replies. *)
+let successes ~m_exp replies =
+  let ors = Array.make ((m_exp + word_bits - 1) / word_bits) 0 in
+  Array.iter
+    (fun reply ->
+      List.iteri (fun i word -> ors.(i) <- ors.(i) lor Msg.get_int word) (Msg.get_tuple reply))
+    replies;
+  Array.fold_left (fun acc word -> acc + popcount word) 0 ors
 
 (** [approx_distinct rt ~key ~alpha ~tau ~boost ~elements] returns an
     α-approximation (with probability >= 1-τ) of |∪_j elements(E_j)|, where
@@ -86,13 +122,12 @@ let approx_distinct rt ~key ~alpha ~tau ~boost ~elements =
       for e = 0 to m_exp - 1 do
         Runtime.shared_split rt marks e ~key:(key + (7919 * idx) + (104729 * (e + 1)))
       done;
-      let successes = ref 0 in
-      for e = 0 to m_exp - 1 do
-        (* Each player checks its elements for a marked one and answers a
-           single bit. *)
-        if Runtime.any_player rt (fun j _ -> Rng.any_marked marks e ~p local.(j)) then incr successes
-      done;
-      float_of_int !successes /. float_of_int m_exp >= theta
+      (* The experiments are non-adaptive, so one round runs them all:
+         each player answers with its mark bits for every experiment. *)
+      let replies =
+        Runtime.ask_all rt ~req:Msg.empty (fun j _ -> mark_words marks ~p ~m_exp local.(j))
+      in
+      float_of_int (successes ~m_exp replies) /. float_of_int m_exp >= theta
     in
     let rec scan idx g =
       if g <= floor_guess then g

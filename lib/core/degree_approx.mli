@@ -22,8 +22,14 @@ val thresholds : alpha:float -> float * float
     number of distinct elements the players hold jointly; 0 when nobody
     holds any.  [elements input] is a player's elements as an [int array]
     (ids agreed upon by all players, repeats allowed), read in place and
-    never written.  Each phase-2 experiment is one {!Runtime.any_player}
-    round in which a player scans its array up to the first marked element.
+    never written.  Each phase-2 guess is one {!Runtime.ask_all} round with
+    an empty request: every player answers all of the guess's experiments
+    at once, one bit each (whether its array holds an element marked in
+    that experiment, scanned up to the first one), packed LSB-first into
+    range-coded words of at most 61 bits, so it is charged exactly one bit
+    per experiment.  The coordinator ORs the words and counts the set bits.
+    Rounds are this batching's choice; marks, bits and the estimate are
+    those of one round per experiment.
     @raise Invalid_argument when [alpha <= 1], before any round. *)
 val approx_distinct :
   Runtime.t -> key:int -> alpha:float -> tau:float -> boost:float -> elements:(Graph.t -> int array) -> int

@@ -8,7 +8,16 @@
    Each library kernel must return the reference's value and leave the same
    ledger (total, per direction, per player, messages, rounds) and the same
    tap record: every channel crossing, in order, with its round and its
-   message.  The cases cover every family and partition at n from 4 to 400,
+   message.
+   Theorem 3.1's experiments have two references.  The one-bit original
+   runs each experiment as its own round and stays the oracle for the
+   estimate's value, its total bits, both directions and every player's
+   upload.  The batched reference runs a guess's experiments in one round,
+   each player's bits packed LSB-first into 61-bit range-coded words (from
+   [Rng.split] and [hash_float], not the library's split table); rounds,
+   messages and the tap record are held to it.  Boosts that give 60, 61,
+   62, 122 and 123 experiments a guess cover a partial word, an exact fit
+   and a spill into the next word.  The cases cover every family and partition at n from 4 to 400,
    1 to 5 players, both runtime modes, with and without a precomputed B̃
    table, plus empty inputs, a bucket nobody suspects, one player, every
    player holding every element and every player answering yes.  The
@@ -28,7 +37,63 @@ module Ref = struct
     let replies = Runtime.ask_all rt ~req:Msg.empty (fun j input -> Msg.bool (predicate j input)) in
     Array.exists Msg.get_bool replies
 
-  let approx_distinct rt ~key ~alpha ~tau ~boost ~elements =
+  (* The sample count of Theorem 3.1's guesses, before [boost] and the
+     floor of 8, for phase 1's sum d' over k players. *)
+  let hoeffding ~k ~alpha ~tau d' =
+    let floor_guess = Float.max 1.0 (d' /. (2.0 *. float_of_int k *. alpha)) in
+    let _, margin = Tfree.Degree_approx.thresholds ~alpha in
+    let n_guesses =
+      1 + int_of_float (Float.ceil (Float.log (d' /. floor_guess) /. Float.log (sqrt alpha)))
+    in
+    Float.log (2.0 *. float_of_int n_guesses /. tau) /. (2.0 *. margin *. margin)
+
+  let m_exp ~boost hoeffding = max 8 (int_of_float (Float.ceil (boost *. hoeffding)))
+
+  (* Phase 1's d' for players holding [local]. *)
+  let d_prime local =
+    Array.fold_left
+      (fun acc els ->
+        let i = Tfree.Degree_approx.msb_index (List.length els) in
+        if i < 0 then acc else acc +. Float.pow 2.0 (float_of_int (i + 1)))
+      0.0 local
+
+  (* One guess's experiments as the original ran them: one [any_player]
+     round each, every player answering one bit.  Returns the successes. *)
+  let one_bit_experiments rt ~m_exp ~stream ~p (local : int list array) =
+    let successes = ref 0 in
+    for e = 0 to m_exp - 1 do
+      let mark_rng = stream e in
+      let replies =
+        Runtime.ask_all rt ~req:Msg.empty (fun j _ ->
+            Msg.bool (List.exists (fun el -> Rng.hash_float mark_rng el < p) local.(j)))
+      in
+      if Array.exists Msg.get_bool replies then incr successes
+    done;
+    !successes
+
+  (* The same experiments in one round: each player answers every
+     experiment's bit, LSB-first in words of at most 61 bits, each word a
+     range code over [0, 2^w - 1]; an experiment succeeds when some
+     player's bit for it is set. *)
+  let batched_experiments rt ~m_exp ~stream ~p (local : int list array) =
+    let marked j e = List.exists (fun el -> Rng.hash_float (stream e) el < p) local.(j) in
+    let rec spans first =
+      if first >= m_exp then [] else (first, min 61 (m_exp - first)) :: spans (first + 61)
+    in
+    let word j (first, w) =
+      Msg.int_in ~lo:0 ~hi:((1 lsl w) - 1)
+        (List.fold_left
+           (fun acc b -> if marked j (first + b) then acc lor (1 lsl b) else acc)
+           0 (List.init w Fun.id))
+    in
+    let replies =
+      Runtime.ask_all rt ~req:Msg.empty (fun j _ -> Msg.tuple (List.map (word j) (spans 0)))
+    in
+    let bit reply e = (Msg.get_int (List.nth (Msg.get_tuple reply) (e / 61)) lsr (e mod 61)) land 1 in
+    List.length
+      (List.filter (fun e -> Array.exists (fun r -> bit r e = 1) replies) (List.init m_exp Fun.id))
+
+  let approx_distinct ~experiments rt ~key ~alpha ~tau ~boost ~elements =
     let local : int list array = Array.init (Runtime.k rt) (fun j -> elements (Runtime.input rt j)) in
     let replies =
       Runtime.ask_all rt ~req:Msg.empty (fun j _ ->
@@ -45,28 +110,12 @@ module Ref = struct
     else begin
       let k = float_of_int (Runtime.k rt) in
       let floor_guess = Float.max 1.0 (d' /. (2.0 *. k *. alpha)) in
-      let theta, margin = Tfree.Degree_approx.thresholds ~alpha in
-      let n_guesses =
-        1 + int_of_float (Float.ceil (Float.log (d' /. floor_guess) /. Float.log (sqrt alpha)))
-      in
-      let m_exp =
-        let hoeffding =
-          Float.log (2.0 *. float_of_int n_guesses /. tau) /. (2.0 *. margin *. margin)
-        in
-        max 8 (int_of_float (Float.ceil (boost *. hoeffding)))
-      in
+      let theta, _ = Tfree.Degree_approx.thresholds ~alpha in
+      let m_exp = m_exp ~boost (hoeffding ~k:(Runtime.k rt) ~alpha ~tau d') in
       let run_guess idx g =
         let p = Float.min 1.0 (1.0 /. g) in
-        let successes = ref 0 in
-        for e = 0 to m_exp - 1 do
-          let mark_rng = Runtime.shared_rng rt ~key:(key + (7919 * idx) + (104729 * (e + 1))) in
-          let replies =
-            Runtime.ask_all rt ~req:Msg.empty (fun j _ ->
-                Msg.bool (List.exists (fun el -> Rng.hash_float mark_rng el < p) local.(j)))
-          in
-          if Array.exists Msg.get_bool replies then incr successes
-        done;
-        float_of_int !successes /. float_of_int m_exp >= theta
+        let stream e = Runtime.shared_rng rt ~key:(key + (7919 * idx) + (104729 * (e + 1))) in
+        float_of_int (experiments rt ~m_exp ~stream ~p local) /. float_of_int m_exp >= theta
       in
       let rec scan idx g =
         if g <= floor_guess then g
@@ -79,13 +128,13 @@ module Ref = struct
       max 1 (int_of_float (Float.round answer))
     end
 
-  let approx_degree rt ~key ~alpha ~tau ~boost v =
-    approx_distinct rt ~key ~alpha ~tau ~boost ~elements:(fun input ->
+  let approx_degree ~experiments rt ~key ~alpha ~tau ~boost v =
+    approx_distinct ~experiments rt ~key ~alpha ~tau ~boost ~elements:(fun input ->
         Array.to_list (Graph.neighbors input v))
 
-  let approx_edge_count rt ~key ~alpha ~tau ~boost =
+  let approx_edge_count ~experiments rt ~key ~alpha ~tau ~boost =
     let n = Runtime.n rt in
-    approx_distinct rt ~key ~alpha ~tau ~boost ~elements:(fun input ->
+    approx_distinct ~experiments rt ~key ~alpha ~tau ~boost ~elements:(fun input ->
         List.map (fun (u, v) -> (u * n) + v) (Graph.edges input))
 
   (* Player -> bucket -> the vertices it suspects, ascending. *)
@@ -247,25 +296,57 @@ let any_player_agrees (c : case) parts =
 let elements (c : case) input =
   Array.init (Graph.m input) (fun x -> ((x * (c.key + 1)) + Graph.m input) mod 97)
 
+(* The one-bit original stays the oracle for what an estimate returns and
+   what it costs: the value, the total, both directions and every player's
+   upload must be its. *)
+let same_value_and_bits name (c : case) parts got want =
+  let r, cost, _ = run c parts got and r', cost', _ = run c parts want in
+  (r = r' || QCheck.Test.fail_reportf "%s: %d against the one-bit original's %d" name r r')
+  && ((cost.Cost.to_players = cost'.Cost.to_players
+      && cost.Cost.from_players = cost'.Cost.from_players
+      && cost.Cost.per_player = cost'.Cost.per_player
+      && Cost.total cost = Cost.total cost')
+     || QCheck.Test.fail_reportf "%s: bits %s against the one-bit original's %s" name
+          (Cost.summary cost) (Cost.summary cost'))
+
+(* An estimate agrees with the batched reference on its value, its whole
+   ledger and its tap record (one round per guess, k replies in it), and
+   with the one-bit original on its value and bits. *)
+let estimate_agrees name (c : case) parts got want =
+  agree name c parts ~equal:Int.equal ~show:show_int got (want ~experiments:Ref.batched_experiments)
+  && same_value_and_bits name c parts got (want ~experiments:Ref.one_bit_experiments)
+
 let approx_agrees (c : case) parts =
   let n = Partition.n parts in
   let v = c.key mod n in
-  agree "approx_distinct" c parts ~equal:Int.equal ~show:show_int
+  estimate_agrees "approx_distinct" c parts
     (fun rt ->
       Tfree.Degree_approx.approx_distinct rt ~key:c.key ~alpha:c.alpha ~tau:c.tau ~boost:c.boost
         ~elements:(elements c))
-    (fun rt ->
-      Ref.approx_distinct rt ~key:c.key ~alpha:c.alpha ~tau:c.tau ~boost:c.boost
+    (fun ~experiments rt ->
+      Ref.approx_distinct ~experiments rt ~key:c.key ~alpha:c.alpha ~tau:c.tau ~boost:c.boost
         ~elements:(fun input -> Array.to_list (elements c input)))
-  && agree "approx_degree" c parts ~equal:Int.equal ~show:show_int
-    (fun rt ->
-      Tfree.Degree_approx.approx_degree rt ~key:c.key ~alpha:c.alpha ~tau:c.tau ~boost:c.boost v)
-    (fun rt -> Ref.approx_degree rt ~key:c.key ~alpha:c.alpha ~tau:c.tau ~boost:c.boost v)
-  && agree "approx_edge_count" c parts ~equal:Int.equal ~show:show_int
+  && estimate_agrees "approx_degree" c parts
+       (fun rt ->
+         Tfree.Degree_approx.approx_degree rt ~key:c.key ~alpha:c.alpha ~tau:c.tau ~boost:c.boost v)
+       (fun ~experiments rt ->
+         Ref.approx_degree ~experiments rt ~key:c.key ~alpha:c.alpha ~tau:c.tau ~boost:c.boost v)
+  && estimate_agrees "approx_edge_count" c parts
        (fun rt ->
          Tfree.Degree_approx.approx_edge_count rt ~key:c.key ~alpha:c.alpha ~tau:c.tau
            ~boost:c.boost)
-       (fun rt -> Ref.approx_edge_count rt ~key:c.key ~alpha:c.alpha ~tau:c.tau ~boost:c.boost)
+       (fun ~experiments rt ->
+         Ref.approx_edge_count ~experiments rt ~key:c.key ~alpha:c.alpha ~tau:c.tau ~boost:c.boost)
+
+(* A [boost] that gives [approx_distinct] on case [c] exactly [m_exp]
+   experiments per guess, with the count it gives checked. *)
+let boost_for (c : case) parts ~m_exp =
+  let rt = Runtime.make ~seed:0 parts in
+  let local = Array.init (Runtime.k rt) (fun j -> Array.to_list (elements c (Runtime.input rt j))) in
+  let h = Ref.hoeffding ~k:(Runtime.k rt) ~alpha:c.alpha ~tau:c.tau (Ref.d_prime local) in
+  let boost = (float_of_int m_exp -. 0.5) /. h in
+  if Ref.m_exp ~boost h <> m_exp then Alcotest.failf "no boost gives %d experiments" m_exp;
+  boost
 
 let sample_agrees (c : case) parts =
   let i = c.bucket mod Bucket.count ~n:(Partition.n parts) in
@@ -338,6 +419,14 @@ let corners =
           (fun rt -> Runtime.any_player rt (fun j _ -> j = 0))
           (fun rt -> Ref.any_player rt (fun j _ -> j = 0)));
   ]
+  (* Mark words: one partial word, one full word, a full word and one bit,
+     two full words, two full words and one bit. *)
+  @ List.map
+      (fun m_exp ->
+        corner (Printf.sprintf "%d experiments a guess" m_exp) (fun () ->
+            let parts = parts_of base in
+            approx_agrees { base with boost = boost_for base parts ~m_exp } parts))
+      [ 60; 61; 62; 122; 123 ]
 
 (* The pair compare of the reference on hashes drawn from four values, so
    ties between different vertices are common. *)
