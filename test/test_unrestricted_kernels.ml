@@ -17,8 +17,9 @@
    [Rng.split] and [hash_float], not the library's split table); rounds,
    messages and the tap record are held to it.  Boosts that give 60, 61,
    62, 122 and 123 experiments a guess cover a partial word, an exact fit
-   and a spill into the next word.  The cases cover every family and partition at n from 4 to 400,
-   1 to 5 players, both runtime modes, with and without a precomputed B̃
+   and a spill into the next word.
+   The cases cover every family and partition at n from 4 to 400, 1 to 5
+   players, both runtime modes, with and without a precomputed B̃
    table, plus empty inputs, a bucket nobody suspects, one player, every
    player holding every element and every player answering yes.  The
    priority order is checked against the pair compare on hash ties, which
