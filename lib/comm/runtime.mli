@@ -34,7 +34,7 @@ val input : t -> int -> Graph.t
 val shared_rng : t -> key:int -> Tfree_util.Rng.t
 
 (** [shared_split t c i ~key]: slot [i] of [c] becomes
-    [shared_rng t ~key], for keyed marks only ({!Tfree_util.Rng.any_marked});
+    [shared_rng t ~key], for keyed marks only ({!Tfree_util.Rng.mark_word});
     allocates nothing. *)
 val shared_split : t -> Tfree_util.Rng.splits -> int -> key:int -> unit
 

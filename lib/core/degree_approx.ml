@@ -46,9 +46,10 @@ let thresholds ~alpha =
   (theta, margin)
 
 (* A player's answer at one guess carries one bit per experiment, LSB-first
-   in words of at most [word_bits] bits.  Each word is a range code over
-   [0, 2^w - 1], which costs exactly its w bits, so a player's reply costs
-   m_exp bits, as many as m_exp one-bit answers would. *)
+   in words of at most [word_bits] bits ({!Rng.mark_word}'s limit).  Each
+   word is a range code over [0, 2^w - 1], which costs exactly its w bits,
+   so a player's reply costs m_exp bits, as many as m_exp one-bit answers
+   would. *)
 let word_bits = 61
 
 (* Player reply: bit e is whether [els] holds an element marked in
@@ -58,11 +59,8 @@ let mark_words marks ~p ~m_exp els =
     if first >= m_exp then []
     else begin
       let w = min word_bits (m_exp - first) in
-      let word = ref 0 in
-      for b = 0 to w - 1 do
-        if Rng.any_marked marks (first + b) ~p els then word := !word lor (1 lsl b)
-      done;
-      Msg.int_in ~lo:0 ~hi:((1 lsl w) - 1) !word :: words (first + w)
+      let word = Rng.mark_word marks ~first ~count:w ~p els in
+      Msg.int_in ~lo:0 ~hi:((1 lsl w) - 1) word :: words (first + w)
     end
   in
   Msg.tuple (words 0)

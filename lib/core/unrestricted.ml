@@ -57,9 +57,10 @@ let[@inline] precedes (hv : float) (v : int) (hb : float) (b : int) = hv < hb ||
 (* Algorithm 1: uniform sample from B̃_i = ∪_j B̃ʲ_i under a shared random
    priority; unbiased despite vertices being suspected by several players.
    [btilde] is the optional precomputed membership (player -> bucket ->
-   vertices); without it each player scans its whole vertex range.  Each
-   side keeps its best (hash, vertex) in two locals and hashes every vertex
-   it considers once; -1 stands for no vertex yet. *)
+   vertices), whose first vertex in that order {!Rng.first_key} finds;
+   without it each player scans its whole vertex range.  Each side keeps its
+   best (hash, vertex) in two locals and hashes every vertex it considers
+   once; -1 stands for no vertex yet. *)
 let sample_uniform_from_btilde ?btilde rt ~key ~i =
   let rng = Runtime.shared_rng rt ~key in
   let n = Runtime.n rt in
@@ -67,16 +68,7 @@ let sample_uniform_from_btilde ?btilde rt ~key ~i =
   let best_of j input =
     let best = ref (-1) and best_h = ref infinity in
     (match btilde with
-    | Some tbl ->
-        let vs = tbl.(j).(i) in
-        for x = 0 to Array.length vs - 1 do
-          let v = vs.(x) in
-          let hv = Rng.hash_float rng v in
-          if precedes hv v !best_h !best then begin
-            best := v;
-            best_h := hv
-          end
-        done
+    | Some tbl -> best := Rng.first_key rng tbl.(j).(i)
     | None ->
         for v = 0 to n - 1 do
           if Bucket.suspects ~k ~i (Graph.degree input v) then begin

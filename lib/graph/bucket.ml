@@ -16,11 +16,21 @@ let index_of_degree d =
   if d <= 0 then invalid_arg "Bucket.index_of_degree: nonpositive degree";
   log3_floor d
 
-let d_minus i = int_of_float (Float.pow 3.0 (float_of_int i))
-let d_plus i = int_of_float (Float.pow 3.0 (float_of_int (i + 1)))
-
 (** Number of bucket indices needed for an n-vertex graph. *)
 let count ~n = 1 + log3_floor (max 1 (n - 1))
+
+let pow3 e = int_of_float (Float.pow 3.0 (float_of_int e))
+
+(* 3^e for every exponent the bounds of a bucket [count] reaches, computed
+   once by the same expression: [suspects] reads two per call, and [pow]
+   is a libm call. *)
+let pow3_table = Array.init (count ~n:max_int + 1) pow3
+
+let[@inline] pow3_at e =
+  if e >= 0 && e < Array.length pow3_table then Array.unsafe_get pow3_table e else pow3 e
+
+let d_minus i = pow3_at i
+let d_plus i = pow3_at (i + 1)
 
 (** [members g] returns an array mapping bucket index to vertex list. *)
 let members g =

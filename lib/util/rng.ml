@@ -51,17 +51,32 @@ let split t key =
   let k = mix64 (Int64.logxor t.salt (Int64.of_int key)) in
   make (mix64 (Int64.logxor (state t) k)) (mix64 (Int64.add k golden))
 
-(* The top 53 bits of [h] as a float in [0, 1).  Multiplying by 2^-53 is
-   exact, so it equals dividing by 2^53, without the division. *)
-let[@inline] unit_float h = Int64.to_float (Int64.shift_right_logical h 11) *. 0x1p-53
+(* The top 53 bits of [h], an int in [0, 2^53). *)
+let[@inline] top53 h = Int64.to_int (Int64.shift_right_logical h 11)
+
+(* [top53 h] as a float in [0, 1).  An int below 2^53 converts exactly
+   (inline, where [Int64.to_float] calls into C), and multiplying by 2^-53
+   is exact, so it equals dividing by 2^53, without the division. *)
+let[@inline] unit_float h = float_of_int (top53 h) *. 0x1p-53
+
+(* The integer form of [unit_float h < p]: it holds exactly when
+   [top53 h < threshold p].  [unit_float h] is [top53 h · 2^-53] exactly,
+   and [p · 2^53] is exact too, so the test is [top53 h < p · 2^53], which
+   for an integer [top53 h] is [top53 h < ⌈p · 2^53⌉].  No [h] passes
+   0 (p <= 0 or NaN) and every [h] passes 2^53 (p >= 1). *)
+let threshold p =
+  if p >= 1.0 then 1 lsl 53 else if p > 0.0 then int_of_float (Float.ceil (p *. 0x1p53)) else 0
+
+(* The keyed hash of [key] under the stream with state [s] and salt
+   [salt]. *)
+let[@inline] keyed s salt key = mix64 (Int64.logxor (Int64.add s (Int64.of_int key)) salt)
 
 (** Stateless keyed hash in [0, 1). *)
-let[@inline] hash_float t key =
-  unit_float (mix64 (Int64.logxor (Int64.add (state t) (Int64.of_int key)) t.salt))
+let[@inline] hash_float t key = unit_float (keyed (state t) t.salt key)
 
 (** Stateless keyed hash over a pair of keys, in [0, 1). *)
 let hash_float2 t key1 key2 =
-  let h1 = mix64 (Int64.logxor (Int64.add (state t) (Int64.of_int key1)) t.salt) in
+  let h1 = keyed (state t) t.salt key1 in
   unit_float (mix64 (Int64.add h1 (Int64.of_int key2)))
 
 let hash_bool t key ~p = hash_float t key < p
@@ -79,32 +94,53 @@ let splits count =
   if count < 0 then invalid_arg "Rng.splits: negative count";
   Bytes.create (16 * count)
 
-let check_slot c i name = if i < 0 || (16 * i) + 16 > Bytes.length c then invalid_arg name
-
 (** Slot [i] becomes [split t key], by the same arithmetic. *)
 let set_split c i t key =
-  check_slot c i "Rng.set_split: slot out of range";
+  if i < 0 || i >= Bytes.length c / 16 then invalid_arg "Rng.set_split: slot out of range";
   let k = mix64 (Int64.logxor t.salt (Int64.of_int key)) in
   set64 c (16 * i) (mix64 (Int64.logxor (state t) k));
   set64 c ((16 * i) + 8) (mix64 (Int64.add k golden))
 
-(** [hash_bool] under slot [i]'s child, key by key, stopping at the first
-    marked key: the child's state and salt are read once, into unboxed
-    locals, and the scan allocates nothing. *)
-let any_marked c i ~p keys =
-  check_slot c i "Rng.any_marked: slot out of range";
-  let s = get64 c (16 * i) and salt = get64 c ((16 * i) + 8) in
+(* The most bits {!mark_word} packs into one int. *)
+let word_bits = 61
+
+(** Bit [b] of the word is whether some key of [keys] is marked under slot
+    [first + b]: [hash_bool] under that slot's child, as an integer test
+    against the threshold of [p].  The slot range is checked once; each
+    slot's state and salt are read into unboxed locals, its scan stops at
+    the first marked key, and nothing is allocated. *)
+let mark_word c ~first ~count ~p keys =
+  if count < 0 || count > word_bits || first < 0 || first > (Bytes.length c / 16) - count then
+    invalid_arg "Rng.mark_word: slot range out of bounds";
+  let thr = threshold p in
   let len = Array.length keys in
-  let j = ref 0 in
-  while
-    !j < len
-    && not
-         (unit_float (mix64 (Int64.logxor (Int64.add s (Int64.of_int (Array.unsafe_get keys !j))) salt))
-         < p)
-  do
-    incr j
+  let word = ref 0 in
+  for b = 0 to count - 1 do
+    let at = 16 * (first + b) in
+    let s = get64 c at and salt = get64 c (at + 8) in
+    let j = ref 0 in
+    while !j < len && top53 (keyed s salt (Array.unsafe_get keys !j)) >= thr do
+      incr j
+    done;
+    if !j < len then word := !word lor (1 lsl b)
   done;
-  !j < len
+  !word
+
+(** The key first in ([hash_float t key], key) order, or -1 if [keys] is
+    empty.  [hash_float] is monotone in [top53], so comparing the [top53]
+    ints, ties to the smaller key, gives the same order without a float. *)
+let first_key t keys =
+  let s = state t and salt = t.salt in
+  let best = ref (-1) and best_h = ref max_int in
+  for x = 0 to Array.length keys - 1 do
+    let v = Array.unsafe_get keys x in
+    let h = top53 (keyed s salt v) in
+    if h < !best_h || (h = !best_h && v < !best) then begin
+      best := v;
+      best_h := h
+    end
+  done;
+  !best
 
 (** Uniform integer in [0, bound). *)
 let int t bound =

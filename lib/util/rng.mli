@@ -22,8 +22,9 @@ val next_int64 : t -> int64
     child, for all parties. *)
 val split : t -> int -> t
 
-(** Stateless keyed hash in [0, 1): a pure function of (stream state, key).
-    Used for shared random priorities and Bernoulli marks. *)
+(** Stateless keyed hash in [0, 1): a pure function of (stream state, key),
+    the hash's top 53 bits times 2^-53.  Used for shared random priorities
+    and Bernoulli marks. *)
 val hash_float : t -> int -> float
 
 (** Stateless keyed hash of a pair of keys, in [0, 1); order-sensitive. *)
@@ -45,11 +46,22 @@ val splits : int -> splits
     @raise Invalid_argument if [i] is not a slot of [c]. *)
 val set_split : splits -> int -> t -> int -> unit
 
-(** [any_marked c i ~p keys]: whether [hash_bool (split t key) x ~p] holds
-    for some [x] of [keys], where slot [i] holds [split t key]; the scan
-    stops at the first marked key and reads [keys] in place.
-    @raise Invalid_argument if [i] is not a slot of [c]. *)
-val any_marked : splits -> int -> p:float -> int array -> bool
+(** [mark_word c ~first ~count ~p keys]: bit [b] (for [b < count]) is set
+    exactly when [hash_bool (split t key) x ~p] holds for some [x] of
+    [keys], where slot [first + b] holds [split t key]; the other bits are
+    0.  The test compares integers: the hash's top 53 bits against
+    ⌈p·2^53⌉ (0 when p <= 0 or p is NaN, 2^53 when p >= 1), which is exactly
+    [hash_float < p].  Reads [keys] in place, stops each slot's scan at its
+    first marked key, and allocates nothing.
+    @raise Invalid_argument unless [0 <= count <= 61] and slots [first] to
+    [first + count - 1] are slots of [c]. *)
+val mark_word : splits -> first:int -> count:int -> p:float -> int array -> int
+
+(** [first_key t keys]: the key of [keys] first in
+    ([hash_float t key], key) order, a hash tie going to the smaller key; -1
+    if [keys] is empty.  Compares the hashes' top 53 bits as integers (the
+    same order) and allocates nothing. *)
+val first_key : t -> int array -> int
 
 (** Uniform integer in [0, bound); advances the stream.
     @raise Invalid_argument if [bound <= 0]. *)
