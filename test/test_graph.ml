@@ -357,7 +357,13 @@ let test_bucket_bounds () =
   checki "d- of 0" 1 (Bucket.d_minus 0);
   checki "d+ of 0" 3 (Bucket.d_plus 0);
   checki "d- of 2" 9 (Bucket.d_minus 2);
-  checki "d+ of 2" 27 (Bucket.d_plus 2)
+  checki "d+ of 2" 27 (Bucket.d_plus 2);
+  (* every index a bucket count reaches, and a few past it *)
+  let pow3 e = int_of_float (Float.pow 3.0 (float_of_int e)) in
+  for i = -2 to Bucket.count ~n:max_int + 2 do
+    checki (Printf.sprintf "d- of %d" i) (pow3 i) (Bucket.d_minus i);
+    checki (Printf.sprintf "d+ of %d" i) (pow3 (i + 1)) (Bucket.d_plus i)
+  done
 
 let test_bucket_members_partition_nonisolated () =
   let rng = Rng.create 28 in

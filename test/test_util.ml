@@ -72,6 +72,94 @@ let test_rng_hash_float2_symmetry_breaking () =
   let r = Rng.create 6 in
   checkb "pair order matters" true (Rng.hash_float2 r 1 2 <> Rng.hash_float2 r 2 1)
 
+(* The shared-randomness kernels against the per-key float tests they
+   replace: [mark_word] bit by bit against [hash_bool] under [split], and
+   [first_key] against the least (hash_float, key) pair. *)
+
+let splits_of t slot_keys =
+  let c = Rng.splits (Array.length slot_keys) in
+  Array.iteri (fun i key -> Rng.set_split c i t key) slot_keys;
+  c
+
+let ref_mark_word t slot_keys ~first ~count ~p keys =
+  let word = ref 0 in
+  for b = 0 to count - 1 do
+    let child = Rng.split t slot_keys.(first + b) in
+    if Array.exists (fun x -> Rng.hash_bool child x ~p) keys then word := !word lor (1 lsl b)
+  done;
+  !word
+
+(* One key under one slot: the integer threshold test alone. *)
+let marked_one t key x ~p = Rng.mark_word (splits_of t [| key |]) ~first:0 ~count:1 ~p [| x |] = 1
+
+let ref_first_key t keys =
+  Array.fold_left
+    (fun best v ->
+      match best with
+      | Some b when compare (Rng.hash_float t b, b) (Rng.hash_float t v, v) <= 0 -> best
+      | _ -> Some v)
+    None keys
+  |> Option.value ~default:(-1)
+
+(* At p = j·2^-53 for the hash's own j, and one float either side of it,
+   where a threshold off by one flips; then the clamped and special p. *)
+let test_rng_threshold_corners () =
+  for seed = 0 to 40 do
+    let t = Rng.create seed in
+    let key = seed * 31 and x = seed * 7919 in
+    let h = Rng.hash_float (Rng.split t key) x in
+    List.iter
+      (fun p ->
+        checkb (Printf.sprintf "seed %d p %h" seed p) (h < p) (marked_one t key x ~p))
+      [
+        h; Float.succ h; Float.pred h; h +. 0x1p-53; h -. 0x1p-53; 0.0; -0.0; 1.0; Float.pred 1.0;
+        Float.succ 1.0; 2.0; infinity; -1.0; neg_infinity; Float.nan; Float.min_float;
+        Float.succ 0.0; Float.pred Float.min_float; 0x1p-53; 0x1p-54;
+      ]
+  done
+
+let test_rng_mark_word_reference () =
+  let t = Rng.create 17 in
+  let slot_keys = Array.init 70 (fun i -> (i * 104729) + 3) in
+  let c = splits_of t slot_keys in
+  List.iter
+    (fun len ->
+      let keys = Array.init len (fun i -> (i * 613) + 11) in
+      List.iter
+        (fun p ->
+          List.iter
+            (fun first ->
+              for count = 0 to 61 do
+                checki
+                  (Printf.sprintf "len %d p %g first %d count %d" len p first count)
+                  (ref_mark_word t slot_keys ~first ~count ~p keys)
+                  (Rng.mark_word c ~first ~count ~p keys)
+              done)
+            [ 0; 9 ])
+        [ 0.5; 1.0 /. float_of_int (max 1 len); 0.002 ])
+    [ 0; 1; 400 ]
+
+let test_rng_mark_word_bounds () =
+  let c = Rng.splits 70 in
+  let raises name ~first ~count =
+    Alcotest.check_raises name (Invalid_argument "Rng.mark_word: slot range out of bounds")
+      (fun () -> ignore (Rng.mark_word c ~first ~count ~p:0.5 [| 1 |]))
+  in
+  raises "62 bits" ~first:0 ~count:62;
+  raises "negative count" ~first:0 ~count:(-1);
+  raises "negative first" ~first:(-1) ~count:1;
+  raises "past the last slot" ~first:10 ~count:61;
+  raises "first overflows" ~first:(max_int / 8) ~count:1;
+  checki "no bits at the end" 0 (Rng.mark_word c ~first:70 ~count:0 ~p:1.0 [| 1 |]);
+  checki "last slot" 1 (Rng.mark_word c ~first:69 ~count:1 ~p:1.0 [| 1 |])
+
+let test_rng_first_key_reference () =
+  let t = Rng.create 23 in
+  checki "empty" (-1) (Rng.first_key t [||]);
+  List.iter
+    (fun keys -> checki "first key" (ref_first_key t keys) (Rng.first_key t keys))
+    [ [| 5 |]; [| 5; 5 |]; Array.init 300 (fun i -> 299 - i); [| -4; 0; max_int; min_int; 7; -4 |] ]
+
 let test_rng_geometric_zero_p_one () =
   let r = Rng.create 7 in
   checki "p=1 gives 0" 0 (Rng.geometric r ~p:1.0)
@@ -416,6 +504,23 @@ let test_lru_clear () =
 let qcheck_props =
   let open QCheck in
   [
+    Test.make ~name:"rng integer threshold is hash_float < p" ~count:500
+      (quad int int int (oneof [ float; float_range (-0.1) 1.1; float_range 0.0 0x1p-40 ]))
+      (fun (seed, key, x, p) ->
+        let t = Rng.create seed in
+        marked_one t key x ~p = (Rng.hash_float (Rng.split t key) x < p));
+    Test.make ~name:"rng mark_word is hash_bool per slot" ~count:200
+      (quad int (int_range 0 61) (array_of_size Gen.(int_range 0 40) int) (float_range 0.0 0.2))
+      (fun (seed, count, keys, p) ->
+        let t = Rng.create seed in
+        let slot_keys = Array.init 64 (fun i -> seed + (i * 7919)) in
+        Rng.mark_word (splits_of t slot_keys) ~first:(64 - count) ~count ~p keys
+        = ref_mark_word t slot_keys ~first:(64 - count) ~count ~p keys);
+    Test.make ~name:"rng first_key is the least (hash, key)" ~count:300
+      (pair int (array_of_size Gen.(int_range 0 60) small_signed_int))
+      (fun (seed, keys) ->
+        let t = Rng.create seed in
+        Rng.first_key t keys = ref_first_key t keys);
     Test.make ~name:"rng float is the top 53 bits over 2^53" ~count:200 (pair int int)
       (fun (seed, key) ->
         let r = Rng.split (Rng.create seed) key in
@@ -492,6 +597,10 @@ let () =
           Alcotest.test_case "geometric p=1" `Quick test_rng_geometric_zero_p_one;
           Alcotest.test_case "geometric mean" `Quick test_rng_geometric_mean;
           Alcotest.test_case "copy isolation" `Quick test_rng_copy_isolated;
+          Alcotest.test_case "threshold corners" `Quick test_rng_threshold_corners;
+          Alcotest.test_case "mark_word reference" `Quick test_rng_mark_word_reference;
+          Alcotest.test_case "mark_word bounds" `Quick test_rng_mark_word_bounds;
+          Alcotest.test_case "first_key reference" `Quick test_rng_first_key_reference;
         ] );
       ( "sampling",
         [
