@@ -254,6 +254,21 @@ let () =
     if rounds <> float_of_int Micro_core.unrestricted_rounds then
       fail "micro/unrestricted: %g rounds, not the %d of one round per degree guess" rounds
         Micro_core.unrestricted_rounds;
+    (* The shared-randomness kernels under it: timed, and allocating
+       nothing. *)
+    let kernels = wire_row "micro/shared-rng" in
+    if float_field kernels "limit" <> Micro_core.kernel_words_limit then
+      fail "micro/shared-rng: limit %g is not the %g-word gate" (float_field kernels "limit")
+        Micro_core.kernel_words_limit;
+    List.iter
+      (fun kernel ->
+        if not (float_field kernels (kernel ^ "_ns") > 0.0) then
+          fail "micro/shared-rng: %s_ns not positive" kernel;
+        let words = float_field kernels (kernel ^ "_words") in
+        if words > Micro_core.kernel_words_limit then
+          fail "micro/shared-rng: %s allocates %g words/call, over the %g budget" kernel words
+            Micro_core.kernel_words_limit)
+      [ "mark_word"; "first_key" ];
     (* The dataset rows (bench/dataset_bench.ml) witness the reasons
        lib/dataset exists: the snapshot loads faster than regenerating or
        re-parsing the corpus, and is the smaller on-disk encoding. *)

@@ -5,9 +5,9 @@
    v2 round trip stays inside its minor-words allocation budget, a
    wire-tap delivery of a fixed-width frame inside its per-frame budget,
    a cold far-instance build ({!Micro_gen}), and the four Algorithm 8
-   player messages and the dup partition of a cold-build query and one
-   chatty-shaped unrestricted run ({!Micro_core}) inside their allocation
-   budgets.  Every words budget
+   player messages and the dup partition of a cold-build query, one
+   chatty-shaped unrestricted run and its two shared-randomness kernels
+   ({!Micro_core}) inside their allocation budgets.  Every words budget
    reads the one counter in {!Timing.row}, so that counter must first read
    exactly the words of a closure allocating one known block, on the minor
    heap and on the major heap.
@@ -71,7 +71,7 @@ let () =
   | [] ->
       print_endline
         "micro: ok (allocation counter exact; v2 beats v1 on bytes and time; zero-alloc, tap, \
-         far-build, sim-player, partition and unrestricted budgets held)"
+         far-build, sim-player, partition, unrestricted and shared-rng budgets held)"
   | violations ->
       List.iter (fun v -> prerr_endline ("micro: GATE FAILED: " ^ v)) violations;
       exit 1

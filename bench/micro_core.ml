@@ -16,6 +16,12 @@
                         of the guess's experiments, where one round per
                         experiment took 13,195
 
+   And the two shared-randomness kernels that run under it:
+
+     micro/shared-rng   one [Rng.mark_word] call (61 of Theorem 3.1's
+                        experiments over 400 keys) and one [Rng.first_key]
+                        call (Algorithm 1's priority over 300 vertices)
+
    For each row:
 
      ns/run      fastest of {!Timing.loops} timed loops ({!Timing.row}),
@@ -28,8 +34,9 @@
    selected edges.  A partition draws its ownership bits and hands out
    players that are views of the instance: no player row is built until a
    protocol reads it.  An unrestricted run's experiments allocate almost
-   nothing: no split stream, no element list, no boxed priority.  {!check}
-   holds a run of each to its words limit.
+   nothing: no split stream, no element list, no boxed priority, and its
+   two kernels allocate nothing at all.  {!check} holds a run of each to
+   its words limit.
 
    [bench/main.ml] embeds the rows in BENCH_results.json; [bench/micro.ml]
    gates them behind the @micro-smoke alias; [bench/check_json.ml]
@@ -56,11 +63,23 @@ let words_limit = 10_000.0
     every player was built through its own [Graph.Builder]). *)
 let partition_words_limit = 30_000.0
 
-(** The allocation budget of one unrestricted run, in words: about 200k in
-    a dev build; 274k with one round per experiment, 385k when every
-    experiment also split its own stream, 1.70M when every round built a
-    reply array and every experiment an element list. *)
-let unrestricted_words_limit = 235_000.0
+(** The allocation budget of one unrestricted run, in words: about 99k in
+    a dev build; 200k when every priority was a boxed [hash_float], 274k
+    with one round per experiment, 385k when every experiment also split
+    its own stream, 1.70M when every round built a reply array and every
+    experiment an element list. *)
+let unrestricted_words_limit = 130_000.0
+
+(** The allocation budget of one [Rng.mark_word] or [Rng.first_key]
+    call. *)
+let kernel_words_limit = 0.0
+
+(* The kernels' inputs: 61 mark slots and 400 keys at a mark probability
+   that leaves some slots unmarked (their scans read every key), and a
+   first key among 300 vertices. *)
+let mark_keys = Array.init 400 (fun i -> (i * 613) + 11)
+let mark_p = 1.0 /. 800.0
+let priority_keys = Array.init chatty_n Fun.id
 
 (** The rounds of that run, which [bench/check_json.ml] requires: one per
     degree guess, not one per experiment (13,195). *)
@@ -75,6 +94,8 @@ type result = {
   unrestricted : Timing.row;
   unrestricted_bits : int;
   unrestricted_rounds : int;
+  mark_word : Timing.row;
+  first_key : Timing.row;
 }
 
 let request ~protocol ~n ~d =
@@ -93,6 +114,11 @@ let measure ~runs =
   let _, chatty = Service.instance_pair (request ~protocol:Service.Unrestricted ~n:chatty_n ~d:chatty_d) in
   let unrestricted () = Tfree.Tester.unrestricted ~seed params chatty in
   let report = unrestricted () in
+  let shared = Rng.create seed in
+  let marks = Rng.splits 61 in
+  for e = 0 to 60 do
+    Rng.set_split marks e shared (104729 * (e + 1))
+  done;
   {
     runs;
     player = Timing.row ~runs play;
@@ -103,6 +129,9 @@ let measure ~runs =
     unrestricted = Timing.row ~runs:(max 1 (runs / 5)) unrestricted;
     unrestricted_bits = report.Tfree.Tester.bits;
     unrestricted_rounds = report.Tfree.Tester.rounds;
+    mark_word =
+      Timing.row ~runs (fun () -> Rng.mark_word marks ~first:0 ~count:61 ~p:mark_p mark_keys);
+    first_key = Timing.row ~runs:(runs * 100) (fun () -> Rng.first_key shared priority_keys);
   }
 
 let check r =
@@ -114,6 +143,8 @@ let check r =
     over "sim player run" r.player.words words_limit
     @ over "dup partition" r.partition.words partition_words_limit
     @ over "unrestricted run" r.unrestricted.words unrestricted_words_limit
+    @ over "Rng.mark_word call" r.mark_word.words kernel_words_limit
+    @ over "Rng.first_key call" r.first_key.words kernel_words_limit
   with
   | [] -> Ok ()
   | violations -> Error violations
@@ -142,6 +173,8 @@ let print_table r =
          line "dup partition" r.partition partition_words_limit (Printf.sprintf "%d edges" r.held);
          line "unrestricted run" r.unrestricted unrestricted_words_limit
            (Printf.sprintf "%d bits, %d rounds" r.unrestricted_bits r.unrestricted_rounds);
+         line "Rng.mark_word" r.mark_word kernel_words_limit "61 slots x 400 keys";
+         line "Rng.first_key" r.first_key kernel_words_limit (Printf.sprintf "%d keys" chatty_n);
        ])
 
 let to_rows r =
@@ -169,4 +202,15 @@ let to_rows r =
         ("bits", num (float_of_int r.unrestricted_bits));
         ("rounds", num (float_of_int r.unrestricted_rounds));
       ];
+    Jsonout.Obj
+      (("name", Jsonout.Str "micro/shared-rng")
+      :: ("limit", num kernel_words_limit)
+      :: List.concat_map
+           (fun (kernel, (x : Timing.row)) ->
+             [
+               (kernel ^ "_ns", num x.ns);
+               (kernel ^ "_ns_spread", num x.spread);
+               (kernel ^ "_words", num x.words);
+             ])
+           [ ("mark_word", r.mark_word); ("first_key", r.first_key) ]);
   ]
