@@ -154,7 +154,7 @@ let print_report g (report : Tfree.Tester.report) =
         (Triangle.is_triangle g (a, b, c))
   | Tfree.Tester.Triangle (a, b, c), None -> Printf.printf "verdict: TRIANGLE (%d,%d,%d)\n" a b c
   | Tfree.Tester.Triangle_free, _ -> print_endline "verdict: no triangle found");
-  Printf.printf "communication: %d bits over %d round(s); max single message %d bits\n"
+  Printf.printf "communication: %d bits over %d round(s); max player upload %d bits\n"
     report.Tfree.Tester.bits report.Tfree.Tester.rounds report.Tfree.Tester.max_message
 
 (* The tester report inside a served (or wired) response. *)

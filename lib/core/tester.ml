@@ -18,7 +18,7 @@ type report = {
   verdict : verdict;
   bits : int;  (** total communication in bits *)
   rounds : int;  (** communication rounds (1 for simultaneous) *)
-  max_message : int;  (** largest single player message, in bits *)
+  max_message : int;  (** max player upload: the most bits one player sent over the run *)
 }
 
 (** Unrestricted-communication tester (§3.3), degree-oblivious.  O~(k·(nd)^¼

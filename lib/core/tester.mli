@@ -15,7 +15,11 @@ type report = {
   verdict : verdict;
   bits : int;  (** total communication *)
   rounds : int;  (** communication rounds (1 for simultaneous) *)
-  max_message : int;  (** largest single player message *)
+  max_message : int;
+      (** max player upload: the most bits one player sent over the run
+          ({!Tfree_comm.Cost.max_player_upload} for the unrestricted tester,
+          where a player sends many messages; a simultaneous player sends
+          one) *)
 }
 
 (** Unrestricted-communication tester (§3.3), degree-oblivious:

@@ -76,7 +76,7 @@ type response = {
   verdict : Tfree.Tester.verdict;
   bits : int;  (** accounted communication (the cost model) *)
   rounds : int;
-  max_message : int;
+  max_message : int;  (** {!Tfree.Tester.report}'s max player upload *)
   wire : Wire_runtime.report;  (** measured wire traffic, reconciled *)
 }
 
