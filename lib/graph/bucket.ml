@@ -19,18 +19,12 @@ let index_of_degree d =
 (** Number of bucket indices needed for an n-vertex graph. *)
 let count ~n = 1 + log3_floor (max 1 (n - 1))
 
-let pow3 e = int_of_float (Float.pow 3.0 (float_of_int e))
-
 (* 3^e for every exponent the bounds of a bucket [count] reaches, computed
-   once by the same expression: [suspects] reads two per call, and [pow]
-   is a libm call. *)
-let pow3_table = Array.init (count ~n:max_int + 1) pow3
+   once: [suspects] reads two per call, and [Float.pow] is a libm call. *)
+let pow3 = Array.init (count ~n:max_int + 1) (fun e -> int_of_float (Float.pow 3.0 (float_of_int e)))
 
-let[@inline] pow3_at e =
-  if e >= 0 && e < Array.length pow3_table then Array.unsafe_get pow3_table e else pow3 e
-
-let d_minus i = pow3_at i
-let d_plus i = pow3_at (i + 1)
+let d_minus i = pow3.(i)
+let d_plus i = pow3.(i + 1)
 
 (** [members g] returns an array mapping bucket index to vertex list. *)
 let members g =

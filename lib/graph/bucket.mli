@@ -6,10 +6,12 @@
     @raise Invalid_argument on nonpositive degrees. *)
 val index_of_degree : int -> int
 
-(** Lower degree bound of bucket [i]: 3^i. *)
+(** Lower degree bound of bucket [i]: 3^i.
+    @raise Invalid_argument if [i] is below 0 or above [count ~n:max_int]. *)
 val d_minus : int -> int
 
-(** Upper degree bound (exclusive) of bucket [i]: 3^{i+1}. *)
+(** Upper degree bound (exclusive) of bucket [i]: 3^{i+1}.
+    @raise Invalid_argument if [i] is not below [count ~n:max_int]. *)
 val d_plus : int -> int
 
 (** Number of bucket indices needed for an n-vertex graph. *)

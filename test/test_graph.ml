@@ -358,12 +358,16 @@ let test_bucket_bounds () =
   checki "d+ of 0" 3 (Bucket.d_plus 0);
   checki "d- of 2" 9 (Bucket.d_minus 2);
   checki "d+ of 2" 27 (Bucket.d_plus 2);
-  (* every index a bucket count reaches, and a few past it *)
+  (* every index a bucket count reaches *)
   let pow3 e = int_of_float (Float.pow 3.0 (float_of_int e)) in
-  for i = -2 to Bucket.count ~n:max_int + 2 do
+  for i = 0 to Bucket.count ~n:max_int - 1 do
     checki (Printf.sprintf "d- of %d" i) (pow3 i) (Bucket.d_minus i);
     checki (Printf.sprintf "d+ of %d" i) (pow3 (i + 1)) (Bucket.d_plus i)
-  done
+  done;
+  Alcotest.check_raises "d- of -1" (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Bucket.d_minus (-1)));
+  Alcotest.check_raises "d+ past the last bucket" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (Bucket.d_plus (Bucket.count ~n:max_int)))
 
 let test_bucket_members_partition_nonisolated () =
   let rng = Rng.create 28 in
