@@ -504,23 +504,6 @@ let test_lru_clear () =
 let qcheck_props =
   let open QCheck in
   [
-    Test.make ~name:"rng integer threshold is hash_float < p" ~count:500
-      (quad int int int (oneof [ float; float_range (-0.1) 1.1; float_range 0.0 0x1p-40 ]))
-      (fun (seed, key, x, p) ->
-        let t = Rng.create seed in
-        marked_one t key x ~p = (Rng.hash_float (Rng.split t key) x < p));
-    Test.make ~name:"rng mark_word is hash_bool per slot" ~count:200
-      (quad int (int_range 0 61) (array_of_size Gen.(int_range 0 40) int) (float_range 0.0 0.2))
-      (fun (seed, count, keys, p) ->
-        let t = Rng.create seed in
-        let slot_keys = Array.init 64 (fun i -> seed + (i * 7919)) in
-        Rng.mark_word (splits_of t slot_keys) ~first:(64 - count) ~count ~p keys
-        = ref_mark_word t slot_keys ~first:(64 - count) ~count ~p keys);
-    Test.make ~name:"rng first_key is the least (hash, key)" ~count:300
-      (pair int (array_of_size Gen.(int_range 0 60) small_signed_int))
-      (fun (seed, keys) ->
-        let t = Rng.create seed in
-        Rng.first_key t keys = ref_first_key t keys);
     Test.make ~name:"rng float is the top 53 bits over 2^53" ~count:200 (pair int int)
       (fun (seed, key) ->
         let r = Rng.split (Rng.create seed) key in
@@ -575,6 +558,23 @@ let qcheck_props =
             end)
           ops;
         Lru.length c <= cap && Lru.lookups c = !lookups && Lru.hits c + Lru.misses c = !lookups);
+    Test.make ~name:"rng integer threshold is hash_float < p" ~count:500
+      (quad int int int (oneof [ float; float_range (-0.1) 1.1; float_range 0.0 0x1p-40 ]))
+      (fun (seed, key, x, p) ->
+        let t = Rng.create seed in
+        marked_one t key x ~p = (Rng.hash_float (Rng.split t key) x < p));
+    Test.make ~name:"rng mark_word is hash_bool per slot" ~count:200
+      (quad int (int_range 0 61) (array_of_size Gen.(int_range 0 40) int) (float_range 0.0 0.2))
+      (fun (seed, count, keys, p) ->
+        let t = Rng.create seed in
+        let slot_keys = Array.init 64 (fun i -> seed + (i * 7919)) in
+        Rng.mark_word (splits_of t slot_keys) ~first:(64 - count) ~count ~p keys
+        = ref_mark_word t slot_keys ~first:(64 - count) ~count ~p keys);
+    Test.make ~name:"rng first_key is the least (hash, key)" ~count:300
+      (pair int (array_of_size Gen.(int_range 0 60) small_signed_int))
+      (fun (seed, keys) ->
+        let t = Rng.create seed in
+        Rng.first_key t keys = ref_first_key t keys);
   ]
 
 let () =
