@@ -195,14 +195,11 @@ let () =
        frames inside their per-delivery allocation budgets, which may be no
        looser than the ones the micro gate holds them to. *)
     let tap = wire_row "micro/tap-frame" in
-    let limit = float_field tap "limit" and constant_limit = float_field tap "constant_limit" in
+    let limit = float_field tap "limit" in
     if limit <= 0.0 then fail "micro/tap-frame: non-positive limit";
     if limit > Micro_wire.tap_words_limit then
       fail "micro/tap-frame: limit %g is looser than the %g-word gate" limit
         Micro_wire.tap_words_limit;
-    if constant_limit < 0.0 || constant_limit > Micro_wire.constant_words_limit then
-      fail "micro/tap-frame: constant_limit %g is not within the %g-word gate" constant_limit
-        Micro_wire.constant_words_limit;
     List.iter
       (fun case ->
         if not (float_field tap (case ^ "_ns") > 0.0) then
@@ -212,12 +209,12 @@ let () =
         ignore (float_field tap (case ^ "_words")))
       [ "empty"; "bool"; "vertex_opt"; "vertices40"; "edges200" ];
     List.iter
-      (fun (case, limit) ->
+      (fun case ->
         let words = float_field tap (case ^ "_words") in
         if words > limit then
           fail "micro/tap-frame: %s allocates %g minor words/frame, over the %g budget" case words
             limit)
-      [ ("empty", constant_limit); ("bool", constant_limit); ("vertex_opt", limit) ];
+      [ "empty"; "bool"; "vertex_opt" ];
     (* The far-build row (bench/micro_gen.ml): timed, and inside its
        allocation budget. *)
     let gen = wire_row "micro/gen-far" in

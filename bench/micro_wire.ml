@@ -26,13 +26,12 @@
    histogram's recording fast path at zero allocations.
 
    A second table times the protocol-side wire path: one delivery through
-   [Wire_runtime.tap] on a pipe (frame, cross, decode, compare), in ns and
-   words, for an empty message, a one-bit reply (the unrestricted
-   protocol's degree-approximation frame), an optional vertex, 40 vertices
-   and 200 edges.  {!check} holds the three fixed-width frames to their
-   budgets: the empty message and the bit, whose frames are precomputed
-   constants, to {!constant_words_limit} words per delivery, and the
-   optional vertex to {!tap_words_limit}.
+   [Wire_runtime.tap] on a pipe (encode, cross, parse, compare), in ns and
+   words, for an empty message, a one-bit reply, an optional vertex (the
+   unrestricted protocol's Algorithm 1 reply), 40 vertices and 200 edges.
+   Every frame takes the same path, and {!check} holds the three
+   fixed-width ones (the empty message, the bit and the optional vertex)
+   to {!tap_words_limit} words per delivery.
 
    [bench/main.ml] embeds the rows in BENCH_results.json ([micro/serve-*],
    [micro/tap-frame]); [bench/micro.ml] runs the gate standalone behind the
@@ -104,14 +103,11 @@ and tap_case = {
     intermediate buffers. *)
 let minor_words_limit = 256.0
 
-(** The tap budget for a constant message ({!Msg.empty} or a {!Msg.bool}
-    reply): its frame is precomputed and the bytes that come back are
-    matched against it, so a delivery allocates nothing. *)
-let constant_words_limit = 0.0
-
-(** The tap budget for an optional vertex: one delivery may allocate the
+(** The tap budget for a fixed-width frame: one delivery may allocate the
     payload reader, the decoded message, its value and its layout (13
-    words), and no buffer, no header and no parse cursor. *)
+    words for an optional vertex, 5 for the empty message or a bit, whose
+    decoded message is the shared constant), and no buffer, no header and
+    no parse cursor. *)
 let tap_words_limit = 16.0
 
 (* --------------------------------------------------------- measurement *)
@@ -120,8 +116,8 @@ let tap_words_limit = 16.0
    tiny messages, then a medium and a large list. *)
 let tap_messages =
   [
-    ("empty", Some constant_words_limit, Msg.empty);
-    ("bool", Some constant_words_limit, Msg.bool true);
+    ("empty", Some tap_words_limit, Msg.empty);
+    ("bool", Some tap_words_limit, Msg.bool true);
     ("vertex_opt", Some tap_words_limit, Msg.vertex_opt ~n:300 (Some 217));
     ("vertices40", None, Msg.vertices ~n:300 (List.init 40 (fun i -> (i * 7) mod 300)));
     ( "edges200",
@@ -368,7 +364,6 @@ let to_rows r =
     Jsonout.Obj
       (("name", Jsonout.Str "micro/tap-frame")
       :: ("limit", num tap_words_limit)
-      :: ("constant_limit", num constant_words_limit)
       :: List.concat_map
            (fun c ->
              [

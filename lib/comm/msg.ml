@@ -167,6 +167,7 @@ let get_edge t = match t.value with Edge (u, v) -> (u, v) | _ -> invalid_arg "Ms
 let get_vertices t = match t.value with Vertices vs -> vs | _ -> invalid_arg "Msg.get_vertices"
 
 let get_edges t = match t.value with Edges es -> es | _ -> invalid_arg "Msg.get_edges"
+let all_edges ms = List.concat_map get_edges (Array.to_list ms)
 
 let get_tuple t =
   match (t.value, t.layout) with

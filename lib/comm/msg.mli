@@ -102,5 +102,10 @@ val get_edge : t -> int * int
 val get_vertices : t -> int list
 val get_edges : t -> (int * int) list
 
+(** The edges of every message in the array, message by message, each in
+    its own order: the union a referee or coordinator builds from a round's
+    edge-list replies. *)
+val all_edges : t array -> (int * int) list
+
 (** Parts of a tuple, each carrying its own layout and bit count. *)
 val get_tuple : t -> t list

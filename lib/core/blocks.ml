@@ -114,7 +114,7 @@ let induced_subgraph rt vs =
         Msg.edges ~n
           (List.filter (fun (u, v) -> keep.(u) && keep.(v)) (Graph.edges input)))
   in
-  Graph.of_edges ~n (List.concat_map Msg.get_edges (Array.to_list replies))
+  Graph.of_edges ~n (Msg.all_edges replies)
 
 (** Truncated distributed BFS: explore from [src] until either the component
     is exhausted or more than [max_vertices] vertices have been discovered.
@@ -154,7 +154,7 @@ let bfs_limited rt src ~max_vertices =
             in
             if in_frontier.(u) then touch v;
             if in_frontier.(v) then touch u)
-          (List.concat_map Msg.get_edges (Array.to_list replies));
+          (Msg.all_edges replies);
         expand !next
   in
   let exhausted = expand [ src ] in
@@ -193,7 +193,7 @@ let bfs rt src =
             in
             if in_frontier.(u) then touch v;
             if in_frontier.(v) then touch u)
-          (List.concat_map Msg.get_edges (Array.to_list replies));
+          (Msg.all_edges replies);
         expand !next (d + 1)
   in
   expand [ src ] 0;

@@ -14,11 +14,7 @@ let protocol =
   {
     Simultaneous.player = (fun ctx _j input -> Msg.edges ~n:ctx.Simultaneous.n (Graph.edges input));
     referee =
-      (fun ctx messages ->
-        let union =
-          Graph.of_edges ~n:ctx.Simultaneous.n (List.concat_map Msg.get_edges (Array.to_list messages))
-        in
-        Triangle.find union);
+      (fun ctx messages -> Triangle.find (Graph.of_edges ~n:ctx.Simultaneous.n (Msg.all_edges messages)));
   }
 
 (* One simultaneous round of full inputs: a single "full-upload" phase. *)

@@ -1,6 +1,8 @@
-(** Simultaneous protocol for high degrees d = Ω(√n) — Algorithm 7 (capped,
-    Theorem 3.24) and its uncapped variant Algorithm 9 used by the
-    degree-oblivious combination.
+(** Simultaneous protocol for high degrees d = Ω(√n) — Algorithm 7
+    (Theorem 3.24).  Algorithm 9, its uncapped variant, is not a protocol
+    of its own here: {!Sim_oblivious} runs it as Algorithm 11's AlgHigh
+    instances through {!select}, under their own keys and per-instance
+    caps.
 
     A shared random vertex set S of ~c·(n²/(ǫd))^{1/3} vertices is sampled;
     every player sends its edges inside S (paying only for edges that exist,
@@ -32,22 +34,17 @@ let select rng ~p ~cap input =
   let selected = Marks.fold_edges marks input ~init:[] ~f:(fun acc u v -> (u, v) :: acc) in
   List.filteri (fun idx _ -> idx < cap) selected
 
-let player_message (p : Params.t) ~d ~capped ctx _j input =
+let player_message (p : Params.t) ~d ctx _j input =
   let n = ctx.Simultaneous.n in
   let s = sample_size p ~n ~d in
   let rng = Simultaneous.shared_rng ctx ~key:11 in
-  let cap = if capped then edge_cap p ~n ~d ~s else max_int in
-  Msg.edges ~n (select rng ~p:(float_of_int s /. float_of_int n) ~cap input)
+  Msg.edges ~n (select rng ~p:(float_of_int s /. float_of_int n) ~cap:(edge_cap p ~n ~d ~s) input)
 
-let referee ctx messages =
-  let n = ctx.Simultaneous.n in
-  let union = Graph.of_edges ~n (List.concat_map Msg.get_edges (Array.to_list messages)) in
-  Triangle.find union
+let referee ctx messages = Triangle.find (Graph.of_edges ~n:ctx.Simultaneous.n (Msg.all_edges messages))
 
 (** The protocol, for average degree [d] known to the players. *)
-let protocol ?(capped = true) (p : Params.t) ~d =
-  { Simultaneous.player = player_message p ~d ~capped; referee }
+let protocol (p : Params.t) ~d = { Simultaneous.player = player_message p ~d; referee }
 
 (* One simultaneous round: a single "upload" phase covers every charged bit. *)
-let run ?tap ?(capped = true) ~seed (p : Params.t) ~d inputs =
-  Tfree_trace.Trace.span "upload" (fun () -> Simultaneous.run ?tap ~seed (protocol ~capped p ~d) inputs)
+let run ?tap ~seed (p : Params.t) ~d inputs =
+  Tfree_trace.Trace.span "upload" (fun () -> Simultaneous.run ?tap ~seed (protocol p ~d) inputs)

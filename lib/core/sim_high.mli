@@ -1,7 +1,7 @@
 (** Simultaneous protocol for high degrees d = Ω(√n) — Algorithm 7
-    (Theorem 3.24, O~(k·(nd)^{1/3}) bits) and its uncapped variant
-    Algorithm 9: a shared vertex sample S of ~c·(n²/(ǫd))^{1/3} vertices;
-    players send their edges inside S; the referee searches the union. *)
+    (Theorem 3.24, O~(k·(nd)^{1/3}) bits): a shared vertex sample S of
+    ~c·(n²/(ǫd))^{1/3} vertices; players send their edges inside S, cut to
+    {!edge_cap}; the referee searches the union. *)
 
 open Tfree_comm
 open Tfree_graph
@@ -22,11 +22,10 @@ val edge_cap : Params.t -> n:int -> d:float -> s:int -> int
     {!Sim_subgraph} and the budgeted variant all select through it. *)
 val select : Tfree_util.Rng.t -> p:float -> cap:int -> Graph.t -> Graph.edge list
 
-val protocol : ?capped:bool -> Params.t -> d:float -> Triangle.triangle option Simultaneous.protocol
+val protocol : Params.t -> d:float -> Triangle.triangle option Simultaneous.protocol
 
 val run :
   ?tap:Tfree_comm.Channel.tap ->
-  ?capped:bool ->
   seed:int ->
   Params.t ->
   d:float ->

@@ -1,5 +1,8 @@
-(** Simultaneous protocol for low degrees d = O(√n) — Algorithm 8 (capped,
-    Theorem 3.26) and its uncapped variant Algorithm 10.
+(** Simultaneous protocol for low degrees d = O(√n) — Algorithm 8
+    (Theorem 3.26).  Algorithm 10, its uncapped variant, is not a protocol
+    of its own here: {!Sim_oblivious} runs it as Algorithm 11's AlgLow
+    instances through {!r_table} and {!select}, under their own keys and
+    per-instance caps.
 
     Two shared random vertex sets: S (each vertex with probability min(c/d,1))
     targets the few possibly-high-degree triangle sources, and R (probability
@@ -45,23 +48,18 @@ let select marks ~s:(rng_s, p_s) ~cap input =
   in
   List.filteri (fun idx _ -> idx < cap) selected
 
-let player_message (p : Params.t) ~d ~capped ctx _j input =
+let player_message (p : Params.t) ~d ctx _j input =
   let n = ctx.Simultaneous.n in
   let s = (Simultaneous.shared_rng ctx ~key:21, p1 p ~d) in
   let r = r_table ~n:(Graph.n input) (Simultaneous.shared_rng ctx ~key:22, p2 p ~n) in
-  let cap = if capped then edge_cap p ~n ~d else max_int in
-  Msg.edges ~n (select r ~s ~cap input)
+  Msg.edges ~n (select r ~s ~cap:(edge_cap p ~n ~d) input)
 
-let referee ctx messages =
-  let n = ctx.Simultaneous.n in
-  let union = Graph.of_edges ~n (List.concat_map Msg.get_edges (Array.to_list messages)) in
-  Triangle.find union
+let referee ctx messages = Triangle.find (Graph.of_edges ~n:ctx.Simultaneous.n (Msg.all_edges messages))
 
-let protocol ?(capped = true) (p : Params.t) ~d =
-  { Simultaneous.player = player_message p ~d ~capped; referee }
+let protocol (p : Params.t) ~d = { Simultaneous.player = player_message p ~d; referee }
 
 (* The whole protocol is one simultaneous round, so a single "upload" phase
    covers every charged bit (per-player structure lives in the trace's
    player rows). *)
-let run ?tap ?(capped = true) ~seed (p : Params.t) ~d inputs =
-  Tfree_trace.Trace.span "upload" (fun () -> Simultaneous.run ?tap ~seed (protocol ~capped p ~d) inputs)
+let run ?tap ~seed (p : Params.t) ~d inputs =
+  Tfree_trace.Trace.span "upload" (fun () -> Simultaneous.run ?tap ~seed (protocol p ~d) inputs)

@@ -1,6 +1,6 @@
 (** Simultaneous protocol for low degrees d = O(√n) — Algorithm 8
-    (Theorem 3.26, O~(k·√n) bits) and its uncapped variant Algorithm 10.
-    Two shared vertex samples: S (probability min(c/d, 1)) catches
+    (Theorem 3.26, O~(k·√n) bits), each player's message cut to
+    {!edge_cap}.  Two shared vertex samples: S (probability min(c/d, 1)) catches
     high-degree triangle sources, R (probability c/√n) catches the
     low-degree corners by the birthday paradox. *)
 
@@ -36,11 +36,10 @@ val r_table : n:int -> Tfree_util.Rng.t * float -> Marks.t
     player message and pass each guess a copy. *)
 val select : Marks.t -> s:Tfree_util.Rng.t * float -> cap:int -> Graph.t -> Graph.edge list
 
-val protocol : ?capped:bool -> Params.t -> d:float -> Triangle.triangle option Simultaneous.protocol
+val protocol : Params.t -> d:float -> Triangle.triangle option Simultaneous.protocol
 
 val run :
   ?tap:Tfree_comm.Channel.tap ->
-  ?capped:bool ->
   seed:int ->
   Params.t ->
   d:float ->

@@ -46,7 +46,7 @@ let protocol (prm : Params.t) ~d (p : Subgraph.pattern) : int array option Simul
     referee =
       (fun ctx messages ->
         let n = ctx.Simultaneous.n in
-        let union = Graph.of_edges ~n (List.concat_map Msg.get_edges (Array.to_list messages)) in
+        let union = Graph.of_edges ~n (Msg.all_edges messages) in
         match Subgraph.find union p with
         | Some assignment when Subgraph.is_embedding union p assignment -> Some assignment
         | _ -> None);

@@ -56,34 +56,20 @@ let[@inline] precedes (hv : float) (v : int) (hb : float) (b : int) = hv < hb ||
 
 (* Algorithm 1: uniform sample from B̃_i = ∪_j B̃ʲ_i under a shared random
    priority; unbiased despite vertices being suspected by several players.
-   [btilde] is the optional precomputed membership (player -> bucket ->
-   vertices), whose first vertex in that order {!Rng.first_key} finds;
-   without it each player scans its whole vertex range.  Each side keeps its
-   best (hash, vertex) in two locals and hashes every vertex it considers
-   once; -1 stands for no vertex yet. *)
-let sample_uniform_from_btilde ?btilde rt ~key ~i =
+   [btilde] is the membership {!btilde_members} builds (player -> bucket ->
+   vertices); each player's first vertex in that order {!Rng.first_key}
+   finds, and the coordinator keeps the best (hash, vertex) of the replies
+   in two locals, -1 standing for no vertex yet. *)
+let sample_uniform_from_btilde ~btilde rt ~key ~i =
   let rng = Runtime.shared_rng rt ~key in
   let n = Runtime.n rt in
-  let k = Runtime.k rt in
-  let best_of j input =
-    let best = ref (-1) and best_h = ref infinity in
-    (match btilde with
-    | Some tbl -> best := Rng.first_key rng tbl.(j).(i)
-    | None ->
-        for v = 0 to n - 1 do
-          if Bucket.suspects ~k ~i (Graph.degree input v) then begin
-            let hv = Rng.hash_float rng v in
-            if precedes hv v !best_h !best then begin
-              best := v;
-              best_h := hv
-            end
-          end
-        done);
-    if !best < 0 then None else Some !best
+  let best_of j =
+    let best = Rng.first_key rng btilde.(j).(i) in
+    if best < 0 then None else Some best
   in
   let replies =
     Tfree_trace.Trace.span "candidate-sample" (fun () ->
-        Runtime.ask_all rt ~req:Msg.empty (fun j input -> Msg.vertex_opt ~n (best_of j input)))
+        Runtime.ask_all rt ~req:Msg.empty (fun j _ -> Msg.vertex_opt ~n (best_of j)))
   in
   let best = ref (-1) and best_h = ref infinity in
   for j = 0 to Array.length replies - 1 do
@@ -100,7 +86,7 @@ let sample_uniform_from_btilde ?btilde rt ~key ~i =
 
 (* Algorithm 3: candidate full vertices for bucket i, with approximate
    degrees.  Caps follow the paper's q and |C| bounds scaled by boost. *)
-let get_full_candidates ?btilde rt (p : Params.t) ~key ~i =
+let get_full_candidates ~btilde rt (p : Params.t) ~key ~i =
   let n = Runtime.n rt in
   let k = Runtime.k rt in
   let q = max 4 (Params.bucket_samples p ~k ~n) in
@@ -112,7 +98,7 @@ let get_full_candidates ?btilde rt (p : Params.t) ~key ~i =
   let rec loop count c =
     if count >= q || List.length c >= cap then List.rev c
     else begin
-      match sample_uniform_from_btilde ?btilde rt ~key:(key + (31 * (count + 1))) ~i with
+      match sample_uniform_from_btilde ~btilde rt ~key:(key + (31 * (count + 1))) ~i with
       | None -> List.rev c (* no player suspects this bucket: B̃_i is empty *)
       | Some v ->
           if Hashtbl.mem seen v then loop (count + 1) c
@@ -204,8 +190,8 @@ let close_vee rt ~v ~ws =
     None replies
 
 (* Algorithm 5 for one bucket. *)
-let find_triangle_vee ?btilde rt p ~key ~i ~stats =
-  let candidates = get_full_candidates ?btilde rt p ~key ~i in
+let find_triangle_vee ~btilde rt p ~key ~i ~stats =
+  let candidates = get_full_candidates ~btilde rt p ~key ~i in
   let rec try_candidates idx = function
     | [] -> None
     | (v, d_hat) :: rest -> begin

@@ -15,16 +15,24 @@ type stats = { buckets_tried : int; candidates_tested : int; edges_posted : int 
     vertex. *)
 val precedes : float -> int -> float -> int -> bool
 
+(** The suspected-bucket membership B̃ʲᵢ of every player [j] and bucket
+    [i]: player -> bucket -> the vertices of positive degree the player
+    suspects, ascending.  Local to each player, so it costs no bits;
+    {!find_triangle} builds it once per run. *)
+val btilde_members : Runtime.t -> int array array array
+
 (** Algorithm 1: uniform sample from B̃ᵢ under a shared random priority,
-    unbiased despite duplication.  [None] iff no player suspects bucket
-    [i]. *)
+    unbiased despite duplication, over the membership [btilde] that
+    {!btilde_members} built on the same inputs.  [None] iff no player
+    suspects bucket [i]. *)
 val sample_uniform_from_btilde :
-  ?btilde:int array array array -> Runtime.t -> key:int -> i:int -> int option
+  btilde:int array array array -> Runtime.t -> key:int -> i:int -> int option
 
 (** Algorithm 3: candidate full vertices for bucket [i] with their
-    approximate degrees (filtered to [d⁻/√3, √3·d⁺]). *)
+    approximate degrees (filtered to [d⁻/√3, √3·d⁺]), sampled from
+    [btilde] as {!sample_uniform_from_btilde} samples. *)
 val get_full_candidates :
-  ?btilde:int array array array -> Runtime.t -> Params.t -> key:int -> i:int -> (int * int) list
+  btilde:int array array array -> Runtime.t -> Params.t -> key:int -> i:int -> (int * int) list
 
 (** Algorithm 4: post a sampled star around the vertex; returns the sampled
     neighbours confirmed by some player (per-player caps applied; on a

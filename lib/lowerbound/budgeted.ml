@@ -30,9 +30,7 @@ let sim_high_budgeted ~budget_bits ~d : Triangle.triangle option Simultaneous.pr
         Msg.edges ~n
           (Tfree.Sim_high.select rng ~p:(float_of_int s /. float_of_int n) ~cap:cap_edges input));
     referee =
-      (fun ctx messages ->
-        let n = ctx.Simultaneous.n in
-        Triangle.find (Graph.of_edges ~n (List.concat_map Msg.get_edges (Array.to_list messages))));
+      (fun ctx messages -> Triangle.find (Graph.of_edges ~n:ctx.Simultaneous.n (Msg.all_edges messages)));
   }
 
 (** One-way chain variant for the Ω((nd)^{1/6}) one-way bound (E7): Alice

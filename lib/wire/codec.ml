@@ -138,16 +138,20 @@ let decode_payload layout data ~off ~bits =
 
 (* ---------------------------------------------------- layout descriptor *)
 
-(* Unsigned LEB128, a byte per 7 bits, into a bit writer; {!Proto.get_varint}
-   reads it back. *)
-let put_varint w v =
-  if v < 0 then invalid_arg "Codec.put_varint: negative";
+(* Unsigned LEB128 of all 63 bits, a byte per 7 bits, into a bit writer;
+   {!Proto.get_zigzag} reads back a zigzag image written this way. *)
+let[@inline] put_bits_varint w v =
   let v = ref v in
-  while !v >= 0x80 do
+  while !v lsr 7 <> 0 do
     Bitio.put_byte w (0x80 lor (!v land 0x7f));
     v := !v lsr 7
   done;
   Bitio.put_byte w !v
+
+(* A length, count or tag; {!Proto.get_varint} reads it back. *)
+let put_varint w v =
+  if v < 0 then invalid_arg "Codec.put_varint: negative";
+  put_bits_varint w v
 
 (* Every layout is a tag varint, then its parameters: [L_int_in] its two
    zigzagged bounds, the vertex layouts their [n], [L_tuple] its arity and
@@ -169,8 +173,8 @@ let rec put_layout w (l : Msg.layout) =
   match l with
   | Msg.L_unit | Msg.L_bool | Msg.L_nat -> ()
   | Msg.L_int_in { lo; hi } ->
-      put_varint w (Proto.zigzag lo);
-      put_varint w (Proto.zigzag hi)
+      put_bits_varint w (Proto.zigzag lo);
+      put_bits_varint w (Proto.zigzag hi)
   | Msg.L_vertex { n }
   | Msg.L_vertex_opt { n }
   | Msg.L_edge { n }

@@ -43,6 +43,8 @@ val layout_to_bytes : Msg.layout -> Bytes.t
     more than 2^62 values, or nesting deeper than 64. *)
 val get_layout : Proto.cursor -> Msg.layout
 
-(** Unsigned LEB128 varint into a bit writer, shared with the frame
-    header; {!Proto.get_varint} reads it.  Allocates nothing. *)
+(** Unsigned LEB128 varint of a length, count or tag into a bit writer,
+    shared with the frame header; {!Proto.get_varint} reads it.  Allocates
+    nothing.
+    @raise Invalid_argument on a negative value. *)
 val put_varint : Bitio.writer -> int -> unit

@@ -23,9 +23,8 @@
     the first byte is written (the bit count is [Msg.bits], the descriptor
     size is {!Codec.layout_size}), so the whole image — prefix, header,
     descriptor, payload, checksum — is written once, front to back, into a
-    reusable {!scratch}.  The frames of the three constant messages are
-    built that way once, at module initialisation, and {!exchange} sends
-    and recognises them without encoding or parsing.
+    reusable {!scratch}, and {!exchange} reads every frame back through
+    the same parse as {!decode}.
 
     Parsing runs {!Proto.try_frame}, the one envelope check, and then
     reads the body alone: the bit count, the descriptor and the payload,
@@ -45,23 +44,13 @@ let min_body_bytes = 4
 
 type scratch = {
   writer : Bitio.writer;  (** where {!encode_into} builds a frame *)
-  mutable frame : Bytes.t;  (** the frame last built or sent: bytes [0, len) *)
-  mutable len : int;
   mutable back : Bytes.t;  (** where {!exchange} reads the frame back *)
   pos : int ref;  (** {!exchange}'s parse position in [back] *)
   cur : Proto.cursor;  (** reads the body of the frame being parsed *)
 }
 
 let scratch () =
-  let writer = Bitio.writer () in
-  {
-    writer;
-    frame = Bitio.storage writer;
-    len = 0;
-    back = Bytes.create 64;
-    pos = ref 0;
-    cur = Proto.cursor ();
-  }
+  { writer = Bitio.writer (); back = Bytes.create 64; pos = ref 0; cur = Proto.cursor () }
 
 (** Write the whole frame for [msg] into [s], replacing the previous one. *)
 let encode_into s msg =
@@ -80,38 +69,20 @@ let encode_into s msg =
   let ck = Proto.sum16 (Bitio.storage w) start (Bitio.byte_length w - start) in
   Bitio.put_byte w ck;
   Bitio.put_byte w (ck lsr 8);
-  s.frame <- Bitio.storage w;
-  s.len <- Bitio.byte_length w;
-  if s.len - start <> body_len then
+  let len = Bitio.byte_length w in
+  if len - start <> body_len then
     invalid_arg
-      (Printf.sprintf "Frame.encode_into: wrote a %d-byte body, sized it at %d" (s.len - start)
+      (Printf.sprintf "Frame.encode_into: wrote a %d-byte body, sized it at %d" (len - start)
          body_len)
 
-let image s = s.frame
-let frame_len s = s.len
+let image s = Bitio.storage s.writer
+let frame_len s = Bitio.byte_length s.writer
 
 (** The whole frame for [msg], in fresh bytes. *)
 let encode msg =
   let s = scratch () in
   encode_into s msg;
   Bytes.sub (image s) 0 (frame_len s)
-
-(* The frames of the three constant messages — the empty requests and
-   one-bit replies that make up ~99% of an unrestricted query's frames. *)
-let constants = [| Msg.empty; Msg.bool false; Msg.bool true |]
-let images = Array.map encode constants
-
-(* The index of [msg] among [constants], or [Array.length constants].  The
-   constant messages are shared values, so [==] finds every one of them. *)
-let rec sent_index msg i =
-  if i = Array.length constants || constants.(i) == msg then i else sent_index msg (i + 1)
-
-let rec same_bytes img back i =
-  i = Bytes.length img || (Bytes.get img i = Bytes.get back i && same_bytes img back (i + 1))
-
-(* Are the first [len] bytes of [back] exactly image [i]?  The length
-   first, then the bytes. *)
-let is_image i back len = Bytes.length images.(i) = len && same_bytes images.(i) back 0
 
 (* ------------------------------------------------------------- decoding *)
 
@@ -146,27 +117,16 @@ let overhead_bits ~frame_bytes ~payload_bits = (8 * frame_bytes) - payload_bits
 
 (* ------------------------------------------------------------ transport *)
 
-(** Loopback round trip through [s]: the frame, built in [s]'s writer or
-    taken from the constant images, crosses the transport into [s]'s
-    read-back buffer.  A constant's frame that comes back intact returns
-    that constant, which is what parsing it returns; any other bytes are
-    parsed. *)
+(** Loopback round trip through [s]: the frame, built in [s]'s writer,
+    crosses the transport into [s]'s read-back buffer and is parsed there. *)
 let exchange s tr msg =
-  let sent = sent_index msg 0 in
-  if sent < Array.length images then begin
-    s.frame <- images.(sent);
-    s.len <- Bytes.length s.frame
-  end
-  else encode_into s msg;
-  let len = s.len in
+  encode_into s msg;
+  let len = frame_len s in
   if Bytes.length s.back < len then s.back <- Bytes.create (max len (2 * Bytes.length s.back));
-  Transport.exchange tr s.frame 0 len s.back;
-  if sent < Array.length images && is_image sent s.back len then constants.(sent)
-  else begin
-    let pos = s.pos in
-    pos := 0;
-    let delivered = parse s.cur s.back ~limit:len pos in
-    if !pos <> len then
-      Wire_error.errorf_corrupt "Frame.exchange: %d trailing bytes after the frame" (len - !pos);
-    delivered
-  end
+  Transport.exchange tr (image s) 0 len s.back;
+  let pos = s.pos in
+  pos := 0;
+  let delivered = parse s.cur s.back ~limit:len pos in
+  if !pos <> len then
+    Wire_error.errorf_corrupt "Frame.exchange: %d trailing bytes after the frame" (len - !pos);
+  delivered

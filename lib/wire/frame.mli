@@ -20,15 +20,9 @@ open Tfree_comm
     {!Wire_runtime} network) encodes every frame into the same scratch, so
     a delivery allocates no buffer once the scratch has grown to the
     largest frame.  A scratch serves one frame at a time and is not safe
-    to share between domains.
-
-    The frames of the three constant messages, {!Msg.empty} and both
-    {!Msg.bool} replies, are built once by {!encode}.  {!exchange} sends
-    such a message's frame as it is, writing nothing into the scratch, and
-    hands back the constant when the bytes come back equal to that frame;
-    every other frame is encoded, and every other read-back parsed, in
-    full.  On an
-    unrestricted query, about 99% of frames are constant. *)
+    to share between domains.  Every frame {!exchange} sends is built by
+    {!encode_into} and every frame it reads back is parsed as {!decode}
+    parses it. *)
 type scratch
 
 val scratch : unit -> scratch
@@ -42,10 +36,9 @@ val scratch : unit -> scratch
 val encode_into : scratch -> Msg.t -> unit
 
 (** The frame last built or sent through the scratch: bytes
-    [0, frame_len s).  The buffer is the scratch's own, which the next
-    frame overwrites or replaces, or a constant frame shared by every
-    scratch: read it only, and copy out any bytes that must outlive the
-    next frame. *)
+    [0, frame_len s) of the scratch's own buffer, which the next frame
+    overwrites or replaces: read it only, and copy out any bytes that
+    must outlive the next frame. *)
 val image : scratch -> Bytes.t
 
 (** Size in bytes of the frame last built or sent through the scratch. *)
@@ -70,8 +63,7 @@ val overhead_bits : frame_bytes:int -> payload_bits:int -> int
 (** {2 Over a transport} *)
 
 (** Loopback round trip through the scratch: encode the frame into its
-    image (or take a constant frame), cross the transport into its
-    read-back buffer, decode.  Returns the delivered message, which shares
+    image, cross the transport into its read-back buffer, decode.  Returns the delivered message, which shares
     no memory with the scratch; the frame's size is {!frame_len}
     afterwards.
     @raise Wire_error.Wire_error as for {!decode}, plus whatever the

@@ -75,13 +75,16 @@ let sum16 data off len =
   done;
   !s land 0xffff
 
+(* Varints are unsigned: all 63 bits of an int, a negative int taking 9
+   bytes. *)
 let varint_size v =
-  let rec go v acc = if v < 0x80 then acc else go (v lsr 7) (acc + 1) in
+  let rec go v acc = if v lsr 7 = 0 then acc else go (v lsr 7) (acc + 1) in
   go v 1
 
-(* Zigzag, so that small negative integers take few varint bytes;
-   {!get_zigzag} inverts it. *)
-let zigzag v = if v >= 0 then 2 * v else (-2 * v) - 1
+(* Zigzag, so that small negative integers take few varint bytes: 0, -1,
+   1, -2, ... go to 0, 1, 2, 3, ..., a bijection of the 63-bit ints whose
+   images from 2^62 up are the negative ints.  {!get_zigzag} inverts it. *)
+let zigzag v = (v lsl 1) lxor (v asr 62)
 
 (* ------------------------------------------------------- scratch buffer *)
 
@@ -115,10 +118,11 @@ let put_u8 b v =
   Bytes.unsafe_set b.data b.len (Char.unsafe_chr (v land 0xff));
   b.len <- b.len + 1
 
-(* The one LEB128 writer into a {!buf}: [v] at [data.[pos]], returning the
-   position after it.  The caller has made room. *)
+(* The one LEB128 writer into a {!buf}: the 63 bits of [v] at
+   [data.[pos]], returning the position after it.  The caller has made
+   room. *)
 let rec write_varint data pos v =
-  if v < 0x80 then begin
+  if v lsr 7 = 0 then begin
     Bytes.unsafe_set data pos (Char.unsafe_chr v);
     pos + 1
   end
@@ -132,7 +136,9 @@ let put_varint b v =
   ensure b 10;
   b.len <- write_varint b.data b.len v
 
-let put_zigzag b v = put_varint b (zigzag v)
+let put_zigzag b v =
+  ensure b 10;
+  b.len <- write_varint b.data b.len (zigzag v)
 
 let put_f64 b f =
   ensure b 8;
@@ -194,23 +200,25 @@ let get_u8 cur =
   cur.cpos <- cur.cpos + 1;
   v
 
-(* The one LEB128 reader in lib/wire: the varint at the cursor, which
-   moves past it, or [-1] if the limit comes first.  Nine 7-bit groups
-   cover every int, so a tenth byte may carry no payload bits (they would
-   be shifted out) and an eleventh is garbage; a ninth group reaching the
-   sign bit is garbage too. *)
-let rec scan_varint_from cur v shift =
+(* The one LEB128 reader in lib/wire: the 63 bits of the varint at the
+   cursor, which moves past it.  If the limit comes first the cursor goes
+   back to [start] and the result is 0; as every varint takes a byte, a
+   cursor that has not moved is how a caller tells a short read.  Nine
+   7-bit groups cover every int, so a tenth byte may carry no payload bits
+   (they would be shifted out) and an eleventh is garbage. *)
+let rec scan_varint_from cur start v shift =
   if shift > 63 then Wire_error.errorf_corrupt "Proto.get_varint: varint longer than 10 bytes";
-  if cur.cpos >= cur.clim then -1
+  if cur.cpos >= cur.clim then begin
+    cur.cpos <- start;
+    0
+  end
   else begin
     let byte = Char.code (Bytes.unsafe_get cur.cdata cur.cpos) in
     cur.cpos <- cur.cpos + 1;
     if shift = 63 && byte land 0x7f <> 0 then
       Wire_error.errorf_corrupt "Proto.get_varint: varint overflows 63 bits";
     let v = v lor ((byte land 0x7f) lsl shift) in
-    if byte land 0x80 <> 0 then scan_varint_from cur v (shift + 7)
-    else if v < 0 then Wire_error.errorf_corrupt "Proto.get_varint: negative value"
-    else v
+    if byte land 0x80 <> 0 then scan_varint_from cur start v (shift + 7) else v
   end
 
 let scan_varint cur =
@@ -220,18 +228,29 @@ let scan_varint cur =
     cur.cpos <- p + 1;
     Char.code (Bytes.unsafe_get cur.cdata p)
   end
-  else scan_varint_from cur 0 0
+  else scan_varint_from cur p 0 0
 
-let get_varint cur =
-  let v = scan_varint cur in
-  if v < 0 then Wire_error.errorf_truncated "Proto.get_varint: truncated varint";
+(* A length, count or tag: a varint whose ninth group reaches the sign
+   bit (2^62 or more) is garbage. *)
+let[@inline] non_negative v =
+  if v < 0 then Wire_error.errorf_corrupt "Proto.get_varint: negative value";
   v
 
-(* [-(z lsr 1) - 1], not [-((z + 1) / 2)]: at [z = max_int], the image of
-   -2^61, [z + 1] wraps and read back +2^61. *)
+(* The varint at the cursor, all 63 bits, the limit coming first being a
+   truncation. *)
+let[@inline] get_bits_varint cur =
+  let p = cur.cpos in
+  let v = scan_varint cur in
+  if cur.cpos = p then Wire_error.errorf_truncated "Proto.get_varint: truncated varint";
+  v
+
+let get_varint cur = non_negative (get_bits_varint cur)
+
+(* The inverse of {!zigzag}: an even image is [z / 2], an odd one
+   [-(z / 2) - 1], with [z] unsigned, so the [lsr]. *)
 let get_zigzag cur =
-  let z = get_varint cur in
-  if z land 1 = 0 then z lsr 1 else -(z lsr 1) - 1
+  let z = get_bits_varint cur in
+  (z lsr 1) lxor (-(z land 1))
 
 let get_f64 cur =
   if cur.cpos + 8 > cur.clim then Wire_error.errorf_truncated "Proto.get_f64: truncated float";
@@ -267,8 +286,9 @@ let expect_end cur =
 let try_frame data ~pos ~limit cur =
   set_cursor cur data ~pos ~limit;
   match scan_varint cur with
-  | -1 -> -1
+  | _ when cur.cpos = pos -> -1
   | l ->
+      let l = non_negative l in
       if l > max_frame_bytes then
         Wire_error.error (Wire_error.Oversized { limit = max_frame_bytes; got = l });
       if l < 3 then

@@ -50,11 +50,15 @@ val max_frame_bytes : int
     changes one byte by ±2^k, k ≤ 7, which cannot vanish mod 2^16). *)
 val sum16 : Bytes.t -> int -> int -> int
 
-(** Bytes an unsigned LEB128 varint of the value takes. *)
+(** Bytes an unsigned LEB128 varint of the value's 63 bits takes: 1 to 9,
+    a negative value 9. *)
 val varint_size : int -> int
 
-(** Zigzag map of a possibly-negative integer onto a non-negative one,
-    small magnitudes to small values; {!get_zigzag} reads it back. *)
+(** Zigzag map of an int onto the 63-bit unsigned ones, small magnitudes
+    to small values (0, -1, 1, -2, ... to 0, 1, 2, 3, ...), a bijection of
+    the whole int range: [min_int] and [max_int] map to the two largest
+    images, which read as the ints -1 and -2.  {!get_zigzag} reads it
+    back. *)
 val zigzag : int -> int
 
 (** {2 Writing: reusable scratch buffer}
@@ -77,7 +81,8 @@ val put_u8 : buf -> int -> unit
     @raise Invalid_argument on a negative value. *)
 val put_varint : buf -> int -> unit
 
-(** Zigzag-mapped varint for possibly-negative integers. *)
+(** Zigzag-mapped varint for any int, [min_int] and [max_int] included
+    (at most 9 bytes). *)
 val put_zigzag : buf -> int -> unit
 
 (** IEEE-754 binary64, little-endian. *)
@@ -112,9 +117,12 @@ val remaining : cursor -> int
 (** The [get_*] readers mirror the writers; each raises a typed
     {!Wire_error.Wire_error} ([Truncated] past the limit, [Corrupt] on an
     overlong, overflowing or negative varint) rather than reading out of
-    bounds.  {!get_varint} is the one LEB128 reader of lib/wire: a varint
-    longer than 10 bytes, one whose tenth byte carries payload bits (they
-    would overflow 63 bits) or one reaching the sign bit is [Corrupt]. *)
+    bounds.  lib/wire has one LEB128 reader under both: a varint longer
+    than 10 bytes or one whose tenth byte carries payload bits (they would
+    overflow 63 bits) is [Corrupt].  {!get_varint} reads a length, count
+    or tag, so a value of 2^62 or more (one reaching the sign bit) is
+    [Corrupt] too; {!get_zigzag} reads every 63-bit image back to its
+    int. *)
 
 val get_u8 : cursor -> int
 val get_varint : cursor -> int

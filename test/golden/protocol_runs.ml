@@ -64,7 +64,8 @@ let callers : (string * (Runtime.t -> string)) list =
     ( "candidates",
       fun rt ->
         let i = Bucket.index_of_degree (int_of_float d) in
-        Tfree.Unrestricted.get_full_candidates rt params ~key:1009 ~i
+        let btilde = Tfree.Unrestricted.btilde_members rt in
+        Tfree.Unrestricted.get_full_candidates ~btilde rt params ~key:1009 ~i
         |> List.map (fun (v, d_hat) -> Printf.sprintf "%d:%d" v d_hat)
         |> String.concat ","
         |> Printf.sprintf "candidates [%s]" );

@@ -17,25 +17,25 @@ module Params = Tfree.Params
 (* ------------------------------------------------------------ reference *)
 
 module Ref = struct
-  let sim_low (p : Params.t) ~d ~capped ctx input =
+  let sim_low (p : Params.t) ~d ctx input =
     let n = ctx.Simultaneous.n in
     let rng_s = Simultaneous.shared_rng ctx ~key:21 in
     let rng_r = Simultaneous.shared_rng ctx ~key:22 in
     let in_s v = Rng.hash_float rng_s v < Tfree.Sim_low.p1 p ~d in
     let in_r v = Rng.hash_float rng_r v < Tfree.Sim_low.p2 p ~n in
     let wanted u v = (in_r u && (in_r v || in_s v)) || (in_r v && (in_r u || in_s u)) in
-    let cap = if capped then Tfree.Sim_low.edge_cap p ~n ~d else max_int in
+    let cap = Tfree.Sim_low.edge_cap p ~n ~d in
     let selected =
       Graph.fold_edges input ~init:[] ~f:(fun acc u v -> if wanted u v then (u, v) :: acc else acc)
     in
     Msg.edges ~n (List.filteri (fun idx _ -> idx < cap) selected)
 
-  let sim_high (p : Params.t) ~d ~capped ctx input =
+  let sim_high (p : Params.t) ~d ctx input =
     let n = ctx.Simultaneous.n in
     let s = Tfree.Sim_high.sample_size p ~n ~d in
     let rng = Simultaneous.shared_rng ctx ~key:11 in
     let in_sample v = Rng.hash_float rng v < float_of_int s /. float_of_int n in
-    let cap = if capped then Tfree.Sim_high.edge_cap p ~n ~d ~s else max_int in
+    let cap = Tfree.Sim_high.edge_cap p ~n ~d ~s in
     let selected =
       Graph.fold_edges input ~init:[] ~f:(fun acc u v ->
           if in_sample u && in_sample v then (u, v) :: acc else acc)
@@ -170,18 +170,12 @@ let kernels (c : case) =
       fun ctx _ input -> Ref.subgraph p ~d pattern ctx input )
   in
   [
-    ( "sim_low capped",
-      (Tfree.Sim_low.protocol ~capped:true p ~d).Simultaneous.player,
-      fun ctx _ input -> Ref.sim_low p ~d ~capped:true ctx input );
-    ( "sim_low uncapped",
-      (Tfree.Sim_low.protocol ~capped:false p ~d).Simultaneous.player,
-      fun ctx _ input -> Ref.sim_low p ~d ~capped:false ctx input );
-    ( "sim_high capped",
-      (Tfree.Sim_high.protocol ~capped:true p ~d).Simultaneous.player,
-      fun ctx _ input -> Ref.sim_high p ~d ~capped:true ctx input );
-    ( "sim_high uncapped",
-      (Tfree.Sim_high.protocol ~capped:false p ~d).Simultaneous.player,
-      fun ctx _ input -> Ref.sim_high p ~d ~capped:false ctx input );
+    ( "sim_low",
+      (Tfree.Sim_low.protocol p ~d).Simultaneous.player,
+      fun ctx _ input -> Ref.sim_low p ~d ctx input );
+    ( "sim_high",
+      (Tfree.Sim_high.protocol p ~d).Simultaneous.player,
+      fun ctx _ input -> Ref.sim_high p ~d ctx input );
     ( "sim_oblivious",
       (Tfree.Sim_oblivious.protocol p).Simultaneous.player,
       fun ctx _ input -> Ref.oblivious p ctx input );

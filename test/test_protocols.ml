@@ -239,10 +239,11 @@ let test_sample_uniform_from_btilde_hits_bucket () =
     let rec first j = if buckets.(j) <> [] then j else first (j + 1) in
     first 0
   in
+  let btilde = Tfree.Unrestricted.btilde_members (Tfree_comm.Runtime.make ~seed:0 parts) in
   let seen = Hashtbl.create 16 in
   for s = 1 to 300 do
     let rt = Tfree_comm.Runtime.make ~seed:s parts in
-    match Tfree.Unrestricted.sample_uniform_from_btilde rt ~key:s ~i with
+    match Tfree.Unrestricted.sample_uniform_from_btilde ~btilde rt ~key:s ~i with
     | Some v ->
         Hashtbl.replace seen v ();
         let suspected =
@@ -263,7 +264,8 @@ let test_get_full_candidates_degree_filter () =
   let parts = Partition.disjoint_random rng ~k:4 g in
   let rt = Tfree_comm.Runtime.make ~seed:7 parts in
   let i = 2 in
-  let cands = Tfree.Unrestricted.get_full_candidates rt params ~key:3 ~i in
+  let btilde = Tfree.Unrestricted.btilde_members rt in
+  let cands = Tfree.Unrestricted.get_full_candidates ~btilde rt params ~key:3 ~i in
   List.iter
     (fun (v, d_hat) ->
       checkb "v in range" true (v >= 0 && v < 120);

@@ -1617,6 +1617,22 @@ let cursor_of_frame b =
   ignore (Proto.try_frame (Proto.storage b) ~pos:off ~limit:(off + Proto.frame_len b) cur);
   cur
 
+(* A query frame carries n, k and the seed as zigzag varints, which reach
+   both ends of the int range. *)
+let test_query_frame_int_range () =
+  List.iter
+    (fun (what, req) ->
+      let b = Proto.create_buf () in
+      Service.encode_query_frame b req;
+      checkb (what ^ ": the frame decodes back") true
+        (Service.decode_op (cursor_of_frame b) = Ok (Service.Op_query req)))
+    [
+      ("seed = max_int", { Service.default_request with seed = max_int });
+      ("seed = min_int", { Service.default_request with seed = min_int });
+      ("seed = 2^61", { Service.default_request with seed = 1 lsl 61 });
+      ("n = max_int, k = min_int", { Service.default_request with n = max_int; k = min_int });
+    ]
+
 (* v2 enum codes are positions in the Service tables; pin every one so
    reordering a table cannot silently change the wire. *)
 let test_enum_wire_codes () =
@@ -2044,6 +2060,8 @@ let () =
           Alcotest.test_case "handle_line categories" `Quick test_handle_line_categories;
           Alcotest.test_case "health over v1" `Quick test_handle_line_health;
           Alcotest.test_case "enum wire codes pinned" `Quick test_enum_wire_codes;
+          Alcotest.test_case "query frame over the whole int range" `Quick
+            test_query_frame_int_range;
           Alcotest.test_case "truncated v2 batch runs nothing" `Quick
             test_truncated_batch_frame_runs_nothing;
         ] );

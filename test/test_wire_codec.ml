@@ -110,9 +110,10 @@ module Ref = struct
     | Msg.L_tuple ls, Msg.Tuple vs -> List.iter2 (encode_value w) ls vs
     | _ -> invalid_arg "Ref.encode_value"
 
+  (* All 63 bits of [v], unsigned: a negative [v] takes 9 bytes. *)
   let put_varint b v =
     let rec go v =
-      if v < 0x80 then Buffer.add_char b (Char.chr v)
+      if v >= 0 && v < 0x80 then Buffer.add_char b (Char.chr v)
       else begin
         Buffer.add_char b (Char.chr (0x80 lor (v land 0x7f)));
         go (v lsr 7)
@@ -120,6 +121,8 @@ module Ref = struct
     in
     go v
 
+  (* Arithmetic mod 2^63: from |v| = 2^61 on, the image wraps to a
+     negative int, which [put_varint] writes as the unsigned 63 bits. *)
   let zigzag v = if v >= 0 then 2 * v else (-2 * v) - 1
 
   let rec put_layout b (l : Msg.layout) =
@@ -203,13 +206,17 @@ let arb_ops =
 let gen_msg : Msg.t QCheck.Gen.t =
   let open QCheck.Gen in
   let wide_int =
-    (* every width 1..62; the descriptor zigzags both bounds, so they stay
-       within +-2^61 *)
+    (* every width 1..62; a 62-bit range within +-2^61, or one reaching
+       min_int or max_int *)
     int_range 1 62 >>= fun width ->
     int >>= fun x ->
     int >>= fun y ->
     let lo, hi =
-      if width = 62 then (-(1 lsl 60) - (x land 0xff), (1 lsl 61) - 1)
+      if width = 62 then
+        match (x lsr 8) land 3 with
+        | 0 -> (min_int + (x land 0xff), (x land 0xff) - 1)
+        | 1 -> (-(x land 0xff), max_int - (x land 0xff))
+        | _ -> (-(1 lsl 60) - (x land 0xff), (1 lsl 61) - 1)
       else
         let lo = -(x land 0xff) in
         (lo, lo + (1 lsl width) - 1)
@@ -341,7 +348,7 @@ let arb_msg_sequence =
     ~print:(fun ms -> String.concat " | " (List.map Tfree_proptest.Msg_gen.print ms))
     (list_size (int_range 20 80) (frequency [ (3, small); (2, gen_msg) ]))
 
-(* Sequences that mix the constant frames with encoded ones on one
+(* Sequences that mix the constant messages with other ones on one
    scratch.  Each layout below is one physical value, so the messages built
    on it share their layout by [==]: runs of them (a round's replies), the
    same layout at different payload bit counts ([L_nat], an optional
@@ -460,9 +467,10 @@ let test_faults_past_socket_buffer () =
 
 (* ---------------------------------------------------- constant frames *)
 
+(* The shared constant messages: the smallest frames there are. *)
 let constants = [ ("empty", Msg.empty); ("false", Msg.bool false); ("true", Msg.bool true) ]
 
-(* The frame path with no constant frames: encode, cross, parse in full. *)
+(* A frame path built from the exported pieces: encode, cross, parse. *)
 let parsed_exchange tr msg =
   let frame = Frame.encode msg in
   let len = Bytes.length frame in
@@ -479,7 +487,8 @@ let outcome f = match f () with m -> Ok m | exception Wire_error.Wire_error e ->
 let test_constant_images () =
   (* the image a constant is sent as is the frame the encoder and the
      reference build, parses back to the constant, and sets [frame_len],
-     also right after a larger frame went through the same scratch *)
+     also right after a larger frame went through the same scratch, whose
+     longer bytes must not leak into it *)
   let s = Frame.scratch () and tr = Transport.pipe () in
   List.iter
     (fun (name, c) ->
@@ -498,8 +507,8 @@ let test_constant_images () =
 
 let test_constant_faults () =
   (* every single-bit flip and every proper truncation of a constant frame,
-     injected on its crossing, fails with exactly the error the full parse
-     raises; none comes back as a message *)
+     injected on its crossing, fails with exactly the error the parse of
+     [parsed_exchange] raises; none comes back as a message *)
   let s = Frame.scratch () in
   List.iter
     (fun (name, c) ->
@@ -544,9 +553,8 @@ let test_widest_fields () =
 
 (* Range codes as wide as an int allows, the widths that packed words of
    bits travel in: each 61- and 62-bit message must come back equal from
-   its payload alone, and, where its descriptor can carry the bounds
-   (zigzag varints reach [-2^61, 2^61 - 1]), from its frame, framed as the
-   reference frames it. *)
+   its payload alone, and from its frame, framed as the reference frames
+   it; the descriptor's zigzag bounds reach [min_int] and [max_int]. *)
 let test_wide_int_in () =
   List.iter
     (fun (lo, hi, v, width) ->
@@ -556,9 +564,7 @@ let test_wide_int_in () =
       let payload, bits = Codec.encode_payload msg in
       let back = Codec.decode_payload (Msg.layout msg) payload ~off:0 ~bits in
       Alcotest.(check bool) (what ^ ": payload round trip") true (Msg.equal back msg);
-      if lo >= -(1 lsl 61) && hi < 1 lsl 61 then
-        Alcotest.(check bool) (what ^ ": frame round trip") true
-          (prop_frame_matches_reference msg))
+      Alcotest.(check bool) (what ^ ": frame round trip") true (prop_frame_matches_reference msg))
     [
       (0, (1 lsl 61) - 1, (1 lsl 61) - 1, 61);
       (0, (1 lsl 61) - 1, 0x0AAA_AAAA_AAAA_AAAA, 61);
@@ -626,6 +632,51 @@ let test_varint_overflow () =
   | exception Wire_error.Wire_error (Wire_error.Truncated _) -> ()
   | exception e ->
       Alcotest.failf "max_int-byte string: raised %s instead of Truncated" (Printexc.to_string e)
+
+(* The zigzag varint is a bijection of the whole int range: the ends of
+   the range and both sides of +-2^61, where the image first needs the
+   sign bit, round-trip in at most 9 bytes, and every value the reference
+   encodes, bounds of today's descriptors included, gets its bytes. *)
+let test_zigzag_int_range () =
+  let round_trip v =
+    let b = Proto.create_buf () in
+    Proto.begin_frame b;
+    Proto.put_zigzag b v;
+    Proto.end_frame b;
+    let off = Proto.frame_off b and len = Proto.frame_len b and body = Proto.frame_body_len b in
+    let cur = Proto.cursor () in
+    ignore (Proto.try_frame (Proto.storage b) ~pos:off ~limit:(off + len) cur);
+    let field = Bytes.sub (Proto.storage b) (off + len - 2 - body) body in
+    let back = Proto.get_zigzag cur in
+    Proto.expect_end cur;
+    (back, field)
+  in
+  List.iter
+    (fun v ->
+      let back, field = round_trip v in
+      let what = Printf.sprintf "zigzag %d" v in
+      Alcotest.(check int) (what ^ ": round trip") v back;
+      let want = Buffer.create 10 in
+      Ref.put_varint want (Ref.zigzag v);
+      Alcotest.(check string) (what ^ ": reference bytes") (Buffer.contents want)
+        (Bytes.to_string field);
+      Alcotest.(check int) (what ^ ": size") (Bytes.length field)
+        (Proto.varint_size (Proto.zigzag v));
+      Alcotest.(check bool) (what ^ ": at most 9 bytes") true (Bytes.length field <= 9))
+    [
+      min_int; min_int + 1; max_int; max_int - 1;
+      1 lsl 61; (1 lsl 61) - 1; (1 lsl 61) + 1;
+      -(1 lsl 61); -(1 lsl 61) - 1; -(1 lsl 61) + 1;
+      0; -1; 1; 63; -64; 64; -65;
+    ];
+  Alcotest.(check int) "min_int's image" (-1) (Proto.zigzag min_int);
+  Alcotest.(check int) "max_int's image" (-2) (Proto.zigzag max_int);
+  (* a length varint still refuses 2^62, which a zigzag field reads *)
+  let two_62 = Bytes.of_string "\x80\x80\x80\x80\x80\x80\x80\x80\x40" in
+  corrupt "a 2^62 length" (fun () -> Proto.get_varint (cursor_on two_62));
+  Alcotest.(check int) "2^62 as a zigzag field" (1 lsl 61) (Proto.get_zigzag (cursor_on two_62));
+  Alcotest.check_raises "a negative length" (Invalid_argument "Codec.put_varint: negative")
+    (fun () -> Codec.put_varint (Bitio.writer ()) (-1))
 
 (* ----------------------------------------------------------- fail-closed *)
 
@@ -873,7 +924,10 @@ let () =
           Alcotest.test_case "gamma code past an int" `Quick test_gamma_too_long;
         ] );
       ( "varint-overflow",
-        [ Alcotest.test_case "tenth byte payload is corrupt" `Quick test_varint_overflow ] );
+        [
+          Alcotest.test_case "tenth byte payload is corrupt" `Quick test_varint_overflow;
+          Alcotest.test_case "zigzag over the whole int range" `Quick test_zigzag_int_range;
+        ] );
       ( "fail-closed",
         [
           qc
